@@ -33,8 +33,8 @@ from .process_tensor import (CHOI_DPI_GAPS, Instrument, ProcessTensor,
                              choi_dpi_witnesses, contract, dephased_joint_pmf,
                              dephasing_instrument, fresh_env_circuit, instrument,
                              markov_factorization_gap, mqmmi_witness,
-                             multitime_coherent_info, port_mutual_information,
-                             system_env_circuit)
+                             mqmmi_witnesses, multitime_coherent_info,
+                             port_mutual_information, system_env_circuit)
 from .states import (DensityMatrix, PureState, maximally_entangled, pure_state,
                      purify, random_density, w_state)
 from .witnesses import (GAP_TOLERANCE, MarkovChainProcess, WitnessReport,
@@ -67,7 +67,8 @@ __all__ = [
     "m8_ssa_certificates", "m8_witnesses", "markov_factorization_gap",
     "markov_process", "maximally_entangled", "mi_dpi_gap",
     "mi_monotonicity_check", "monogamy_conjecture_gap", "mqmmi_row",
-    "mqmmi_witness", "multitime_coherent_info", "mutual_information",
+    "mqmmi_witness", "mqmmi_witnesses", "multitime_coherent_info",
+    "mutual_information",
     "nonmarkov_witness_row", "parallel_map", "partial_trace",
     "port_mutual_information",
     "pure_state", "purified_circuit_state", "purify", "qdpi_witnesses",

@@ -4,12 +4,12 @@ randomized verification harnesses.
 The example: a three-qubit register (R, S, E) starts in the pure state
 with amplitude 1/sqrt(3) on |100>, |010>, |001>, and the same two-qubit
 unitary u_lambda acts on (S, E) three times, giving four global states
-gamma_1..gamma_4.  Witness rows evaluate the entropy combinations of the
-witnesses directly on those states.  Note the M4 row uses the sum
-[H(R,S,E) - H(R,S)] at gamma_4 plus [H(R,S) - H(R,S,E)] at gamma_3; with
-a minus sign between the brackets the quantity is nonpositive for every
-pure global state and cannot reproduce the reported violation regions,
-so the sign is pinned by the region structure itself.
+gamma_1..gamma_4, one register simulation per lambda.  Witness rows are
+entropies of named registers of those states.  Every gamma_i is pure, so
+H(R,S,E) = 0 and H(R,S) = H(E) at each step, and the rows reduce to
+single-register entropies.  In particular the M4 row, written in the
+entropy form [H(R,S,E) - H(R,S)] at gamma_4 plus [H(R,S) - H(R,S,E)] at
+gamma_3, equals H(E) at gamma_3 minus H(E) at gamma_4.
 
 Randomized harnesses draw Markov processes from Haar dilations and
 report worst-case witness values, certificate mismatches, adjoint-map
@@ -21,8 +21,6 @@ uses seed + i so a reported counterexample can be rebuilt in isolation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,10 +28,10 @@ import numpy as np
 from .channels import (adjoint_channel, apply_to_subsystem, dilation_to_kraus,
                        random_channel, stinespring)
 from .classical import cmmi_gap, joint_from_chain, random_chain
-from .info import conditional_mutual_information, von_neumann
-from .linalg import kron
-from .process_tensor import mqmmi_witness, system_env_circuit
-from .states import DensityMatrix, density, maximally_entangled, random_density, w_state
+from .info import conditional_mutual_information
+from .process_tensor import mqmmi_witnesses, system_env_circuit
+from .states import (DensityMatrix, PureState, density, maximally_entangled,
+                     random_density, w_state)
 from .witnesses import (GAP_TOLERANCE, MarkovChainProcess, cqmi_monotonicity_gap,
                         extra_dpi_witnesses, m4_ssa_certificate, m4_witness,
                         m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
@@ -72,61 +70,60 @@ def u_lambda(lam: float) -> np.ndarray:
     ], dtype=complex)
 
 
-def gamma_sequence(lam: float) -> list[DensityMatrix]:
-    """gamma_1 = |psi><psi|, gamma_{i+1} = (1_R x U) gamma_i (1_R x U)†."""
-    psi = w_state()
-    u_full = kron(np.eye(2), u_lambda(lam))
-    states = [psi.density()]
+def _gamma_registers(lam: float) -> list[PureState]:
+    """gamma_1..gamma_4 as pure states on the labelled registers (R, S, E)."""
+    states = [w_state()]
+    u = u_lambda(lam)
     for _ in range(3):
-        prev = states[-1]
-        states.append(DensityMatrix(u_full @ prev.mat @ u_full.conj().T, prev.dims))
+        states.append(states[-1].apply(u, ("S", "E")))
     return states
 
 
-def _h_s(g: DensityMatrix) -> float:
-    return von_neumann(g.reduced((1,)))
+def gamma_sequence(lam: float) -> list[DensityMatrix]:
+    """gamma_1 = |psi><psi|, gamma_{i+1} = (1_R x U) gamma_i (1_R x U)†."""
+    return [g.density() for g in _gamma_registers(lam)]
 
 
-def _h_rs(g: DensityMatrix) -> float:
-    return von_neumann(g.reduced((0, 1)))
-
-
-def _h_rse(g: DensityMatrix) -> float:
-    return von_neumann(g)
+def _ic(g: PureState) -> float:
+    return g.entropy(("S",)) - g.entropy(("R", "S"))
 
 
 def nonmarkov_witness_row(lam: float) -> dict[str, float]:
-    """DP1..DP4 and M4 of the example, straight from the entropy forms."""
-    _, g2, g3, g4 = gamma_sequence(lam)
-    ic2 = _h_s(g2) - _h_rs(g2)
-    ic3 = _h_s(g3) - _h_rs(g3)
-    ic4 = _h_s(g4) - _h_rs(g4)
+    """DP1..DP4 and M4 of the example, from register entropies.
+
+    With ic_i = H(S) - H(R,S) at gamma_i: DP1..DP3 are differences of
+    ic_2, ic_3, ic_4, DP4 = H(S) at gamma_3 minus H(S) at gamma_4, and
+    M4 = H(E) at gamma_3 minus H(E) at gamma_4.
+    """
+    _, g2, g3, g4 = _gamma_registers(lam)
+    ic2, ic3, ic4 = _ic(g2), _ic(g3), _ic(g4)
     return {
         "lambda": lam,
         "DP1": ic2 - ic3,
         "DP2": ic2 - ic4,
         "DP3": ic3 - ic4,
-        "DP4": (_h_s(g3) - _h_rse(g3)) - (_h_s(g4) - _h_rse(g4)),
-        "M4": (_h_rse(g4) - _h_rs(g4)) + (_h_rs(g3) - _h_rse(g3)),
+        "DP4": g3.entropy(("S",)) - g4.entropy(("S",)),
+        "M4": g3.entropy(("E",)) - g4.entropy(("E",)),
     }
 
 
 def extra_dpi_row(lam: float) -> dict[str, float]:
     """DP5..DP7 on the example plus DP5 on a genuinely Markov reference.
 
-    The reference runs the same u_lambda twice, but from a maximally
+    On the example DP5 = H(R,S) at gamma_3, DP6 = H(S) at gamma_3 minus
+    ic_4 (see nonmarkov_witness_row) and DP7 = H(R,S) at gamma_4.  The
+    reference runs the same u_lambda twice, but from a maximally
     entangled (R, S) pair with a fresh |0> ancilla per step, so the
     process is Markov by construction.
     """
-    _, g2, g3, g4 = gamma_sequence(lam)
-    row = {
+    _, _, g3, g4 = _gamma_registers(lam)
+    return {
         "lambda": lam,
         "DP5_markov": _markov_reference_dp5(lam),
-        "DP5": (_h_s(g3) - _h_rse(g3)) - (_h_s(g3) - _h_rs(g3)),
-        "DP6": (_h_s(g3) - _h_rse(g3)) - (_h_s(g4) - _h_rs(g4)),
-        "DP7": (_h_s(g4) - _h_rse(g4)) - (_h_s(g4) - _h_rs(g4)),
+        "DP5": g3.entropy(("R", "S")),
+        "DP6": g3.entropy(("S",)) - _ic(g4),
+        "DP7": g4.entropy(("R", "S")),
     }
-    return row
 
 
 def _markov_reference_dp5(lam: float) -> float:
@@ -139,12 +136,8 @@ def _markov_reference_dp5(lam: float) -> float:
 def mqmmi_row(lam: float) -> dict[str, float]:
     """The three interventional monogamy witnesses on the example circuit."""
     circuit = system_env_circuit(w_state(), [u_lambda(lam)] * 3)
-    return {
-        "lambda": lam,
-        "M4_q1": mqmmi_witness(circuit, "q1"),
-        "M4_q2": mqmmi_witness(circuit, "q2"),
-        "M4_q3": mqmmi_witness(circuit, "q3"),
-    }
+    gaps = mqmmi_witnesses(circuit).entries
+    return {"lambda": lam, **{f"M4_{kind}": gaps[kind] for kind in ("q1", "q2", "q3")}}
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +155,18 @@ def lambda_grid(lo: float = 0.0, hi: float = 1.0, step: float = 0.01) -> list[fl
 
 
 def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; worker count capped by QMONOGAMY_THREADS."""
-    env = os.environ.get("QMONOGAMY_THREADS", "")
-    workers = int(env) if env.strip() else (os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """fn over items, in order, in the calling thread.
+
+    Each task is a few small numpy calls that hold the interpreter lock,
+    so threads would add overhead and no speed.  Sweeps and surveys fan
+    out through this one function.
+    """
+    return [fn(x) for x in items]
 
 
 def sweep(row_fn: Callable[[float], dict[str, float]],
           grid: Sequence[float]) -> list[dict[str, float]]:
-    """Evaluate a row function over the grid, in parallel, rows in grid order."""
+    """Evaluate a row function over the grid, rows in grid order."""
     return parallel_map(row_fn, list(grid))
 
 

@@ -11,14 +11,15 @@ purification chosen.  Chain shorthand: for a state rho_1 pushed through
 channels L_1, ..., L_n, ``chain_coherent_information(rho_1, chain, r, s)``
 is the coherent information of the r-th state through the composite map
 that carries it to the s-th.
+
+von_neumann is defined in states, next to PureState.entropy which uses
+it, and exported from here with the other entropic quantities.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .channels import KrausChannel, apply, apply_to_subsystem
-from .states import DensityMatrix, purify
+from .states import DensityMatrix, PureState, purify, von_neumann
 
 __all__ = [
     "von_neumann",
@@ -28,25 +29,21 @@ __all__ = [
     "chain_coherent_information",
 ]
 
-EIG_CLIP = 1e-12
 
-
-def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
-    """Entropy -sum(w log2 w) over eigenvalues above the 1e-12 clip."""
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    w = w[w > EIG_CLIP]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def _entropy_of_subset(rho: DensityMatrix, subset: tuple[int, ...]) -> float:
+def _entropy_of_subset(rho: DensityMatrix | PureState, subset: tuple) -> float:
+    if isinstance(rho, PureState):
+        return rho.entropy(subset)
     if len(subset) == len(rho.dims):
         return von_neumann(rho)
     return von_neumann(rho.reduced(subset))
 
 
-def mutual_information(rho: DensityMatrix, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB) over disjoint subsystem index sets."""
+def mutual_information(rho: DensityMatrix | PureState, a: tuple, b: tuple) -> float:
+    """I(A:B) = H(A) + H(B) - H(AB) over disjoint subsystem sets.
+
+    Subsystems are indices; a PureState's registers may also be named by
+    label, and its entropies come from PureState.entropy.
+    """
     a, b = tuple(a), tuple(b)
     if set(a) & set(b):
         raise ValueError("subsystem sets overlap")
@@ -54,10 +51,10 @@ def mutual_information(rho: DensityMatrix, a: tuple[int, ...], b: tuple[int, ...
     return _entropy_of_subset(rho, a) + _entropy_of_subset(rho, b) - hab
 
 
-def conditional_mutual_information(rho: DensityMatrix, a: tuple[int, ...],
-                                   b: tuple[int, ...], c: tuple[int, ...]) -> float:
+def conditional_mutual_information(rho: DensityMatrix | PureState, a: tuple,
+                                   b: tuple, c: tuple) -> float:
     """I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C); nonnegative by strong
-    subadditivity."""
+    subadditivity.  Subsystems are named as in mutual_information."""
     a, b, c = tuple(a), tuple(b), tuple(c)
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise ValueError("subsystem sets overlap")

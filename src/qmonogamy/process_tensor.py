@@ -32,8 +32,8 @@ import numpy as np
 
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
-from .info import mutual_information, von_neumann
-from .linalg import apply_two_site, is_unitary, kron
+from .info import mutual_information
+from .linalg import is_unitary, kron
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
 from .witnesses import GAP_TOLERANCE, WitnessReport
 
@@ -51,12 +51,13 @@ __all__ = [
     "choi_dpi_witnesses",
     "multitime_coherent_info",
     "mqmmi_witness",
+    "mqmmi_witnesses",
     "fresh_env_circuit",
     "dephased_joint_pmf",
 ]
 
-# refuse simulations needing more amplitudes than this
-MAX_AMPLITUDES = 2 ** 14
+# contracted probabilities may leave [0, 1] by this much through round-off
+PROB_SLACK = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,29 +161,15 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
         raise ValueError(
             f"{steps} slots need {steps - 1} step unitaries, "
             f"circuit has {len(circuit.step_unitaries)}")
-    d = circuit.d_sys
-    t = circuit.initial.vec.reshape(circuit.initial.dims)
-    dims = list(circuit.initial.dims)
-    pair = maximally_entangled(d).vec.reshape(d, d)
+    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "S1", "E"))
+    pair = maximally_entangled(circuit.d_sys)
     for j in range(1, steps):
-        if math.prod(dims) * d * d > MAX_AMPLITUDES:
-            raise ValueError(
-                f"slot {j} would need {math.prod(dims) * d * d} amplitudes "
-                f"(limit {MAX_AMPLITUDES})")
-        # live axis becomes the retained S_j; pair half R_j stays, half feeds on
-        t = np.tensordot(t, pair, axes=0)
-        t = np.moveaxis(t, -3, -1)
-        dims = dims[:-1] + [d, d, dims[-1]]
-        vec = apply_two_site(t.reshape(-1), tuple(dims), circuit.step_unitaries[j - 1],
-                             (len(dims) - 2, len(dims) - 1))
-        t = vec.reshape(dims)
-    psi = PureState(t.reshape(-1), tuple(dims))
-    choi = psi.reduced(tuple(range(len(dims) - 1)))
-    ports = ["R0"]
-    for j in range(1, steps):
-        ports += [f"S{j}", f"R{j}"]
-    ports.append(f"S{steps}")
-    return ProcessTensor(choi, tuple(ports))
+        # S_j stays as the slot's output port; the pair's first half is the
+        # input port R_j, its second half runs on to become S_{j+1}
+        psi = psi.splice(pair, after=f"S{j}", labels=(f"R{j}", f"S{j + 1}"))
+        psi = psi.apply(circuit.step_unitaries[j - 1], (f"S{j + 1}", "E"))
+    ports = psi.labels[:-1]
+    return ProcessTensor(psi.reduced(ports), ports)
 
 
 def _as_kraus_ops(item) -> tuple[np.ndarray, ...]:
@@ -255,6 +242,9 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
         slot_ops = {j: ops[j - 1] for j in range(1, k)}
         mat = _contract_ports(pt, slot_ops, (len(pt.ports) - 1,))
         tr = np.trace(mat).real
+        if tr <= PROB_SLACK:
+            raise ValueError(f"intervention sequence has probability {tr:.3e}; "
+                             "its conditional output state is undefined")
         if abs(tr - 1.0) > 1e-8:
             mat = mat / tr  # conditional state of a trace-decreasing sequence
         return density(mat, (pt.d_sys,))
@@ -262,7 +252,7 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
         slot_ops = {j: ops[j - 1] for j in range(1, k)}
         p = _contract_ports(pt, slot_ops, (), final_ops=ops[-1])
         p = complex(p[0, 0]).real
-        if not -1e-10 <= p <= 1 + 1e-10:
+        if not -PROB_SLACK <= p <= 1 + PROB_SLACK:
             raise ValueError(f"contraction gave probability {p!r} outside [0, 1]")
         return p
     raise ValueError(
@@ -342,6 +332,37 @@ def choi_dpi_witnesses(pt: ProcessTensor, interventions: Sequence | None = None,
 # interventional monogamy witnesses
 # ---------------------------------------------------------------------------
 
+# entropy combinations of the kinds, over the registers of _intervened_state:
+# kind -> (registers of the positive term); H(S_j, R_j, S_k) is subtracted
+_KIND_TERMS = {"q1": ("Sj", "Rj"), "q2": ("Sk",), "q3": ("Sj", "Sk")}
+
+
+def _intervened_state(circuit: SystemEnvCircuit, j: int, k: int,
+                      purifier: Callable[[DensityMatrix], PureState]) -> PureState:
+    """The circuit run to slot k with a purification intervention at slot j,
+    as a pure state on the registers (R0, Sj, Rj, Sk, E)."""
+    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "Sj", "E"))
+    for u in circuit.step_unitaries[: j - 1]:
+        psi = psi.apply(u, ("Sj", "E"))
+    # set the live system aside and splice in the purification of its state
+    pur = purifier(psi.reduced(("Sj",)))
+    if pur.dims[1] != circuit.d_sys:
+        raise ValueError("purifier must return (reference, system) registers")
+    psi = psi.splice(pur, after="Sj", labels=("Rj", "Sk"))
+    for u in circuit.step_unitaries[j - 1: k - 1]:
+        psi = psi.apply(u, ("Sk", "E"))
+    return psi
+
+
+def _kind_value(psi: PureState, kind: str) -> float:
+    return psi.entropy(_KIND_TERMS[kind]) - psi.entropy(("Sj", "Rj", "Sk"))
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _KIND_TERMS:
+        raise ValueError(f"kind must be q1, q2 or q3, got {kind!r}")
+
+
 def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int,
                             purifier: Callable[[DensityMatrix], PureState] = purify,
                             ) -> float:
@@ -358,54 +379,30 @@ def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int
 
     The value does not depend on which purification is chosen.
     """
-    if kind not in ("q1", "q2", "q3"):
-        raise ValueError(f"kind must be q1, q2 or q3, got {kind!r}")
+    _check_kind(kind)
     if not (1 <= j < k <= circuit.n_slots):
         raise ValueError(f"need 1 <= j < k <= {circuit.n_slots}, got j={j}, k={k}")
-    t = circuit.initial.vec.reshape(circuit.initial.dims)
-    dims = list(circuit.initial.dims)
-    vec = t.reshape(-1)
-    for step in range(j - 1):
-        vec = apply_two_site(vec, tuple(dims), circuit.step_unitaries[step],
-                             (len(dims) - 2, len(dims) - 1))
-    # set the live system aside and splice in the purification of its state
-    live = len(dims) - 2
-    rho_j = PureState(vec, tuple(dims)).reduced((live,))
-    pur = purifier(rho_j)
-    if pur.dims[1] != circuit.d_sys:
-        raise ValueError("purifier must return (reference, system) registers")
-    d_ref = pur.dims[0]
-    if math.prod(dims) * d_ref * circuit.d_sys > MAX_AMPLITUDES:
-        raise ValueError(f"purification insertion exceeds {MAX_AMPLITUDES} amplitudes")
-    t = vec.reshape(dims)
-    t = np.tensordot(t, pur.vec.reshape(pur.dims), axes=0)
-    t = np.moveaxis(t, -3, -1)  # (.., S_j, E, R_j, S') -> (.., S_j, R_j, S', E)
-    dims = dims[:-1] + [d_ref, circuit.d_sys, dims[-1]]
-    vec = t.reshape(-1)
-    for step in range(j - 1, k - 1):
-        vec = apply_two_site(vec, tuple(dims), circuit.step_unitaries[step],
-                             (len(dims) - 2, len(dims) - 1))
-    psi = PureState(vec, tuple(dims))
-    s_j, r_j, s_k = len(dims) - 4, len(dims) - 3, len(dims) - 2
-    h_all = von_neumann(psi.reduced((s_j, r_j, s_k)))
-    if kind == "q1":
-        return von_neumann(psi.reduced((s_j, r_j))) - h_all
-    if kind == "q2":
-        return von_neumann(psi.reduced((s_k,))) - h_all
-    return von_neumann(psi.reduced((s_j, s_k))) - h_all
+    return _kind_value(_intervened_state(circuit, j, k, purifier), kind)
+
+
+def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
+    """The interventional monogamy gap I(1;4) + I(2;3) - I(1;3) - I(2;4)
+    of every kind (entries q1, q2, q3), each nonnegative for every Markov
+    process.  One intervened state per slot pair serves all three kinds."""
+    if circuit.n_slots < 4:
+        raise ValueError("needs a circuit with at least 4 slots")
+    signs = {(1, 4): 1.0, (2, 3): 1.0, (1, 3): -1.0, (2, 4): -1.0}
+    states = {pair: _intervened_state(circuit, *pair, purify) for pair in signs}
+    entries = {kind: sum(sign * _kind_value(states[pair], kind)
+                         for pair, sign in signs.items())
+               for kind in _KIND_TERMS}
+    return WitnessReport(entries)
 
 
 def mqmmi_witness(circuit: SystemEnvCircuit, kind: str) -> float:
-    """Interventional monogamy gap
-    I(1;4) + I(2;3) - I(1;3) - I(2;4) of the requested kind; nonnegative
-    for every Markov process."""
-    if circuit.n_slots < 4:
-        raise ValueError("needs a circuit with at least 4 slots")
-
-    def iq(a: int, b: int) -> float:
-        return multitime_coherent_info(circuit, kind, a, b)
-
-    return iq(1, 4) + iq(2, 3) - iq(1, 3) - iq(2, 4)
+    """Interventional monogamy gap of one kind; see mqmmi_witnesses."""
+    _check_kind(kind)
+    return mqmmi_witnesses(circuit).entries[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,30 @@ A DensityMatrix carries its subsystem-dimension signature alongside the
 matrix, so partial traces and entropies downstream never need dimension
 bookkeeping at the call site.  Validation thresholds: Hermiticity and unit
 trace within 1e-10, minimum eigenvalue >= -1e-10.
+
+A PureState may also carry register labels, which makes it the package's
+one circuit simulator: unitaries and isometries are applied to named
+registers, fresh pure states are spliced in next to them, and entropies
+of named registers come straight from the vector.  Every purified
+circuit, process tensor and intervened state is built this way, and
+MAX_AMPLITUDES bounds all of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, partial_trace
+from .linalg import apply_two_site, dagger, hermitian_eig, partial_trace
 
 __all__ = [
     "DensityMatrix",
     "PureState",
+    "MAX_AMPLITUDES",
+    "von_neumann",
     "density",
     "pure_state",
     "purify",
@@ -29,6 +39,12 @@ __all__ = [
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+EIG_CLIP = 1e-12
+
+# register simulations refuse to grow a state past this many amplitudes
+MAX_AMPLITUDES = 2 ** 14
+
+Register = str | int
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +65,31 @@ class DensityMatrix:
         return DensityMatrix(sub, tuple(self.dims[k] for k in keep))
 
 
+def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
+    """Entropy -sum(w log2 w) over eigenvalues above the 1e-12 clip."""
+    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    w = w[w > EIG_CLIP]
+    return float(-np.sum(w * np.log2(w)))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm state vector with a subsystem signature."""
+    """Unit-norm state vector with a subsystem signature.
+
+    With `labels` the registers have names.  Every method that takes
+    registers accepts each one by label or by position (an int).
+    """
 
     vec: np.ndarray
     dims: tuple[int, ...]
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.labels is not None and (len(self.labels) != len(self.dims)
+                                        or len(set(self.labels)) != len(self.labels)):
+            raise ValueError(f"need one distinct label per register, got {self.labels} "
+                             f"for dims {self.dims}")
 
     @property
     def dim(self) -> int:
@@ -63,14 +98,96 @@ class PureState:
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
 
-    def reduced(self, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
+    def _axes(self, registers: Sequence[Register]) -> list[int]:
+        axes = []
+        for r in registers:
+            if isinstance(r, str):
+                if self.labels is None or r not in self.labels:
+                    raise ValueError(f"no register labelled {r!r} in {self.labels}")
+                axes.append(self.labels.index(r))
+            elif 0 <= r < len(self.dims):
+                axes.append(int(r))
+            else:
+                raise ValueError(f"register {r} out of range for {len(self.dims)} registers")
+        return axes
+
+    def reduced(self, keep: Sequence[Register]) -> DensityMatrix:
+        """Marginal on the registers in `keep`, in register order."""
         # contract from the vector; never materializes the full outer product
-        keep = sorted(set(keep))
+        keep = sorted(set(self._axes(keep)))
         traced = [i for i in range(len(self.dims)) if i not in keep]
         t = self.vec.reshape(self.dims)
         sub = np.tensordot(t, t.conj(), axes=(traced, traced))
         d = math.prod(self.dims[k] for k in keep)
         return DensityMatrix(sub.reshape(d, d), tuple(self.dims[k] for k in keep))
+
+    def entropy(self, registers: Sequence[Register]) -> float:
+        """von Neumann entropy (bits) of the marginal on `registers`.
+
+        The two sides of a bipartition of a pure state share their nonzero
+        spectrum, so the side of smaller dimension is the one reduced; the
+        empty set and the whole register both give 0.
+        """
+        keep = set(self._axes(registers))
+        rest = [i for i in range(len(self.dims)) if i not in keep]
+        if not keep or not rest:
+            return 0.0
+        d_keep = math.prod(self.dims[i] for i in keep)
+        return von_neumann(self.reduced(keep if d_keep <= self.dim // d_keep else rest))
+
+    def apply(self, op: np.ndarray, on: Sequence[Register],
+              out: dict[str, int] | None = None) -> PureState:
+        """Apply a unitary or an isometry `op` to the registers `on`.
+
+        `op` acts on the product of the `on` registers in the order given.
+        Without `out` the registers keep their labels, dimensions and places
+        (two registers go through `apply_two_site`).  With `out`, a mapping
+        of output labels to dimensions in `op`'s output order, the output
+        registers replace the `on` registers at the place of the first of
+        them.  A result above MAX_AMPLITUDES is refused before it is built,
+        here and in `splice`.
+        """
+        axes = self._axes(on)
+        if out is None and len(axes) == 2:
+            return replace(self, vec=apply_two_site(self.vec, self.dims, op, tuple(axes)))
+        op = np.asarray(op, dtype=complex)
+        rest = [i for i in range(len(self.dims)) if i not in axes]
+        if out is None:
+            new_dims, dest, labels = tuple(self.dims[a] for a in axes), axes, self.labels
+        else:
+            if self.labels is None:
+                raise ValueError("output registers need a labelled state")
+            p = min(axes)
+            new_dims, dest = tuple(out.values()), list(range(p, p + len(out)))
+            kept = [self.labels[i] for i in rest]
+            labels = tuple(kept[:p]) + tuple(out) + tuple(kept[p:])
+        _check_budget(math.prod(new_dims) * math.prod(self.dims[i] for i in rest))
+        t = np.moveaxis(self.vec.reshape(self.dims), axes, range(len(axes)))
+        t = op @ t.reshape(op.shape[1], -1)
+        t = t.reshape(new_dims + tuple(self.dims[i] for i in rest))
+        t = np.moveaxis(t, range(len(new_dims)), dest)
+        return PureState(t.reshape(-1), t.shape, labels)
+
+    def splice(self, state: PureState, after: Register,
+               labels: Sequence[str]) -> PureState:
+        """Tensor in the registers of the pure `state`, labelled `labels`,
+        right after the register `after`."""
+        if self.labels is None or len(labels) != len(state.dims):
+            raise ValueError(f"splicing needs a labelled state and one label per spliced "
+                             f"register, got {labels} for dims {state.dims}")
+        (a,) = self._axes((after,))
+        _check_budget(self.dim * state.dim)
+        n = len(state.dims)
+        t = np.multiply.outer(self.vec.reshape(self.dims), state.vec.reshape(state.dims))
+        t = np.moveaxis(t, range(-n, 0), range(a + 1, a + 1 + n))
+        new_labels = self.labels[:a + 1] + tuple(labels) + self.labels[a + 1:]
+        return PureState(t.reshape(-1), t.shape, new_labels)
+
+
+def _check_budget(size: int) -> None:
+    # the one amplitude check, made by both operations that grow a state
+    if size > MAX_AMPLITUDES:
+        raise ValueError(f"state would need {size} amplitudes (limit {MAX_AMPLITUDES})")
 
 
 def pure_state(vec: np.ndarray, dims: tuple[int, ...] | None = None) -> PureState:
@@ -90,12 +207,16 @@ def pure_state(vec: np.ndarray, dims: tuple[int, ...] | None = None) -> PureStat
 def density(m: np.ndarray, dims: tuple[int, ...] | None = None) -> DensityMatrix:
     """Validate a matrix into a DensityMatrix, reporting the failed invariant.
 
-    Raises ValueError naming the violated property (Hermiticity, unit
-    trace, or positivity) together with the measured deviation.
+    Raises ValueError naming the violated property (finite entries,
+    Hermiticity, unit trace, or positivity) together with the measured
+    deviation.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"non-finite entries: {np.count_nonzero(~np.isfinite(m))} "
+                         "NaN or infinite")
     if dims is None:
         dims = (m.shape[0],)
     dims = tuple(int(d) for d in dims)
@@ -150,7 +271,7 @@ def random_density(d: int, rank: int | None = None,
 
 
 def w_state() -> PureState:
-    """Equal-amplitude single-excitation state of three qubits.
+    """Equal-amplitude single-excitation state of three qubits (R, S, E).
 
     (|100> + |010> + |001>)/sqrt(3): every pair of registers is classically
     and quantum correlated, which is what makes it useful as an initially
@@ -158,4 +279,4 @@ def w_state() -> PureState:
     """
     vec = np.zeros(8, dtype=complex)
     vec[[4, 2, 1]] = 1.0 / np.sqrt(3.0)
-    return PureState(vec, (2, 2, 2))
+    return PureState(vec, (2, 2, 2), ("R", "S", "E"))

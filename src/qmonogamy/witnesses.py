@@ -26,17 +26,15 @@ entries below -tolerance (default 1e-9) as violations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import KrausChannel, apply, apply_to_subsystem, kraus_to_isometry
+from .channels import KrausChannel, apply, apply_to_subsystem
 from .info import (
     chain_coherent_information,
     conditional_mutual_information,
     mutual_information,
-    von_neumann,
 )
 from .states import DensityMatrix, PureState, purify
 
@@ -61,9 +59,6 @@ __all__ = [
 ]
 
 GAP_TOLERANCE = 1e-9
-
-# purified circuits refuse to allocate more amplitudes than this
-MAX_CIRCUIT_DIM = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,47 +277,37 @@ def purified_circuit_state(p: MarkovChainProcess) -> PureState:
     """Pure global state of the process with every channel dilated.
 
     The initial state is purified by a reference R, then each channel is
-    replaced by its isometry into a fresh environment register.  Register
-    order of the result: (R, E_1, ..., E_m, S) with m = len(channels);
-    the environment dimension of E_j is the Kraus count of channel j.
+    replaced by its isometry into a fresh environment register.  Registers
+    of the result, by label and in order: (R, E1, ..., Em, S) with
+    m = len(channels); the dimension of Ej is the Kraus count of channel j.
     """
     rho = p.initial
     if len(rho.dims) != 1:
         rho = DensityMatrix(rho.mat, (rho.dim,))
-    psi = purify(rho)
-    t = psi.vec.reshape(psi.dims)
-    dims = list(psi.dims)
-    for ch in p.channels:
-        n_env = len(ch.kraus)
-        total = math.prod(dims) // dims[-1] * ch.d_out * n_env
-        if total > MAX_CIRCUIT_DIM:
-            raise ValueError(
-                f"purified circuit would need {total} amplitudes "
-                f"(limit {MAX_CIRCUIT_DIM})")
-        v = kraus_to_isometry(ch).reshape(ch.d_out, n_env, ch.d_in)
-        t = np.tensordot(v, t, axes=[[2], [t.ndim - 1]])
-        # tensordot leaves (S', E) in front; park E before the live system
-        t = np.moveaxis(t, [0, 1], [t.ndim - 1, t.ndim - 2])
-        dims = dims[:-1] + [n_env, ch.d_out]
-    return PureState(t.reshape(-1), tuple(dims))
+    psi = replace(purify(rho), labels=("R", "S"))
+    for j, ch in enumerate(p.channels, 1):
+        # stacked Kraus operators are the isometry |s> -> sum_e |e> (x) K_e|s>
+        psi = psi.apply(np.vstack(ch.kraus), ("S",),
+                        out={f"E{j}": len(ch.kraus), "S": ch.d_out})
+    return psi
 
 
-def _env_cmi(psi: PureState, a: tuple[int, ...], b: tuple[int, ...],
-             c: tuple[int, ...]) -> float:
-    # register indices name environments 1..m directly (R sits at axis 0)
-    rho = psi  # PureState.reduced contracts from the vector
-    ha_c = von_neumann(rho.reduced(a + c))
-    hb_c = von_neumann(rho.reduced(b + c))
-    habc = von_neumann(rho.reduced(a + b + c))
-    hc = von_neumann(rho.reduced(c)) if c else 0.0
-    return ha_c + hb_c - habc - hc
+def _environment_cmi(p: MarkovChainProcess, n_channels: int):
+    """I(A:B|C) over environments, given by number, of the purified circuit
+    of the first `n_channels` channels."""
+    psi = purified_circuit_state(_truncated(p, n_channels))
+
+    def cmi(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> float:
+        a, b, c = ([f"E{j}" for j in js] for js in (a, b, c))
+        return conditional_mutual_information(psi, a, b, c)
+
+    return cmi
 
 
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:
     """I(E1:E3|E2) on the purified circuit; equals the M4 gap."""
     _require_states(p, 4, "m4_ssa_certificate")
-    psi = purified_circuit_state(_truncated(p, 3))
-    return _env_cmi(psi, (1,), (3,), (2,))
+    return _environment_cmi(p, 3)((1,), (3,), (2,))
 
 
 def m6_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
@@ -335,21 +320,17 @@ def m6_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     machine precision on random processes.
     """
     _require_states(p, 6, "m6_ssa_certificates")
-    psi = purified_circuit_state(_truncated(p, 5))
+    cmi = _environment_cmi(p, 5)
     return {
-        "M6a": _env_cmi(psi, (1,), (5,), (2, 3, 4)) + _env_cmi(psi, (1, 2), (4,), (3,)),
-        "M6b": _env_cmi(psi, (1, 2), (5,), (3, 4)) + _env_cmi(psi, (2,), (4,), (3,)),
+        "M6a": cmi((1,), (5,), (2, 3, 4)) + cmi((1, 2), (4,), (3,)),
+        "M6b": cmi((1, 2), (5,), (3, 4)) + cmi((2,), (4,), (3,)),
     }
 
 
 def m8_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     """Certificate sums matching m8_witnesses entry for entry."""
     _require_states(p, 8, "m8_ssa_certificates")
-    psi = purified_circuit_state(_truncated(p, 7))
-
-    def cmi(a, b, c):
-        return _env_cmi(psi, a, b, c)
-
+    cmi = _environment_cmi(p, 7)
     outer = cmi((1,), (7,), (2, 3, 4, 5, 6))
     return {
         "M8a": outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((1, 2, 3), (5,), (4,)),
@@ -371,7 +352,7 @@ def dp5_conditional_entropy(p: MarkovChainProcess) -> float:
     """
     _require_states(p, 3, "dp5_conditional_entropy")
     psi = purified_circuit_state(_truncated(p, 2))
-    return von_neumann(psi.reduced((1, 2))) - von_neumann(psi.reduced((2,)))
+    return psi.entropy(("E1", "E2")) - psi.entropy(("E2",))
 
 
 def _truncated(p: MarkovChainProcess, n_channels: int) -> MarkovChainProcess:

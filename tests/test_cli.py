@@ -88,6 +88,13 @@ def test_svg_lands_next_to_the_output_file(tmp_path):
     ET.fromstring(text)  # well-formed XML
 
 
+def test_svg_of_a_one_point_grid(tmp_path):
+    out = tmp_path / "point.csv"
+    assert main(["sweep-qmmi", "--lambda-min", "0.5", "--lambda-max", "0.5",
+                 "--output", str(out), "--svg"]) == 0
+    ET.fromstring((tmp_path / "point.svg").read_text())
+
+
 def test_svg_requires_an_output_file(capsys):
     assert main(["sweep-qmmi", "--svg"]) == 2
     assert "--output" in capsys.readouterr().err

@@ -24,8 +24,10 @@ from qmonogamy import (
     random_markov_verify,
     sweep,
     u_lambda,
+    von_neumann,
     w_state,
 )
+from qmonogamy import states
 
 H_ONE_THIRD = math.log2(3) - 2 / 3  # binary entropy of 1/3
 
@@ -105,6 +107,43 @@ def test_nonmarkov_row_midpoint_has_closed_forms():
     assert row["M4"] == pytest.approx(row["DP4"], abs=1e-12)
 
 
+def test_rows_are_single_register_entropies():
+    # every gamma_i is pure, so H(R,S,E) = 0 and H(R,S) = H(E): the M4 row's
+    # entropy form [H(RSE) - H(RS)]_4 + [H(RS) - H(RSE)]_3 is H(E)_3 - H(E)_4
+    for lam in (0.05, 0.5, 0.83):
+        g = gamma_sequence(lam)
+
+        def h(i, keep):
+            return von_neumann(g[i - 1].reduced(keep))
+
+        def ic(i):
+            return h(i, (1,)) - h(i, (0, 1))
+
+        row = nonmarkov_witness_row(lam)
+        old_form = (von_neumann(g[3]) - h(4, (0, 1))) + (h(3, (0, 1)) - von_neumann(g[2]))
+        assert row["M4"] == pytest.approx(old_form, abs=1e-12)
+        assert row["M4"] == pytest.approx(h(3, (2,)) - h(4, (2,)), abs=1e-12)
+        assert row["DP4"] == pytest.approx(h(3, (1,)) - h(4, (1,)), abs=1e-12)
+        extra = extra_dpi_row(lam)
+        assert extra["DP5"] == pytest.approx(h(3, (2,)), abs=1e-12)
+        assert extra["DP6"] == pytest.approx(h(3, (1,)) - ic(4), abs=1e-12)
+        assert extra["DP7"] == pytest.approx(h(4, (2,)), abs=1e-12)
+
+
+def test_mqmmi_row_runs_one_simulation_per_slot_pair(monkeypatch):
+    # pairs (1,4), (2,3), (1,3), (2,4) need 3 + 2 + 2 + 3 step unitaries
+    calls = []
+    original = states.apply_two_site
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(states, "apply_two_site", counting)
+    mqmmi_row(0.4)
+    assert len(calls) == 10
+
+
 def test_extra_dpi_row_frozen_values():
     row = extra_dpi_row(0.5)
     assert set(row) == {"lambda", "DP5_markov", "DP5", "DP6", "DP7"}
@@ -176,17 +215,7 @@ def test_rows_vary_smoothly_on_the_default_grid():
             assert abs(cur[name] - prev[name]) < 0.35
 
 
-def test_parallel_map_matches_serial(monkeypatch):
-    grid = lambda_grid(0.0, 0.2, 0.05)
-    monkeypatch.setenv("QMONOGAMY_THREADS", "1")
-    serial = sweep(nonmarkov_witness_row, grid)
-    monkeypatch.setenv("QMONOGAMY_THREADS", "2")
-    threaded = sweep(nonmarkov_witness_row, grid)
-    assert serial == threaded
-
-
-def test_parallel_map_keeps_item_order(monkeypatch):
-    monkeypatch.setenv("QMONOGAMY_THREADS", "4")
+def test_parallel_map_keeps_item_order():
     assert parallel_map(lambda x: x * x, list(range(20))) == [x * x for x in range(20)]
 
 

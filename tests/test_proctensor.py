@@ -120,6 +120,14 @@ def test_conditional_state_renormalization():
     assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-10)
 
 
+def test_zero_probability_sequence_has_no_conditional_state():
+    # at lambda = 0 the dephasing outcomes 0, 0, 1 never occur in a row
+    pt = build_process_tensor(_w_circuit(0.0), 4)
+    proj = dephasing_instrument(2).elements
+    with pytest.raises(ValueError, match="probability"):
+        contract(pt, [proj[0], proj[0], proj[1]])
+
+
 def test_instrument_validation():
     with pytest.raises(ValueError, match="sum"):
         instrument([(np.eye(2) * 0.5,)])

@@ -1,10 +1,16 @@
-"""Validated state containers, purification, and the fixed example states."""
+"""Validated state containers, purification, the fixed example states, and
+the labelled register operations."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from qmonogamy.states import (DensityMatrix, density, maximally_entangled,
-                              pure_state, purify, random_density, w_state)
+from qmonogamy.info import von_neumann
+from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
+                              maximally_entangled, pure_state, purify, random_density,
+                              w_state)
 
 RNG = np.random.default_rng(20240817)
 
@@ -18,6 +24,10 @@ def test_density_validator_names_the_failed_invariant():
         density(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="dims"):
         density(np.eye(4) / 4, (2, 3))
+    with pytest.raises(ValueError, match="non-finite"):
+        density(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        density(np.diag([np.inf, 0.0]))
 
 
 def test_density_symmetrizes_roundoff():
@@ -90,3 +100,65 @@ def test_w_state_layout():
     # each single-qubit marginal of the single-excitation state
     np.testing.assert_allclose(psi.reduced((1,)).mat, np.diag([2 / 3, 1 / 3]),
                                atol=1e-12)
+
+
+def _random_labelled(dims, labels, rng):
+    vec = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
+    return PureState(vec / np.linalg.norm(vec), dims, labels)
+
+
+def test_entropy_is_the_same_on_both_sides_of_a_cut():
+    rng = np.random.default_rng(3)
+    labels = ("A", "B", "C", "D")
+    for dims in [(2, 3, 2, 2), (3, 2, 4, 1), (2, 2, 2, 5)]:
+        psi = _random_labelled(dims, labels, rng)
+        for n in range(1, 4):
+            for subset in itertools.combinations(labels, n):
+                rest = tuple(x for x in labels if x not in subset)
+                h = psi.entropy(subset)
+                assert h == pytest.approx(psi.entropy(rest), abs=1e-12)
+                assert h == pytest.approx(von_neumann(psi.reduced(subset)), abs=1e-12)
+        assert psi.entropy(()) == 0.0
+        assert psi.entropy(labels) == 0.0
+
+
+def test_registers_are_named_by_label_or_position():
+    psi = _random_labelled((2, 3, 2), ("A", "B", "C"), np.random.default_rng(4))
+    np.testing.assert_array_equal(psi.reduced(("C", "A")).mat, psi.reduced((0, 2)).mat)
+    with pytest.raises(ValueError, match="labelled"):
+        psi.reduced(("Z",))
+    with pytest.raises(ValueError, match="label"):
+        PureState(psi.vec, psi.dims, ("A", "A", "C"))
+
+
+def test_apply_and_splice_match_explicit_tensor_products():
+    rng = np.random.default_rng(5)
+    psi = _random_labelled((2, 3, 2), ("A", "B", "C"), rng)
+    t = psi.vec.reshape(2, 3, 2)
+    # a unitary on (C, A): given order, registers not adjacent
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    got = psi.apply(u, ("C", "A"))
+    want = np.einsum("cadf,fbd->abc", u.reshape(2, 2, 2, 2), t)
+    np.testing.assert_allclose(got.vec, want.reshape(-1), atol=1e-12)
+    assert got.labels == psi.labels
+    # an isometry B -> (F, B) takes the place of B
+    v = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
+    got = psi.apply(v, ("B",), out={"F": 2, "B": 3})
+    want = np.einsum("fxb,abc->afxc", v.reshape(2, 3, 3), t)
+    assert got.labels == ("A", "F", "B", "C")
+    np.testing.assert_allclose(got.vec, want.reshape(-1), atol=1e-12)
+    # splicing a pair after A puts its registers between A and B
+    pair = maximally_entangled(2)
+    got = psi.splice(pair, after="A", labels=("X", "Y"))
+    assert got.labels == ("A", "X", "Y", "B", "C") and got.dims == (2, 2, 2, 3, 2)
+    want = np.einsum("abc,xy->axybc", t, pair.vec.reshape(2, 2))
+    np.testing.assert_allclose(got.vec, want.reshape(-1), atol=1e-15)
+
+
+def test_growing_past_the_amplitude_budget_is_refused():
+    psi = PureState(np.eye(1, MAX_AMPLITUDES // 2, dtype=complex).reshape(-1),
+                    (MAX_AMPLITUDES // 2,), ("A",))
+    qubit = pure_state(np.array([1.0, 0.0]))
+    assert psi.splice(qubit, "A", ("X",)).dim == MAX_AMPLITUDES
+    with pytest.raises(ValueError, match="amplitudes"):
+        psi.splice(maximally_entangled(2), "A", ("X", "Y"))

@@ -77,12 +77,18 @@ def test_purified_circuit_reproduces_chain_coherent_information():
     """Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}) on the final pure state."""
     p = random_markov_process(4, seed=11, d_env=2)
     psi = purified_circuit_state(p)
-    assert len(psi.dims) == 5  # (R, E1, E2, E3, S)
+    assert psi.labels == ("R", "E1", "E2", "E3", "S")
     for r, s in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
         h_ref = von_neumann(psi.reduced((0,) + tuple(range(1, s))))
         h_env = von_neumann(psi.reduced(tuple(range(r, s))))
         got = p.coherent_info(r, s)
         assert got == pytest.approx(h_ref - h_env, abs=1e-9), (r, s)
+
+
+def test_purified_circuit_refuses_too_many_amplitudes():
+    # R, seven 4-dimensional environments and S: 2 * 4**7 * 2 = 65536
+    with pytest.raises(ValueError, match="amplitudes"):
+        purified_circuit_state(random_markov_process(8, 0, 2, 4))
 
 
 def test_six_step_monogamy_and_certificates():
