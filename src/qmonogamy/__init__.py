@@ -12,10 +12,10 @@ enters except where a function explicitly takes a seed.
 """
 
 from .channels import (KrausChannel, StinespringDilation, adjoint_channel, apply,
-                       apply_dilation, apply_to_subsystem, choi_of, choi_to_kraus,
-                       compose, dephasing_channel, depolarizing_channel,
-                       dilation_to_kraus, identity_channel, kraus_channel,
-                       kraus_to_isometry, link_product, random_channel, stinespring)
+                       apply_dilation, apply_to_subsystem, choi_of,
+                       dephasing_channel, depolarizing_channel, dilation_to_kraus,
+                       identity_channel, kraus_channel, kraus_to_isometry,
+                       random_channel, stinespring)
 from .classical import (ClassicalChain, JointPMF, classical_chain, classical_cmi,
                         classical_mi, cmmi_gap, is_markov, joint_from_chain,
                         joint_pmf, random_chain, shannon_entropy)
@@ -54,15 +54,15 @@ __all__ = [
     "WitnessReport", "adjoint_channel", "adjoint_identity_check", "apply",
     "apply_dilation", "apply_to_subsystem", "build_process_tensor",
     "chain_coherent_information", "choi_dpi_witnesses", "choi_of",
-    "choi_to_kraus", "classical_chain", "classical_cmi", "classical_cmmi_check",
-    "classical_mi", "cmmi_gap", "coherent_information", "compose", "contract",
+    "classical_chain", "classical_cmi", "classical_cmmi_check",
+    "classical_mi", "cmmi_gap", "coherent_information", "contract",
     "conditional_mutual_information", "cqmi_monotonicity_gap", "dagger",
     "dephased_joint_pmf", "dephasing_channel", "dephasing_instrument",
     "depolarizing_channel", "dilation_to_kraus", "dp5_conditional_entropy",
     "extra_dpi_row", "extra_dpi_witnesses", "fresh_env_circuit",
     "gamma_sequence", "hermitian_eig", "identity_channel", "instrument",
     "is_markov", "is_unitary", "joint_from_chain", "joint_pmf", "kron",
-    "kraus_channel", "kraus_to_isometry", "lambda_grid", "link_product",
+    "kraus_channel", "kraus_to_isometry", "lambda_grid",
     "m4_ssa_certificate", "m4_witness", "m6_ssa_certificates", "m6_witnesses",
     "m8_ssa_certificates", "m8_witnesses", "markov_factorization_gap",
     "markov_process", "maximally_entangled", "mi_dpi_gap",

@@ -1,6 +1,7 @@
 """CPTP maps in Kraus, Stinespring, and Choi representations.
 
-The three representations are interchangeable and round-trip tested:
+The Kraus and Stinespring forms convert both ways, and the Choi state
+is computed from the Kraus form:
 
 * Kraus: rho -> sum_k K_k rho K_k†, with sum_k K_k† K_k = 1.
 * Stinespring: rho -> Tr_E[U (rho x phi) U†] for a unitary U on
@@ -8,8 +9,7 @@ The three representations are interchangeable and round-trip tested:
 * Choi: the normalized state C(L) = (id x L)(|Psi+><Psi+|), whose
   marginal over the output leg is 1/d_in.
 
-Also here: the link product (matrix product over shared ports, tensor
-product over the rest), and the adjoint-channel identity
+Also here: the adjoint-channel identity
 (A x id)(Psi+) = (id x A~)(Psi+) where A~ has the transposed Kraus
 operators of A and is completely positive and unital.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, is_unitary, kron, partial_trace
-from .states import DensityMatrix, PureState, density, maximally_entangled
+from .linalg import dagger, is_unitary, kron, partial_trace
+from .states import DensityMatrix, maximally_entangled
 
 __all__ = [
     "KrausChannel",
@@ -33,15 +33,12 @@ __all__ = [
     "dephasing_channel",
     "apply",
     "apply_to_subsystem",
-    "compose",
     "stinespring",
     "dilation_to_kraus",
     "apply_dilation",
     "kraus_to_isometry",
     "choi_of",
-    "choi_to_kraus",
     "adjoint_channel",
-    "link_product",
     "random_channel",
 ]
 
@@ -131,15 +128,6 @@ def apply_to_subsystem(ch: KrausChannel, rho: DensityMatrix, target: int) -> Den
     return DensityMatrix(out, dims)
 
 
-def compose(later: KrausChannel, earlier: KrausChannel) -> KrausChannel:
-    """Composition later o earlier, Kraus set {L_j K_i}."""
-    if earlier.d_out != later.d_in:
-        raise ValueError(
-            f"cannot compose: earlier output {earlier.d_out} != later input {later.d_in}")
-    ops = tuple(lj @ ki for lj in later.kraus for ki in earlier.kraus)
-    return KrausChannel(ops, earlier.d_in, later.d_out)
-
-
 # ---------------------------------------------------------------------------
 # Stinespring dilations
 # ---------------------------------------------------------------------------
@@ -205,22 +193,6 @@ def choi_of(ch: KrausChannel) -> DensityMatrix:
     return apply_to_subsystem(ch, psi.density(), 1)
 
 
-def choi_to_kraus(choi: DensityMatrix, atol: float = 1e-12) -> KrausChannel:
-    """Recover a Kraus representation from a normalized Choi state.
-
-    Eigenvalues of the unnormalized Choi below `atol` are discarded, which
-    controls the numerical rank of the recovered channel.
-    """
-    d_in, d_out = choi.dims
-    w, v = hermitian_eig(choi.mat * d_in)
-    ops = []
-    for i in range(w.shape[0]):
-        if w[i] < atol:
-            continue
-        ops.append(np.sqrt(w[i]) * v[:, i].reshape(d_in, d_out).T)
-    return kraus_channel(ops)
-
-
 def adjoint_channel(ch: KrausChannel) -> KrausChannel:
     """The CP unital map with transposed Kraus operators.
 
@@ -231,67 +203,6 @@ def adjoint_channel(ch: KrausChannel) -> KrausChannel:
     """
     ops = tuple(k.T for k in ch.kraus)
     return KrausChannel(ops, ch.d_out, ch.d_in)
-
-
-# ---------------------------------------------------------------------------
-# Link product
-# ---------------------------------------------------------------------------
-
-def link_product(a: np.ndarray, a_ports: tuple[tuple[str, int], ...],
-                 b: np.ndarray, b_ports: tuple[tuple[str, int], ...],
-                 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
-    """Matrix product over shared ports, tensor product over the rest.
-
-    Ports are (label, dim) pairs annotating the tensor factors of each
-    operator.  Shared labels are contracted with the transpose applied to
-    the first operator's shared legs, which pairs ket with ket and bra
-    with bra; in the Choi picture this makes
-    ``link_product(rho, choi_channel)`` act as the channel on rho (up to
-    the Choi normalization).  Result ports: a's unshared ports then b's
-    unshared ports.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    a_labels = [p[0] for p in a_ports]
-    b_labels = [p[0] for p in b_ports]
-    if len(set(a_labels)) != len(a_labels) or len(set(b_labels)) != len(b_labels):
-        raise ValueError("duplicate port labels within one operand")
-    shared = [lab for lab in a_labels if lab in b_labels]
-    for lab in shared:
-        da = dict(a_ports)[lab]
-        db = dict(b_ports)[lab]
-        if da != db:
-            raise ValueError(f"port {lab!r} has mismatched dims {da} vs {db}")
-    a_dims = tuple(p[1] for p in a_ports)
-    b_dims = tuple(p[1] for p in b_ports)
-    ta = a.reshape(a_dims + a_dims)
-    tb = b.reshape(b_dims + b_dims)
-
-    # einsum index assignment: the transpose on a's shared legs turns the
-    # matrix product into a straight leg pairing, ket to ket, bra to bra
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    a_ket = [fresh() for _ in a_ports]
-    a_bra = [fresh() for _ in a_ports]
-    b_ket = [fresh() for _ in b_ports]
-    b_bra = [fresh() for _ in b_ports]
-    for lab in shared:
-        ia = a_labels.index(lab)
-        ib = b_labels.index(lab)
-        b_ket[ib] = a_ket[ia]
-        b_bra[ib] = a_bra[ia]
-    keep_a = [i for i, lab in enumerate(a_labels) if lab not in shared]
-    keep_b = [i for i, lab in enumerate(b_labels) if lab not in shared]
-    out = ([a_ket[i] for i in keep_a] + [b_ket[i] for i in keep_b]
-           + [a_bra[i] for i in keep_a] + [b_bra[i] for i in keep_b])
-    res = np.einsum(ta, a_ket + a_bra, tb, b_ket + b_bra, out)
-    ports = tuple(a_ports[i] for i in keep_a) + tuple(b_ports[i] for i in keep_b)
-    d = math.prod(p[1] for p in ports) if ports else 1
-    return res.reshape(d, d), ports
 
 
 # ---------------------------------------------------------------------------

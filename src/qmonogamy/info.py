@@ -10,7 +10,10 @@ with psi any purification of rho; the value does not depend on the
 purification chosen.  Chain shorthand: for a state rho_1 pushed through
 channels L_1, ..., L_n, ``chain_coherent_information(rho_1, chain, r, s)``
 is the coherent information of the r-th state through the composite map
-that carries it to the s-th.
+that carries it to the s-th.  It propagates density matrices with the
+Kraus maps and builds no purified circuit, so it is the independent
+reference that tests compare MarkovChainProcess.coherent_info (subset
+entropies of the purified circuit) against.
 
 von_neumann is defined in states, next to PureState.entropy which uses
 it, and exported from here with the other entropic quantities.

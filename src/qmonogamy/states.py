@@ -16,7 +16,7 @@ MAX_AMPLITUDES bounds all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -79,11 +79,19 @@ class PureState:
 
     With `labels` the registers have names.  Every method that takes
     registers accepts each one by label or by position (an int).
+
+    `entropy` memoizes its values on the state.  That is sound because no
+    code writes into a PureState's `vec`: every operation returns a new
+    state, and a new state (from `apply`, `splice` or `replace`) starts
+    with an empty memo.
     """
 
     vec: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...] | None = None
+    # entropy by the frozenset of axes of the side of the cut reduced
+    _entropies: dict[frozenset[int], float] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.labels is not None and (len(self.labels) != len(self.dims)
@@ -125,15 +133,21 @@ class PureState:
         """von Neumann entropy (bits) of the marginal on `registers`.
 
         The two sides of a bipartition of a pure state share their nonzero
-        spectrum, so the side of smaller dimension is the one reduced; the
-        empty set and the whole register both give 0.
+        spectrum, so the side of smaller dimension is the one reduced (on
+        a tie, the side holding register 0); the empty set and the whole
+        register both give 0.  Values are memoized by the side reduced, so
+        a set and its complement cost one eigensolve between them.
         """
-        keep = set(self._axes(registers))
-        rest = [i for i in range(len(self.dims)) if i not in keep]
+        keep = frozenset(self._axes(registers))
+        rest = frozenset(range(len(self.dims))) - keep
         if not keep or not rest:
             return 0.0
         d_keep = math.prod(self.dims[i] for i in keep)
-        return von_neumann(self.reduced(keep if d_keep <= self.dim // d_keep else rest))
+        d_rest = self.dim // d_keep
+        side = keep if (d_keep, 0 not in keep) < (d_rest, 0 not in rest) else rest
+        if side not in self._entropies:
+            self._entropies[side] = von_neumann(self.reduced(side))
+        return self._entropies[side]
 
     def apply(self, op: np.ndarray, on: Sequence[Register],
               out: dict[str, int] | None = None) -> PureState:

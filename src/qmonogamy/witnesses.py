@@ -12,13 +12,19 @@ witnesses are:
   coherent informations across nested pairs (1:2n), (2:2n-1), ... upper
   bounds the sum across certain permuted pairings.
 
-Each monogamy witness equals a sum of conditional mutual informations of
-environment registers on a purified circuit of the process, which is the
-strong-subadditivity certificate of the inequality; the certificate
-functions compute that sum independently so the identity can be checked
-numerically.  The purified circuit replaces each channel by an isometry
-into a fresh environment register, keeping the global state pure over
-(R, E_1, ..., E_m, S).
+Everything here reads one pure state per process, its purified circuit:
+each channel is replaced by an isometry into a fresh environment
+register, keeping the global state pure over (R, E_1, ..., E_m, S).  On
+it every coherent information is a difference of two subset entropies,
+
+    Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}),
+
+and each monogamy witness equals a sum of conditional mutual
+informations of environment registers, which is the strong-subadditivity
+certificate of the inequality.  PureState.entropy memoizes on the state,
+so witnesses and certificates of one process share their eigensolves.
+The independent reference is info.chain_coherent_information, which
+propagates Kraus maps and never builds the circuit; tests compare the two.
 
 All witnesses are reported as plain gap values; a WitnessReport flags
 entries below -tolerance (default 1e-9) as violations.
@@ -27,15 +33,12 @@ entries below -tolerance (default 1e-9) as violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
 from .channels import KrausChannel, apply, apply_to_subsystem
-from .info import (
-    chain_coherent_information,
-    conditional_mutual_information,
-    mutual_information,
-)
+from .info import conditional_mutual_information, mutual_information
 from .states import DensityMatrix, PureState, purify
 
 __all__ = [
@@ -81,9 +84,18 @@ class MarkovChainProcess:
             rho = apply(ch, rho)
         return rho
 
+    @cached_property
+    def circuit(self) -> PureState:
+        """The purified circuit, built once per process."""
+        return purified_circuit_state(self)
+
     def coherent_info(self, r: int, s: int) -> float:
-        """Ic(r:s), the coherent information from state r to state s."""
-        return chain_coherent_information(self.initial, list(self.channels), r, s)
+        """Ic(r:s) = H(R, E1..E_{s-1}) - H(E_r..E_{s-1}) on the purified
+        circuit; channels from step s on leave that marginal unchanged."""
+        if not 1 <= r < s <= self.n_states:
+            raise ValueError(f"need 1 <= r < s <= {self.n_states}, got r={r}, s={s}")
+        envs = [f"E{j}" for j in range(1, s)]
+        return self.circuit.entropy(["R"] + envs) - self.circuit.entropy(envs[r - 1:])
 
 
 def markov_process(initial: DensityMatrix,
@@ -213,14 +225,8 @@ M8_PAIRINGS = {
 def _monogamy_entries(p: MarkovChainProcess, n: int,
                       pairings: dict[str, tuple[tuple[int, int], ...]],
                       ) -> dict[str, float]:
-    # nested pairs (i, 2n+1-i); Ic values cached across the pairings
-    cache: dict[tuple[int, int], float] = {}
-
-    def ic(r: int, s: int) -> float:
-        if (r, s) not in cache:
-            cache[(r, s)] = p.coherent_info(r, s)
-        return cache[(r, s)]
-
+    # nested pairs (i, 2n+1-i)
+    ic = p.coherent_info
     lhs = sum(ic(i, 2 * n + 1 - i) for i in range(1, n + 1))
     return {name: lhs - sum(ic(r, s) for r, s in pairs)
             for name, pairs in pairings.items()}
@@ -292,22 +298,10 @@ def purified_circuit_state(p: MarkovChainProcess) -> PureState:
     return psi
 
 
-def _environment_cmi(p: MarkovChainProcess, n_channels: int):
-    """I(A:B|C) over environments, given by number, of the purified circuit
-    of the first `n_channels` channels."""
-    psi = purified_circuit_state(_truncated(p, n_channels))
-
-    def cmi(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> float:
-        a, b, c = ([f"E{j}" for j in js] for js in (a, b, c))
-        return conditional_mutual_information(psi, a, b, c)
-
-    return cmi
-
-
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:
     """I(E1:E3|E2) on the purified circuit; equals the M4 gap."""
     _require_states(p, 4, "m4_ssa_certificate")
-    return _environment_cmi(p, 3)((1,), (3,), (2,))
+    return conditional_mutual_information(p.circuit, ("E1",), ("E3",), ("E2",))
 
 
 def m6_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
@@ -320,45 +314,45 @@ def m6_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     machine precision on random processes.
     """
     _require_states(p, 6, "m6_ssa_certificates")
-    cmi = _environment_cmi(p, 5)
+    cmi = partial(conditional_mutual_information, p.circuit)
     return {
-        "M6a": cmi((1,), (5,), (2, 3, 4)) + cmi((1, 2), (4,), (3,)),
-        "M6b": cmi((1, 2), (5,), (3, 4)) + cmi((2,), (4,), (3,)),
+        "M6a": cmi(("E1",), ("E5",), ("E2", "E3", "E4")) + cmi(("E1", "E2"), ("E4",), ("E3",)),
+        "M6b": cmi(("E1", "E2"), ("E5",), ("E3", "E4")) + cmi(("E2",), ("E4",), ("E3",)),
     }
 
 
 def m8_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     """Certificate sums matching m8_witnesses entry for entry."""
     _require_states(p, 8, "m8_ssa_certificates")
-    cmi = _environment_cmi(p, 7)
-    outer = cmi((1,), (7,), (2, 3, 4, 5, 6))
+    cmi = partial(conditional_mutual_information, p.circuit)
+    outer = cmi(("E1",), ("E7",), ("E2", "E3", "E4", "E5", "E6"))
     return {
-        "M8a": outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((1, 2, 3), (5,), (4,)),
-        "M8b": outer + cmi((2,), (6, 7), (3, 4, 5)) + cmi((2, 3), (5,), (4,)),
-        "M8c": outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((3,), (5, 6), (4,)),
-        "M8d": outer + cmi((2,), (6, 7), (3, 4, 5)) + cmi((1, 2, 3), (5, 6), (4,)),
-        "M8e": outer + cmi((2,), (6, 7), (3, 4, 5)) + cmi((3,), (5, 6, 7), (4,)),
-        "M8f": outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((2, 3), (5, 6, 7), (4,)),
-        "M8g": outer + cmi((1, 2, 3), (5, 6), (4,)) + cmi((2,), (6, 7), (3, 4, 5))
-        + cmi((3,), (7,), (4, 5, 6)),
+        "M8a": outer + cmi(("E1", "E2"), ("E6",), ("E3", "E4", "E5"))
+        + cmi(("E1", "E2", "E3"), ("E5",), ("E4",)),
+        "M8b": outer + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
+        + cmi(("E2", "E3"), ("E5",), ("E4",)),
+        "M8c": outer + cmi(("E1", "E2"), ("E6",), ("E3", "E4", "E5"))
+        + cmi(("E3",), ("E5", "E6"), ("E4",)),
+        "M8d": outer + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
+        + cmi(("E1", "E2", "E3"), ("E5", "E6"), ("E4",)),
+        "M8e": outer + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
+        + cmi(("E3",), ("E5", "E6", "E7"), ("E4",)),
+        "M8f": outer + cmi(("E1", "E2"), ("E6",), ("E3", "E4", "E5"))
+        + cmi(("E2", "E3"), ("E5", "E6", "E7"), ("E4",)),
+        "M8g": outer + cmi(("E1", "E2", "E3"), ("E5", "E6"), ("E4",))
+        + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
+        + cmi(("E3",), ("E7",), ("E4", "E5", "E6")),
     }
 
 
 def dp5_conditional_entropy(p: MarkovChainProcess) -> float:
-    """H(E1|E2) on the purified circuit of the first two channels.
+    """H(E1|E2) on the purified circuit.
 
     Equals the DP5 gap Ic(2:3) - Ic(1:3); nonnegativity of this
     conditional entropy is exactly what a DP5 violation would refute.
     """
     _require_states(p, 3, "dp5_conditional_entropy")
-    psi = purified_circuit_state(_truncated(p, 2))
-    return psi.entropy(("E1", "E2")) - psi.entropy(("E2",))
-
-
-def _truncated(p: MarkovChainProcess, n_channels: int) -> MarkovChainProcess:
-    if len(p.channels) == n_channels:
-        return p
-    return MarkovChainProcess(p.initial, p.channels[:n_channels])
+    return p.circuit.entropy(("E1", "E2")) - p.circuit.entropy(("E2",))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,15 @@
-"""Channel representations: Kraus, Stinespring, Choi, isometry, adjoint, link."""
+"""Channel representations: Kraus, Stinespring, Choi, isometry, adjoint."""
 
 import numpy as np
 import pytest
 
 from qmonogamy.channels import (adjoint_channel, apply, apply_dilation,
-                                apply_to_subsystem, choi_of, choi_to_kraus,
-                                compose, dephasing_channel, depolarizing_channel,
-                                dilation_to_kraus, identity_channel, kraus_channel,
-                                kraus_to_isometry, link_product, random_channel,
-                                stinespring)
+                                apply_to_subsystem, choi_of, dephasing_channel,
+                                depolarizing_channel, dilation_to_kraus,
+                                identity_channel, kraus_channel, kraus_to_isometry,
+                                random_channel, stinespring)
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
-
-
-def _rand_qutrit_channels(n):
-    return [dilation_to_kraus(random_channel(3, 3, 2, seed=s)) for s in range(n)]
 
 
 def test_kraus_channel_rejects_non_tp_sets():
@@ -56,13 +51,6 @@ def test_apply_to_subsystem_tracks_changed_dimension():
                                atol=1e-12)
 
 
-def test_compose_is_sequential_application():
-    a, b = _rand_qutrit_channels(2)
-    rho = random_density(3, seed=7)
-    np.testing.assert_allclose(apply(compose(b, a), rho).mat,
-                               apply(b, apply(a, rho)).mat, atol=1e-12)
-
-
 def test_stinespring_dilation_agrees_with_its_kraus_form():
     dil = random_channel(2, 2, 4, seed=8)
     ch = dilation_to_kraus(dil)
@@ -87,13 +75,6 @@ def test_kraus_to_isometry_is_an_isometry_and_reproduces_the_channel():
     np.testing.assert_allclose(got, apply(ch, rho).mat, atol=1e-12)
 
 
-def test_choi_round_trip():
-    for s in range(5):
-        ch = dilation_to_kraus(random_channel(2, 3, 2, seed=20 + s))
-        back = choi_to_kraus(choi_of(ch))
-        np.testing.assert_allclose(choi_of(back).mat, choi_of(ch).mat, atol=1e-10)
-
-
 def test_choi_marginal_is_maximally_mixed_on_the_reference():
     ch = dilation_to_kraus(random_channel(3, 2, 3, seed=25))
     c = choi_of(ch)
@@ -115,37 +96,6 @@ def test_adjoint_is_unital():
     adj = adjoint_channel(ch)
     total = sum(k @ dagger(k) for k in adj.kraus)  # adj applied to identity
     np.testing.assert_allclose(total, np.eye(adj.d_out), atol=1e-10)
-
-
-def test_link_product_acts_as_the_channel():
-    ch = dilation_to_kraus(random_channel(2, 3, 2, seed=41))
-    rho = random_density(2, seed=42)
-    got, ports = link_product(rho.mat, (("x", 2),), choi_of(ch).mat * 2,
-                              (("x", 2), ("y", 3)))
-    assert ports == (("y", 3),)
-    np.testing.assert_allclose(got, apply(ch, rho).mat, atol=1e-12)
-
-
-def test_link_product_composes_chois():
-    a = dilation_to_kraus(random_channel(2, 3, 2, seed=43))
-    b = dilation_to_kraus(random_channel(3, 2, 3, seed=44))
-    got, ports = link_product(choi_of(a).mat * 2, (("x", 2), ("m", 3)),
-                              choi_of(b).mat * 3, (("m", 3), ("y", 2)))
-    assert ports == (("x", 2), ("y", 2))
-    np.testing.assert_allclose(got, choi_of(compose(b, a)).mat * 2, atol=1e-12)
-
-
-def test_link_product_disjoint_ports_is_tensor_product():
-    a = np.diag([0.25, 0.75]).astype(complex)
-    b = np.diag([0.5, 0.5]).astype(complex)
-    got, ports = link_product(a, (("x", 2),), b, (("y", 2),))
-    np.testing.assert_allclose(got, kron(a, b))
-    assert ports == (("x", 2), ("y", 2))
-
-
-def test_link_product_rejects_mismatched_shared_dims():
-    with pytest.raises(ValueError, match="mismatched"):
-        link_product(np.eye(2), (("x", 2),), np.eye(3), (("x", 3),))
 
 
 def test_random_channel_is_trace_preserving_and_seeded():

@@ -1,12 +1,14 @@
 """Validated state containers, purification, the fixed example states, and
 the labelled register operations."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import qmonogamy.states as states_module
 from qmonogamy.info import von_neumann
 from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
                               maximally_entangled, pure_state, purify, random_density,
@@ -116,10 +118,53 @@ def test_entropy_is_the_same_on_both_sides_of_a_cut():
             for subset in itertools.combinations(labels, n):
                 rest = tuple(x for x in labels if x not in subset)
                 h = psi.entropy(subset)
-                assert h == pytest.approx(psi.entropy(rest), abs=1e-12)
+                # a fresh state on the same vector, since the memo keys a set
+                # and its complement to one entry
+                fresh = PureState(psi.vec, psi.dims, labels)
+                assert h == pytest.approx(fresh.entropy(rest), abs=1e-12)
                 assert h == pytest.approx(von_neumann(psi.reduced(subset)), abs=1e-12)
         assert psi.entropy(()) == 0.0
         assert psi.entropy(labels) == 0.0
+
+
+def test_entropy_memo_is_shared_by_a_cut_and_its_complement(monkeypatch):
+    calls = []
+    real = states_module.von_neumann
+    monkeypatch.setattr(states_module, "von_neumann",
+                        lambda rho: calls.append(rho.dim) or real(rho))
+    psi = _random_labelled((2, 3, 2, 3), ("A", "B", "C", "D"), np.random.default_rng(6))
+    h = psi.entropy(("B",))
+    assert psi.entropy(("D", "C", "A")) == h and psi.entropy((1,)) == h
+    assert calls == [3]
+    # equal sides: the one holding register 0 is reduced, whichever is asked
+    h = psi.entropy(("C", "D"))
+    assert psi.entropy(("B", "A")) == h
+    assert calls == [3, 6]
+
+
+def test_derived_states_never_reuse_their_parents_entropies():
+    rng = np.random.default_rng(7)
+    labels = ("A", "B", "C")
+    psi = _random_labelled((2, 2, 2), labels, rng)
+    subsets = [c for n in (1, 2) for c in itertools.combinations(range(3), n)]
+    for subset in subsets:
+        psi.entropy(subset)  # fill the parent's memo
+
+    def haar(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return np.linalg.qr(g)[0]
+
+    derived = {
+        "apply on two registers": psi.apply(haar(4), ("A", "B")),
+        "apply on three registers": psi.apply(haar(8), labels),
+        "apply an isometry": psi.apply(haar(4)[:, :2], ("B",), out={"F": 2, "B": 2}),
+        "splice": psi.splice(pure_state(np.array([0.6, 0.8])), "A", ("X",)),
+        "replace": dataclasses.replace(psi, vec=_random_labelled((2, 2, 2), labels, rng).vec),
+    }
+    for how, child in derived.items():
+        for subset in subsets:
+            want = von_neumann(child.reduced(subset))
+            assert child.entropy(subset) == pytest.approx(want, abs=1e-12), (how, subset)
 
 
 def test_registers_are_named_by_label_or_position():

@@ -1,20 +1,27 @@
 """Gap witnesses on Markov chain processes and their entropy certificates.
 
-Strategy: every proven inequality is checked two ways on seeded random
-processes, once through the coherent-information definition and once
-through its hard-coded certificate (a sum of conditional mutual
-informations of the purified-circuit environment registers).  The two
-routes share no code beyond the entropy primitive, so agreement pins
-both down.
+Strategy: witnesses and certificates both read subset entropies of one
+purified circuit per process, so their agreement alone is close to an
+algebraic identity.  Independence comes from the Kraus path:
+info.chain_coherent_information pushes density matrices through the
+channels and never builds the circuit, and the tests here compare every
+coherent information against it (as benchmarks/reference.py does with
+its own numpy recomputation).  Agreement with that reference, plus the
+certificate identities, pins both routes down.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import qmonogamy.states as states_module
 from qmonogamy.channels import dilation_to_kraus, random_channel
 from qmonogamy.experiments import random_markov_process
-from qmonogamy.info import chain_coherent_information, von_neumann
-from qmonogamy.states import DensityMatrix, random_density
+from qmonogamy.info import chain_coherent_information
+from qmonogamy.states import MAX_AMPLITUDES, DensityMatrix, random_density
 from qmonogamy.witnesses import (WitnessReport, cqmi_monotonicity_gap,
                                  dp5_conditional_entropy, extra_dpi_witnesses,
                                  m4_ssa_certificate, m4_witness,
@@ -73,16 +80,56 @@ def test_m4_matches_its_ssa_certificate():
         assert m4_witness(p) == pytest.approx(cert, abs=1e-8), f"seed {seed}"
 
 
+def _kraus_reference(p, r, s):
+    return chain_coherent_information(p.state(1), list(p.channels), r, s)
+
+
 def test_purified_circuit_reproduces_chain_coherent_information():
-    """Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}) on the final pure state."""
-    p = random_markov_process(4, seed=11, d_env=2)
-    psi = purified_circuit_state(p)
-    assert psi.labels == ("R", "E1", "E2", "E3", "S")
-    for r, s in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
-        h_ref = von_neumann(psi.reduced((0,) + tuple(range(1, s))))
-        h_env = von_neumann(psi.reduced(tuple(range(r, s))))
-        got = p.coherent_info(r, s)
-        assert got == pytest.approx(h_ref - h_env, abs=1e-9), (r, s)
+    """Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}) on the purified circuit
+    equals the Kraus-propagation value for every pair."""
+    assert purified_circuit_state(random_markov_process(4, seed=11)).labels == \
+        ("R", "E1", "E2", "E3", "S")
+    for n, d_env in itertools.product((4, 6, 8), (2, 3)):
+        p = random_markov_process(n, seed=11 + n, d_env=d_env)
+        for r, s in itertools.combinations(range(1, n + 1), 2):
+            assert p.coherent_info(r, s) == pytest.approx(
+                _kraus_reference(p, r, s), abs=1e-12), (n, d_env, r, s)
+    with pytest.raises(ValueError, match="r < s"):
+        p.coherent_info(3, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 5), st.integers(3, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_circuit_oracle_matches_the_kraus_reference(d_sys, d_env, n, seed):
+    assume(d_sys * d_env ** (n - 1) * d_sys <= MAX_AMPLITUDES)
+    p = random_markov_process(n, seed, d_sys, d_env)
+    for r, s in itertools.combinations(range(1, n + 1), 2):
+        assert p.coherent_info(r, s) == pytest.approx(
+            _kraus_reference(p, r, s), abs=1e-12), (r, s)
+    if n >= 4:
+        assert qdpi_witnesses(p).passed
+        assert m4_witness(p) == pytest.approx(m4_ssa_certificate(p), abs=1e-9)
+        assert m4_ssa_certificate(p) >= -TOL
+    if n == 6:
+        rep, certs = m6_witnesses(p), m6_ssa_certificates(p)
+        assert rep.passed
+        for name in ("M6a", "M6b"):
+            assert rep.entries[name] == pytest.approx(certs[name], abs=1e-9), name
+
+
+def test_eight_state_witnesses_and_certificates_share_twenty_eigensolves(monkeypatch):
+    # one purified circuit and one entropy memo per process: the 16 distinct
+    # coherent informations and the 7 certificate sums need 20 subset entropies
+    calls = []
+    real = states_module.von_neumann
+    monkeypatch.setattr(states_module, "von_neumann",
+                        lambda rho: calls.append(rho.dim) or real(rho))
+    p = random_markov_process(8, seed=0)
+    m8_witnesses(p)
+    m8_ssa_certificates(p)
+    assert len(calls) == 20
+    assert max(calls) <= math.isqrt(p.circuit.dim)
 
 
 def test_purified_circuit_refuses_too_many_amplitudes():
@@ -173,9 +220,3 @@ def test_cqmi_and_mi_gaps_are_nonnegative():
         assert cqmi_monotonicity_gap(rho3, ch) >= -TOL
         rho2 = DensityMatrix(random_density(4, seed=rng).mat, (2, 2))
         assert mi_dpi_gap(rho2, ch) >= -TOL
-
-
-def test_chain_coherent_info_through_the_process_wrapper():
-    p = random_markov_process(4, seed=25)
-    want = chain_coherent_information(p.state(1), list(p.channels), 2, 4)
-    assert p.coherent_info(2, 4) == pytest.approx(want, abs=1e-12)
