@@ -98,6 +98,12 @@ def test_purified_circuit_reproduces_chain_coherent_information():
         p.coherent_info(3, 3)
 
 
+def test_chain_coherent_info_through_the_process_wrapper():
+    p = random_markov_process(4, seed=25)
+    want = chain_coherent_information(p.state(1), list(p.channels), 2, 4)
+    assert p.coherent_info(2, 4) == pytest.approx(want, abs=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 5), st.integers(3, 6),
        st.integers(0, 2 ** 32 - 1))
