@@ -16,12 +16,11 @@ operators of A and is completely positive and unital.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, is_unitary, kron, partial_trace
+from .linalg import apply_kraus, dagger, is_unitary, kron, partial_trace
 from .states import DensityMatrix, maximally_entangled
 
 __all__ = [
@@ -115,15 +114,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def apply_to_subsystem(ch: KrausChannel, rho: DensityMatrix, target: int) -> DensityMatrix:
     """Act the channel on one subsystem, identity on the rest."""
-    if rho.dims[target] != ch.d_in:
-        raise ValueError(
-            f"channel expects dimension {ch.d_in}, subsystem {target} is {rho.dims[target]}")
-    before = math.prod(rho.dims[:target])
-    after = math.prod(rho.dims[target + 1:])
-    out = sum(
-        (full := kron(np.eye(before), k, np.eye(after))) @ rho.mat @ dagger(full)
-        for k in ch.kraus
-    )
+    out = apply_kraus(rho.mat, rho.dims, np.array(ch.kraus), target)
     dims = rho.dims[:target] + (ch.d_out,) + rho.dims[target + 1:]
     return DensityMatrix(out, dims)
 

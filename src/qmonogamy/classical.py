@@ -21,6 +21,7 @@ __all__ = [
     "classical_chain",
     "joint_from_chain",
     "shannon_entropy",
+    "shannon_entropies",
     "classical_mi",
     "classical_cmi",
     "is_markov",
@@ -95,18 +96,24 @@ def joint_from_chain(c: ClassicalChain) -> JointPMF:
     return joint_pmf(arr)
 
 
-def _marginal(p: JointPMF, subset: tuple[int, ...]) -> np.ndarray:
-    subset = tuple(sorted(set(subset)))
-    drop = tuple(i for i in range(p.n_vars) if i not in subset)
-    return p.probs.sum(axis=drop) if drop else p.probs
-
-
 def shannon_entropy(p: JointPMF, subset: tuple[int, ...] | None = None) -> float:
     """H of the marginal over `subset` (all variables when omitted), in bits."""
-    m = _marginal(p, subset) if subset is not None else p.probs
-    w = m.reshape(-1)
-    w = w[w > PROB_CLIP]
-    return float(-np.sum(w * np.log2(w)))
+    subset = tuple(range(p.n_vars)) if subset is None else subset
+    return float(shannon_entropies(p.probs[None], subset)[0])
+
+
+def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+    """shannon_entropy of the marginal over `subset` for a stack of joints.
+
+    `probs` holds one joint per index of its leading axis, then one axis
+    per variable; entries at or below PROB_CLIP are left out of the sum.
+    """
+    subset = set(subset)
+    drop = tuple(1 + i for i in range(probs.ndim - 1) if i not in subset)
+    w = (probs.sum(axis=drop) if drop else probs).reshape(len(probs), -1)
+    # a clipped entry becomes 1, whose term 1 * log2(1) is exactly 0
+    w = np.where(w > PROB_CLIP, w, 1.0)
+    return -(w * np.log2(w)).sum(axis=-1)
 
 
 def classical_mi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...]) -> float:

@@ -6,6 +6,7 @@ Four subcommands:
 * sweep-mqmmi      lambda grid of the three interventional witnesses
 * sweep-dpi-extra  lambda grid of DP5..DP7 plus the Markov-reference DP5
 * verify           randomized worst-case survey of the proven inequalities
+                   (--dims D_SYS D_ENV sets the surveyed processes' dimensions)
 
 Sweeps emit CSV (default) or JSON, to stdout or --output; --svg
 additionally writes a minimal line chart next to the output file.
@@ -146,7 +147,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    survey = random_markov_verify(args.steps, args.samples, seed=args.seed)
+    survey = random_markov_verify(args.steps, args.samples, dims=tuple(args.dims),
+                                  seed=args.seed)
     adjoint = adjoint_identity_check(seed=args.seed)
     mono = mi_monotonicity_check(seed=args.seed)
     classical = classical_cmmi_check(seed=args.seed)
@@ -204,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="randomized inequality survey (JSON)")
     v.add_argument("--steps", type=int, choices=(4, 6, 8), default=4)
     v.add_argument("--samples", type=int, default=100)
+    v.add_argument("--dims", type=int, nargs=2, default=(2, 2), metavar=("D_SYS", "D_ENV"),
+                   help="system and environment dimensions of the surveyed processes")
     add_common(v, "json")
     return parser
 

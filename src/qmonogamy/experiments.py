@@ -16,6 +16,15 @@ report worst-case witness values, certificate mismatches, adjoint-map
 deviations, mutual-information monotonicity gaps, and the classical
 monogamy gap.  Every harness is deterministic given its seed; sample i
 uses seed + i so a reported counterexample can be rebuilt in isolation.
+
+The three side checks (adjoint identity, mutual-information monotonicity,
+classical monogamy) draw and validate their samples one at a time, from
+one generator in a fixed order, exactly as a per-sample loop would; the
+draws of a block of SAMPLE_BLOCK samples are then stacked, each channel
+acts on the whole stack in one call, and each entropy of the block is one
+stacked eigensolve (or marginal sum).  The per-sample functions
+(cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information,
+cmmi_gap) are the reference the tests compare the stacked checks with.
 """
 
 from __future__ import annotations
@@ -25,17 +34,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (adjoint_channel, apply_to_subsystem, dilation_to_kraus,
-                       random_channel, stinespring)
-from .classical import cmmi_gap, joint_from_chain, random_chain
-from .info import conditional_mutual_information
+from .channels import adjoint_channel, dilation_to_kraus, random_channel, stinespring
+from .classical import joint_from_chain, random_chain, shannon_entropies
+from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
-from .states import (DensityMatrix, PureState, density, maximally_entangled,
-                     random_density, w_state)
-from .witnesses import (GAP_TOLERANCE, MarkovChainProcess, cqmi_monotonicity_gap,
-                        extra_dpi_witnesses, m4_ssa_certificate, m4_witness,
-                        m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
-                        m8_witnesses, markov_process, mi_dpi_gap, qdpi_witnesses)
+from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
+                     maximally_entangled, random_density, von_neumann_stack, w_state)
+from .witnesses import (GAP_TOLERANCE, MarkovChainProcess, extra_dpi_witnesses,
+                        m4_ssa_certificate, m4_witness, m6_ssa_certificates,
+                        m6_witnesses, m8_ssa_certificates, m8_witnesses,
+                        markov_process, qdpi_witnesses)
 
 __all__ = [
     "u_lambda",
@@ -144,13 +152,24 @@ def mqmmi_row(lam: float) -> dict[str, float]:
 # sweep plumbing
 # ---------------------------------------------------------------------------
 
+# a sweep row costs a millisecond or more, so a million rows is already a
+# quarter of an hour of work; a longer grid is taken for a mistyped step
+MAX_GRID_POINTS = 10 ** 6
+
+
 def lambda_grid(lo: float = 0.0, hi: float = 1.0, step: float = 0.01) -> list[float]:
     """Inclusive grid lo, lo+step, ..., capped at hi (fp-slack at the end)."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"grid bounds and step must be finite, got lo={lo}, hi={hi}, "
+                         f"step={step}")
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"grid must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    n = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"step {step} gives more than {MAX_GRID_POINTS} grid points")
+    n = int(math.floor(span))
     return [min(lo + k * step, hi) for k in range(n + 1)]
 
 
@@ -183,10 +202,14 @@ def random_markov_process(n_states: int, seed: int,
     """
     if n_states < 2:
         raise ValueError("a process needs at least two states")
+    if d_sys < 2:
+        raise ValueError(f"system dimension must be at least 2, got {d_sys}")
     rng = np.random.default_rng(seed)
     envs = [d_env] * (n_states - 1) if isinstance(d_env, int) else list(d_env)
     if len(envs) != n_states - 1:
         raise ValueError(f"need {n_states - 1} environment dims, got {len(envs)}")
+    if min(envs) < 1:
+        raise ValueError(f"environment dimensions must be at least 1, got {envs}")
     initial = random_density(d_sys, seed=rng)
     channels = [dilation_to_kraus(random_channel(d_sys, d_sys, e, rng)) for e in envs]
     return markov_process(initial, channels)
@@ -226,6 +249,13 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     if samples < 1:
         raise ValueError("need at least one sample")
     d_sys, d_env = dims
+    # registers R, E1..E_{steps-1}, S of the purified circuit; refused here,
+    # before a sample of that size is drawn (random_markov_process rejects
+    # dimensions below 2 and 1 before it draws anything)
+    amplitudes = d_sys * d_env ** (steps - 1) * d_sys
+    if amplitudes > MAX_AMPLITUDES:
+        raise ValueError(f"dims {tuple(dims)} at {steps} steps need a purified circuit of "
+                         f"{amplitudes} amplitudes (limit {MAX_AMPLITUDES})")
 
     def one(i: int) -> tuple[dict[str, float], dict[str, float] | None]:
         p = random_markov_process(steps, seed + i, d_sys, d_env)
@@ -258,43 +288,122 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     }
 
 
+# samples are drawn one at a time but their entropies are taken in stacks of
+# this many; one stack of a whole 500-sample check costs megabytes of peak memory
+SAMPLE_BLOCK = 64
+
+# the checks draw environments of 2 to MAX_KRAUS levels, so every Kraus list
+# is zero-padded to MAX_KRAUS operators (zero operators leave a channel unchanged)
+MAX_KRAUS = 4
+
+
+def _blocks(samples: int) -> list[int]:
+    """Sizes of the consecutive blocks that cover `samples` samples."""
+    return [min(SAMPLE_BLOCK, samples - start) for start in range(0, samples, SAMPLE_BLOCK)]
+
+
+def _padded_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
+    out = np.zeros((MAX_KRAUS,) + ops[0].shape, dtype=complex)
+    out[:len(ops)] = ops
+    return out
+
+
+def _subset_entropy(mats: np.ndarray, dims: tuple[int, ...],
+                    keep: tuple[int, ...]) -> np.ndarray:
+    if len(keep) < len(dims):
+        mats = partial_trace(mats, dims, keep)
+    return von_neumann_stack(mats)
+
+
+def _mi_stack(mats: np.ndarray) -> np.ndarray:
+    """I(A:B) of every two-qubit state in a stack, as info.mutual_information."""
+    def h(*keep: int) -> np.ndarray:
+        return _subset_entropy(mats, (2, 2), keep)
+    return h(0) + h(1) - h(0, 1)
+
+
+def _cmi_stack(mats: np.ndarray) -> np.ndarray:
+    """I(A:B|C) of every three-qubit state in a stack, as
+    info.conditional_mutual_information."""
+    def h(*keep: int) -> np.ndarray:
+        return _subset_entropy(mats, (2, 2, 2), keep)
+    return h(0, 2) + h(1, 2) - h(0, 1, 2) - h(2)
+
+
 def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float]:
     """Max deviation of (A x id)(Psi+) = (id x A~)(Psi+) and of unitality
     of A~ over random channels of mixed dimensions."""
     rng = np.random.default_rng(seed)
     id_dev = 0.0
     unital_dev = 0.0
-    for i in range(samples):
-        d = int(rng.integers(2, 4))
-        d_env = int(rng.integers(2, 5))
-        ch = dilation_to_kraus(random_channel(d, d, d_env, rng))
-        adj = adjoint_channel(ch)
-        pair = maximally_entangled(d).density()
-        left = apply_to_subsystem(ch, pair, 0)
-        right = apply_to_subsystem(adj, pair, 1)
-        id_dev = max(id_dev, float(np.abs(left.mat - right.mat).max()))
-        one = sum(k @ k.conj().T for k in adj.kraus)
-        unital_dev = max(unital_dev, float(np.abs(one - np.eye(d)).max()))
+    for size in _blocks(samples):
+        # the channels of a block, grouped by their dimension d
+        by_dim: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        for _ in range(size):
+            d = int(rng.integers(2, 4))
+            d_env = int(rng.integers(2, MAX_KRAUS + 1))
+            ch = dilation_to_kraus(random_channel(d, d, d_env, rng))
+            kraus, adj = by_dim.setdefault(d, ([], []))
+            kraus.append(_padded_kraus(ch.kraus))
+            adj.append(_padded_kraus(adjoint_channel(ch).kraus))
+        for d, (kraus, adj) in by_dim.items():
+            kraus, adj = np.stack(kraus), np.stack(adj)
+            pair = maximally_entangled(d).density().mat
+            left = apply_kraus(pair, (d, d), kraus, 0)
+            right = apply_kraus(pair, (d, d), adj, 1)
+            id_dev = max(id_dev, float(np.abs(left - right).max()))
+            one = np.einsum("bkij,bklj->bil", adj, adj.conj())
+            unital_dev = max(unital_dev, float(np.abs(one - np.eye(d)).max()))
     return {"identity_max_deviation": id_dev, "unitality_max_deviation": unital_dev}
 
 
 def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]:
     """Minimum of the conditional and plain mutual-information contraction
     gaps, plus the minimum raw conditional mutual information, over random
-    states and channels."""
+    states and channels.
+
+    Sample by sample this is the minimum of cqmi_monotonicity_gap,
+    conditional_mutual_information and mi_dpi_gap, with the channel acting
+    on the middle qubit of a three-qubit state and the second of two.
+    """
     rng = np.random.default_rng(seed)
     cqmi_min = math.inf
     mi_min = math.inf
     cmi_min = math.inf
-    for _ in range(samples):
-        rho3 = DensityMatrix(random_density(8, seed=rng).mat, (2, 2, 2))
-        ch = dilation_to_kraus(random_channel(2, 2, int(rng.integers(2, 5)), rng))
-        cqmi_min = min(cqmi_min, cqmi_monotonicity_gap(rho3, ch))
-        cmi_min = min(cmi_min, conditional_mutual_information(rho3, (0,), (1,), (2,)))
-        rho2 = DensityMatrix(random_density(4, seed=rng).mat, (2, 2))
-        mi_min = min(mi_min, mi_dpi_gap(rho2, ch))
+    first = min(samples, SAMPLE_BLOCK)
+    rho3 = np.empty((first, 8, 8), dtype=complex)
+    rho2 = np.empty((first, 4, 4), dtype=complex)
+    kraus = np.empty((first, MAX_KRAUS, 2, 2), dtype=complex)
+    for size in _blocks(samples):
+        for b in range(size):
+            rho3[b] = random_density(8, seed=rng).mat
+            d_env = int(rng.integers(2, MAX_KRAUS + 1))
+            ch = dilation_to_kraus(random_channel(2, 2, d_env, rng))
+            kraus[b] = _padded_kraus(ch.kraus)
+            rho2[b] = random_density(4, seed=rng).mat
+        r3, r2, k = rho3[:size], rho2[:size], kraus[:size]
+        cmi = _cmi_stack(r3)
+        cqmi = cmi - _cmi_stack(apply_kraus(r3, (2, 2, 2), k, 1))
+        mi = _mi_stack(r2) - _mi_stack(apply_kraus(r2, (2, 2), k, 1))
+        cqmi_min = min(cqmi_min, float(cqmi.min()))
+        cmi_min = min(cmi_min, float(cmi.min()))
+        mi_min = min(mi_min, float(mi.min()))
     return {"cqmi_monotonicity_min": cqmi_min, "mi_monotonicity_min": mi_min,
             "cmi_min": cmi_min}
+
+
+def _cmmi_gap_stack(probs: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """classical.cmmi_gap of every joint in a stack (leading sample axis)."""
+    n = len(perm)
+
+    def mi(a: int, b: int) -> np.ndarray:
+        return (shannon_entropies(probs, (a,)) + shannon_entropies(probs, (b,))
+                - shannon_entropies(probs, (a, b)))
+
+    # rho_i sits at axis n-i, sigma_j at axis n+j-1
+    diag = sum(mi(n - i, n + i - 1) for i in range(1, n + 1))
+    off = sum(mi(n - i, n + perm[i - 1] - 1) for i in range(1, n + 1))
+    return diag - off
 
 
 def classical_cmmi_check(samples: int = 1000, seed: int = 0,
@@ -307,7 +416,9 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
-    for _ in range(samples):
-        chain = random_chain(2 * n_pairs, dim, rng)
-        worst = min(worst, cmmi_gap(joint_from_chain(chain), perm))
+    probs = np.empty((min(samples, SAMPLE_BLOCK),) + (dim,) * (2 * n_pairs))
+    for size in _blocks(samples):
+        for b in range(size):
+            probs[b] = joint_from_chain(random_chain(2 * n_pairs, dim, rng)).probs
+        worst = min(worst, float(_cmmi_gap_stack(probs[:size], perm).min()))
     return {"classical_cmmi_min": worst}

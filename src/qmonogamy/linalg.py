@@ -2,7 +2,10 @@
 
 Everything downstream (states, channels, entropies, process tensors) is
 built on the handful of primitives in this module: tensor products,
-partial traces over labelled subsystems, and Hermitian eigendecomposition.
+partial traces over labelled subsystems, Kraus maps acting on one
+subsystem, and Hermitian eigendecomposition.  Partial traces and Kraus
+maps also take stacks of operators, with leading batch axes before the
+last two (matrix) axes.
 
 Subsystem ordering convention: the leftmost tensor factor is the most
 significant in the computational-basis index (big-endian).  A basis ket
@@ -22,6 +25,7 @@ __all__ = [
     "kron",
     "dagger",
     "partial_trace",
+    "apply_kraus",
     "hermitian_eig",
     "is_unitary",
     "apply_two_site",
@@ -43,7 +47,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def _check_signature(m: np.ndarray, dims: tuple[int, ...]) -> None:
     d = math.prod(dims)
-    if m.shape != (d, d):
+    if m.ndim < 2 or m.shape[-2:] != (d, d):
         raise ValueError(f"dims {dims} imply dimension {d}, matrix is {m.shape}")
 
 
@@ -53,13 +57,14 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
 
     Parameters
     ----------
-    m : square operator over the tensor product of the subsystems in `dims`.
+    m : square operator over the tensor product of the subsystems in `dims`,
+        or a stack of them with leading batch axes.
     dims : subsystem dimensions, leftmost factor most significant.
     keep : indices of the subsystems to retain, in their original order.
 
     Returns
     -------
-    The reduced operator over the kept subsystems.
+    The reduced operator over the kept subsystems, with `m`'s batch axes.
     """
     m = np.asarray(m, dtype=complex)
     dims = tuple(int(d) for d in dims)
@@ -68,7 +73,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
     n = len(dims)
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    t = m.reshape(dims + dims)
+    batch = m.shape[:-2]
+    t = m.reshape(batch + dims + dims)
     # pair bra and ket axes of every traced subsystem in a single einsum
     ket = list(range(n))
     bra = list(range(n, 2 * n))
@@ -77,7 +83,40 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
             bra[ax] = ket[ax]
     out_axes = [ket[a] for a in keep] + [bra[a] for a in keep]
     d_keep = math.prod(dims[a] for a in keep) if keep else 1
-    return np.einsum(t, ket + bra, out_axes).reshape(d_keep, d_keep)
+    out = np.einsum(t, [Ellipsis] + ket + bra, [Ellipsis] + out_axes)
+    return out.reshape(batch + (d_keep, d_keep))
+
+
+def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndarray,
+                target: int) -> np.ndarray:
+    """sum_k K_k m K_k† with every K_k acting on subsystem `target` alone.
+
+    `m` is an operator over the subsystems in `dims` or a stack of them;
+    `kraus` is an array (..., n_kraus, d_out, d_in) whose leading batch axes
+    broadcast against `m`'s, so one call can act a different channel on
+    every operator of a stack.  Zero operators may pad a Kraus list, since
+    they add nothing.  The result keeps the subsystem layout, with
+    `dims[target]` replaced by d_out.
+    """
+    m = np.asarray(m, dtype=complex)
+    kraus = np.asarray(kraus, dtype=complex)
+    dims = tuple(int(d) for d in dims)
+    _check_signature(m, dims)
+    if not 0 <= target < len(dims):
+        raise ValueError(f"target {target} out of range for {len(dims)} subsystems")
+    d_out, d_in = kraus.shape[-2:]
+    if dims[target] != d_in:
+        raise ValueError(f"Kraus operators expect dimension {d_in}, "
+                         f"subsystem {target} is {dims[target]}")
+    before = math.prod(dims[:target])
+    after = math.prod(dims[target + 1:])
+    t = m.reshape(m.shape[:-2] + (before, d_in, after) * 2)
+    # ket side: K on the target axis, one term per Kraus operator
+    t = np.einsum("...koi,...xiyujv->...kxoyujv", kraus, t)
+    # bra side: K† on the target axis, summed over the Kraus operators
+    t = np.einsum("...kxoyujv,...kpj->...xoyupv", t, kraus.conj())
+    d = before * d_out * after
+    return t.reshape(t.shape[:-6] + (d, d))
 
 
 def hermitian_eig(m: np.ndarray, herm_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ __all__ = [
     "PureState",
     "MAX_AMPLITUDES",
     "von_neumann",
+    "von_neumann_stack",
     "density",
     "pure_state",
     "purify",
@@ -68,9 +69,19 @@ class DensityMatrix:
 def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
     """Entropy -sum(w log2 w) over eigenvalues above the 1e-12 clip."""
     m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    w = w[w > EIG_CLIP]
-    return float(-np.sum(w * np.log2(w)))
+    return float(von_neumann_stack(m))
+
+
+def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
+    """von_neumann of every matrix in a stack (..., d, d): one eigensolve call.
+
+    Returns the entropies with the stack's leading shape.
+    """
+    m = np.asarray(mats)
+    w = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    # a clipped eigenvalue becomes 1, whose term 1 * log2(1) is exactly 0
+    w = np.where(w > EIG_CLIP, w, 1.0)
+    return -(w * np.log2(w)).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

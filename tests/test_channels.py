@@ -33,13 +33,19 @@ def test_dephasing_kills_off_diagonals():
 
 
 def test_apply_to_subsystem_matches_kron_embedding():
-    rho = DensityMatrix(random_density(12, seed=3).mat, (2, 3, 2))
-    ch = dilation_to_kraus(random_channel(3, 3, 3, seed=4))
-    got = apply_to_subsystem(ch, rho, 1)
-    want = sum(kron(np.eye(2), k, np.eye(2)) @ rho.mat
-               @ dagger(kron(np.eye(2), k, np.eye(2))) for k in ch.kraus)
-    np.testing.assert_allclose(got.mat, want, atol=1e-12)
-    assert got.dims == (2, 3, 2)
+    dims = (2, 3, 2)
+    rho = DensityMatrix(random_density(12, seed=3).mat, dims)
+    for target, d_out in [(0, 2), (1, 3), (2, 2), (1, 2), (2, 3)]:
+        d_in = dims[target]
+        # an environment of d_in levels lets a d_out-dimensional output dilate it
+        ch = dilation_to_kraus(random_channel(d_in, d_out, d_in, seed=4 + target))
+        got = apply_to_subsystem(ch, rho, target)
+        before = np.eye(int(np.prod(dims[:target])))
+        after = np.eye(int(np.prod(dims[target + 1:])))
+        want = sum(kron(before, k, after) @ rho.mat @ dagger(kron(before, k, after))
+                   for k in ch.kraus)
+        np.testing.assert_allclose(got.mat, want, atol=1e-12)
+        assert got.dims == dims[:target] + (d_out,) + dims[target + 1:]
 
 
 def test_apply_to_subsystem_tracks_changed_dimension():

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from qmonogamy import nonmarkov_witness_row
+from qmonogamy import nonmarkov_witness_row, random_markov_verify
 from qmonogamy.cli import main
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2}$")
@@ -136,6 +136,42 @@ def test_verify_emits_json_only(capsys):
 def test_verify_rejects_zero_samples(capsys):
     assert main(["verify", "--samples", "0"]) == 2
     assert "sample" in capsys.readouterr().err
+
+
+def test_verify_default_dims_leave_the_output_unchanged(tmp_path):
+    plain, explicit = tmp_path / "plain.json", tmp_path / "explicit.json"
+    assert main(["verify", "--samples", "2", "--output", str(plain)]) == 0
+    assert main(["verify", "--samples", "2", "--dims", "2", "2",
+                 "--output", str(explicit)]) == 0
+    assert plain.read_bytes() == explicit.read_bytes()
+
+
+def test_verify_passes_dims_to_the_survey(capsys, monkeypatch):
+    seen = {}
+    real = random_markov_verify
+
+    def spy(steps, samples, **kwargs):
+        seen.update(kwargs)
+        return real(steps, samples, **kwargs)
+
+    monkeypatch.setattr("qmonogamy.cli.random_markov_verify", spy)
+    assert main(["verify", "--samples", "2", "--dims", "3", "1"]) == 0
+    assert seen["dims"] == (3, 1)
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("steps,dims,reason", [
+    ("4", ("1", "2"), "system dimension"), ("4", ("2", "0"), "environment dimensions"),
+    ("8", ("2", "5"), "amplitudes")])
+def test_verify_rejects_bad_dims(capsys, steps, dims, reason):
+    assert main(["verify", "--steps", steps, "--samples", "2", "--dims", *dims]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step,reason", [("1e-300", "grid points"), ("nan", "finite")])
+def test_sweep_rejects_a_degenerate_step(capsys, step, reason):
+    assert main(["sweep-qmmi", "--step", step]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_unwritable_output_path_is_a_clean_failure(capsys):

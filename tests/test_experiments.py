@@ -13,13 +13,16 @@ import pytest
 from qmonogamy import (
     adjoint_identity_check,
     classical_cmmi_check,
+    conditional_mutual_information,
     extra_dpi_row,
     gamma_sequence,
+    joint_from_chain,
     lambda_grid,
     mi_monotonicity_check,
     mqmmi_row,
     nonmarkov_witness_row,
     parallel_map,
+    random_chain,
     random_markov_process,
     random_markov_verify,
     sweep,
@@ -27,7 +30,12 @@ from qmonogamy import (
     von_neumann,
     w_state,
 )
-from qmonogamy import states
+from qmonogamy import experiments, info, states
+from qmonogamy.channels import (adjoint_channel, apply_to_subsystem, dilation_to_kraus,
+                                random_channel)
+from qmonogamy.classical import cmmi_gap
+from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
+from qmonogamy.witnesses import cqmi_monotonicity_gap, mi_dpi_gap
 
 H_ONE_THIRD = math.log2(3) - 2 / 3  # binary entropy of 1/3
 
@@ -192,8 +200,13 @@ def test_custom_grid_ranges():
 
 
 @pytest.mark.parametrize("lo,hi,step", [(-0.1, 1.0, 0.01), (0.0, 1.2, 0.01),
-                                        (0.6, 0.4, 0.01), (0.0, 1.0, 0.0)])
+                                        (0.6, 0.4, 0.01), (0.0, 1.0, 0.0),
+                                        (0.0, 1.0, math.nan), (math.nan, 1.0, 0.01),
+                                        (0.0, math.inf, 0.01), (0.0, 1.0, math.inf),
+                                        (0.0, 1.0, 1e-300), (0.0, 1.0, 5e-324),
+                                        (0.0, 1.0, 0.999e-6)])
 def test_grid_rejects_bad_ranges(lo, hi, step):
+    # the last three would need more than MAX_GRID_POINTS points
     with pytest.raises(ValueError):
         lambda_grid(lo, hi, step)
 
@@ -241,6 +254,10 @@ def test_random_markov_process_guards():
         random_markov_process(1, seed=0)
     with pytest.raises(ValueError, match="environment dims"):
         random_markov_process(4, seed=0, d_env=[2, 2])
+    with pytest.raises(ValueError, match="system dimension"):
+        random_markov_process(4, seed=0, d_sys=1)
+    with pytest.raises(ValueError, match="environment dimensions"):
+        random_markov_process(4, seed=0, d_env=[2, 0, 2])
 
 
 def test_verify_reports_clean_minima_on_markov_samples():
@@ -268,6 +285,19 @@ def test_verify_guards():
         random_markov_verify(5, samples=1)
     with pytest.raises(ValueError, match="sample"):
         random_markov_verify(4, samples=0)
+    with pytest.raises(ValueError, match="system dimension"):
+        random_markov_verify(4, samples=1, dims=(1, 2))
+    with pytest.raises(ValueError, match="environment dimensions"):
+        random_markov_verify(4, samples=1, dims=(2, 0))
+    # 2 * 5**7 * 2 amplitudes; refused before a sample is drawn
+    with pytest.raises(ValueError, match="312500 amplitudes"):
+        random_markov_verify(8, samples=1, dims=(2, 5))
+
+
+def test_verify_takes_other_dimensions():
+    report = random_markov_verify(4, samples=2, dims=(3, 1), seed=2, certificate_samples=1)
+    assert min(report["witness_minima"].values()) >= -1e-9
+    assert report["certificate_max_mismatch"] <= 1e-7
 
 
 def test_adjoint_identity_check_is_tight():
@@ -287,3 +317,99 @@ def test_classical_cmmi_check_is_nonnegative():
     assert classical_cmmi_check(samples=60, seed=9)["classical_cmmi_min"] >= -1e-12
     assert classical_cmmi_check(samples=30, seed=9,
                                 n_pairs=3)["classical_cmmi_min"] >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked side checks against per-sample loops on the same draws
+# ---------------------------------------------------------------------------
+
+BLOCK = experiments.SAMPLE_BLOCK
+CHECK_CASES = [(0, 1), (4, BLOCK - 1), (1000, BLOCK + 1), (0, 500)]
+
+
+def _mi_reference(samples, seed):
+    rng = np.random.default_rng(seed)
+    cqmi, mi, cmi = [], [], []
+    for _ in range(samples):
+        rho3 = DensityMatrix(random_density(8, seed=rng).mat, (2, 2, 2))
+        ch = dilation_to_kraus(random_channel(2, 2, int(rng.integers(2, 5)), rng))
+        cqmi.append(cqmi_monotonicity_gap(rho3, ch))
+        cmi.append(conditional_mutual_information(rho3, (0,), (1,), (2,)))
+        rho2 = DensityMatrix(random_density(4, seed=rng).mat, (2, 2))
+        mi.append(mi_dpi_gap(rho2, ch))
+    return {"cqmi_monotonicity_min": min(cqmi), "mi_monotonicity_min": min(mi),
+            "cmi_min": min(cmi)}
+
+
+def _adjoint_reference(samples, seed):
+    rng = np.random.default_rng(seed)
+    id_dev = unital_dev = 0.0
+    for _ in range(samples):
+        d = int(rng.integers(2, 4))
+        d_env = int(rng.integers(2, 5))
+        ch = dilation_to_kraus(random_channel(d, d, d_env, rng))
+        adj = adjoint_channel(ch)
+        pair = maximally_entangled(d).density()
+        left = apply_to_subsystem(ch, pair, 0)
+        right = apply_to_subsystem(adj, pair, 1)
+        id_dev = max(id_dev, float(np.abs(left.mat - right.mat).max()))
+        one = sum(k @ k.conj().T for k in adj.kraus)
+        unital_dev = max(unital_dev, float(np.abs(one - np.eye(d)).max()))
+    return {"identity_max_deviation": id_dev, "unitality_max_deviation": unital_dev}
+
+
+def _classical_reference(samples, seed, n_pairs, dim):
+    rng = np.random.default_rng(seed)
+    perm = tuple(range(n_pairs, 0, -1))
+    return min(cmmi_gap(joint_from_chain(random_chain(2 * n_pairs, dim, rng)), perm)
+               for _ in range(samples))
+
+
+@pytest.mark.parametrize("seed,samples", CHECK_CASES)
+def test_mi_monotonicity_check_equals_the_per_sample_gaps(seed, samples):
+    got = mi_monotonicity_check(samples=samples, seed=seed)
+    want = _mi_reference(samples, seed)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == pytest.approx(want[name], abs=1e-12), name
+
+
+@pytest.mark.parametrize("seed,samples", CHECK_CASES)
+def test_adjoint_identity_check_equals_the_per_sample_loop(seed, samples):
+    got = adjoint_identity_check(samples=samples, seed=seed)
+    want = _adjoint_reference(samples, seed)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == pytest.approx(want[name], abs=1e-12), name
+
+
+@pytest.mark.parametrize("seed,samples", CHECK_CASES)
+@pytest.mark.parametrize("n_pairs,dim", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_classical_cmmi_check_equals_the_per_sample_gaps(seed, samples, n_pairs, dim):
+    got = classical_cmmi_check(samples=samples, seed=seed, n_pairs=n_pairs, dim=dim)
+    want = _classical_reference(samples, seed, n_pairs, dim)
+    assert got["classical_cmmi_min"] == pytest.approx(want, abs=1e-12)
+
+
+def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkeypatch):
+    # 8 subset entropies for the conditional gaps and 6 for the plain ones,
+    # each one stacked eigensolve per block, and no per-matrix von_neumann
+    per_matrix, stacked = [], []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        stacked.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def refuse(rho):
+        per_matrix.append(rho)
+        raise AssertionError("per-matrix von_neumann call")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(states, "von_neumann", refuse)
+    monkeypatch.setattr(info, "von_neumann", refuse)
+    mi_monotonicity_check(samples=500)
+    assert per_matrix == []
+    blocks = math.ceil(500 / BLOCK)
+    assert len(stacked) == 14 * blocks
+    assert sorted({shape[0] for shape in stacked}) == sorted({BLOCK, 500 % BLOCK})

@@ -13,7 +13,8 @@ from qmonogamy.channels import dilation_to_kraus, identity_channel, random_chann
 from qmonogamy.info import (chain_coherent_information, coherent_information,
                             conditional_mutual_information, mutual_information,
                             von_neumann)
-from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
+from qmonogamy.states import (DensityMatrix, maximally_entangled, random_density,
+                              von_neumann_stack)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -37,6 +38,24 @@ def test_entropy_bounds(seed, d):
     rho = random_density(d, seed=seed)
     h = von_neumann(rho)
     assert -1e-12 <= h <= np.log2(d) + 1e-12
+
+
+def test_stacked_entropies_match_known_spectra():
+    # rotated diagonal states with small and zero eigenvalues: the entropy is
+    # -sum p log2 p over the nonzero p, whatever the clip below 1e-3 drops
+    rng = np.random.default_rng(12)
+    spectra = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.997, 1e-3, 1e-3, 1e-3],
+               [0.4, 0.3, 0.2, 0.1], [0.25] * 4, [0.999, 1e-3, 0.0, 0.0]]
+    mats = []
+    for p in spectra:
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        mats.append(q @ np.diag(p) @ q.conj().T)
+    got = von_neumann_stack(np.stack(mats).reshape(2, 3, 4, 4))
+    assert got.shape == (2, 3)
+    for value, p, m in zip(got.reshape(-1), spectra, mats):
+        want = -sum(x * np.log2(x) for x in p if x > 0)
+        assert value == pytest.approx(want, abs=1e-12)
+        assert von_neumann(m) == pytest.approx(value, abs=1e-14)
 
 
 @given(seeds)

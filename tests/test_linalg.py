@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.linalg import (apply_two_site, dagger, hermitian_eig, is_unitary,
-                              kron, partial_trace)
+from qmonogamy.linalg import (apply_kraus, apply_two_site, dagger, hermitian_eig,
+                              is_unitary, kron, partial_trace)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 small_dims = st.sampled_from([2, 3, 4])
@@ -65,6 +65,54 @@ def test_partial_trace_rejects_bad_signature():
         partial_trace(np.eye(5), (2, 3), (0,))
     with pytest.raises(ValueError):
         partial_trace(np.eye(6), (2, 3), (2,))
+    with pytest.raises(ValueError):
+        partial_trace(np.ones(6), (2, 3), (0,))
+
+
+def test_partial_trace_takes_leading_batch_axes():
+    rng = np.random.default_rng(5)
+    dims = (2, 3, 2)
+    stack = rng.standard_normal((3, 2, 12, 12)) + 1j * rng.standard_normal((3, 2, 12, 12))
+    for keep in [(), (1,), (0, 2), (0, 1, 2)]:
+        got = partial_trace(stack, dims, keep)
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_allclose(got[idx], partial_trace(stack[idx], dims, keep),
+                                       atol=1e-13)
+
+
+def _kraus_ops(rng, n, d_out, d_in):
+    """n random operators with sum_k K_k† K_k = 1, as an (n, d_out, d_in) array."""
+    v = np.linalg.qr(_rand_complex(rng, n * d_out, d_in))[0]
+    return v.reshape(n, d_out, d_in)
+
+
+def test_apply_kraus_acts_one_channel_per_stack_entry():
+    rng = np.random.default_rng(8)
+    dims = (2, 2, 2)
+    stack = np.stack([_rand_complex(rng, 8) for _ in range(5)])
+    per_entry = [_kraus_ops(rng, n, 2, 2) for n in (1, 2, 3, 4, 2)]
+    # zero operators pad every list to four; they add nothing
+    padded = np.zeros((5, 4, 2, 2), dtype=complex)
+    for b, ops in enumerate(per_entry):
+        padded[b, :len(ops)] = ops
+    got = apply_kraus(stack, dims, padded, 1)
+    for b, ops in enumerate(per_entry):
+        np.testing.assert_allclose(got[b], apply_kraus(stack[b], dims, ops, 1), atol=1e-13)
+    # one Kraus list broadcast over the whole stack
+    got = apply_kraus(stack, dims, per_entry[2], 1)
+    for b in range(5):
+        np.testing.assert_allclose(got[b], apply_kraus(stack[b], dims, per_entry[2], 1),
+                                   atol=1e-13)
+
+
+def test_apply_kraus_rejects_mismatched_subsystems():
+    ops = np.eye(2)[None]
+    with pytest.raises(ValueError, match="dimension"):
+        apply_kraus(np.eye(6), (2, 3), ops, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_kraus(np.eye(6), (2, 3), ops, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_kraus(np.eye(6), (2, 3), ops, -1)
 
 
 @given(seeds, small_dims)

@@ -8,6 +8,7 @@ contraction kernel except the Kraus operators themselves.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmonogamy.channels import (KrausChannel, dilation_to_kraus, random_channel,
                                 stinespring)
@@ -171,6 +172,21 @@ def test_choi_dpi_gaps_nonnegative_on_markov_tensors():
         maps = [dilation_to_kraus(random_channel(2, 2, 2, seed=rng))
                 for _ in range(3)]
         assert choi_dpi_witnesses(pt, maps).passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_markov_circuits_pass_the_process_tensor_witnesses(env_dim, seed):
+    # a qubit system with a fresh env_dim-level environment at each of 3 steps
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    init = pure_state(vec / np.linalg.norm(vec), (2, 2))
+    units = [_haar(rng, 2 * env_dim) for _ in range(3)]
+    pt = build_process_tensor(fresh_env_circuit(init, units, env_dim), 4)
+    assert markov_factorization_gap(pt) <= 1e-9
+    gaps = choi_dpi_witnesses(pt).entries
+    assert len(gaps) == 7
+    assert min(gaps.values()) >= -1e-9, gaps
 
 
 def test_choi_dpi_needs_four_slots():
