@@ -6,9 +6,9 @@ run on it) recovers a nonnegative window; q2 and q3 stay negative across
 the whole interior, so the choice of multitime extension matters.
 """
 
-from qmonogamy import lambda_grid, mqmmi_row, sweep
+from qmonogamy import GAP_TOLERANCE, lambda_grid, mqmmi_row, sweep
 
-FLOOR = -1e-9
+FLOOR = -GAP_TOLERANCE
 
 
 def main() -> None:

@@ -3,7 +3,7 @@
 
 Draws seeded Haar-dilation processes of 4, 6 and 8 steps, random
 channel pairs, and random classical chains, then prints the minimum of
-each witness family.  Everything should sit at or above -1e-9; the
+each witness family.  Everything should sit at or above -GAP_TOLERANCE; the
 proven gaps cannot go negative on genuinely Markov inputs.
 """
 

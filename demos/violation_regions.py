@@ -6,9 +6,9 @@ Sweeps the lambda family, then prints the sign pattern of DP1..DP4 and
 M4 along the grid together with the region boundaries.
 """
 
-from qmonogamy import lambda_grid, nonmarkov_witness_row, sweep
+from qmonogamy import GAP_TOLERANCE, lambda_grid, nonmarkov_witness_row, sweep
 
-FLOOR = -1e-9
+FLOOR = -GAP_TOLERANCE
 NAMES = ("DP1", "DP2", "DP3", "DP4", "M4")
 
 

@@ -11,11 +11,9 @@ Everything is exact linear algebra on small dense matrices; no sampling
 enters except where a function explicitly takes a seed.
 """
 
-from .channels import (KrausChannel, StinespringDilation, adjoint_channel, apply,
-                       apply_dilation, apply_to_subsystem, choi_of,
-                       dephasing_channel, depolarizing_channel, dilation_to_kraus,
-                       identity_channel, kraus_channel, kraus_to_isometry,
-                       random_channel, stinespring)
+from .channels import (KrausChannel, adjoint_channel, apply, apply_to_subsystem,
+                       dephasing_channel, depolarizing_channel, identity_channel,
+                       kraus_channel, random_channel, unitary_channel)
 from .classical import (ClassicalChain, JointPMF, classical_chain, classical_cmi,
                         classical_mi, cmmi_gap, is_markov, joint_from_chain,
                         joint_pmf, random_chain, shannon_entropy)
@@ -37,7 +35,8 @@ from .process_tensor import (CHOI_DPI_GAPS, Instrument, ProcessTensor,
                              port_mutual_information, system_env_circuit)
 from .states import (DensityMatrix, PureState, maximally_entangled, pure_state,
                      purify, random_density, w_state)
-from .witnesses import (GAP_TOLERANCE, MarkovChainProcess, WitnessReport,
+from .tolerances import GAP_TOLERANCE
+from .witnesses import (MarkovChainProcess, WitnessReport,
                         cqmi_monotonicity_gap, dp5_conditional_entropy,
                         extra_dpi_witnesses, m4_ssa_certificate, m4_witness,
                         m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
@@ -50,19 +49,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CHOI_DPI_GAPS", "ClassicalChain", "DensityMatrix", "GAP_TOLERANCE",
     "Instrument", "JointPMF", "KrausChannel", "MarkovChainProcess",
-    "ProcessTensor", "PureState", "StinespringDilation", "SystemEnvCircuit",
+    "ProcessTensor", "PureState", "SystemEnvCircuit",
     "WitnessReport", "adjoint_channel", "adjoint_identity_check", "apply",
-    "apply_dilation", "apply_to_subsystem", "build_process_tensor",
-    "chain_coherent_information", "choi_dpi_witnesses", "choi_of",
+    "apply_to_subsystem", "build_process_tensor",
+    "chain_coherent_information", "choi_dpi_witnesses",
     "classical_chain", "classical_cmi", "classical_cmmi_check",
     "classical_mi", "cmmi_gap", "coherent_information", "contract",
     "conditional_mutual_information", "cqmi_monotonicity_gap", "dagger",
     "dephased_joint_pmf", "dephasing_channel", "dephasing_instrument",
-    "depolarizing_channel", "dilation_to_kraus", "dp5_conditional_entropy",
+    "depolarizing_channel", "dp5_conditional_entropy",
     "extra_dpi_row", "extra_dpi_witnesses", "fresh_env_circuit",
     "gamma_sequence", "hermitian_eig", "identity_channel", "instrument",
     "is_markov", "is_unitary", "joint_from_chain", "joint_pmf", "kron",
-    "kraus_channel", "kraus_to_isometry", "lambda_grid",
+    "kraus_channel", "lambda_grid",
     "m4_ssa_certificate", "m4_witness", "m6_ssa_certificates", "m6_witnesses",
     "m8_ssa_certificates", "m8_witnesses", "markov_factorization_gap",
     "markov_process", "maximally_entangled", "mi_dpi_gap",
@@ -73,6 +72,6 @@ __all__ = [
     "port_mutual_information",
     "pure_state", "purified_circuit_state", "purify", "qdpi_witnesses",
     "random_chain", "random_channel", "random_density", "random_markov_process",
-    "random_markov_verify", "shannon_entropy", "stinespring", "sweep",
-    "system_env_circuit", "u_lambda", "von_neumann", "w_state",
+    "random_markov_verify", "shannon_entropy", "sweep",
+    "system_env_circuit", "u_lambda", "unitary_channel", "von_neumann", "w_state",
 ]

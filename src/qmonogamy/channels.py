@@ -1,13 +1,12 @@
-"""CPTP maps in Kraus, Stinespring, and Choi representations.
+"""CPTP maps as lists of Kraus operators.
 
-The Kraus and Stinespring forms convert both ways, and the Choi state
-is computed from the Kraus form:
-
-* Kraus: rho -> sum_k K_k rho K_k†, with sum_k K_k† K_k = 1.
-* Stinespring: rho -> Tr_E[U (rho x phi) U†] for a unitary U on
-  system (x) fresh ancilla and a pure ancilla state phi.
-* Choi: the normalized state C(L) = (id x L)(|Psi+><Psi+|), whose
-  marginal over the output leg is 1/d_in.
+A channel is its Kraus list: rho -> sum_k K_k rho K_k†, validated to
+sum_k K_k† K_k = 1.  A channel given as a unitary dilation,
+rho -> Tr_E[U (rho x |0><0|) U†], is read into that form by
+unitary_channel, whose Kraus operators are the ancilla-|0> columns of U;
+random channels are drawn that way from Haar unitaries.  The purified
+circuit of a process dilates each channel again by stacking its Kraus
+operators into one isometry (witnesses.purified_circuit_state).
 
 Also here: the adjoint-channel identity
 (A x id)(Psi+) = (id x A~)(Psi+) where A~ has the transposed Kraus
@@ -20,28 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_kraus, dagger, is_unitary, kron, partial_trace
-from .states import DensityMatrix, maximally_entangled
+from .linalg import apply_kraus, dagger
+from .states import DensityMatrix
+from .tolerances import ISOMETRY_TOL
 
 __all__ = [
     "KrausChannel",
-    "StinespringDilation",
     "kraus_channel",
     "identity_channel",
     "depolarizing_channel",
     "dephasing_channel",
     "apply",
     "apply_to_subsystem",
-    "stinespring",
-    "dilation_to_kraus",
-    "apply_dilation",
-    "kraus_to_isometry",
-    "choi_of",
+    "unitary_channel",
     "adjoint_channel",
     "random_channel",
 ]
-
-TP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,20 +46,8 @@ class KrausChannel:
     d_out: int
 
 
-@dataclass(frozen=True, eq=False)
-class StinespringDilation:
-    """Unitary dilation: U maps S_in (x) F to S_out (x) E, phi is the F state."""
-
-    unitary: np.ndarray
-    ancilla: np.ndarray
-    d_in: int
-    d_f: int
-    d_out: int
-    d_env: int
-
-
 def kraus_channel(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> KrausChannel:
-    """Validate a Kraus list (trace preservation within 1e-10) into a channel."""
+    """Validate a finite, trace-preserving Kraus list into a channel."""
     ops = tuple(np.asarray(k, dtype=complex) for k in ops)
     if not ops:
         raise ValueError("channel needs at least one Kraus operator")
@@ -74,9 +55,12 @@ def kraus_channel(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> KrausChanne
     for k in ops:
         if k.shape != (d_out, d_in):
             raise ValueError(f"inconsistent Kraus shapes: {k.shape} vs {(d_out, d_in)}")
+        if not np.isfinite(k).all():
+            raise ValueError(f"non-finite Kraus entries: {np.count_nonzero(~np.isfinite(k))} "
+                             "NaN or infinite")
     tp = sum(dagger(k) @ k for k in ops)
     dev = np.abs(tp - np.eye(d_in)).max()
-    if dev > TP_TOL:
+    if dev > ISOMETRY_TOL:
         raise ValueError(f"not trace preserving: max deviation {dev:.3e}")
     return KrausChannel(ops, d_in, d_out)
 
@@ -119,69 +103,24 @@ def apply_to_subsystem(ch: KrausChannel, rho: DensityMatrix, target: int) -> Den
     return DensityMatrix(out, dims)
 
 
-# ---------------------------------------------------------------------------
-# Stinespring dilations
-# ---------------------------------------------------------------------------
+def unitary_channel(u: np.ndarray, d_in: int, d_out: int) -> KrausChannel:
+    """The channel rho -> Tr_E[U (rho x |0><0|_F) U†] of a unitary dilation.
 
-def stinespring(unitary: np.ndarray, ancilla: np.ndarray,
-                d_in: int, d_out: int) -> StinespringDilation:
-    """Validate a unitary dilation of a channel.
-
-    `unitary` acts on S_in (x) F and is read as mapping to S_out (x) E,
-    with F the ancilla register holding the pure state `ancilla`.
+    `u` acts on S_in (x) F and is read as mapping to S_out (x) E, so its
+    dimension must be a multiple of both d_in and d_out.  The Kraus
+    operators K_e = (1 x <e|_E) U (1 x |0>_F) are the ancilla-|0> columns
+    of U; kraus_channel checks that those columns are orthonormal, which is
+    all the channel needs of U.
     """
-    unitary = np.asarray(unitary, dtype=complex)
-    ancilla = np.asarray(ancilla, dtype=complex).reshape(-1)
-    d_f = ancilla.shape[0]
-    d_total = d_in * d_f
-    if unitary.shape != (d_total, d_total):
-        raise ValueError(f"unitary must be {d_total} x {d_total}, got {unitary.shape}")
-    if d_total % d_out:
-        raise ValueError(f"output dimension {d_out} does not divide {d_total}")
-    if not is_unitary(unitary, 1e-10):
-        raise ValueError("dilation operator is not unitary within 1e-10")
-    if abs(np.linalg.norm(ancilla) - 1.0) > 1e-12:
-        raise ValueError("ancilla state is not normalized")
-    return StinespringDilation(unitary, ancilla, d_in, d_f, d_out, d_total // d_out)
-
-
-def dilation_to_kraus(dil: StinespringDilation) -> KrausChannel:
-    """Kraus operators K_e = (1 x <e|_E) U (1 x |phi>_F)."""
-    u = dil.unitary.reshape(dil.d_out, dil.d_env, dil.d_in, dil.d_f)
-    ops = [np.tensordot(u[:, e], dil.ancilla, axes=[[2], [0]]) for e in range(dil.d_env)]
-    return kraus_channel(ops)
-
-
-def apply_dilation(dil: StinespringDilation, rho: DensityMatrix) -> DensityMatrix:
-    """Direct dilation action Tr_E[U (rho x phi) U†]."""
-    if rho.dim != dil.d_in:
-        raise ValueError(f"dilation expects dimension {dil.d_in}, state is {rho.dim}")
-    phi = np.outer(dil.ancilla, dil.ancilla.conj())
-    joint = dil.unitary @ kron(rho.mat, phi) @ dagger(dil.unitary)
-    out = partial_trace(joint, (dil.d_out, dil.d_env), (0,))
-    return DensityMatrix(out, (dil.d_out,))
-
-
-def kraus_to_isometry(ch: KrausChannel) -> np.ndarray:
-    """Isometry V: S_in -> S_out (x) E with V|s> = sum_e K_e|s> (x) |e>.
-
-    The environment dimension equals the number of Kraus operators; V†V = 1.
-    """
-    n_env = len(ch.kraus)
-    v = np.zeros((ch.d_out * n_env, ch.d_in), dtype=complex)
-    for e, k in enumerate(ch.kraus):
-        v.reshape(ch.d_out, n_env, ch.d_in)[:, e, :] = k
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Choi states
-# ---------------------------------------------------------------------------
-
-def choi_of(ch: KrausChannel) -> DensityMatrix:
-    """Normalized Choi state (id x L)(|Psi+><Psi+|) over (R, S_out)."""
-    psi = maximally_entangled(ch.d_in)
-    return apply_to_subsystem(ch, psi.density(), 1)
+    u = np.asarray(u, dtype=complex)
+    total = u.shape[0] if u.ndim == 2 else 0
+    if u.shape != (total, total) or min(d_in, d_out, total) < 1 or total % d_in \
+            or total % d_out:
+        raise ValueError(f"dilation must be square with a dimension divisible by "
+                         f"{d_in} and {d_out}, got {u.shape}")
+    # rows (S_out, E), columns (S_in, F); F = 0 is every (total // d_in)-th column
+    v = u[:, ::total // d_in].reshape(d_out, total // d_out, d_in)
+    return kraus_channel(list(np.ascontiguousarray(v.swapaxes(0, 1))))
 
 
 def adjoint_channel(ch: KrausChannel) -> KrausChannel:
@@ -209,19 +148,18 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_channel(d_in: int, d_out: int, d_env: int,
-                   seed: int | np.random.Generator = 0) -> StinespringDilation:
-    """Random dilation with a Haar unitary on S_out (x) E and ancilla |0>.
+                   seed: int | np.random.Generator = 0) -> KrausChannel:
+    """Channel of a Haar unitary on S_out (x) E with ancilla |0>.
 
     The ancilla dimension is the minimal d_f with d_in * d_f = d_out * d_env;
     dims that leave no integer d_f are rejected.
     """
+    if min(d_in, d_out, d_env) < 1:
+        raise ValueError(f"channel dimensions must be at least 1, got d_in={d_in}, "
+                         f"d_out={d_out}, d_env={d_env}")
     total = d_out * d_env
     if total % d_in:
         raise ValueError(
             f"no ancilla dimension satisfies {d_in} * d_f = {d_out} * {d_env}")
-    d_f = total // d_in
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    u = _haar_unitary(total, rng)
-    phi = np.zeros(d_f, dtype=complex)
-    phi[0] = 1.0
-    return stinespring(u, phi, d_in, d_out)
+    return unitary_channel(_haar_unitary(total, rng), d_in, d_out)

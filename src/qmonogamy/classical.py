@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import ENTROPY_CLIP, MARKOV_CMI_TOL, NEG_PROB_TOL, PROB_SUM_TOL
+
 __all__ = [
     "JointPMF",
     "ClassicalChain",
@@ -28,9 +30,6 @@ __all__ = [
     "cmmi_gap",
     "random_chain",
 ]
-
-PROB_CLIP = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class JointPMF:
@@ -60,12 +59,15 @@ class ClassicalChain:
 
 
 def joint_pmf(probs: np.ndarray) -> JointPMF:
-    """Validate an array (sums to 1, no negative entries) into a JointPMF."""
+    """Validate a finite array (sum 1, entries >= -NEG_PROB_TOL, clipped to 0)."""
     probs = np.asarray(probs, dtype=float)
-    if probs.min() < -1e-15:
+    if not np.isfinite(probs).all():
+        raise ValueError(f"non-finite probabilities: {np.count_nonzero(~np.isfinite(probs))} "
+                         "NaN or infinite")
+    if probs.min() < -NEG_PROB_TOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
     total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return JointPMF(np.clip(probs, 0.0, None))
 
@@ -73,16 +75,19 @@ def joint_pmf(probs: np.ndarray) -> JointPMF:
 def classical_chain(initial: np.ndarray,
                     transitions: list[np.ndarray] | tuple[np.ndarray, ...],
                     ) -> ClassicalChain:
-    """Validate stochasticity (columns sum to 1 within 1e-12) into a chain."""
+    """Validate finiteness and stochasticity (PROB_SUM_TOL) into a chain."""
     initial = np.asarray(initial, dtype=float)
-    if initial.min() < 0 or abs(initial.sum() - 1.0) > 1e-12:
-        raise ValueError("initial distribution is not a probability vector")
     transitions = tuple(np.asarray(t, dtype=float) for t in transitions)
+    bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (initial,) + transitions)
+    if bad:
+        raise ValueError(f"non-finite chain entries: {bad} NaN or infinite")
+    if initial.min() < 0 or abs(initial.sum() - 1.0) > PROB_SUM_TOL:
+        raise ValueError("initial distribution is not a probability vector")
     d = initial.shape[0]
     for i, t in enumerate(transitions):
         if t.shape[1] != d:
             raise ValueError(f"transition {i} expects {t.shape[1]} inputs, chain carries {d}")
-        if t.min() < 0 or np.abs(t.sum(axis=0) - 1.0).max() > 1e-12:
+        if t.min() < 0 or np.abs(t.sum(axis=0) - 1.0).max() > PROB_SUM_TOL:
             raise ValueError(f"transition {i} is not column stochastic")
         d = t.shape[0]
     return ClassicalChain(initial, transitions)
@@ -106,13 +111,13 @@ def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     """shannon_entropy of the marginal over `subset` for a stack of joints.
 
     `probs` holds one joint per index of its leading axis, then one axis
-    per variable; entries at or below PROB_CLIP are left out of the sum.
+    per variable; entries at or below ENTROPY_CLIP are left out of the sum.
     """
     subset = set(subset)
     drop = tuple(1 + i for i in range(probs.ndim - 1) if i not in subset)
     w = (probs.sum(axis=drop) if drop else probs).reshape(len(probs), -1)
     # a clipped entry becomes 1, whose term 1 * log2(1) is exactly 0
-    w = np.where(w > PROB_CLIP, w, 1.0)
+    w = np.where(w > ENTROPY_CLIP, w, 1.0)
     return -(w * np.log2(w)).sum(axis=-1)
 
 
@@ -135,7 +140,7 @@ def classical_cmi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...],
             - shannon_entropy(p, a + b + c) - hc)
 
 
-def is_markov(p: JointPMF, tol: float = 1e-9) -> bool:
+def is_markov(p: JointPMF, tol: float = MARKOV_CMI_TOL) -> bool:
     """Whether each variable is independent of the deeper past given its
     predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every i >= 3."""
     for i in range(2, p.n_vars):
@@ -169,6 +174,8 @@ def random_chain(n_vars: int, dim: int, seed: int | np.random.Generator = 0) -> 
     """Chain with flat-Dirichlet initial distribution and transition columns."""
     if n_vars < 2:
         raise ValueError("a chain needs at least two variables")
+    if dim < 1:
+        raise ValueError(f"a chain needs at least one state per variable, got {dim}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     init = rng.exponential(size=dim)
     init /= init.sum()

@@ -26,7 +26,8 @@ import sys
 from .experiments import (adjoint_identity_check, classical_cmmi_check, extra_dpi_row,
                           lambda_grid, mi_monotonicity_check, mqmmi_row,
                           nonmarkov_witness_row, random_markov_verify, sweep)
-from .witnesses import GAP_TOLERANCE
+from .tolerances import (ADJOINT_IDENTITY_CEIL, CERT_MISMATCH_CEIL, CLASSICAL_FLOOR,
+                         GAP_TOLERANCE, ISOMETRY_TOL, SVG_FLAT_RANGE)
 
 SWEEPS = {
     "sweep-qmmi": (nonmarkov_witness_row,
@@ -35,12 +36,6 @@ SWEEPS = {
     "sweep-dpi-extra": (extra_dpi_row,
                         ["lambda", "DP5_markov", "DP5", "DP6", "DP7"]),
 }
-
-# verify pass/fail thresholds; proven gaps and CMIs may dip to -GAP_TOLERANCE
-CERT_MISMATCH_CEIL = 1e-7
-ADJOINT_IDENTITY_CEIL = 1e-12
-ADJOINT_UNITALITY_CEIL = 1e-10
-CLASSICAL_FLOOR = -1e-12
 
 
 def _fmt(v: float) -> str:
@@ -70,12 +65,12 @@ def _render_svg(columns: list[str], rows: list[dict[str, float]]) -> str:
     series = columns[1:]
     values = [row[c] for row in rows for c in series]
     lo, hi = min(values), max(values)
-    if hi - lo < 1e-12:
+    if hi - lo < SVG_FLAT_RANGE:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     x0, x1 = min(xs), max(xs)
-    if x1 - x0 < 1e-12:
+    if x1 - x0 < SVG_FLAT_RANGE:
         x0, x1 = x0 - 0.5, x1 + 0.5
 
     def px(x: float) -> float:
@@ -167,12 +162,13 @@ def _run_verify(args: argparse.Namespace) -> int:
         "classical_cmmi_min": classical["classical_cmmi_min"],
         "counterexample_seed": survey["counterexample_seed"],
     }
+    # an adjoint's unitality deviation is its channel's trace-preservation deviation
     passed = (
         min(summary["witness_minima"].values()) >= -GAP_TOLERANCE
         and summary["ssa_certificate_min"] >= -GAP_TOLERANCE
         and summary["certificate_max_mismatch"] <= CERT_MISMATCH_CEIL
         and summary["adjoint_identity_max_deviation"] <= ADJOINT_IDENTITY_CEIL
-        and summary["adjoint_unitality_max_deviation"] <= ADJOINT_UNITALITY_CEIL
+        and summary["adjoint_unitality_max_deviation"] <= ISOMETRY_TOL
         and summary["cqmi_monotonicity_min"] >= -GAP_TOLERANCE
         and summary["mi_monotonicity_min"] >= -GAP_TOLERANCE
         and summary["cmi_min"] >= -GAP_TOLERANCE

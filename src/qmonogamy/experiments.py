@@ -34,16 +34,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import adjoint_channel, dilation_to_kraus, random_channel, stinespring
+from .channels import adjoint_channel, random_channel, unitary_channel
 from .classical import joint_from_chain, random_chain, shannon_entropies
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
 from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
                      maximally_entangled, random_density, von_neumann_stack, w_state)
-from .witnesses import (GAP_TOLERANCE, MarkovChainProcess, extra_dpi_witnesses,
-                        m4_ssa_certificate, m4_witness, m6_ssa_certificates,
-                        m6_witnesses, m8_ssa_certificates, m8_witnesses,
-                        markov_process, qdpi_witnesses)
+from .tolerances import GAP_TOLERANCE, GRID_SLACK
+from .witnesses import (MarkovChainProcess, extra_dpi_witnesses, m4_ssa_certificate,
+                        m4_witness, m6_ssa_certificates, m6_witnesses,
+                        m8_ssa_certificates, m8_witnesses, markov_process,
+                        qdpi_witnesses)
 
 __all__ = [
     "u_lambda",
@@ -135,8 +136,7 @@ def extra_dpi_row(lam: float) -> dict[str, float]:
 
 
 def _markov_reference_dp5(lam: float) -> float:
-    anc = np.array([1.0, 0.0], dtype=complex)
-    ch = dilation_to_kraus(stinespring(u_lambda(lam), anc, 2, 2))
+    ch = unitary_channel(u_lambda(lam), 2, 2)
     proc = markov_process(density(np.eye(2) / 2), [ch, ch])
     return extra_dpi_witnesses(proc).entries["DP5"]
 
@@ -158,7 +158,7 @@ MAX_GRID_POINTS = 10 ** 6
 
 
 def lambda_grid(lo: float = 0.0, hi: float = 1.0, step: float = 0.01) -> list[float]:
-    """Inclusive grid lo, lo+step, ..., capped at hi (fp-slack at the end)."""
+    """Inclusive grid lo, lo+step, ..., capped at hi (GRID_SLACK at the end)."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got lo={lo}, hi={hi}, "
                          f"step={step}")
@@ -166,7 +166,7 @@ def lambda_grid(lo: float = 0.0, hi: float = 1.0, step: float = 0.01) -> list[fl
         raise ValueError(f"grid must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    span = (hi - lo) / step + 1e-9
+    span = (hi - lo) / step + GRID_SLACK
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"step {step} gives more than {MAX_GRID_POINTS} grid points")
     n = int(math.floor(span))
@@ -211,8 +211,14 @@ def random_markov_process(n_states: int, seed: int,
     if min(envs) < 1:
         raise ValueError(f"environment dimensions must be at least 1, got {envs}")
     initial = random_density(d_sys, seed=rng)
-    channels = [dilation_to_kraus(random_channel(d_sys, d_sys, e, rng)) for e in envs]
+    channels = [random_channel(d_sys, d_sys, e, rng) for e in envs]
     return markov_process(initial, channels)
+
+
+def _require_samples(samples: int) -> None:
+    # an empty survey or check would report a vacuous pass or an infinite minimum
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
 
 
 def _witness_entries(p: MarkovChainProcess, steps: int) -> dict[str, float]:
@@ -234,20 +240,19 @@ def _certificates(p: MarkovChainProcess, steps: int) -> dict[str, float]:
 
 
 def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2),
-                         seed: int = 0, certificate_samples: int = 20,
-                         tolerance: float = GAP_TOLERANCE) -> dict:
+                         seed: int = 0, certificate_samples: int = 20) -> dict:
     """Worst-case witness survey over `samples` random Markov processes.
 
     Sample i is built from seed + i.  The first `certificate_samples`
     processes additionally get their strong-subadditivity certificate
     evaluated; the certificate values are themselves nonnegative sums of
     conditional mutual informations, so their minimum is reported along
-    with the worst witness-to-certificate mismatch.
+    with the worst witness-to-certificate mismatch.  The first sample with
+    an entry below -GAP_TOLERANCE is the reported counterexample.
     """
     if steps not in (4, 6, 8):
         raise ValueError(f"steps must be 4, 6 or 8, got {steps}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _require_samples(samples)
     d_sys, d_env = dims
     # registers R, E1..E_{steps-1}, S of the purified circuit; refused here,
     # before a sample of that size is drawn (random_markov_process rejects
@@ -271,7 +276,7 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     for i, (entries, certs) in enumerate(results):
         for name, value in entries.items():
             minima[name] = min(minima.get(name, math.inf), value)
-        if counterexample is None and min(entries.values()) < -tolerance:
+        if counterexample is None and min(entries.values()) < -GAP_TOLERANCE:
             counterexample = seed + i
         if certs is not None:
             cert_min = min(cert_min, min(certs.values()))
@@ -333,6 +338,7 @@ def _cmi_stack(mats: np.ndarray) -> np.ndarray:
 def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float]:
     """Max deviation of (A x id)(Psi+) = (id x A~)(Psi+) and of unitality
     of A~ over random channels of mixed dimensions."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     id_dev = 0.0
     unital_dev = 0.0
@@ -342,7 +348,7 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
         for _ in range(size):
             d = int(rng.integers(2, 4))
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            ch = dilation_to_kraus(random_channel(d, d, d_env, rng))
+            ch = random_channel(d, d, d_env, rng)
             kraus, adj = by_dim.setdefault(d, ([], []))
             kraus.append(_padded_kraus(ch.kraus))
             adj.append(_padded_kraus(adjoint_channel(ch).kraus))
@@ -366,6 +372,7 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     conditional_mutual_information and mi_dpi_gap, with the channel acting
     on the middle qubit of a three-qubit state and the second of two.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     cqmi_min = math.inf
     mi_min = math.inf
@@ -378,7 +385,7 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
         for b in range(size):
             rho3[b] = random_density(8, seed=rng).mat
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            ch = dilation_to_kraus(random_channel(2, 2, d_env, rng))
+            ch = random_channel(2, 2, d_env, rng)
             kraus[b] = _padded_kraus(ch.kraus)
             rho2[b] = random_density(4, seed=rng).mat
         r3, r2, k = rho3[:size], rho2[:size], kraus[:size]
@@ -413,6 +420,7 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     Uses the full swap permutation; with n_pairs = 2 this is the classical
     four-variable monogamy combination.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .tolerances import EIG_HERM_TOL, ISOMETRY_TOL
+
 __all__ = [
     "kron",
     "dagger",
@@ -119,11 +121,11 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
     return t.reshape(t.shape[:-6] + (d, d))
 
 
-def hermitian_eig(m: np.ndarray, herm_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized to (m + m†)/2 before decomposition to suppress
-    round-off; a deviation from Hermiticity beyond `herm_tol` is an error,
+    round-off; a deviation from Hermiticity beyond EIG_HERM_TOL is an error,
     not something to silently average away.
 
     Returns
@@ -133,18 +135,18 @@ def hermitian_eig(m: np.ndarray, herm_tol: float = 1e-8) -> tuple[np.ndarray, np
     """
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - dagger(m)).max()
-    if dev > herm_tol:
+    if dev > EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff ||m† m - 1||_max <= tol."""
+def is_unitary(m: np.ndarray) -> bool:
+    """True iff m is square and ||m† m - 1||_max <= ISOMETRY_TOL."""
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         return False
-    return bool(np.abs(dagger(m) @ m - np.eye(m.shape[0])).max() <= tol)
+    return bool(np.abs(dagger(m) @ m - np.eye(m.shape[0])).max() <= ISOMETRY_TOL)
 
 
 def apply_two_site(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray,

@@ -35,7 +35,8 @@ from .classical import JointPMF, joint_pmf
 from .info import mutual_information
 from .linalg import is_unitary, kron
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
-from .witnesses import GAP_TOLERANCE, WitnessReport
+from .tolerances import ISOMETRY_TOL, PROB_SLACK, RENORM_TOL
+from .witnesses import WitnessReport
 
 __all__ = [
     "SystemEnvCircuit",
@@ -55,10 +56,6 @@ __all__ = [
     "fresh_env_circuit",
     "dephased_joint_pmf",
 ]
-
-# contracted probabilities may leave [0, 1] by this much through round-off
-PROB_SLACK = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class SystemEnvCircuit:
@@ -109,7 +106,7 @@ class Instrument:
 
 def system_env_circuit(initial: PureState,
                        step_unitaries: Sequence[np.ndarray]) -> SystemEnvCircuit:
-    """Validate register structure and unitarity (1e-10) into a circuit."""
+    """Validate register structure and unitarity (ISOMETRY_TOL) into a circuit."""
     if len(initial.dims) != 3:
         raise ValueError(f"initial state needs registers (R0, S, E), got dims {initial.dims}")
     d_se = initial.dims[1] * initial.dims[2]
@@ -117,8 +114,8 @@ def system_env_circuit(initial: PureState,
     for i, u in enumerate(units):
         if u.shape != (d_se, d_se):
             raise ValueError(f"unitary {i} must be {d_se} x {d_se}, got {u.shape}")
-        if not is_unitary(u, 1e-10):
-            raise ValueError(f"step operator {i} is not unitary within 1e-10")
+        if not is_unitary(u):
+            raise ValueError(f"step operator {i} is not unitary within {ISOMETRY_TOL:g}")
     return SystemEnvCircuit(initial, units)
 
 
@@ -127,10 +124,13 @@ def instrument(elements: Sequence[Sequence[np.ndarray]]) -> Instrument:
     elems = tuple(tuple(np.asarray(m, dtype=complex) for m in el) for el in elements)
     if not elems or not elems[0]:
         raise ValueError("instrument needs at least one Kraus operator")
+    bad = sum(np.count_nonzero(~np.isfinite(m)) for el in elems for m in el)
+    if bad:
+        raise ValueError(f"non-finite instrument entries: {bad} NaN or infinite")
     d = elems[0][0].shape[1]
     total = sum(m.conj().T @ m for el in elems for m in el)
     dev = np.abs(total - np.eye(d)).max()
-    if dev > 1e-10:
+    if dev > ISOMETRY_TOL:
         raise ValueError(f"instrument elements do not sum to a TP map: deviation {dev:.3e}")
     return Instrument(elems)
 
@@ -245,7 +245,7 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
         if tr <= PROB_SLACK:
             raise ValueError(f"intervention sequence has probability {tr:.3e}; "
                              "its conditional output state is undefined")
-        if abs(tr - 1.0) > 1e-8:
+        if abs(tr - 1.0) > RENORM_TOL:
             mat = mat / tr  # conditional state of a trace-decreasing sequence
         return density(mat, (pt.d_sys,))
     if len(ops) == k:
@@ -308,8 +308,8 @@ CHOI_DPI_GAPS = (
 )
 
 
-def choi_dpi_witnesses(pt: ProcessTensor, interventions: Sequence | None = None,
-                       tolerance: float = GAP_TOLERANCE) -> WitnessReport:
+def choi_dpi_witnesses(pt: ProcessTensor,
+                       interventions: Sequence | None = None) -> WitnessReport:
     """The seven port mutual-information gaps of a four-slot tensor.
 
     All are nonnegative when the underlying process is Markov, for any
@@ -325,7 +325,7 @@ def choi_dpi_witnesses(pt: ProcessTensor, interventions: Sequence | None = None,
         return cache[(y, x)]
 
     entries = {name: mi(*hi) - mi(*lo) for name, hi, lo in CHOI_DPI_GAPS}
-    return WitnessReport(entries, tolerance)
+    return WitnessReport(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +419,8 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
     """
     if len(initial_rs.dims) != 2:
         raise ValueError(f"initial state needs registers (R0, S), got {initial_rs.dims}")
+    if env_dim < 1:
+        raise ValueError(f"environment dimension must be at least 1, got {env_dim}")
     d_s = initial_rs.dims[1]
     m = len(step_unitaries)
     d_env = env_dim ** m

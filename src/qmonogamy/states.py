@@ -2,8 +2,8 @@
 
 A DensityMatrix carries its subsystem-dimension signature alongside the
 matrix, so partial traces and entropies downstream never need dimension
-bookkeeping at the call site.  Validation thresholds: Hermiticity and unit
-trace within 1e-10, minimum eigenvalue >= -1e-10.
+bookkeeping at the call site.  Validation thresholds and the entropy clip
+are entries of the one table in tolerances.py.
 
 A PureState may also carry register labels, which makes it the package's
 one circuit simulator: unitaries and isometries are applied to named
@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import apply_two_site, dagger, hermitian_eig, partial_trace
+from .tolerances import ENTROPY_CLIP, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
 
 __all__ = [
     "DensityMatrix",
@@ -36,11 +37,6 @@ __all__ = [
     "random_density",
     "w_state",
 ]
-
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-EIG_CLIP = 1e-12
 
 # register simulations refuse to grow a state past this many amplitudes
 MAX_AMPLITUDES = 2 ** 14
@@ -67,7 +63,7 @@ class DensityMatrix:
 
 
 def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
-    """Entropy -sum(w log2 w) over eigenvalues above the 1e-12 clip."""
+    """Entropy -sum(w log2 w) over eigenvalues above ENTROPY_CLIP."""
     m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
     return float(von_neumann_stack(m))
 
@@ -80,7 +76,7 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats)
     w = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     # a clipped eigenvalue becomes 1, whose term 1 * log2(1) is exactly 0
-    w = np.where(w > EIG_CLIP, w, 1.0)
+    w = np.where(w > ENTROPY_CLIP, w, 1.0)
     return -(w * np.log2(w)).sum(axis=-1)
 
 
@@ -216,15 +212,18 @@ def _check_budget(size: int) -> None:
 
 
 def pure_state(vec: np.ndarray, dims: tuple[int, ...] | None = None) -> PureState:
-    """Validate a vector (unit norm within 1e-12) into a PureState."""
+    """Validate a vector (finite, unit norm within NORM_TOL) into a PureState."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"non-finite amplitudes: {np.count_nonzero(~np.isfinite(vec))} "
+                         "NaN or infinite")
     if dims is None:
         dims = (vec.shape[0],)
     dims = tuple(int(d) for d in dims)
     if math.prod(dims) != vec.shape[0]:
         raise ValueError(f"dims {dims} do not match vector length {vec.shape[0]}")
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-12:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"vector is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return PureState(vec, dims)
 

@@ -27,7 +27,7 @@ The independent reference is info.chain_coherent_information, which
 propagates Kraus maps and never builds the circuit; tests compare the two.
 
 All witnesses are reported as plain gap values; a WitnessReport flags
-entries below -tolerance (default 1e-9) as violations.
+entries below -GAP_TOLERANCE (tolerances.py) as violations.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from .channels import KrausChannel, apply, apply_to_subsystem
 from .info import conditional_mutual_information, mutual_information
 from .states import DensityMatrix, PureState, purify
+from .tolerances import GAP_TOLERANCE
 
 __all__ = [
     "GAP_TOLERANCE",
@@ -60,9 +61,6 @@ __all__ = [
     "cqmi_monotonicity_gap",
     "mi_dpi_gap",
 ]
-
-GAP_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovChainProcess:
@@ -117,10 +115,9 @@ def markov_process(initial: DensityMatrix,
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Named gap values with a violation threshold."""
+    """Named gap values; entries below -GAP_TOLERANCE are violations."""
 
     entries: dict[str, float]
-    tolerance: float = GAP_TOLERANCE
 
     @property
     def min_value(self) -> float:
@@ -128,7 +125,7 @@ class WitnessReport:
 
     @property
     def violations(self) -> dict[str, float]:
-        return {k: v for k, v in self.entries.items() if v < -self.tolerance}
+        return {k: v for k, v in self.entries.items() if v < -GAP_TOLERANCE}
 
     @property
     def passed(self) -> bool:
@@ -144,7 +141,7 @@ def _require_states(p: MarkovChainProcess, n: int, what: str) -> None:
 # four-state witnesses
 # ---------------------------------------------------------------------------
 
-def qdpi_witnesses(p: MarkovChainProcess, tolerance: float = GAP_TOLERANCE) -> WitnessReport:
+def qdpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The four data-processing gaps of a four-state process.
 
     DP1 = Ic(1:2) - Ic(1:3)    DP2 = Ic(1:2) - Ic(1:4)
@@ -162,7 +159,7 @@ def qdpi_witnesses(p: MarkovChainProcess, tolerance: float = GAP_TOLERANCE) -> W
         "DP3": i13 - i14,
         "DP4": i23 - i24,
     }
-    return WitnessReport(entries, tolerance)
+    return WitnessReport(entries)
 
 
 def m4_witness(p: MarkovChainProcess) -> float:
@@ -172,8 +169,7 @@ def m4_witness(p: MarkovChainProcess) -> float:
     return ic(1, 4) + ic(2, 3) - ic(1, 3) - ic(2, 4)
 
 
-def extra_dpi_witnesses(p: MarkovChainProcess,
-                        tolerance: float = GAP_TOLERANCE) -> WitnessReport:
+def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """Candidate gap values whose sign is not fixed by the proven inequalities.
 
     DP5 = Ic(2:3) - Ic(1:3)    DP6 = Ic(2:3) - Ic(1:4)
@@ -198,7 +194,7 @@ def extra_dpi_witnesses(p: MarkovChainProcess,
         entries["DP7"] = ic(2, 4) - i14
         entries["DP8"] = ic(3, 4) - i14
         entries["DP9"] = ic(3, 4) - ic(2, 4)
-    return WitnessReport(entries, tolerance)
+    return WitnessReport(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +228,7 @@ def _monogamy_entries(p: MarkovChainProcess, n: int,
             for name, pairs in pairings.items()}
 
 
-def m6_witnesses(p: MarkovChainProcess, tolerance: float = GAP_TOLERANCE) -> WitnessReport:
+def m6_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """Six-state monogamy gaps; both entries are nonnegative for every process.
 
     LHS = Ic(1:6) + Ic(2:5) + Ic(3:4), minus
@@ -240,17 +236,17 @@ def m6_witnesses(p: MarkovChainProcess, tolerance: float = GAP_TOLERANCE) -> Wit
     M6b: Ic(1:5) + Ic(2:4) + Ic(3:6)
     """
     _require_states(p, 6, "m6_witnesses")
-    return WitnessReport(_monogamy_entries(p, 3, M6_PAIRINGS), tolerance)
+    return WitnessReport(_monogamy_entries(p, 3, M6_PAIRINGS))
 
 
-def m8_witnesses(p: MarkovChainProcess, tolerance: float = GAP_TOLERANCE) -> WitnessReport:
+def m8_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """Eight-state monogamy gaps M8a..M8g, each nonnegative for every process.
 
     LHS = Ic(1:8) + Ic(2:7) + Ic(3:6) + Ic(4:5) minus the permuted pairing
     named in M8_PAIRINGS.
     """
     _require_states(p, 8, "m8_witnesses")
-    return WitnessReport(_monogamy_entries(p, 4, M8_PAIRINGS), tolerance)
+    return WitnessReport(_monogamy_entries(p, 4, M8_PAIRINGS))
 
 
 def monogamy_conjecture_gap(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:

@@ -20,7 +20,6 @@ from qmonogamy import (
     contract,
     dagger,
     dephased_joint_pmf,
-    dilation_to_kraus,
     extra_dpi_row,
     fresh_env_circuit,
     is_markov,
@@ -172,7 +171,7 @@ def test_criterion_07_coherent_information_identity():
     for i in range(100):
         d = 2 + i % 2
         rho = random_density(d, seed=rng)
-        ch = dilation_to_kraus(random_channel(d, d, 2 + i % 3, rng))
+        ch = random_channel(d, d, 2 + i % 3, rng)
         psi = purify(rho)
         out = apply_to_subsystem(ch, psi.density(), 1)
         mi = mutual_information(out, (0,), (1,))
@@ -207,7 +206,7 @@ def test_criterion_09_process_tensor_stack():
         circuit = (_random_markov_circuit(rng, 3) if s % 2 else
                    system_env_circuit(w_state(), [u_lambda(0.05 * s)] * 3))
         pt = build_process_tensor(circuit, 4)
-        maps = [dilation_to_kraus(random_channel(2, 2, 2, rng)) for _ in range(3)]
+        maps = [random_channel(2, 2, 2, rng) for _ in range(3)]
         got = contract(pt, maps)
         assert np.abs(got.mat - _simulate(circuit, 4, maps)).max() <= 1e-10
     # causality: no port R_y signals an earlier or simultaneous S_x

@@ -25,6 +25,10 @@ def test_joint_pmf_validation():
         joint_pmf(np.array([1.5, -0.5]))
     p = joint_pmf(np.full((2, 2), 0.25))
     assert p.n_vars == 2 and p.dims == (2, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        joint_pmf(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        joint_pmf(np.array([1.0, np.inf, 0.0]))
 
 
 def test_classical_chain_requires_column_stochastic_transitions():
@@ -33,6 +37,12 @@ def test_classical_chain_requires_column_stochastic_transitions():
     assert len(c.transitions) == 1
     with pytest.raises(ValueError):
         classical_chain(np.array([0.5, 0.5]), [t.T * 1.1])
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_chain(np.full(2, np.nan), [np.full((2, 2), np.nan)])
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_chain(np.array([np.inf, 0.5]), [t])
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_chain(np.array([0.5, 0.5]), [t, np.array([[np.nan, 0.2], [0.1, 0.8]])])
 
 
 def test_joint_from_chain_marginals_follow_the_recursion():
@@ -117,6 +127,11 @@ def test_cmmi_gap_rejects_odd_chains_and_bad_perms():
     p = joint_from_chain(random_chain(4, 2, seed=4))
     with pytest.raises(ValueError):
         cmmi_gap(p, (1, 3))
+
+
+def test_random_chain_rejects_empty_variables():
+    with pytest.raises(ValueError, match="at least one state"):
+        random_chain(2, 0)
 
 
 def test_random_chain_is_seeded():

@@ -31,8 +31,7 @@ from qmonogamy import (
     w_state,
 )
 from qmonogamy import experiments, info, states
-from qmonogamy.channels import (adjoint_channel, apply_to_subsystem, dilation_to_kraus,
-                                random_channel)
+from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
 from qmonogamy.classical import cmmi_gap
 from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
 from qmonogamy.witnesses import cqmi_monotonicity_gap, mi_dpi_gap
@@ -294,6 +293,13 @@ def test_verify_guards():
         random_markov_verify(8, samples=1, dims=(2, 5))
 
 
+@pytest.mark.parametrize("check", [adjoint_identity_check, mi_monotonicity_check,
+                                   classical_cmmi_check])
+def test_side_checks_refuse_an_empty_sample(check):
+    with pytest.raises(ValueError, match="at least one sample"):
+        check(samples=0)
+
+
 def test_verify_takes_other_dimensions():
     report = random_markov_verify(4, samples=2, dims=(3, 1), seed=2, certificate_samples=1)
     assert min(report["witness_minima"].values()) >= -1e-9
@@ -332,7 +338,7 @@ def _mi_reference(samples, seed):
     cqmi, mi, cmi = [], [], []
     for _ in range(samples):
         rho3 = DensityMatrix(random_density(8, seed=rng).mat, (2, 2, 2))
-        ch = dilation_to_kraus(random_channel(2, 2, int(rng.integers(2, 5)), rng))
+        ch = random_channel(2, 2, int(rng.integers(2, 5)), rng)
         cqmi.append(cqmi_monotonicity_gap(rho3, ch))
         cmi.append(conditional_mutual_information(rho3, (0,), (1,), (2,)))
         rho2 = DensityMatrix(random_density(4, seed=rng).mat, (2, 2))
@@ -347,7 +353,7 @@ def _adjoint_reference(samples, seed):
     for _ in range(samples):
         d = int(rng.integers(2, 4))
         d_env = int(rng.integers(2, 5))
-        ch = dilation_to_kraus(random_channel(d, d, d_env, rng))
+        ch = random_channel(d, d, d_env, rng)
         adj = adjoint_channel(ch)
         pair = maximally_entangled(d).density()
         left = apply_to_subsystem(ch, pair, 0)

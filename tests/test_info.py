@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.channels import dilation_to_kraus, identity_channel, random_channel
+from qmonogamy.channels import identity_channel, random_channel
 from qmonogamy.info import (chain_coherent_information, coherent_information,
                             conditional_mutual_information, mutual_information,
                             von_neumann)
@@ -112,7 +112,7 @@ def test_coherent_information_triangle_bound(seed):
     """|Ic| <= H(rho): the reference entropy caps the R-B entropy difference."""
     rng = np.random.default_rng(seed)
     rho = random_density(2, seed=rng)
-    ch = dilation_to_kraus(random_channel(2, 2, 2, seed=rng))
+    ch = random_channel(2, 2, 2, seed=rng)
     ic = coherent_information(rho, ch)
     assert abs(ic) <= von_neumann(rho) + 1e-10
 
@@ -123,7 +123,7 @@ def test_chain_coherent_information_data_processing(seed):
     """Ic(r:s) never increases as the segment is extended to the right."""
     rng = np.random.default_rng(seed)
     rho = random_density(2, seed=rng)
-    chain = [dilation_to_kraus(random_channel(2, 2, 2, seed=rng)) for _ in range(3)]
+    chain = [random_channel(2, 2, 2, seed=rng) for _ in range(3)]
     vals = [chain_coherent_information(rho, chain, 1, s) for s in (2, 3, 4)]
     assert vals[0] >= vals[1] - 1e-10
     assert vals[1] >= vals[2] - 1e-10
@@ -131,7 +131,7 @@ def test_chain_coherent_information_data_processing(seed):
 
 def test_chain_segment_of_length_one_is_plain_coherent_information():
     rho = random_density(2, seed=15)
-    chain = [dilation_to_kraus(random_channel(2, 2, 2, seed=s)) for s in (1, 2, 3)]
+    chain = [random_channel(2, 2, 2, seed=s) for s in (1, 2, 3)]
     got = chain_coherent_information(rho, chain, 1, 2)
     assert got == pytest.approx(coherent_information(rho, chain[0]), abs=1e-12)
     # starting point r > 1 pushes the state through the first channels

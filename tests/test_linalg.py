@@ -135,8 +135,8 @@ def test_hermitian_eig_rejects_nonhermitian():
 def test_is_unitary_on_haar_samples(seed, d):
     rng = np.random.default_rng(seed)
     u = _haar(rng, d)
-    assert is_unitary(u, 1e-10)
-    assert not is_unitary(u + 1e-3, 1e-10)
+    assert is_unitary(u)
+    assert not is_unitary(u + 1e-3)
     assert not is_unitary(np.ones((2, 3)))
 
 

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.channels import (KrausChannel, dilation_to_kraus, random_channel,
-                                stinespring)
+from qmonogamy.channels import KrausChannel, random_channel, unitary_channel
 from qmonogamy.classical import is_markov
 from qmonogamy.experiments import u_lambda
 from qmonogamy.linalg import dagger, kron, partial_trace
@@ -73,7 +72,7 @@ def test_contraction_matches_direct_simulation_with_channels():
     circuit = _w_circuit(0.6)
     pt = build_process_tensor(circuit, 4)
     for s in range(4):
-        maps = [dilation_to_kraus(random_channel(2, 2, 2, seed=10 * s + i))
+        maps = [random_channel(2, 2, 2, seed=10 * s + i)
                 for i in range(3)]
         got = contract(pt, maps)
         want = _simulate(circuit, 4, maps)
@@ -134,6 +133,16 @@ def test_instrument_validation():
         instrument([(np.eye(2) * 0.5,)])
     inst = dephasing_instrument(3)
     assert len(inst.elements) == 3
+    with pytest.raises(ValueError, match="non-finite"):
+        instrument([(np.full((2, 2), np.nan),)])
+    with pytest.raises(ValueError, match="non-finite"):
+        instrument([(np.diag([1.0, 0.0]),), (np.array([[0.0, np.inf], [0.0, 1.0]]),)])
+
+
+def test_fresh_env_circuit_rejects_an_empty_environment():
+    init = pure_state(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
+    with pytest.raises(ValueError, match="environment dimension"):
+        fresh_env_circuit(init, [np.eye(2)], env_dim=0)
 
 
 def test_build_guard_rejects_oversized_circuits():
@@ -169,7 +178,7 @@ def test_choi_dpi_gaps_nonnegative_on_markov_tensors():
         assert len(rep.entries) == 7
         assert rep.passed, rep.violations
         # arbitrary CPTP interventions keep every gap nonnegative
-        maps = [dilation_to_kraus(random_channel(2, 2, 2, seed=rng))
+        maps = [random_channel(2, 2, 2, seed=rng)
                 for _ in range(3)]
         assert choi_dpi_witnesses(pt, maps).passed
 
@@ -236,8 +245,7 @@ def test_mqmmi_matches_the_chain_witness_on_markov_circuits():
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     init = pure_state(vec / np.linalg.norm(vec), (2, 2))
     circuit = fresh_env_circuit(init, units, 2)
-    ket0 = np.array([1.0, 0.0])
-    chain = [dilation_to_kraus(stinespring(u, ket0, 2, 2)) for u in units]
+    chain = [unitary_channel(u, 2, 2) for u in units]
     p = markov_process(init.reduced((1,)), chain)
     want = m4_witness(p)
     for kind in ("q1", "q2", "q3"):

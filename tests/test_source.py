@@ -1,0 +1,66 @@
+"""Source hygiene of the package, read with the stdlib `ast` module.
+
+* Every threshold below 1e-6 is a named entry of tolerances.py, so no
+  other module may hold a nonzero numeric literal that small.
+* No module imports a name it never uses (`__init__.py` re-exports, so it
+  is exempt).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qmonogamy"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_package_is_found():
+    names = {p.name for p in MODULES}
+    assert {"tolerances.py", "channels.py", "states.py"} <= names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tolerances.py"],
+                         ids=lambda p: p.name)
+def test_small_literals_live_in_the_tolerance_table(path):
+    small = [(node.lineno, node.value) for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+             and 0 < abs(node.value) < 1e-6]
+    assert not small, f"{path.name}: literals {small} belong in tolerances.py"
+
+
+def test_the_tolerance_table_imports_nothing():
+    tree = _tree(PACKAGE / "tolerances.py")
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def _unused_from_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = {e.value for e in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_from_imports(path):
+    unused = _unused_from_imports(_tree(path))
+    assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_the_unused_import_scan_sees_a_leftover():
+    tree = ast.parse("from .linalg import dagger, kron\n\ndef f(m):\n    return dagger(m)\n")
+    assert _unused_from_imports(tree) == ["kron (line 1)"]

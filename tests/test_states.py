@@ -44,6 +44,10 @@ def test_pure_state_norm_check():
         pure_state(np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="dims"):
         pure_state(np.array([1.0, 0.0]), (3,))
+    with pytest.raises(ValueError, match="non-finite"):
+        pure_state(np.full(4, np.nan), (2, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        pure_state(np.array([1.0, np.inf]))
 
 
 def test_reduced_matches_between_vector_and_matrix_forms():

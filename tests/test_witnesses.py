@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qmonogamy.states as states_module
-from qmonogamy.channels import dilation_to_kraus, random_channel
+from qmonogamy.channels import random_channel
 from qmonogamy.experiments import random_markov_process
 from qmonogamy.info import chain_coherent_information
 from qmonogamy.states import MAX_AMPLITUDES, DensityMatrix, random_density
@@ -35,8 +35,8 @@ TOL = 1e-9
 
 def test_markov_process_validates_adjacency():
     rho = random_density(2, seed=0)
-    good = dilation_to_kraus(random_channel(2, 2, 2, seed=1))
-    bad = dilation_to_kraus(random_channel(3, 3, 3, seed=2))
+    good = random_channel(2, 2, 2, seed=1)
+    bad = random_channel(3, 3, 3, seed=2)
     with pytest.raises(ValueError):
         markov_process(rho, [good, bad])
     p = markov_process(rho, [good])
@@ -45,7 +45,7 @@ def test_markov_process_validates_adjacency():
 
 
 def test_witness_report_violation_bookkeeping():
-    rep = WitnessReport({"a": 0.2, "b": -1e-12, "c": -0.5}, tolerance=1e-9)
+    rep = WitnessReport({"a": 0.2, "b": -1e-12, "c": -0.5})
     assert rep.min_value == -0.5
     assert rep.violations == {"c": -0.5}
     assert not rep.passed
@@ -96,6 +96,22 @@ def test_purified_circuit_reproduces_chain_coherent_information():
                 _kraus_reference(p, r, s), abs=1e-12), (n, d_env, r, s)
     with pytest.raises(ValueError, match="r < s"):
         p.coherent_info(3, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gap_tolerance_covers_the_largest_circuit(seed):
+    """The reason for the -GAP_TOLERANCE floor: at the largest circuit verify
+    allows (--dims 2 3 --steps 8), the oracle and the Kraus propagation, and
+    the M8 witnesses and their certificates, agree far inside it."""
+    p = random_markov_process(8, seed, 2, 3)
+    assert p.circuit.dim == 2 * 3 ** 7 * 2 == 8748
+    for r, s in itertools.combinations(range(1, 9), 2):
+        assert abs(p.coherent_info(r, s) - _kraus_reference(p, r, s)) <= 1e-12, (r, s)
+    witnesses = m8_witnesses(p).entries
+    certificates = m8_ssa_certificates(p)
+    assert witnesses.keys() == certificates.keys()
+    for name, value in witnesses.items():
+        assert abs(value - certificates[name]) <= 1e-12, name
 
 
 def test_chain_coherent_info_through_the_process_wrapper():
@@ -222,7 +238,7 @@ def test_cqmi_and_mi_gaps_are_nonnegative():
     rng = np.random.default_rng(7)
     for _ in range(30):
         rho3 = DensityMatrix(random_density(8, seed=rng).mat, (2, 2, 2))
-        ch = dilation_to_kraus(random_channel(2, 2, 2, seed=rng))
+        ch = random_channel(2, 2, 2, seed=rng)
         assert cqmi_monotonicity_gap(rho3, ch) >= -TOL
         rho2 = DensityMatrix(random_density(4, seed=rng).mat, (2, 2))
         assert mi_dpi_gap(rho2, ch) >= -TOL
