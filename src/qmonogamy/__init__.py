@@ -41,8 +41,8 @@ from .witnesses import (MarkovChainProcess, WitnessReport,
                         extra_dpi_witnesses, m4_ssa_certificate, m4_witness,
                         m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
                         m8_witnesses, markov_process, mi_dpi_gap,
-                        monogamy_conjecture_gap, purified_circuit_state,
-                        qdpi_witnesses)
+                        monogamy_certificate, monogamy_gap,
+                        purified_circuit_state, qdpi_witnesses)
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,7 @@ __all__ = [
     "m4_ssa_certificate", "m4_witness", "m6_ssa_certificates", "m6_witnesses",
     "m8_ssa_certificates", "m8_witnesses", "markov_factorization_gap",
     "markov_process", "maximally_entangled", "mi_dpi_gap",
-    "mi_monotonicity_check", "monogamy_conjecture_gap", "mqmmi_row",
+    "mi_monotonicity_check", "monogamy_certificate", "monogamy_gap", "mqmmi_row",
     "mqmmi_witness", "mqmmi_witnesses", "multitime_coherent_info",
     "mutual_information",
     "nonmarkov_witness_row", "parallel_map", "partial_trace",

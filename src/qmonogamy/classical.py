@@ -155,8 +155,12 @@ def cmmi_gap(p: JointPMF, perm: tuple[int, ...]) -> float:
 
     Variables are read as a chain rho_n .. rho_1 sigma_1 .. sigma_n, so
     rho_i sits at axis n-i and sigma_j at axis n+j-1.  The gap is
-    sum_i I(rho_i:sigma_i) - sum_i I(rho_i:sigma_perm[i]), conjectured
-    nonnegative for Markov joints and any permutation.
+    sum_i I(rho_i:sigma_i) - sum_i I(rho_i:sigma_perm[i]), nonnegative
+    for Markov joints and every permutation: the swaps (k, i, j) of
+    witnesses.uncrossing(perm) split it into four-variable gaps
+    I(b:c) + I(a:d) - I(a:c) - I(b:d) on the sub-chains a, b, c, d =
+    rho_k, rho_i, sigma_i, sigma_j.  On a Markov chain each one equals
+    I(b:c|d) - I(a:c|d), which data processing keeps nonnegative.
     """
     if p.n_vars % 2:
         raise ValueError(f"needs an even number of variables, got {p.n_vars}")

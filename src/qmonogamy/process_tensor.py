@@ -35,7 +35,7 @@ from .classical import JointPMF, joint_pmf
 from .info import mutual_information
 from .linalg import is_unitary, kron
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
-from .tolerances import ISOMETRY_TOL, PROB_SLACK, RENORM_TOL
+from .tolerances import ISOMETRY_TOL, PROB_SLACK
 from .witnesses import WitnessReport
 
 __all__ = [
@@ -230,9 +230,10 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
     """Feed CP maps into the slots of the tensor.
 
     With one map per intermediate slot (k-1 of them) the result is the
-    output state at the final port; with k maps the last one is read as
-    the final-port instrument element and the result is the probability
-    of the whole sequence.  Maps may be KrausChannel objects or bare
+    output state at the final port divided by the probability of the
+    sequence; with k maps the last one is read as the final-port
+    instrument element and the result is the probability of the whole
+    sequence.  Maps may be KrausChannel objects or bare
     Kraus-operator sequences (instrument elements need not preserve
     trace).
     """
@@ -245,9 +246,8 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
         if tr <= PROB_SLACK:
             raise ValueError(f"intervention sequence has probability {tr:.3e}; "
                              "its conditional output state is undefined")
-        if abs(tr - 1.0) > RENORM_TOL:
-            mat = mat / tr  # conditional state of a trace-decreasing sequence
-        return density(mat, (pt.d_sys,))
+        # the conditional state; a trace-preserving sequence divides by ~1
+        return density(mat / tr, (pt.d_sys,))
     if len(ops) == k:
         slot_ops = {j: ops[j - 1] for j in range(1, k)}
         p = _contract_ports(pt, slot_ops, (), final_ops=ops[-1])

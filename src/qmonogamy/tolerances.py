@@ -25,8 +25,6 @@ NEG_PROB_TOL = 1e-15
 ENTROPY_CLIP = 1e-12
 # contract(): round-off a probability may leave [0, 1] by; at or below it, impossible
 PROB_SLACK = 1e-10
-# contract(): trace deviation that triggers renormalization; the value is unexplained
-RENORM_TOL = 1e-8
 
 # gaps below -GAP_TOLERANCE are violations; at 8748 amplitudes round-off is 1.8e-15
 # (tests/test_witnesses.py::test_gap_tolerance_covers_the_largest_circuit)

@@ -5,12 +5,14 @@ state i+1 = L_i(state i).  Writing Ic(r:s) for the coherent information
 of state r through the composite map that carries it to state s, the
 witnesses are:
 
-* data-processing gaps DP1..DP9, differences Ic(a:b) - Ic(c:d) that are
-  nonnegative for every process (DP1..DP4, DP6..DP8) or for which no
-  violation is known (DP5, DP9);
-* monogamy combinations M4, M6a/b, M8a..g: for 2n states, the sum of
-  coherent informations across nested pairs (1:2n), (2:2n-1), ... upper
-  bounds the sum across certain permuted pairings.
+* data-processing gaps DP1..DP4, differences Ic(a:b) - Ic(c:d) that are
+  nonnegative for every process;
+* candidate gaps DP5..DP9 with no fixed sign: random Markov processes
+  drive each of them negative, so they are reported, never asserted;
+* monogamy gaps, one per permutation f of 1..n over 2n states: the sum
+  of coherent informations across the nested pairs (n+1-i : n+i) upper
+  bounds the sum across the pairs (n+1-i : n+f(i)).  MONOGAMY names the
+  permutations behind M4, M6a/b and M8a..g.
 
 Everything here reads one pure state per process, its purified circuit:
 each channel is replaced by an isometry into a fresh environment
@@ -19,9 +21,13 @@ it every coherent information is a difference of two subset entropies,
 
     Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}),
 
-and each monogamy witness equals a sum of conditional mutual
-informations of environment registers, which is the strong-subadditivity
-certificate of the inequality.  PureState.entropy memoizes on the state,
+so a monogamy gap is a linear form in entropies of environment
+intervals.  Strong subadditivity alone makes it nonnegative, for every
+permutation and every process: uncrossing(f) carries f to the identity
+in at most n - 1 swaps, and each swap is one conditional mutual
+information of environment intervals (monogamy_certificate).  The terms
+add up to the gap exactly, so the certificate is the proof and a
+numerical cross-check at once.  PureState.entropy memoizes on the state,
 so witnesses and certificates of one process share their eigensolves.
 The independent reference is info.chain_coherent_information, which
 propagates Kraus maps and never builds the circuit; tests compare the two.
@@ -33,11 +39,11 @@ entries below -GAP_TOLERANCE (tolerances.py) as violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .channels import KrausChannel, apply, apply_to_subsystem
+from .channels import KrausChannel, apply_to_subsystem
 from .info import conditional_mutual_information, mutual_information
 from .states import DensityMatrix, PureState, purify
 from .tolerances import GAP_TOLERANCE
@@ -52,7 +58,10 @@ __all__ = [
     "extra_dpi_witnesses",
     "m6_witnesses",
     "m8_witnesses",
-    "monogamy_conjecture_gap",
+    "MONOGAMY",
+    "monogamy_gap",
+    "monogamy_certificate",
+    "uncrossing",
     "purified_circuit_state",
     "m4_ssa_certificate",
     "m6_ssa_certificates",
@@ -72,15 +81,6 @@ class MarkovChainProcess:
     @property
     def n_states(self) -> int:
         return len(self.channels) + 1
-
-    def state(self, i: int) -> DensityMatrix:
-        """The i-th state of the process, 1-based."""
-        if not 1 <= i <= self.n_states:
-            raise ValueError(f"state index {i} outside 1..{self.n_states}")
-        rho = self.initial
-        for ch in self.channels[: i - 1]:
-            rho = apply(ch, rho)
-        return rho
 
     @cached_property
     def circuit(self) -> PureState:
@@ -162,13 +162,6 @@ def qdpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     return WitnessReport(entries)
 
 
-def m4_witness(p: MarkovChainProcess) -> float:
-    """Four-state monogamy gap Ic(1:4) + Ic(2:3) - Ic(1:3) - Ic(2:4) >= 0."""
-    _require_states(p, 4, "m4_witness")
-    ic = p.coherent_info
-    return ic(1, 4) + ic(2, 3) - ic(1, 3) - ic(2, 4)
-
-
 def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """Candidate gap values whose sign is not fixed by the proven inequalities.
 
@@ -179,9 +172,10 @@ def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     Unlike the proven gaps, which fix the starting state and extend the
     segment, each of these compares segments with different starting
     states, so a negative value is not a non-Markovianity witness: random
-    Markov processes do violate some of them (DP7 reaches -0.23 on a
-    seeded qubit example).  The report records the raw values; callers
-    decide what to make of the signs.
+    Markov processes drive every one of them negative (over 400 seeded
+    qubit examples DP5 reaches -0.45, DP6 -0.43, DP7 -0.72, DP8 -0.36 and
+    DP9 -0.21).  The report records the raw values; callers decide what
+    to make of the signs.
 
     A three-state process yields DP5 only.
     """
@@ -198,77 +192,97 @@ def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
 
 
 # ---------------------------------------------------------------------------
-# six- and eight-state monogamy
+# monogamy: one permutation gap and its derived certificate
 # ---------------------------------------------------------------------------
 
-# permuted pairings (i, f(i)) whose Ic sum is upper bounded by the nested sum
-M6_PAIRINGS = {
-    "M6a": ((1, 4), (2, 6), (3, 5)),
-    "M6b": ((1, 5), (2, 4), (3, 6)),
-}
-
-M8_PAIRINGS = {
-    "M8a": ((1, 5), (2, 8), (3, 7), (4, 6)),
-    "M8b": ((1, 7), (2, 5), (3, 8), (4, 6)),
-    "M8c": ((1, 6), (2, 8), (3, 5), (4, 7)),
-    "M8d": ((1, 5), (2, 6), (3, 8), (4, 7)),
-    "M8e": ((1, 7), (2, 6), (3, 5), (4, 8)),
-    "M8f": ((1, 6), (2, 5), (3, 7), (4, 8)),
-    "M8g": ((1, 5), (2, 6), (3, 7), (4, 8)),
+# the named witnesses of 2n-state processes, each a permutation f of 1..n:
+# state n+1-i is paired with state n+f(i) instead of state n+i
+MONOGAMY = {
+    4: {"M4": (2, 1)},
+    6: {"M6a": (2, 3, 1), "M6b": (3, 1, 2)},
+    8: {"M8a": (2, 3, 4, 1), "M8b": (2, 4, 1, 3), "M8c": (3, 1, 4, 2),
+        "M8d": (3, 4, 2, 1), "M8e": (4, 1, 2, 3), "M8f": (4, 3, 1, 2),
+        "M8g": (4, 3, 2, 1)},
 }
 
 
-def _monogamy_entries(p: MarkovChainProcess, n: int,
-                      pairings: dict[str, tuple[tuple[int, int], ...]],
-                      ) -> dict[str, float]:
-    # nested pairs (i, 2n+1-i)
+def _perm_size(p: MarkovChainProcess, perm: tuple[int, ...]) -> int:
+    n = len(perm)
+    if n < 1 or sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"perm must rearrange 1..n for some n >= 1, got {perm}")
+    _require_states(p, 2 * n, f"a permutation of 1..{n}")
+    return n
+
+
+def monogamy_gap(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
+    """Permutation gap over the first 2n states, n = len(perm); >= 0 always.
+
+    The states are read as a chain rho_n -> ... -> rho_1 -> sigma_1 -> ...
+    -> sigma_n, i.e. rho_i is state n+1-i and sigma_j is state n+j.  The
+    gap is sum_i Ic(rho_i : sigma_i) - sum_i Ic(rho_i : sigma_perm[i]),
+    both sums taken over the pairs (r, s) with r ascending.
+    monogamy_certificate(p, perm) equals it as a sum of conditional
+    mutual informations.
+    """
+    n = _perm_size(p, perm)
     ic = p.coherent_info
-    lhs = sum(ic(i, 2 * n + 1 - i) for i in range(1, n + 1))
-    return {name: lhs - sum(ic(r, s) for r, s in pairs)
-            for name, pairs in pairings.items()}
+    nested = sum(ic(r, 2 * n + 1 - r) for r in range(1, n + 1))
+    return nested - sum(ic(r, n + perm[n - r]) for r in range(1, n + 1))
+
+
+def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The swaps (k, i, j) that carry perm to the identity, at most n - 1.
+
+    For i = 1..n with f(i) != i, take j = f(i) and k = f^-1(i), both
+    above i, and set f(i) = i, f(k) = j.  Each swap trades the pairs
+    (rho_k, sigma_i), (rho_i, sigma_j) for (rho_i, sigma_i), (rho_k, sigma_j).
+    """
+    f = dict(enumerate(perm, 1))
+    swaps = []
+    for i in range(1, len(perm) + 1):
+        j = f[i]
+        if j != i:
+            k = next(k for k, s in f.items() if s == i)
+            swaps.append((k, i, j))
+            f[i], f[k] = i, j
+    return swaps
+
+
+def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
+    """monogamy_gap(p, perm) as a sum of environment CMIs, one per swap.
+
+    With H[i, j] = H(E_{n+1-i}..E_{n+j-1}), the gap is
+    sum_i H[i, perm(i)] - sum_i H[i, i]: the H(R, E_1..E_{s-1}) halves of
+    the coherent informations cancel.  A swap (k, i, j) of uncrossing(perm)
+    lowers the first sum by H[k, i] + H[i, j] - H[i, i] - H[k, j] =
+    I(E_{n+1-k}..E_{n-i} : E_{n+i}..E_{n+j-1} | E_{n+1-i}..E_{n+i-1}),
+    which strong subadditivity keeps nonnegative for every state.  The
+    swaps end at the identity, whose gap is 0, so the terms add up to the
+    gap exactly.
+    """
+    n = _perm_size(p, perm)
+
+    def envs(lo: int, hi: int) -> tuple[str, ...]:
+        return tuple(f"E{e}" for e in range(lo, hi + 1))
+
+    return sum((conditional_mutual_information(
+        p.circuit, envs(n + 1 - k, n - i), envs(n + i, n + j - 1),
+        envs(n + 1 - i, n + i - 1)) for k, i, j in uncrossing(perm)), 0.0)
+
+
+def m4_witness(p: MarkovChainProcess) -> float:
+    """Four-state monogamy gap Ic(1:4) + Ic(2:3) - Ic(1:3) - Ic(2:4) >= 0."""
+    return monogamy_gap(p, MONOGAMY[4]["M4"])
 
 
 def m6_witnesses(p: MarkovChainProcess) -> WitnessReport:
-    """Six-state monogamy gaps; both entries are nonnegative for every process.
-
-    LHS = Ic(1:6) + Ic(2:5) + Ic(3:4), minus
-    M6a: Ic(1:4) + Ic(2:6) + Ic(3:5)
-    M6b: Ic(1:5) + Ic(2:4) + Ic(3:6)
-    """
-    _require_states(p, 6, "m6_witnesses")
-    return WitnessReport(_monogamy_entries(p, 3, M6_PAIRINGS))
+    """The six-state monogamy gaps M6a, M6b of MONOGAMY."""
+    return WitnessReport({name: monogamy_gap(p, f) for name, f in MONOGAMY[6].items()})
 
 
 def m8_witnesses(p: MarkovChainProcess) -> WitnessReport:
-    """Eight-state monogamy gaps M8a..M8g, each nonnegative for every process.
-
-    LHS = Ic(1:8) + Ic(2:7) + Ic(3:6) + Ic(4:5) minus the permuted pairing
-    named in M8_PAIRINGS.
-    """
-    _require_states(p, 8, "m8_witnesses")
-    return WitnessReport(_monogamy_entries(p, 4, M8_PAIRINGS))
-
-
-def monogamy_conjecture_gap(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
-    """General permutation gap over a 2n-state process.
-
-    The process is read as a chain rho_n -> ... -> rho_1 -> sigma_1 -> ...
-    -> sigma_n, i.e. rho_i is state n+1-i and sigma_j is state n+j.  The
-    gap is sum_i Ic(rho_i : sigma_i) - sum_i Ic(rho_i : sigma_perm[i]);
-    conjectured nonnegative for every permutation, proven for the n=2 swap
-    and the pairings listed in M6_PAIRINGS / M8_PAIRINGS.
-    """
-    if p.n_states % 2:
-        raise ValueError(f"needs an even number of states, got {p.n_states}")
-    n = p.n_states // 2
-    if n > 5:
-        raise ValueError(f"n={n} exceeds the supported range (n <= 5)")
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must rearrange 1..{n}, got {perm}")
-    ic = p.coherent_info
-    diag = sum(ic(n + 1 - i, n + i) for i in range(1, n + 1))
-    off = sum(ic(n + 1 - i, n + perm[i - 1]) for i in range(1, n + 1))
-    return diag - off
+    """The eight-state monogamy gaps M8a..M8g of MONOGAMY."""
+    return WitnessReport({name: monogamy_gap(p, f) for name, f in MONOGAMY[8].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -296,49 +310,17 @@ def purified_circuit_state(p: MarkovChainProcess) -> PureState:
 
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:
     """I(E1:E3|E2) on the purified circuit; equals the M4 gap."""
-    _require_states(p, 4, "m4_ssa_certificate")
-    return conditional_mutual_information(p.circuit, ("E1",), ("E3",), ("E2",))
+    return monogamy_certificate(p, MONOGAMY[4]["M4"])
 
 
 def m6_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
-    """Certificate sums matching m6_witnesses entry for entry.
-
-    M6a = I(E1:E5|E2 E3 E4) + I(E1 E2:E4|E3)
-    M6b = I(E1 E2:E5|E3 E4) + I(E2:E4|E3)
-
-    Both are exact identities for the corresponding gap, checked to
-    machine precision on random processes.
-    """
-    _require_states(p, 6, "m6_ssa_certificates")
-    cmi = partial(conditional_mutual_information, p.circuit)
-    return {
-        "M6a": cmi(("E1",), ("E5",), ("E2", "E3", "E4")) + cmi(("E1", "E2"), ("E4",), ("E3",)),
-        "M6b": cmi(("E1", "E2"), ("E5",), ("E3", "E4")) + cmi(("E2",), ("E4",), ("E3",)),
-    }
+    """monogamy_certificate of each M6 entry; equals m6_witnesses entry for entry."""
+    return {name: monogamy_certificate(p, f) for name, f in MONOGAMY[6].items()}
 
 
 def m8_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
-    """Certificate sums matching m8_witnesses entry for entry."""
-    _require_states(p, 8, "m8_ssa_certificates")
-    cmi = partial(conditional_mutual_information, p.circuit)
-    outer = cmi(("E1",), ("E7",), ("E2", "E3", "E4", "E5", "E6"))
-    return {
-        "M8a": outer + cmi(("E1", "E2"), ("E6",), ("E3", "E4", "E5"))
-        + cmi(("E1", "E2", "E3"), ("E5",), ("E4",)),
-        "M8b": outer + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
-        + cmi(("E2", "E3"), ("E5",), ("E4",)),
-        "M8c": outer + cmi(("E1", "E2"), ("E6",), ("E3", "E4", "E5"))
-        + cmi(("E3",), ("E5", "E6"), ("E4",)),
-        "M8d": outer + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
-        + cmi(("E1", "E2", "E3"), ("E5", "E6"), ("E4",)),
-        "M8e": outer + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
-        + cmi(("E3",), ("E5", "E6", "E7"), ("E4",)),
-        "M8f": outer + cmi(("E1", "E2"), ("E6",), ("E3", "E4", "E5"))
-        + cmi(("E2", "E3"), ("E5", "E6", "E7"), ("E4",)),
-        "M8g": outer + cmi(("E1", "E2", "E3"), ("E5", "E6"), ("E4",))
-        + cmi(("E2",), ("E6", "E7"), ("E3", "E4", "E5"))
-        + cmi(("E3",), ("E7",), ("E4", "E5", "E6")),
-    }
+    """monogamy_certificate of each M8 entry; equals m8_witnesses entry for entry."""
+    return {name: monogamy_certificate(p, f) for name, f in MONOGAMY[8].items()}
 
 
 def dp5_conditional_entropy(p: MarkovChainProcess) -> float:

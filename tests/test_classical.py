@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qmonogamy.classical import (classical_chain, classical_cmi, classical_mi,
                                  cmmi_gap, is_markov, joint_from_chain, joint_pmf,
                                  random_chain, shannon_entropy)
+from qmonogamy.witnesses import uncrossing
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -118,6 +119,22 @@ def test_cmmi_gap_all_permutations_small_cases():
         p = joint_from_chain(random_chain(2 * n, dim, seed=3))
         for perm in itertools.permutations(range(1, n + 1)):
             assert cmmi_gap(p, perm) >= -1e-12, (n, dim, perm)
+
+
+def test_cmmi_gap_is_a_sum_of_four_variable_gaps():
+    # each uncrossing swap (k, i, j) is the classical M4 gap on the Markov
+    # sub-chain rho_k, rho_i, sigma_i, sigma_j (axes n-k, n-i, n+i-1, n+j-1)
+    n = 3
+    for dim in (2, 3):
+        p = joint_from_chain(random_chain(2 * n, dim, seed=5))
+        for perm in itertools.permutations(range(1, n + 1)):
+            swaps = []
+            for k, i, j in uncrossing(perm):
+                a, b, c, d = n - k, n - i, n + i - 1, n + j - 1
+                swaps.append(classical_mi(p, (b,), (c,)) + classical_mi(p, (a,), (d,))
+                             - classical_mi(p, (a,), (c,)) - classical_mi(p, (b,), (d,)))
+                assert swaps[-1] >= -1e-12, (dim, perm, k, i, j)
+            assert cmmi_gap(p, perm) == pytest.approx(sum(swaps), abs=1e-12), (dim, perm)
 
 
 def test_cmmi_gap_rejects_odd_chains_and_bad_perms():

@@ -120,6 +120,18 @@ def test_conditional_state_renormalization():
     assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("loss", [4e-9, 5e-11])
+def test_nearly_trace_preserving_sequences_are_renormalized(loss):
+    # sqrt(1 - loss) * identity at both slots leaves the sequence probability
+    # (1 - loss)**2, just below 1; its conditional state is the identity one
+    pt = build_process_tensor(_random_markov_circuit(np.random.default_rng(8), 2), 3)
+    eye = np.eye(2, dtype=complex)
+    want = contract(pt, [(eye,), (eye,)])
+    got = contract(pt, [(np.sqrt(1 - loss) * eye,), (np.sqrt(1 - loss) * eye,)])
+    assert np.trace(got.mat).real == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(got.mat - want.mat).max() <= 1e-14
+
+
 def test_zero_probability_sequence_has_no_conditional_state():
     # at lambda = 0 the dephasing outcomes 0, 0, 1 never occur in a row
     pt = build_process_tensor(_w_circuit(0.0), 4)

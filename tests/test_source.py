@@ -4,6 +4,8 @@
   other module may hold a nonzero numeric literal that small.
 * No module imports a name it never uses (`__init__.py` re-exports, so it
   is exempt).
+* Every entry of tolerances.py is read by another module (a re-export in
+  `__init__.py` does not count), so a dead threshold cannot linger.
 """
 
 import ast
@@ -64,3 +66,26 @@ def test_no_unused_from_imports(path):
 def test_the_unused_import_scan_sees_a_leftover():
     tree = ast.parse("from .linalg import dagger, kron\n\ndef f(m):\n    return dagger(m)\n")
     assert _unused_from_imports(tree) == ["kron (line 1)"]
+
+
+def _unread_tolerances(table: ast.Module, modules: list[ast.Module]) -> list[str]:
+    names = {t.id for node in table.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    read = set()
+    for tree in modules:
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(names - read)
+
+
+def test_every_tolerance_is_read():
+    readers = [_tree(p) for p in MODULES if p.name not in ("tolerances.py", "__init__.py")]
+    unread = _unread_tolerances(_tree(PACKAGE / "tolerances.py"), readers)
+    assert not unread, f"tolerances.py entries no module reads: {unread}"
+
+
+def test_the_unread_tolerance_scan_sees_a_dead_entry():
+    table = ast.parse("# reason\nUSED_TOL = 1e-9\n# reason\nDEAD_TOL = 1e-8\n")
+    reader = ast.parse("from .tolerances import USED_TOL\n\ndef f(x):\n"
+                       "    return x > USED_TOL\n")
+    assert _unread_tolerances(table, [reader]) == ["DEAD_TOL"]

@@ -12,6 +12,7 @@ certificate identities, pins both routes down.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,15 +21,16 @@ from hypothesis import assume, given, settings, strategies as st
 import qmonogamy.states as states_module
 from qmonogamy.channels import random_channel
 from qmonogamy.experiments import random_markov_process
-from qmonogamy.info import chain_coherent_information
+from qmonogamy.info import chain_coherent_information, conditional_mutual_information
 from qmonogamy.states import MAX_AMPLITUDES, DensityMatrix, random_density
-from qmonogamy.witnesses import (WitnessReport, cqmi_monotonicity_gap,
+from qmonogamy.tolerances import GAP_TOLERANCE
+from qmonogamy.witnesses import (MONOGAMY, WitnessReport, cqmi_monotonicity_gap,
                                  dp5_conditional_entropy, extra_dpi_witnesses,
                                  m4_ssa_certificate, m4_witness,
                                  m6_ssa_certificates, m6_witnesses,
                                  m8_ssa_certificates, m8_witnesses, markov_process,
-                                 mi_dpi_gap, monogamy_conjecture_gap,
-                                 purified_circuit_state, qdpi_witnesses)
+                                 mi_dpi_gap, monogamy_certificate, monogamy_gap,
+                                 purified_circuit_state, qdpi_witnesses, uncrossing)
 
 TOL = 1e-9
 
@@ -41,7 +43,7 @@ def test_markov_process_validates_adjacency():
         markov_process(rho, [good, bad])
     p = markov_process(rho, [good])
     assert p.n_states == 2
-    np.testing.assert_allclose(p.state(1).mat, rho.mat)
+    np.testing.assert_allclose(p.initial.mat, rho.mat)
 
 
 def test_witness_report_violation_bookkeeping():
@@ -81,7 +83,7 @@ def test_m4_matches_its_ssa_certificate():
 
 
 def _kraus_reference(p, r, s):
-    return chain_coherent_information(p.state(1), list(p.channels), r, s)
+    return chain_coherent_information(p.initial, list(p.channels), r, s)
 
 
 def test_purified_circuit_reproduces_chain_coherent_information():
@@ -116,7 +118,7 @@ def test_gap_tolerance_covers_the_largest_circuit(seed):
 
 def test_chain_coherent_info_through_the_process_wrapper():
     p = random_markov_process(4, seed=25)
-    want = chain_coherent_information(p.state(1), list(p.channels), 2, 4)
+    want = chain_coherent_information(p.initial, list(p.channels), 2, 4)
     assert p.coherent_info(2, 4) == pytest.approx(want, abs=1e-12)
 
 
@@ -185,7 +187,7 @@ def test_eight_step_monogamy_and_certificates():
 
 def test_extra_dpi_gaps_are_reported_without_sign_claims():
     # none of DP5..DP9 is a proven inequality, so the report carries the
-    # raw values and nothing more; DP7 genuinely goes negative on a
+    # raw values and nothing more; each one goes negative on some random
     # Markov process, which pins down that these must stay unasserted
     for seed in range(25):
         entries = extra_dpi_witnesses(random_markov_process(4, seed=seed + 100)).entries
@@ -194,6 +196,11 @@ def test_extra_dpi_gaps_are_reported_without_sign_claims():
             assert np.isfinite(value)
     counterexample = extra_dpi_witnesses(random_markov_process(4, seed=102)).entries
     assert counterexample["DP7"] == pytest.approx(-0.22743440215, abs=1e-8)
+    for name, seed, value in [("DP5", 73, -0.44518182109), ("DP6", 73, -0.43413429739),
+                              ("DP7", 73, -0.71631871433), ("DP8", 149, -0.35607231392),
+                              ("DP9", 244, -0.21276621078)]:
+        entries = extra_dpi_witnesses(random_markov_process(4, seed=seed)).entries
+        assert entries[name] == pytest.approx(value, abs=1e-8), (name, seed)
 
 
 def test_dp5_equals_an_environment_conditional_entropy():
@@ -203,27 +210,157 @@ def test_dp5_equals_an_environment_conditional_entropy():
         assert dp5_conditional_entropy(p) == pytest.approx(want, abs=1e-8)
 
 
-def test_conjecture_gap_swap_is_m4():
+def test_monogamy_gap_swap_is_m4():
     p = random_markov_process(4, seed=21)
-    gap = monogamy_conjecture_gap(p, (2, 1))
+    gap = monogamy_gap(p, (2, 1))
     assert gap == pytest.approx(m4_witness(p), abs=1e-12)
-    assert monogamy_conjecture_gap(p, (1, 2)) == pytest.approx(0.0, abs=1e-12)
+    assert monogamy_gap(p, (1, 2)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_conjecture_gap_all_three_pair_permutations():
+def test_monogamy_gap_all_three_pair_permutations():
     p = random_markov_process(6, seed=22)
-    import itertools
     for perm in itertools.permutations((1, 2, 3)):
-        gap = monogamy_conjecture_gap(p, perm)
+        gap = monogamy_gap(p, perm)
         assert gap >= -TOL, perm
+        assert monogamy_certificate(p, perm) == pytest.approx(gap, abs=1e-12), perm
 
 
-def test_conjecture_gap_guards():
+def test_monogamy_gap_guards():
     p = random_markov_process(4, seed=23)
-    with pytest.raises(ValueError):
-        monogamy_conjecture_gap(p, (1, 1))
-    with pytest.raises(ValueError):
-        monogamy_conjecture_gap(p, (1, 2, 3))  # needs 2n = 6 states
+    for bad in [(1, 1), (), (0, 1), (2, 3)]:
+        with pytest.raises(ValueError, match="rearrange"):
+            monogamy_gap(p, bad)
+        with pytest.raises(ValueError, match="rearrange"):
+            monogamy_certificate(p, bad)
+    with pytest.raises(ValueError, match="at least 6 states"):
+        monogamy_gap(p, (1, 2, 3))
+    with pytest.raises(ValueError, match="at least 6 states"):
+        monogamy_certificate(p, (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the derived certificates against hand-typed references
+# ---------------------------------------------------------------------------
+
+# the named witnesses as pair lists (r, s): nested sum minus Ic over these;
+# pair (r, s) of a 2n-state witness means perm(n + 1 - r) = s - n in MONOGAMY
+PAIRINGS = {
+    "M4": ((1, 3), (2, 4)),
+    "M6a": ((1, 4), (2, 6), (3, 5)),
+    "M6b": ((1, 5), (2, 4), (3, 6)),
+    "M8a": ((1, 5), (2, 8), (3, 7), (4, 6)),
+    "M8b": ((1, 7), (2, 5), (3, 8), (4, 6)),
+    "M8c": ((1, 6), (2, 8), (3, 5), (4, 7)),
+    "M8d": ((1, 5), (2, 6), (3, 8), (4, 7)),
+    "M8e": ((1, 7), (2, 6), (3, 5), (4, 8)),
+    "M8f": ((1, 6), (2, 5), (3, 7), (4, 8)),
+    "M8g": ((1, 5), (2, 6), (3, 7), (4, 8)),
+}
+
+
+def _hand_certificates(p):
+    """The strong-subadditivity sums typed out by hand, one per named witness."""
+    def cmi(a, b, c):
+        def envs(idx):
+            return tuple(f"E{e}" for e in idx)
+        return conditional_mutual_information(p.circuit, envs(a), envs(b), envs(c))
+
+    certs = {"M4": cmi((1,), (3,), (2,))}
+    if p.n_states >= 6:
+        certs["M6a"] = cmi((1,), (5,), (2, 3, 4)) + cmi((1, 2), (4,), (3,))
+        certs["M6b"] = cmi((1, 2), (5,), (3, 4)) + cmi((2,), (4,), (3,))
+    if p.n_states >= 8:
+        outer = cmi((1,), (7,), (2, 3, 4, 5, 6))
+        certs["M8a"] = outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((1, 2, 3), (5,), (4,))
+        certs["M8b"] = outer + cmi((2,), (6, 7), (3, 4, 5)) + cmi((2, 3), (5,), (4,))
+        certs["M8c"] = outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((3,), (5, 6), (4,))
+        certs["M8d"] = outer + cmi((2,), (6, 7), (3, 4, 5)) + cmi((1, 2, 3), (5, 6), (4,))
+        certs["M8e"] = outer + cmi((2,), (6, 7), (3, 4, 5)) + cmi((3,), (5, 6, 7), (4,))
+        certs["M8f"] = outer + cmi((1, 2), (6,), (3, 4, 5)) + cmi((2, 3), (5, 6, 7), (4,))
+        certs["M8g"] = (outer + cmi((1, 2, 3), (5, 6), (4,)) + cmi((2,), (6, 7), (3, 4, 5))
+                        + cmi((3,), (7,), (4, 5, 6)))
+    return certs
+
+
+@pytest.mark.parametrize("steps", [4, 6, 8])
+def test_named_witnesses_keep_the_pair_sums_and_the_hand_certificates(steps):
+    for seed in range(3):
+        p = random_markov_process(steps, seed=seed + 40, d_env=2 if steps == 8 else 3)
+        ic = p.coherent_info
+        nested = sum(ic(r, steps + 1 - r) for r in range(1, steps // 2 + 1))
+        witnesses = ({"M4": m4_witness(p)} if steps == 4 else
+                     (m6_witnesses if steps == 6 else m8_witnesses)(p).entries)
+        certificates = ({"M4": m4_ssa_certificate(p)} if steps == 4 else
+                        (m6_ssa_certificates if steps == 6 else m8_ssa_certificates)(p))
+        hand = _hand_certificates(p)
+        assert witnesses.keys() == certificates.keys() == MONOGAMY[steps].keys()
+        for name, value in witnesses.items():
+            # the same sums in the same order, so the same bits
+            assert value == nested - sum(ic(r, s) for r, s in PAIRINGS[name]), name
+            assert certificates[name] == pytest.approx(hand[name], abs=1e-12), name
+            assert certificates[name] == pytest.approx(value, abs=1e-12), name
+
+
+def _interval(n, i, j):
+    """The environment registers of H[i, j] = H(E_{n+1-i}..E_{n+j-1})."""
+    return frozenset(range(n + 1 - i, n + j))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_uncrossing_terms_add_up_to_the_gap_symbolically(n):
+    """For every permutation, the interval-entropy coefficients of the
+    certificate's CMI terms equal the gap's linear form exactly."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        gap = Counter()
+        for i, f in enumerate(perm, 1):
+            gap[_interval(n, i, f)] += 1
+            gap[_interval(n, i, i)] -= 1
+        swaps = uncrossing(perm)
+        assert len(swaps) <= n - 1
+        terms = Counter()
+        for k, i, j in swaps:
+            assert k > i and j > i, (perm, k, i, j)
+            # I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) on the certificate's intervals
+            a = frozenset(range(n + 1 - k, n - i + 1))
+            c = frozenset(range(n + i, n + j))
+            b = frozenset(range(n + 1 - i, n + i))
+            assert a and b and c
+            terms.update({a | b: 1, b | c: 1})
+            terms.subtract({b: 1, a | b | c: 1})
+        assert +gap == +terms and -gap == -terms, perm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_every_permutation_gap_equals_its_certificate(perm, d_env, seed):
+    n = len(perm)
+    assume(2 * d_env ** (2 * n - 1) * 2 <= MAX_AMPLITUDES)
+    p = random_markov_process(2 * n, seed, 2, d_env)
+    certificate = monogamy_certificate(p, perm)
+    assert certificate >= -GAP_TOLERANCE
+    assert certificate == pytest.approx(monogamy_gap(p, perm), abs=1e-12)
+
+
+def test_the_reversal_gap_of_a_twelve_state_process():
+    # 2 * 2**11 * 2 = 8192 amplitudes, inside MAX_AMPLITUDES
+    p = random_markov_process(12, seed=5)
+    perm = (6, 5, 4, 3, 2, 1)
+    ref = [[_kraus_reference(p, 7 - i, 6 + j) for j in range(1, 7)] for i in range(1, 7)]
+    want = sum(ref[i][i] for i in range(6)) - sum(ref[i][perm[i] - 1] for i in range(6))
+    gap = monogamy_gap(p, perm)
+    assert gap == pytest.approx(want, abs=1e-12)
+    assert gap >= -GAP_TOLERANCE
+    assert monogamy_certificate(p, perm) == pytest.approx(gap, abs=1e-12)
+
+
+def test_a_longer_process_gives_the_gap_of_its_prefix():
+    p = random_markov_process(7, seed=6)
+    prefix = markov_process(p.initial, p.channels[:5])
+    for perm in [(2, 3, 1), (3, 2, 1)]:
+        assert monogamy_gap(p, perm) == pytest.approx(monogamy_gap(prefix, perm), abs=1e-12)
+        assert monogamy_certificate(p, perm) == pytest.approx(
+            monogamy_certificate(prefix, perm), abs=1e-12)
 
 
 def test_witness_state_count_guards():
