@@ -26,10 +26,9 @@ from .info import (chain_coherent_information, coherent_information,
                    conditional_mutual_information, mutual_information,
                    von_neumann)
 from .linalg import dagger, hermitian_eig, is_unitary, kron, partial_trace
-from .process_tensor import (CHOI_DPI_GAPS, Instrument, ProcessTensor,
-                             SystemEnvCircuit, build_process_tensor,
-                             choi_dpi_witnesses, contract, dephased_joint_pmf,
-                             dephasing_instrument, fresh_env_circuit, instrument,
+from .process_tensor import (CHOI_DPI_GAPS, ProcessTensor, SystemEnvCircuit,
+                             build_process_tensor, choi_dpi_witnesses, contract,
+                             dephased_joint_pmf, fresh_env_circuit,
                              markov_factorization_gap, mqmmi_witness,
                              mqmmi_witnesses, multitime_coherent_info,
                              port_mutual_information, system_env_circuit)
@@ -48,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHOI_DPI_GAPS", "ClassicalChain", "DensityMatrix", "GAP_TOLERANCE",
-    "Instrument", "JointPMF", "KrausChannel", "MarkovChainProcess",
+    "JointPMF", "KrausChannel", "MarkovChainProcess",
     "ProcessTensor", "PureState", "SystemEnvCircuit",
     "WitnessReport", "adjoint_channel", "adjoint_identity_check", "apply",
     "apply_to_subsystem", "build_process_tensor",
@@ -56,10 +55,10 @@ __all__ = [
     "classical_chain", "classical_cmi", "classical_cmmi_check",
     "classical_mi", "cmmi_gap", "coherent_information", "contract",
     "conditional_mutual_information", "cqmi_monotonicity_gap", "dagger",
-    "dephased_joint_pmf", "dephasing_channel", "dephasing_instrument",
+    "dephased_joint_pmf", "dephasing_channel",
     "depolarizing_channel", "dp5_conditional_entropy",
     "extra_dpi_row", "extra_dpi_witnesses", "fresh_env_circuit",
-    "gamma_sequence", "hermitian_eig", "identity_channel", "instrument",
+    "gamma_sequence", "hermitian_eig", "identity_channel",
     "is_markov", "is_unitary", "joint_from_chain", "joint_pmf", "kron",
     "kraus_channel", "lambda_grid",
     "m4_ssa_certificate", "m4_witness", "m6_ssa_certificates", "m6_witnesses",

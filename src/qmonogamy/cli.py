@@ -9,10 +9,11 @@ Four subcommands:
                    (--dims D_SYS D_ENV sets the surveyed processes' dimensions)
 
 Sweeps emit CSV (default) or JSON, to stdout or --output; --svg
-additionally writes a minimal line chart next to the output file.
-verify emits a JSON summary and exits 0 when every check passes its
-threshold, 1 when a genuine violation was found (the offending sample
-seed is reported), 2 on configuration or I/O errors.  All output is
+additionally writes a minimal line chart next to the output file, and is
+refused when the chart path would be the output file itself.  verify
+emits a JSON summary (echoing --dims) and exits 0 when every check
+passes its threshold, 1 when a genuine violation was found (the
+offending sample seed is reported), 2 on configuration or I/O errors.  All output is
 deterministic given the flags and seed.
 """
 
@@ -128,6 +129,10 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _svg_path(output: str) -> str:
+    return os.path.splitext(output)[0] + ".svg"
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     row_fn, columns = SWEEPS[args.command]
     grid = lambda_grid(args.lambda_min, args.lambda_max, args.step)
@@ -135,8 +140,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     render = _render_csv if args.format == "csv" else _render_json
     _emit(render(columns, rows), args.output)
     if args.svg:
-        svg_path = os.path.splitext(args.output)[0] + ".svg"
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
+        with open(_svg_path(args.output), "w", encoding="utf-8", newline="") as fh:
             fh.write(_render_svg(columns, rows))
     return 0
 
@@ -151,6 +155,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         "steps": survey["steps"],
         "samples": survey["samples"],
         "seed": survey["seed"],
+        "dims": list(args.dims),
         "witness_minima": survey["witness_minima"],
         "ssa_certificate_min": survey["ssa_certificate_min"],
         "certificate_max_mismatch": survey["certificate_max_mismatch"],
@@ -220,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
             return _run_verify(args)
         if args.svg and args.output is None:
             raise ValueError("--svg needs --output to derive the chart path")
+        if args.svg and os.path.abspath(_svg_path(args.output)) == os.path.abspath(args.output):
+            raise ValueError(f"--svg would write its chart to {_svg_path(args.output)}, "
+                             f"over the --output file {args.output}")
         return _run_sweep(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,23 @@
-"""Process tensors: multitime Choi states of a system-environment circuit,
-instrument contraction, the Markov factorization test, Choi-state
+"""Process tensors: multitime states of a system-environment circuit,
+contraction with CP maps, the Markov factorization test, port
 data-processing gaps, and the interventional monogamy witnesses.
 
 A SystemEnvCircuit is a pure state on (R0, S, E) together with step
 unitaries on S (x) E.  Its k-slot process tensor is built by, at each
 intermediate time, setting the live system aside as the slot's output
 port S_j and feeding in one half of a fresh maximally entangled pair
-whose other half becomes the input port R_j; the environment is traced
-at the end.  Port order: (R0, S1, R1, S2, R2, ..., S_k).
+whose other half becomes the input port R_j.  The environment E is kept
+as the purifying register, so the tensor is one labelled pure state on
+(R0, S1, R1, S2, R2, ..., S_k, E); its marginal on the ports is the
+Choi state.
 
-Contracting the tensor with CP maps at the slots reproduces exactly what
-the circuit would output if those maps were applied in line, which is
-the defining property checked by the tests.  Interventions enter through
-the kernel d * sum_M |M|i><s|M*, the unnormalized input-side Choi of the
-map; the factor d cancels the normalization of the inserted pair.
+Every port quantity is read from that register.  A CP map closes slot j
+by the plug rule: each Kraus operator M contributes the amplitude
+sqrt(d) * sum_{s,i} M[i, s] psi[S_j = s, R_j = i], so (S_j, R_j) becomes
+one Kraus register K_j.  The factor sqrt(d) cancels the normalization of
+the inserted pair, and the result is exactly what the circuit would
+output if the maps were applied in line, which is the defining property
+checked by the tests.
 
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
@@ -23,8 +27,6 @@ processes and detect memory in different ways when they differ.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,16 +37,13 @@ from .classical import JointPMF, joint_pmf
 from .info import mutual_information
 from .linalg import is_unitary, kron
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
-from .tolerances import ISOMETRY_TOL, PROB_SLACK
+from .tolerances import ISOMETRY_TOL, PROB_SLACK, TRACE_TOL
 from .witnesses import WitnessReport
 
 __all__ = [
     "SystemEnvCircuit",
     "ProcessTensor",
-    "Instrument",
     "system_env_circuit",
-    "instrument",
-    "dephasing_instrument",
     "build_process_tensor",
     "contract",
     "markov_factorization_gap",
@@ -83,10 +82,13 @@ class SystemEnvCircuit:
 
 @dataclass(frozen=True, eq=False)
 class ProcessTensor:
-    """Choi state over ports (R0, S1, R1, ..., S_k)."""
+    """Pure state on the ports and the environment, (R0, S1, R1, ..., S_k, E)."""
 
-    choi: DensityMatrix
-    ports: tuple[str, ...]
+    state: PureState
+
+    @property
+    def ports(self) -> tuple[str, ...]:
+        return self.state.labels[:-1]
 
     @property
     def n_slots(self) -> int:
@@ -94,14 +96,12 @@ class ProcessTensor:
 
     @property
     def d_sys(self) -> int:
-        return self.choi.dims[1]
+        return self.state.dims[1]
 
-
-@dataclass(frozen=True, eq=False)
-class Instrument:
-    """Complete collection of CP maps; elements are tuples of Kraus operators."""
-
-    elements: tuple[tuple[np.ndarray, ...], ...]
+    @property
+    def choi(self) -> DensityMatrix:
+        """The Choi state: the marginal on the ports."""
+        return self.state.reduced(self.ports)
 
 
 def system_env_circuit(initial: PureState,
@@ -119,41 +119,15 @@ def system_env_circuit(initial: PureState,
     return SystemEnvCircuit(initial, units)
 
 
-def instrument(elements: Sequence[Sequence[np.ndarray]]) -> Instrument:
-    """Validate completeness: the element maps must sum to a TP channel."""
-    elems = tuple(tuple(np.asarray(m, dtype=complex) for m in el) for el in elements)
-    if not elems or not elems[0]:
-        raise ValueError("instrument needs at least one Kraus operator")
-    bad = sum(np.count_nonzero(~np.isfinite(m)) for el in elems for m in el)
-    if bad:
-        raise ValueError(f"non-finite instrument entries: {bad} NaN or infinite")
-    d = elems[0][0].shape[1]
-    total = sum(m.conj().T @ m for el in elems for m in el)
-    dev = np.abs(total - np.eye(d)).max()
-    if dev > ISOMETRY_TOL:
-        raise ValueError(f"instrument elements do not sum to a TP map: deviation {dev:.3e}")
-    return Instrument(elems)
-
-
-def dephasing_instrument(d: int) -> Instrument:
-    """Rank-one projective measurement onto the computational basis."""
-    elems = []
-    for i in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[i, i] = 1.0
-        elems.append((p,))
-    return instrument(elems)
-
-
 # ---------------------------------------------------------------------------
 # building and contracting
 # ---------------------------------------------------------------------------
 
 def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor:
-    """Choi state of the first `steps` time slots of the circuit.
+    """The first `steps` time slots of the circuit as a process tensor.
 
     Needs steps - 1 step unitaries.  The k = 1 tensor is just the initial
-    (R0, S) marginal.
+    (R0, S1, E) state.
     """
     if steps < 1:
         raise ValueError("need at least one time slot")
@@ -168,62 +142,22 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
         # input port R_j, its second half runs on to become S_{j+1}
         psi = psi.splice(pair, after=f"S{j}", labels=(f"R{j}", f"S{j + 1}"))
         psi = psi.apply(circuit.step_unitaries[j - 1], (f"S{j + 1}", "E"))
-    ports = psi.labels[:-1]
-    return ProcessTensor(psi.reduced(ports), ports)
+    return ProcessTensor(psi)
 
 
-def _as_kraus_ops(item) -> tuple[np.ndarray, ...]:
-    if isinstance(item, KrausChannel):
-        return item.kraus
-    return tuple(np.asarray(m, dtype=complex) for m in item)
-
-
-def _intervention_kernel(ops: tuple[np.ndarray, ...], d: int) -> np.ndarray:
-    # kernel[s, i, s', i'] = d * sum_M M[i, s] conj(M[i', s'])
+def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
+    ops = item.kraus if isinstance(item, KrausChannel) else tuple(
+        np.asarray(m, dtype=complex) for m in item)
     for m in ops:
         if m.shape != (d, d):
             raise ValueError(f"intervention operator must be {d} x {d}, got {m.shape}")
-    k = sum(np.einsum("is,ju->siuj", m, m.conj()) for m in ops)
-    return d * np.asarray(k)
+    return ops
 
 
-def _contract_ports(pt: ProcessTensor,
-                    slot_ops: dict[int, tuple[np.ndarray, ...]],
-                    keep: tuple[int, ...],
-                    final_ops: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Einsum core: apply kernels at `slot_ops` slots, trace every port not
-    kept, optionally close the final port with sum M†M.  Returns the matrix
-    over `keep` (port indices, in port order)."""
-    n = len(pt.ports)
-    dims = pt.choi.dims
-    tensor = pt.choi.mat.reshape(dims + dims)
-    ket = list(range(n))
-    bra = [n + i for i in range(n)]
-    operands = [tensor]
-    indices = [ket + bra]
-    busy = set(keep)
-    for j, ops in slot_ops.items():
-        s_ax, r_ax = 2 * j - 1, 2 * j
-        kern = _intervention_kernel(ops, pt.d_sys)
-        operands.append(kern)
-        indices.append([ket[s_ax], ket[r_ax], bra[s_ax], bra[r_ax]])
-        busy |= {s_ax, r_ax}
-    if final_ops is not None:
-        w = sum(m.conj().T @ m for m in final_ops)
-        operands.append(np.asarray(w, dtype=complex))
-        indices.append([bra[n - 1], ket[n - 1]])
-        busy.add(n - 1)
-    for p in range(n):
-        if p not in busy:
-            bra[p] = ket[p]
-    indices[0] = ket + bra
-    out = [ket[p] for p in keep] + [bra[p] for p in keep]
-    args = []
-    for op, idx in zip(operands, indices):
-        args += [op, idx]
-    res = np.einsum(*args, out, optimize=True)
-    d_keep = math.prod(dims[p] for p in keep) if keep else 1
-    return res.reshape(d_keep, d_keep)
+def _plug(psi: PureState, j: int, ops: tuple[np.ndarray, ...], d: int) -> PureState:
+    # row M of the plug is sqrt(d) * M[i, s] over (S_j = s, R_j = i)
+    rows = np.sqrt(d) * np.stack([m.T.reshape(-1) for m in ops])
+    return psi.apply(rows, (f"S{j}", f"R{j}"), out={f"K{j}": len(ops)})
 
 
 def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | float:
@@ -231,44 +165,43 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
 
     With one map per intermediate slot (k-1 of them) the result is the
     output state at the final port divided by the probability of the
-    sequence; with k maps the last one is read as the final-port
-    instrument element and the result is the probability of the whole
-    sequence.  Maps may be KrausChannel objects or bare
-    Kraus-operator sequences (instrument elements need not preserve
-    trace).
+    sequence; with k maps the last one is read at the final port and the
+    result is the probability of the whole sequence, Tr(sum M†M rho).
+    Maps may be KrausChannel objects or bare Kraus-operator sequences
+    (which need not preserve trace).
     """
     k = pt.n_slots
-    ops = [_as_kraus_ops(item) for item in interventions]
+    ops = [_as_kraus_ops(item, pt.d_sys) for item in interventions]
+    if len(ops) not in (k - 1, k):
+        raise ValueError(f"expected {k - 1} or {k} interventions for a {k}-slot tensor, "
+                         f"got {len(ops)}")
+    psi = pt.state
+    for j in range(1, k):
+        psi = _plug(psi, j, ops[j - 1], pt.d_sys)
+    rho = psi.reduced((f"S{k}",)).mat
     if len(ops) == k - 1:
-        slot_ops = {j: ops[j - 1] for j in range(1, k)}
-        mat = _contract_ports(pt, slot_ops, (len(pt.ports) - 1,))
-        tr = np.trace(mat).real
+        tr = np.trace(rho).real
         if tr <= PROB_SLACK:
             raise ValueError(f"intervention sequence has probability {tr:.3e}; "
                              "its conditional output state is undefined")
         # the conditional state; a trace-preserving sequence divides by ~1
-        return density(mat / tr, (pt.d_sys,))
-    if len(ops) == k:
-        slot_ops = {j: ops[j - 1] for j in range(1, k)}
-        p = _contract_ports(pt, slot_ops, (), final_ops=ops[-1])
-        p = complex(p[0, 0]).real
-        if not -PROB_SLACK <= p <= 1 + PROB_SLACK:
-            raise ValueError(f"contraction gave probability {p!r} outside [0, 1]")
-        return p
-    raise ValueError(
-        f"expected {k - 1} or {k} interventions for a {k}-slot tensor, got {len(ops)}")
+        return density(rho / tr, (pt.d_sys,))
+    p = np.trace(sum(m.conj().T @ m for m in ops[-1]) @ rho).real
+    if not -PROB_SLACK <= p <= 1 + PROB_SLACK:
+        raise ValueError(f"contraction gave probability {p!r} outside [0, 1]")
+    return float(p)
 
 
 def markov_factorization_gap(pt: ProcessTensor) -> float:
     """Max-abs distance between the Choi state and the product of its
     per-step marginals (R0,S1)(R1,S2)...(R_{k-1},S_k); zero iff Markov."""
-    k = pt.n_slots
-    parts = [pt.choi.reduced((2 * g, 2 * g + 1)).mat for g in range(k)]
-    return float(np.abs(pt.choi.mat - kron(*parts)).max())
+    choi = pt.choi
+    parts = [choi.reduced((2 * g, 2 * g + 1)).mat for g in range(pt.n_slots)]
+    return float(np.abs(choi.mat - kron(*parts)).max())
 
 
 # ---------------------------------------------------------------------------
-# Choi-state data-processing gaps
+# port data-processing gaps
 # ---------------------------------------------------------------------------
 
 def port_mutual_information(pt: ProcessTensor, y: int, x: int,
@@ -280,19 +213,20 @@ def port_mutual_information(pt: ProcessTensor, y: int, x: int,
     if not (1 <= x <= k) or not (1 <= y <= k - 1):
         raise ValueError(f"ports R{y}, S{x} not present in a {k}-slot tensor")
     if interventions is None:
-        eye = (np.eye(pt.d_sys, dtype=complex),)
-        per_slot = {j: eye for j in range(1, k)}
+        maps = [(np.eye(pt.d_sys, dtype=complex),)] * (k - 1)
+    elif len(interventions) != k - 1:
+        raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
     else:
-        if len(interventions) != k - 1:
-            raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
-        per_slot = {j: _as_kraus_ops(interventions[j - 1]) for j in range(1, k)}
-    slot_ops = {j: per_slot[j] for j in range(1, x) if j != y}
-    r_port = 2 * y
-    s_port = 2 * x - 1
-    keep = tuple(sorted((r_port, s_port)))
-    mat = _contract_ports(pt, slot_ops, keep)
-    rho = density(mat, (pt.choi.dims[keep[0]], pt.choi.dims[keep[1]]))
-    return mutual_information(rho, (0,), (1,))
+        maps = [_as_kraus_ops(item, pt.d_sys) for item in interventions]
+    psi = pt.state
+    for j in range(1, x):
+        if j != y:
+            psi = _plug(psi, j, maps[j - 1], pt.d_sys)
+    tr = np.vdot(psi.vec, psi.vec).real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"interventions are not trace preserving: the port state "
+                         f"has trace {tr:.3e}")
+    return mutual_information(psi, (f"R{y}",), (f"S{x}",))
 
 
 # the seven gaps: two adjacent plus one transitive along the R1 row, the
@@ -448,11 +382,9 @@ def dephased_joint_pmf(pt: ProcessTensor) -> JointPMF:
     """Outcome distribution of computational-basis rank-one measurements at
     every slot and the final port; classical and Markov whenever the
     underlying process is Markov."""
-    d = pt.d_sys
-    k = pt.n_slots
-    projs = [m[0] for m in dephasing_instrument(d).elements]
-    probs = np.zeros((d,) * k)
-    for outcome in itertools.product(range(d), repeat=k):
-        seq = [(projs[i],) for i in outcome]
-        probs[outcome] = contract(pt, seq)
-    return joint_pmf(probs)
+    d, k = pt.d_sys, pt.n_slots
+    # plugging |a><a| at slot j keeps the diagonal S_j = R_j = a with weight d;
+    # registers (R0, S1, R1, ..., S_k, E), so S_j and R_j share subscript j - 1
+    weights = np.abs(pt.state.vec.reshape(pt.state.dims)) ** 2
+    subs = [k] + [i // 2 for i in range(2 * k - 1)] + [k + 1]
+    return joint_pmf(d ** (k - 1) * np.einsum(weights, subs, list(range(k))))

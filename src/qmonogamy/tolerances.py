@@ -12,7 +12,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 # hermitian_eig(): |m - m†| symmetrized away; no reason to exceed HERM_TOL is recorded
 EIG_HERM_TOL = 1e-8
-# |V†V - 1|: sum K†K of channels and instruments, step unitaries, adjoint unitality
+# |V†V - 1|: sum K†K of channels, step unitaries, adjoint unitality
 ISOMETRY_TOL = 1e-10
 # pure_state(): | |vec| - 1 |; why it is tighter than TRACE_TOL is not recorded
 NORM_TOL = 1e-12

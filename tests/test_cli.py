@@ -100,6 +100,16 @@ def test_svg_requires_an_output_file(capsys):
     assert "--output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_svg_may_not_overwrite_the_output_file(tmp_path, capsys, fmt):
+    out = tmp_path / "plot.svg"
+    assert main(["sweep-qmmi", "--step", "0.5", "--format", fmt,
+                 "--output", str(out), "--svg"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(out)) == 2  # the chart path and the output path
+    assert not out.exists()  # refused before anything was computed or written
+
+
 def test_verify_quick_run_passes(capsys):
     assert main(["verify", "--samples", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -144,6 +154,15 @@ def test_verify_default_dims_leave_the_output_unchanged(tmp_path):
     assert main(["verify", "--samples", "2", "--dims", "2", "2",
                  "--output", str(explicit)]) == 0
     assert plain.read_bytes() == explicit.read_bytes()
+
+
+def test_verify_reports_its_dims(capsys):
+    assert main(["verify", "--samples", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [2, 2]
+    assert main(["verify", "--samples", "2", "--dims", "3", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dims"] == [3, 2]
+    assert list(doc)[:4] == ["steps", "samples", "seed", "dims"]
 
 
 def test_verify_passes_dims_to_the_survey(capsys, monkeypatch):

@@ -1,10 +1,14 @@
 """Process tensors: contraction against direct simulation, factorization,
 causality, Choi-state DPIs, and the interventional monogamy witnesses.
 
-The contraction oracle below simulates the circuit as a density matrix
-with the CP maps applied in line, sharing nothing with the einsum
-contraction kernel except the Kraus operators themselves.
+The oracles below simulate the circuit as a density matrix with the CP
+maps applied in line, sharing nothing with the plugged pure-state register
+except the Kraus operators themselves.  For port mutual informations the
+line simulation traces the system out at slot y and tensors a fresh
+maximally entangled pair onto (R_y, S) in its place.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,12 +19,11 @@ from qmonogamy.classical import is_markov
 from qmonogamy.experiments import u_lambda
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
-                                      contract, dephased_joint_pmf,
-                                      dephasing_instrument, fresh_env_circuit,
-                                      instrument, markov_factorization_gap,
-                                      mqmmi_witness, multitime_coherent_info,
-                                      port_mutual_information, system_env_circuit)
-from qmonogamy.states import PureState, pure_state, purify, w_state
+                                      contract, dephased_joint_pmf, fresh_env_circuit,
+                                      markov_factorization_gap, mqmmi_witness,
+                                      multitime_coherent_info, port_mutual_information,
+                                      system_env_circuit)
+from qmonogamy.states import MAX_AMPLITUDES, PureState, pure_state, purify, w_state
 from qmonogamy.witnesses import m4_witness, markov_process
 
 
@@ -34,11 +37,33 @@ def _w_circuit(lam, n_steps=3):
     return system_env_circuit(w_state(), [u_lambda(lam)] * n_steps)
 
 
-def _random_markov_circuit(rng, n_steps, d=2):
+def _random_markov_circuit(rng, n_steps, d=2, env_dim=None):
+    env_dim = d if env_dim is None else env_dim
     vec = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     init = pure_state(vec / np.linalg.norm(vec), (d, d))
-    units = [_haar(rng, d * d) for _ in range(n_steps)]
-    return fresh_env_circuit(init, units, d)
+    units = [_haar(rng, d * env_dim) for _ in range(n_steps)]
+    return fresh_env_circuit(init, units, env_dim)
+
+
+def _proj(a, d=2):
+    """The rank-one basis projector |a><a| as a one-operator Kraus list."""
+    return (np.diag(np.eye(d)[a]),)
+
+
+# (circuit, slots): a qubit W-state circuit with memory, qutrit systems, and
+# 3- and 5-slot tensors
+def _circuit_cases():
+    rng = np.random.default_rng(41)
+    return [
+        ("w-4", _w_circuit(0.35), 4),
+        ("qutrit-3", _random_markov_circuit(rng, 2, d=3, env_dim=2), 3),
+        ("qutrit-4", _random_markov_circuit(rng, 3, d=3, env_dim=1), 4),
+        ("qubit-5", _random_markov_circuit(rng, 4, d=2, env_dim=2), 5),
+        ("qutrit-env-3", _random_markov_circuit(rng, 2, d=2, env_dim=3), 3),
+    ]
+
+
+CIRCUITS = _circuit_cases()
 
 
 def _as_ops(item):
@@ -57,6 +82,45 @@ def _simulate(circuit, steps, interventions):
         u_full = kron(np.eye(d_r), circuit.step_unitaries[j - 1])
         rho = u_full @ rho @ dagger(u_full)
     return partial_trace(rho, dims, (1,))
+
+
+def _line_port_state(circuit, y, x, interventions):
+    """rho(R_y, S_x) by line simulation: the maps act in line at the slots
+    before x except y, where S is traced out and a fresh Phi+ is tensored
+    onto (R_y, S)."""
+    d_r, d_s, d_e = circuit.initial.dims
+    rho = circuit.initial.density().mat
+    dims = (d_r, 1, d_s, d_e)  # (R0, R_y, S, E); R_y is trivial until slot y
+    for j in range(1, x):
+        if j == y:
+            rest = partial_trace(rho, dims, (0, 3)).reshape(d_r, d_e, d_r, d_e)
+            phi = np.eye(d_s).reshape(-1) / np.sqrt(d_s)
+            pair = np.outer(phi, phi.conj()).reshape(d_s, d_s, d_s, d_s)
+            # axes (R0, E, R0', E', R_y, S, R_y', S') -> (R0, R_y, S, E, primed)
+            t = np.multiply.outer(rest, pair).transpose(0, 4, 5, 1, 2, 6, 7, 3)
+            dims = (d_r, d_s, d_s, d_e)
+            rho = t.reshape(np.prod(dims), np.prod(dims))
+        else:
+            left = np.eye(d_r * dims[1])
+            rho = sum((m_full := kron(left, m, np.eye(d_e))) @ rho @ dagger(m_full)
+                      for m in _as_ops(interventions[j - 1]))
+        u_full = kron(np.eye(d_r * dims[1]), circuit.step_unitaries[j - 1])
+        rho = u_full @ rho @ dagger(u_full)
+    return partial_trace(rho, dims, (1, 2))
+
+
+def _entropy(m):
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 1e-14]
+    return float(-(w * np.log2(w)).sum())
+
+
+def _line_port_mi(circuit, y, x, interventions):
+    rho = _line_port_state(circuit, y, x, interventions)
+    d_y = rho.shape[0] // circuit.d_sys
+    dims = (d_y, circuit.d_sys)
+    return (_entropy(partial_trace(rho, dims, (0,))) + _entropy(partial_trace(rho, dims, (1,)))
+            - _entropy(rho))
 
 
 def test_contraction_matches_direct_simulation_with_identities():
@@ -80,13 +144,11 @@ def test_contraction_matches_direct_simulation_with_channels():
 
 
 def test_contraction_probabilities_sum_to_one():
-    """Dephasing instruments at every port define a normalized pmf."""
-    import itertools
+    """Basis projectors at every port define a normalized pmf."""
     pt = build_process_tensor(_w_circuit(0.45), 3)
-    projs = [el for el in dephasing_instrument(2).elements]
     total = 0.0
     for outcome in itertools.product(range(2), repeat=3):
-        seq = [projs[i] for i in outcome]
+        seq = [_proj(i) for i in outcome]
         p = contract(pt, seq)
         assert p >= -1e-12
         total += p
@@ -96,7 +158,7 @@ def test_contraction_probabilities_sum_to_one():
 def test_contraction_probability_matches_simulation():
     circuit = _w_circuit(0.25)
     pt = build_process_tensor(circuit, 3)
-    proj = dephasing_instrument(2).elements[0]
+    proj = _proj(0)
     got = contract(pt, [proj, proj, proj])
     rho_f = _simulate(circuit, 3, [proj, proj])
     w = sum(dagger(m) @ m for m in proj)
@@ -114,9 +176,8 @@ def test_contract_arity_check():
 def test_conditional_state_renormalization():
     """A trace-decreasing element still yields a unit-trace output state."""
     pt = build_process_tensor(_w_circuit(0.5), 3)
-    proj = dephasing_instrument(2).elements[0]
     eye = (np.eye(2),)
-    out = contract(pt, [proj, eye])
+    out = contract(pt, [_proj(0), eye])
     assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-10)
 
 
@@ -135,20 +196,82 @@ def test_nearly_trace_preserving_sequences_are_renormalized(loss):
 def test_zero_probability_sequence_has_no_conditional_state():
     # at lambda = 0 the dephasing outcomes 0, 0, 1 never occur in a row
     pt = build_process_tensor(_w_circuit(0.0), 4)
-    proj = dephasing_instrument(2).elements
     with pytest.raises(ValueError, match="probability"):
-        contract(pt, [proj[0], proj[0], proj[1]])
+        contract(pt, [_proj(0), _proj(0), _proj(1)])
 
 
-def test_instrument_validation():
-    with pytest.raises(ValueError, match="sum"):
-        instrument([(np.eye(2) * 0.5,)])
-    inst = dephasing_instrument(3)
-    assert len(inst.elements) == 3
-    with pytest.raises(ValueError, match="non-finite"):
-        instrument([(np.full((2, 2), np.nan),)])
-    with pytest.raises(ValueError, match="non-finite"):
-        instrument([(np.diag([1.0, 0.0]),), (np.array([[0.0, np.inf], [0.0, 1.0]]),)])
+@pytest.mark.parametrize("name,circuit,slots", CIRCUITS, ids=[c[0] for c in CIRCUITS])
+def test_contraction_matches_direct_simulation_beyond_qubits(name, circuit, slots):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    maps = [random_channel(d, d, 2, seed=60 + i) for i in range(slots - 1)]
+    for seq in ([(np.eye(d),)] * (slots - 1), maps):
+        got = contract(pt, seq)
+        want = _simulate(circuit, slots, seq)
+        assert np.abs(got.mat - want).max() <= 1e-12
+    # a probability with trace-decreasing elements at every slot and the final port
+    outcome = [j % d for j in range(slots)]
+    rho_f = _simulate(circuit, slots, [_proj(a, d) for a in outcome[:-1]])
+    want = rho_f[outcome[-1], outcome[-1]].real
+    assert contract(pt, [_proj(a, d) for a in outcome]) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name,circuit,slots", CIRCUITS, ids=[c[0] for c in CIRCUITS])
+def test_port_mutual_information_matches_a_line_simulation(name, circuit, slots):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    maps = [random_channel(d, d, 2, seed=70 + i) for i in range(slots - 1)]
+    for seq in (None, maps):
+        line = seq or [(np.eye(d),)] * (slots - 1)
+        for y in range(1, slots):
+            for x in range(y + 1, slots + 1):
+                got = port_mutual_information(pt, y, x, seq)
+                want = _line_port_mi(circuit, y, x, line)
+                assert got == pytest.approx(want, abs=1e-12), (y, x, seq is None)
+
+
+@pytest.mark.parametrize("name,circuit,slots", CIRCUITS, ids=[c[0] for c in CIRCUITS])
+def test_dephased_pmf_matches_the_contracted_probabilities(name, circuit, slots):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    probs = dephased_joint_pmf(pt).probs
+    assert probs.shape == (d,) * slots
+    for outcome in itertools.product(range(d), repeat=slots):
+        want = contract(pt, [_proj(a, d) for a in outcome])
+        assert probs[outcome] == pytest.approx(want, abs=1e-12), outcome
+
+
+def test_interventions_must_be_d_by_d():
+    pt = build_process_tensor(_w_circuit(0.5), 3)
+    eye, qutrit = (np.eye(2),), (np.eye(3),)
+    for seq in ([qutrit, eye], [eye, eye, qutrit]):
+        with pytest.raises(ValueError, match="must be 2 x 2"):
+            contract(pt, seq)
+    with pytest.raises(ValueError, match="must be 2 x 2"):
+        port_mutual_information(pt, 2, 3, [qutrit, eye])
+
+
+def test_port_mutual_information_guards():
+    pt = build_process_tensor(_w_circuit(0.5), 4)
+    for y, x in [(0, 2), (4, 4), (1, 0), (1, 5)]:
+        with pytest.raises(ValueError, match="not present in a 4-slot tensor"):
+            port_mutual_information(pt, y, x)
+    eye = (np.eye(2),)
+    for seq in ([eye, eye], [eye] * 4):
+        with pytest.raises(ValueError, match="need 3 interventions"):
+            port_mutual_information(pt, 1, 3, seq)
+    # a trace-decreasing map before x leaves no state to take entropies of
+    with pytest.raises(ValueError, match="not trace preserving"):
+        port_mutual_information(pt, 2, 4, [_proj(0), eye, eye])
+
+
+def test_a_long_kraus_list_is_refused_by_the_amplitude_budget():
+    # more Kraus operators than d^2 grow the register past MAX_AMPLITUDES
+    pt = build_process_tensor(CIRCUITS[3][1], 5)
+    n_ops = MAX_AMPLITUDES * 4 // pt.state.dim + 1
+    ops = [np.eye(2) / np.sqrt(n_ops)] * n_ops
+    with pytest.raises(ValueError, match="amplitudes"):
+        contract(pt, [ops] + [(np.eye(2),)] * 3)
 
 
 def test_fresh_env_circuit_rejects_an_empty_environment():

@@ -1,4 +1,4 @@
-"""Source hygiene of the package, read with the stdlib `ast` module.
+"""Source hygiene of the package, mostly read with the stdlib `ast` module.
 
 * Every threshold below 1e-6 is a named entry of tolerances.py, so no
   other module may hold a nonzero numeric literal that small.
@@ -6,9 +6,13 @@
   is exempt).
 * Every entry of tolerances.py is read by another module (a re-export in
   `__init__.py` does not count), so a dead threshold cannot linger.
+* Every name in a module's `__all__` resolves on the imported module, and
+  `from qmonogamy import *` succeeds, so a deleted name cannot stay exported.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,28 @@ def test_the_unread_tolerance_scan_sees_a_dead_entry():
     reader = ast.parse("from .tolerances import USED_TOL\n\ndef f(x):\n"
                        "    return x > USED_TOL\n")
     assert _unread_tolerances(table, [reader]) == ["DEAD_TOL"]
+
+
+def _unresolved_exports(module: types.ModuleType) -> list[str]:
+    return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    name = "qmonogamy" if path.name == "__init__.py" else f"qmonogamy.{path.stem}"
+    module = importlib.import_module(name)
+    missing = _unresolved_exports(module)
+    assert not missing, f"{path.name} exports names it does not define: {missing}"
+
+
+def test_the_star_import_succeeds():
+    namespace = {}
+    exec("from qmonogamy import *", namespace)
+    assert "build_process_tensor" in namespace
+
+
+def test_the_export_scan_sees_a_stale_name():
+    module = types.ModuleType("planted")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = object()
+    assert _unresolved_exports(module) == ["deleted"]
