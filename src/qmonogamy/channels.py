@@ -4,7 +4,10 @@ A channel is its Kraus list: rho -> sum_k K_k rho K_k†, validated to
 sum_k K_k† K_k = 1.  A channel given as a unitary dilation,
 rho -> Tr_E[U (rho x |0><0|) U†], is read into that form by
 unitary_channel, whose Kraus operators are the ancilla-|0> columns of U;
-random channels are drawn that way from Haar unitaries.  The purified
+random channels are drawn that way from Haar unitaries.  Validation,
+dilation slicing and Haar sampling are stacked (kraus_stack,
+dilation_kraus, haar_unitaries); kraus_channel, unitary_channel and
+random_channel are their one-channel forms.  The purified
 circuit of a process dilates each channel again by stacking its Kraus
 operators into one isometry (witnesses.purified_circuit_state).
 
@@ -20,20 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import apply_kraus, dagger
-from .states import DensityMatrix
+from .states import DensityMatrix, ginibre
 from .tolerances import ISOMETRY_TOL
 
 __all__ = [
     "KrausChannel",
     "kraus_channel",
+    "kraus_stack",
     "identity_channel",
     "depolarizing_channel",
     "dephasing_channel",
     "apply",
     "apply_to_subsystem",
     "unitary_channel",
+    "dilation_kraus",
     "adjoint_channel",
     "random_channel",
+    "haar_unitaries",
 ]
 
 
@@ -47,7 +53,10 @@ class KrausChannel:
 
 
 def kraus_channel(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> KrausChannel:
-    """Validate a finite, trace-preserving Kraus list into a channel."""
+    """Validate a finite, trace-preserving Kraus list into a channel.
+
+    The one-list form of kraus_stack.
+    """
     ops = tuple(np.asarray(k, dtype=complex) for k in ops)
     if not ops:
         raise ValueError("channel needs at least one Kraus operator")
@@ -55,14 +64,32 @@ def kraus_channel(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> KrausChanne
     for k in ops:
         if k.shape != (d_out, d_in):
             raise ValueError(f"inconsistent Kraus shapes: {k.shape} vs {(d_out, d_in)}")
-        if not np.isfinite(k).all():
-            raise ValueError(f"non-finite Kraus entries: {np.count_nonzero(~np.isfinite(k))} "
-                             "NaN or infinite")
-    tp = sum(dagger(k) @ k for k in ops)
-    dev = np.abs(tp - np.eye(d_in)).max()
+    kraus_stack(np.stack(ops)[None])
+    return KrausChannel(ops, d_in, d_out)
+
+
+def kraus_stack(ops: np.ndarray) -> np.ndarray:
+    """Validate a stack (n, n_kraus, d_out, d_in) of Kraus lists: finite
+    entries and sum_k K_k† K_k = 1 within ISOMETRY_TOL for every list.
+
+    A failure reports the worst deviation in the stack.  Returns the stack.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 4:
+        raise ValueError(f"Kraus stack must have shape (n, n_kraus, d_out, d_in), "
+                         f"got {ops.shape}")
+    if ops.shape[0] == 0 or ops.shape[1] == 0:
+        raise ValueError("empty Kraus stack: no operators to validate")
+    if ops.shape[2] == 0 or ops.shape[3] == 0:
+        raise ValueError(f"empty Kraus operators: shape {ops.shape[2:]}")
+    if not np.isfinite(ops).all():
+        raise ValueError(f"non-finite Kraus entries: {np.count_nonzero(~np.isfinite(ops))} "
+                         "NaN or infinite")
+    tp = np.einsum("nkoi,nkoj->nij", ops.conj(), ops)
+    dev = np.abs(tp - np.eye(ops.shape[3])).max()
     if dev > ISOMETRY_TOL:
         raise ValueError(f"not trace preserving: max deviation {dev:.3e}")
-    return KrausChannel(ops, d_in, d_out)
+    return ops
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -109,18 +136,25 @@ def unitary_channel(u: np.ndarray, d_in: int, d_out: int) -> KrausChannel:
     `u` acts on S_in (x) F and is read as mapping to S_out (x) E, so its
     dimension must be a multiple of both d_in and d_out.  The Kraus
     operators K_e = (1 x <e|_E) U (1 x |0>_F) are the ancilla-|0> columns
-    of U; kraus_channel checks that those columns are orthonormal, which is
-    all the channel needs of U.
+    of U; kraus_stack checks that those columns are orthonormal, which is
+    all the channel needs of U.  The one-unitary form of dilation_kraus.
     """
+    return KrausChannel(tuple(dilation_kraus(np.asarray(u)[None], d_in, d_out)[0]),
+                        d_in, d_out)
+
+
+def dilation_kraus(u: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Kraus lists (n, total // d_out, d_out, d_in) of a stack (n, total, total)
+    of unitary dilations, validated by kraus_stack; see unitary_channel."""
     u = np.asarray(u, dtype=complex)
-    total = u.shape[0] if u.ndim == 2 else 0
-    if u.shape != (total, total) or min(d_in, d_out, total) < 1 or total % d_in \
+    total = u.shape[-1] if u.ndim == 3 else 0
+    if u.shape[1:] != (total, total) or min(d_in, d_out, total) < 1 or total % d_in \
             or total % d_out:
         raise ValueError(f"dilation must be square with a dimension divisible by "
-                         f"{d_in} and {d_out}, got {u.shape}")
+                         f"{d_in} and {d_out}, got {u.shape[1:]}")
     # rows (S_out, E), columns (S_in, F); F = 0 is every (total // d_in)-th column
-    v = u[:, ::total // d_in].reshape(d_out, total // d_out, d_in)
-    return kraus_channel(list(np.ascontiguousarray(v.swapaxes(0, 1))))
+    v = u[..., ::total // d_in].reshape(len(u), d_out, total // d_out, d_in)
+    return kraus_stack(np.ascontiguousarray(v.swapaxes(1, 2)))
 
 
 def adjoint_channel(ch: KrausChannel) -> KrausChannel:
@@ -140,11 +174,16 @@ def adjoint_channel(ch: KrausChannel) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return haar_unitaries(ginibre(rng, (d, d))[None])[0]
+
+
+def haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (n, d, d) of complex Gaussian matrices:
+    the Q of each QR decomposition with the phases of R's diagonal."""
     q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[:, None, :]
 
 
 def random_channel(d_in: int, d_out: int, d_env: int,

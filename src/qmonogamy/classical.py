@@ -6,6 +6,9 @@ is an initial distribution plus column-stochastic transition matrices
 T[next, prev]; its joint distribution factorizes step by step, which is
 what `is_markov` checks on an arbitrary joint via vanishing conditional
 mutual information between each variable and its pre-predecessors.
+Validation and chain products are stacked (joint_pmf_stack, chain_stack,
+joints_from_chains, dirichlet_chains); joint_pmf, classical_chain,
+joint_from_chain and random_chain are their one-item forms.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ __all__ = [
     "JointPMF",
     "ClassicalChain",
     "joint_pmf",
+    "joint_pmf_stack",
     "classical_chain",
+    "chain_stack",
     "joint_from_chain",
+    "joints_from_chains",
     "shannon_entropy",
     "shannon_entropies",
     "classical_mi",
@@ -29,6 +35,8 @@ __all__ = [
     "is_markov",
     "cmmi_gap",
     "random_chain",
+    "chain_variates",
+    "dirichlet_chains",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -59,46 +67,87 @@ class ClassicalChain:
 
 
 def joint_pmf(probs: np.ndarray) -> JointPMF:
-    """Validate a finite array (sum 1, entries >= -NEG_PROB_TOL, clipped to 0)."""
+    """Validate a finite array (sum 1, entries >= -NEG_PROB_TOL, clipped to 0).
+
+    The one-table form of joint_pmf_stack.
+    """
+    return JointPMF(joint_pmf_stack(np.asarray(probs, dtype=float)[None])[0])
+
+
+def joint_pmf_stack(probs: np.ndarray) -> np.ndarray:
+    """Validate a stack of joint tables (one per index of the leading axis)
+    as joint_pmf does, each check on the whole stack at once.
+
+    A failure reports the worst value in the stack.  Returns the stack
+    with its negative round-off clipped to 0.
+    """
     probs = np.asarray(probs, dtype=float)
+    if probs.size == 0:
+        raise ValueError(f"empty probability table: shape {probs.shape[1:]}")
     if not np.isfinite(probs).all():
         raise ValueError(f"non-finite probabilities: {np.count_nonzero(~np.isfinite(probs))} "
                          "NaN or infinite")
     if probs.min() < -NEG_PROB_TOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
-    total = probs.sum()
+    totals = probs.reshape(len(probs), -1).sum(axis=1)
+    total = totals[np.abs(totals - 1.0).argmax()]
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return JointPMF(np.clip(probs, 0.0, None))
+    return np.clip(probs, 0.0, None)
 
 
 def classical_chain(initial: np.ndarray,
                     transitions: list[np.ndarray] | tuple[np.ndarray, ...],
                     ) -> ClassicalChain:
-    """Validate finiteness and stochasticity (PROB_SUM_TOL) into a chain."""
+    """Validate finiteness and stochasticity (PROB_SUM_TOL) into a chain.
+
+    The one-chain form of chain_stack.
+    """
     initial = np.asarray(initial, dtype=float)
     transitions = tuple(np.asarray(t, dtype=float) for t in transitions)
-    bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (initial,) + transitions)
+    chain_stack(initial[None], [t[None] for t in transitions])
+    return ClassicalChain(initial, transitions)
+
+
+def chain_stack(initial: np.ndarray,
+                transitions: list[np.ndarray] | tuple[np.ndarray, ...]) -> None:
+    """Validate a stack of chains as classical_chain does: initial
+    distributions (n, d_1) and transition stacks (n, d_{i+1}, d_i)."""
+    bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (initial, *transitions))
     if bad:
         raise ValueError(f"non-finite chain entries: {bad} NaN or infinite")
-    if initial.min() < 0 or abs(initial.sum() - 1.0) > PROB_SUM_TOL:
+    if initial.ndim != 2 or initial.size == 0:
+        raise ValueError(f"initial distribution must be a nonempty vector, "
+                         f"got shape {initial.shape[1:]}")
+    if initial.min() < 0 or np.abs(initial.sum(axis=-1) - 1.0).max() > PROB_SUM_TOL:
         raise ValueError("initial distribution is not a probability vector")
-    d = initial.shape[0]
+    d = initial.shape[-1]
     for i, t in enumerate(transitions):
-        if t.shape[1] != d:
-            raise ValueError(f"transition {i} expects {t.shape[1]} inputs, chain carries {d}")
-        if t.min() < 0 or np.abs(t.sum(axis=0) - 1.0).max() > PROB_SUM_TOL:
+        if t.ndim != 3 or t.size == 0:
+            raise ValueError(f"transition {i} must be a nonempty matrix, "
+                             f"got shape {t.shape[1:]}")
+        if t.shape[-1] != d:
+            raise ValueError(f"transition {i} expects {t.shape[-1]} inputs, chain carries {d}")
+        if t.min() < 0 or np.abs(t.sum(axis=-2) - 1.0).max() > PROB_SUM_TOL:
             raise ValueError(f"transition {i} is not column stochastic")
-        d = t.shape[0]
-    return ClassicalChain(initial, transitions)
+        d = t.shape[-2]
 
 
 def joint_from_chain(c: ClassicalChain) -> JointPMF:
     """p(x1..xn) = p(x1) T1[x2,x1] T2[x3,x2] ..."""
-    arr = c.initial
-    for t in c.transitions:
-        arr = arr[..., None] * t.T
-    return joint_pmf(arr)
+    return JointPMF(joints_from_chains(c.initial[None], [t[None] for t in c.transitions])[0])
+
+
+def joints_from_chains(initial: np.ndarray,
+                       transitions: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
+    """joint_from_chain for a stack of chains (as chain_stack takes them):
+    the stack of joints, validated by joint_pmf_stack."""
+    arr = initial
+    for t in transitions:
+        # T[next, prev] of each chain, laid against the last axis of its joint
+        step = t.swapaxes(-1, -2).reshape((len(t),) + (1,) * (arr.ndim - 2) + t.shape[:0:-1])
+        arr = arr[..., None] * step
+    return joint_pmf_stack(arr)
 
 
 def shannon_entropy(p: JointPMF, subset: tuple[int, ...] | None = None) -> float:
@@ -181,11 +230,25 @@ def random_chain(n_vars: int, dim: int, seed: int | np.random.Generator = 0) -> 
     if dim < 1:
         raise ValueError(f"a chain needs at least one state per variable, got {dim}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    init, steps = chain_variates(rng, n_vars, dim)
+    init, steps = dirichlet_chains(init[None], steps[None])
+    return ClassicalChain(init[0], tuple(t[0] for t in steps))
+
+
+def chain_variates(rng: np.random.Generator, n_vars: int,
+                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponential variates of one random_chain draw, in its order:
+    dim for the initial distribution, then (n_vars - 1, dim, dim)."""
     init = rng.exponential(size=dim)
-    init /= init.sum()
-    transitions = []
-    for _ in range(n_vars - 1):
-        t = rng.exponential(size=(dim, dim))
-        t /= t.sum(axis=0, keepdims=True)
-        transitions.append(t)
-    return classical_chain(init, transitions)
+    return init, np.stack([rng.exponential(size=(dim, dim)) for _ in range(n_vars - 1)])
+
+
+def dirichlet_chains(init: np.ndarray,
+                     steps: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Normalize stacks of chain_variates, initial (n, dim) and transitions
+    (n, n_vars - 1, dim, dim), into chains validated by chain_stack."""
+    init = init / init.sum(axis=-1, keepdims=True)
+    steps = steps / steps.sum(axis=-2, keepdims=True)
+    transitions = list(steps.swapaxes(0, 1))
+    chain_stack(init, transitions)
+    return init, transitions

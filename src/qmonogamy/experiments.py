@@ -18,11 +18,14 @@ monogamy gap.  Every harness is deterministic given its seed; sample i
 uses seed + i so a reported counterexample can be rebuilt in isolation.
 
 The three side checks (adjoint identity, mutual-information monotonicity,
-classical monogamy) draw and validate their samples one at a time, from
-one generator in a fixed order, exactly as a per-sample loop would; the
-draws of a block of SAMPLE_BLOCK samples are then stacked, each channel
-acts on the whole stack in one call, and each entropy of the block is one
-stacked eigensolve (or marginal sum).  The per-sample functions
+classical monogamy) draw the raw variates of their samples one sample at
+a time, from one generator in the order a per-sample loop of
+random_density, random_channel and random_chain would draw them.  A
+block of SAMPLE_BLOCK samples is then built and validated in one stacked
+call per kind of draw (ginibre_densities, haar_unitaries with
+dilation_kraus, dirichlet_chains with joints_from_chains), each channel
+acts on the whole stack in one call, and each entropy of the block is
+one stacked eigensolve (or marginal sum).  The per-sample functions
 (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information,
 cmmi_gap) are the reference the tests compare the stacked checks with.
 """
@@ -34,12 +37,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import adjoint_channel, random_channel, unitary_channel
-from .classical import joint_from_chain, random_chain, shannon_entropies
+from .channels import dilation_kraus, haar_unitaries, random_channel, unitary_channel
+from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
+                        shannon_entropies)
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
-from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
-                     maximally_entangled, random_density, von_neumann_stack, w_state)
+from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
+                     ginibre_densities, maximally_entangled, random_density,
+                     von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MarkovChainProcess, extra_dpi_witnesses, m4_ssa_certificate,
                         m4_witness, m6_ssa_certificates, m6_witnesses,
@@ -215,10 +220,10 @@ def random_markov_process(n_states: int, seed: int,
     return markov_process(initial, channels)
 
 
-def _require_samples(samples: int) -> None:
+def _require_samples(samples: int, what: str = "sample") -> None:
     # an empty survey or check would report a vacuous pass or an infinite minimum
     if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+        raise ValueError(f"need at least one {what}, got {samples}")
 
 
 def _witness_entries(p: MarkovChainProcess, steps: int) -> dict[str, float]:
@@ -253,6 +258,7 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     if steps not in (4, 6, 8):
         raise ValueError(f"steps must be 4, 6 or 8, got {steps}")
     _require_samples(samples)
+    _require_samples(certificate_samples, "certificate sample")
     d_sys, d_env = dims
     # registers R, E1..E_{steps-1}, S of the purified circuit; refused here,
     # before a sample of that size is drawn (random_markov_process rejects
@@ -293,24 +299,20 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     }
 
 
-# samples are drawn one at a time but their entropies are taken in stacks of
-# this many; one stack of a whole 500-sample check costs megabytes of peak memory
+# each sample's raw variates are drawn in turn, but the samples are built,
+# validated and measured in stacks of this many; one stack of a whole
+# 500-sample check costs megabytes of peak memory
 SAMPLE_BLOCK = 64
 
-# the checks draw environments of 2 to MAX_KRAUS levels, so every Kraus list
-# is zero-padded to MAX_KRAUS operators (zero operators leave a channel unchanged)
+# the checks draw environments of 2 to MAX_KRAUS levels; the MI check zero-pads
+# every Kraus list to MAX_KRAUS operators (zero operators leave a channel
+# unchanged), so one stack holds all the channels of a block
 MAX_KRAUS = 4
 
 
 def _blocks(samples: int) -> list[int]:
     """Sizes of the consecutive blocks that cover `samples` samples."""
     return [min(SAMPLE_BLOCK, samples - start) for start in range(0, samples, SAMPLE_BLOCK)]
-
-
-def _padded_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros((MAX_KRAUS,) + ops[0].shape, dtype=complex)
-    out[:len(ops)] = ops
-    return out
 
 
 def _subset_entropy(mats: np.ndarray, dims: tuple[int, ...],
@@ -343,17 +345,16 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
     id_dev = 0.0
     unital_dev = 0.0
     for size in _blocks(samples):
-        # the channels of a block, grouped by their dimension d
-        by_dim: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        # the Gaussians of random_channel(d, d, d_env) per sample, grouped by (d, d_env)
+        draws: dict[tuple[int, int], list[np.ndarray]] = {}
         for _ in range(size):
             d = int(rng.integers(2, 4))
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            ch = random_channel(d, d, d_env, rng)
-            kraus, adj = by_dim.setdefault(d, ([], []))
-            kraus.append(_padded_kraus(ch.kraus))
-            adj.append(_padded_kraus(adjoint_channel(ch).kraus))
-        for d, (kraus, adj) in by_dim.items():
-            kraus, adj = np.stack(kraus), np.stack(adj)
+            draws.setdefault((d, d_env), []).append(ginibre(rng, (d * d_env, d * d_env)))
+        for (d, _), gaussians in draws.items():
+            kraus = dilation_kraus(haar_unitaries(np.stack(gaussians)), d, d)
+            # adjoint_channel's operators: the transposed Kraus operators
+            adj = kraus.swapaxes(-1, -2)
             pair = maximally_entangled(d).density().mat
             left = apply_kraus(pair, (d, d), kraus, 0)
             right = apply_kraus(pair, (d, d), adj, 1)
@@ -378,17 +379,24 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     mi_min = math.inf
     cmi_min = math.inf
     first = min(samples, SAMPLE_BLOCK)
-    rho3 = np.empty((first, 8, 8), dtype=complex)
-    rho2 = np.empty((first, 4, 4), dtype=complex)
-    kraus = np.empty((first, MAX_KRAUS, 2, 2), dtype=complex)
+    g3 = np.empty((first, 8, 8), dtype=complex)
+    g2 = np.empty((first, 4, 4), dtype=complex)
     for size in _blocks(samples):
+        # the Gaussians of random_density(8), random_channel(2, 2, d_env) and
+        # random_density(4) per sample; the channel ones grouped by d_env,
+        # each with its sample's place in the block
+        draws: dict[int, tuple[list[int], list[np.ndarray]]] = {}
         for b in range(size):
-            rho3[b] = random_density(8, seed=rng).mat
+            g3[b] = ginibre(rng, (8, 8))
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            ch = random_channel(2, 2, d_env, rng)
-            kraus[b] = _padded_kraus(ch.kraus)
-            rho2[b] = random_density(4, seed=rng).mat
-        r3, r2, k = rho3[:size], rho2[:size], kraus[:size]
+            where, gaussians = draws.setdefault(d_env, ([], []))
+            where.append(b)
+            gaussians.append(ginibre(rng, (2 * d_env, 2 * d_env)))
+            g2[b] = ginibre(rng, (4, 4))
+        r3, r2 = ginibre_densities(g3[:size]), ginibre_densities(g2[:size])
+        k = np.zeros((size, MAX_KRAUS, 2, 2), dtype=complex)
+        for d_env, (where, gaussians) in draws.items():
+            k[where, :d_env] = dilation_kraus(haar_unitaries(np.stack(gaussians)), 2, 2)
         cmi = _cmi_stack(r3)
         cqmi = cmi - _cmi_stack(apply_kraus(r3, (2, 2, 2), k, 1))
         mi = _mi_stack(r2) - _mi_stack(apply_kraus(r2, (2, 2), k, 1))
@@ -424,9 +432,13 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
-    probs = np.empty((min(samples, SAMPLE_BLOCK),) + (dim,) * (2 * n_pairs))
+    first = min(samples, SAMPLE_BLOCK)
+    init = np.empty((first, dim))
+    steps = np.empty((first, 2 * n_pairs - 1, dim, dim))
     for size in _blocks(samples):
+        # the exponential variates of random_chain per sample
         for b in range(size):
-            probs[b] = joint_from_chain(random_chain(2 * n_pairs, dim, rng)).probs
-        worst = min(worst, float(_cmmi_gap_stack(probs[:size], perm).min()))
+            init[b], steps[b] = chain_variates(rng, 2 * n_pairs, dim)
+        probs = joints_from_chains(*dirichlet_chains(init[:size], steps[:size]))
+        worst = min(worst, float(_cmmi_gap_stack(probs, perm).min()))
     return {"classical_cmmi_min": worst}

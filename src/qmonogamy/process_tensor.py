@@ -148,6 +148,8 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
 def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
     ops = item.kraus if isinstance(item, KrausChannel) else tuple(
         np.asarray(m, dtype=complex) for m in item)
+    if not ops:
+        raise ValueError("intervention needs at least one Kraus operator")
     for m in ops:
         if m.shape != (d, d):
             raise ValueError(f"intervention operator must be {d} x {d}, got {m.shape}")
@@ -195,9 +197,9 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
 def markov_factorization_gap(pt: ProcessTensor) -> float:
     """Max-abs distance between the Choi state and the product of its
     per-step marginals (R0,S1)(R1,S2)...(R_{k-1},S_k); zero iff Markov."""
-    choi = pt.choi
-    parts = [choi.reduced((2 * g, 2 * g + 1)).mat for g in range(pt.n_slots)]
-    return float(np.abs(choi.mat - kron(*parts)).max())
+    # the step marginals are read from the register, not from the Choi matrix
+    parts = [pt.state.reduced((f"R{g}", f"S{g + 1}")).mat for g in range(pt.n_slots)]
+    return float(np.abs(pt.choi.mat - kron(*parts)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 A DensityMatrix carries its subsystem-dimension signature alongside the
 matrix, so partial traces and entropies downstream never need dimension
 bookkeeping at the call site.  Validation thresholds and the entropy clip
-are entries of the one table in tolerances.py.
+are entries of the one table in tolerances.py.  The validation itself is
+density_stack, which checks a whole stack of matrices in one pass (one
+stacked eigensolve for positivity); density() is its one-matrix form, and
+ginibre_densities builds and validates a stack of random states.
 
 A PureState may also carry register labels, which makes it the package's
 one circuit simulator: unitaries and isometries are applied to named
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import apply_two_site, dagger, hermitian_eig, partial_trace
+from .linalg import apply_two_site, hermitian_eig, partial_trace
 from .tolerances import ENTROPY_CLIP, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
 
 __all__ = [
@@ -31,10 +34,13 @@ __all__ = [
     "von_neumann",
     "von_neumann_stack",
     "density",
+    "density_stack",
     "pure_state",
     "purify",
     "maximally_entangled",
     "random_density",
+    "ginibre",
+    "ginibre_densities",
     "w_state",
 ]
 
@@ -231,31 +237,50 @@ def pure_state(vec: np.ndarray, dims: tuple[int, ...] | None = None) -> PureStat
 def density(m: np.ndarray, dims: tuple[int, ...] | None = None) -> DensityMatrix:
     """Validate a matrix into a DensityMatrix, reporting the failed invariant.
 
-    Raises ValueError naming the violated property (finite entries,
-    Hermiticity, unit trace, or positivity) together with the measured
-    deviation.
+    The one-matrix form of density_stack: raises ValueError naming the
+    violated property (finite entries, Hermiticity, unit trace, or
+    positivity) together with the measured deviation.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    dims = (m.shape[0],) if dims is None else tuple(int(d) for d in dims)
+    return DensityMatrix(density_stack(m[None], dims)[0], dims)
+
+
+def density_stack(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Validate every matrix of a stack (n, d, d) as a density matrix.
+
+    The checks of density(), each made on the whole stack at once (the
+    positivity test is one stacked eigvalsh); a failure reports the worst
+    deviation in the stack.  Returns the symmetrized stack (m + m†) / 2.
+    """
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"density stack must have shape (n, d, d), got {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError("empty density stack: no matrices to validate")
+    if m.shape[1] == 0:
+        raise ValueError("empty density matrix: dimension 0")
     if not np.isfinite(m).all():
         raise ValueError(f"non-finite entries: {np.count_nonzero(~np.isfinite(m))} "
                          "NaN or infinite")
-    if dims is None:
-        dims = (m.shape[0],)
-    dims = tuple(int(d) for d in dims)
-    if math.prod(dims) != m.shape[0]:
-        raise ValueError(f"dims {dims} do not match matrix dimension {m.shape[0]}")
-    herm_dev = np.abs(m - dagger(m)).max()
+    if math.prod(dims) != m.shape[1]:
+        raise ValueError(f"dims {dims} do not match matrix dimension {m.shape[1]}")
+    m_dag = m.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(m - m_dag).max()
     if herm_dev > HERM_TOL:
         raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
-    trace_dev = abs(m.trace().real - 1.0) + abs(m.trace().imag)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    trace_dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max()
     if trace_dev > TRACE_TOL:
         raise ValueError(f"not unit trace: deviation {trace_dev:.3e}")
-    w, _ = hermitian_eig(m)
-    if w[-1] < -PSD_TOL:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {w[-1]:.3e}")
-    return DensityMatrix((m + dagger(m)) / 2, dims)
+    # HERM_TOL is stricter than hermitian_eig's EIG_HERM_TOL, so eigvalsh skips no check
+    sym = (m + m_dag) / 2
+    w_min = np.linalg.eigvalsh(sym)[:, 0].min()
+    if w_min < -PSD_TOL:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
+    return sym
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -289,9 +314,20 @@ def random_density(d: int, rank: int | None = None,
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    m = g @ dagger(g)
-    return density(m / m.trace().real, (d,))
+    return DensityMatrix(ginibre_densities(ginibre(rng, (d, rank))[None])[0], (d,))
+
+
+def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussian matrix: real parts drawn first, then imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def ginibre_densities(g: np.ndarray) -> np.ndarray:
+    """G G† / Tr(G G†) for every G of a stack (n, d, rank), as density_stack
+    validates and returns them; random_density is the one-matrix form."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    return density_stack(m / tr[:, None, None], (m.shape[-1],))
 
 
 def w_state() -> PureState:

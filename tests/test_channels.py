@@ -5,8 +5,8 @@ import pytest
 
 from qmonogamy.channels import (_haar_unitary, adjoint_channel, apply, apply_to_subsystem,
                                 dephasing_channel, depolarizing_channel,
-                                identity_channel, kraus_channel, random_channel,
-                                unitary_channel)
+                                identity_channel, kraus_channel, kraus_stack,
+                                random_channel, unitary_channel)
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
 
@@ -21,6 +21,28 @@ def test_kraus_channel_rejects_non_tp_sets():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             kraus_channel([np.array([[1.0, bad], [0.0, 1.0]])])
+
+
+@pytest.mark.parametrize("how,want", [("nan", "non-finite"), ("scale", "trace preserving")])
+def test_kraus_stack_names_the_failed_invariant_of_one_bad_list(how, want):
+    good = np.stack([np.array(random_channel(2, 2, 2, seed=s).kraus) for s in range(3)])
+    np.testing.assert_array_equal(kraus_stack(good), good)
+    bad = good.copy()
+    if how == "nan":
+        bad[2, 1, 0, 0] = np.nan
+    else:
+        bad[2] *= 1.01
+    with pytest.raises(ValueError, match=want):
+        kraus_stack(bad)
+    with pytest.raises(ValueError, match=want):
+        kraus_channel(list(bad[2]))
+
+
+def test_empty_kraus_input_is_refused_by_name():
+    with pytest.raises(ValueError, match="empty Kraus operators"):
+        kraus_channel([np.zeros((0, 0))])
+    with pytest.raises(ValueError, match="empty Kraus stack"):
+        kraus_stack(np.zeros((3, 0, 2, 2)))
 
 
 def test_identity_and_depolarizing_fixed_points():

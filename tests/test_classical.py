@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.classical import (classical_chain, classical_cmi, classical_mi,
+from qmonogamy.classical import (chain_stack, classical_chain, classical_cmi, classical_mi,
                                  cmmi_gap, is_markov, joint_from_chain, joint_pmf,
-                                 random_chain, shannon_entropy)
+                                 joint_pmf_stack, random_chain, shannon_entropy)
 from qmonogamy.witnesses import uncrossing
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -44,6 +44,49 @@ def test_classical_chain_requires_column_stochastic_transitions():
         classical_chain(np.array([np.inf, 0.5]), [t])
     with pytest.raises(ValueError, match="non-finite"):
         classical_chain(np.array([0.5, 0.5]), [t, np.array([[np.nan, 0.2], [0.1, 0.8]])])
+
+
+@pytest.mark.parametrize("how,want", [("nan", "non-finite"),
+                                      ("initial", "not a probability vector"),
+                                      ("transition", "transition 1 is not column stochastic")])
+def test_chain_stack_names_the_failed_invariant_of_one_bad_chain(how, want):
+    chains = [random_chain(3, 2, seed=s) for s in range(3)]
+    init = np.stack([c.initial for c in chains])
+    steps = [np.stack([c.transitions[i] for c in chains]) for i in range(2)]
+    chain_stack(init, steps)
+    if how == "nan":
+        steps[0][1, 0, 0] = np.nan
+    elif how == "initial":
+        init[1] *= 1.01
+    else:
+        steps[1][1, :, 0] = [0.7, 0.7]
+    with pytest.raises(ValueError, match=want):
+        chain_stack(init, steps)
+    with pytest.raises(ValueError, match=want):
+        classical_chain(init[1], [t[1] for t in steps])
+
+
+@pytest.mark.parametrize("how,want", [("nan", "non-finite"), ("negative", "negative"),
+                                      ("sum", "sum to")])
+def test_joint_pmf_stack_names_the_failed_invariant_of_one_bad_table(how, want):
+    tables = np.full((3, 2, 2), 0.25)
+    np.testing.assert_array_equal(joint_pmf_stack(tables), tables)
+    tables[1, 0, 0] = {"nan": np.nan, "negative": -0.25, "sum": 0.3}[how]
+    if how == "negative":
+        tables[1, 0, 1] = 0.75
+    with pytest.raises(ValueError, match=want):
+        joint_pmf_stack(tables)
+    with pytest.raises(ValueError, match=want):
+        joint_pmf(tables[1])
+
+
+def test_empty_classical_input_is_refused_by_name():
+    with pytest.raises(ValueError, match="empty probability table"):
+        joint_pmf(np.zeros(0))
+    with pytest.raises(ValueError, match="nonempty vector"):
+        classical_chain(np.zeros(0), [])
+    with pytest.raises(ValueError, match="transition 0 must be a nonempty matrix"):
+        classical_chain(np.array([1.0]), [np.zeros((0, 1))])
 
 
 def test_joint_from_chain_marginals_follow_the_recursion():

@@ -30,7 +30,7 @@ from qmonogamy import (
     von_neumann,
     w_state,
 )
-from qmonogamy import experiments, info, states
+from qmonogamy import channels, classical, experiments, info, states
 from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
 from qmonogamy.classical import cmmi_gap
 from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
@@ -291,6 +291,9 @@ def test_verify_guards():
     # 2 * 5**7 * 2 amplitudes; refused before a sample is drawn
     with pytest.raises(ValueError, match="312500 amplitudes"):
         random_markov_verify(8, samples=1, dims=(2, 5))
+    # no certified sample would leave the certificate minimum at infinity
+    with pytest.raises(ValueError, match="at least one certificate sample"):
+        random_markov_verify(4, samples=2, certificate_samples=0)
 
 
 @pytest.mark.parametrize("check", [adjoint_identity_check, mi_monotonicity_check,
@@ -399,7 +402,8 @@ def test_classical_cmmi_check_equals_the_per_sample_gaps(seed, samples, n_pairs,
 
 def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkeypatch):
     # 8 subset entropies for the conditional gaps and 6 for the plain ones,
-    # each one stacked eigensolve per block, and no per-matrix von_neumann
+    # plus the positivity checks of the block's 8x8 and 4x4 draws: each one
+    # stacked eigensolve per block, and no per-matrix von_neumann
     per_matrix, stacked = [], []
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -417,5 +421,95 @@ def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkey
     mi_monotonicity_check(samples=500)
     assert per_matrix == []
     blocks = math.ceil(500 / BLOCK)
-    assert len(stacked) == 14 * blocks
+    assert len(stacked) == (14 + 2) * blocks
     assert sorted({shape[0] for shape in stacked}) == sorted({BLOCK, 500 % BLOCK})
+
+
+def test_side_checks_build_no_sample_on_its_own(monkeypatch):
+    # no per-sample eigh (the old positivity test), density, Kraus or chain
+    # validation: every draw is built and validated with its block
+    calls = []
+
+    def count(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigh", count("eigh", np.linalg.eigh))
+    for module, name in [(states, "density"), (experiments, "density"),
+                         (channels, "kraus_channel"), (classical, "classical_chain"),
+                         (classical, "joint_pmf")]:
+        monkeypatch.setattr(module, name, count(name, getattr(module, name)))
+    adjoint_identity_check(samples=BLOCK + 1)
+    mi_monotonicity_check(samples=BLOCK + 1)
+    classical_cmmi_check(samples=BLOCK + 1)
+    assert calls == []
+
+
+def _recorded(monkeypatch, name):
+    """Every value the stacked builder experiments.<name> returns, in order."""
+    out, real = [], getattr(experiments, name)
+
+    def recording(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(experiments, name, recording)
+    return out
+
+
+def _grouped(pairs):
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return [np.stack(values) for values in groups.values()]
+
+
+def test_adjoint_check_builds_the_per_sample_channels_bit_for_bit(monkeypatch):
+    kraus = _recorded(monkeypatch, "dilation_kraus")
+    adjoint_identity_check(samples=40, seed=8)
+    rng = np.random.default_rng(8)
+    pairs = []
+    for _ in range(40):
+        d, d_env = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        pairs.append(((d, d_env), np.array(random_channel(d, d, d_env, rng).kraus)))
+    want = _grouped(pairs)
+    # all six (d, d_env) sizes, each group one stacked build
+    assert len(kraus) == len(want) == 6
+    for got, ops in zip(kraus, want):
+        np.testing.assert_array_equal(got, ops)
+
+
+def test_mi_check_builds_the_per_sample_states_and_channels_bit_for_bit(monkeypatch):
+    states_built = _recorded(monkeypatch, "ginibre_densities")
+    kraus = _recorded(monkeypatch, "dilation_kraus")
+    mi_monotonicity_check(samples=40, seed=9)
+    rng = np.random.default_rng(9)
+    rho3, rho2, pairs = [], [], []
+    for _ in range(40):
+        rho3.append(random_density(8, seed=rng).mat)
+        d_env = int(rng.integers(2, 5))
+        pairs.append((d_env, np.array(random_channel(2, 2, d_env, rng).kraus)))
+        rho2.append(random_density(4, seed=rng).mat)
+    np.testing.assert_array_equal(states_built[0], np.stack(rho3))
+    np.testing.assert_array_equal(states_built[1], np.stack(rho2))
+    want = _grouped(pairs)
+    assert len(kraus) == len(want) == 3
+    for got, ops in zip(kraus, want):
+        np.testing.assert_array_equal(got, ops)
+
+
+@pytest.mark.parametrize("n_pairs,dim", [(2, 2), (3, 3)])
+def test_classical_check_builds_the_per_sample_chains_bit_for_bit(monkeypatch, n_pairs, dim):
+    chains_built = _recorded(monkeypatch, "dirichlet_chains")
+    joints = _recorded(monkeypatch, "joints_from_chains")
+    classical_cmmi_check(samples=40, seed=10, n_pairs=n_pairs, dim=dim)
+    rng = np.random.default_rng(10)
+    chains = [random_chain(2 * n_pairs, dim, rng) for _ in range(40)]
+    (init, transitions), = chains_built
+    np.testing.assert_array_equal(init, np.stack([c.initial for c in chains]))
+    for i, t in enumerate(transitions):
+        np.testing.assert_array_equal(t, np.stack([c.transitions[i] for c in chains]))
+    np.testing.assert_array_equal(joints[0],
+                                  np.stack([joint_from_chain(c).probs for c in chains]))

@@ -265,6 +265,17 @@ def test_port_mutual_information_guards():
         port_mutual_information(pt, 2, 4, [_proj(0), eye, eye])
 
 
+def test_an_empty_kraus_list_is_refused_by_name():
+    pt = build_process_tensor(_w_circuit(0.5), 3)
+    eye = (np.eye(2),)
+    # the k - 1 map form, the k map form, and the port mutual information
+    for seq in ([eye, []], [eye, [], eye]):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            contract(pt, seq)
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        port_mutual_information(pt, 2, 3, [[], eye])
+
+
 def test_a_long_kraus_list_is_refused_by_the_amplitude_budget():
     # more Kraus operators than d^2 grow the register past MAX_AMPLITUDES
     pt = build_process_tensor(CIRCUITS[3][1], 5)
@@ -293,6 +304,24 @@ def test_markov_tensor_factorizes_and_nonmarkov_does_not():
         assert markov_factorization_gap(pt) <= 1e-9
     pt = build_process_tensor(_w_circuit(0.5), 4)
     assert markov_factorization_gap(pt) > 1e-3
+
+
+def _choi_factorization_gap(pt):
+    # the gap as first written: the step marginals partial-traced from the Choi matrix
+    choi = pt.choi
+    parts = [choi.reduced((2 * g, 2 * g + 1)).mat for g in range(pt.n_slots)]
+    return float(np.abs(choi.mat - kron(*parts)).max())
+
+
+@pytest.mark.parametrize("slots", [2, 3, 4])
+def test_factorization_gap_equals_the_choi_partial_trace_formula(slots):
+    rng = np.random.default_rng(23)
+    circuits = [_w_circuit(lam) for lam in (0.0, 0.35, 0.8)]
+    circuits += [_random_markov_circuit(rng, 3, env_dim=e) for e in (1, 2, 3)]
+    for circuit in circuits:
+        pt = build_process_tensor(circuit, slots)
+        assert markov_factorization_gap(pt) == pytest.approx(
+            _choi_factorization_gap(pt), abs=1e-12)
 
 
 def test_causality_mutual_informations_vanish():

@@ -11,8 +11,8 @@ import pytest
 import qmonogamy.states as states_module
 from qmonogamy.info import von_neumann
 from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
-                              maximally_entangled, pure_state, purify, random_density,
-                              w_state)
+                              density_stack, maximally_entangled, pure_state, purify,
+                              random_density, w_state)
 
 RNG = np.random.default_rng(20240817)
 
@@ -30,6 +30,40 @@ def test_density_validator_names_the_failed_invariant():
         density(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         density(np.diag([np.inf, 0.0]))
+
+
+def _spoil(m, how):
+    """One way each for a valid density matrix to break an invariant."""
+    m = m.copy()
+    if how == "non-finite":
+        m[0, 1] = np.nan
+    elif how == "Hermitian":
+        m[0, 1] += 1e-3
+    elif how == "trace":
+        m *= 1.01
+    else:  # "positive": diag(1.5, -0.5) in the top corner keeps trace and Hermiticity
+        m[:] = 0.0
+        m[0, 0], m[1, 1] = 1.5, -0.5
+    return m
+
+
+@pytest.mark.parametrize("how", ["non-finite", "Hermitian", "trace", "positive"])
+def test_density_stack_names_the_failed_invariant_of_one_bad_matrix(how):
+    good = np.stack([random_density(4, seed=s).mat for s in range(3)])
+    np.testing.assert_array_equal(density_stack(good, (2, 2)), good)
+    bad = good.copy()
+    bad[1] = _spoil(bad[1], how)
+    with pytest.raises(ValueError, match=how):
+        density_stack(bad, (2, 2))
+    with pytest.raises(ValueError, match=how):
+        density(bad[1])
+
+
+def test_empty_density_input_is_refused_by_name():
+    with pytest.raises(ValueError, match="empty density matrix"):
+        density(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="empty density stack"):
+        density_stack(np.zeros((0, 2, 2)), (2,))
 
 
 def test_density_symmetrizes_roundoff():
