@@ -6,13 +6,13 @@ run on it) recovers a nonnegative window; q2 and q3 stay negative across
 the whole interior, so the choice of multitime extension matters.
 """
 
-from qmonogamy import GAP_TOLERANCE, lambda_grid, mqmmi_row, sweep
+from qmonogamy import GAP_TOLERANCE, lambda_grid, mqmmi_rows
 
 FLOOR = -GAP_TOLERANCE
 
 
 def main() -> None:
-    rows = sweep(mqmmi_row, lambda_grid())
+    rows = mqmmi_rows(lambda_grid())
     window = [row["lambda"] for row in rows if row["M4_q1"] >= FLOOR]
     print(f"q1 nonnegative window: [{min(window):.2f}, {max(window):.2f}]")
     print()

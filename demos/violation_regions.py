@@ -6,14 +6,14 @@ Sweeps the lambda family, then prints the sign pattern of DP1..DP4 and
 M4 along the grid together with the region boundaries.
 """
 
-from qmonogamy import GAP_TOLERANCE, lambda_grid, nonmarkov_witness_row, sweep
+from qmonogamy import GAP_TOLERANCE, lambda_grid, nonmarkov_witness_rows
 
 FLOOR = -GAP_TOLERANCE
 NAMES = ("DP1", "DP2", "DP3", "DP4", "M4")
 
 
 def main() -> None:
-    rows = sweep(nonmarkov_witness_row, lambda_grid())
+    rows = nonmarkov_witness_rows(lambda_grid())
     m4_negative = [row["lambda"] for row in rows if row["M4"] < FLOOR]
     dp_negative = [row["lambda"] for row in rows
                    if any(row[n] < FLOOR for n in NAMES[:4])]

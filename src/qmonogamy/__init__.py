@@ -18,10 +18,11 @@ from .classical import (ClassicalChain, JointPMF, classical_chain, classical_cmi
                         classical_mi, cmmi_gap, is_markov, joint_from_chain,
                         joint_pmf, random_chain, shannon_entropy)
 from .experiments import (adjoint_identity_check, classical_cmmi_check,
-                          extra_dpi_row, gamma_sequence, lambda_grid,
-                          mi_monotonicity_check, mqmmi_row, nonmarkov_witness_row,
+                          extra_dpi_row, extra_dpi_rows, gamma_sequence, lambda_grid,
+                          mi_monotonicity_check, mqmmi_row, mqmmi_rows,
+                          nonmarkov_witness_row, nonmarkov_witness_rows,
                           parallel_map, random_markov_process,
-                          random_markov_verify, sweep, u_lambda)
+                          random_markov_verify, u_lambda)
 from .info import (chain_coherent_information, coherent_information,
                    conditional_mutual_information, mutual_information,
                    von_neumann)
@@ -57,7 +58,7 @@ __all__ = [
     "conditional_mutual_information", "cqmi_monotonicity_gap", "dagger",
     "dephased_joint_pmf", "dephasing_channel",
     "depolarizing_channel", "dp5_conditional_entropy",
-    "extra_dpi_row", "extra_dpi_witnesses", "fresh_env_circuit",
+    "extra_dpi_row", "extra_dpi_rows", "extra_dpi_witnesses", "fresh_env_circuit",
     "gamma_sequence", "hermitian_eig", "identity_channel",
     "is_markov", "is_unitary", "joint_from_chain", "joint_pmf", "kron",
     "kraus_channel", "lambda_grid",
@@ -65,12 +66,12 @@ __all__ = [
     "m8_ssa_certificates", "m8_witnesses", "markov_factorization_gap",
     "markov_process", "maximally_entangled", "mi_dpi_gap",
     "mi_monotonicity_check", "monogamy_certificate", "monogamy_gap", "mqmmi_row",
-    "mqmmi_witness", "mqmmi_witnesses", "multitime_coherent_info",
+    "mqmmi_rows", "mqmmi_witness", "mqmmi_witnesses", "multitime_coherent_info",
     "mutual_information",
-    "nonmarkov_witness_row", "parallel_map", "partial_trace",
+    "nonmarkov_witness_row", "nonmarkov_witness_rows", "parallel_map", "partial_trace",
     "port_mutual_information",
     "pure_state", "purified_circuit_state", "purify", "qdpi_witnesses",
     "random_chain", "random_channel", "random_density", "random_markov_process",
-    "random_markov_verify", "shannon_entropy", "sweep",
+    "random_markov_verify", "shannon_entropy",
     "system_env_circuit", "u_lambda", "unitary_channel", "von_neumann", "w_state",
 ]

@@ -60,6 +60,9 @@ def kraus_channel(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> KrausChanne
     ops = tuple(np.asarray(k, dtype=complex) for k in ops)
     if not ops:
         raise ValueError("channel needs at least one Kraus operator")
+    for k in ops:
+        if k.ndim != 2:
+            raise ValueError(f"Kraus operators must be matrices, got shape {k.shape}")
     d_out, d_in = ops[0].shape
     for k in ops:
         if k.shape != (d_out, d_in):

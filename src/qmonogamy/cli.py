@@ -24,17 +24,18 @@ import json
 import os
 import sys
 
-from .experiments import (adjoint_identity_check, classical_cmmi_check, extra_dpi_row,
-                          lambda_grid, mi_monotonicity_check, mqmmi_row,
-                          nonmarkov_witness_row, random_markov_verify, sweep)
+from .experiments import (adjoint_identity_check, classical_cmmi_check, extra_dpi_rows,
+                          lambda_grid, mi_monotonicity_check, mqmmi_rows,
+                          nonmarkov_witness_rows, random_markov_verify)
 from .tolerances import (ADJOINT_IDENTITY_CEIL, CERT_MISMATCH_CEIL, CLASSICAL_FLOOR,
                          GAP_TOLERANCE, ISOMETRY_TOL, SVG_FLAT_RANGE)
 
+# each sweep's grid function (the whole grid as one stacked register) and columns
 SWEEPS = {
-    "sweep-qmmi": (nonmarkov_witness_row,
+    "sweep-qmmi": (nonmarkov_witness_rows,
                    ["lambda", "DP1", "DP2", "DP3", "DP4", "M4"]),
-    "sweep-mqmmi": (mqmmi_row, ["lambda", "M4_q1", "M4_q2", "M4_q3"]),
-    "sweep-dpi-extra": (extra_dpi_row,
+    "sweep-mqmmi": (mqmmi_rows, ["lambda", "M4_q1", "M4_q2", "M4_q3"]),
+    "sweep-dpi-extra": (extra_dpi_rows,
                         ["lambda", "DP5_markov", "DP5", "DP6", "DP7"]),
 }
 
@@ -134,9 +135,8 @@ def _svg_path(output: str) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    row_fn, columns = SWEEPS[args.command]
-    grid = lambda_grid(args.lambda_min, args.lambda_max, args.step)
-    rows = sweep(row_fn, grid)
+    rows_fn, columns = SWEEPS[args.command]
+    rows = rows_fn(lambda_grid(args.lambda_min, args.lambda_max, args.step))
     render = _render_csv if args.format == "csv" else _render_json
     _emit(render(columns, rows), args.output)
     if args.svg:

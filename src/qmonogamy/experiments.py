@@ -4,8 +4,14 @@ randomized verification harnesses.
 The example: a three-qubit register (R, S, E) starts in the pure state
 with amplitude 1/sqrt(3) on |100>, |010>, |001>, and the same two-qubit
 unitary u_lambda acts on (S, E) three times, giving four global states
-gamma_1..gamma_4, one register simulation per lambda.  Witness rows are
-entropies of named registers of those states.  Every gamma_i is pure, so
+gamma_1..gamma_4.  A sweep runs the whole lambda grid as one stacked
+register: u_lambda builds the grid's unitaries as one stack, every
+register operation carries the grid as a leading batch axis, and every
+entropy is one stacked eigensolve over the grid.  So each grid function
+(nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows) costs the same
+number of simulation steps and eigensolver calls for one lambda as for a
+hundred; the *_row functions are their one-lambda forms.  Witness rows
+are entropies of named registers of those states.  Every gamma_i is pure, so
 H(R,S,E) = 0 and H(R,S) = H(E) at each step, and the rows reduce to
 single-register entropies.  In particular the M4 row, written in the
 entropy form [H(R,S,E) - H(R,S)] at gamma_4 plus [H(R,S) - H(R,S,E)] at
@@ -33,32 +39,34 @@ cmmi_gap) are the reference the tests compare the stacked checks with.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import dilation_kraus, haar_unitaries, random_channel, unitary_channel
+from .channels import dilation_kraus, haar_unitaries, random_channel
 from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
                         shannon_entropies)
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
 from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
-                     ginibre_densities, maximally_entangled, random_density,
+                     ginibre_densities, maximally_entangled, purify, random_density,
                      von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
-from .witnesses import (MarkovChainProcess, extra_dpi_witnesses, m4_ssa_certificate,
-                        m4_witness, m6_ssa_certificates, m6_witnesses,
-                        m8_ssa_certificates, m8_witnesses, markov_process,
-                        qdpi_witnesses)
+from .witnesses import (MarkovChainProcess, m4_ssa_certificate, m4_witness,
+                        m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
+                        m8_witnesses, markov_process, qdpi_witnesses)
 
 __all__ = [
     "u_lambda",
     "gamma_sequence",
     "nonmarkov_witness_row",
+    "nonmarkov_witness_rows",
     "extra_dpi_row",
+    "extra_dpi_rows",
     "mqmmi_row",
+    "mqmmi_rows",
     "lambda_grid",
-    "sweep",
     "parallel_map",
     "random_markov_process",
     "random_markov_verify",
@@ -68,24 +76,27 @@ __all__ = [
 ]
 
 
-def u_lambda(lam: float) -> np.ndarray:
+def u_lambda(lam: float | Sequence[float] | np.ndarray) -> np.ndarray:
     """The example's two-qubit step unitary, interpolating two permutations.
 
-    Acts on (S, E) in the computational basis |00>, |01>, |10>, |11>.
+    Acts on (S, E) in the computational basis |00>, |01>, |10>, |11>.  An
+    array of lambdas gives the stack of their unitaries, shape (..., 4, 4).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    s, c = math.sqrt(lam), math.sqrt(1.0 - lam)
-    return np.array([
-        [0.0, -c, s, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, s, c, 0.0],
-    ], dtype=complex)
+    lam = np.asarray(lam, dtype=float)
+    bad = ~((lam >= 0.0) & (lam <= 1.0))
+    if bad.any():
+        raise ValueError(f"lambda must lie in [0, 1], got {lam[bad].flat[0]}")
+    s, c = np.sqrt(lam), np.sqrt(1.0 - lam)
+    u = np.zeros(lam.shape + (4, 4), dtype=complex)
+    u[..., 1, 0] = u[..., 2, 3] = 1.0
+    u[..., 0, 1], u[..., 0, 2] = -c, s
+    u[..., 3, 1], u[..., 3, 2] = s, c
+    return u
 
 
-def _gamma_registers(lam: float) -> list[PureState]:
-    """gamma_1..gamma_4 as pure states on the labelled registers (R, S, E)."""
+def _gamma_registers(lam: float | np.ndarray) -> list[PureState]:
+    """gamma_1..gamma_4 as pure states on the labelled registers (R, S, E),
+    stacked over the lambdas after gamma_1 (which does not depend on them)."""
     states = [w_state()]
     u = u_lambda(lam)
     for _ in range(3):
@@ -98,21 +109,45 @@ def gamma_sequence(lam: float) -> list[DensityMatrix]:
     return [g.density() for g in _gamma_registers(lam)]
 
 
-def _ic(g: PureState) -> float:
+def _ic(g: PureState) -> float | np.ndarray:
     return g.entropy(("S",)) - g.entropy(("R", "S"))
 
 
-def nonmarkov_witness_row(lam: float) -> dict[str, float]:
-    """DP1..DP4 and M4 of the example, from register entropies.
+# a grid is stacked this many points at a time, which bounds the memory of
+# a long grid; the default 101-point grid is one block
+GRID_BLOCK = 1024
+
+
+def _sweep(columns: Callable[[np.ndarray], dict[str, np.ndarray]],
+           grid: Sequence[float]) -> list[dict[str, float]]:
+    """Rows of the lambda and the named columns, in grid order; `columns`
+    gives each column's values over a block of lambdas."""
+    lams = np.asarray(grid, dtype=float)
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValueError(f"need a nonempty one-dimensional lambda grid, got shape {lams.shape}")
+    rows = []
+    for start in range(0, lams.size, GRID_BLOCK):
+        block = lams[start:start + GRID_BLOCK]
+        cols = {"lambda": block.tolist(), **{k: v.tolist() for k, v in columns(block).items()}}
+        rows += [dict(zip(cols, values)) for values in zip(*cols.values())]
+    return rows
+
+
+def nonmarkov_witness_rows(grid: Sequence[float]) -> list[dict[str, float]]:
+    """DP1..DP4 and M4 of the example at every lambda of the grid, from
+    register entropies, rows in grid order.
 
     With ic_i = H(S) - H(R,S) at gamma_i: DP1..DP3 are differences of
     ic_2, ic_3, ic_4, DP4 = H(S) at gamma_3 minus H(S) at gamma_4, and
     M4 = H(E) at gamma_3 minus H(E) at gamma_4.
     """
-    _, g2, g3, g4 = _gamma_registers(lam)
+    return _sweep(_nonmarkov_columns, grid)
+
+
+def _nonmarkov_columns(lams: np.ndarray) -> dict[str, np.ndarray]:
+    _, g2, g3, g4 = _gamma_registers(lams)
     ic2, ic3, ic4 = _ic(g2), _ic(g3), _ic(g4)
     return {
-        "lambda": lam,
         "DP1": ic2 - ic3,
         "DP2": ic2 - ic4,
         "DP3": ic3 - ic4,
@@ -121,44 +156,84 @@ def nonmarkov_witness_row(lam: float) -> dict[str, float]:
     }
 
 
-def extra_dpi_row(lam: float) -> dict[str, float]:
-    """DP5..DP7 on the example plus DP5 on a genuinely Markov reference.
+def nonmarkov_witness_row(lam: float) -> dict[str, float]:
+    """nonmarkov_witness_rows of the one-point grid [lam]."""
+    return nonmarkov_witness_rows([lam])[0]
+
+
+def extra_dpi_rows(grid: Sequence[float]) -> list[dict[str, float]]:
+    """DP5..DP7 on the example plus DP5 on a genuinely Markov reference, at
+    every lambda of the grid, rows in grid order.
 
     On the example DP5 = H(R,S) at gamma_3, DP6 = H(S) at gamma_3 minus
-    ic_4 (see nonmarkov_witness_row) and DP7 = H(R,S) at gamma_4.  The
+    ic_4 (see nonmarkov_witness_rows) and DP7 = H(R,S) at gamma_4.  The
     reference runs the same u_lambda twice, but from a maximally
     entangled (R, S) pair with a fresh |0> ancilla per step, so the
     process is Markov by construction.
     """
-    _, _, g3, g4 = _gamma_registers(lam)
+    return _sweep(_extra_dpi_columns, grid)
+
+
+def _extra_dpi_columns(lams: np.ndarray) -> dict[str, np.ndarray]:
+    _, _, g3, g4 = _gamma_registers(lams)
     return {
-        "lambda": lam,
-        "DP5_markov": _markov_reference_dp5(lam),
+        "DP5_markov": _markov_reference_dp5(lams),
         "DP5": g3.entropy(("R", "S")),
         "DP6": g3.entropy(("S",)) - _ic(g4),
         "DP7": g4.entropy(("R", "S")),
     }
 
 
-def _markov_reference_dp5(lam: float) -> float:
-    ch = unitary_channel(u_lambda(lam), 2, 2)
-    proc = markov_process(density(np.eye(2) / 2), [ch, ch])
-    return extra_dpi_witnesses(proc).entries["DP5"]
+def extra_dpi_row(lam: float) -> dict[str, float]:
+    """extra_dpi_rows of the one-point grid [lam]."""
+    return extra_dpi_rows([lam])[0]
+
+
+def _markov_reference_dp5(lams: np.ndarray) -> np.ndarray:
+    """DP5 = Ic(2:3) - Ic(1:3) of markov_process(density(1/2), [ch, ch]),
+    ch = unitary_channel(u_lambda(lam), 2, 2), at every lambda.
+
+    That process's purified circuit (witnesses.purified_circuit_state) is
+    the one purification of 1/2 with the lambdas' stacked dilation
+    isometries applied twice, so no process object is built per lambda.
+    """
+    # stacked Kraus operators are the isometry |s> -> sum_e |e> (x) K_e|s>
+    iso = dilation_kraus(u_lambda(lams), 2, 2).reshape(len(lams), 4, 2)
+    psi = replace(purify(density(np.eye(2) / 2)), labels=("R", "S"))
+    for j in (1, 2):
+        psi = psi.apply(iso, ("S",), out={f"E{j}": 2, "S": 2})
+
+    def ic(r: int) -> np.ndarray:
+        # Ic(r:3) = H(R, E1, E2) - H(E_r..E2), as MarkovChainProcess.coherent_info
+        envs = ("E1", "E2")
+        return psi.entropy(("R",) + envs) - psi.entropy(envs[r - 1:])
+
+    return ic(2) - ic(1)
+
+
+def mqmmi_rows(grid: Sequence[float]) -> list[dict[str, float]]:
+    """The three interventional monogamy witnesses on the example circuit
+    at every lambda of the grid, rows in grid order: one stacked circuit,
+    one intervened state per slot pair."""
+    return _sweep(_mqmmi_columns, grid)
+
+
+def _mqmmi_columns(lams: np.ndarray) -> dict[str, np.ndarray]:
+    circuit = system_env_circuit(w_state(), [u_lambda(lams)] * 3)
+    gaps = mqmmi_witnesses(circuit).entries
+    return {f"M4_{kind}": gaps[kind] for kind in ("q1", "q2", "q3")}
 
 
 def mqmmi_row(lam: float) -> dict[str, float]:
-    """The three interventional monogamy witnesses on the example circuit."""
-    circuit = system_env_circuit(w_state(), [u_lambda(lam)] * 3)
-    gaps = mqmmi_witnesses(circuit).entries
-    return {"lambda": lam, **{f"M4_{kind}": gaps[kind] for kind in ("q1", "q2", "q3")}}
+    """mqmmi_rows of the one-point grid [lam]."""
+    return mqmmi_rows([lam])[0]
 
 
 # ---------------------------------------------------------------------------
 # sweep plumbing
 # ---------------------------------------------------------------------------
 
-# a sweep row costs a millisecond or more, so a million rows is already a
-# quarter of an hour of work; a longer grid is taken for a mistyped step
+# a longer grid than this is taken for a mistyped step
 MAX_GRID_POINTS = 10 ** 6
 
 
@@ -182,16 +257,10 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
     """fn over items, in order, in the calling thread.
 
     Each task is a few small numpy calls that hold the interpreter lock,
-    so threads would add overhead and no speed.  Sweeps and surveys fan
-    out through this one function.
+    so threads would add overhead and no speed.  The witness survey fans
+    out through this one function; the sweeps stack their grid instead.
     """
     return [fn(x) for x in items]
-
-
-def sweep(row_fn: Callable[[float], dict[str, float]],
-          grid: Sequence[float]) -> list[dict[str, float]]:
-    """Evaluate a row function over the grid, rows in grid order."""
-    return parallel_map(row_fn, list(grid))
 
 
 # ---------------------------------------------------------------------------

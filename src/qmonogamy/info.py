@@ -15,8 +15,9 @@ Kraus maps and builds no purified circuit, so it is the independent
 reference that tests compare MarkovChainProcess.coherent_info (subset
 entropies of the purified circuit) against.
 
-von_neumann is defined in states, next to PureState.entropy which uses
-it, and exported from here with the other entropic quantities.
+von_neumann is defined in states, as the one-matrix form of
+von_neumann_stack (which PureState.entropy calls), and exported from
+here with the other entropic quantities.
 """
 
 from __future__ import annotations

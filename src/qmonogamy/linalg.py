@@ -5,7 +5,9 @@ built on the handful of primitives in this module: tensor products,
 partial traces over labelled subsystems, Kraus maps acting on one
 subsystem, and Hermitian eigendecomposition.  Partial traces and Kraus
 maps also take stacks of operators, with leading batch axes before the
-last two (matrix) axes.
+last two (matrix) axes; apply_two_site takes stacks of state vectors and
+of unitaries, whose batch axes broadcast (broadcast_batch names the two
+shapes when they do not).
 
 Subsystem ordering convention: the leftmost tensor factor is the most
 significant in the computational-basis index (big-endian).  A basis ket
@@ -30,6 +32,8 @@ __all__ = [
     "apply_kraus",
     "hermitian_eig",
     "is_unitary",
+    "unitarity_deviation",
+    "broadcast_batch",
     "apply_two_site",
 ]
 
@@ -126,7 +130,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized to (m + m†)/2 before decomposition to suppress
     round-off; a deviation from Hermiticity beyond EIG_HERM_TOL is an error,
-    not something to silently average away.
+    not something to silently average away.  A stack (..., d, d) is
+    decomposed matrix by matrix in one call.
 
     Returns
     -------
@@ -134,19 +139,37 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matching eigenvectors as columns of a unitary matrix.
     """
     m = np.asarray(m, dtype=complex)
-    dev = np.abs(m - dagger(m)).max()
+    m_dag = m.conj().swapaxes(-1, -2)
+    dev = np.abs(m - m_dag).max()
     if dev > EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    w, v = np.linalg.eigh((m + m_dag) / 2)
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
+
+
+def unitarity_deviation(m: np.ndarray) -> np.ndarray:
+    """||m† m - 1||_max of every square matrix in a stack (..., d, d)."""
+    m = np.asarray(m, dtype=complex)
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
 
 
 def is_unitary(m: np.ndarray) -> bool:
     """True iff m is square and ||m† m - 1||_max <= ISOMETRY_TOL."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.abs(dagger(m) @ m - np.eye(m.shape[0])).max() <= ISOMETRY_TOL)
+    return bool(unitarity_deviation(m) <= ISOMETRY_TOL)
+
+
+def broadcast_batch(state: tuple[int, ...], op: tuple[int, ...]) -> tuple[int, ...]:
+    """The batch shape of an operation on a state stack with batch shape
+    `state` by an operator stack with batch shape `op` (numpy broadcasting);
+    shapes that do not broadcast are refused with both named."""
+    try:
+        return np.broadcast_shapes(state, op)
+    except ValueError:
+        raise ValueError(f"state batch shape {state} and operator batch shape {op} "
+                         "do not broadcast") from None
 
 
 def apply_two_site(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
@@ -154,14 +177,22 @@ def apply_two_site(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
     """Apply a two-subsystem unitary to a flat state vector.
 
     `u` acts on the ordered pair of subsystems `sites` = (a, b); the result
-    is returned flat with the original subsystem layout.  This is the only
-    gate primitive circuit simulations need.
+    is returned flat with the original subsystem layout.  `vec` may be a
+    stack (..., D) and `u` a stack (..., d, d); their batch axes broadcast,
+    so one call runs a whole stack of circuits.  This is the only gate
+    primitive circuit simulations need.
     """
     a, b = sites
     dims = tuple(int(d) for d in dims)
-    t = np.asarray(vec, dtype=complex).reshape(dims)
-    u4 = np.asarray(u, dtype=complex).reshape(dims[a], dims[b], dims[a], dims[b])
-    t = np.tensordot(u4, t, axes=[[2, 3], [a, b]])
-    # tensordot put the two output axes in front; restore original order
-    t = np.moveaxis(t, [0, 1], [a, b])
-    return t.reshape(-1)
+    vec = np.asarray(vec, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    batch = broadcast_batch(vec.shape[:-1], u.shape[:-2])
+    n, nb = len(dims), vec.ndim - 1
+    # the pair's axes go in front of the rest, as the rows u acts on
+    t = np.moveaxis(vec.reshape(vec.shape[:-1] + dims), (nb + a, nb + b), (nb, nb + 1))
+    t = u @ t.reshape(vec.shape[:-1] + (dims[a] * dims[b], -1))
+    rest = tuple(dims[i] for i in range(n) if i not in (a, b))
+    t = t.reshape(batch + (dims[a], dims[b]) + rest)
+    nb = len(batch)
+    t = np.moveaxis(t, (nb, nb + 1), (nb + a, nb + b))
+    return t.reshape(batch + (-1,))

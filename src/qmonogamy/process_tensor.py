@@ -35,7 +35,7 @@ import numpy as np
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
 from .info import mutual_information
-from .linalg import is_unitary, kron
+from .linalg import broadcast_batch, kron, unitarity_deviation
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
 from .tolerances import ISOMETRY_TOL, PROB_SLACK, TRACE_TOL
 from .witnesses import WitnessReport
@@ -106,16 +106,29 @@ class ProcessTensor:
 
 def system_env_circuit(initial: PureState,
                        step_unitaries: Sequence[np.ndarray]) -> SystemEnvCircuit:
-    """Validate register structure and unitarity (ISOMETRY_TOL) into a circuit."""
+    """Validate register structure and unitarity (ISOMETRY_TOL) into a circuit.
+
+    A step unitary may be a stack (..., d, d), which makes the circuit a
+    stack of circuits on one register layout; all steps are checked in one
+    stacked test, and a failure reports the worst deviation.
+    """
     if len(initial.dims) != 3:
         raise ValueError(f"initial state needs registers (R0, S, E), got dims {initial.dims}")
     d_se = initial.dims[1] * initial.dims[2]
     units = tuple(np.asarray(u, dtype=complex) for u in step_unitaries)
     for i, u in enumerate(units):
-        if u.shape != (d_se, d_se):
+        if u.shape[-2:] != (d_se, d_se):
             raise ValueError(f"unitary {i} must be {d_se} x {d_se}, got {u.shape}")
-        if not is_unitary(u):
-            raise ValueError(f"step operator {i} is not unitary within {ISOMETRY_TOL:g}")
+    if units:
+        batch = initial.batch
+        for u in units:
+            batch = broadcast_batch(batch, u.shape[:-2])
+        dev = unitarity_deviation(np.stack([np.broadcast_to(u, batch + (d_se, d_se))
+                                            for u in units]))
+        worst = np.unravel_index(np.argmax(dev), dev.shape)
+        if dev[worst] > ISOMETRY_TOL:
+            raise ValueError(f"step operator {worst[0]} is not unitary within "
+                             f"{ISOMETRY_TOL:g}: worst deviation {dev[worst]:.3e}")
     return SystemEnvCircuit(initial, units)
 
 
@@ -131,6 +144,8 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
     """
     if steps < 1:
         raise ValueError("need at least one time slot")
+    if circuit.initial.batch or any(u.ndim > 2 for u in circuit.step_unitaries):
+        raise ValueError("a process tensor is built from one circuit, not a stack")
     if steps - 1 > len(circuit.step_unitaries):
         raise ValueError(
             f"{steps} slots need {steps - 1} step unitaries, "
@@ -324,7 +339,8 @@ def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int
 def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
     """The interventional monogamy gap I(1;4) + I(2;3) - I(1;3) - I(2;4)
     of every kind (entries q1, q2, q3), each nonnegative for every Markov
-    process.  One intervened state per slot pair serves all three kinds."""
+    process.  One intervened state per slot pair serves all three kinds.
+    On a stacked circuit every entry is an array over the stack."""
     if circuit.n_slots < 4:
         raise ValueError("needs a circuit with at least 4 slots")
     signs = {(1, 4): 1.0, (2, 3): 1.0, (1, 3): -1.0, (2, 4): -1.0}

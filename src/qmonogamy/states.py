@@ -14,6 +14,16 @@ registers, fresh pure states are spliced in next to them, and entropies
 of named registers come straight from the vector.  Every purified
 circuit, process tensor and intervened state is built this way, and
 MAX_AMPLITUDES bounds all of them.
+
+A PureState's vector may carry leading batch axes, `vec` of shape
+(..., D): a stack of states on one register layout.  `apply` and
+`splice` broadcast a state stack against a stack of operators or of
+spliced states in either direction, `reduced` returns the stack of
+marginals, and `entropy` is one stacked eigensolve per side of a cut,
+returning an array over the batch (a float when there is none).  The
+unbatched state is the same code with an empty batch shape.  A
+DensityMatrix may likewise hold a stack (..., d, d); `purify` purifies
+every matrix of it in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import apply_two_site, hermitian_eig, partial_trace
+from .linalg import apply_two_site, broadcast_batch, hermitian_eig, partial_trace
 from .tolerances import ENTROPY_CLIP, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
 
 __all__ = [
@@ -52,14 +62,15 @@ Register = str | int
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD unit-trace operator with a subsystem signature."""
+    """Hermitian PSD unit-trace operator with a subsystem signature; `mat`
+    may be a stack (..., d, d) of such operators on the same subsystems."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def reduced(self, keep: tuple[int, ...] | list[int]) -> "DensityMatrix":
         """Partial trace down to the subsystems in `keep` (original order)."""
@@ -90,20 +101,22 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
 class PureState:
     """Unit-norm state vector with a subsystem signature.
 
+    `vec` has shape (..., D): any leading axes are a batch of states on the
+    same registers, `batch` is their shape, and `dims` describes one state.
     With `labels` the registers have names.  Every method that takes
     registers accepts each one by label or by position (an int).
 
-    `entropy` memoizes its values on the state.  That is sound because no
-    code writes into a PureState's `vec`: every operation returns a new
-    state, and a new state (from `apply`, `splice` or `replace`) starts
-    with an empty memo.
+    `entropy` memoizes its values on the state (read-only arrays for a
+    batch).  That is sound because no code writes into a PureState's
+    `vec`: every operation returns a new state, and a new state (from
+    `apply`, `splice` or `replace`) starts with an empty memo.
     """
 
     vec: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...] | None = None
     # entropy by the frozenset of axes of the side of the cut reduced
-    _entropies: dict[frozenset[int], float] = field(
+    _entropies: dict[frozenset[int], float | np.ndarray] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -114,10 +127,14 @@ class PureState:
 
     @property
     def dim(self) -> int:
-        return self.vec.shape[0]
+        return self.vec.shape[-1]
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.vec.shape[:-1]
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
+        return DensityMatrix(self.vec[..., :, None] * self.vec[..., None, :].conj(), self.dims)
 
     def _axes(self, registers: Sequence[Register]) -> list[int]:
         axes = []
@@ -137,47 +154,56 @@ class PureState:
         # contract from the vector; never materializes the full outer product
         keep = sorted(set(self._axes(keep)))
         traced = [i for i in range(len(self.dims)) if i not in keep]
-        t = self.vec.reshape(self.dims)
-        sub = np.tensordot(t, t.conj(), axes=(traced, traced))
+        nb = len(self.batch)
+        t = self.vec.reshape(self.batch + self.dims)
+        t = t.transpose(list(range(nb)) + [nb + i for i in keep + traced])
         d = math.prod(self.dims[k] for k in keep)
-        return DensityMatrix(sub.reshape(d, d), tuple(self.dims[k] for k in keep))
+        m = t.reshape(self.batch + (d, -1))
+        return DensityMatrix(m @ m.conj().swapaxes(-1, -2), tuple(self.dims[k] for k in keep))
 
-    def entropy(self, registers: Sequence[Register]) -> float:
+    def entropy(self, registers: Sequence[Register]) -> float | np.ndarray:
         """von Neumann entropy (bits) of the marginal on `registers`.
 
         The two sides of a bipartition of a pure state share their nonzero
         spectrum, so the side of smaller dimension is the one reduced (on
         a tie, the side holding register 0); the empty set and the whole
-        register both give 0.  Values are memoized by the side reduced, so
-        a set and its complement cost one eigensolve between them.
+        register both give 0.  One von_neumann_stack call covers the whole
+        batch: the result is a float for an unbatched state and an array of
+        the batch shape otherwise.  Values are memoized by the side reduced,
+        so a set and its complement cost one eigensolve between them.
         """
         keep = frozenset(self._axes(registers))
         rest = frozenset(range(len(self.dims))) - keep
         if not keep or not rest:
-            return 0.0
+            return np.zeros(self.batch) if self.batch else 0.0
         d_keep = math.prod(self.dims[i] for i in keep)
         d_rest = self.dim // d_keep
         side = keep if (d_keep, 0 not in keep) < (d_rest, 0 not in rest) else rest
         if side not in self._entropies:
-            self._entropies[side] = von_neumann(self.reduced(side))
+            h = von_neumann_stack(self.reduced(side).mat)
+            if self.batch:
+                h.flags.writeable = False
+            self._entropies[side] = h if self.batch else float(h)
         return self._entropies[side]
 
     def apply(self, op: np.ndarray, on: Sequence[Register],
               out: dict[str, int] | None = None) -> PureState:
         """Apply a unitary or an isometry `op` to the registers `on`.
 
-        `op` acts on the product of the `on` registers in the order given.
-        Without `out` the registers keep their labels, dimensions and places
-        (two registers go through `apply_two_site`).  With `out`, a mapping
-        of output labels to dimensions in `op`'s output order, the output
-        registers replace the `on` registers at the place of the first of
-        them.  A result above MAX_AMPLITUDES is refused before it is built,
-        here and in `splice`.
+        `op` acts on the product of the `on` registers in the order given;
+        a stack of operators (..., d_out, d_in) broadcasts against the
+        state's batch.  Without `out` the registers keep their labels,
+        dimensions and places (two registers go through `apply_two_site`).
+        With `out`, a mapping of output labels to dimensions in `op`'s
+        output order, the output registers replace the `on` registers at
+        the place of the first of them.  A result whose states exceed
+        MAX_AMPLITUDES is refused before it is built, here and in `splice`.
         """
         axes = self._axes(on)
         if out is None and len(axes) == 2:
             return replace(self, vec=apply_two_site(self.vec, self.dims, op, tuple(axes)))
         op = np.asarray(op, dtype=complex)
+        batch = broadcast_batch(self.batch, op.shape[:-2])
         rest = [i for i in range(len(self.dims)) if i not in axes]
         if out is None:
             new_dims, dest, labels = tuple(self.dims[a] for a in axes), axes, self.labels
@@ -188,31 +214,41 @@ class PureState:
             new_dims, dest = tuple(out.values()), list(range(p, p + len(out)))
             kept = [self.labels[i] for i in rest]
             labels = tuple(kept[:p]) + tuple(out) + tuple(kept[p:])
-        _check_budget(math.prod(new_dims) * math.prod(self.dims[i] for i in rest))
-        t = np.moveaxis(self.vec.reshape(self.dims), axes, range(len(axes)))
-        t = op @ t.reshape(op.shape[1], -1)
-        t = t.reshape(new_dims + tuple(self.dims[i] for i in rest))
-        t = np.moveaxis(t, range(len(new_dims)), dest)
-        return PureState(t.reshape(-1), t.shape, labels)
+        rest_dims = tuple(self.dims[i] for i in rest)
+        _check_budget(math.prod(new_dims) * math.prod(rest_dims))
+        nb = len(self.batch)
+        t = np.moveaxis(self.vec.reshape(self.batch + self.dims), [nb + a for a in axes],
+                        range(nb, nb + len(axes)))
+        t = op @ t.reshape(self.batch + (op.shape[-1], -1))
+        t = t.reshape(batch + new_dims + rest_dims)
+        nb = len(batch)
+        t = np.moveaxis(t, range(nb, nb + len(new_dims)), [nb + i for i in dest])
+        return PureState(t.reshape(batch + (-1,)), t.shape[nb:], labels)
 
     def splice(self, state: PureState, after: Register,
                labels: Sequence[str]) -> PureState:
         """Tensor in the registers of the pure `state`, labelled `labels`,
-        right after the register `after`."""
+        right after the register `after`; the two batches broadcast."""
         if self.labels is None or len(labels) != len(state.dims):
             raise ValueError(f"splicing needs a labelled state and one label per spliced "
                              f"register, got {labels} for dims {state.dims}")
         (a,) = self._axes((after,))
+        batch = broadcast_batch(self.batch, state.batch)
         _check_budget(self.dim * state.dim)
-        n = len(state.dims)
-        t = np.multiply.outer(self.vec.reshape(self.dims), state.vec.reshape(state.dims))
-        t = np.moveaxis(t, range(-n, 0), range(a + 1, a + 1 + n))
+        m, n = len(self.dims), len(state.dims)
+        # pad each factor with unit axes for the other's registers; the
+        # batch axes in front then broadcast against each other
+        t = (self.vec.reshape(self.batch + self.dims + (1,) * n)
+             * state.vec.reshape(state.batch + (1,) * m + state.dims))
+        nb = len(batch)
+        t = np.moveaxis(t, range(nb + m, nb + m + n), range(nb + a + 1, nb + a + 1 + n))
         new_labels = self.labels[:a + 1] + tuple(labels) + self.labels[a + 1:]
-        return PureState(t.reshape(-1), t.shape, new_labels)
+        return PureState(t.reshape(batch + (-1,)), t.shape[nb:], new_labels)
 
 
 def _check_budget(size: int) -> None:
-    # the one amplitude check, made by both operations that grow a state
+    # the one amplitude check, made by both operations that grow a state; it
+    # bounds one state of a batch, whose size is the caller's choice
     if size > MAX_AMPLITUDES:
         raise ValueError(f"state would need {size} amplitudes (limit {MAX_AMPLITUDES})")
 
@@ -289,14 +325,15 @@ def purify(rho: DensityMatrix) -> PureState:
     The output lives on reference (x) system with the reference as the first
     (most significant) subsystem: |psi> = sum_i sqrt(p_i) |i>_R |v_i>_S,
     pairing Schmidt coefficients sqrt(p_i) with the eigenvectors of rho.
-    Tracing out the reference reproduces rho.
+    Tracing out the reference reproduces rho.  A stack of matrices gives
+    the stack of their purifications, from one stacked eigensolve.
     """
     w, v = hermitian_eig(rho.mat)
     w = np.clip(w, 0.0, None)
     d = rho.dim
-    # vec[i, :] = sqrt(p_i) v_i, flattened big-endian over (R, S)
-    vec = (np.sqrt(w)[:, None] * v.T).reshape(-1)
-    return PureState(vec, (d,) + rho.dims)
+    # vec[..., i, :] = sqrt(p_i) v_i, flattened big-endian over (R, S)
+    vec = np.sqrt(w)[..., :, None] * v.swapaxes(-1, -2)
+    return PureState(vec.reshape(vec.shape[:-2] + (-1,)), (d,) + rho.dims)
 
 
 def maximally_entangled(d: int) -> PureState:

@@ -20,7 +20,7 @@ from qmonogamy import (
     contract,
     dagger,
     dephased_joint_pmf,
-    extra_dpi_row,
+    extra_dpi_rows,
     fresh_env_circuit,
     is_markov,
     joint_from_chain,
@@ -30,10 +30,10 @@ from qmonogamy import (
     m4_witness,
     markov_factorization_gap,
     mi_monotonicity_check,
-    mqmmi_row,
+    mqmmi_rows,
     mqmmi_witness,
     mutual_information,
-    nonmarkov_witness_row,
+    nonmarkov_witness_rows,
     partial_trace,
     port_mutual_information,
     pure_state,
@@ -44,7 +44,6 @@ from qmonogamy import (
     random_density,
     random_markov_process,
     random_markov_verify,
-    sweep,
     system_env_circuit,
     u_lambda,
     von_neumann,
@@ -88,7 +87,7 @@ def _simulate(circuit, steps, interventions):
 
 def test_criterion_01_violation_regions_of_the_monogamy_sweep():
     start = time.perf_counter()
-    rows = sweep(nonmarkov_witness_row, lambda_grid())
+    rows = nonmarkov_witness_rows(lambda_grid())
     elapsed = time.perf_counter() - start
     assert len(rows) == 101
     # grid points strictly inside (0, 0.15) are indices 1..14; the region
@@ -109,7 +108,7 @@ def test_criterion_01_violation_regions_of_the_monogamy_sweep():
 
 def test_criterion_02_interventional_witness_regions():
     start = time.perf_counter()
-    rows = sweep(mqmmi_row, lambda_grid())
+    rows = mqmmi_rows(lambda_grid())
     elapsed = time.perf_counter() - start
     nonneg = [i for i, row in enumerate(rows) if row["M4_q1"] >= -TOL]
     assert nonneg == list(range(nonneg[0], nonneg[-1] + 1)), "q1 region not contiguous"
@@ -124,7 +123,7 @@ def test_criterion_02_interventional_witness_regions():
 
 def test_criterion_03_candidate_dpis_hold_on_the_example():
     start = time.perf_counter()
-    rows = sweep(extra_dpi_row, lambda_grid())
+    rows = extra_dpi_rows(lambda_grid())
     elapsed = time.perf_counter() - start
     for row in rows:
         for name in ("DP5_markov", "DP5", "DP6", "DP7"):

@@ -45,6 +45,13 @@ def test_empty_kraus_input_is_refused_by_name():
         kraus_stack(np.zeros((3, 0, 2, 2)))
 
 
+@pytest.mark.parametrize("ops", [[np.ones(2)], [np.eye(2), np.ones(2)],
+                                 [np.array(1.0)], [np.ones((1, 2, 2))]])
+def test_a_kraus_operator_that_is_not_a_matrix_is_refused_by_name(ops):
+    with pytest.raises(ValueError, match="Kraus operators must be matrices"):
+        kraus_channel(ops)
+
+
 def test_identity_and_depolarizing_fixed_points():
     rho = random_density(3, seed=1)
     np.testing.assert_allclose(apply(identity_channel(3), rho).mat, rho.mat)

@@ -14,26 +14,32 @@ from qmonogamy import (
     adjoint_identity_check,
     classical_cmmi_check,
     conditional_mutual_information,
+    chain_coherent_information,
     extra_dpi_row,
+    extra_dpi_rows,
     gamma_sequence,
     joint_from_chain,
     lambda_grid,
     mi_monotonicity_check,
+    markov_process,
     mqmmi_row,
+    mqmmi_rows,
     nonmarkov_witness_row,
+    nonmarkov_witness_rows,
     parallel_map,
+    partial_trace,
     random_chain,
     random_markov_process,
     random_markov_verify,
-    sweep,
     u_lambda,
+    unitary_channel,
     von_neumann,
     w_state,
 )
 from qmonogamy import channels, classical, experiments, info, states
 from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
 from qmonogamy.classical import cmmi_gap
-from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
+from qmonogamy.states import DensityMatrix, density, maximally_entangled, random_density
 from qmonogamy.witnesses import cqmi_monotonicity_gap, mi_dpi_gap
 
 H_ONE_THIRD = math.log2(3) - 2 / 3  # binary entropy of 1/3
@@ -60,6 +66,28 @@ def test_u_lambda_endpoints_are_the_two_permutations():
 def test_u_lambda_rejects_out_of_range(lam):
     with pytest.raises(ValueError, match="lambda"):
         u_lambda(lam)
+
+
+def test_u_lambda_builds_a_grid_as_one_stack():
+    grid = lambda_grid(0.0, 1.0, 0.125)
+    stack = u_lambda(grid)
+    assert stack.shape == (len(grid), 4, 4)
+    for lam, u in zip(grid, stack):
+        np.testing.assert_array_equal(u, u_lambda(lam))
+
+
+@pytest.mark.parametrize("rows", [nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows])
+@pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (1.25, "1.25"), (-0.5, "-0.5")])
+def test_a_grid_with_a_bad_lambda_names_the_value(rows, bad, shown):
+    with pytest.raises(ValueError, match=f"lambda must lie in \\[0, 1\\], got {shown}"):
+        rows([0.1, 0.2, bad, 0.4])
+
+
+@pytest.mark.parametrize("rows", [nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows])
+@pytest.mark.parametrize("grid", [[], [[0.1, 0.2]]])
+def test_an_empty_or_nested_grid_is_refused_by_name(rows, grid):
+    with pytest.raises(ValueError, match="nonempty one-dimensional lambda grid"):
+        rows(grid)
 
 
 def test_gamma_sequence_is_four_pure_states():
@@ -149,6 +177,72 @@ def test_mqmmi_row_runs_one_simulation_per_slot_pair(monkeypatch):
     monkeypatch.setattr(states, "apply_two_site", counting)
     mqmmi_row(0.4)
     assert len(calls) == 10
+    # the whole grid is one stacked circuit: still one simulation per pair
+    calls.clear()
+    mqmmi_rows(lambda_grid())
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("rows", [nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows])
+def test_grid_functions_take_as_many_eigensolves_for_101_points_as_for_one(
+        rows, monkeypatch):
+    # one stacked eigvalsh per entropy subset, whatever the grid's length
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rows([0.4])
+    one = len(shapes)
+    shapes.clear()
+    rows(lambda_grid())
+    assert one > 0 and len(shapes) == one
+    assert any(shape[:1] == (101,) for shape in shapes)
+
+
+@pytest.mark.parametrize("rows", [nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows])
+def test_a_grid_longer_than_a_block_is_stacked_block_by_block(rows, monkeypatch):
+    grid = lambda_grid(0.0, 1.0, 0.05)
+    whole = rows(grid)
+    monkeypatch.setattr(experiments, "GRID_BLOCK", 8)
+    blocked = rows(grid)
+    assert [row["lambda"] for row in blocked] == grid
+    for got, want in zip(blocked, whole):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_grid_functions_match_dense_references_on_a_shifted_grid():
+    # qmmi and dpi columns from dense gamma_sequence densities through
+    # partial_trace and von_neumann; DP5_markov from Kraus propagation on
+    # the Markov process built per lambda
+    grid = lambda_grid(0.013, 0.987, 0.027)
+    qmmi, extra = nonmarkov_witness_rows(grid), extra_dpi_rows(grid)
+    assert [row["lambda"] for row in qmmi] == grid == [row["lambda"] for row in extra]
+    for lam, row, xrow in zip(grid, qmmi, extra):
+        g = gamma_sequence(lam)
+
+        def h(i, keep):
+            return von_neumann(partial_trace(g[i - 1].mat, (2, 2, 2), keep))
+
+        def ic(i):
+            return h(i, (1,)) - h(i, (0, 1))
+
+        want = {"DP1": ic(2) - ic(3), "DP2": ic(2) - ic(4), "DP3": ic(3) - ic(4),
+                "DP4": h(3, (1,)) - h(4, (1,)), "M4": h(3, (2,)) - h(4, (2,)),
+                "DP5": h(3, (0, 1)), "DP6": h(3, (1,)) - ic(4), "DP7": h(4, (0, 1))}
+        ch = unitary_channel(u_lambda(lam), 2, 2)
+        proc = markov_process(density(np.eye(2) / 2), [ch, ch])
+
+        def chain_ic(r, s):
+            return chain_coherent_information(proc.initial, proc.channels, r, s)
+
+        want["DP5_markov"] = chain_ic(2, 3) - chain_ic(1, 3)
+        for name, value in want.items():
+            got = row[name] if name in row else xrow[name]
+            assert got == pytest.approx(value, abs=1e-12), (lam, name)
 
 
 def test_extra_dpi_row_frozen_values():
@@ -211,16 +305,20 @@ def test_grid_rejects_bad_ranges(lo, hi, step):
 
 
 def test_sweep_preserves_grid_order():
-    grid = [0.0, 0.3, 0.6]
-    rows = sweep(nonmarkov_witness_row, grid)
-    assert [row["lambda"] for row in rows] == grid
+    grid = [0.0, 0.6, 0.3]
+    for rows_fn, row_fn in [(nonmarkov_witness_rows, nonmarkov_witness_row),
+                            (extra_dpi_rows, extra_dpi_row), (mqmmi_rows, mqmmi_row)]:
+        rows = rows_fn(grid)
+        assert [row["lambda"] for row in rows] == grid
+        for lam, row in zip(grid, rows):
+            assert row == pytest.approx(row_fn(lam), abs=1e-12)
 
 
 def test_rows_vary_smoothly_on_the_default_grid():
     # entropies of sqrt(lambda) amplitudes have unbounded slope at the
     # endpoints, so adjacent rows there legitimately differ by ~0.26 bits;
     # anything beyond 0.35 would mean a discontinuity, not steepness
-    rows = sweep(nonmarkov_witness_row, lambda_grid())
+    rows = nonmarkov_witness_rows(lambda_grid())
     names = ("DP1", "DP2", "DP3", "DP4", "M4")
     for prev, cur in zip(rows, rows[1:]):
         for name in names:

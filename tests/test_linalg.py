@@ -169,3 +169,31 @@ def test_apply_two_site_preserves_norm(seed):
     u = _haar(rng, 6)
     out = apply_two_site(vec, dims, u, (1, 2))
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+@given(seeds)
+@settings(max_examples=20)
+def test_apply_two_site_broadcasts_stacks_of_states_and_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 2)
+    vecs = _rand_complex(rng, 4, 12)
+    units = np.stack([_haar(rng, 4) for _ in range(4)])
+    for sites in [(0, 2), (2, 0)]:
+        both = apply_two_site(vecs, dims, units, sites)
+        states = apply_two_site(vecs, dims, units[1], sites)
+        ops = apply_two_site(vecs[2], dims, units, sites)
+        assert both.shape == states.shape == ops.shape == (4, 12)
+        for b in range(4):
+            np.testing.assert_allclose(both[b], apply_two_site(vecs[b], dims, units[b], sites),
+                                       atol=1e-12)
+            np.testing.assert_allclose(states[b],
+                                       apply_two_site(vecs[b], dims, units[1], sites),
+                                       atol=1e-12)
+            np.testing.assert_allclose(ops[b], apply_two_site(vecs[2], dims, units[b], sites),
+                                       atol=1e-12)
+
+
+def test_apply_two_site_refuses_stacks_that_do_not_broadcast():
+    with pytest.raises(ValueError, match=r"state batch shape \(3,\) and operator batch "
+                                         r"shape \(2,\) do not broadcast"):
+        apply_two_site(np.ones((3, 4)) / 2, (2, 2), np.stack([np.eye(4)] * 2), (0, 1))

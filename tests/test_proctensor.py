@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmonogamy.channels import KrausChannel, random_channel, unitary_channel
 from qmonogamy.classical import is_markov
-from qmonogamy.experiments import u_lambda
+from qmonogamy.experiments import lambda_grid, u_lambda
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
                                       contract, dephased_joint_pmf, fresh_env_circuit,
@@ -427,3 +427,25 @@ def test_dephased_markov_tensor_gives_markov_pmf():
 def test_dephased_nonmarkov_tensor_fails_markov_test():
     pt = build_process_tensor(_w_circuit(0.5), 4)
     assert not is_markov(dephased_joint_pmf(pt), tol=1e-6)
+
+
+def test_a_step_unitary_stack_reports_its_worst_deviation():
+    stack = u_lambda(lambda_grid(0.0, 1.0, 0.25))
+    slightly, badly = stack.copy(), stack.copy()
+    slightly[2] *= 1.001
+    badly[4] *= 1.01
+    # one stacked check over every step and every item: the worst is named
+    with pytest.raises(ValueError, match="step operator 1 is not unitary within 1e-10: "
+                                         "worst deviation 2.010e-02"):
+        system_env_circuit(w_state(), [slightly, badly, stack])
+    circuit = system_env_circuit(w_state(), [stack, u_lambda(0.5), stack])
+    assert circuit.n_slots == 4
+    with pytest.raises(ValueError, match=r"batch shape \(5,\) and operator batch shape "
+                                         r"\(3,\)"):
+        system_env_circuit(w_state(), [stack, stack[:3]])
+
+
+def test_a_process_tensor_is_built_from_one_circuit():
+    circuit = system_env_circuit(w_state(), [u_lambda(lambda_grid(0.0, 1.0, 0.5))] * 3)
+    with pytest.raises(ValueError, match="one circuit, not a stack"):
+        build_process_tensor(circuit, 4)

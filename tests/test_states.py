@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qmonogamy.states as states_module
 from qmonogamy.info import von_neumann
@@ -167,9 +168,9 @@ def test_entropy_is_the_same_on_both_sides_of_a_cut():
 
 def test_entropy_memo_is_shared_by_a_cut_and_its_complement(monkeypatch):
     calls = []
-    real = states_module.von_neumann
-    monkeypatch.setattr(states_module, "von_neumann",
-                        lambda rho: calls.append(rho.dim) or real(rho))
+    real = states_module.von_neumann_stack
+    monkeypatch.setattr(states_module, "von_neumann_stack",
+                        lambda mats: calls.append(mats.shape[-1]) or real(mats))
     psi = _random_labelled((2, 3, 2, 3), ("A", "B", "C", "D"), np.random.default_rng(6))
     h = psi.entropy(("B",))
     assert psi.entropy(("D", "C", "A")) == h and psi.entropy((1,)) == h
@@ -245,3 +246,122 @@ def test_growing_past_the_amplitude_budget_is_refused():
     assert psi.splice(qubit, "A", ("X",)).dim == MAX_AMPLITUDES
     with pytest.raises(ValueError, match="amplitudes"):
         psi.splice(maximally_entangled(2), "A", ("X", "Y"))
+
+
+# ---------------------------------------------------------------------------
+# the batch axis
+# ---------------------------------------------------------------------------
+
+def _haar(rng, d, batch=()):
+    g = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
+    return np.linalg.qr(g)[0]
+
+
+def _random_vecs(rng, batch, d):
+    v = rng.standard_normal(batch + (d,)) + 1j * rng.standard_normal(batch + (d,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _slice(a, index, core):
+    # the slice of a possibly stacked operand; `core` trailing axes per item
+    return a[index] if a.ndim > core else a
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_regs=st.integers(2, 4),
+       batch=st.sampled_from([(1,), (3,), (2, 2)]), first=st.sampled_from(["state", "op"]))
+@settings(max_examples=40, deadline=None)
+def test_every_slice_of_a_batched_circuit_is_the_unbatched_circuit(seed, n_regs, batch, first):
+    """Random labelled circuits of apply (two registers, other counts, and
+    isometries with output registers) and splice: with a stacked state and
+    unstacked operators, or an unstacked state and stacked operators, and
+    then a mix, every slice of the batched result equals the unbatched
+    computation on that slice."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 4, n_regs))
+    labels = tuple("ABCD"[:n_regs])
+    vec = _random_vecs(rng, batch if first == "state" else (), math.prod(dims))
+    psi = PureState(vec, dims, labels)
+    slices = {i: PureState(_slice(vec, i, 1), dims, labels) for i in np.ndindex(batch)}
+    for step in range(4):
+        # the first operator is stacked exactly when the state is not
+        stacked = (first == "op") if step == 0 else bool(rng.integers(2))
+        op_batch = batch if stacked else ()
+        kind = rng.integers(4)
+        if kind == 3:
+            state = PureState(_random_vecs(rng, op_batch, 2), (2,))
+            at = labels[rng.integers(len(labels))]
+            new = f"X{step}"
+            psi = psi.splice(state, at, (new,))
+            slices = {i: p.splice(PureState(_slice(state.vec, i, 1), (2,)), at, (new,))
+                      for i, p in slices.items()}
+            labels = psi.labels
+            continue
+        if kind == 2:
+            # an isometry from one register into (F, that register)
+            on = (labels[rng.integers(len(labels))],)
+            d = psi.dims[labels.index(on[0])]
+            op = _haar(rng, 2 * d, op_batch)[..., :d]
+            out = {f"F{step}": 2, on[0]: d}
+        else:
+            n_on = 2 if kind == 0 else int(rng.integers(1, len(labels) + 1))
+            on = tuple(labels[i] for i in rng.permutation(len(labels))[:n_on])
+            op = _haar(rng, math.prod(psi.dims[labels.index(r)] for r in on), op_batch)
+            out = None
+        psi = psi.apply(op, on, out)
+        slices = {i: p.apply(_slice(op, i, 2), on, out) for i, p in slices.items()}
+        labels = psi.labels
+    assert psi.batch == batch
+    subsets = [c for n in range(len(labels) + 1) for c in itertools.combinations(labels, n)]
+    for i, p in slices.items():
+        assert psi.dims == p.dims and psi.labels == p.labels
+        np.testing.assert_allclose(psi.vec[i], p.vec, atol=1e-12)
+    for subset in subsets:
+        marginal = psi.reduced(subset)
+        h = psi.entropy(subset)
+        assert marginal.mat.shape[:-2] == batch and h.shape == batch
+        for i, p in slices.items():
+            np.testing.assert_allclose(marginal.mat[i], p.reduced(subset).mat, atol=1e-12)
+            assert h[i] == pytest.approx(p.entropy(subset), abs=1e-12), (i, subset)
+
+
+def test_a_batched_entropy_memo_returns_one_read_only_array():
+    rng = np.random.default_rng(11)
+    psi = PureState(_random_vecs(rng, (5,), 12), (2, 3, 2), ("A", "B", "C"))
+    h = psi.entropy(("B",))
+    assert isinstance(h, np.ndarray) and h.shape == (5,)
+    assert psi.entropy(("C", "A")) is h and psi.entropy((1,)) is h
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0] = 0.0
+    for b in range(5):
+        one = PureState(psi.vec[b], psi.dims, psi.labels).entropy(("B",))
+        assert isinstance(one, float) and h[b] == pytest.approx(one, abs=1e-12)
+    np.testing.assert_array_equal(psi.entropy(()), np.zeros(5))
+    np.testing.assert_array_equal(psi.entropy(("A", "B", "C")), np.zeros(5))
+
+
+def test_stacks_that_do_not_broadcast_are_refused_with_both_shapes():
+    rng = np.random.default_rng(12)
+    psi = PureState(_random_vecs(rng, (3,), 8), (2, 2, 2), ("A", "B", "C"))
+    shapes = r"state batch shape \(3,\) and operator batch shape \(4,\)"
+    with pytest.raises(ValueError, match=shapes):
+        psi.apply(_haar(rng, 4, (4,)), ("A", "C"))            # two registers
+    with pytest.raises(ValueError, match=shapes):
+        psi.apply(_haar(rng, 2, (4,)), ("B",))                # one register
+    with pytest.raises(ValueError, match=shapes):
+        psi.apply(_haar(rng, 4, (4,))[..., :2], ("B",), out={"F": 2, "B": 2})
+    with pytest.raises(ValueError, match=shapes):
+        psi.splice(PureState(_random_vecs(rng, (4,), 2), (2,)), "A", ("X",))
+
+
+def test_stacked_density_matrices_and_purifications():
+    rhos = np.stack([random_density(4, seed=s).mat for s in range(3)])
+    stack = DensityMatrix(rhos, (2, 2))
+    assert stack.dim == 4
+    pur = purify(stack)
+    assert pur.batch == (3,) and pur.dims == (4, 2, 2)
+    for b in range(3):
+        one = purify(DensityMatrix(rhos[b], (2, 2)))
+        np.testing.assert_array_equal(pur.vec[b], one.vec)
+        np.testing.assert_allclose(pur.reduced((1, 2)).mat[b], rhos[b], atol=1e-12)
+        np.testing.assert_allclose(pur.density().mat[b], one.density().mat, atol=1e-15)

@@ -146,9 +146,9 @@ def test_eight_state_witnesses_and_certificates_share_twenty_eigensolves(monkeyp
     # one purified circuit and one entropy memo per process: the 16 distinct
     # coherent informations and the 7 certificate sums need 20 subset entropies
     calls = []
-    real = states_module.von_neumann
-    monkeypatch.setattr(states_module, "von_neumann",
-                        lambda rho: calls.append(rho.dim) or real(rho))
+    real = states_module.von_neumann_stack
+    monkeypatch.setattr(states_module, "von_neumann_stack",
+                        lambda mats: calls.append(mats.shape[-1]) or real(mats))
     p = random_markov_process(8, seed=0)
     m8_witnesses(p)
     m8_ssa_certificates(p)
