@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tolerances import ENTROPY_CLIP, MARKOV_CMI_TOL, NEG_PROB_TOL, PROB_SUM_TOL
+from .witnesses import monogamy_gap
 
 __all__ = [
     "JointPMF",
@@ -202,25 +203,19 @@ def is_markov(p: JointPMF, tol: float = MARKOV_CMI_TOL) -> bool:
 def cmmi_gap(p: JointPMF, perm: tuple[int, ...]) -> float:
     """Permutation gap of Shannon mutual information over a 2n-variable joint.
 
-    Variables are read as a chain rho_n .. rho_1 sigma_1 .. sigma_n, so
+    witnesses.monogamy_gap of I(X_r : X_s), variable r at axis r - 1, so
     rho_i sits at axis n-i and sigma_j at axis n+j-1.  The gap is
-    sum_i I(rho_i:sigma_i) - sum_i I(rho_i:sigma_perm[i]), nonnegative
-    for Markov joints and every permutation: the swaps (k, i, j) of
-    witnesses.uncrossing(perm) split it into four-variable gaps
-    I(b:c) + I(a:d) - I(a:c) - I(b:d) on the sub-chains a, b, c, d =
-    rho_k, rho_i, sigma_i, sigma_j.  On a Markov chain each one equals
-    I(b:c|d) - I(a:c|d), which data processing keeps nonnegative.
+    nonnegative for Markov joints and every permutation: it is a sum of
+    four-variable gaps I(b:c) + I(a:d) - I(a:c) - I(b:d), one per swap of
+    witnesses.uncrossing(perm), and on a Markov chain a, b, c, d each one
+    equals I(b:c|d) - I(a:c|d), which data processing keeps nonnegative.
     """
     if p.n_vars % 2:
         raise ValueError(f"needs an even number of variables, got {p.n_vars}")
     n = p.n_vars // 2
-    if sorted(perm) != list(range(1, n + 1)):
+    if len(perm) != n:
         raise ValueError(f"perm must rearrange 1..{n}, got {perm}")
-    # rho_i sits at axis n-i, sigma_j at axis n+j-1
-    diag = sum(classical_mi(p, (n - i,), (n + i - 1,)) for i in range(1, n + 1))
-    off = sum(classical_mi(p, (n - i,), (n + perm[i - 1] - 1,))
-              for i in range(1, n + 1))
-    return diag - off
+    return monogamy_gap(lambda r, s: classical_mi(p, (r - 1,), (s - 1,)), perm)
 
 
 def random_chain(n_vars: int, dim: int, seed: int | np.random.Generator = 0) -> ClassicalChain:

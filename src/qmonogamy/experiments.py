@@ -32,14 +32,16 @@ call per kind of draw (ginibre_densities, haar_unitaries with
 dilation_kraus, dirichlet_chains with joints_from_chains), each channel
 acts on the whole stack in one call, and each entropy of the block is
 one stacked eigensolve (or marginal sum).  The per-sample functions
-(cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information,
-cmmi_gap) are the reference the tests compare the stacked checks with.
+(cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
+cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
+shares) are the reference the tests compare the stacked checks with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +57,7 @@ from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MarkovChainProcess, m4_ssa_certificate, m4_witness,
                         m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
-                        m8_witnesses, markov_process, qdpi_witnesses)
+                        m8_witnesses, markov_process, monogamy_gap, qdpi_witnesses)
 
 __all__ = [
     "u_lambda",
@@ -476,20 +478,6 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
             "cmi_min": cmi_min}
 
 
-def _cmmi_gap_stack(probs: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """classical.cmmi_gap of every joint in a stack (leading sample axis)."""
-    n = len(perm)
-
-    def mi(a: int, b: int) -> np.ndarray:
-        return (shannon_entropies(probs, (a,)) + shannon_entropies(probs, (b,))
-                - shannon_entropies(probs, (a, b)))
-
-    # rho_i sits at axis n-i, sigma_j at axis n+j-1
-    diag = sum(mi(n - i, n + i - 1) for i in range(1, n + 1))
-    off = sum(mi(n - i, n + perm[i - 1] - 1) for i in range(1, n + 1))
-    return diag - off
-
-
 def classical_cmmi_check(samples: int = 1000, seed: int = 0,
                          n_pairs: int = 2, dim: int = 2) -> dict[str, float]:
     """Minimum classical monogamy gap over random Markov chains.
@@ -498,6 +486,8 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     four-variable monogamy combination.
     """
     _require_samples(samples)
+    if n_pairs < 1:
+        raise ValueError(f"need at least one pair of variables, got n_pairs={n_pairs}")
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
@@ -509,5 +499,8 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
         for b in range(size):
             init[b], steps[b] = chain_variates(rng, 2 * n_pairs, dim)
         probs = joints_from_chains(*dirichlet_chains(init[:size], steps[:size]))
-        worst = min(worst, float(_cmmi_gap_stack(probs, perm).min()))
+        # I(X_r : X_s) of every joint in the block, axes as in classical.cmmi_gap
+        h = partial(shannon_entropies, probs)
+        gaps = monogamy_gap(lambda r, s: h((r - 1,)) + h((s - 1,)) - h((r - 1, s - 1)), perm)
+        worst = min(worst, float(gaps.min()))
     return {"classical_cmmi_min": worst}

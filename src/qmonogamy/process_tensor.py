@@ -28,6 +28,7 @@ processes and detect memory in different ways when they differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,10 +36,10 @@ import numpy as np
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
 from .info import mutual_information
-from .linalg import broadcast_batch, kron, unitarity_deviation
+from .linalg import broadcast_batch, unitarity_deviation
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
 from .tolerances import ISOMETRY_TOL, PROB_SLACK, TRACE_TOL
-from .witnesses import WitnessReport
+from .witnesses import MONOGAMY, WitnessReport, monogamy_gap
 
 __all__ = [
     "SystemEnvCircuit",
@@ -97,11 +98,6 @@ class ProcessTensor:
     @property
     def d_sys(self) -> int:
         return self.state.dims[1]
-
-    @property
-    def choi(self) -> DensityMatrix:
-        """The Choi state: the marginal on the ports."""
-        return self.state.reduced(self.ports)
 
 
 def system_env_circuit(initial: PureState,
@@ -210,11 +206,12 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
 
 
 def markov_factorization_gap(pt: ProcessTensor) -> float:
-    """Max-abs distance between the Choi state and the product of its
-    per-step marginals (R0,S1)(R1,S2)...(R_{k-1},S_k); zero iff Markov."""
-    # the step marginals are read from the register, not from the Choi matrix
-    parts = [pt.state.reduced((f"R{g}", f"S{g + 1}")).mat for g in range(pt.n_slots)]
-    return float(np.abs(pt.choi.mat - kron(*parts)).max())
+    """Relative entropy in bits of the Choi state Y to the product of its
+    step marginals Y_g on (R_g, S_{g+1}), sum_g H(Y_g) - H(Y) with H(Y) =
+    H(E); zero iff Markov.  The product is a Markov tensor, so this is the
+    non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018)."""
+    steps = sum(pt.state.entropy((f"R{g}", f"S{g + 1}")) for g in range(pt.n_slots))
+    return float(steps - pt.state.entropy(("E",)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +336,16 @@ def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int
 def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
     """The interventional monogamy gap I(1;4) + I(2;3) - I(1;3) - I(2;4)
     of every kind (entries q1, q2, q3), each nonnegative for every Markov
-    process.  One intervened state per slot pair serves all three kinds.
-    On a stacked circuit every entry is an array over the stack."""
+    process: witnesses.monogamy_gap of the M4 permutation over the kind's
+    two-slot quantity (multitime_coherent_info).  One intervened state per
+    slot pair serves all three kinds.  On a stacked circuit every entry is
+    an array over the stack."""
     if circuit.n_slots < 4:
         raise ValueError("needs a circuit with at least 4 slots")
-    signs = {(1, 4): 1.0, (2, 3): 1.0, (1, 3): -1.0, (2, 4): -1.0}
-    states = {pair: _intervened_state(circuit, *pair, purify) for pair in signs}
-    entries = {kind: sum(sign * _kind_value(states[pair], kind)
-                         for pair, sign in signs.items())
-               for kind in _KIND_TERMS}
-    return WitnessReport(entries)
+    state = cache(lambda j, k: _intervened_state(circuit, j, k, purify))
+    return WitnessReport({kind: monogamy_gap(lambda j, k: _kind_value(state(j, k), kind),
+                                             MONOGAMY[4]["M4"])
+                          for kind in _KIND_TERMS})
 
 
 def mqmmi_witness(circuit: SystemEnvCircuit, kind: str) -> float:
@@ -387,7 +384,7 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
         if u.shape != (d_s * env_dim, d_s * env_dim):
             raise ValueError(
                 f"step unitary {jj} must act on dim {d_s * env_dim}, got {u.shape}")
-        big = kron(u, np.eye(env_dim ** (m - 1)))
+        big = np.kron(u, np.eye(env_dim ** (m - 1)))
         # big is ordered (S, F_jj, other F's ascending); permute to (S, F_1..F_m)
         current = [0, jj + 1] + [ax for ax in range(1, m + 1) if ax != jj + 1]
         perm = [current.index(ax) for ax in range(m + 1)]

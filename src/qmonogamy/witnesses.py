@@ -12,7 +12,10 @@ witnesses are:
 * monogamy gaps, one per permutation f of 1..n over 2n states: the sum
   of coherent informations across the nested pairs (n+1-i : n+i) upper
   bounds the sum across the pairs (n+1-i : n+f(i)).  MONOGAMY names the
-  permutations behind M4, M6a/b and M8a..g.
+  permutations behind M4, M6a/b and M8a..g.  monogamy_gap writes this
+  pairing once, for any two-time quantity; the classical
+  (classical.cmmi_gap) and process-tensor (mqmmi_witnesses) pictures
+  share it.
 
 Everything here reads one pure state per process, its purified circuit:
 each channel is replaced by an isometry into a fresh environment
@@ -23,14 +26,14 @@ it every coherent information is a difference of two subset entropies,
 
 so a monogamy gap is a linear form in entropies of environment
 intervals.  Strong subadditivity alone makes it nonnegative, for every
-permutation and every process: uncrossing(f) carries f to the identity
-in at most n - 1 swaps, and each swap is one conditional mutual
-information of environment intervals (monogamy_certificate).  The terms
-add up to the gap exactly, so the certificate is the proof and a
-numerical cross-check at once.  PureState.entropy memoizes on the state,
-so witnesses and certificates of one process share their eigensolves.
-The independent reference is info.chain_coherent_information, which
-propagates Kraus maps and never builds the circuit; tests compare the two.
+permutation and every process: each M4 gap of uncrossing(f) is one
+conditional mutual information of environment intervals
+(monogamy_certificate).  The terms add up to the gap exactly, so the
+certificate is the proof and a numerical cross-check at once.
+PureState.entropy memoizes on the state, so witnesses and certificates
+of one process share their eigensolves.  The independent reference is
+info.chain_coherent_information, which propagates Kraus maps and never
+builds the circuit; tests compare the two.
 
 All witnesses are reported as plain gap values; a WitnessReport flags
 entries below -GAP_TOLERANCE (tolerances.py) as violations.
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -90,8 +94,9 @@ class MarkovChainProcess:
     def coherent_info(self, r: int, s: int) -> float:
         """Ic(r:s) = H(R, E1..E_{s-1}) - H(E_r..E_{s-1}) on the purified
         circuit; channels from step s on leave that marginal unchanged."""
-        if not 1 <= r < s <= self.n_states:
+        if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s <= {self.n_states}, got r={r}, s={s}")
+        _require_states(self, s, f"Ic({r}:{s})")
         envs = [f"E{j}" for j in range(1, s)]
         return self.circuit.entropy(["R"] + envs) - self.circuit.entropy(envs[r - 1:])
 
@@ -206,28 +211,29 @@ MONOGAMY = {
 }
 
 
-def _perm_size(p: MarkovChainProcess, perm: tuple[int, ...]) -> int:
+def _permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """perm as a tuple of ints, refused unless it rearranges 1..n, n >= 1."""
     n = len(perm)
-    if n < 1 or sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must rearrange 1..n for some n >= 1, got {perm}")
-    _require_states(p, 2 * n, f"a permutation of 1..{n}")
-    return n
+    if (n < 1 or not all(isinstance(f, (int, np.integer)) for f in perm)
+            or sorted(perm) != list(range(1, n + 1))):
+        raise ValueError(f"perm must rearrange 1..n for some n >= 1, got {tuple(perm)}")
+    return tuple(map(int, perm))
 
 
-def monogamy_gap(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
-    """Permutation gap over the first 2n states, n = len(perm); >= 0 always.
+def monogamy_gap(quantity: Callable[[int, int], float], perm: tuple[int, ...]) -> float:
+    """Permutation gap of a two-time quantity q(r, s), r < s, over states
+    1..2n, n = len(perm); q may give floats or arrays over a stack.
 
     The states are read as a chain rho_n -> ... -> rho_1 -> sigma_1 -> ...
     -> sigma_n, i.e. rho_i is state n+1-i and sigma_j is state n+j.  The
-    gap is sum_i Ic(rho_i : sigma_i) - sum_i Ic(rho_i : sigma_perm[i]),
-    both sums taken over the pairs (r, s) with r ascending.
-    monogamy_certificate(p, perm) equals it as a sum of conditional
-    mutual informations.
+    gap is sum_i q(rho_i, sigma_i) - sum_i q(rho_i, sigma_perm[i]), both
+    sums taken over the pairs (r, s) with r ascending.  For a process p,
+    monogamy_certificate(p, perm) equals monogamy_gap(p.coherent_info, perm).
     """
-    n = _perm_size(p, perm)
-    ic = p.coherent_info
-    nested = sum(ic(r, 2 * n + 1 - r) for r in range(1, n + 1))
-    return nested - sum(ic(r, n + perm[n - r]) for r in range(1, n + 1))
+    perm = _permutation(perm)
+    n = len(perm)
+    nested = sum(quantity(r, 2 * n + 1 - r) for r in range(1, n + 1))
+    return nested - sum(quantity(r, n + perm[n - r]) for r in range(1, n + 1))
 
 
 def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -235,7 +241,10 @@ def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
     For i = 1..n with f(i) != i, take j = f(i) and k = f^-1(i), both
     above i, and set f(i) = i, f(k) = j.  Each swap trades the pairs
-    (rho_k, sigma_i), (rho_i, sigma_j) for (rho_i, sigma_i), (rho_k, sigma_j).
+    (rho_k, sigma_i), (rho_i, sigma_j) for (rho_i, sigma_i), (rho_k, sigma_j),
+    which lowers monogamy_gap by the M4 gap q(b,c) + q(a,d) - q(a,c) - q(b,d)
+    of the sub-chain a, b, c, d = rho_k, rho_i, sigma_i, sigma_j.  So every
+    permutation gap is a sum of such M4 gaps, and nonnegative when they are.
     """
     f = dict(enumerate(perm, 1))
     swaps = []
@@ -249,18 +258,18 @@ def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 
 def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
-    """monogamy_gap(p, perm) as a sum of environment CMIs, one per swap.
+    """monogamy_gap(p.coherent_info, perm) as a sum of environment CMIs, one per swap.
 
     With H[i, j] = H(E_{n+1-i}..E_{n+j-1}), the gap is
     sum_i H[i, perm(i)] - sum_i H[i, i]: the H(R, E_1..E_{s-1}) halves of
-    the coherent informations cancel.  A swap (k, i, j) of uncrossing(perm)
-    lowers the first sum by H[k, i] + H[i, j] - H[i, i] - H[k, j] =
+    the coherent informations cancel.  The M4 gap of a swap (k, i, j) is
+    H[k, i] + H[i, j] - H[i, i] - H[k, j] =
     I(E_{n+1-k}..E_{n-i} : E_{n+i}..E_{n+j-1} | E_{n+1-i}..E_{n+i-1}),
-    which strong subadditivity keeps nonnegative for every state.  The
-    swaps end at the identity, whose gap is 0, so the terms add up to the
-    gap exactly.
+    which strong subadditivity keeps nonnegative for every state.
     """
-    n = _perm_size(p, perm)
+    perm = _permutation(perm)
+    n = len(perm)
+    _require_states(p, 2 * n, f"a permutation of 1..{n}")
 
     def envs(lo: int, hi: int) -> tuple[str, ...]:
         return tuple(f"E{e}" for e in range(lo, hi + 1))
@@ -272,17 +281,19 @@ def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
 
 def m4_witness(p: MarkovChainProcess) -> float:
     """Four-state monogamy gap Ic(1:4) + Ic(2:3) - Ic(1:3) - Ic(2:4) >= 0."""
-    return monogamy_gap(p, MONOGAMY[4]["M4"])
+    return monogamy_gap(p.coherent_info, MONOGAMY[4]["M4"])
 
 
 def m6_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The six-state monogamy gaps M6a, M6b of MONOGAMY."""
-    return WitnessReport({name: monogamy_gap(p, f) for name, f in MONOGAMY[6].items()})
+    return WitnessReport({name: monogamy_gap(p.coherent_info, f)
+                          for name, f in MONOGAMY[6].items()})
 
 
 def m8_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The eight-state monogamy gaps M8a..M8g of MONOGAMY."""
-    return WitnessReport({name: monogamy_gap(p, f) for name, f in MONOGAMY[8].items()})
+    return WitnessReport({name: monogamy_gap(p.coherent_info, f)
+                          for name, f in MONOGAMY[8].items()})
 
 
 # ---------------------------------------------------------------------------

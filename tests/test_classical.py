@@ -185,8 +185,11 @@ def test_cmmi_gap_rejects_odd_chains_and_bad_perms():
     with pytest.raises(ValueError):
         cmmi_gap(p, (1,))
     p = joint_from_chain(random_chain(4, 2, seed=4))
-    with pytest.raises(ValueError):
-        cmmi_gap(p, (1, 3))
+    for bad in [(1, 3), (1, 2, 3), (2.0, 1.0), (np.float64(2), 1)]:
+        with pytest.raises(ValueError, match="rearrange"):
+            cmmi_gap(p, bad)
+    # numpy integers are integers
+    assert cmmi_gap(p, tuple(np.array([2, 1]))) == cmmi_gap(p, (2, 1))
 
 
 def test_random_chain_rejects_empty_variables():

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line entry point, in process."""
 
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -74,6 +75,22 @@ def test_output_files_are_byte_identical_across_runs(tmp_path):
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().startswith(b"lambda,DP5_markov")
+
+
+# sha256 of each sweep's default-grid CSV; a refactor of the witnesses must
+# leave these bytes alone
+DEFAULT_GRID_CSV_SHA256 = {
+    "sweep-qmmi": "0f65b12ab613043ed8735b592541460629ab15cf15fc780e440e5779dd3391f9",
+    "sweep-mqmmi": "8f7988b2ae8fdd251f337c0b0bd1fb8461d211f6c4d714950564664cc921bc56",
+    "sweep-dpi-extra": "08ea7d8dd845ab533c2846e5ed44eaf408ce9ea72c87cfba4b8845932bda061b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_GRID_CSV_SHA256))
+def test_default_grid_csv_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_GRID_CSV_SHA256[command]
 
 
 def test_svg_lands_next_to_the_output_file(tmp_path):

@@ -401,6 +401,14 @@ def test_side_checks_refuse_an_empty_sample(check):
         check(samples=0)
 
 
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_classical_check_refuses_fewer_than_one_pair_before_drawing(monkeypatch, n_pairs):
+    draws = _recorded(monkeypatch, "chain_variates")
+    with pytest.raises(ValueError, match=f"at least one pair of variables, got n_pairs={n_pairs}"):
+        classical_cmmi_check(samples=3, n_pairs=n_pairs)
+    assert draws == []
+
+
 def test_verify_takes_other_dimensions():
     report = random_markov_verify(4, samples=2, dims=(3, 1), seed=2, certificate_samples=1)
     assert min(report["witness_minima"].values()) >= -1e-9

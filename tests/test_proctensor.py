@@ -21,10 +21,11 @@ from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
                                       contract, dephased_joint_pmf, fresh_env_circuit,
                                       markov_factorization_gap, mqmmi_witness,
-                                      multitime_coherent_info, port_mutual_information,
-                                      system_env_circuit)
+                                      mqmmi_witnesses, multitime_coherent_info,
+                                      port_mutual_information, system_env_circuit)
 from qmonogamy.states import MAX_AMPLITUDES, PureState, pure_state, purify, w_state
-from qmonogamy.witnesses import m4_witness, markov_process
+from qmonogamy.tolerances import GAP_TOLERANCE
+from qmonogamy.witnesses import MONOGAMY, m4_witness, markov_process, monogamy_gap
 
 
 def _haar(rng, n):
@@ -306,11 +307,20 @@ def test_markov_tensor_factorizes_and_nonmarkov_does_not():
     assert markov_factorization_gap(pt) > 1e-3
 
 
-def _choi_factorization_gap(pt):
-    # the gap as first written: the step marginals partial-traced from the Choi matrix
-    choi = pt.choi
+def _choi_factorization_gaps(pt):
+    """The max-abs gap as first written and the relative entropy in bits,
+    both from the dense Choi matrix and its partial-traced step marginals."""
+    choi = pt.state.reduced(pt.ports)
     parts = [choi.reduced((2 * g, 2 * g + 1)).mat for g in range(pt.n_slots)]
-    return float(np.abs(choi.mat - kron(*parts)).max())
+    product = kron(*parts)
+
+    def log2m(m):
+        # log2 on the support; the Choi state lies inside the product's support
+        w, v = np.linalg.eigh(m)
+        return (v * np.log2(np.where(w > 1e-13, w, 1.0))) @ v.conj().T
+
+    rel = np.trace(choi.mat @ (log2m(choi.mat) - log2m(product))).real
+    return float(np.abs(choi.mat - product).max()), float(rel)
 
 
 @pytest.mark.parametrize("slots", [2, 3, 4])
@@ -320,8 +330,11 @@ def test_factorization_gap_equals_the_choi_partial_trace_formula(slots):
     circuits += [_random_markov_circuit(rng, 3, env_dim=e) for e in (1, 2, 3)]
     for circuit in circuits:
         pt = build_process_tensor(circuit, slots)
-        assert markov_factorization_gap(pt) == pytest.approx(
-            _choi_factorization_gap(pt), abs=1e-12)
+        max_abs, rel = _choi_factorization_gaps(pt)
+        gap = markov_factorization_gap(pt)
+        assert gap == pytest.approx(rel, abs=1e-12)
+        # zero exactly where the dense product form holds
+        assert (gap <= 1e-9) == (max_abs <= 1e-12)
 
 
 def test_causality_mutual_informations_vanish():
@@ -414,6 +427,50 @@ def test_mqmmi_matches_the_chain_witness_on_markov_circuits():
     want = m4_witness(p)
     for kind in ("q1", "q2", "q3"):
         assert mqmmi_witness(circuit, kind) == pytest.approx(want, abs=1e-9), kind
+
+
+def test_mqmmi_witnesses_are_the_four_pair_sum():
+    """The M4 signs written out: I(1;4) + I(2;3) - I(1;3) - I(2;4) of each kind."""
+    rng = np.random.default_rng(43)
+    for circuit in (_w_circuit(0.4), _w_circuit([0.1, 0.5, 0.9]),
+                    _random_markov_circuit(rng, 3)):
+        entries = mqmmi_witnesses(circuit).entries
+        for kind in ("q1", "q2", "q3"):
+            i = {pair: multitime_coherent_info(circuit, kind, *pair)
+                 for pair in [(1, 4), (2, 3), (1, 3), (2, 4)]}
+            want = i[1, 4] + i[2, 3] - i[1, 3] - i[2, 4]
+            np.testing.assert_allclose(entries[kind], want, rtol=0, atol=1e-12)
+
+
+def _multitime_gap(circuit, kind, perm):
+    return monogamy_gap(lambda j, k: multitime_coherent_info(circuit, kind, j, k), perm)
+
+
+@pytest.mark.parametrize("slots", [6, 8])
+def test_the_multitime_family_equals_the_chain_gaps_on_markov_circuits(slots):
+    """Every M6 and M8 permutation of every kind reduces to the chain gap
+    of the induced channel sequence on a fresh-environment circuit."""
+    rng = np.random.default_rng(47 + slots)
+    units = [_haar(rng, 4) for _ in range(slots - 1)]
+    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    init = pure_state(vec / np.linalg.norm(vec), (2, 2))
+    circuit = fresh_env_circuit(init, units, 2)
+    p = markov_process(init.reduced((1,)), [unitary_channel(u, 2, 2) for u in units])
+    for name, perm in MONOGAMY[slots].items():
+        want = monogamy_gap(p.coherent_info, perm)
+        assert want >= -1e-9, name
+        for kind in ("q1", "q2", "q3"):
+            assert _multitime_gap(circuit, kind, perm) == pytest.approx(
+                want, abs=1e-12), (name, kind)
+
+
+def test_the_six_slot_family_is_violated_on_the_whole_lambda_grid():
+    circuit = _w_circuit(lambda_grid(), n_steps=5)
+    for name, perm in MONOGAMY[6].items():
+        for kind in ("q1", "q2", "q3"):
+            gaps = _multitime_gap(circuit, kind, perm)
+            assert gaps.shape == (101,)
+            assert (gaps < -GAP_TOLERANCE).all(), (name, kind)
 
 
 def test_dephased_markov_tensor_gives_markov_pmf():

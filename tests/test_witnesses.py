@@ -212,28 +212,33 @@ def test_dp5_equals_an_environment_conditional_entropy():
 
 def test_monogamy_gap_swap_is_m4():
     p = random_markov_process(4, seed=21)
-    gap = monogamy_gap(p, (2, 1))
+    gap = monogamy_gap(p.coherent_info, (2, 1))
     assert gap == pytest.approx(m4_witness(p), abs=1e-12)
-    assert monogamy_gap(p, (1, 2)) == pytest.approx(0.0, abs=1e-12)
+    assert monogamy_gap(p.coherent_info, (1, 2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_monogamy_gap_all_three_pair_permutations():
     p = random_markov_process(6, seed=22)
     for perm in itertools.permutations((1, 2, 3)):
-        gap = monogamy_gap(p, perm)
+        gap = monogamy_gap(p.coherent_info, perm)
         assert gap >= -TOL, perm
         assert monogamy_certificate(p, perm) == pytest.approx(gap, abs=1e-12), perm
 
 
 def test_monogamy_gap_guards():
     p = random_markov_process(4, seed=23)
-    for bad in [(1, 1), (), (0, 1), (2, 3)]:
+    for bad in [(1, 1), (), (0, 1), (2, 3), (2.0, 1.0), (np.float64(2), 1)]:
         with pytest.raises(ValueError, match="rearrange"):
-            monogamy_gap(p, bad)
+            monogamy_gap(p.coherent_info, bad)
         with pytest.raises(ValueError, match="rearrange"):
             monogamy_certificate(p, bad)
+    # numpy integers are integers
+    perm = tuple(np.array([2, 1]))
+    assert monogamy_gap(p.coherent_info, perm) == m4_witness(p)
+    assert monogamy_certificate(p, perm) == m4_ssa_certificate(p)
+    # the state count is checked by the quantity, Ic(1:6) here
     with pytest.raises(ValueError, match="at least 6 states"):
-        monogamy_gap(p, (1, 2, 3))
+        monogamy_gap(p.coherent_info, (1, 2, 3))
     with pytest.raises(ValueError, match="at least 6 states"):
         monogamy_certificate(p, (1, 2, 3))
 
@@ -339,7 +344,7 @@ def test_every_permutation_gap_equals_its_certificate(perm, d_env, seed):
     p = random_markov_process(2 * n, seed, 2, d_env)
     certificate = monogamy_certificate(p, perm)
     assert certificate >= -GAP_TOLERANCE
-    assert certificate == pytest.approx(monogamy_gap(p, perm), abs=1e-12)
+    assert certificate == pytest.approx(monogamy_gap(p.coherent_info, perm), abs=1e-12)
 
 
 def test_the_reversal_gap_of_a_twelve_state_process():
@@ -348,7 +353,7 @@ def test_the_reversal_gap_of_a_twelve_state_process():
     perm = (6, 5, 4, 3, 2, 1)
     ref = [[_kraus_reference(p, 7 - i, 6 + j) for j in range(1, 7)] for i in range(1, 7)]
     want = sum(ref[i][i] for i in range(6)) - sum(ref[i][perm[i] - 1] for i in range(6))
-    gap = monogamy_gap(p, perm)
+    gap = monogamy_gap(p.coherent_info, perm)
     assert gap == pytest.approx(want, abs=1e-12)
     assert gap >= -GAP_TOLERANCE
     assert monogamy_certificate(p, perm) == pytest.approx(gap, abs=1e-12)
@@ -358,7 +363,8 @@ def test_a_longer_process_gives_the_gap_of_its_prefix():
     p = random_markov_process(7, seed=6)
     prefix = markov_process(p.initial, p.channels[:5])
     for perm in [(2, 3, 1), (3, 2, 1)]:
-        assert monogamy_gap(p, perm) == pytest.approx(monogamy_gap(prefix, perm), abs=1e-12)
+        assert monogamy_gap(p.coherent_info, perm) == pytest.approx(
+            monogamy_gap(prefix.coherent_info, perm), abs=1e-12)
         assert monogamy_certificate(p, perm) == pytest.approx(
             monogamy_certificate(prefix, perm), abs=1e-12)
 
