@@ -230,12 +230,18 @@ def random_chain(n_vars: int, dim: int, seed: int | np.random.Generator = 0) -> 
     return ClassicalChain(init[0], tuple(t[0] for t in steps))
 
 
-def chain_variates(rng: np.random.Generator, n_vars: int,
-                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+def chain_variates(rng: np.random.Generator, n_vars: int, dim: int,
+                   size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The exponential variates of one random_chain draw, in its order:
-    dim for the initial distribution, then (n_vars - 1, dim, dim)."""
-    init = rng.exponential(size=dim)
-    return init, np.stack([rng.exponential(size=(dim, dim)) for _ in range(n_vars - 1)])
+    dim for the initial distribution, then (n_vars - 1, dim, dim).
+
+    With `size`, those of `size` draws in turn, as stacks (size, dim) and
+    (size, n_vars - 1, dim, dim).  Either way one exponential call draws
+    them all, which leaves the stream unchanged.
+    """
+    lead = () if size is None else (size,)
+    x = rng.exponential(size=lead + (dim + (n_vars - 1) * dim * dim,))
+    return x[..., :dim], x[..., dim:].reshape(lead + (n_vars - 1, dim, dim))
 
 
 def dirichlet_chains(init: np.ndarray,

@@ -20,8 +20,19 @@ gamma_3, equals H(E) at gamma_3 minus H(E) at gamma_4.
 Randomized harnesses draw Markov processes from Haar dilations and
 report worst-case witness values, certificate mismatches, adjoint-map
 deviations, mutual-information monotonicity gaps, and the classical
-monogamy gap.  Every harness is deterministic given its seed; sample i
-uses seed + i so a reported counterexample can be rebuilt in isolation.
+monogamy gap.  Every harness is deterministic given its seed.
+
+The witness survey (random_markov_verify) gives sample i its own
+generator, default_rng(seed + i), so a reported counterexample can be
+rebuilt alone with random_markov_process(steps, seed + i).  Each sample's
+Gaussians are drawn in one call, in that function's order; a stack of
+samples (bounded by SURVEY_AMPLITUDES) is then built as one batched
+purified circuit, with one stacked call per kind of draw
+(ginibre_densities, purify, haar_unitaries, dilation_kraus) and one
+PureState.apply per channel.  Every witness and certificate is read from
+that circuit by the formulas the one-process witnesses use
+(witnesses.survey_witnesses, survey_certificates), each entropy one
+stacked eigensolve per stack.
 
 The three side checks (adjoint identity, mutual-information monotonicity,
 classical monogamy) draw the raw variates of their samples one sample at
@@ -35,6 +46,9 @@ one stacked eigensolve (or marginal sum).  The per-sample functions
 (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
 cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
 shares) are the reference the tests compare the stacked checks with.
+
+Counts, dimensions and seeds given to a harness must be integers; anything
+else is refused with a ValueError that names the argument.
 """
 
 from __future__ import annotations
@@ -55,9 +69,8 @@ from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
                      ginibre_densities, maximally_entangled, purify, random_density,
                      von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
-from .witnesses import (MarkovChainProcess, m4_ssa_certificate, m4_witness,
-                        m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
-                        m8_witnesses, markov_process, monogamy_gap, qdpi_witnesses)
+from .witnesses import (MarkovChainProcess, dilated_circuit, markov_process, monogamy_gap,
+                        survey_certificates, survey_witnesses)
 
 __all__ = [
     "u_lambda",
@@ -258,9 +271,9 @@ def lambda_grid(lo: float = 0.0, hi: float = 1.0, step: float = 0.01) -> list[fl
 def parallel_map(fn: Callable, items: Sequence) -> list:
     """fn over items, in order, in the calling thread.
 
-    Each task is a few small numpy calls that hold the interpreter lock,
-    so threads would add overhead and no speed.  The witness survey fans
-    out through this one function; the sweeps stack their grid instead.
+    Nothing in the package calls it any more: the sweeps stack their grid
+    and the witness survey its samples.  It stays while the benchmark's
+    span tracer (benchmarks/spans.py) still wraps it.
     """
     return [fn(x) for x in items]
 
@@ -291,74 +304,81 @@ def random_markov_process(n_states: int, seed: int,
     return markov_process(initial, channels)
 
 
-def _require_samples(samples: int, what: str = "sample") -> None:
+def _require_int(value: int, name: str) -> None:
+    # a float count or dimension would otherwise reach range() or a draw's
+    # size and fail there with Python's TypeError (a bool is refused too)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_samples(samples: int, what: str = "sample", name: str = "samples") -> None:
     # an empty survey or check would report a vacuous pass or an infinite minimum
+    _require_int(samples, name)
     if samples < 1:
         raise ValueError(f"need at least one {what}, got {samples}")
 
 
-def _witness_entries(p: MarkovChainProcess, steps: int) -> dict[str, float]:
-    if steps == 4:
-        entries = dict(qdpi_witnesses(p).entries)
-        entries["M4"] = m4_witness(p)
-        return entries
-    if steps == 6:
-        return dict(m6_witnesses(p).entries)
-    return dict(m8_witnesses(p).entries)
-
-
-def _certificates(p: MarkovChainProcess, steps: int) -> dict[str, float]:
-    if steps == 4:
-        return {"M4": m4_ssa_certificate(p)}
-    if steps == 6:
-        return m6_ssa_certificates(p)
-    return m8_ssa_certificates(p)
+# the survey builds and measures its samples in stacks of this many
+# amplitudes (SURVEY_AMPLITUDES // amplitudes samples per stack: 64 at 8
+# qubit steps, 1024 at 4), so a stack's state vectors take 512 kB
+SURVEY_AMPLITUDES = 2 ** 15
 
 
 def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2),
                          seed: int = 0, certificate_samples: int = 20) -> dict:
     """Worst-case witness survey over `samples` random Markov processes.
 
-    Sample i is built from seed + i.  The first `certificate_samples`
-    processes additionally get their strong-subadditivity certificate
-    evaluated; the certificate values are themselves nonnegative sums of
-    conditional mutual informations, so their minimum is reported along
-    with the worst witness-to-certificate mismatch.  The first sample with
-    an entry below -GAP_TOLERANCE is the reported counterexample.
+    Sample i is the process random_markov_process(steps, seed + i, *dims).
+    The first `certificate_samples` processes additionally get their
+    strong-subadditivity certificate evaluated; the certificate values are
+    themselves nonnegative sums of conditional mutual informations, so
+    their minimum is reported along with the worst witness-to-certificate
+    mismatch.  The first sample with an entry below -GAP_TOLERANCE is the
+    reported counterexample.
+
+    The samples are built and measured in stacks (_survey_circuits): each
+    witness and certificate entropy is one stacked eigensolve per stack.
     """
+    _require_int(steps, "steps")
     if steps not in (4, 6, 8):
         raise ValueError(f"steps must be 4, 6 or 8, got {steps}")
     _require_samples(samples)
-    _require_samples(certificate_samples, "certificate sample")
+    _require_samples(certificate_samples, "certificate sample", "certificate_samples")
+    _require_int(seed, "seed")
     d_sys, d_env = dims
+    _require_int(d_sys, "system dimension")
+    _require_int(d_env, "environment dimension")
+    if d_sys < 2:
+        raise ValueError(f"system dimension must be at least 2, got {d_sys}")
+    if d_env < 1:
+        raise ValueError(f"environment dimensions must be at least 1, got {d_env}")
     # registers R, E1..E_{steps-1}, S of the purified circuit; refused here,
-    # before a sample of that size is drawn (random_markov_process rejects
-    # dimensions below 2 and 1 before it draws anything)
+    # before a sample of that size is drawn
     amplitudes = d_sys * d_env ** (steps - 1) * d_sys
     if amplitudes > MAX_AMPLITUDES:
         raise ValueError(f"dims {tuple(dims)} at {steps} steps need a purified circuit of "
                          f"{amplitudes} amplitudes (limit {MAX_AMPLITUDES})")
-
-    def one(i: int) -> tuple[dict[str, float], dict[str, float] | None]:
-        p = random_markov_process(steps, seed + i, d_sys, d_env)
-        entries = _witness_entries(p, steps)
-        certs = _certificates(p, steps) if i < certificate_samples else None
-        return entries, certs
-
-    results = parallel_map(one, list(range(samples)))
+    block = SURVEY_AMPLITUDES // amplitudes
     minima: dict[str, float] = {}
     cert_min = math.inf
     cert_mismatch = 0.0
     counterexample = None
-    for i, (entries, certs) in enumerate(results):
-        for name, value in entries.items():
-            minima[name] = min(minima.get(name, math.inf), value)
-        if counterexample is None and min(entries.values()) < -GAP_TOLERANCE:
-            counterexample = seed + i
-        if certs is not None:
-            cert_min = min(cert_min, min(certs.values()))
-            cert_mismatch = max(cert_mismatch,
-                                max(abs(entries[k] - certs[k]) for k in certs))
+    for start in range(0, samples, block):
+        size = min(block, samples - start)
+        circuit = _survey_circuits(steps, seed + start, size, d_sys, d_env)
+        entries = survey_witnesses(circuit, steps)
+        for name, values in entries.items():
+            minima[name] = min(minima.get(name, math.inf), float(values.min()))
+        failing = np.flatnonzero(np.min(list(entries.values()), axis=0) < -GAP_TOLERANCE)
+        if counterexample is None and failing.size:
+            counterexample = seed + start + int(failing[0])
+        certified = min(size, certificate_samples - start)
+        if certified > 0:
+            certs = survey_certificates(circuit, steps)
+            for name, values in certs.items():
+                cert_min = min(cert_min, float(values[:certified].min()))
+                gap = np.abs(entries[name][:certified] - values[:certified])
+                cert_mismatch = max(cert_mismatch, float(gap.max()))
     return {
         "steps": steps,
         "samples": samples,
@@ -368,6 +388,26 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
         "certificate_max_mismatch": cert_mismatch,
         "counterexample_seed": counterexample,
     }
+
+
+def _survey_circuits(steps: int, seed: int, size: int, d_sys: int, d_env: int) -> PureState:
+    """The purified circuits of random_markov_process(steps, seed + b,
+    d_sys, d_env), b < size, as one stack of `size` states.
+
+    Sample b draws its Gaussians from default_rng(seed + b) in one call, in
+    random_markov_process's order (the initial Ginibre matrix, then one
+    dilation per channel, each as ginibre's real then imaginary parts), so
+    the stack holds that function's processes bit for bit.  Each kind of
+    draw is then built and validated for the whole stack in one call.
+    """
+    d, total, channels = d_sys, d_sys * d_env, steps - 1
+    x = np.stack([np.random.default_rng(seed + b).normal(
+        size=2 * d * d + channels * 2 * total * total) for b in range(size)])
+    initial = DensityMatrix(ginibre_densities(_ginibres(x[:, :2 * d * d], d)), (d,))
+    u = _ginibres(x[:, 2 * d * d:].reshape(size * channels, -1), total)
+    kraus = dilation_kraus(haar_unitaries(u), d, d)
+    kraus = kraus.reshape(size, channels, d_env, d, d)
+    return dilated_circuit(initial, [kraus[:, j] for j in range(channels)])
 
 
 # each sample's raw variates are drawn in turn, but the samples are built,
@@ -384,6 +424,13 @@ MAX_KRAUS = 4
 def _blocks(samples: int) -> list[int]:
     """Sizes of the consecutive blocks that cover `samples` samples."""
     return [min(SAMPLE_BLOCK, samples - start) for start in range(0, samples, SAMPLE_BLOCK)]
+
+
+def _ginibres(x: np.ndarray, d: int) -> np.ndarray:
+    """The complex d x d matrices of normals x (..., 2 d d) as states.ginibre
+    builds them: the first half real parts, the second imaginary."""
+    x = x.reshape(x.shape[:-1] + (2, d, d))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
 
 
 def _subset_entropy(mats: np.ndarray, dims: tuple[int, ...],
@@ -412,6 +459,7 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
     """Max deviation of (A x id)(Psi+) = (id x A~)(Psi+) and of unitality
     of A~ over random channels of mixed dimensions."""
     _require_samples(samples)
+    _require_int(seed, "seed")
     rng = np.random.default_rng(seed)
     id_dev = 0.0
     unital_dev = 0.0
@@ -445,29 +493,34 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     on the middle qubit of a three-qubit state and the second of two.
     """
     _require_samples(samples)
+    _require_int(seed, "seed")
     rng = np.random.default_rng(seed)
     cqmi_min = math.inf
     mi_min = math.inf
     cmi_min = math.inf
     first = min(samples, SAMPLE_BLOCK)
-    g3 = np.empty((first, 8, 8), dtype=complex)
-    g2 = np.empty((first, 4, 4), dtype=complex)
+    x3 = np.empty((first, 2 * 8 * 8))
+    x2 = np.empty((first, 2 * 4 * 4))
     for size in _blocks(samples):
-        # the Gaussians of random_density(8), random_channel(2, 2, d_env) and
-        # random_density(4) per sample; the channel ones grouped by d_env,
-        # each with its sample's place in the block
+        # the Gaussians of random_density(8), then of random_channel(2, 2, d_env)
+        # and random_density(4), per sample, in one normal call on each side of
+        # its d_env draw; the channel ones grouped by d_env, each with its
+        # sample's place in the block
         draws: dict[int, tuple[list[int], list[np.ndarray]]] = {}
         for b in range(size):
-            g3[b] = ginibre(rng, (8, 8))
+            x3[b] = rng.normal(size=x3.shape[1])
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            where, gaussians = draws.setdefault(d_env, ([], []))
+            x = rng.normal(size=2 * (2 * d_env) ** 2 + x2.shape[1])
+            where, normals = draws.setdefault(d_env, ([], []))
             where.append(b)
-            gaussians.append(ginibre(rng, (2 * d_env, 2 * d_env)))
-            g2[b] = ginibre(rng, (4, 4))
-        r3, r2 = ginibre_densities(g3[:size]), ginibre_densities(g2[:size])
+            normals.append(x[:-x2.shape[1]])
+            x2[b] = x[-x2.shape[1]:]
+        r3 = ginibre_densities(_ginibres(x3[:size], 8))
+        r2 = ginibre_densities(_ginibres(x2[:size], 4))
         k = np.zeros((size, MAX_KRAUS, 2, 2), dtype=complex)
-        for d_env, (where, gaussians) in draws.items():
-            k[where, :d_env] = dilation_kraus(haar_unitaries(np.stack(gaussians)), 2, 2)
+        for d_env, (where, normals) in draws.items():
+            u = haar_unitaries(_ginibres(np.stack(normals), 2 * d_env))
+            k[where, :d_env] = dilation_kraus(u, 2, 2)
         cmi = _cmi_stack(r3)
         cqmi = cmi - _cmi_stack(apply_kraus(r3, (2, 2, 2), k, 1))
         mi = _mi_stack(r2) - _mi_stack(apply_kraus(r2, (2, 2), k, 1))
@@ -486,19 +539,20 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     four-variable monogamy combination.
     """
     _require_samples(samples)
+    _require_int(seed, "seed")
+    _require_int(n_pairs, "n_pairs")
+    _require_int(dim, "dim")
     if n_pairs < 1:
         raise ValueError(f"need at least one pair of variables, got n_pairs={n_pairs}")
+    if dim < 1:
+        raise ValueError(f"need at least one state per variable, got dim={dim}")
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
-    first = min(samples, SAMPLE_BLOCK)
-    init = np.empty((first, dim))
-    steps = np.empty((first, 2 * n_pairs - 1, dim, dim))
     for size in _blocks(samples):
-        # the exponential variates of random_chain per sample
-        for b in range(size):
-            init[b], steps[b] = chain_variates(rng, 2 * n_pairs, dim)
-        probs = joints_from_chains(*dirichlet_chains(init[:size], steps[:size]))
+        # the exponential variates of random_chain per sample, in one call
+        probs = joints_from_chains(*dirichlet_chains(*chain_variates(rng, 2 * n_pairs, dim,
+                                                                     size)))
         # I(X_r : X_s) of every joint in the block, axes as in classical.cmmi_gap
         h = partial(shannon_entropies, probs)
         gaps = monogamy_gap(lambda r, s: h((r - 1,)) + h((s - 1,)) - h((r - 1, s - 1)), perm)

@@ -102,7 +102,9 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
     broadcast against `m`'s, so one call can act a different channel on
     every operator of a stack.  Zero operators may pad a Kraus list, since
     they add nothing.  The result keeps the subsystem layout, with
-    `dims[target]` replaced by d_out.
+    `dims[target]` replaced by d_out.  The list acts through its transfer
+    matrix sum_k K_k (x) conj(K_k), one batched matmul on the target's
+    (ket, bra) index pair.
     """
     m = np.asarray(m, dtype=complex)
     kraus = np.asarray(kraus, dtype=complex)
@@ -116,11 +118,17 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
                          f"subsystem {target} is {dims[target]}")
     before = math.prod(dims[:target])
     after = math.prod(dims[target + 1:])
+    # T[(o, p), (i, j)] = sum_k K_k[o, i] conj(K_k[p, j]); the target's ket
+    # and bra axes go in front of the rest, as the rows T acts on
+    transfer = np.einsum("...koi,...kpj->...opij", kraus, kraus.conj())
+    transfer = transfer.reshape(transfer.shape[:-4] + (d_out * d_out, d_in * d_in))
+    nb = m.ndim - 2
     t = m.reshape(m.shape[:-2] + (before, d_in, after) * 2)
-    # ket side: K on the target axis, one term per Kraus operator
-    t = np.einsum("...koi,...xiyujv->...kxoyujv", kraus, t)
-    # bra side: K† on the target axis, summed over the Kraus operators
-    t = np.einsum("...kxoyujv,...kpj->...xoyupv", t, kraus.conj())
+    t = np.moveaxis(t, (nb + 1, nb + 4), (nb, nb + 1))
+    t = transfer @ t.reshape(m.shape[:-2] + (d_in * d_in, -1))
+    nb = t.ndim - 2
+    t = t.reshape(t.shape[:-2] + (d_out, d_out, before, after, before, after))
+    t = np.moveaxis(t, (nb, nb + 1), (nb + 1, nb + 4))
     d = before * d_out * after
     return t.reshape(t.shape[:-6] + (d, d))
 

@@ -2,8 +2,8 @@
 
 Inputs the validators accept in the tests, `verify` and the sweeps miss
 their invariants by at most 2.1e-15.  Budgets (MAX_AMPLITUDES,
-MAX_GRID_POINTS, SAMPLE_BLOCK, MAX_KRAUS) are sizes and stay with their
-code.  This module imports nothing.
+MAX_GRID_POINTS, SAMPLE_BLOCK, SURVEY_AMPLITUDES, MAX_KRAUS) are sizes
+and stay with their code.  This module imports nothing.
 """
 
 # density(): largest |m - m†|, |Tr m - 1| and -min eigenvalue; far above round-off

@@ -35,6 +35,15 @@ of one process share their eigensolves.  The independent reference is
 info.chain_coherent_information, which propagates Kraus maps and never
 builds the circuit; tests compare the two.
 
+Each witness and certificate formula is written once, over a circuit
+that may be a stack: dilated_circuit builds the purified circuits of
+many processes with one `apply` per channel, and survey_witnesses and
+survey_certificates read the same formulas from that stack, one stacked
+eigensolve per entropy for all of its processes.  The one-process
+functions (qdpi_witnesses, m4_witness, ..., m8_ssa_certificates) are
+the same formulas on one circuit; experiments.random_markov_verify is
+the stacked caller.
+
 All witnesses are reported as plain gap values; a WitnessReport flags
 entries below -GAP_TOLERANCE (tolerances.py) as violations.
 """
@@ -42,8 +51,8 @@ entries below -GAP_TOLERANCE (tolerances.py) as violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,6 +76,9 @@ __all__ = [
     "monogamy_certificate",
     "uncrossing",
     "purified_circuit_state",
+    "dilated_circuit",
+    "survey_witnesses",
+    "survey_certificates",
     "m4_ssa_certificate",
     "m6_ssa_certificates",
     "m8_ssa_certificates",
@@ -97,8 +109,13 @@ class MarkovChainProcess:
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s <= {self.n_states}, got r={r}, s={s}")
         _require_states(self, s, f"Ic({r}:{s})")
-        envs = [f"E{j}" for j in range(1, s)]
-        return self.circuit.entropy(["R"] + envs) - self.circuit.entropy(envs[r - 1:])
+        return _coherent_info(self.circuit, r, s)
+
+
+def _coherent_info(circuit: PureState, r: int, s: int) -> float | np.ndarray:
+    """Ic(r:s) on a purified circuit, or an array over a stack of them."""
+    envs = [f"E{j}" for j in range(1, s)]
+    return circuit.entropy(["R"] + envs) - circuit.entropy(envs[r - 1:])
 
 
 def markov_process(initial: DensityMatrix,
@@ -155,16 +172,18 @@ def qdpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     All four are nonnegative for every process.
     """
     _require_states(p, 4, "qdpi_witnesses")
-    ic = p.coherent_info
+    return WitnessReport(_dp_gaps(p.coherent_info))
+
+
+def _dp_gaps(ic: Callable[[int, int], float]) -> dict[str, float]:
     i12, i13, i14 = ic(1, 2), ic(1, 3), ic(1, 4)
     i23, i24 = ic(2, 3), ic(2, 4)
-    entries = {
+    return {
         "DP1": i12 - i13,
         "DP2": i12 - i14,
         "DP3": i13 - i14,
         "DP4": i23 - i24,
     }
-    return WitnessReport(entries)
 
 
 def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
@@ -268,15 +287,19 @@ def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
     which strong subadditivity keeps nonnegative for every state.
     """
     perm = _permutation(perm)
+    _require_states(p, 2 * len(perm), f"a permutation of 1..{len(perm)}")
+    return _certificate(p.circuit, perm)
+
+
+def _certificate(circuit: PureState, perm: tuple[int, ...]) -> float | np.ndarray:
     n = len(perm)
-    _require_states(p, 2 * n, f"a permutation of 1..{n}")
 
-    def envs(lo: int, hi: int) -> tuple[str, ...]:
-        return tuple(f"E{e}" for e in range(lo, hi + 1))
+    def h(i: int, j: int) -> float | np.ndarray:
+        # H[i, j] = H(E_{n+1-i}..E_{n+j-1})
+        return circuit.entropy(tuple(f"E{e}" for e in range(n + 1 - i, n + j)))
 
-    return sum((conditional_mutual_information(
-        p.circuit, envs(n + 1 - k, n - i), envs(n + i, n + j - 1),
-        envs(n + 1 - i, n + i - 1)) for k, i, j in uncrossing(perm)), 0.0)
+    # each term is I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+    return sum((h(k, i) + h(i, j) - h(k, j) - h(i, i) for k, i, j in uncrossing(perm)), 0.0)
 
 
 def m4_witness(p: MarkovChainProcess) -> float:
@@ -286,14 +309,16 @@ def m4_witness(p: MarkovChainProcess) -> float:
 
 def m6_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The six-state monogamy gaps M6a, M6b of MONOGAMY."""
-    return WitnessReport({name: monogamy_gap(p.coherent_info, f)
-                          for name, f in MONOGAMY[6].items()})
+    return WitnessReport(_monogamy_gaps(p.coherent_info, 6))
 
 
 def m8_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The eight-state monogamy gaps M8a..M8g of MONOGAMY."""
-    return WitnessReport({name: monogamy_gap(p.coherent_info, f)
-                          for name, f in MONOGAMY[8].items()})
+    return WitnessReport(_monogamy_gaps(p.coherent_info, 8))
+
+
+def _monogamy_gaps(ic: Callable[[int, int], float], n_states: int) -> dict[str, float]:
+    return {name: monogamy_gap(ic, f) for name, f in MONOGAMY[n_states].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +336,41 @@ def purified_circuit_state(p: MarkovChainProcess) -> PureState:
     rho = p.initial
     if len(rho.dims) != 1:
         rho = DensityMatrix(rho.mat, (rho.dim,))
-    psi = replace(purify(rho), labels=("R", "S"))
-    for j, ch in enumerate(p.channels, 1):
-        # stacked Kraus operators are the isometry |s> -> sum_e |e> (x) K_e|s>
-        psi = psi.apply(np.vstack(ch.kraus), ("S",),
-                        out={f"E{j}": len(ch.kraus), "S": ch.d_out})
+    return dilated_circuit(rho, [np.array(ch.kraus) for ch in p.channels])
+
+
+def dilated_circuit(initial: DensityMatrix, kraus: Sequence[np.ndarray]) -> PureState:
+    """purified_circuit_state of the process `initial` -> channel 1 -> ...
+
+    Channel j is its Kraus array (..., n_kraus, d_out, d_in).  `initial`
+    may be a stack of density matrices (one-subsystem dims) and each
+    Kraus array a stack of lists; the stacks broadcast, so one call
+    builds the circuits of a whole stack of processes, with one `apply`
+    per channel.
+    """
+    psi = replace(purify(initial), labels=("R", "S"))
+    for j, ops in enumerate(kraus, 1):
+        n_kraus, d_out, d_in = ops.shape[-3:]
+        # the Kraus operators one above the other are the isometry
+        # |s> -> sum_e |e> (x) K_e|s>
+        iso = ops.reshape(ops.shape[:-3] + (n_kraus * d_out, d_in))
+        psi = psi.apply(iso, ("S",), out={f"E{j}": n_kraus, "S": d_out})
     return psi
+
+
+def survey_witnesses(circuit: PureState, n_states: int) -> dict[str, float | np.ndarray]:
+    """The witnesses verify surveys on n_states-state processes, read from
+    their purified circuit or a stack of circuits (arrays over the stack):
+    DP1..DP4 and M4 at 4 states, the MONOGAMY gaps at 6 and 8."""
+    ic = partial(_coherent_info, circuit)
+    entries = _dp_gaps(ic) if n_states == 4 else {}
+    return entries | _monogamy_gaps(ic, n_states)
+
+
+def survey_certificates(circuit: PureState, n_states: int) -> dict[str, float | np.ndarray]:
+    """monogamy_certificate of each MONOGAMY entry at n_states, read from a
+    purified circuit or a stack of them, as survey_witnesses."""
+    return {name: _certificate(circuit, f) for name, f in MONOGAMY[n_states].items()}
 
 
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:

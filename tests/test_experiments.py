@@ -40,7 +40,10 @@ from qmonogamy import channels, classical, experiments, info, states
 from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
 from qmonogamy.classical import cmmi_gap
 from qmonogamy.states import DensityMatrix, density, maximally_entangled, random_density
-from qmonogamy.witnesses import cqmi_monotonicity_gap, mi_dpi_gap
+from qmonogamy.witnesses import (cqmi_monotonicity_gap, m4_ssa_certificate, m4_witness,
+                                 m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
+                                 m8_witnesses, mi_dpi_gap, qdpi_witnesses,
+                                 survey_certificates, survey_witnesses)
 
 H_ONE_THIRD = math.log2(3) - 2 / 3  # binary entropy of 1/3
 
@@ -394,6 +397,45 @@ def test_verify_guards():
         random_markov_verify(4, samples=2, certificate_samples=0)
 
 
+@pytest.mark.parametrize("harness,kwargs,name", [
+    (random_markov_verify, {"steps": 4, "samples": 1.5}, "samples"),
+    (random_markov_verify, {"steps": 4, "samples": 2, "certificate_samples": 1.5},
+     "certificate_samples"),
+    (random_markov_verify, {"steps": 4.0, "samples": 2}, "steps"),
+    (random_markov_verify, {"steps": 4, "samples": 2, "dims": (2.0, 2)}, "system dimension"),
+    (random_markov_verify, {"steps": 4, "samples": 2, "dims": (2, 2.0)},
+     "environment dimension"),
+    (random_markov_verify, {"steps": 4, "samples": True}, "samples"),
+    (adjoint_identity_check, {"samples": 2.5}, "samples"),
+    (mi_monotonicity_check, {"samples": 2.5}, "samples"),
+    (classical_cmmi_check, {"samples": 2.5}, "samples"),
+    (classical_cmmi_check, {"samples": 3, "n_pairs": 1.5}, "n_pairs"),
+    (classical_cmmi_check, {"samples": 3, "dim": 2.0}, "dim"),
+    (random_markov_verify, {"steps": 4, "samples": 2, "seed": 1.5}, "seed"),
+    (adjoint_identity_check, {"samples": 2, "seed": 1.5}, "seed"),
+    (mi_monotonicity_check, {"samples": 2, "seed": 1.5}, "seed"),
+    (classical_cmmi_check, {"samples": 2, "seed": 1.5}, "seed"),
+])
+def test_harnesses_refuse_a_non_integer_count_by_name(harness, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        harness(**kwargs)
+
+
+def test_harnesses_take_numpy_integers():
+    report = random_markov_verify(np.int64(4), np.int64(2), seed=1,
+                                  certificate_samples=np.int64(1))
+    assert report["counterexample_seed"] is None
+    assert classical_cmmi_check(samples=np.int32(3), n_pairs=np.int64(2),
+                                dim=np.int64(2))["classical_cmmi_min"] >= -1e-12
+
+
+def test_classical_check_refuses_a_chain_without_states_before_drawing(monkeypatch):
+    draws = _recorded(monkeypatch, "chain_variates")
+    with pytest.raises(ValueError, match="at least one state per variable, got dim=0"):
+        classical_cmmi_check(samples=3, dim=0)
+    assert draws == []
+
+
 @pytest.mark.parametrize("check", [adjoint_identity_check, mi_monotonicity_check,
                                    classical_cmmi_check])
 def test_side_checks_refuse_an_empty_sample(check):
@@ -432,6 +474,157 @@ def test_classical_cmmi_check_is_nonnegative():
     assert classical_cmmi_check(samples=60, seed=9)["classical_cmmi_min"] >= -1e-12
     assert classical_cmmi_check(samples=30, seed=9,
                                 n_pairs=3)["classical_cmmi_min"] >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked witness survey against the one-process witnesses
+# ---------------------------------------------------------------------------
+
+def _one_process(steps, seed, dims):
+    """The witnesses and certificates the one-process functions give for
+    random_markov_process(steps, seed, *dims)."""
+    p = random_markov_process(steps, seed, *dims)
+    if steps == 4:
+        entries = dict(qdpi_witnesses(p).entries)
+        entries["M4"] = m4_witness(p)
+        return entries, {"M4": m4_ssa_certificate(p)}
+    if steps == 6:
+        return dict(m6_witnesses(p).entries), m6_ssa_certificates(p)
+    return dict(m8_witnesses(p).entries), m8_ssa_certificates(p)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("steps", [4, 6, 8])
+def test_survey_stack_matches_the_one_process_witnesses_sample_by_sample(steps, dims):
+    seed, size = 30 + steps, 2 if dims == (2, 3) and steps == 8 else 3
+    circuit = experiments._survey_circuits(steps, seed, size, *dims)
+    assert circuit.batch == (size,)
+    entries = survey_witnesses(circuit, steps)
+    certs = survey_certificates(circuit, steps)
+    for b in range(size):
+        want, want_certs = _one_process(steps, seed + b, dims)
+        assert list(entries) == list(want)
+        assert list(certs) == list(want_certs)
+        for name, value in want.items():
+            assert entries[name][b] == pytest.approx(value, abs=1e-12), (b, name)
+        for name, value in want_certs.items():
+            assert certs[name][b] == pytest.approx(value, abs=1e-12), (b, name)
+
+
+def _survey_reference(steps, samples, seed, certificate_samples, dims=(2, 2)):
+    """random_markov_verify's report, from the one-process functions per sample."""
+    minima, cert_min, mismatch, counterexample = {}, math.inf, 0.0, None
+    for i in range(samples):
+        entries, certs = _one_process(steps, seed + i, dims)
+        for name, value in entries.items():
+            minima[name] = min(minima.get(name, math.inf), value)
+        if counterexample is None and min(entries.values()) < -1e-9:
+            counterexample = seed + i
+        if i < certificate_samples:
+            cert_min = min(cert_min, min(certs.values()))
+            mismatch = max(mismatch, max(abs(entries[k] - certs[k]) for k in certs))
+    return {"steps": steps, "samples": samples, "seed": seed, "witness_minima": minima,
+            "ssa_certificate_min": cert_min, "certificate_max_mismatch": mismatch,
+            "counterexample_seed": counterexample}
+
+
+def _assert_same_report(got, want):
+    assert got.keys() == want.keys()
+    assert (got["steps"], got["samples"], got["seed"], got["counterexample_seed"]) == (
+        want["steps"], want["samples"], want["seed"], want["counterexample_seed"])
+    assert list(got["witness_minima"]) == list(want["witness_minima"])
+    for name, value in want["witness_minima"].items():
+        assert got["witness_minima"][name] == pytest.approx(value, abs=1e-12), name
+    assert got["ssa_certificate_min"] == pytest.approx(want["ssa_certificate_min"], abs=1e-12)
+    assert got["certificate_max_mismatch"] <= 1e-12
+
+
+def test_survey_in_blocks_of_four_matches_the_per_sample_report(monkeypatch):
+    # 32 amplitudes per 4-step qubit circuit: blocks of 4 samples, so 10
+    # samples end in a partial block and certificates stop inside a block
+    monkeypatch.setattr(experiments, "SURVEY_AMPLITUDES", 4 * 32)
+    cert_minima = []
+    for certificate_samples in range(1, 11):
+        got = random_markov_verify(4, 10, seed=70, certificate_samples=certificate_samples)
+        want = _survey_reference(4, 10, 70, certificate_samples)
+        _assert_same_report(got, want)
+        cert_minima.append(want["ssa_certificate_min"])
+    # the certified set matters: its minimum moves as it grows
+    assert len(set(cert_minima)) > 1
+
+
+@pytest.mark.parametrize("steps,samples", [(6, 7), (8, 5)])
+def test_survey_in_partial_blocks_matches_the_per_sample_report(monkeypatch, steps, samples):
+    amplitudes = 2 * 2 ** (steps - 1) * 2
+    monkeypatch.setattr(experiments, "SURVEY_AMPLITUDES", 3 * amplitudes)
+    got = random_markov_verify(steps, samples, seed=90, certificate_samples=4)
+    _assert_same_report(got, _survey_reference(steps, samples, 90, 4))
+
+
+def test_survey_reports_the_first_failing_sample(monkeypatch):
+    # plant a failure in sample 9 (third block of four, a larger one) and in
+    # sample 6 (second block); the counterexample is the earlier sample
+    monkeypatch.setattr(experiments, "SURVEY_AMPLITUDES", 4 * 32)
+    planted = {6: ("DP3", 2e-9), 9: ("M4", 1.0)}
+    starts = iter(range(0, 12, 4))
+    real = experiments.survey_witnesses
+
+    def planting(circuit, steps):
+        entries = {k: np.array(v) for k, v in real(circuit, steps).items()}
+        start = next(starts)
+        for i, (name, depth) in planted.items():
+            if start <= i < start + circuit.batch[0]:
+                entries[name][i - start] = -depth
+        return entries
+
+    monkeypatch.setattr(experiments, "survey_witnesses", planting)
+    report = random_markov_verify(4, 11, seed=500)
+    assert report["counterexample_seed"] == 506
+    assert report["witness_minima"]["M4"] == -1.0
+    assert report["witness_minima"]["DP3"] == -2e-9
+
+
+def test_survey_eigensolves_do_not_grow_with_the_sample_count(monkeypatch):
+    # one stacked eigensolve per entropy for a whole block: 10 and 40
+    # samples of 8 qubit steps are each one block
+    calls = []
+    real = states.von_neumann_stack
+    monkeypatch.setattr(states, "von_neumann_stack",
+                        lambda mats: calls.append(mats.shape[0]) or real(mats))
+    random_markov_verify(8, 10)
+    ten = len(calls)
+    calls.clear()
+    random_markov_verify(8, 40)
+    assert ten > 0 and len(calls) == ten
+    assert set(calls) == {40}
+
+
+# ---------------------------------------------------------------------------
+# the side checks' outputs, frozen
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed,want", [
+    (0, {"cqmi_monotonicity_min": 0.07293068960269333,
+         "mi_monotonicity_min": 0.034132778330733915, "cmi_min": 0.23060434682754982}),
+    (1000, {"cqmi_monotonicity_min": 0.07295317436186077,
+            "mi_monotonicity_min": 0.02059572009718247, "cmi_min": 0.20206661668738735}),
+])
+def test_mi_monotonicity_check_frozen_values(seed, want):
+    got = mi_monotonicity_check(seed=seed)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, abs=1e-12), name
+
+
+@pytest.mark.parametrize("seed,n_pairs,dim,want", [
+    (0, 2, 2, 9.329706052163544e-08),
+    (1000, 2, 2, 3.831139638199588e-06),
+    (7, 3, 3, 0.00786065670685998),
+])
+def test_classical_cmmi_check_frozen_values(seed, n_pairs, dim, want):
+    # the same variates as drawn one chain at a time, so the same bits
+    assert classical_cmmi_check(seed=seed, n_pairs=n_pairs, dim=dim) == {
+        "classical_cmmi_min": want}
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,42 @@ def test_apply_kraus_acts_one_channel_per_stack_entry():
                                    atol=1e-13)
 
 
+def _embedded(m, dims, ops, target):
+    """sum_k (1 x K_k x 1) m (1 x K_k x 1)† with explicit kron embeddings."""
+    before = np.eye(int(np.prod(dims[:target])))
+    after = np.eye(int(np.prod(dims[target + 1:])))
+    out = 0
+    for k in ops:
+        big = kron(before, k, after)
+        out = out + big @ m @ big.conj().T
+    return out
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+@pytest.mark.parametrize("d_out", [2, 3, 4])
+def test_apply_kraus_equals_kron_embeddings_in_both_broadcast_directions(target, d_out):
+    rng = np.random.default_rng(10 + target + d_out)
+    dims = (2, 3, 2)
+    d_in = dims[target]
+    out_dims = dims[:target] + (d_out,) + dims[target + 1:]
+    ms = np.stack([_rand_complex(rng, 12) for _ in range(3)])
+    lists = np.stack([_kraus_ops(rng, 3, d_out, d_in) for _ in range(3)])
+    # a stack of operators under one Kraus list
+    got = apply_kraus(ms, dims, lists[0], target)
+    assert got.shape == (3,) + (int(np.prod(out_dims)),) * 2
+    for b in range(3):
+        np.testing.assert_allclose(got[b], _embedded(ms[b], dims, lists[0], target),
+                                   atol=1e-13)
+    # one operator under a stack of Kraus lists, and stack against stack
+    got = apply_kraus(ms[0], dims, lists, target)
+    paired = apply_kraus(ms, dims, lists, target)
+    for b in range(3):
+        want = _embedded(ms[0], dims, lists[b], target)
+        np.testing.assert_allclose(got[b], want, atol=1e-13)
+        np.testing.assert_allclose(paired[b], _embedded(ms[b], dims, lists[b], target),
+                                   atol=1e-13)
+
+
 def test_apply_kraus_rejects_mismatched_subsystems():
     ops = np.eye(2)[None]
     with pytest.raises(ValueError, match="dimension"):
