@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import ENTROPY_CLIP, MARKOV_CMI_TOL, NEG_PROB_TOL, PROB_SUM_TOL
+from .states import spectrum_entropy
+from .tolerances import MARKOV_CMI_TOL, NEG_PROB_TOL, PROB_SUM_TOL
 from .witnesses import monogamy_gap
 
 __all__ = [
@@ -161,14 +162,13 @@ def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     """shannon_entropy of the marginal over `subset` for a stack of joints.
 
     `probs` holds one joint per index of its leading axis, then one axis
-    per variable; entries at or below ENTROPY_CLIP are left out of the sum.
+    per variable; the sum is states.spectrum_entropy's, which leaves out
+    entries at or below ENTROPY_CLIP.
     """
     subset = set(subset)
     drop = tuple(1 + i for i in range(probs.ndim - 1) if i not in subset)
     w = (probs.sum(axis=drop) if drop else probs).reshape(len(probs), -1)
-    # a clipped entry becomes 1, whose term 1 * log2(1) is exactly 0
-    w = np.where(w > ENTROPY_CLIP, w, 1.0)
-    return -(w * np.log2(w)).sum(axis=-1)
+    return spectrum_entropy(w)
 
 
 def classical_mi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...]) -> float:

@@ -20,6 +20,7 @@ deterministic given the flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -184,7 +185,10 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process; parsing fills a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="qmonogamy",
         description="Witnesses for quantum data-processing and monogamy inequalities.")

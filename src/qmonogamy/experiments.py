@@ -38,17 +38,24 @@ The three side checks (adjoint identity, mutual-information monotonicity,
 classical monogamy) draw the raw variates of their samples one sample at
 a time, from one generator in the order a per-sample loop of
 random_density, random_channel and random_chain would draw them.  A
-block of SAMPLE_BLOCK samples is then built and validated in one stacked
-call per kind of draw (ginibre_densities, haar_unitaries with
-dilation_kraus, dirichlet_chains with joints_from_chains), each channel
-acts on the whole stack in one call, and each entropy of the block is
-one stacked eigensolve (or marginal sum).  The per-sample functions
+block of samples is then built and validated in one stacked call per kind
+of draw (ginibre_spectra, haar_unitaries with dilation_kraus,
+dirichlet_chains with joints_from_chains), and each channel acts on the
+whole stack in one call.  Every block takes about BLOCK_BYTES: a check
+runs BLOCK_BYTES // (bytes one of its samples takes) samples per block,
+64 for the MI check, 256 for the adjoint check and 2048 for the classical
+check on 16-entry tables.  The MI check solves each spectrum once per
+block: the positivity spectra of the 8x8 and 4x4 draws are H(ABC) and
+H(AB), the entropies a channel on B leaves alone (H(AC), H(C), H(A)) are
+not taken again after it, and the other marginals share one stacked
+eigensolve per matrix size.  The per-sample functions
 (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
 cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
 shares) are the reference the tests compare the stacked checks with.
 
-Counts, dimensions and seeds given to a harness must be integers; anything
-else is refused with a ValueError that names the argument.
+Counts, dimensions and seeds given to a harness must be integers, and seeds
+nonnegative; anything else is refused with a ValueError that names the
+argument, before anything is drawn.
 """
 
 from __future__ import annotations
@@ -66,8 +73,8 @@ from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
 from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
-                     ginibre_densities, maximally_entangled, purify, random_density,
-                     von_neumann_stack, w_state)
+                     ginibre_spectra, maximally_entangled, purify, random_density,
+                     spectrum_entropy, von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MarkovChainProcess, dilated_circuit, markov_process, monogamy_gap,
                         survey_certificates, survey_witnesses)
@@ -289,6 +296,7 @@ def random_markov_process(n_states: int, seed: int,
 
     `d_env` may be a single environment dimension or one per channel.
     """
+    _require_seed(seed)
     if n_states < 2:
         raise ValueError("a process needs at least two states")
     if d_sys < 2:
@@ -309,6 +317,13 @@ def _require_int(value: int, name: str) -> None:
     # size and fail there with Python's TypeError (a bool is refused too)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_seed(seed: int) -> None:
+    # numpy would refuse a negative seed only as "expected non-negative integer"
+    _require_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def _require_samples(samples: int, what: str = "sample", name: str = "samples") -> None:
@@ -344,7 +359,7 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
         raise ValueError(f"steps must be 4, 6 or 8, got {steps}")
     _require_samples(samples)
     _require_samples(certificate_samples, "certificate sample", "certificate_samples")
-    _require_int(seed, "seed")
+    _require_seed(seed)
     d_sys, d_env = dims
     _require_int(d_sys, "system dimension")
     _require_int(d_env, "environment dimension")
@@ -403,7 +418,7 @@ def _survey_circuits(steps: int, seed: int, size: int, d_sys: int, d_env: int) -
     d, total, channels = d_sys, d_sys * d_env, steps - 1
     x = np.stack([np.random.default_rng(seed + b).normal(
         size=2 * d * d + channels * 2 * total * total) for b in range(size)])
-    initial = DensityMatrix(ginibre_densities(_ginibres(x[:, :2 * d * d], d)), (d,))
+    initial = DensityMatrix(ginibre_spectra(_ginibres(x[:, :2 * d * d], d))[0], (d,))
     u = _ginibres(x[:, 2 * d * d:].reshape(size * channels, -1), total)
     kraus = dilation_kraus(haar_unitaries(u), d, d)
     kraus = kraus.reshape(size, channels, d_env, d, d)
@@ -411,9 +426,17 @@ def _survey_circuits(steps: int, seed: int, size: int, d_sys: int, d_env: int) -
 
 
 # each sample's raw variates are drawn in turn, but the samples are built,
-# validated and measured in stacks of this many; one stack of a whole
-# 500-sample check costs megabytes of peak memory
-SAMPLE_BLOCK = 64
+# validated and measured in blocks of BLOCK_BYTES // (bytes one sample of
+# the check takes), so that every check's block holds about as much memory.
+# A sample's bytes are the tracemalloc peak of a block per sample, rounded
+# up to a power of two: 10-11 kB for the MI check (64-sample blocks; with
+# 256, the peak resident memory of verify at 4, 6 and 8 steps rose from 39
+# to 41 MB), 3.5-4.3 kB for the adjoint check (256), and 17-36 B per entry
+# of the classical check's joint tables (2048 at the default 16 entries).
+BLOCK_BYTES = 2 ** 20
+MI_SAMPLE_BYTES = 2 ** 14
+ADJOINT_SAMPLE_BYTES = 2 ** 12
+CLASSICAL_ENTRY_BYTES = 32
 
 # the checks draw environments of 2 to MAX_KRAUS levels; the MI check zero-pads
 # every Kraus list to MAX_KRAUS operators (zero operators leave a channel
@@ -421,9 +444,16 @@ SAMPLE_BLOCK = 64
 MAX_KRAUS = 4
 
 
-def _blocks(samples: int) -> list[int]:
-    """Sizes of the consecutive blocks that cover `samples` samples."""
-    return [min(SAMPLE_BLOCK, samples - start) for start in range(0, samples, SAMPLE_BLOCK)]
+def _block_size(sample_bytes: int) -> int:
+    """Samples per block of a check whose one sample takes `sample_bytes`."""
+    return max(1, BLOCK_BYTES // sample_bytes)
+
+
+def _blocks(samples: int, sample_bytes: int) -> list[int]:
+    """Sizes of the consecutive blocks that cover `samples` samples of
+    `sample_bytes` bytes each."""
+    block = _block_size(sample_bytes)
+    return [min(block, samples - start) for start in range(0, samples, block)]
 
 
 def _ginibres(x: np.ndarray, d: int) -> np.ndarray:
@@ -433,37 +463,26 @@ def _ginibres(x: np.ndarray, d: int) -> np.ndarray:
     return x[..., 0, :, :] + 1j * x[..., 1, :, :]
 
 
-def _subset_entropy(mats: np.ndarray, dims: tuple[int, ...],
-                    keep: tuple[int, ...]) -> np.ndarray:
-    if len(keep) < len(dims):
-        mats = partial_trace(mats, dims, keep)
-    return von_neumann_stack(mats)
-
-
-def _mi_stack(mats: np.ndarray) -> np.ndarray:
-    """I(A:B) of every two-qubit state in a stack, as info.mutual_information."""
-    def h(*keep: int) -> np.ndarray:
-        return _subset_entropy(mats, (2, 2), keep)
-    return h(0) + h(1) - h(0, 1)
-
-
-def _cmi_stack(mats: np.ndarray) -> np.ndarray:
-    """I(A:B|C) of every three-qubit state in a stack, as
-    info.conditional_mutual_information."""
-    def h(*keep: int) -> np.ndarray:
-        return _subset_entropy(mats, (2, 2, 2), keep)
-    return h(0, 2) + h(1, 2) - h(0, 1, 2) - h(2)
+def _entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+    """von_neumann_stack of each of equally long stacks (n, d, d), with one
+    eigensolve call for all the stacks of one size d."""
+    out = {}
+    for d in {m.shape[-1] for m in stacks}:
+        same = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
+        h = von_neumann_stack(np.concatenate([stacks[i] for i in same]))
+        out.update(zip(same, h.reshape(len(same), -1)))
+    return [out[i] for i in range(len(stacks))]
 
 
 def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float]:
     """Max deviation of (A x id)(Psi+) = (id x A~)(Psi+) and of unitality
     of A~ over random channels of mixed dimensions."""
     _require_samples(samples)
-    _require_int(seed, "seed")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     id_dev = 0.0
     unital_dev = 0.0
-    for size in _blocks(samples):
+    for size in _blocks(samples, ADJOINT_SAMPLE_BYTES):
         # the Gaussians of random_channel(d, d, d_env) per sample, grouped by (d, d_env)
         draws: dict[tuple[int, int], list[np.ndarray]] = {}
         for _ in range(size):
@@ -493,15 +512,15 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     on the middle qubit of a three-qubit state and the second of two.
     """
     _require_samples(samples)
-    _require_int(seed, "seed")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     cqmi_min = math.inf
     mi_min = math.inf
     cmi_min = math.inf
-    first = min(samples, SAMPLE_BLOCK)
-    x3 = np.empty((first, 2 * 8 * 8))
-    x2 = np.empty((first, 2 * 4 * 4))
-    for size in _blocks(samples):
+    sizes = _blocks(samples, MI_SAMPLE_BYTES)
+    x3 = np.empty((sizes[0], 2 * 8 * 8))
+    x2 = np.empty((sizes[0], 2 * 4 * 4))
+    for size in sizes:
         # the Gaussians of random_density(8), then of random_channel(2, 2, d_env)
         # and random_density(4), per sample, in one normal call on each side of
         # its d_env draw; the channel ones grouped by d_env, each with its
@@ -515,15 +534,25 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
             where.append(b)
             normals.append(x[:-x2.shape[1]])
             x2[b] = x[-x2.shape[1]:]
-        r3 = ginibre_densities(_ginibres(x3[:size], 8))
-        r2 = ginibre_densities(_ginibres(x2[:size], 4))
+        # the positivity test's spectra of the 8x8 and 4x4 draws give H(ABC), H(AB)
+        r3, w3 = ginibre_spectra(_ginibres(x3[:size], 8))
+        r2, w2 = ginibre_spectra(_ginibres(x2[:size], 4))
         k = np.zeros((size, MAX_KRAUS, 2, 2), dtype=complex)
         for d_env, (where, normals) in draws.items():
             u = haar_unitaries(_ginibres(np.stack(normals), 2 * d_env))
             k[where, :d_env] = dilation_kraus(u, 2, 2)
-        cmi = _cmi_stack(r3)
-        cqmi = cmi - _cmi_stack(apply_kraus(r3, (2, 2, 2), k, 1))
-        mi = _mi_stack(r2) - _mi_stack(apply_kraus(r2, (2, 2), k, 1))
+        out3 = apply_kraus(r3, (2, 2, 2), k, 1)
+        out2 = apply_kraus(r2, (2, 2), k, 1)
+        # the channel acts on B alone, so H(AC), H(C) and H(A) are the same
+        # before and after it: they cancel from both gaps, and H(A) is never taken
+        h_ac, h_bc, h_c, h_abc_out, h_bc_out, h_b, h_ab_out, h_b_out = _entropies(
+            partial_trace(r3, (2, 2, 2), (0, 2)), partial_trace(r3, (2, 2, 2), (1, 2)),
+            partial_trace(r3, (2, 2, 2), (2,)), out3, partial_trace(out3, (2, 2, 2), (1, 2)),
+            partial_trace(r2, (2, 2), (1,)), out2, partial_trace(out2, (2, 2), (1,)))
+        h_abc, h_ab = spectrum_entropy(w3), spectrum_entropy(w2)
+        cmi = h_ac + h_bc - h_abc - h_c
+        cqmi = (h_bc - h_abc) - (h_bc_out - h_abc_out)
+        mi = (h_b - h_ab) - (h_b_out - h_ab_out)
         cqmi_min = min(cqmi_min, float(cqmi.min()))
         cmi_min = min(cmi_min, float(cmi.min()))
         mi_min = min(mi_min, float(mi.min()))
@@ -539,7 +568,7 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     four-variable monogamy combination.
     """
     _require_samples(samples)
-    _require_int(seed, "seed")
+    _require_seed(seed)
     _require_int(n_pairs, "n_pairs")
     _require_int(dim, "dim")
     if n_pairs < 1:
@@ -549,7 +578,7 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
-    for size in _blocks(samples):
+    for size in _blocks(samples, CLASSICAL_ENTRY_BYTES * dim ** (2 * n_pairs)):
         # the exponential variates of random_chain per sample, in one call
         probs = joints_from_chains(*dirichlet_chains(*chain_variates(rng, 2 * n_pairs, dim,
                                                                      size)))

@@ -5,8 +5,10 @@ matrix, so partial traces and entropies downstream never need dimension
 bookkeeping at the call site.  Validation thresholds and the entropy clip
 are entries of the one table in tolerances.py.  The validation itself is
 density_stack, which checks a whole stack of matrices in one pass (one
-stacked eigensolve for positivity); density() is its one-matrix form, and
-ginibre_densities builds and validates a stack of random states.
+stacked eigensolve for positivity) and returns that eigensolve's spectra
+with the stack, so a caller can take the stack's entropies from them
+(spectrum_entropy) instead of solving again.  density() is its one-matrix
+form, and ginibre_spectra builds and validates a stack of random states.
 
 A PureState may also carry register labels, which makes it the package's
 one circuit simulator: unitaries and isometries are applied to named
@@ -43,6 +45,7 @@ __all__ = [
     "MAX_AMPLITUDES",
     "von_neumann",
     "von_neumann_stack",
+    "spectrum_entropy",
     "density",
     "density_stack",
     "pure_state",
@@ -50,7 +53,7 @@ __all__ = [
     "maximally_entangled",
     "random_density",
     "ginibre",
-    "ginibre_densities",
+    "ginibre_spectra",
     "w_state",
 ]
 
@@ -91,8 +94,17 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
     Returns the entropies with the stack's leading shape.
     """
     m = np.asarray(mats)
-    w = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
-    # a clipped eigenvalue becomes 1, whose term 1 * log2(1) is exactly 0
+    return spectrum_entropy(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0))
+
+
+def spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum(w log2 w) in bits over the last axis of a stack of spectra (or
+    probability vectors), leaving out weights at or below ENTROPY_CLIP.
+
+    The one entropy sum of the package: von_neumann_stack, the spectra of
+    density_stack and classical.shannon_entropies all go through it.
+    """
+    # a clipped weight becomes 1, whose term 1 * log2(1) is exactly 0
     w = np.where(w > ENTROPY_CLIP, w, 1.0)
     return -(w * np.log2(w)).sum(axis=-1)
 
@@ -281,15 +293,19 @@ def density(m: np.ndarray, dims: tuple[int, ...] | None = None) -> DensityMatrix
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
     dims = (m.shape[0],) if dims is None else tuple(int(d) for d in dims)
-    return DensityMatrix(density_stack(m[None], dims)[0], dims)
+    return DensityMatrix(density_stack(m[None], dims)[0][0], dims)
 
 
-def density_stack(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+def density_stack(mats: np.ndarray,
+                  dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Validate every matrix of a stack (n, d, d) as a density matrix.
 
     The checks of density(), each made on the whole stack at once (the
     positivity test is one stacked eigvalsh); a failure reports the worst
-    deviation in the stack.  Returns the symmetrized stack (m + m†) / 2.
+    deviation in the stack.  Returns the symmetrized stack (m + m†) / 2 and
+    its eigenvalues (n, d), ascending.  The stack is exactly Hermitian, so
+    von_neumann_stack of it solves the same matrices again: spectrum_entropy
+    of the returned eigenvalues is the same entropy, bit for bit.
     """
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -313,10 +329,11 @@ def density_stack(mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"not unit trace: deviation {trace_dev:.3e}")
     # HERM_TOL is stricter than hermitian_eig's EIG_HERM_TOL, so eigvalsh skips no check
     sym = (m + m_dag) / 2
-    w_min = np.linalg.eigvalsh(sym)[:, 0].min()
+    w = np.linalg.eigvalsh(sym)
+    w_min = w[:, 0].min()
     if w_min < -PSD_TOL:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
-    return sym
+    return sym, w
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -351,7 +368,7 @@ def random_density(d: int, rank: int | None = None,
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return DensityMatrix(ginibre_densities(ginibre(rng, (d, rank))[None])[0], (d,))
+    return DensityMatrix(ginibre_spectra(ginibre(rng, (d, rank))[None])[0][0], (d,))
 
 
 def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -359,9 +376,10 @@ def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def ginibre_densities(g: np.ndarray) -> np.ndarray:
-    """G G† / Tr(G G†) for every G of a stack (n, d, rank), as density_stack
-    validates and returns them; random_density is the one-matrix form."""
+def ginibre_spectra(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G G† / Tr(G G†) for every G of a stack (n, d, rank) and their
+    eigenvalues, as density_stack validates and returns them;
+    random_density is the one-matrix form."""
     m = g @ g.conj().swapaxes(-1, -2)
     tr = np.trace(m, axis1=-2, axis2=-1).real
     return density_stack(m / tr[:, None, None], (m.shape[-1],))

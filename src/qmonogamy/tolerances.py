@@ -2,7 +2,7 @@
 
 Inputs the validators accept in the tests, `verify` and the sweeps miss
 their invariants by at most 2.1e-15.  Budgets (MAX_AMPLITUDES,
-MAX_GRID_POINTS, SAMPLE_BLOCK, SURVEY_AMPLITUDES, MAX_KRAUS) are sizes
+MAX_GRID_POINTS, BLOCK_BYTES, SURVEY_AMPLITUDES, MAX_KRAUS) are sizes
 and stay with their code.  This module imports nothing.
 """
 

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from qmonogamy import nonmarkov_witness_row, random_markov_verify
-from qmonogamy.cli import main
+from qmonogamy.cli import build_parser, main
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2}$")
 
@@ -153,6 +153,22 @@ def test_verify_flags_a_violation(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert doc["counterexample_seed"] == 123
+
+
+def test_verify_refuses_a_negative_seed_by_name(capsys):
+    assert main(["verify", "--samples", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+def test_successive_calls_share_one_parser_but_no_parsed_state(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    grid = ["sweep-qmmi", "--lambda-max", "0.2", "--step", "0.1"]
+    assert main(grid + ["--output", str(first), "--svg"]) == 0
+    assert main(grid + ["--output", str(second)]) == 0
+    assert (tmp_path / "first.svg").exists()
+    assert not (tmp_path / "second.svg").exists()
+    assert first.read_bytes() == second.read_bytes()
+    assert build_parser() is build_parser()
 
 
 def test_verify_emits_json_only(capsys):

@@ -421,6 +421,22 @@ def test_harnesses_refuse_a_non_integer_count_by_name(harness, kwargs, name):
         harness(**kwargs)
 
 
+@pytest.mark.parametrize("harness,kwargs", [
+    (random_markov_verify, {"steps": 4, "samples": 2}),
+    (adjoint_identity_check, {"samples": 2}),
+    (mi_monotonicity_check, {"samples": 2}),
+    (classical_cmmi_check, {"samples": 2}),
+    (random_markov_process, {"n_states": 4}),
+])
+def test_harnesses_refuse_a_negative_seed_by_name_before_drawing(monkeypatch, harness,
+                                                                  kwargs):
+    generators = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: generators.append(args))
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+        harness(seed=-1, **kwargs)
+    assert generators == []
+
+
 def test_harnesses_take_numpy_integers():
     report = random_markov_verify(np.int64(4), np.int64(2), seed=1,
                                   certificate_samples=np.int64(1))
@@ -631,8 +647,20 @@ def test_classical_cmmi_check_frozen_values(seed, n_pairs, dim, want):
 # the stacked side checks against per-sample loops on the same draws
 # ---------------------------------------------------------------------------
 
-BLOCK = experiments.SAMPLE_BLOCK
-CHECK_CASES = [(0, 1), (4, BLOCK - 1), (1000, BLOCK + 1), (0, 500)]
+MI_BLOCK = experiments._block_size(experiments.MI_SAMPLE_BYTES)
+ADJOINT_BLOCK = experiments._block_size(experiments.ADJOINT_SAMPLE_BYTES)
+
+
+def _classical_block(n_pairs, dim):
+    return experiments._block_size(experiments.CLASSICAL_ENTRY_BYTES * dim ** (2 * n_pairs))
+
+
+def _check_cases(block):
+    """One sample, one short of the check's block, one past it, and 500."""
+    return [(0, 1), (4, block - 1), (1000, block + 1), (0, 500)]
+
+
+CLASSICAL_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 def _mi_reference(samples, seed):
@@ -673,7 +701,7 @@ def _classical_reference(samples, seed, n_pairs, dim):
                for _ in range(samples))
 
 
-@pytest.mark.parametrize("seed,samples", CHECK_CASES)
+@pytest.mark.parametrize("seed,samples", _check_cases(MI_BLOCK))
 def test_mi_monotonicity_check_equals_the_per_sample_gaps(seed, samples):
     got = mi_monotonicity_check(samples=samples, seed=seed)
     want = _mi_reference(samples, seed)
@@ -682,7 +710,7 @@ def test_mi_monotonicity_check_equals_the_per_sample_gaps(seed, samples):
         assert got[name] == pytest.approx(want[name], abs=1e-12), name
 
 
-@pytest.mark.parametrize("seed,samples", CHECK_CASES)
+@pytest.mark.parametrize("seed,samples", _check_cases(ADJOINT_BLOCK))
 def test_adjoint_identity_check_equals_the_per_sample_loop(seed, samples):
     got = adjoint_identity_check(samples=samples, seed=seed)
     want = _adjoint_reference(samples, seed)
@@ -691,8 +719,8 @@ def test_adjoint_identity_check_equals_the_per_sample_loop(seed, samples):
         assert got[name] == pytest.approx(want[name], abs=1e-12), name
 
 
-@pytest.mark.parametrize("seed,samples", CHECK_CASES)
-@pytest.mark.parametrize("n_pairs,dim", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed,samples,n_pairs,dim", [
+    case + shape for shape in CLASSICAL_SHAPES for case in _check_cases(_classical_block(*shape))])
 def test_classical_cmmi_check_equals_the_per_sample_gaps(seed, samples, n_pairs, dim):
     got = classical_cmmi_check(samples=samples, seed=seed, n_pairs=n_pairs, dim=dim)
     want = _classical_reference(samples, seed, n_pairs, dim)
@@ -700,9 +728,11 @@ def test_classical_cmmi_check_equals_the_per_sample_gaps(seed, samples, n_pairs,
 
 
 def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkeypatch):
-    # 8 subset entropies for the conditional gaps and 6 for the plain ones,
-    # plus the positivity checks of the block's 8x8 and 4x4 draws: each one
-    # stacked eigensolve per block, and no per-matrix von_neumann
+    # per block: the positivity checks of the 8x8 and 4x4 draws, whose spectra
+    # also give H(ABC) and H(AB), then one stacked eigensolve per marginal
+    # size: H(AB'C) at 8; H(AC), H(BC), H(B'C), H(AB') at 4; H(C), H(B), H(B')
+    # at 2.  The entropies the channel on B leaves alone are not taken again,
+    # and none through a per-matrix von_neumann
     per_matrix, stacked = [], []
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -719,9 +749,12 @@ def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkey
     monkeypatch.setattr(info, "von_neumann", refuse)
     mi_monotonicity_check(samples=500)
     assert per_matrix == []
-    blocks = math.ceil(500 / BLOCK)
-    assert len(stacked) == (14 + 2) * blocks
-    assert sorted({shape[0] for shape in stacked}) == sorted({BLOCK, 500 % BLOCK})
+    sizes = [min(MI_BLOCK, 500 - start) for start in range(0, 500, MI_BLOCK)]
+    want = [(per_sample * n, d, d) for n in sizes
+            for per_sample, d in [(1, 8), (1, 4), (1, 8), (4, 4), (3, 2)]]
+    assert sorted(stacked) == sorted(want)
+    assert len(stacked) == 5 * len(sizes)
+    assert sum(shape[0] for shape in stacked) == 10 * 500
 
 
 def test_side_checks_build_no_sample_on_its_own(monkeypatch):
@@ -740,9 +773,9 @@ def test_side_checks_build_no_sample_on_its_own(monkeypatch):
                          (channels, "kraus_channel"), (classical, "classical_chain"),
                          (classical, "joint_pmf")]:
         monkeypatch.setattr(module, name, count(name, getattr(module, name)))
-    adjoint_identity_check(samples=BLOCK + 1)
-    mi_monotonicity_check(samples=BLOCK + 1)
-    classical_cmmi_check(samples=BLOCK + 1)
+    adjoint_identity_check(samples=ADJOINT_BLOCK + 1)
+    mi_monotonicity_check(samples=MI_BLOCK + 1)
+    classical_cmmi_check(samples=_classical_block(2, 2) + 1)
     assert calls == []
 
 
@@ -781,7 +814,7 @@ def test_adjoint_check_builds_the_per_sample_channels_bit_for_bit(monkeypatch):
 
 
 def test_mi_check_builds_the_per_sample_states_and_channels_bit_for_bit(monkeypatch):
-    states_built = _recorded(monkeypatch, "ginibre_densities")
+    states_built = _recorded(monkeypatch, "ginibre_spectra")
     kraus = _recorded(monkeypatch, "dilation_kraus")
     mi_monotonicity_check(samples=40, seed=9)
     rng = np.random.default_rng(9)
@@ -791,8 +824,8 @@ def test_mi_check_builds_the_per_sample_states_and_channels_bit_for_bit(monkeypa
         d_env = int(rng.integers(2, 5))
         pairs.append((d_env, np.array(random_channel(2, 2, d_env, rng).kraus)))
         rho2.append(random_density(4, seed=rng).mat)
-    np.testing.assert_array_equal(states_built[0], np.stack(rho3))
-    np.testing.assert_array_equal(states_built[1], np.stack(rho2))
+    np.testing.assert_array_equal(states_built[0][0], np.stack(rho3))
+    np.testing.assert_array_equal(states_built[1][0], np.stack(rho2))
     want = _grouped(pairs)
     assert len(kraus) == len(want) == 3
     for got, ops in zip(kraus, want):

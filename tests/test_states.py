@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import qmonogamy.states as states_module
 from qmonogamy.info import von_neumann
 from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
-                              density_stack, maximally_entangled, pure_state, purify,
-                              random_density, w_state)
+                              density_stack, ginibre, ginibre_spectra, maximally_entangled,
+                              pure_state, purify, random_density, spectrum_entropy,
+                              von_neumann_stack, w_state)
 
 RNG = np.random.default_rng(20240817)
 
@@ -51,13 +52,21 @@ def _spoil(m, how):
 @pytest.mark.parametrize("how", ["non-finite", "Hermitian", "trace", "positive"])
 def test_density_stack_names_the_failed_invariant_of_one_bad_matrix(how):
     good = np.stack([random_density(4, seed=s).mat for s in range(3)])
-    np.testing.assert_array_equal(density_stack(good, (2, 2)), good)
+    np.testing.assert_array_equal(density_stack(good, (2, 2))[0], good)
     bad = good.copy()
     bad[1] = _spoil(bad[1], how)
     with pytest.raises(ValueError, match=how):
         density_stack(bad, (2, 2))
     with pytest.raises(ValueError, match=how):
         density(bad[1])
+
+
+@pytest.mark.parametrize("d,rank", [(2, 2), (4, 4), (8, 8), (8, 3), (4, 1)])
+def test_validator_spectra_give_the_stack_entropies_bit_for_bit(d, rank):
+    # the validated stack is exactly Hermitian, so its positivity spectra are
+    # the ones von_neumann_stack solves for; low ranks exercise the clip
+    mats, spectra = ginibre_spectra(ginibre(np.random.default_rng(d + rank), (64, d, rank)))
+    np.testing.assert_array_equal(spectrum_entropy(spectra), von_neumann_stack(mats))
 
 
 def test_empty_density_input_is_refused_by_name():
