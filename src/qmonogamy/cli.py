@@ -6,7 +6,8 @@ Four subcommands:
 * sweep-mqmmi      lambda grid of the three interventional witnesses
 * sweep-dpi-extra  lambda grid of DP5..DP7 plus the Markov-reference DP5
 * verify           randomized worst-case survey of the proven inequalities
-                   (--dims D_SYS D_ENV sets the surveyed processes' dimensions)
+                   (--dims D_SYS D_ENV sets the surveyed processes' dimensions,
+                   --seed the first sample's seed; the sweeps draw nothing)
 
 Sweeps emit CSV (default) or JSON, to stdout or --output; --svg
 additionally writes a minimal line chart next to the output file, and is
@@ -195,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, default_format: str) -> None:
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
 
@@ -211,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="randomized inequality survey (JSON)")
     v.add_argument("--steps", type=int, choices=(4, 6, 8), default=4)
     v.add_argument("--samples", type=int, default=100)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--dims", type=int, nargs=2, default=(2, 2), metavar=("D_SYS", "D_ENV"),
                    help="system and environment dimensions of the surveyed processes")
     add_common(v, "json")

@@ -25,14 +25,16 @@ monogamy gap.  Every harness is deterministic given its seed.
 The witness survey (random_markov_verify) gives sample i its own
 generator, default_rng(seed + i), so a reported counterexample can be
 rebuilt alone with random_markov_process(steps, seed + i).  Each sample's
-Gaussians are drawn in one call, in that function's order; a stack of
-samples (bounded by SURVEY_AMPLITUDES) is then built as one batched
-purified circuit, with one stacked call per kind of draw
-(ginibre_densities, purify, haar_unitaries, dilation_kraus) and one
-PureState.apply per channel.  Every witness and certificate is read from
-that circuit by the formulas the one-process witnesses use
-(witnesses.survey_witnesses, survey_certificates), each entropy one
-stacked eigensolve per stack.
+Gaussians are drawn in one call, in that function's order; a block of
+samples (about BLOCK_BYTES, by the side checks' rule below) is then built
+and validated with one stacked call per kind of draw (ginibre_spectra,
+haar_unitaries, dilation_kraus).  No purified
+circuit is built: the circuit is a chain joined by the system alone, so
+every entropy a witness or certificate reads is that of a state rho_s or
+of a d_sys^2 x d_sys^2 joint state (witnesses.bond_table), one stacked
+eigensolve per channel for the whole block.  survey_witnesses and
+survey_certificates read them by the formulas the one-process witnesses
+read from the circuit, and the tests compare the two paths.
 
 The three side checks (adjoint identity, mutual-information monotonicity,
 classical monogamy) draw the raw variates of their samples one sample at
@@ -76,7 +78,7 @@ from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
                      ginibre_spectra, maximally_entangled, purify, random_density,
                      spectrum_entropy, von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
-from .witnesses import (MarkovChainProcess, dilated_circuit, markov_process, monogamy_gap,
+from .witnesses import (MarkovChainProcess, bond_table, markov_process, monogamy_gap,
                         survey_certificates, survey_witnesses)
 
 __all__ = [
@@ -333,12 +335,6 @@ def _require_samples(samples: int, what: str = "sample", name: str = "samples") 
         raise ValueError(f"need at least one {what}, got {samples}")
 
 
-# the survey builds and measures its samples in stacks of this many
-# amplitudes (SURVEY_AMPLITUDES // amplitudes samples per stack: 64 at 8
-# qubit steps, 1024 at 4), so a stack's state vectors take 512 kB
-SURVEY_AMPLITUDES = 2 ** 15
-
-
 def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2),
                          seed: int = 0, certificate_samples: int = 20) -> dict:
     """Worst-case witness survey over `samples` random Markov processes.
@@ -351,8 +347,14 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     mismatch.  The first sample with an entry below -GAP_TOLERANCE is the
     reported counterexample.
 
-    The samples are built and measured in stacks (_survey_circuits): each
-    witness and certificate entropy is one stacked eigensolve per stack.
+    The samples are drawn a block at a time (_survey_draws) and measured
+    through the system bond (witnesses.bond_table), without a purified
+    circuit: every entropy is of a d_sys x d_sys state or a d_sys^2 x
+    d_sys^2 joint, one stacked eigensolve per channel for the whole block.
+    A block holds BLOCK_BYTES // (SURVEY_ENTRY_BYTES * _survey_entries)
+    samples.  MAX_AMPLITUDES still bounds the purified circuit, so that a
+    reported counterexample can be rebuilt as one, and it bounds the
+    joint's d_sys^4 entries as well.
     """
     _require_int(steps, "steps")
     if steps not in (4, 6, 8):
@@ -373,15 +375,20 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     if amplitudes > MAX_AMPLITUDES:
         raise ValueError(f"dims {tuple(dims)} at {steps} steps need a purified circuit of "
                          f"{amplitudes} amplitudes (limit {MAX_AMPLITUDES})")
-    block = SURVEY_AMPLITUDES // amplitudes
+    # the bond table's joint states are d_sys^2 x d_sys^2, as large as a
+    # circuit of d_sys^4 amplitudes
+    if d_sys ** 4 > MAX_AMPLITUDES:
+        raise ValueError(f"system dimension {d_sys} needs joint states of {d_sys ** 4} "
+                         f"entries (limit {MAX_AMPLITUDES})")
     minima: dict[str, float] = {}
     cert_min = math.inf
     cert_mismatch = 0.0
     counterexample = None
+    block = _block_size(SURVEY_ENTRY_BYTES * _survey_entries(steps, d_sys, d_env))
     for start in range(0, samples, block):
         size = min(block, samples - start)
-        circuit = _survey_circuits(steps, seed + start, size, d_sys, d_env)
-        entries = survey_witnesses(circuit, steps)
+        table = bond_table(*_survey_draws(steps, seed + start, size, d_sys, d_env))
+        entries = survey_witnesses(table, steps)
         for name, values in entries.items():
             minima[name] = min(minima.get(name, math.inf), float(values.min()))
         failing = np.flatnonzero(np.min(list(entries.values()), axis=0) < -GAP_TOLERANCE)
@@ -389,7 +396,7 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
             counterexample = seed + start + int(failing[0])
         certified = min(size, certificate_samples - start)
         if certified > 0:
-            certs = survey_certificates(circuit, steps)
+            certs = survey_certificates(table, steps)
             for name, values in certs.items():
                 cert_min = min(cert_min, float(values[:certified].min()))
                 gap = np.abs(entries[name][:certified] - values[:certified])
@@ -405,24 +412,32 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     }
 
 
-def _survey_circuits(steps: int, seed: int, size: int, d_sys: int, d_env: int) -> PureState:
-    """The purified circuits of random_markov_process(steps, seed + b,
-    d_sys, d_env), b < size, as one stack of `size` states.
+def _survey_draws(steps: int, seed: int, size: int, d_sys: int,
+                  d_env: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The initial states (size, d_sys, d_sys) and, per channel, the Kraus
+    lists (size, d_env, d_sys, d_sys) of random_markov_process(steps,
+    seed + b, d_sys, d_env), b < size.
 
     Sample b draws its Gaussians from default_rng(seed + b) in one call, in
     random_markov_process's order (the initial Ginibre matrix, then one
     dilation per channel, each as ginibre's real then imaginary parts), so
-    the stack holds that function's processes bit for bit.  Each kind of
+    the stacks hold that function's processes bit for bit.  Each kind of
     draw is then built and validated for the whole stack in one call.
     """
     d, total, channels = d_sys, d_sys * d_env, steps - 1
     x = np.stack([np.random.default_rng(seed + b).normal(
         size=2 * d * d + channels * 2 * total * total) for b in range(size)])
-    initial = DensityMatrix(ginibre_spectra(_ginibres(x[:, :2 * d * d], d))[0], (d,))
+    initial = ginibre_spectra(_ginibres(x[:, :2 * d * d], d))[0]
     u = _ginibres(x[:, 2 * d * d:].reshape(size * channels, -1), total)
     kraus = dilation_kraus(haar_unitaries(u), d, d)
     kraus = kraus.reshape(size, channels, d_env, d, d)
-    return dilated_circuit(initial, [kraus[:, j] for j in range(channels)])
+    return initial, [kraus[:, j] for j in range(channels)]
+
+
+def _survey_entries(steps: int, d_sys: int, d_env: int) -> int:
+    """Complex entries one survey sample holds at once: its Haar unitaries
+    and Kraus lists, then its d_sys^2 x d_sys^2 joint states."""
+    return (steps - 1) * ((d_sys * d_env) ** 2 + d_sys ** 4)
 
 
 # each sample's raw variates are drawn in turn, but the samples are built,
@@ -433,10 +448,15 @@ def _survey_circuits(steps: int, seed: int, size: int, d_sys: int, d_env: int) -
 # 256, the peak resident memory of verify at 4, 6 and 8 steps rose from 39
 # to 41 MB), 3.5-4.3 kB for the adjoint check (256), and 17-36 B per entry
 # of the classical check's joint tables (2048 at the default 16 entries).
+# The witness survey's sample holds _survey_entries complex entries; its
+# peak per entry read 44-83 B over 12 shapes from 4 steps at (2, 2) to 4
+# steps at (11, 1), median 51 B, rounded up to 64 B (73 samples per block
+# at 8 qubit steps, 45 at 8 steps with qutrit environments).
 BLOCK_BYTES = 2 ** 20
 MI_SAMPLE_BYTES = 2 ** 14
 ADJOINT_SAMPLE_BYTES = 2 ** 12
 CLASSICAL_ENTRY_BYTES = 32
+SURVEY_ENTRY_BYTES = 64
 
 # the checks draw environments of 2 to MAX_KRAUS levels; the MI check zero-pads
 # every Kraus list to MAX_KRAUS operators (zero operators leave a channel

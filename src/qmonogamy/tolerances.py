@@ -2,8 +2,8 @@
 
 Inputs the validators accept in the tests, `verify` and the sweeps miss
 their invariants by at most 2.1e-15.  Budgets (MAX_AMPLITUDES,
-MAX_GRID_POINTS, BLOCK_BYTES, SURVEY_AMPLITUDES, MAX_KRAUS) are sizes
-and stay with their code.  This module imports nothing.
+MAX_GRID_POINTS, BLOCK_BYTES, MAX_KRAUS) are sizes and stay with their
+code.  This module imports nothing.
 """
 
 # density(): largest |m - m†|, |Tr m - 1| and -min eigenvalue; far above round-off
@@ -27,11 +27,15 @@ ENTROPY_CLIP = 1e-12
 PROB_SLACK = 1e-10
 
 # gaps below -GAP_TOLERANCE are violations; at 8748 amplitudes round-off is 1.8e-15
-# (tests/test_witnesses.py::test_gap_tolerance_covers_the_largest_circuit)
+# (tests/test_witnesses.py::test_gap_tolerance_covers_the_largest_circuit), and the
+# survey's bond table is at most 4.2e-15 from the circuit and 3.1e-15 from Kraus
+# propagation (test_experiments.py::test_survey_stack_matches_the_one_process_...)
 GAP_TOLERANCE = 1e-9
 # is_markov(): default CMI counted as zero; GAP_TOLERANCE's value, no own reason
 MARKOV_CMI_TOL = 1e-9
-# verify: certificate mismatch (1.1e-15 seen); why above GAP_TOLERANCE is unrecorded
+# verify: certificate mismatch (1.1e-15 seen on the circuit, and on the survey's bond
+# table in verify --samples 50 and the cross-path test); why above GAP_TOLERANCE is
+# unrecorded
 CERT_MISMATCH_CEIL = 1e-7
 # verify: adjoint identity; both sides apply the same numbers transposed (0.0 seen)
 ADJOINT_IDENTITY_CEIL = 1e-12

@@ -17,9 +17,10 @@ witnesses are:
   (classical.cmmi_gap) and process-tensor (mqmmi_witnesses) pictures
   share it.
 
-Everything here reads one pure state per process, its purified circuit:
-each channel is replaced by an isometry into a fresh environment
-register, keeping the global state pure over (R, E_1, ..., E_m, S).  On
+The witnesses are defined on one pure state per process, its purified
+circuit: each channel is replaced by an isometry into a fresh
+environment register, keeping the global state pure over
+(R, E_1, ..., E_m, S).  On
 it every coherent information is a difference of two subset entropies,
 
     Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}),
@@ -35,14 +36,19 @@ of one process share their eigensolves.  The independent reference is
 info.chain_coherent_information, which propagates Kraus maps and never
 builds the circuit; tests compare the two.
 
-Each witness and certificate formula is written once, over a circuit
-that may be a stack: dilated_circuit builds the purified circuits of
-many processes with one `apply` per channel, and survey_witnesses and
-survey_certificates read the same formulas from that stack, one stacked
-eigensolve per entropy for all of its processes.  The one-process
-functions (qdpi_witnesses, m4_witness, ..., m8_ssa_certificates) are
-the same formulas on one circuit; experiments.random_markov_verify is
-the stacked caller.
+Each witness and certificate formula is written once, over a function
+that gives Ic(r:s) or the interval entropies, so it serves two paths.
+The one-process functions (qdpi_witnesses, m4_witness, ...,
+m8_ssa_certificates) read those entropies from the purified circuit.
+The survey reads them through the system bond: the circuit is a chain
+joined by the d-dimensional system alone, so H(R, E_1..E_{s-1}) = H(rho_s),
+and H(E_r..E_{s-1}) is the entropy of the d^2 x d^2 joint state
+(id x channels r..s-1)(psi_r), psi_r purifying rho_r (the Schumacher-
+Nielsen form of the coherent information).  bond_table computes every
+such entropy of a stack of processes, with one stacked eigensolve per
+channel and no circuit; survey_witnesses and survey_certificates read the
+formulas from that table, and experiments.random_markov_verify is their
+caller.
 
 All witnesses are reported as plain gap values; a WitnessReport flags
 entries below -GAP_TOLERANCE (tolerances.py) as violations.
@@ -51,14 +57,15 @@ entries below -GAP_TOLERANCE (tolerances.py) as violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import KrausChannel, apply_to_subsystem
 from .info import conditional_mutual_information, mutual_information
-from .states import DensityMatrix, PureState, purify
+from .linalg import apply_kraus
+from .states import DensityMatrix, PureState, purify, von_neumann_stack
 from .tolerances import GAP_TOLERANCE
 
 __all__ = [
@@ -77,6 +84,7 @@ __all__ = [
     "uncrossing",
     "purified_circuit_state",
     "dilated_circuit",
+    "bond_table",
     "survey_witnesses",
     "survey_certificates",
     "m4_ssa_certificate",
@@ -109,13 +117,8 @@ class MarkovChainProcess:
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s <= {self.n_states}, got r={r}, s={s}")
         _require_states(self, s, f"Ic({r}:{s})")
-        return _coherent_info(self.circuit, r, s)
-
-
-def _coherent_info(circuit: PureState, r: int, s: int) -> float | np.ndarray:
-    """Ic(r:s) on a purified circuit, or an array over a stack of them."""
-    envs = [f"E{j}" for j in range(1, s)]
-    return circuit.entropy(["R"] + envs) - circuit.entropy(envs[r - 1:])
+        envs = [f"E{j}" for j in range(1, s)]
+        return self.circuit.entropy(["R"] + envs) - self.circuit.entropy(envs[r - 1:])
 
 
 def markov_process(initial: DensityMatrix,
@@ -287,17 +290,19 @@ def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
     which strong subadditivity keeps nonnegative for every state.
     """
     perm = _permutation(perm)
-    _require_states(p, 2 * len(perm), f"a permutation of 1..{len(perm)}")
-    return _certificate(p.circuit, perm)
-
-
-def _certificate(circuit: PureState, perm: tuple[int, ...]) -> float | np.ndarray:
     n = len(perm)
+    _require_states(p, 2 * n, f"a permutation of 1..{n}")
 
-    def h(i: int, j: int) -> float | np.ndarray:
+    def h(i: int, j: int) -> float:
         # H[i, j] = H(E_{n+1-i}..E_{n+j-1})
-        return circuit.entropy(tuple(f"E{e}" for e in range(n + 1 - i, n + j)))
+        return p.circuit.entropy(tuple(f"E{e}" for e in range(n + 1 - i, n + j)))
 
+    return _certificate(h, perm)
+
+
+def _certificate(h: Callable[[int, int], float], perm: tuple[int, ...]) -> float:
+    """The certificate's sum over the swaps of uncrossing(perm), from the
+    interval entropies H[i, j] = h(i, j) (floats or arrays over a stack)."""
     # each term is I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)
     return sum((h(k, i) + h(i, j) - h(k, j) - h(i, i) for k, i, j in uncrossing(perm)), 0.0)
 
@@ -358,19 +363,69 @@ def dilated_circuit(initial: DensityMatrix, kraus: Sequence[np.ndarray]) -> Pure
     return psi
 
 
-def survey_witnesses(circuit: PureState, n_states: int) -> dict[str, float | np.ndarray]:
+class BondTable(NamedTuple):
+    """The entropies a survey reads, for a stack of processes on one
+    d-dimensional system: prefix[s] = H(rho_s) = H(R, E_1..E_{s-1}) and
+    interval[r, s] = H(E_r..E_{s-1}) of the purified circuit, each an array
+    over the stack.  States are numbered from 1 (row 0 is unused), and
+    interval[r, r] = 0."""
+
+    prefix: np.ndarray
+    interval: np.ndarray
+
+
+def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
+    """The BondTable of the processes `initial` -> channel 1 -> ..., with
+    no purified circuit built.
+
+    `initial` is a stack of density matrices (n, d, d) and channel j a
+    stack of Kraus lists (n, k_j, d, d).  The circuit is a chain joined by
+    the system alone, so (R, E_1..E_{s-1}) purifies rho_s, and
+    (E_r..E_{s-1}) has the entropy of the d^2 x d^2 joint state
+    (id x channels r..s-1)(psi_r), psi_r purifying rho_r: the reference of
+    psi_r stands in for R, E_1..E_{r-1}.  The states rho_s take one
+    apply_kraus per channel and the purifications of every rho_r one
+    stacked purify.  Channel j then acts on the joints of every r <= j at
+    once, and their entropies are one stacked eigensolve per channel.
+    """
+    d = initial.shape[-1]
+    states = [initial]
+    for ops in kraus:
+        states.append(apply_kraus(states[-1], (d,), ops, 0))
+    rho = np.stack(states, axis=1)
+    n, m = rho.shape[0], len(kraus)
+    prefix = np.zeros((m + 2, n))
+    prefix[1:] = von_neumann_stack(rho).T
+    # joint[:, r - 1] = psi_r, r = 1..m, on (reference, system)
+    joint = purify(DensityMatrix(rho[:, :m], (d,))).density().mat
+    interval = np.zeros((m + 2, m + 2, n))
+    for j, ops in enumerate(kraus, 1):
+        # channel j carries rho_j to rho_{j+1}; it acts on the joints of r <= j
+        joint[:, :j] = apply_kraus(joint[:, :j], (d, d), ops[:, None], 1)
+        interval[1:j + 1, j + 1] = von_neumann_stack(joint[:, :j]).T
+    return BondTable(prefix, interval)
+
+
+def survey_witnesses(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
     """The witnesses verify surveys on n_states-state processes, read from
-    their purified circuit or a stack of circuits (arrays over the stack):
-    DP1..DP4 and M4 at 4 states, the MONOGAMY gaps at 6 and 8."""
-    ic = partial(_coherent_info, circuit)
+    their BondTable (arrays over the stack): DP1..DP4 and M4 at 4 states,
+    the MONOGAMY gaps at 6 and 8.  Ic(r:s) = prefix[s] - interval[r, s]."""
+    def ic(r: int, s: int) -> np.ndarray:
+        return table.prefix[s] - table.interval[r, s]
+
     entries = _dp_gaps(ic) if n_states == 4 else {}
     return entries | _monogamy_gaps(ic, n_states)
 
 
-def survey_certificates(circuit: PureState, n_states: int) -> dict[str, float | np.ndarray]:
+def survey_certificates(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
     """monogamy_certificate of each MONOGAMY entry at n_states, read from a
-    purified circuit or a stack of them, as survey_witnesses."""
-    return {name: _certificate(circuit, f) for name, f in MONOGAMY[n_states].items()}
+    BondTable as survey_witnesses: H[i, j] = interval[n+1-i, n+j]."""
+    n = n_states // 2
+
+    def h(i: int, j: int) -> np.ndarray:
+        return table.interval[n + 1 - i, n + j]
+
+    return {name: _certificate(h, f) for name, f in MONOGAMY[n_states].items()}
 
 
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:

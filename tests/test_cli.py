@@ -93,6 +93,19 @@ def test_default_grid_csv_bytes_are_pinned(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_GRID_CSV_SHA256[command]
 
 
+@pytest.mark.parametrize("command", sorted(DEFAULT_GRID_CSV_SHA256))
+def test_sweeps_take_no_seed(tmp_path, capsys, command):
+    # a sweep draws nothing, so --seed is verify's alone; the default bytes
+    # stay those pinned above
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_GRID_CSV_SHA256[command]
+
+
 def test_svg_lands_next_to_the_output_file(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep-qmmi", "--lambda-min", "0.0", "--lambda-max", "0.3",
@@ -214,7 +227,7 @@ def test_verify_passes_dims_to_the_survey(capsys, monkeypatch):
 
 @pytest.mark.parametrize("steps,dims,reason", [
     ("4", ("1", "2"), "system dimension"), ("4", ("2", "0"), "environment dimensions"),
-    ("8", ("2", "5"), "amplitudes")])
+    ("8", ("2", "5"), "amplitudes"), ("4", ("12", "1"), "joint states")])
 def test_verify_rejects_bad_dims(capsys, steps, dims, reason):
     assert main(["verify", "--steps", steps, "--samples", "2", "--dims", *dims]) == 2
     assert reason in capsys.readouterr().err

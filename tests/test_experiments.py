@@ -5,6 +5,7 @@ computation (plain numpy, no package imports) so a regression in any
 layer of the stack shows up as a mismatch here.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,14 +37,15 @@ from qmonogamy import (
     von_neumann,
     w_state,
 )
-from qmonogamy import channels, classical, experiments, info, states
+from qmonogamy import channels, classical, experiments, info, states, witnesses
 from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
 from qmonogamy.classical import cmmi_gap
 from qmonogamy.states import DensityMatrix, density, maximally_entangled, random_density
-from qmonogamy.witnesses import (cqmi_monotonicity_gap, m4_ssa_certificate, m4_witness,
-                                 m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
-                                 m8_witnesses, mi_dpi_gap, qdpi_witnesses,
-                                 survey_certificates, survey_witnesses)
+from qmonogamy.witnesses import (MONOGAMY, bond_table, cqmi_monotonicity_gap,
+                                 m4_ssa_certificate, m4_witness, m6_ssa_certificates,
+                                 m6_witnesses, m8_ssa_certificates, m8_witnesses, mi_dpi_gap,
+                                 monogamy_gap, qdpi_witnesses, survey_certificates,
+                                 survey_witnesses)
 
 H_ONE_THIRD = math.log2(3) - 2 / 3  # binary entropy of 1/3
 
@@ -392,6 +394,9 @@ def test_verify_guards():
     # 2 * 5**7 * 2 amplitudes; refused before a sample is drawn
     with pytest.raises(ValueError, match="312500 amplitudes"):
         random_markov_verify(8, samples=1, dims=(2, 5))
+    # a circuit of 144 amplitudes, but bond joints of 12**4 entries
+    with pytest.raises(ValueError, match="20736 entries"):
+        random_markov_verify(4, samples=1, dims=(12, 1))
     # no certified sample would leave the certificate minimum at infinity
     with pytest.raises(ValueError, match="at least one certificate sample"):
         random_markov_verify(4, samples=2, certificate_samples=0)
@@ -509,22 +514,45 @@ def _one_process(steps, seed, dims):
     return dict(m8_witnesses(p).entries), m8_ssa_certificates(p)
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 1)])
+def _chain_reference(steps, seed, dims):
+    """The survey's witnesses of random_markov_process(steps, seed, *dims)
+    from info.chain_coherent_information, which builds no circuit; each
+    certificate equals its witness."""
+    p = random_markov_process(steps, seed, *dims)
+
+    @functools.cache
+    def ic(r, s):
+        return chain_coherent_information(p.initial, list(p.channels), r, s)
+
+    entries = {}
+    if steps == 4:
+        entries = {"DP1": ic(1, 2) - ic(1, 3), "DP2": ic(1, 2) - ic(1, 4),
+                   "DP3": ic(1, 3) - ic(1, 4), "DP4": ic(2, 3) - ic(2, 4)}
+    return entries | {name: monogamy_gap(ic, f) for name, f in MONOGAMY[steps].items()}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 1), (2, 1)])
 @pytest.mark.parametrize("steps", [4, 6, 8])
 def test_survey_stack_matches_the_one_process_witnesses_sample_by_sample(steps, dims):
+    # both second paths: the purified circuit, and Kraus propagation of the
+    # states; d_sys = 3 takes the survey through a 9 x 9 bond joint
     seed, size = 30 + steps, 2 if dims == (2, 3) and steps == 8 else 3
-    circuit = experiments._survey_circuits(steps, seed, size, *dims)
-    assert circuit.batch == (size,)
-    entries = survey_witnesses(circuit, steps)
-    certs = survey_certificates(circuit, steps)
+    table = bond_table(*experiments._survey_draws(steps, seed, size, *dims))
+    assert table.prefix.shape == (steps + 1, size)
+    assert table.interval.shape == (steps + 1, steps + 1, size)
+    entries = survey_witnesses(table, steps)
+    certs = survey_certificates(table, steps)
     for b in range(size):
         want, want_certs = _one_process(steps, seed + b, dims)
-        assert list(entries) == list(want)
+        chain = _chain_reference(steps, seed + b, dims)
+        assert list(entries) == list(want) == list(chain)
         assert list(certs) == list(want_certs)
         for name, value in want.items():
             assert entries[name][b] == pytest.approx(value, abs=1e-12), (b, name)
+            assert entries[name][b] == pytest.approx(chain[name], abs=1e-12), (b, name)
         for name, value in want_certs.items():
             assert certs[name][b] == pytest.approx(value, abs=1e-12), (b, name)
+            assert certs[name][b] == pytest.approx(chain[name], abs=1e-12), (b, name)
 
 
 def _survey_reference(steps, samples, seed, certificate_samples, dims=(2, 2)):
@@ -555,10 +583,17 @@ def _assert_same_report(got, want):
     assert got["certificate_max_mismatch"] <= 1e-12
 
 
+def _survey_blocks_of(monkeypatch, samples, steps, dims=(2, 2)):
+    """Set BLOCK_BYTES so that the survey runs blocks of `samples` samples."""
+    entries = experiments._survey_entries(steps, *dims)
+    monkeypatch.setattr(experiments, "BLOCK_BYTES",
+                        samples * experiments.SURVEY_ENTRY_BYTES * entries)
+
+
 def test_survey_in_blocks_of_four_matches_the_per_sample_report(monkeypatch):
-    # 32 amplitudes per 4-step qubit circuit: blocks of 4 samples, so 10
-    # samples end in a partial block and certificates stop inside a block
-    monkeypatch.setattr(experiments, "SURVEY_AMPLITUDES", 4 * 32)
+    # blocks of 4 samples, so 10 samples end in a partial block and
+    # certificates stop inside a block
+    _survey_blocks_of(monkeypatch, 4, steps=4)
     cert_minima = []
     for certificate_samples in range(1, 11):
         got = random_markov_verify(4, 10, seed=70, certificate_samples=certificate_samples)
@@ -571,8 +606,7 @@ def test_survey_in_blocks_of_four_matches_the_per_sample_report(monkeypatch):
 
 @pytest.mark.parametrize("steps,samples", [(6, 7), (8, 5)])
 def test_survey_in_partial_blocks_matches_the_per_sample_report(monkeypatch, steps, samples):
-    amplitudes = 2 * 2 ** (steps - 1) * 2
-    monkeypatch.setattr(experiments, "SURVEY_AMPLITUDES", 3 * amplitudes)
+    _survey_blocks_of(monkeypatch, 3, steps)
     got = random_markov_verify(steps, samples, seed=90, certificate_samples=4)
     _assert_same_report(got, _survey_reference(steps, samples, 90, 4))
 
@@ -580,16 +614,16 @@ def test_survey_in_partial_blocks_matches_the_per_sample_report(monkeypatch, ste
 def test_survey_reports_the_first_failing_sample(monkeypatch):
     # plant a failure in sample 9 (third block of four, a larger one) and in
     # sample 6 (second block); the counterexample is the earlier sample
-    monkeypatch.setattr(experiments, "SURVEY_AMPLITUDES", 4 * 32)
+    _survey_blocks_of(monkeypatch, 4, steps=4)
     planted = {6: ("DP3", 2e-9), 9: ("M4", 1.0)}
     starts = iter(range(0, 12, 4))
     real = experiments.survey_witnesses
 
-    def planting(circuit, steps):
-        entries = {k: np.array(v) for k, v in real(circuit, steps).items()}
+    def planting(table, steps):
+        entries = {k: np.array(v) for k, v in real(table, steps).items()}
         start = next(starts)
         for i, (name, depth) in planted.items():
-            if start <= i < start + circuit.batch[0]:
+            if start <= i < start + table.prefix.shape[-1]:
                 entries[name][i - start] = -depth
         return entries
 
@@ -601,11 +635,11 @@ def test_survey_reports_the_first_failing_sample(monkeypatch):
 
 
 def test_survey_eigensolves_do_not_grow_with_the_sample_count(monkeypatch):
-    # one stacked eigensolve per entropy for a whole block: 10 and 40
+    # one stacked eigensolve per channel for a whole block: 10 and 40
     # samples of 8 qubit steps are each one block
     calls = []
-    real = states.von_neumann_stack
-    monkeypatch.setattr(states, "von_neumann_stack",
+    real = witnesses.von_neumann_stack
+    monkeypatch.setattr(witnesses, "von_neumann_stack",
                         lambda mats: calls.append(mats.shape[0]) or real(mats))
     random_markov_verify(8, 10)
     ten = len(calls)
@@ -613,6 +647,37 @@ def test_survey_eigensolves_do_not_grow_with_the_sample_count(monkeypatch):
     random_markov_verify(8, 40)
     assert ten > 0 and len(calls) == ten
     assert set(calls) == {40}
+
+
+def test_the_survey_builds_no_register(monkeypatch):
+    """Every survey entropy goes through the system bond: no purified
+    circuit, no register marginal, no eigensolve larger than d_sys^2, and
+    as many eigensolves for 40 samples or qutrit environments as for 10
+    samples with qubit ones."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the survey built a register")
+
+    monkeypatch.setattr(states.PureState, "reduced", refuse)
+    monkeypatch.setattr(witnesses, "dilated_circuit", refuse)
+    sides = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, *a, _real=real, **k: (
+            sides.append(m.shape[-1]) or _real(m, *a, **k)))
+    report = random_markov_verify(8, 3, dims=(2, 3))
+    assert report["counterexample_seed"] is None
+    assert min(report["witness_minima"].values()) >= -1e-9
+    assert sides and max(sides) <= 4
+    counts = set()
+    for samples, d_env in [(10, 2), (40, 2), (10, 3), (40, 3)]:
+        sides.clear()
+        random_markov_verify(8, samples, dims=(2, d_env))
+        counts.add(len(sides))
+        assert max(sides) <= 4
+    assert len(counts) == 1
+    sides.clear()
+    random_markov_verify(8, 3, dims=(3, 2))
+    assert max(sides) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
   `__init__.py` does not count), so a dead threshold cannot linger.
 * Every name in a module's `__all__` resolves on the imported module, and
   `from qmonogamy import *` succeeds, so a deleted name cannot stay exported.
+* No module reads the environment (`os.environ`, `getenv`) or imports
+  `ctypes`, so the package sets no BLAS thread count and reads no variable.
 """
 
 import ast
@@ -118,3 +120,38 @@ def test_the_export_scan_sees_a_stale_name():
     module.__all__ = ["kept", "deleted"]
     module.kept = object()
     assert _unresolved_exports(module) == ["deleted"]
+
+
+ENVIRONMENT = ("environ", "environb", "getenv")
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name in ENVIRONMENT or name.split(".")[0] == "ctypes"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    found = _environment_reads(_tree(path))
+    assert not found, f"{path.name} reads the environment or loads ctypes: {found}"
+
+
+def test_the_environment_scan_sees_each_form():
+    tree = ast.parse("import os\nimport ctypes.util\nfrom os import getenv\n"
+                     "from ctypes import CDLL\n\ndef f():\n"
+                     "    return os.environ.get('X'), os.getenv('Y')\n")
+    assert _environment_reads(tree) == [
+        "ctypes (line 4)", "ctypes.util (line 2)", "environ (line 7)", "getenv (line 3)",
+        "getenv (line 7)"]
