@@ -26,7 +26,7 @@ from .experiments import (adjoint_identity_check, classical_cmmi_check,
 from .info import (chain_coherent_information, coherent_information,
                    conditional_mutual_information, mutual_information,
                    von_neumann)
-from .linalg import dagger, hermitian_eig, is_unitary, kron, partial_trace
+from .linalg import dagger, hermitian_eig, kron, partial_trace
 from .process_tensor import (CHOI_DPI_GAPS, ProcessTensor, SystemEnvCircuit,
                              build_process_tensor, choi_dpi_witnesses, contract,
                              dephased_joint_pmf, fresh_env_circuit,
@@ -37,8 +37,8 @@ from .states import (DensityMatrix, PureState, maximally_entangled, pure_state,
                      purify, random_density, w_state)
 from .tolerances import GAP_TOLERANCE
 from .witnesses import (MarkovChainProcess, WitnessReport,
-                        cqmi_monotonicity_gap, dp5_conditional_entropy,
-                        extra_dpi_witnesses, m4_ssa_certificate, m4_witness,
+                        cqmi_monotonicity_gap, extra_dpi_witnesses,
+                        m4_ssa_certificate, m4_witness,
                         m6_ssa_certificates, m6_witnesses, m8_ssa_certificates,
                         m8_witnesses, markov_process, mi_dpi_gap,
                         monogamy_certificate, monogamy_gap,
@@ -57,10 +57,10 @@ __all__ = [
     "classical_mi", "cmmi_gap", "coherent_information", "contract",
     "conditional_mutual_information", "cqmi_monotonicity_gap", "dagger",
     "dephased_joint_pmf", "dephasing_channel",
-    "depolarizing_channel", "dp5_conditional_entropy",
+    "depolarizing_channel",
     "extra_dpi_row", "extra_dpi_rows", "extra_dpi_witnesses", "fresh_env_circuit",
     "gamma_sequence", "hermitian_eig", "identity_channel",
-    "is_markov", "is_unitary", "joint_from_chain", "joint_pmf", "kron",
+    "is_markov", "joint_from_chain", "joint_pmf", "kron",
     "kraus_channel", "lambda_grid",
     "m4_ssa_certificate", "m4_witness", "m6_ssa_certificates", "m6_witnesses",
     "m8_ssa_certificates", "m8_witnesses", "markov_factorization_gap",

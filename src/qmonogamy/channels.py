@@ -7,9 +7,11 @@ unitary_channel, whose Kraus operators are the ancilla-|0> columns of U;
 random channels are drawn that way from Haar unitaries.  Validation,
 dilation slicing and Haar sampling are stacked (kraus_stack,
 dilation_kraus, haar_unitaries); kraus_channel, unitary_channel and
-random_channel are their one-channel forms.  The purified
-circuit of a process dilates each channel again by stacking its Kraus
-operators into one isometry (witnesses.purified_circuit_state).
+random_channel are their one-channel forms.  The chain witnesses apply
+the Kraus lists as they are, to states and to d^2 x d^2 joint states
+(witnesses.bond_table); only the tests' reference circuit
+(witnesses.purified_circuit_state) dilates each channel again, stacking
+its Kraus operators into one isometry.
 
 Also here: the adjoint-channel identity
 (A x id)(Psi+) = (id x A~)(Psi+) where A~ has the transposed Kraus

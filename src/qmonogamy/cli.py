@@ -29,8 +29,8 @@ import sys
 from .experiments import (adjoint_identity_check, classical_cmmi_check, extra_dpi_rows,
                           lambda_grid, mi_monotonicity_check, mqmmi_rows,
                           nonmarkov_witness_rows, random_markov_verify)
-from .tolerances import (ADJOINT_IDENTITY_CEIL, CERT_MISMATCH_CEIL, CLASSICAL_FLOOR,
-                         GAP_TOLERANCE, ISOMETRY_TOL, SVG_FLAT_RANGE)
+from .tolerances import (ADJOINT_IDENTITY_CEIL, CLASSICAL_FLOOR, GAP_TOLERANCE,
+                         ISOMETRY_TOL, SVG_FLAT_RANGE)
 
 # each sweep's grid function (the whole grid as one stacked register) and columns
 SWEEPS = {
@@ -173,7 +173,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     passed = (
         min(summary["witness_minima"].values()) >= -GAP_TOLERANCE
         and summary["ssa_certificate_min"] >= -GAP_TOLERANCE
-        and summary["certificate_max_mismatch"] <= CERT_MISMATCH_CEIL
+        and summary["certificate_max_mismatch"] <= GAP_TOLERANCE
         and summary["adjoint_identity_max_deviation"] <= ADJOINT_IDENTITY_CEIL
         and summary["adjoint_unitality_max_deviation"] <= ISOMETRY_TOL
         and summary["cqmi_monotonicity_min"] >= -GAP_TOLERANCE

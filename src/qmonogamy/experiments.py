@@ -15,7 +15,9 @@ are entropies of named registers of those states.  Every gamma_i is pure, so
 H(R,S,E) = 0 and H(R,S) = H(E) at each step, and the rows reduce to
 single-register entropies.  In particular the M4 row, written in the
 entropy form [H(R,S,E) - H(R,S)] at gamma_4 plus [H(R,S) - H(R,S,E)] at
-gamma_3, equals H(E) at gamma_3 minus H(E) at gamma_4.
+gamma_3, equals H(E) at gamma_3 minus H(E) at gamma_4.  The sweep's
+Markov reference (DP5_markov) is a chain witness, read like every other
+from witnesses.bond_table, with the grid as its stack of processes.
 
 Randomized harnesses draw Markov processes from Haar dilations and
 report worst-case witness values, certificate mismatches, adjoint-map
@@ -28,13 +30,14 @@ rebuilt alone with random_markov_process(steps, seed + i).  Each sample's
 Gaussians are drawn in one call, in that function's order; a block of
 samples (about BLOCK_BYTES, by the side checks' rule below) is then built
 and validated with one stacked call per kind of draw (ginibre_spectra,
-haar_unitaries, dilation_kraus).  No purified
-circuit is built: the circuit is a chain joined by the system alone, so
-every entropy a witness or certificate reads is that of a state rho_s or
-of a d_sys^2 x d_sys^2 joint state (witnesses.bond_table), one stacked
-eigensolve per channel for the whole block.  survey_witnesses and
-survey_certificates read them by the formulas the one-process witnesses
-read from the circuit, and the tests compare the two paths.
+haar_unitaries, dilation_kraus).  Every entropy a witness or certificate
+reads is that of a state rho_s or of a d_sys^2 x d_sys^2 joint state
+(witnesses.bond_table), one stacked eigensolve per channel for the whole
+block.  survey_witnesses and survey_certificates read them with the
+BondTable readers that the one-process witnesses use on a table of one
+process; the tests compare both with the purified circuit
+(witnesses.purified_circuit_state) and with Kraus propagation
+(info.chain_coherent_information).
 
 The three side checks (adjoint identity, mutual-information monotonicity,
 classical monogamy) draw the raw variates of their samples one sample at
@@ -63,7 +66,6 @@ argument, before anything is drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -74,8 +76,8 @@ from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
                         shannon_entropies)
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
-from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, density, ginibre,
-                     ginibre_spectra, maximally_entangled, purify, random_density,
+from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, ginibre,
+                     ginibre_spectra, maximally_entangled, random_density,
                      spectrum_entropy, von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MarkovChainProcess, bond_table, markov_process, monogamy_gap,
@@ -217,22 +219,13 @@ def _markov_reference_dp5(lams: np.ndarray) -> np.ndarray:
     """DP5 = Ic(2:3) - Ic(1:3) of markov_process(density(1/2), [ch, ch]),
     ch = unitary_channel(u_lambda(lam), 2, 2), at every lambda.
 
-    That process's purified circuit (witnesses.purified_circuit_state) is
-    the one purification of 1/2 with the lambdas' stacked dilation
-    isometries applied twice, so no process object is built per lambda.
+    The processes of the grid are one stack for witnesses.bond_table, so no
+    process object is built per lambda.  The prefix H(rho_3) is common to
+    both coherent informations, so DP5 = H(E1, E2) - H(E2).
     """
-    # stacked Kraus operators are the isometry |s> -> sum_e |e> (x) K_e|s>
-    iso = dilation_kraus(u_lambda(lams), 2, 2).reshape(len(lams), 4, 2)
-    psi = replace(purify(density(np.eye(2) / 2)), labels=("R", "S"))
-    for j in (1, 2):
-        psi = psi.apply(iso, ("S",), out={f"E{j}": 2, "S": 2})
-
-    def ic(r: int) -> np.ndarray:
-        # Ic(r:3) = H(R, E1, E2) - H(E_r..E2), as MarkovChainProcess.coherent_info
-        envs = ("E1", "E2")
-        return psi.entropy(("R",) + envs) - psi.entropy(envs[r - 1:])
-
-    return ic(2) - ic(1)
+    kraus = dilation_kraus(u_lambda(lams), 2, 2)
+    table = bond_table(np.broadcast_to(np.eye(2) / 2, (len(lams), 2, 2)), [kraus, kraus])
+    return table.interval[1, 3] - table.interval[2, 3]
 
 
 def mqmmi_rows(grid: Sequence[float]) -> list[dict[str, float]]:
@@ -352,9 +345,10 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     circuit: every entropy is of a d_sys x d_sys state or a d_sys^2 x
     d_sys^2 joint, one stacked eigensolve per channel for the whole block.
     A block holds BLOCK_BYTES // (SURVEY_ENTRY_BYTES * _survey_entries)
-    samples.  MAX_AMPLITUDES still bounds the purified circuit, so that a
-    reported counterexample can be rebuilt as one, and it bounds the
-    joint's d_sys^4 entries as well.
+    samples.  MAX_AMPLITUDES bounds the purified circuit, the reference a
+    reported counterexample is checked against (purified_circuit_state
+    refuses a larger one), so the survey stays where that reference
+    reaches; it bounds the joint's d_sys^4 entries as well.
     """
     _require_int(steps, "steps")
     if steps not in (4, 6, 8):
@@ -369,8 +363,9 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
         raise ValueError(f"system dimension must be at least 2, got {d_sys}")
     if d_env < 1:
         raise ValueError(f"environment dimensions must be at least 1, got {d_env}")
-    # registers R, E1..E_{steps-1}, S of the purified circuit; refused here,
-    # before a sample of that size is drawn
+    # registers R, E1..E_{steps-1}, S of the purified circuit, the reference
+    # the survey's values are checked against; refused here, before a
+    # sample of that size is drawn
     amplitudes = d_sys * d_env ** (steps - 1) * d_sys
     if amplitudes > MAX_AMPLITUDES:
         raise ValueError(f"dims {tuple(dims)} at {steps} steps need a purified circuit of "

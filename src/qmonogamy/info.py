@@ -11,9 +11,11 @@ purification chosen.  Chain shorthand: for a state rho_1 pushed through
 channels L_1, ..., L_n, ``chain_coherent_information(rho_1, chain, r, s)``
 is the coherent information of the r-th state through the composite map
 that carries it to the s-th.  It propagates density matrices with the
-Kraus maps and builds no purified circuit, so it is the independent
-reference that tests compare MarkovChainProcess.coherent_info (subset
-entropies of the purified circuit) against.
+Kraus maps, one pair (r, s) and one channel at a time, and builds no
+purified circuit.  The chain witnesses read every Ic(r:s) of a process
+(or a stack of them) at once from witnesses.bond_table instead, so this
+function is one of the two references the tests compare that table with;
+the other is the purified circuit (witnesses.purified_circuit_state).
 
 von_neumann is defined in states, as the one-matrix form of
 von_neumann_stack (which PureState.entropy calls), and exported from

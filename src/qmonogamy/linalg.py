@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tolerances import EIG_HERM_TOL, ISOMETRY_TOL
+from .tolerances import EIG_HERM_TOL
 
 __all__ = [
     "kron",
@@ -31,7 +31,6 @@ __all__ = [
     "partial_trace",
     "apply_kraus",
     "hermitian_eig",
-    "is_unitary",
     "unitarity_deviation",
     "broadcast_batch",
     "apply_two_site",
@@ -159,14 +158,6 @@ def unitarity_deviation(m: np.ndarray) -> np.ndarray:
     """||m† m - 1||_max of every square matrix in a stack (..., d, d)."""
     m = np.asarray(m, dtype=complex)
     return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-
-
-def is_unitary(m: np.ndarray) -> bool:
-    """True iff m is square and ||m† m - 1||_max <= ISOMETRY_TOL."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(unitarity_deviation(m) <= ISOMETRY_TOL)
 
 
 def broadcast_batch(state: tuple[int, ...], op: tuple[int, ...]) -> tuple[int, ...]:

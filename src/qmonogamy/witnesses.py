@@ -17,11 +17,10 @@ witnesses are:
   (classical.cmmi_gap) and process-tensor (mqmmi_witnesses) pictures
   share it.
 
-The witnesses are defined on one pure state per process, its purified
-circuit: each channel is replaced by an isometry into a fresh
-environment register, keeping the global state pure over
-(R, E_1, ..., E_m, S).  On
-it every coherent information is a difference of two subset entropies,
+Every coherent information of a process is a difference of two entropies
+of its purified circuit, in which each channel is replaced by an isometry
+into a fresh environment register, keeping the global state pure over
+(R, E_1, ..., E_m, S):
 
     Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}),
 
@@ -30,25 +29,28 @@ intervals.  Strong subadditivity alone makes it nonnegative, for every
 permutation and every process: each M4 gap of uncrossing(f) is one
 conditional mutual information of environment intervals
 (monogamy_certificate).  The terms add up to the gap exactly, so the
-certificate is the proof and a numerical cross-check at once.
-PureState.entropy memoizes on the state, so witnesses and certificates
-of one process share their eigensolves.  The independent reference is
-info.chain_coherent_information, which propagates Kraus maps and never
-builds the circuit; tests compare the two.
+certificate is the proof, and its agreement with the witness checks the
+uncrossing algebra.
 
-Each witness and certificate formula is written once, over a function
-that gives Ic(r:s) or the interval entropies, so it serves two paths.
-The one-process functions (qdpi_witnesses, m4_witness, ...,
-m8_ssa_certificates) read those entropies from the purified circuit.
-The survey reads them through the system bond: the circuit is a chain
-joined by the d-dimensional system alone, so H(R, E_1..E_{s-1}) = H(rho_s),
-and H(E_r..E_{s-1}) is the entropy of the d^2 x d^2 joint state
-(id x channels r..s-1)(psi_r), psi_r purifying rho_r (the Schumacher-
-Nielsen form of the coherent information).  bond_table computes every
-such entropy of a stack of processes, with one stacked eigensolve per
-channel and no circuit; survey_witnesses and survey_certificates read the
-formulas from that table, and experiments.random_markov_verify is their
-caller.
+The circuit is a chain joined by the d-dimensional system alone, so
+H(R, E_1..E_{s-1}) = H(rho_s), and H(E_r..E_{s-1}) is the entropy of the
+d^2 x d^2 joint state (id x channels r..s-1)(psi_r), psi_r purifying
+rho_r (the Schumacher-Nielsen form of the coherent information).
+bond_table computes every such entropy of a stack of processes, with one
+stacked eigensolve per channel and no circuit built, and it is the only
+chain-entropy oracle of the package.  A MarkovChainProcess caches the
+table of itself (a stack of one), and the table's two readers,
+BondTable.coherent_info and BondTable.certificate, serve both the
+one-process functions (qdpi_witnesses, m4_witness, ...,
+m8_ssa_certificates) and the survey (survey_witnesses and
+survey_certificates, which experiments.random_markov_verify calls).
+Each witness formula is written once, over a function that gives
+Ic(r:s), so the two share it too.
+
+Two independent references stay for the tests: purified_circuit_state
+builds the circuit (within MAX_AMPLITUDES) and reads the same entropies
+as register marginals, and info.chain_coherent_information propagates
+Kraus maps and builds neither.
 
 All witnesses are reported as plain gap values; a WitnessReport flags
 entries below -GAP_TOLERANCE (tolerances.py) as violations.
@@ -83,14 +85,12 @@ __all__ = [
     "monogamy_certificate",
     "uncrossing",
     "purified_circuit_state",
-    "dilated_circuit",
     "bond_table",
     "survey_witnesses",
     "survey_certificates",
     "m4_ssa_certificate",
     "m6_ssa_certificates",
     "m8_ssa_certificates",
-    "dp5_conditional_entropy",
     "cqmi_monotonicity_gap",
     "mi_dpi_gap",
 ]
@@ -107,24 +107,30 @@ class MarkovChainProcess:
         return len(self.channels) + 1
 
     @cached_property
-    def circuit(self) -> PureState:
-        """The purified circuit, built once per process."""
-        return purified_circuit_state(self)
+    def table(self) -> BondTable:
+        """The BondTable of this process, built once: bond_table of a stack
+        of one, with the stack axis dropped."""
+        kraus = [np.array(ch.kraus)[None] for ch in self.channels]
+        prefix, interval = bond_table(self.initial.mat[None], kraus)
+        return BondTable(prefix[..., 0], interval[..., 0])
 
     def coherent_info(self, r: int, s: int) -> float:
-        """Ic(r:s) = H(R, E1..E_{s-1}) - H(E_r..E_{s-1}) on the purified
-        circuit; channels from step s on leave that marginal unchanged."""
+        """Ic(r:s) = H(R, E1..E_{s-1}) - H(E_r..E_{s-1}), read from the
+        process's BondTable."""
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s <= {self.n_states}, got r={r}, s={s}")
         _require_states(self, s, f"Ic({r}:{s})")
-        envs = [f"E{j}" for j in range(1, s)]
-        return self.circuit.entropy(["R"] + envs) - self.circuit.entropy(envs[r - 1:])
+        return float(self.table.coherent_info(r, s))
 
 
 def markov_process(initial: DensityMatrix,
                    channels: list[KrausChannel] | tuple[KrausChannel, ...],
                    ) -> MarkovChainProcess:
-    """Validate adjacent dimensions and build a process."""
+    """Validate the dimensions and build a process.
+
+    Every channel must map the initial state's dimension to itself: a
+    process carries one system dimension, as its BondTable does.
+    """
     channels = tuple(channels)
     if not channels:
         raise ValueError("a process needs at least one channel")
@@ -134,7 +140,9 @@ def markov_process(initial: DensityMatrix,
     for i, ch in enumerate(channels):
         if ch.d_in != d:
             raise ValueError(f"channel {i} expects dimension {ch.d_in}, chain carries {d}")
-        d = ch.d_out
+        if ch.d_out != d:
+            raise ValueError(f"channel {i} maps dimension {d} to {ch.d_out}; a process "
+                             f"carries one system dimension")
     return MarkovChainProcess(initial, channels)
 
 
@@ -280,31 +288,11 @@ def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 
 def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
-    """monogamy_gap(p.coherent_info, perm) as a sum of environment CMIs, one per swap.
-
-    With H[i, j] = H(E_{n+1-i}..E_{n+j-1}), the gap is
-    sum_i H[i, perm(i)] - sum_i H[i, i]: the H(R, E_1..E_{s-1}) halves of
-    the coherent informations cancel.  The M4 gap of a swap (k, i, j) is
-    H[k, i] + H[i, j] - H[i, i] - H[k, j] =
-    I(E_{n+1-k}..E_{n-i} : E_{n+i}..E_{n+j-1} | E_{n+1-i}..E_{n+i-1}),
-    which strong subadditivity keeps nonnegative for every state.
-    """
+    """monogamy_gap(p.coherent_info, perm) as a sum of environment CMIs,
+    one per swap of uncrossing(perm) (BondTable.certificate)."""
     perm = _permutation(perm)
-    n = len(perm)
-    _require_states(p, 2 * n, f"a permutation of 1..{n}")
-
-    def h(i: int, j: int) -> float:
-        # H[i, j] = H(E_{n+1-i}..E_{n+j-1})
-        return p.circuit.entropy(tuple(f"E{e}" for e in range(n + 1 - i, n + j)))
-
-    return _certificate(h, perm)
-
-
-def _certificate(h: Callable[[int, int], float], perm: tuple[int, ...]) -> float:
-    """The certificate's sum over the swaps of uncrossing(perm), from the
-    interval entropies H[i, j] = h(i, j) (floats or arrays over a stack)."""
-    # each term is I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)
-    return sum((h(k, i) + h(i, j) - h(k, j) - h(i, i) for k, i, j in uncrossing(perm)), 0.0)
+    _require_states(p, 2 * len(perm), f"a permutation of 1..{len(perm)}")
+    return float(p.table.certificate(perm))
 
 
 def m4_witness(p: MarkovChainProcess) -> float:
@@ -327,51 +315,44 @@ def _monogamy_gaps(ic: Callable[[int, int], float], n_states: int) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# purified circuit and strong-subadditivity certificates
+# the bond table: the chain-entropy oracle, its readers and its users
 # ---------------------------------------------------------------------------
 
-def purified_circuit_state(p: MarkovChainProcess) -> PureState:
-    """Pure global state of the process with every channel dilated.
-
-    The initial state is purified by a reference R, then each channel is
-    replaced by its isometry into a fresh environment register.  Registers
-    of the result, by label and in order: (R, E1, ..., Em, S) with
-    m = len(channels); the dimension of Ej is the Kraus count of channel j.
-    """
-    rho = p.initial
-    if len(rho.dims) != 1:
-        rho = DensityMatrix(rho.mat, (rho.dim,))
-    return dilated_circuit(rho, [np.array(ch.kraus) for ch in p.channels])
-
-
-def dilated_circuit(initial: DensityMatrix, kraus: Sequence[np.ndarray]) -> PureState:
-    """purified_circuit_state of the process `initial` -> channel 1 -> ...
-
-    Channel j is its Kraus array (..., n_kraus, d_out, d_in).  `initial`
-    may be a stack of density matrices (one-subsystem dims) and each
-    Kraus array a stack of lists; the stacks broadcast, so one call
-    builds the circuits of a whole stack of processes, with one `apply`
-    per channel.
-    """
-    psi = replace(purify(initial), labels=("R", "S"))
-    for j, ops in enumerate(kraus, 1):
-        n_kraus, d_out, d_in = ops.shape[-3:]
-        # the Kraus operators one above the other are the isometry
-        # |s> -> sum_e |e> (x) K_e|s>
-        iso = ops.reshape(ops.shape[:-3] + (n_kraus * d_out, d_in))
-        psi = psi.apply(iso, ("S",), out={f"E{j}": n_kraus, "S": d_out})
-    return psi
-
-
 class BondTable(NamedTuple):
-    """The entropies a survey reads, for a stack of processes on one
-    d-dimensional system: prefix[s] = H(rho_s) = H(R, E_1..E_{s-1}) and
+    """The chain entropies of a stack of processes on one d-dimensional
+    system: prefix[s] = H(rho_s) = H(R, E_1..E_{s-1}) and
     interval[r, s] = H(E_r..E_{s-1}) of the purified circuit, each an array
     over the stack.  States are numbered from 1 (row 0 is unused), and
-    interval[r, r] = 0."""
+    interval[r, r] = 0.
+
+    Every chain witness and certificate is read from the table by its two
+    methods, for one process or a stack alike."""
 
     prefix: np.ndarray
     interval: np.ndarray
+
+    def coherent_info(self, r: int, s: int) -> np.ndarray:
+        """Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}) = prefix[s] - interval[r, s]."""
+        return self.prefix[s] - self.interval[r, s]
+
+    def certificate(self, perm: tuple[int, ...]) -> np.ndarray:
+        """The monogamy certificate of perm over states 1..2n, n = len(perm).
+
+        With H[i, j] = H(E_{n+1-i}..E_{n+j-1}) = interval[n+1-i, n+j], the
+        gap is sum_i H[i, perm(i)] - sum_i H[i, i]: the H(R, E_1..E_{s-1})
+        halves of the coherent informations cancel.  The M4 gap of a swap
+        (k, i, j) of uncrossing(perm) is H[k, i] + H[i, j] - H[i, i] - H[k, j]
+        = I(E_{n+1-k}..E_{n-i} : E_{n+i}..E_{n+j-1} | E_{n+1-i}..E_{n+i-1}),
+        which strong subadditivity keeps nonnegative for every state.
+        """
+        n = len(perm)
+
+        def h(i: int, j: int) -> np.ndarray:
+            return self.interval[n + 1 - i, n + j]
+
+        # each term is I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+        return sum((h(k, i) + h(i, j) - h(k, j) - h(i, i) for k, i, j in uncrossing(perm)),
+                   0.0)
 
 
 def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
@@ -406,30 +387,9 @@ def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
     return BondTable(prefix, interval)
 
 
-def survey_witnesses(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
-    """The witnesses verify surveys on n_states-state processes, read from
-    their BondTable (arrays over the stack): DP1..DP4 and M4 at 4 states,
-    the MONOGAMY gaps at 6 and 8.  Ic(r:s) = prefix[s] - interval[r, s]."""
-    def ic(r: int, s: int) -> np.ndarray:
-        return table.prefix[s] - table.interval[r, s]
-
-    entries = _dp_gaps(ic) if n_states == 4 else {}
-    return entries | _monogamy_gaps(ic, n_states)
-
-
-def survey_certificates(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
-    """monogamy_certificate of each MONOGAMY entry at n_states, read from a
-    BondTable as survey_witnesses: H[i, j] = interval[n+1-i, n+j]."""
-    n = n_states // 2
-
-    def h(i: int, j: int) -> np.ndarray:
-        return table.interval[n + 1 - i, n + j]
-
-    return {name: _certificate(h, f) for name, f in MONOGAMY[n_states].items()}
-
-
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:
-    """I(E1:E3|E2) on the purified circuit; equals the M4 gap."""
+    """I(E1:E3|E2) of the purified circuit, read from the BondTable; equals
+    the M4 gap."""
     return monogamy_certificate(p, MONOGAMY[4]["M4"])
 
 
@@ -443,14 +403,41 @@ def m8_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     return {name: monogamy_certificate(p, f) for name, f in MONOGAMY[8].items()}
 
 
-def dp5_conditional_entropy(p: MarkovChainProcess) -> float:
-    """H(E1|E2) on the purified circuit.
+def survey_witnesses(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
+    """The witnesses verify surveys on n_states-state processes, read from
+    their BondTable (arrays over the stack): DP1..DP4 and M4 at 4 states,
+    the MONOGAMY gaps at 6 and 8."""
+    entries = _dp_gaps(table.coherent_info) if n_states == 4 else {}
+    return entries | _monogamy_gaps(table.coherent_info, n_states)
 
-    Equals the DP5 gap Ic(2:3) - Ic(1:3); nonnegativity of this
-    conditional entropy is exactly what a DP5 violation would refute.
+
+def survey_certificates(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
+    """monogamy_certificate of each MONOGAMY entry at n_states, read from a
+    BondTable as survey_witnesses."""
+    return {name: table.certificate(f) for name, f in MONOGAMY[n_states].items()}
+
+
+# ---------------------------------------------------------------------------
+# the purified circuit, the tests' reference for the bond table
+# ---------------------------------------------------------------------------
+
+def purified_circuit_state(p: MarkovChainProcess) -> PureState:
+    """Pure global state of the process with every channel dilated, the
+    test reference for the BondTable, which never builds it.
+
+    The initial state is purified by a reference R, then each channel is
+    replaced by its isometry into a fresh environment register.  Registers
+    of the result, by label and in order: (R, E1, ..., Em, S) with
+    m = len(channels); the dimension of Ej is the Kraus count of channel j.
+    A circuit over MAX_AMPLITUDES is refused.
     """
-    _require_states(p, 3, "dp5_conditional_entropy")
-    return p.circuit.entropy(("E1", "E2")) - p.circuit.entropy(("E2",))
+    psi = replace(purify(p.initial), labels=("R", "S"))
+    for j, ch in enumerate(p.channels, 1):
+        # the Kraus operators one above the other are the isometry
+        # |s> -> sum_e |e> (x) K_e|s>
+        iso = np.concatenate(ch.kraus)
+        psi = psi.apply(iso, ("S",), out={f"E{j}": len(ch.kraus), "S": ch.d_out})
+    return psi
 
 
 # ---------------------------------------------------------------------------

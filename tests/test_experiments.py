@@ -22,7 +22,6 @@ from qmonogamy import (
     joint_from_chain,
     lambda_grid,
     mi_monotonicity_check,
-    markov_process,
     mqmmi_row,
     mqmmi_rows,
     nonmarkov_witness_row,
@@ -41,11 +40,9 @@ from qmonogamy import channels, classical, experiments, info, states, witnesses
 from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
 from qmonogamy.classical import cmmi_gap
 from qmonogamy.states import DensityMatrix, density, maximally_entangled, random_density
-from qmonogamy.witnesses import (MONOGAMY, bond_table, cqmi_monotonicity_gap,
-                                 m4_ssa_certificate, m4_witness, m6_ssa_certificates,
-                                 m6_witnesses, m8_ssa_certificates, m8_witnesses, mi_dpi_gap,
-                                 monogamy_gap, qdpi_witnesses, survey_certificates,
-                                 survey_witnesses)
+from qmonogamy.witnesses import (MONOGAMY, bond_table, cqmi_monotonicity_gap, mi_dpi_gap,
+                                 monogamy_gap, purified_circuit_state, survey_certificates,
+                                 survey_witnesses, uncrossing)
 
 H_ONE_THIRD = math.log2(3) - 2 / 3  # binary entropy of 1/3
 
@@ -221,8 +218,8 @@ def test_a_grid_longer_than_a_block_is_stacked_block_by_block(rows, monkeypatch)
 
 def test_grid_functions_match_dense_references_on_a_shifted_grid():
     # qmmi and dpi columns from dense gamma_sequence densities through
-    # partial_trace and von_neumann; DP5_markov from Kraus propagation on
-    # the Markov process built per lambda
+    # partial_trace and von_neumann; DP5_markov from Kraus propagation of
+    # the Markov process of each lambda
     grid = lambda_grid(0.013, 0.987, 0.027)
     qmmi, extra = nonmarkov_witness_rows(grid), extra_dpi_rows(grid)
     assert [row["lambda"] for row in qmmi] == grid == [row["lambda"] for row in extra]
@@ -239,10 +236,9 @@ def test_grid_functions_match_dense_references_on_a_shifted_grid():
                 "DP4": h(3, (1,)) - h(4, (1,)), "M4": h(3, (2,)) - h(4, (2,)),
                 "DP5": h(3, (0, 1)), "DP6": h(3, (1,)) - ic(4), "DP7": h(4, (0, 1))}
         ch = unitary_channel(u_lambda(lam), 2, 2)
-        proc = markov_process(density(np.eye(2) / 2), [ch, ch])
 
         def chain_ic(r, s):
-            return chain_coherent_information(proc.initial, proc.channels, r, s)
+            return chain_coherent_information(density(np.eye(2) / 2), [ch, ch], r, s)
 
         want["DP5_markov"] = chain_ic(2, 3) - chain_ic(1, 3)
         for name, value in want.items():
@@ -498,20 +494,36 @@ def test_classical_cmmi_check_is_nonnegative():
 
 
 # ---------------------------------------------------------------------------
-# the stacked witness survey against the one-process witnesses
+# the stacked witness survey against the circuit and Kraus references
 # ---------------------------------------------------------------------------
 
-def _one_process(steps, seed, dims):
-    """The witnesses and certificates the one-process functions give for
-    random_markov_process(steps, seed, *dims)."""
-    p = random_markov_process(steps, seed, *dims)
+def _witnesses_of(ic, steps):
+    """The survey's witnesses at `steps` states from Ic(r:s) = ic(r, s)."""
+    entries = {}
     if steps == 4:
-        entries = dict(qdpi_witnesses(p).entries)
-        entries["M4"] = m4_witness(p)
-        return entries, {"M4": m4_ssa_certificate(p)}
-    if steps == 6:
-        return dict(m6_witnesses(p).entries), m6_ssa_certificates(p)
-    return dict(m8_witnesses(p).entries), m8_ssa_certificates(p)
+        entries = {"DP1": ic(1, 2) - ic(1, 3), "DP2": ic(1, 2) - ic(1, 4),
+                   "DP3": ic(1, 3) - ic(1, 4), "DP4": ic(2, 3) - ic(2, 4)}
+    return entries | {name: monogamy_gap(ic, f) for name, f in MONOGAMY[steps].items()}
+
+
+def _circuit_reference(steps, seed, dims):
+    """The survey's witnesses and certificates of random_markov_process(steps,
+    seed, *dims), from register entropies of its purified circuit; each
+    certificate is the sum of the conditional mutual informations of
+    environment intervals that uncrossing names."""
+    circuit = purified_circuit_state(random_markov_process(steps, seed, *dims))
+
+    def envs(a, b):
+        return tuple(f"E{e}" for e in range(a, b))
+
+    def ic(r, s):
+        return circuit.entropy(("R",) + envs(1, s)) - circuit.entropy(envs(r, s))
+
+    n = steps // 2
+    certs = {name: sum(conditional_mutual_information(
+        circuit, envs(n + 1 - k, n + 1 - i), envs(n + i, n + j), envs(n + 1 - i, n + i))
+        for k, i, j in uncrossing(f)) for name, f in MONOGAMY[steps].items()}
+    return _witnesses_of(ic, steps), certs
 
 
 def _chain_reference(steps, seed, dims):
@@ -524,18 +536,16 @@ def _chain_reference(steps, seed, dims):
     def ic(r, s):
         return chain_coherent_information(p.initial, list(p.channels), r, s)
 
-    entries = {}
-    if steps == 4:
-        entries = {"DP1": ic(1, 2) - ic(1, 3), "DP2": ic(1, 2) - ic(1, 4),
-                   "DP3": ic(1, 3) - ic(1, 4), "DP4": ic(2, 3) - ic(2, 4)}
-    return entries | {name: monogamy_gap(ic, f) for name, f in MONOGAMY[steps].items()}
+    return _witnesses_of(ic, steps)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 1), (2, 1)])
 @pytest.mark.parametrize("steps", [4, 6, 8])
-def test_survey_stack_matches_the_one_process_witnesses_sample_by_sample(steps, dims):
-    # both second paths: the purified circuit, and Kraus propagation of the
-    # states; d_sys = 3 takes the survey through a 9 x 9 bond joint
+def test_survey_stack_matches_the_circuit_and_kraus_references_sample_by_sample(
+        steps, dims):
+    # both references: register entropies of the purified circuit, and Kraus
+    # propagation of the states; d_sys = 3 takes the survey through a 9 x 9
+    # bond joint
     seed, size = 30 + steps, 2 if dims == (2, 3) and steps == 8 else 3
     table = bond_table(*experiments._survey_draws(steps, seed, size, *dims))
     assert table.prefix.shape == (steps + 1, size)
@@ -543,7 +553,7 @@ def test_survey_stack_matches_the_one_process_witnesses_sample_by_sample(steps, 
     entries = survey_witnesses(table, steps)
     certs = survey_certificates(table, steps)
     for b in range(size):
-        want, want_certs = _one_process(steps, seed + b, dims)
+        want, want_certs = _circuit_reference(steps, seed + b, dims)
         chain = _chain_reference(steps, seed + b, dims)
         assert list(entries) == list(want) == list(chain)
         assert list(certs) == list(want_certs)
@@ -556,10 +566,10 @@ def test_survey_stack_matches_the_one_process_witnesses_sample_by_sample(steps, 
 
 
 def _survey_reference(steps, samples, seed, certificate_samples, dims=(2, 2)):
-    """random_markov_verify's report, from the one-process functions per sample."""
+    """random_markov_verify's report, from each sample's purified circuit."""
     minima, cert_min, mismatch, counterexample = {}, math.inf, 0.0, None
     for i in range(samples):
-        entries, certs = _one_process(steps, seed + i, dims)
+        entries, certs = _circuit_reference(steps, seed + i, dims)
         for name, value in entries.items():
             minima[name] = min(minima.get(name, math.inf), value)
         if counterexample is None and min(entries.values()) < -1e-9:
@@ -658,7 +668,7 @@ def test_the_survey_builds_no_register(monkeypatch):
         raise AssertionError("the survey built a register")
 
     monkeypatch.setattr(states.PureState, "reduced", refuse)
-    monkeypatch.setattr(witnesses, "dilated_circuit", refuse)
+    monkeypatch.setattr(witnesses, "purified_circuit_state", refuse)
     sides = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -834,9 +844,9 @@ def test_side_checks_build_no_sample_on_its_own(monkeypatch):
         return counted
 
     monkeypatch.setattr(np.linalg, "eigh", count("eigh", np.linalg.eigh))
-    for module, name in [(states, "density"), (experiments, "density"),
-                         (channels, "kraus_channel"), (classical, "classical_chain"),
-                         (classical, "joint_pmf")]:
+    # states.density is the one binding of density the checks could reach
+    for module, name in [(states, "density"), (channels, "kraus_channel"),
+                         (classical, "classical_chain"), (classical, "joint_pmf")]:
         monkeypatch.setattr(module, name, count(name, getattr(module, name)))
     adjoint_identity_check(samples=ADJOINT_BLOCK + 1)
     mi_monotonicity_check(samples=MI_BLOCK + 1)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.linalg import (apply_kraus, apply_two_site, dagger, hermitian_eig,
-                              is_unitary, kron, partial_trace)
+from qmonogamy.linalg import (apply_kraus, apply_two_site, dagger, hermitian_eig, kron,
+                              partial_trace, unitarity_deviation)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 small_dims = st.sampled_from([2, 3, 4])
@@ -168,12 +168,15 @@ def test_hermitian_eig_rejects_nonhermitian():
 
 
 @given(seeds, small_dims)
-def test_is_unitary_on_haar_samples(seed, d):
+def test_unitarity_deviation_on_haar_samples(seed, d):
     rng = np.random.default_rng(seed)
     u = _haar(rng, d)
-    assert is_unitary(u)
-    assert not is_unitary(u + 1e-3)
-    assert not is_unitary(np.ones((2, 3)))
+    assert unitarity_deviation(u) <= 1e-12
+    assert unitarity_deviation(u + 1e-3) > 1e-4
+    # a stack gives one deviation per matrix
+    np.testing.assert_allclose(unitarity_deviation(np.stack([u, u + 1e-3])),
+                               [unitarity_deviation(u), unitarity_deviation(u + 1e-3)],
+                               rtol=0, atol=1e-15)
 
 
 @given(seeds)

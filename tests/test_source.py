@@ -10,16 +10,23 @@
   `from qmonogamy import *` succeeds, so a deleted name cannot stay exported.
 * No module reads the environment (`os.environ`, `getenv`) or imports
   `ctypes`, so the package sets no BLAS thread count and reads no variable.
+* The benchmark's span tracer (benchmarks/spans.py) finds every name it
+  wraps and puts each one back, and every `qmonogamy.<name>` the
+  benchmark's workloads reach exists, so a deleted name that the
+  benchmark still uses fails here.
 """
 
 import ast
 import importlib
+import importlib.util
 import types
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qmonogamy"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qmonogamy"
+BENCHMARKS = ROOT / "benchmarks"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -155,3 +162,62 @@ def test_the_environment_scan_sees_each_form():
     assert _environment_reads(tree) == [
         "ctypes (line 4)", "ctypes.util (line 2)", "environ (line 7)", "getenv (line 3)",
         "getenv (line 7)"]
+
+
+def _load_spans() -> types.ModuleType:
+    """benchmarks/spans.py, loaded by path under a name of its own; building
+    its tables fails with AttributeError when a name it wraps is gone."""
+    spec = importlib.util.spec_from_file_location("benchmark_spans", BENCHMARKS / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_bindings(spans: types.ModuleType) -> dict:
+    """Everything the tracer may replace: each module namespace entry, each
+    traced method and each sweep-table entry, keyed by where it lives."""
+    out = {(m.__name__, attr): value for m in spans.MODULES for attr, value in vars(m).items()}
+    out.update({(cls.__name__, attr): cls.__dict__[attr] for _, cls, attr, _ in spans.METHODS})
+    out.update({("SWEEPS", key): value for key, value in spans.cli.SWEEPS.items()})
+    return out
+
+
+def test_the_benchmark_tracer_wraps_and_restores_every_name():
+    spans = _load_spans()
+    before = _traced_bindings(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        during = _traced_bindings(spans)
+    finally:
+        tracer.uninstall()
+    after = _traced_bindings(spans)
+    # every traced function is replaced where it is defined
+    for _, fns, _ in spans.FUNCTIONS:
+        for fn in fns:
+            home = importlib.import_module(fn.__module__)
+            assert during[(home.__name__, fn.__name__)] is not fn, fn.__qualname__
+    for _, cls, attr, _ in spans.METHODS:
+        assert during[(cls.__name__, attr)] is not before[(cls.__name__, attr)], attr
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert not moved, f"the tracer left these replaced: {moved}"
+
+
+def _workload_names(tree: ast.Module) -> set[str]:
+    """The names the benchmark's workloads read off the package: `qmonogamy.x`."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "qmonogamy"}
+
+
+def test_the_benchmark_workloads_reach_only_existing_names():
+    qmonogamy = importlib.import_module("qmonogamy")
+    names = _workload_names(_tree(BENCHMARKS / "workloads.py"))
+    assert "random_markov_verify" in names
+    missing = sorted(name for name in names if not hasattr(qmonogamy, name))
+    assert not missing, f"benchmarks/workloads.py reaches deleted names: {missing}"
+
+
+def test_the_workload_name_scan_sees_a_deleted_name():
+    tree = ast.parse("import qmonogamy\n\ndef f(p):\n    return qmonogamy.gone(p)\n")
+    assert _workload_names(tree) == {"gone"}

@@ -1,32 +1,35 @@
 """Gap witnesses on Markov chain processes and their entropy certificates.
 
-Strategy: witnesses and certificates both read subset entropies of one
-purified circuit per process, so their agreement alone is close to an
-algebraic identity.  Independence comes from the Kraus path:
-info.chain_coherent_information pushes density matrices through the
-channels and never builds the circuit, and the tests here compare every
-coherent information against it (as benchmarks/reference.py does with
-its own numpy recomputation).  Agreement with that reference, plus the
-certificate identities, pins both routes down.
+Strategy: witnesses and certificates both read one BondTable per
+process (witnesses.bond_table), so their agreement checks the uncrossing
+algebra and nothing more.  The table's entropies are checked against two
+references computed apart from it: the purified circuit
+(purified_circuit_state), whose register marginals give
+H(R, E_1..E_{s-1}) and H(E_r..E_{s-1}) directly, and
+info.chain_coherent_information, which pushes density matrices through
+the channels one pair (r, s) at a time and builds no circuit (as
+benchmarks/reference.py does with its own numpy recomputation).  The
+hand-typed certificates are conditional mutual informations of the
+circuit's registers.  Agreement with both references, plus the
+certificate identities, pins the table down.
 """
 
+import functools
 import itertools
-import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-import qmonogamy.states as states_module
-from qmonogamy.channels import random_channel
+from qmonogamy import witnesses as witnesses_module
+from qmonogamy.channels import kraus_channel, random_channel
 from qmonogamy.experiments import random_markov_process
 from qmonogamy.info import chain_coherent_information, conditional_mutual_information
-from qmonogamy.states import MAX_AMPLITUDES, DensityMatrix, random_density
+from qmonogamy.states import DensityMatrix, random_density
 from qmonogamy.tolerances import GAP_TOLERANCE
 from qmonogamy.witnesses import (MONOGAMY, WitnessReport, cqmi_monotonicity_gap,
-                                 dp5_conditional_entropy, extra_dpi_witnesses,
-                                 m4_ssa_certificate, m4_witness,
+                                 extra_dpi_witnesses, m4_ssa_certificate, m4_witness,
                                  m6_ssa_certificates, m6_witnesses,
                                  m8_ssa_certificates, m8_witnesses, markov_process,
                                  mi_dpi_gap, monogamy_certificate, monogamy_gap,
@@ -44,6 +47,16 @@ def test_markov_process_validates_adjacency():
     p = markov_process(rho, [good])
     assert p.n_states == 2
     np.testing.assert_allclose(p.initial.mat, rho.mat)
+
+
+def test_markov_process_refuses_a_channel_that_changes_the_dimension():
+    # a qubit-to-qutrit isometry: a valid channel, but the bond table has one
+    # system dimension
+    widen = kraus_channel([np.eye(3, 2)])
+    with pytest.raises(ValueError, match="a process carries one system dimension"):
+        markov_process(random_density(2, seed=0), [widen])
+    with pytest.raises(ValueError, match="channel 1 maps dimension 2 to 3"):
+        markov_process(random_density(2, seed=0), [random_channel(2, 2, 2, seed=1), widen])
 
 
 def test_witness_report_violation_bookkeeping():
@@ -86,16 +99,29 @@ def _kraus_reference(p, r, s):
     return chain_coherent_information(p.initial, list(p.channels), r, s)
 
 
+def _envs(a, b):
+    """The labels E_a..E_{b-1} of the purified circuit."""
+    return tuple(f"E{e}" for e in range(a, b))
+
+
+def _circuit_reference(circuit, r, s):
+    """Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}) from the circuit's registers."""
+    return circuit.entropy(("R",) + _envs(1, s)) - circuit.entropy(_envs(r, s))
+
+
 def test_purified_circuit_reproduces_chain_coherent_information():
-    """Ic(r:s) = H(R, E_1..E_{s-1}) - H(E_r..E_{s-1}) on the purified circuit
-    equals the Kraus-propagation value for every pair."""
+    """Ic(r:s) read from the purified circuit's registers equals the
+    Kraus-propagation value and the bond table's for every pair."""
     assert purified_circuit_state(random_markov_process(4, seed=11)).labels == \
         ("R", "E1", "E2", "E3", "S")
     for n, d_env in itertools.product((4, 6, 8), (2, 3)):
         p = random_markov_process(n, seed=11 + n, d_env=d_env)
+        circuit = purified_circuit_state(p)
         for r, s in itertools.combinations(range(1, n + 1), 2):
-            assert p.coherent_info(r, s) == pytest.approx(
-                _kraus_reference(p, r, s), abs=1e-12), (n, d_env, r, s)
+            want = _kraus_reference(p, r, s)
+            assert _circuit_reference(circuit, r, s) == pytest.approx(want, abs=1e-12), \
+                (n, d_env, r, s)
+            assert p.coherent_info(r, s) == pytest.approx(want, abs=1e-12), (n, d_env, r, s)
     with pytest.raises(ValueError, match="r < s"):
         p.coherent_info(3, 3)
 
@@ -103,17 +129,23 @@ def test_purified_circuit_reproduces_chain_coherent_information():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gap_tolerance_covers_the_largest_circuit(seed):
     """The reason for the -GAP_TOLERANCE floor: at the largest circuit verify
-    allows (--dims 2 3 --steps 8), the oracle and the Kraus propagation, and
-    the M8 witnesses and their certificates, agree far inside it."""
+    allows (--dims 2 3 --steps 8), the bond table, the circuit's registers
+    and the Kraus propagation, and the M8 witnesses and their certificates,
+    agree far inside it."""
     p = random_markov_process(8, seed, 2, 3)
-    assert p.circuit.dim == 2 * 3 ** 7 * 2 == 8748
+    circuit = purified_circuit_state(p)
+    assert circuit.dim == 2 * 3 ** 7 * 2 == 8748
     for r, s in itertools.combinations(range(1, 9), 2):
-        assert abs(p.coherent_info(r, s) - _kraus_reference(p, r, s)) <= 1e-12, (r, s)
+        want = _kraus_reference(p, r, s)
+        assert abs(_circuit_reference(circuit, r, s) - want) <= 1e-12, (r, s)
+        assert abs(p.coherent_info(r, s) - want) <= 1e-12, (r, s)
     witnesses = m8_witnesses(p).entries
     certificates = m8_ssa_certificates(p)
     assert witnesses.keys() == certificates.keys()
     for name, value in witnesses.items():
         assert abs(value - certificates[name]) <= 1e-12, name
+        want = monogamy_gap(functools.partial(_circuit_reference, circuit), MONOGAMY[8][name])
+        assert abs(value - want) <= 1e-12, name
 
 
 def test_chain_coherent_info_through_the_process_wrapper():
@@ -125,8 +157,8 @@ def test_chain_coherent_info_through_the_process_wrapper():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 5), st.integers(3, 6),
        st.integers(0, 2 ** 32 - 1))
-def test_circuit_oracle_matches_the_kraus_reference(d_sys, d_env, n, seed):
-    assume(d_sys * d_env ** (n - 1) * d_sys <= MAX_AMPLITUDES)
+def test_bond_oracle_matches_the_kraus_reference(d_sys, d_env, n, seed):
+    # no amplitude budget applies: the bond table's joints are d_sys^2 x d_sys^2
     p = random_markov_process(n, seed, d_sys, d_env)
     for r, s in itertools.combinations(range(1, n + 1), 2):
         assert p.coherent_info(r, s) == pytest.approx(
@@ -142,24 +174,37 @@ def test_circuit_oracle_matches_the_kraus_reference(d_sys, d_env, n, seed):
             assert rep.entries[name] == pytest.approx(certs[name], abs=1e-9), name
 
 
-def test_eight_state_witnesses_and_certificates_share_twenty_eigensolves(monkeypatch):
-    # one purified circuit and one entropy memo per process: the 16 distinct
-    # coherent informations and the 7 certificate sums need 20 subset entropies
+def test_eight_state_witnesses_and_certificates_share_one_bond_table(monkeypatch):
+    # one BondTable per process: the 16 distinct coherent informations and the
+    # 7 certificate sums read 8 stacked eigensolves (the states, then one per
+    # channel), none larger than the d^2 x d^2 joint
     calls = []
-    real = states_module.von_neumann_stack
-    monkeypatch.setattr(states_module, "von_neumann_stack",
+    real = witnesses_module.von_neumann_stack
+    monkeypatch.setattr(witnesses_module, "von_neumann_stack",
                         lambda mats: calls.append(mats.shape[-1]) or real(mats))
     p = random_markov_process(8, seed=0)
     m8_witnesses(p)
     m8_ssa_certificates(p)
-    assert len(calls) == 20
-    assert max(calls) <= math.isqrt(p.circuit.dim)
+    assert len(calls) == 8
+    assert max(calls) == 4
+    m8_witnesses(p)
+    assert len(calls) == 8
 
 
-def test_purified_circuit_refuses_too_many_amplitudes():
+def test_a_process_past_the_circuit_budget_gets_its_m8_witnesses():
     # R, seven 4-dimensional environments and S: 2 * 4**7 * 2 = 65536
+    # amplitudes; the circuit reference is refused, the bond table is not
+    p = random_markov_process(8, 0, 2, 4)
     with pytest.raises(ValueError, match="amplitudes"):
-        purified_circuit_state(random_markov_process(8, 0, 2, 4))
+        purified_circuit_state(p)
+    ic = functools.cache(functools.partial(_kraus_reference, p))
+    witnesses = m8_witnesses(p).entries
+    certificates = m8_ssa_certificates(p)
+    assert witnesses.keys() == certificates.keys() == MONOGAMY[8].keys()
+    for name, perm in MONOGAMY[8].items():
+        want = monogamy_gap(ic, perm)
+        assert abs(witnesses[name] - want) <= 1e-12, name
+        assert abs(certificates[name] - want) <= 1e-12, name
 
 
 def test_six_step_monogamy_and_certificates():
@@ -204,10 +249,15 @@ def test_extra_dpi_gaps_are_reported_without_sign_claims():
 
 
 def test_dp5_equals_an_environment_conditional_entropy():
+    # DP5 = Ic(2:3) - Ic(1:3) = H(E1|E2) of the purified circuit: a DP5
+    # violation would refute the nonnegativity of that conditional entropy
     for seed in range(10):
         p = random_markov_process(4, seed=seed)
-        want = extra_dpi_witnesses(p).entries["DP5"]
-        assert dp5_conditional_entropy(p) == pytest.approx(want, abs=1e-8)
+        circuit = purified_circuit_state(p)
+        h = circuit.entropy(("E1", "E2")) - circuit.entropy(("E2",))
+        assert extra_dpi_witnesses(p).entries["DP5"] == pytest.approx(h, abs=1e-12)
+        assert h == pytest.approx(_kraus_reference(p, 2, 3) - _kraus_reference(p, 1, 3),
+                                  abs=1e-12)
 
 
 def test_monogamy_gap_swap_is_m4():
@@ -264,11 +314,14 @@ PAIRINGS = {
 
 
 def _hand_certificates(p):
-    """The strong-subadditivity sums typed out by hand, one per named witness."""
+    """The strong-subadditivity sums typed out by hand, one per named witness,
+    on the registers of the purified circuit."""
+    circuit = purified_circuit_state(p)
+
     def cmi(a, b, c):
         def envs(idx):
             return tuple(f"E{e}" for e in idx)
-        return conditional_mutual_information(p.circuit, envs(a), envs(b), envs(c))
+        return conditional_mutual_information(circuit, envs(a), envs(b), envs(c))
 
     certs = {"M4": cmi((1,), (3,), (2,))}
     if p.n_states >= 6:
@@ -340,7 +393,6 @@ def test_uncrossing_terms_add_up_to_the_gap_symbolically(n):
        st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_every_permutation_gap_equals_its_certificate(perm, d_env, seed):
     n = len(perm)
-    assume(2 * d_env ** (2 * n - 1) * 2 <= MAX_AMPLITUDES)
     p = random_markov_process(2 * n, seed, 2, d_env)
     certificate = monogamy_certificate(p, perm)
     assert certificate >= -GAP_TOLERANCE
@@ -348,7 +400,6 @@ def test_every_permutation_gap_equals_its_certificate(perm, d_env, seed):
 
 
 def test_the_reversal_gap_of_a_twelve_state_process():
-    # 2 * 2**11 * 2 = 8192 amplitudes, inside MAX_AMPLITUDES
     p = random_markov_process(12, seed=5)
     perm = (6, 5, 4, 3, 2, 1)
     ref = [[_kraus_reference(p, 7 - i, 6 + j) for j in range(1, 7)] for i in range(1, 7)]
