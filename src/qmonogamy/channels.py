@@ -24,17 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_kraus, dagger
+from .linalg import apply_kraus, dagger, require_finite
 from .states import DensityMatrix, ginibre
-from .tolerances import ISOMETRY_TOL
+from .tolerances import INVARIANT_TOL
 
 __all__ = [
     "KrausChannel",
     "kraus_channel",
     "kraus_stack",
-    "identity_channel",
-    "depolarizing_channel",
-    "dephasing_channel",
     "apply",
     "apply_to_subsystem",
     "unitary_channel",
@@ -75,7 +72,7 @@ def kraus_channel(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> KrausChanne
 
 def kraus_stack(ops: np.ndarray) -> np.ndarray:
     """Validate a stack (n, n_kraus, d_out, d_in) of Kraus lists: finite
-    entries and sum_k K_k† K_k = 1 within ISOMETRY_TOL for every list.
+    entries and sum_k K_k† K_k = 1 within INVARIANT_TOL for every list.
 
     A failure reports the worst deviation in the stack.  Returns the stack.
     """
@@ -87,37 +84,12 @@ def kraus_stack(ops: np.ndarray) -> np.ndarray:
         raise ValueError("empty Kraus stack: no operators to validate")
     if ops.shape[2] == 0 or ops.shape[3] == 0:
         raise ValueError(f"empty Kraus operators: shape {ops.shape[2:]}")
-    if not np.isfinite(ops).all():
-        raise ValueError(f"non-finite Kraus entries: {np.count_nonzero(~np.isfinite(ops))} "
-                         "NaN or infinite")
+    require_finite(ops, "Kraus entries")
     tp = np.einsum("nkoi,nkoj->nij", ops.conj(), ops)
     dev = np.abs(tp - np.eye(ops.shape[3])).max()
-    if dev > ISOMETRY_TOL:
+    if dev > INVARIANT_TOL:
         raise ValueError(f"not trace preserving: max deviation {dev:.3e}")
     return ops
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return kraus_channel([np.eye(d)])
-
-
-def depolarizing_channel(d: int) -> KrausChannel:
-    """The channel mapping every input to the maximally mixed state 1/d."""
-    ops = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            ops[i * d + j][i, j] = 1.0 / np.sqrt(d)
-    return kraus_channel(ops)
-
-
-def dephasing_channel(d: int) -> KrausChannel:
-    """Projective measurement in the computational basis, outcomes forgotten."""
-    ops = []
-    for i in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[i, i] = 1.0
-        ops.append(p)
-    return kraus_channel(ops)
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

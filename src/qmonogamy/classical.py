@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import require_finite
 from .states import spectrum_entropy
-from .tolerances import MARKOV_CMI_TOL, NEG_PROB_TOL, PROB_SUM_TOL
+from .tolerances import GAP_TOLERANCE, INVARIANT_TOL
 from .witnesses import monogamy_gap
 
 __all__ = [
@@ -69,7 +70,7 @@ class ClassicalChain:
 
 
 def joint_pmf(probs: np.ndarray) -> JointPMF:
-    """Validate a finite array (sum 1, entries >= -NEG_PROB_TOL, clipped to 0).
+    """Validate a finite array (sum 1, entries >= -INVARIANT_TOL, clipped to 0).
 
     The one-table form of joint_pmf_stack.
     """
@@ -86,14 +87,12 @@ def joint_pmf_stack(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.size == 0:
         raise ValueError(f"empty probability table: shape {probs.shape[1:]}")
-    if not np.isfinite(probs).all():
-        raise ValueError(f"non-finite probabilities: {np.count_nonzero(~np.isfinite(probs))} "
-                         "NaN or infinite")
-    if probs.min() < -NEG_PROB_TOL:
+    require_finite(probs, "probabilities")
+    if probs.min() < -INVARIANT_TOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
     totals = probs.reshape(len(probs), -1).sum(axis=1)
     total = totals[np.abs(totals - 1.0).argmax()]
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if abs(total - 1.0) > INVARIANT_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return np.clip(probs, 0.0, None)
 
@@ -101,7 +100,7 @@ def joint_pmf_stack(probs: np.ndarray) -> np.ndarray:
 def classical_chain(initial: np.ndarray,
                     transitions: list[np.ndarray] | tuple[np.ndarray, ...],
                     ) -> ClassicalChain:
-    """Validate finiteness and stochasticity (PROB_SUM_TOL) into a chain.
+    """Validate finiteness and stochasticity (INVARIANT_TOL) into a chain.
 
     The one-chain form of chain_stack.
     """
@@ -121,7 +120,7 @@ def chain_stack(initial: np.ndarray,
     if initial.ndim != 2 or initial.size == 0:
         raise ValueError(f"initial distribution must be a nonempty vector, "
                          f"got shape {initial.shape[1:]}")
-    if initial.min() < 0 or np.abs(initial.sum(axis=-1) - 1.0).max() > PROB_SUM_TOL:
+    if initial.min() < 0 or np.abs(initial.sum(axis=-1) - 1.0).max() > INVARIANT_TOL:
         raise ValueError("initial distribution is not a probability vector")
     d = initial.shape[-1]
     for i, t in enumerate(transitions):
@@ -130,7 +129,7 @@ def chain_stack(initial: np.ndarray,
                              f"got shape {t.shape[1:]}")
         if t.shape[-1] != d:
             raise ValueError(f"transition {i} expects {t.shape[-1]} inputs, chain carries {d}")
-        if t.min() < 0 or np.abs(t.sum(axis=-2) - 1.0).max() > PROB_SUM_TOL:
+        if t.min() < 0 or np.abs(t.sum(axis=-2) - 1.0).max() > INVARIANT_TOL:
             raise ValueError(f"transition {i} is not column stochastic")
         d = t.shape[-2]
 
@@ -163,10 +162,15 @@ def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
 
     `probs` holds one joint per index of its leading axis, then one axis
     per variable; the sum is states.spectrum_entropy's, which leaves out
-    entries at or below ENTROPY_CLIP.
+    entries at or below ENTROPY_CLIP.  A variable index outside the table
+    is refused by name.
     """
     subset = set(subset)
-    drop = tuple(1 + i for i in range(probs.ndim - 1) if i not in subset)
+    n = probs.ndim - 1
+    bad = sorted(i for i in subset if not 0 <= i < n)
+    if bad:
+        raise ValueError(f"variable indices {bad} out of range for {n} variables")
+    drop = tuple(1 + i for i in range(n) if i not in subset)
     w = (probs.sum(axis=drop) if drop else probs).reshape(len(probs), -1)
     return spectrum_entropy(w)
 
@@ -190,7 +194,7 @@ def classical_cmi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...],
             - shannon_entropy(p, a + b + c) - hc)
 
 
-def is_markov(p: JointPMF, tol: float = MARKOV_CMI_TOL) -> bool:
+def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
     """Whether each variable is independent of the deeper past given its
     predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every i >= 3."""
     for i in range(2, p.n_vars):

@@ -30,7 +30,7 @@ from .experiments import (adjoint_identity_check, classical_cmmi_check, extra_dp
                           lambda_grid, mi_monotonicity_check, mqmmi_rows,
                           nonmarkov_witness_rows, random_markov_verify)
 from .tolerances import (ADJOINT_IDENTITY_CEIL, CLASSICAL_FLOOR, GAP_TOLERANCE,
-                         ISOMETRY_TOL, SVG_FLAT_RANGE)
+                         INVARIANT_TOL, SVG_FLAT_RANGE)
 
 # each sweep's grid function (the whole grid as one stacked register) and columns
 SWEEPS = {
@@ -175,7 +175,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         and summary["ssa_certificate_min"] >= -GAP_TOLERANCE
         and summary["certificate_max_mismatch"] <= GAP_TOLERANCE
         and summary["adjoint_identity_max_deviation"] <= ADJOINT_IDENTITY_CEIL
-        and summary["adjoint_unitality_max_deviation"] <= ISOMETRY_TOL
+        and summary["adjoint_unitality_max_deviation"] <= INVARIANT_TOL
         and summary["cqmi_monotonicity_min"] >= -GAP_TOLERANCE
         and summary["mi_monotonicity_min"] >= -GAP_TOLERANCE
         and summary["cmi_min"] >= -GAP_TOLERANCE

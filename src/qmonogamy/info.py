@@ -7,12 +7,13 @@ entropy-difference form
     I_c(rho; L) = H(L(rho)) - H((id_R x L)(psi))
 
 with psi any purification of rho; the value does not depend on the
-purification chosen.  Chain shorthand: for a state rho_1 pushed through
-channels L_1, ..., L_n, ``chain_coherent_information(rho_1, chain, r, s)``
-is the coherent information of the r-th state through the composite map
-that carries it to the s-th.  It propagates density matrices with the
-Kraus maps, one pair (r, s) and one channel at a time, and builds no
-purified circuit.  The chain witnesses read every Ic(r:s) of a process
+purification chosen.  For a state rho_1 pushed through channels
+L_1, ..., L_n, ``chain_coherent_information(rho_1, chain, r, s)`` is the
+coherent information of the r-th state through the composite map that
+carries it to the s-th; one channel L is the chain [L] from 1 to 2,
+``chain_coherent_information(rho, [L], 1, 2)``.  It propagates density
+matrices with the Kraus maps, one pair (r, s) and one channel at a time,
+and builds no purified circuit.  The chain witnesses read every Ic(r:s) of a process
 (or a stack of them) at once from witnesses.bond_table instead, so this
 function is one of the two references the tests compare that table with;
 the other is the purified circuit (witnesses.purified_circuit_state).
@@ -31,7 +32,6 @@ __all__ = [
     "von_neumann",
     "mutual_information",
     "conditional_mutual_information",
-    "coherent_information",
     "chain_coherent_information",
 ]
 
@@ -69,15 +69,6 @@ def conditional_mutual_information(rho: DensityMatrix | PureState, a: tuple,
     habc = _entropy_of_subset(rho, tuple(sorted(a + b + c)))
     hc = _entropy_of_subset(rho, c) if c else 0.0
     return hac + hbc - habc - hc
-
-
-def coherent_information(rho: DensityMatrix, ch: KrausChannel) -> float:
-    """I_c(rho; L) = H(L(rho)) - H((id x L)(psi)) with psi purifying rho."""
-    if len(rho.dims) != 1:
-        rho = DensityMatrix(rho.mat, (rho.dim,))
-    psi = purify(rho)
-    joint = apply_to_subsystem(ch, psi.density(), 1)
-    return von_neumann(apply(ch, rho)) - von_neumann(joint)
 
 
 def chain_coherent_information(rho1: DensityMatrix, chain: list[KrausChannel],

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .tolerances import EIG_HERM_TOL
+from .tolerances import INVARIANT_TOL
 
 __all__ = [
     "kron",
@@ -31,6 +31,7 @@ __all__ = [
     "partial_trace",
     "apply_kraus",
     "hermitian_eig",
+    "require_finite",
     "unitarity_deviation",
     "broadcast_batch",
     "apply_two_site",
@@ -136,9 +137,9 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized to (m + m†)/2 before decomposition to suppress
-    round-off; a deviation from Hermiticity beyond EIG_HERM_TOL is an error,
-    not something to silently average away.  A stack (..., d, d) is
-    decomposed matrix by matrix in one call.
+    round-off; a NaN or infinite entry, or a deviation from Hermiticity
+    beyond INVARIANT_TOL, is an error, not something to silently average
+    away.  A stack (..., d, d) is decomposed matrix by matrix in one call.
 
     Returns
     -------
@@ -146,12 +147,21 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matching eigenvectors as columns of a unitary matrix.
     """
     m = np.asarray(m, dtype=complex)
+    require_finite(m)
     m_dag = m.conj().swapaxes(-1, -2)
     dev = np.abs(m - m_dag).max()
-    if dev > EIG_HERM_TOL:
+    if dev > INVARIANT_TOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, v = np.linalg.eigh((m + m_dag) / 2)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
+
+
+def require_finite(a: np.ndarray, what: str = "entries") -> None:
+    """Refuse an array holding NaN or inf with a ValueError that names the
+    "non-finite <what>" and counts them."""
+    bad = np.count_nonzero(~np.isfinite(a))
+    if bad:
+        raise ValueError(f"non-finite {what}: {bad} NaN or infinite")
 
 
 def unitarity_deviation(m: np.ndarray) -> np.ndarray:

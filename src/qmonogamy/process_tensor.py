@@ -36,9 +36,9 @@ import numpy as np
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
 from .info import mutual_information
-from .linalg import broadcast_batch, unitarity_deviation
+from .linalg import broadcast_batch, require_finite, unitarity_deviation
 from .states import DensityMatrix, PureState, density, maximally_entangled, purify
-from .tolerances import ISOMETRY_TOL, PROB_SLACK, TRACE_TOL
+from .tolerances import INVARIANT_TOL
 from .witnesses import MONOGAMY, WitnessReport, monogamy_gap
 
 __all__ = [
@@ -102,7 +102,8 @@ class ProcessTensor:
 
 def system_env_circuit(initial: PureState,
                        step_unitaries: Sequence[np.ndarray]) -> SystemEnvCircuit:
-    """Validate register structure and unitarity (ISOMETRY_TOL) into a circuit.
+    """Validate register structure, finite entries and unitarity
+    (INVARIANT_TOL) into a circuit.
 
     A step unitary may be a stack (..., d, d), which makes the circuit a
     stack of circuits on one register layout; all steps are checked in one
@@ -115,6 +116,8 @@ def system_env_circuit(initial: PureState,
     for i, u in enumerate(units):
         if u.shape[-2:] != (d_se, d_se):
             raise ValueError(f"unitary {i} must be {d_se} x {d_se}, got {u.shape}")
+        # a NaN deviation would pass the unitarity test below
+        require_finite(u, f"entries in step operator {i}")
     if units:
         batch = initial.batch
         for u in units:
@@ -122,9 +125,9 @@ def system_env_circuit(initial: PureState,
         dev = unitarity_deviation(np.stack([np.broadcast_to(u, batch + (d_se, d_se))
                                             for u in units]))
         worst = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[worst] > ISOMETRY_TOL:
+        if dev[worst] > INVARIANT_TOL:
             raise ValueError(f"step operator {worst[0]} is not unitary within "
-                             f"{ISOMETRY_TOL:g}: worst deviation {dev[worst]:.3e}")
+                             f"{INVARIANT_TOL:g}: worst deviation {dev[worst]:.3e}")
     return SystemEnvCircuit(initial, units)
 
 
@@ -194,13 +197,13 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
     rho = psi.reduced((f"S{k}",)).mat
     if len(ops) == k - 1:
         tr = np.trace(rho).real
-        if tr <= PROB_SLACK:
+        if tr <= INVARIANT_TOL:
             raise ValueError(f"intervention sequence has probability {tr:.3e}; "
                              "its conditional output state is undefined")
         # the conditional state; a trace-preserving sequence divides by ~1
         return density(rho / tr, (pt.d_sys,))
     p = np.trace(sum(m.conj().T @ m for m in ops[-1]) @ rho).real
-    if not -PROB_SLACK <= p <= 1 + PROB_SLACK:
+    if not -INVARIANT_TOL <= p <= 1 + INVARIANT_TOL:
         raise ValueError(f"contraction gave probability {p!r} outside [0, 1]")
     return float(p)
 
@@ -237,7 +240,7 @@ def port_mutual_information(pt: ProcessTensor, y: int, x: int,
         if j != y:
             psi = _plug(psi, j, maps[j - 1], pt.d_sys)
     tr = np.vdot(psi.vec, psi.vec).real
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > INVARIANT_TOL:
         raise ValueError(f"interventions are not trace preserving: the port state "
                          f"has trace {tr:.3e}")
     return mutual_information(psi, (f"R{y}",), (f"S{x}",))

@@ -2,8 +2,10 @@
 
 A DensityMatrix carries its subsystem-dimension signature alongside the
 matrix, so partial traces and entropies downstream never need dimension
-bookkeeping at the call site.  Validation thresholds and the entropy clip
-are entries of the one table in tolerances.py.  The validation itself is
+bookkeeping at the call site.  Every invariant (Hermiticity, unit trace,
+positivity, a vector's unit norm) is checked to the one INVARIANT_TOL of
+tolerances.py, and the entropy clip is ENTROPY_CLIP there; NaN or
+infinite input is refused by name.  The validation itself is
 density_stack, which checks a whole stack of matrices in one pass (one
 stacked eigensolve for positivity) and returns that eigensolve's spectra
 with the stack, so a caller can take the stack's entropies from them
@@ -36,8 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import apply_two_site, broadcast_batch, hermitian_eig, partial_trace
-from .tolerances import ENTROPY_CLIP, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
+from .linalg import (apply_two_site, broadcast_batch, hermitian_eig, partial_trace,
+                     require_finite)
+from .tolerances import ENTROPY_CLIP, INVARIANT_TOL
 
 __all__ = [
     "DensityMatrix",
@@ -83,8 +86,13 @@ class DensityMatrix:
 
 
 def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
-    """Entropy -sum(w log2 w) over eigenvalues above ENTROPY_CLIP."""
+    """Entropy -sum(w log2 w) over eigenvalues above ENTROPY_CLIP.
+
+    A NaN or infinite entry is refused by name; von_neumann_stack, which
+    only internal callers reach, takes its input unchecked.
+    """
     m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    require_finite(m)
     return float(von_neumann_stack(m))
 
 
@@ -266,18 +274,16 @@ def _check_budget(size: int) -> None:
 
 
 def pure_state(vec: np.ndarray, dims: tuple[int, ...] | None = None) -> PureState:
-    """Validate a vector (finite, unit norm within NORM_TOL) into a PureState."""
+    """Validate a vector (finite, unit norm within INVARIANT_TOL) into a PureState."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if not np.isfinite(vec).all():
-        raise ValueError(f"non-finite amplitudes: {np.count_nonzero(~np.isfinite(vec))} "
-                         "NaN or infinite")
+    require_finite(vec, "amplitudes")
     if dims is None:
         dims = (vec.shape[0],)
     dims = tuple(int(d) for d in dims)
     if math.prod(dims) != vec.shape[0]:
         raise ValueError(f"dims {dims} do not match vector length {vec.shape[0]}")
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if abs(nrm - 1.0) > INVARIANT_TOL:
         raise ValueError(f"vector is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return PureState(vec, dims)
 
@@ -314,24 +320,21 @@ def density_stack(mats: np.ndarray,
         raise ValueError("empty density stack: no matrices to validate")
     if m.shape[1] == 0:
         raise ValueError("empty density matrix: dimension 0")
-    if not np.isfinite(m).all():
-        raise ValueError(f"non-finite entries: {np.count_nonzero(~np.isfinite(m))} "
-                         "NaN or infinite")
+    require_finite(m)
     if math.prod(dims) != m.shape[1]:
         raise ValueError(f"dims {dims} do not match matrix dimension {m.shape[1]}")
     m_dag = m.conj().swapaxes(-1, -2)
     herm_dev = np.abs(m - m_dag).max()
-    if herm_dev > HERM_TOL:
+    if herm_dev > INVARIANT_TOL:
         raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1)
     trace_dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max()
-    if trace_dev > TRACE_TOL:
+    if trace_dev > INVARIANT_TOL:
         raise ValueError(f"not unit trace: deviation {trace_dev:.3e}")
-    # HERM_TOL is stricter than hermitian_eig's EIG_HERM_TOL, so eigvalsh skips no check
     sym = (m + m_dag) / 2
     w = np.linalg.eigvalsh(sym)
     w_min = w[:, 0].min()
-    if w_min < -PSD_TOL:
+    if w_min < -INVARIANT_TOL:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
     return sym, w
 

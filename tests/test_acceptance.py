@@ -15,8 +15,8 @@ from qmonogamy import (
     adjoint_identity_check,
     apply_to_subsystem,
     build_process_tensor,
+    chain_coherent_information,
     cmmi_gap,
-    coherent_information,
     contract,
     dagger,
     dephased_joint_pmf,
@@ -174,7 +174,7 @@ def test_criterion_07_coherent_information_identity():
         psi = purify(rho)
         out = apply_to_subsystem(ch, psi.density(), 1)
         mi = mutual_information(out, (0,), (1,))
-        ic = coherent_information(rho, ch)
+        ic = chain_coherent_information(rho, [ch], 1, 2)
         assert abs(mi - von_neumann(rho) - ic) <= TOL
         # the identity is purification independent: twist the reference
         u = _haar(rng, d)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from qmonogamy.channels import (_haar_unitary, adjoint_channel, apply, apply_to_subsystem,
-                                dephasing_channel, depolarizing_channel,
-                                identity_channel, kraus_channel, kraus_stack,
-                                random_channel, unitary_channel)
+                                kraus_channel, kraus_stack, random_channel,
+                                unitary_channel)
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
 
@@ -54,14 +53,18 @@ def test_a_kraus_operator_that_is_not_a_matrix_is_refused_by_name(ops):
 
 def test_identity_and_depolarizing_fixed_points():
     rho = random_density(3, seed=1)
-    np.testing.assert_allclose(apply(identity_channel(3), rho).mat, rho.mat)
-    out = apply(depolarizing_channel(3), rho)
+    np.testing.assert_allclose(apply(kraus_channel([np.eye(3)]), rho).mat, rho.mat)
+    # K_ij = |i><j| / sqrt(d) maps every input to the maximally mixed state
+    depolarizing = kraus_channel([np.outer(a, b) / np.sqrt(3)
+                                  for a in np.eye(3) for b in np.eye(3)])
+    out = apply(depolarizing, rho)
     np.testing.assert_allclose(out.mat, np.eye(3) / 3, atol=1e-12)
 
 
 def test_dephasing_kills_off_diagonals():
     rho = random_density(4, seed=2)
-    out = apply(dephasing_channel(4), rho)
+    # the computational-basis projectors: a measurement with outcomes forgotten
+    out = apply(kraus_channel([np.diag(e) for e in np.eye(4)]), rho)
     np.testing.assert_allclose(out.mat, np.diag(np.diag(rho.mat)), atol=1e-12)
 
 

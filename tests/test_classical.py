@@ -1,6 +1,7 @@
 """Classical joint pmfs, Markov chains, and the permutation monogamy gap."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmonogamy.classical import (chain_stack, classical_chain, classical_cmi, classical_mi,
                                  cmmi_gap, is_markov, joint_from_chain, joint_pmf,
-                                 joint_pmf_stack, random_chain, shannon_entropy)
+                                 joint_pmf_stack, random_chain, shannon_entropies,
+                                 shannon_entropy)
 from qmonogamy.witnesses import uncrossing
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -30,6 +32,22 @@ def test_joint_pmf_validation():
         joint_pmf(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         joint_pmf(np.array([1.0, np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda p: shannon_entropy(p, (3,)), [3]),
+    (lambda p: shannon_entropy(p, (-1,)), [-1]),
+    (lambda p: shannon_entropies(p.probs[None], (0, 5)), [5]),
+    (lambda p: classical_mi(p, (0,), (7,)), [7]),
+    (lambda p: classical_cmi(p, (0,), (1,), (9,)), [9]),
+], ids=["shannon_entropy", "shannon_entropy negative", "shannon_entropies", "classical_mi",
+        "classical_cmi"])
+def test_an_out_of_range_variable_is_refused_by_name(call, bad):
+    # the marginal over a variable the table lacks used to read as entropy 0
+    p = joint_from_chain(random_chain(3, 2, seed=4))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"variable indices {bad} out of range for 3 variables")):
+        call(p)
 
 
 def test_classical_chain_requires_column_stochastic_transitions():

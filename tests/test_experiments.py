@@ -13,12 +13,10 @@ import pytest
 
 from qmonogamy import (
     adjoint_identity_check,
-    classical_cmmi_check,
-    conditional_mutual_information,
     chain_coherent_information,
+    classical_cmmi_check,
     extra_dpi_row,
     extra_dpi_rows,
-    gamma_sequence,
     joint_from_chain,
     lambda_grid,
     mi_monotonicity_check,
@@ -26,18 +24,19 @@ from qmonogamy import (
     mqmmi_rows,
     nonmarkov_witness_row,
     nonmarkov_witness_rows,
-    parallel_map,
     partial_trace,
     random_chain,
     random_markov_process,
     random_markov_verify,
     u_lambda,
-    unitary_channel,
     von_neumann,
     w_state,
 )
 from qmonogamy import channels, classical, experiments, info, states, witnesses
-from qmonogamy.channels import adjoint_channel, apply_to_subsystem, random_channel
+from qmonogamy.channels import (adjoint_channel, apply_to_subsystem, random_channel,
+                                unitary_channel)
+from qmonogamy.experiments import gamma_sequence, parallel_map
+from qmonogamy.info import conditional_mutual_information
 from qmonogamy.classical import cmmi_gap
 from qmonogamy.states import DensityMatrix, density, maximally_entangled, random_density
 from qmonogamy.witnesses import (MONOGAMY, bond_table, cqmi_monotonicity_gap, mi_dpi_gap,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmonogamy.linalg import (apply_kraus, apply_two_site, dagger, hermitian_eig, kron,
                               partial_trace, unitarity_deviation)
+from qmonogamy.states import DensityMatrix, purify
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 small_dims = st.sampled_from([2, 3, 4])
@@ -165,6 +166,17 @@ def test_hermitian_eig_reconstructs(seed, d):
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitian_eig_refuses_non_finite_input_by_name(bad):
+    # (m - m†) of a NaN is NaN, which the Hermiticity test alone lets through
+    m = np.eye(2) / 2
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entries: 1 NaN or infinite"):
+        hermitian_eig(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        purify(DensityMatrix(np.full((2, 2), bad), (2,)))
 
 
 @given(seeds, small_dims)

@@ -502,6 +502,24 @@ def test_a_step_unitary_stack_reports_its_worst_deviation():
         system_env_circuit(w_state(), [stack, stack[:3]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_step_operator_is_refused_by_name(bad):
+    # a NaN unitarity deviation compares False against the tolerance, so a
+    # NaN step used to pass, and port_mutual_information then failed in eigh
+    u = u_lambda(0.5)
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite entries in step operator 1"):
+        system_env_circuit(w_state(), [u_lambda(0.5), u])
+    stack = u_lambda(lambda_grid(0.0, 1.0, 0.25))
+    stack[3, 0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite entries in step operator 0"):
+        system_env_circuit(w_state(), [stack, u_lambda(0.5)])
+    init = pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), (2, 2))
+    # embedding an infinite entry next to zeros makes NaN, which is refused too
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+        fresh_env_circuit(init, [np.eye(4), u], env_dim=2)
+
+
 def test_a_process_tensor_is_built_from_one_circuit():
     circuit = system_env_circuit(w_state(), [u_lambda(lambda_grid(0.0, 1.0, 0.5))] * 3)
     with pytest.raises(ValueError, match="one circuit, not a stack"):
