@@ -100,27 +100,32 @@ def joint_pmf_stack(probs: np.ndarray) -> np.ndarray:
 def classical_chain(initial: np.ndarray,
                     transitions: list[np.ndarray] | tuple[np.ndarray, ...],
                     ) -> ClassicalChain:
-    """Validate finiteness and stochasticity (INVARIANT_TOL) into a chain.
+    """Validate finiteness and stochasticity (INVARIANT_TOL, entries
+    >= -INVARIANT_TOL clipped to 0) into a chain.
 
     The one-chain form of chain_stack.
     """
-    initial = np.asarray(initial, dtype=float)
-    transitions = tuple(np.asarray(t, dtype=float) for t in transitions)
-    chain_stack(initial[None], [t[None] for t in transitions])
-    return ClassicalChain(initial, transitions)
+    initial, transitions = chain_stack(np.asarray(initial, dtype=float)[None],
+                                       [np.asarray(t, dtype=float)[None] for t in transitions])
+    return ClassicalChain(initial[0], tuple(t[0] for t in transitions))
 
 
-def chain_stack(initial: np.ndarray,
-                transitions: list[np.ndarray] | tuple[np.ndarray, ...]) -> None:
+def chain_stack(initial: np.ndarray, transitions: list[np.ndarray] | tuple[np.ndarray, ...],
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Validate a stack of chains as classical_chain does: initial
-    distributions (n, d_1) and transition stacks (n, d_{i+1}, d_i)."""
+    distributions (n, d_1) and transition stacks (n, d_{i+1}, d_i).
+
+    Negative entries down to -INVARIANT_TOL are round-off, as in
+    joint_pmf_stack: returns the stacks with them clipped to 0.
+    """
     bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (initial, *transitions))
     if bad:
         raise ValueError(f"non-finite chain entries: {bad} NaN or infinite")
     if initial.ndim != 2 or initial.size == 0:
         raise ValueError(f"initial distribution must be a nonempty vector, "
                          f"got shape {initial.shape[1:]}")
-    if initial.min() < 0 or np.abs(initial.sum(axis=-1) - 1.0).max() > INVARIANT_TOL:
+    if (initial.min() < -INVARIANT_TOL
+            or np.abs(initial.sum(axis=-1) - 1.0).max() > INVARIANT_TOL):
         raise ValueError("initial distribution is not a probability vector")
     d = initial.shape[-1]
     for i, t in enumerate(transitions):
@@ -129,9 +134,10 @@ def chain_stack(initial: np.ndarray,
                              f"got shape {t.shape[1:]}")
         if t.shape[-1] != d:
             raise ValueError(f"transition {i} expects {t.shape[-1]} inputs, chain carries {d}")
-        if t.min() < 0 or np.abs(t.sum(axis=-2) - 1.0).max() > INVARIANT_TOL:
+        if t.min() < -INVARIANT_TOL or np.abs(t.sum(axis=-2) - 1.0).max() > INVARIANT_TOL:
             raise ValueError(f"transition {i} is not column stochastic")
         d = t.shape[-2]
+    return np.clip(initial, 0.0, None), [np.clip(t, 0.0, None) for t in transitions]
 
 
 def joint_from_chain(c: ClassicalChain) -> JointPMF:
@@ -162,9 +168,13 @@ def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
 
     `probs` holds one joint per index of its leading axis, then one axis
     per variable; the sum is states.spectrum_entropy's, which leaves out
-    entries at or below ENTROPY_CLIP.  A variable index outside the table
-    is refused by name.
+    entries at or below ENTROPY_CLIP.  A variable index that is not an
+    integer (a bool or a float included) or lies outside the table is
+    refused by name.
     """
+    odd = [i for i in subset if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+    if odd:
+        raise ValueError(f"variable indices {odd} are not integers")
     subset = set(subset)
     n = probs.ndim - 1
     bad = sorted(i for i in subset if not 0 <= i < n)
@@ -254,6 +264,4 @@ def dirichlet_chains(init: np.ndarray,
     (n, n_vars - 1, dim, dim), into chains validated by chain_stack."""
     init = init / init.sum(axis=-1, keepdims=True)
     steps = steps / steps.sum(axis=-2, keepdims=True)
-    transitions = list(steps.swapaxes(0, 1))
-    chain_stack(init, transitions)
-    return init, transitions
+    return chain_stack(init, list(steps.swapaxes(0, 1)))

@@ -53,7 +53,8 @@ check on 16-entry tables.  The MI check solves each spectrum once per
 block: the positivity spectra of the 8x8 and 4x4 draws are H(ABC) and
 H(AB), the entropies a channel on B leaves alone (H(AC), H(C), H(A)) are
 not taken again after it, and the other marginals share one stacked
-eigensolve per matrix size.  The per-sample functions
+eigensolve per matrix size (states._von_neumann_stacks, which the
+process-tensor port reads share).  The per-sample functions
 (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
 cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
 shares) are the reference the tests compare the stacked checks with.
@@ -76,9 +77,9 @@ from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
                         shannon_entropies)
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
-from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, ginibre,
-                     ginibre_spectra, maximally_entangled, random_density,
-                     spectrum_entropy, von_neumann_stack, w_state)
+from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, _von_neumann_stacks,
+                     ginibre, ginibre_spectra, maximally_entangled, random_density,
+                     spectrum_entropy, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MarkovChainProcess, bond_table, markov_process, monogamy_gap,
                         survey_certificates, survey_witnesses)
@@ -478,17 +479,6 @@ def _ginibres(x: np.ndarray, d: int) -> np.ndarray:
     return x[..., 0, :, :] + 1j * x[..., 1, :, :]
 
 
-def _entropies(*stacks: np.ndarray) -> list[np.ndarray]:
-    """von_neumann_stack of each of equally long stacks (n, d, d), with one
-    eigensolve call for all the stacks of one size d."""
-    out = {}
-    for d in {m.shape[-1] for m in stacks}:
-        same = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
-        h = von_neumann_stack(np.concatenate([stacks[i] for i in same]))
-        out.update(zip(same, h.reshape(len(same), -1)))
-    return [out[i] for i in range(len(stacks))]
-
-
 def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float]:
     """Max deviation of (A x id)(Psi+) = (id x A~)(Psi+) and of unitality
     of A~ over random channels of mixed dimensions."""
@@ -560,7 +550,7 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
         out2 = apply_kraus(r2, (2, 2), k, 1)
         # the channel acts on B alone, so H(AC), H(C) and H(A) are the same
         # before and after it: they cancel from both gaps, and H(A) is never taken
-        h_ac, h_bc, h_c, h_abc_out, h_bc_out, h_b, h_ab_out, h_b_out = _entropies(
+        h_ac, h_bc, h_c, h_abc_out, h_bc_out, h_b, h_ab_out, h_b_out = _von_neumann_stacks(
             partial_trace(r3, (2, 2, 2), (0, 2)), partial_trace(r3, (2, 2, 2), (1, 2)),
             partial_trace(r3, (2, 2, 2), (2,)), out3, partial_trace(out3, (2, 2, 2), (1, 2)),
             partial_trace(r2, (2, 2), (1,)), out2, partial_trace(out2, (2, 2), (1,)))

@@ -19,6 +19,16 @@ the inserted pair, and the result is exactly what the circuit would
 output if the maps were applied in line, which is the defining property
 checked by the tests.
 
+The port mutual informations I(R_y : S_x) of port_mutual_information and
+choi_dpi_witnesses come from one reader that takes all its pairs in one
+pass.  Each plugged register is kept, keyed by the slots it plugs, so
+every plug is made once and shared by every later pair, and the register's
+trace is checked before each read.  The joints rho(R_y, S_x) and their
+one-register marginals then take one stacked eigensolve per matrix size
+through states._von_neumann_stacks, the helper the mutual-information
+check of verify uses too; markov_factorization_gap reads its step
+marginals through it as well.
+
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
 compare entropy combinations across slots; all three coincide for Markov
@@ -35,9 +45,9 @@ import numpy as np
 
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
-from .info import mutual_information
-from .linalg import broadcast_batch, require_finite, unitarity_deviation
-from .states import DensityMatrix, PureState, density, maximally_entangled, purify
+from .linalg import broadcast_batch, partial_trace, require_finite, unitarity_deviation
+from .states import (DensityMatrix, PureState, _von_neumann_stacks, density,
+                     maximally_entangled, purify)
 from .tolerances import INVARIANT_TOL
 from .witnesses import MONOGAMY, WitnessReport, monogamy_gap
 
@@ -212,9 +222,11 @@ def markov_factorization_gap(pt: ProcessTensor) -> float:
     """Relative entropy in bits of the Choi state Y to the product of its
     step marginals Y_g on (R_g, S_{g+1}), sum_g H(Y_g) - H(Y) with H(Y) =
     H(E); zero iff Markov.  The product is a Markov tensor, so this is the
-    non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018)."""
-    steps = sum(pt.state.entropy((f"R{g}", f"S{g + 1}")) for g in range(pt.n_slots))
-    return float(steps - pt.state.entropy(("E",)))
+    non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018).
+    The k step marginals take one stacked eigensolve per matrix size."""
+    steps = _von_neumann_stacks(*(pt.state.reduced((f"R{g}", f"S{g + 1}")).mat[None]
+                                  for g in range(pt.n_slots)))
+    return float(sum(h[0] for h in steps) - pt.state.entropy(("E",)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +241,42 @@ def port_mutual_information(pt: ProcessTensor, y: int, x: int,
     k = pt.n_slots
     if not (1 <= x <= k) or not (1 <= y <= k - 1):
         raise ValueError(f"ports R{y}, S{x} not present in a {k}-slot tensor")
+    return float(_port_mutual_informations(pt, ((y, x),), interventions)[0])
+
+
+def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]],
+                              interventions: Sequence | None) -> np.ndarray:
+    """port_mutual_information of every port pair (y, x) in `pairs`, in one pass.
+
+    The plugged registers are kept by the slots they plug, in plugging
+    order, so a pair's register extends the longest one already made; the
+    trace check runs pair by pair in the given order, before each read.
+    """
+    k, d = pt.n_slots, pt.d_sys
     if interventions is None:
-        maps = [(np.eye(pt.d_sys, dtype=complex),)] * (k - 1)
+        maps = [(np.eye(d, dtype=complex),)] * (k - 1)
     elif len(interventions) != k - 1:
         raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
     else:
-        maps = [_as_kraus_ops(item, pt.d_sys) for item in interventions]
-    psi = pt.state
-    for j in range(1, x):
-        if j != y:
-            psi = _plug(psi, j, maps[j - 1], pt.d_sys)
-    tr = np.vdot(psi.vec, psi.vec).real
-    if abs(tr - 1.0) > INVARIANT_TOL:
-        raise ValueError(f"interventions are not trace preserving: the port state "
-                         f"has trace {tr:.3e}")
-    return mutual_information(psi, (f"R{y}",), (f"S{x}",))
+        maps = [_as_kraus_ops(item, d) for item in interventions]
+    plugged = {(): pt.state}
+    joints = []
+    for y, x in pairs:
+        slots = tuple(j for j in range(1, x) if j != y)
+        n = max(i for i in range(len(slots) + 1) if slots[:i] in plugged)
+        psi = plugged[slots[:n]]
+        for i in range(n, len(slots)):
+            psi = plugged[slots[:i + 1]] = _plug(psi, slots[i], maps[slots[i] - 1], d)
+        tr = np.vdot(psi.vec, psi.vec).real
+        if abs(tr - 1.0) > INVARIANT_TOL:
+            raise ValueError(f"interventions are not trace preserving: the port state "
+                             f"has trace {tr:.3e}")
+        joints.append(psi.reduced((f"R{y}", f"S{x}")).mat)
+    # each joint holds its two registers in register order, (R_y, S_x) when y < x
+    joints = np.stack(joints)
+    h_joint, h_a, h_b = _von_neumann_stacks(
+        joints, partial_trace(joints, (d, d), (0,)), partial_trace(joints, (d, d), (1,)))
+    return h_a + h_b - h_joint
 
 
 # the seven gaps: two adjacent plus one transitive along the R1 row, the
@@ -268,15 +301,9 @@ def choi_dpi_witnesses(pt: ProcessTensor,
     """
     if pt.n_slots != 4:
         raise ValueError(f"needs a 4-slot tensor, got {pt.n_slots} slots")
-    cache: dict[tuple[int, int], float] = {}
-
-    def mi(y: int, x: int) -> float:
-        if (y, x) not in cache:
-            cache[(y, x)] = port_mutual_information(pt, y, x, interventions)
-        return cache[(y, x)]
-
-    entries = {name: mi(*hi) - mi(*lo) for name, hi, lo in CHOI_DPI_GAPS}
-    return WitnessReport(entries)
+    pairs = sorted({pair for _, hi, lo in CHOI_DPI_GAPS for pair in (hi, lo)})
+    mi = dict(zip(pairs, _port_mutual_informations(pt, pairs, interventions).tolist()))
+    return WitnessReport({name: mi[hi] - mi[lo] for name, hi, lo in CHOI_DPI_GAPS})
 
 
 # ---------------------------------------------------------------------------

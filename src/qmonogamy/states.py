@@ -105,6 +105,19 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
     return spectrum_entropy(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0))
 
 
+def _von_neumann_stacks(*stacks: np.ndarray) -> list[np.ndarray]:
+    """von_neumann_stack of each of equally long stacks (n, d, d), with one
+    eigensolve call for all the stacks of one size d.  The mutual-information
+    check of verify and the process-tensor port reads take their entropies
+    through it."""
+    out = {}
+    for d in {m.shape[-1] for m in stacks}:
+        same = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
+        h = von_neumann_stack(np.concatenate([stacks[i] for i in same]))
+        out.update(zip(same, h.reshape(len(same), -1)))
+    return [out[i] for i in range(len(stacks))]
+
+
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:
     """-sum(w log2 w) in bits over the last axis of a stack of spectra (or
     probability vectors), leaving out weights at or below ENTROPY_CLIP.

@@ -13,8 +13,8 @@ imports nothing.
 
 # an exact invariant met up to round-off, by every validator: |m - m†|, |Tr m - 1| and
 # -min eigenvalue of a density matrix (density_stack, hermitian_eig), | |vec| - 1 |
-# (pure_state), |sum - 1| and -min entry of a probability table (joint_pmf_stack,
-# which clips what it accepts to 0, and chain_stack), |V†V - 1| of Kraus lists, step
+# (pure_state), |sum - 1| and -min entry of a probability table (joint_pmf_stack and
+# chain_stack, which clip what they accept to 0), |V†V - 1| of Kraus lists, step
 # unitaries and verify's adjoint unitality, how far contract's probabilities may leave
 # [0, 1] and port_mutual_information's port state its unit trace.  Accepted inputs miss by
 # at most 2.1e-15, and hermitian_eig's inputs (purify over verify at 4/6/8 steps with

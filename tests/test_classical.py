@@ -98,6 +98,44 @@ def test_joint_pmf_stack_names_the_failed_invariant_of_one_bad_table(how, want):
         joint_pmf(tables[1])
 
 
+def test_both_validators_clip_negative_round_off_to_zero():
+    # -1e-17 is round-off, well inside INVARIANT_TOL
+    np.testing.assert_array_equal(joint_pmf(np.array([-1e-17, 1.0])).probs, [0.0, 1.0])
+    init, steps = chain_stack(np.array([[-1e-17, 1.0]]), [np.array([[[1.0, -1e-17],
+                                                                     [0.0, 1.0]]])])
+    np.testing.assert_array_equal(init, [[0.0, 1.0]])
+    np.testing.assert_array_equal(steps[0], [[[1.0, 0.0], [0.0, 1.0]]])
+    chain = classical_chain(np.array([-1e-17, 1.0]), [np.eye(2)])
+    np.testing.assert_array_equal(chain.initial, [0.0, 1.0])
+
+
+def test_both_validators_refuse_a_negative_entry_past_the_tolerance():
+    # -1e-6 is a real negative entry; each table still sums to 1
+    with pytest.raises(ValueError, match="negative probability"):
+        joint_pmf(np.array([-1e-6, 1.0 + 1e-6]))
+    with pytest.raises(ValueError, match="not a probability vector"):
+        classical_chain(np.array([-1e-6, 1.0 + 1e-6]), [np.eye(2)])
+    with pytest.raises(ValueError, match="transition 0 is not column stochastic"):
+        classical_chain(np.array([0.5, 0.5]), [np.array([[1.0, -1e-6], [0.0, 1.0 + 1e-6]])])
+
+
+@pytest.mark.parametrize("subset,odd", [
+    ((0.5,), [0.5]), ((True,), [True]), ((0, np.True_), [np.True_]), ((1.0,), [1.0]),
+], ids=["half", "bool", "numpy bool", "integral float"])
+def test_a_non_integer_variable_index_is_refused_by_name(subset, odd):
+    # 0.5 matched no axis and read as the entropy of no variable; True read as 1
+    p = joint_from_chain(random_chain(3, 2, seed=4))
+    with pytest.raises(ValueError, match=re.escape(f"variable indices {odd} are not integers")):
+        shannon_entropy(p, subset)
+    with pytest.raises(ValueError, match="not integers"):
+        shannon_entropies(p.probs[None], subset)
+
+
+def test_numpy_integer_variable_indices_are_accepted():
+    p = joint_from_chain(random_chain(3, 2, seed=4))
+    assert shannon_entropy(p, (np.int64(0), np.intp(2))) == shannon_entropy(p, (0, 2))
+
+
 def test_empty_classical_input_is_refused_by_name():
     with pytest.raises(ValueError, match="empty probability table"):
         joint_pmf(np.zeros(0))

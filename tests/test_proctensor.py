@@ -9,11 +9,13 @@ maximally entangled pair onto (R_y, S) in its place.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmonogamy import process_tensor
 from qmonogamy.channels import KrausChannel, random_channel, unitary_channel
 from qmonogamy.classical import is_markov
 from qmonogamy.experiments import lambda_grid, u_lambda
@@ -373,6 +375,68 @@ def test_markov_circuits_pass_the_process_tensor_witnesses(env_dim, seed):
     gaps = choi_dpi_witnesses(pt).entries
     assert len(gaps) == 7
     assert min(gaps.values()) >= -1e-9, gaps
+
+
+FOUR_SLOT = [case for case in CIRCUITS if case[2] == 4]
+
+
+@pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
+def test_choi_dpi_gaps_match_a_line_simulation(name, circuit, slots):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    maps = [random_channel(d, d, 2, seed=80 + i) for i in range(slots - 1)]
+    for seq in (None, maps):
+        line = seq or [(np.eye(d),)] * (slots - 1)
+        entries = choi_dpi_witnesses(pt, seq).entries
+        assert len(entries) == 7
+        for gap, value in entries.items():
+            # an entry "R{y}S{x}-R{v}S{u}" is I(R_y : S_x) - I(R_v : S_u)
+            hi, lo = [tuple(map(int, pair)) for pair in re.findall(r"R(\d)S(\d)", gap)]
+            want = _line_port_mi(circuit, *hi, line) - _line_port_mi(circuit, *lo, line)
+            assert value == pytest.approx(want, abs=1e-12), (gap, seq is None)
+
+
+def test_choi_dpi_refuses_a_trace_decreasing_map():
+    pt = build_process_tensor(_w_circuit(0.5), 4)
+    eye = (np.eye(2),)
+    for seq in ([_proj(0), eye, eye], [eye, eye, _proj(1)]):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            choi_dpi_witnesses(pt, seq)
+
+
+def _counted(monkeypatch, module, name):
+    """Record the calls to module.name, still passing them through."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
+def test_the_port_reads_make_each_plug_once_and_one_eigensolve_per_size(
+        name, circuit, slots, monkeypatch):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    maps = [random_channel(d, d, 2, seed=90 + i) for i in range(slots - 1)]
+    eigvalsh = _counted(monkeypatch, np.linalg, "eigvalsh")
+    plugs = _counted(monkeypatch, process_tensor, "_plug")
+    for seq in (None, maps):
+        eigvalsh.clear()
+        plugs.clear()
+        choi_dpi_witnesses(pt, seq)
+        sizes = [np.shape(a)[-1] for (a, *_) in eigvalsh]
+        assert sorted(sizes) == [d, d * d]
+        assert len(plugs) <= 6
+    # the factorization gap on a fresh tensor: its step marginals in one
+    # stacked call, then H(E)
+    eigvalsh.clear()
+    markov_factorization_gap(build_process_tensor(circuit, slots))
+    assert len(eigvalsh) <= 2
 
 
 def test_choi_dpi_needs_four_slots():
