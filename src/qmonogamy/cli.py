@@ -234,10 +234,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--svg would write its chart to {_svg_path(args.output)}, "
                              f"over the --output file {args.output}")
         return _run_sweep(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ with amplitude 1/sqrt(3) on |100>, |010>, |001>, and the same two-qubit
 unitary u_lambda acts on (S, E) three times, giving four global states
 gamma_1..gamma_4.  A sweep runs the whole lambda grid as one stacked
 register: u_lambda builds the grid's unitaries as one stack, every
-register operation carries the grid as a leading batch axis, and every
-entropy is one stacked eigensolve over the grid.  So each grid function
+register operation carries the grid as a leading batch axis, and the
+cuts of a state are one PureState.entropies call.  So each grid function
 (nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows) costs the same
 number of simulation steps and eigensolver calls for one lambda as for a
 hundred; the *_row functions are their one-lambda forms.  Witness rows
@@ -136,10 +136,6 @@ def gamma_sequence(lam: float) -> list[DensityMatrix]:
     return [g.density() for g in _gamma_registers(lam)]
 
 
-def _ic(g: PureState) -> float | np.ndarray:
-    return g.entropy(("S",)) - g.entropy(("R", "S"))
-
-
 # a grid is stacked this many points at a time, which bounds the memory of
 # a long grid; the default 101-point grid is one block
 GRID_BLOCK = 1024
@@ -173,13 +169,16 @@ def nonmarkov_witness_rows(grid: Sequence[float]) -> list[dict[str, float]]:
 
 def _nonmarkov_columns(lams: np.ndarray) -> dict[str, np.ndarray]:
     _, g2, g3, g4 = _gamma_registers(lams)
-    ic2, ic3, ic4 = _ic(g2), _ic(g3), _ic(g4)
+    s2, rs2 = g2.entropies(("S",), ("R", "S"))
+    s3, rs3, e3 = g3.entropies(("S",), ("R", "S"), ("E",))
+    s4, rs4, e4 = g4.entropies(("S",), ("R", "S"), ("E",))
+    ic2, ic3, ic4 = s2 - rs2, s3 - rs3, s4 - rs4
     return {
         "DP1": ic2 - ic3,
         "DP2": ic2 - ic4,
         "DP3": ic3 - ic4,
-        "DP4": g3.entropy(("S",)) - g4.entropy(("S",)),
-        "M4": g3.entropy(("E",)) - g4.entropy(("E",)),
+        "DP4": s3 - s4,
+        "M4": e3 - e4,
     }
 
 
@@ -203,11 +202,13 @@ def extra_dpi_rows(grid: Sequence[float]) -> list[dict[str, float]]:
 
 def _extra_dpi_columns(lams: np.ndarray) -> dict[str, np.ndarray]:
     _, _, g3, g4 = _gamma_registers(lams)
+    s3, rs3 = g3.entropies(("S",), ("R", "S"))
+    s4, rs4 = g4.entropies(("S",), ("R", "S"))
     return {
         "DP5_markov": _markov_reference_dp5(lams),
-        "DP5": g3.entropy(("R", "S")),
-        "DP6": g3.entropy(("S",)) - _ic(g4),
-        "DP7": g4.entropy(("R", "S")),
+        "DP5": rs3,
+        "DP6": s3 - (s4 - rs4),
+        "DP7": rs4,
     }
 
 
@@ -295,14 +296,11 @@ def random_markov_process(n_states: int, seed: int,
     _require_seed(seed)
     if n_states < 2:
         raise ValueError("a process needs at least two states")
-    if d_sys < 2:
-        raise ValueError(f"system dimension must be at least 2, got {d_sys}")
-    rng = np.random.default_rng(seed)
     envs = [d_env] * (n_states - 1) if isinstance(d_env, int) else list(d_env)
+    _require_dims(d_sys, envs)
     if len(envs) != n_states - 1:
         raise ValueError(f"need {n_states - 1} environment dims, got {len(envs)}")
-    if min(envs) < 1:
-        raise ValueError(f"environment dimensions must be at least 1, got {envs}")
+    rng = np.random.default_rng(seed)
     initial = random_density(d_sys, seed=rng)
     channels = [random_channel(d_sys, d_sys, e, rng) for e in envs]
     return markov_process(initial, channels)
@@ -320,6 +318,14 @@ def _require_seed(seed: int) -> None:
     _require_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _require_dims(d_sys: int, d_env: int | list[int]) -> None:
+    # shared by random_markov_process and random_markov_verify, before any draw
+    if d_sys < 2:
+        raise ValueError(f"system dimension must be at least 2, got {d_sys}")
+    if np.any(np.asarray(d_env) < 1):
+        raise ValueError(f"environment dimensions must be at least 1, got {d_env}")
 
 
 def _require_samples(samples: int, what: str = "sample", name: str = "samples") -> None:
@@ -360,10 +366,7 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     d_sys, d_env = dims
     _require_int(d_sys, "system dimension")
     _require_int(d_env, "environment dimension")
-    if d_sys < 2:
-        raise ValueError(f"system dimension must be at least 2, got {d_sys}")
-    if d_env < 1:
-        raise ValueError(f"environment dimensions must be at least 1, got {d_env}")
+    _require_dims(d_sys, d_env)
     # registers R, E1..E_{steps-1}, S of the purified circuit, the reference
     # the survey's values are checked against; refused here, before a
     # sample of that size is drawn

@@ -19,7 +19,7 @@ function is one of the two references the tests compare that table with;
 the other is the purified circuit (witnesses.purified_circuit_state).
 
 von_neumann is defined in states, as the one-matrix form of
-von_neumann_stack (which PureState.entropy calls), and exported from
+von_neumann_stack (which PureState.entropies reaches), and exported from
 here with the other entropic quantities.
 """
 
@@ -36,25 +36,25 @@ __all__ = [
 ]
 
 
-def _entropy_of_subset(rho: DensityMatrix | PureState, subset: tuple) -> float:
+def _subset_entropies(rho: DensityMatrix | PureState, *subsets: tuple) -> list[float]:
+    # a pure state reads all its subsets in one entropies call
     if isinstance(rho, PureState):
-        return rho.entropy(subset)
-    if len(subset) == len(rho.dims):
-        return von_neumann(rho)
-    return von_neumann(rho.reduced(subset))
+        return rho.entropies(*subsets)
+    return [0.0 if not s else von_neumann(rho if len(s) == len(rho.dims) else rho.reduced(s))
+            for s in subsets]
 
 
 def mutual_information(rho: DensityMatrix | PureState, a: tuple, b: tuple) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) over disjoint subsystem sets.
 
     Subsystems are indices; a PureState's registers may also be named by
-    label, and its entropies come from PureState.entropy.
+    label, and its entropies come from one PureState.entropies call.
     """
     a, b = tuple(a), tuple(b)
     if set(a) & set(b):
         raise ValueError("subsystem sets overlap")
-    hab = _entropy_of_subset(rho, tuple(sorted(a + b)))
-    return _entropy_of_subset(rho, a) + _entropy_of_subset(rho, b) - hab
+    ha, hb, hab = _subset_entropies(rho, a, b, tuple(sorted(a + b)))
+    return ha + hb - hab
 
 
 def conditional_mutual_information(rho: DensityMatrix | PureState, a: tuple,
@@ -64,10 +64,8 @@ def conditional_mutual_information(rho: DensityMatrix | PureState, a: tuple,
     a, b, c = tuple(a), tuple(b), tuple(c)
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise ValueError("subsystem sets overlap")
-    hac = _entropy_of_subset(rho, tuple(sorted(a + c)))
-    hbc = _entropy_of_subset(rho, tuple(sorted(b + c)))
-    habc = _entropy_of_subset(rho, tuple(sorted(a + b + c)))
-    hc = _entropy_of_subset(rho, c) if c else 0.0
+    hac, hbc, habc, hc = _subset_entropies(
+        rho, tuple(sorted(a + c)), tuple(sorted(b + c)), tuple(sorted(a + b + c)), c)
     return hac + hbc - habc - hc
 
 

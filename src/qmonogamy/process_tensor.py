@@ -26,8 +26,8 @@ every plug is made once and shared by every later pair, and the register's
 trace is checked before each read.  The joints rho(R_y, S_x) and their
 one-register marginals then take one stacked eigensolve per matrix size
 through states._von_neumann_stacks, the helper the mutual-information
-check of verify uses too; markov_factorization_gap reads its step
-marginals through it as well.
+check of verify uses too; markov_factorization_gap and the
+interventional witnesses reach it through PureState.entropies.
 
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
@@ -75,16 +75,8 @@ class SystemEnvCircuit:
     step_unitaries: tuple[np.ndarray, ...]
 
     @property
-    def d_ref(self) -> int:
-        return self.initial.dims[0]
-
-    @property
     def d_sys(self) -> int:
         return self.initial.dims[1]
-
-    @property
-    def d_env(self) -> int:
-        return self.initial.dims[2]
 
     @property
     def n_slots(self) -> int:
@@ -223,10 +215,10 @@ def markov_factorization_gap(pt: ProcessTensor) -> float:
     step marginals Y_g on (R_g, S_{g+1}), sum_g H(Y_g) - H(Y) with H(Y) =
     H(E); zero iff Markov.  The product is a Markov tensor, so this is the
     non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018).
-    The k step marginals take one stacked eigensolve per matrix size."""
-    steps = _von_neumann_stacks(*(pt.state.reduced((f"R{g}", f"S{g + 1}")).mat[None]
-                                  for g in range(pt.n_slots)))
-    return float(sum(h[0] for h in steps) - pt.state.entropy(("E",)))
+    The k step cuts and E are one entropies call."""
+    *steps, h_env = pt.state.entropies(*((f"R{g}", f"S{g + 1}") for g in range(pt.n_slots)),
+                                       ("E",))
+    return float(sum(steps) - h_env)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +324,11 @@ def _intervened_state(circuit: SystemEnvCircuit, j: int, k: int,
     return psi
 
 
-def _kind_value(psi: PureState, kind: str) -> float:
-    return psi.entropy(_KIND_TERMS[kind]) - psi.entropy(("Sj", "Rj", "Sk"))
+def _kind_values(psi: PureState, kinds: Sequence[str] = tuple(_KIND_TERMS),
+                 ) -> dict[str, float | np.ndarray]:
+    # the kinds' cuts and H(S_j, R_j, S_k) of one intervened state, in one call
+    *terms, joint = psi.entropies(*(_KIND_TERMS[kind] for kind in kinds), ("Sj", "Rj", "Sk"))
+    return {kind: h - joint for kind, h in zip(kinds, terms)}
 
 
 def _check_kind(kind: str) -> None:
@@ -360,7 +355,7 @@ def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int
     _check_kind(kind)
     if not (1 <= j < k <= circuit.n_slots):
         raise ValueError(f"need 1 <= j < k <= {circuit.n_slots}, got j={j}, k={k}")
-    return _kind_value(_intervened_state(circuit, j, k, purifier), kind)
+    return _kind_values(_intervened_state(circuit, j, k, purifier), (kind,))[kind]
 
 
 def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
@@ -368,13 +363,12 @@ def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
     of every kind (entries q1, q2, q3), each nonnegative for every Markov
     process: witnesses.monogamy_gap of the M4 permutation over the kind's
     two-slot quantity (multitime_coherent_info).  One intervened state per
-    slot pair serves all three kinds.  On a stacked circuit every entry is
-    an array over the stack."""
+    slot pair serves all three kinds, its cuts read in one entropies call.
+    On a stacked circuit every entry is an array over the stack."""
     if circuit.n_slots < 4:
         raise ValueError("needs a circuit with at least 4 slots")
-    state = cache(lambda j, k: _intervened_state(circuit, j, k, purify))
-    return WitnessReport({kind: monogamy_gap(lambda j, k: _kind_value(state(j, k), kind),
-                                             MONOGAMY[4]["M4"])
+    values = cache(lambda j, k: _kind_values(_intervened_state(circuit, j, k, purify)))
+    return WitnessReport({kind: monogamy_gap(lambda j, k: values(j, k)[kind], MONOGAMY[4]["M4"])
                           for kind in _KIND_TERMS})
 
 

@@ -23,8 +23,8 @@ A PureState's vector may carry leading batch axes, `vec` of shape
 (..., D): a stack of states on one register layout.  `apply` and
 `splice` broadcast a state stack against a stack of operators or of
 spliced states in either direction, `reduced` returns the stack of
-marginals, and `entropy` is one stacked eigensolve per side of a cut,
-returning an array over the batch (a float when there is none).  The
+marginals, and `entropies` reads any number of cuts over the whole batch
+at once, an array per cut (a float when there is no batch).  The
 unbatched state is the same code with an empty batch shape.  A
 DensityMatrix may likewise hold a stack (..., d, d); `purify` purifies
 every matrix of it in one call.
@@ -33,7 +33,7 @@ every matrix of it in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -107,13 +107,14 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
 
 def _von_neumann_stacks(*stacks: np.ndarray) -> list[np.ndarray]:
     """von_neumann_stack of each of equally long stacks (n, d, d), with one
-    eigensolve call for all the stacks of one size d.  The mutual-information
-    check of verify and the process-tensor port reads take their entropies
-    through it."""
+    eigensolve call for all the stacks of one size d.  PureState.entropies,
+    the mutual-information check of verify and the process-tensor port
+    reads take their entropies through it."""
     out = {}
     for d in {m.shape[-1] for m in stacks}:
         same = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
-        h = von_neumann_stack(np.concatenate([stacks[i] for i in same]))
+        h = von_neumann_stack(stacks[same[0]] if len(same) == 1
+                              else np.concatenate([stacks[i] for i in same]))
         out.update(zip(same, h.reshape(len(same), -1)))
     return [out[i] for i in range(len(stacks))]
 
@@ -139,18 +140,15 @@ class PureState:
     With `labels` the registers have names.  Every method that takes
     registers accepts each one by label or by position (an int).
 
-    `entropy` memoizes its values on the state (read-only arrays for a
-    batch).  That is sound because no code writes into a PureState's
-    `vec`: every operation returns a new state, and a new state (from
-    `apply`, `splice` or `replace`) starts with an empty memo.
+    `entropies` is the one subset-entropy reader: a reader that needs
+    several cuts of one state names them all in one call, which reduces
+    each distinct side once and solves every side of one size in one
+    stacked eigensolve.  Nothing is kept on the state between calls.
     """
 
     vec: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...] | None = None
-    # entropy by the frozenset of axes of the side of the cut reduced
-    _entropies: dict[frozenset[int], float | np.ndarray] = field(
-        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.labels is not None and (len(self.labels) != len(self.dims)
@@ -184,40 +182,50 @@ class PureState:
 
     def reduced(self, keep: Sequence[Register]) -> DensityMatrix:
         """Marginal on the registers in `keep`, in register order."""
-        # contract from the vector; never materializes the full outer product
         keep = sorted(set(self._axes(keep)))
+        m = self._marginals(keep)
+        return DensityMatrix(m.reshape(self.batch + m.shape[1:]), tuple(self.dims[k] for k in keep))
+
+    def _marginals(self, keep: Sequence[int]) -> np.ndarray:
+        # the marginals on the sorted axes `keep` as a stack (n, d, d) over the
+        # flattened batch, contracted from the vector (no full outer product)
         traced = [i for i in range(len(self.dims)) if i not in keep]
-        nb = len(self.batch)
-        t = self.vec.reshape(self.batch + self.dims)
-        t = t.transpose(list(range(nb)) + [nb + i for i in keep + traced])
-        d = math.prod(self.dims[k] for k in keep)
-        m = t.reshape(self.batch + (d, -1))
-        return DensityMatrix(m @ m.conj().swapaxes(-1, -2), tuple(self.dims[k] for k in keep))
+        t = self.vec.reshape((-1,) + self.dims).transpose([0] + [1 + i for i in [*keep, *traced]])
+        m = t.reshape(t.shape[0], math.prod([self.dims[k] for k in keep]), -1)
+        return m @ m.conj().swapaxes(-1, -2)
 
     def entropy(self, registers: Sequence[Register]) -> float | np.ndarray:
-        """von Neumann entropy (bits) of the marginal on `registers`.
+        """von Neumann entropy (bits) of the marginal on `registers`; the
+        one-cut form of `entropies`."""
+        return self.entropies(registers)[0]
+
+    def entropies(self, *cuts: Sequence[Register]) -> list[float | np.ndarray]:
+        """von Neumann entropy (bits) of the marginal on each cut, in order.
 
         The two sides of a bipartition of a pure state share their nonzero
         spectrum, so the side of smaller dimension is the one reduced (on
         a tie, the side holding register 0); the empty set and the whole
-        register both give 0.  One von_neumann_stack call covers the whole
-        batch: the result is a float for an unbatched state and an array of
-        the batch shape otherwise.  Values are memoized by the side reduced,
-        so a set and its complement cost one eigensolve between them.
+        register both give exactly 0.  Each distinct side is reduced once,
+        so a cut and its complement cost one marginal, and the marginals of
+        one size share one eigensolve over the whole batch
+        (_von_neumann_stacks).  Each value is a float for an unbatched
+        state and an array of the batch shape otherwise.
         """
-        keep = frozenset(self._axes(registers))
-        rest = frozenset(range(len(self.dims))) - keep
-        if not keep or not rest:
-            return np.zeros(self.batch) if self.batch else 0.0
-        d_keep = math.prod(self.dims[i] for i in keep)
-        d_rest = self.dim // d_keep
-        side = keep if (d_keep, 0 not in keep) < (d_rest, 0 not in rest) else rest
-        if side not in self._entropies:
-            h = von_neumann_stack(self.reduced(side).mat)
-            if self.batch:
-                h.flags.writeable = False
-            self._entropies[side] = h if self.batch else float(h)
-        return self._entropies[side]
+        n = len(self.dims)
+        sides = []
+        for cut in cuts:
+            keep = sorted(set(self._axes(cut)))
+            if 0 < len(keep) < n:
+                d_keep = math.prod([self.dims[i] for i in keep])
+                # the complement if it is smaller, or as small and holds register 0
+                if (d_keep, keep[0] != 0) > (self.dim // d_keep, keep[0] == 0):
+                    keep = [i for i in range(n) if i not in keep]
+            sides.append(tuple(keep) if 0 < len(keep) < n else None)
+        distinct = list(dict.fromkeys(s for s in sides if s is not None))
+        h = dict(zip(distinct, _von_neumann_stacks(*map(self._marginals, distinct))))
+        values = [np.zeros(math.prod(self.batch)) if s is None else h[s] for s in sides]
+        # a copy each, so that a cut and its complement never share an array
+        return [v.reshape(self.batch).copy() if self.batch else float(v[0]) for v in values]
 
     def apply(self, op: np.ndarray, on: Sequence[Register],
               out: dict[str, int] | None = None) -> PureState:

@@ -184,10 +184,12 @@ def test_mqmmi_row_runs_one_simulation_per_slot_pair(monkeypatch):
     assert len(calls) == 10
 
 
-@pytest.mark.parametrize("rows", [nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows])
+@pytest.mark.parametrize("rows,most", [(nonmarkov_witness_rows, 3), (extra_dpi_rows, 5),
+                                       (mqmmi_rows, 8)])
 def test_grid_functions_take_as_many_eigensolves_for_101_points_as_for_one(
-        rows, monkeypatch):
-    # one stacked eigvalsh per entropy subset, whatever the grid's length
+        rows, most, monkeypatch):
+    # one stacked eigvalsh per matrix size of a state's cuts (and of the
+    # bond table), whatever the grid's length
     shapes = []
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -200,8 +202,9 @@ def test_grid_functions_take_as_many_eigensolves_for_101_points_as_for_one(
     one = len(shapes)
     shapes.clear()
     rows(lambda_grid())
-    assert one > 0 and len(shapes) == one
-    assert any(shape[:1] == (101,) for shape in shapes)
+    assert 0 < one <= most and len(shapes) == one
+    # a solve stacks several cuts, each over the whole grid
+    assert all(shape[0] % 101 == 0 for shape in shapes)
 
 
 @pytest.mark.parametrize("rows", [nonmarkov_witness_rows, extra_dpi_rows, mqmmi_rows])
@@ -355,6 +358,21 @@ def test_random_markov_process_guards():
         random_markov_process(4, seed=0, d_sys=1)
     with pytest.raises(ValueError, match="environment dimensions"):
         random_markov_process(4, seed=0, d_env=[2, 0, 2])
+
+
+@pytest.mark.parametrize("harness,kwargs", [
+    (random_markov_process, {"n_states": 4, "seed": 0, "d_sys": 1}),
+    (random_markov_process, {"n_states": 4, "seed": 0, "d_env": [2, 0, 2]}),
+    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (1, 2)}),
+    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (2, 0)}),
+], ids=["process d_sys", "process d_env", "verify d_sys", "verify d_env"])
+def test_bad_dimensions_are_refused_before_a_generator_is_made(harness, kwargs, monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made before the dimensions were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="dimension"):
+        harness(**kwargs)
 
 
 def test_verify_reports_clean_minima_on_markov_samples():

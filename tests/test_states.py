@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qmonogamy.states as states_module
 from qmonogamy.info import von_neumann
 from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
                               density_stack, ginibre, ginibre_spectra, maximally_entangled,
@@ -166,28 +165,53 @@ def test_entropy_is_the_same_on_both_sides_of_a_cut():
             for subset in itertools.combinations(labels, n):
                 rest = tuple(x for x in labels if x not in subset)
                 h = psi.entropy(subset)
-                # a fresh state on the same vector, since the memo keys a set
-                # and its complement to one entry
-                fresh = PureState(psi.vec, psi.dims, labels)
-                assert h == pytest.approx(fresh.entropy(rest), abs=1e-12)
+                assert h == pytest.approx(psi.entropy(rest), abs=1e-12)
                 assert h == pytest.approx(von_neumann(psi.reduced(subset)), abs=1e-12)
         assert psi.entropy(()) == 0.0
         assert psi.entropy(labels) == 0.0
 
 
-def test_entropy_memo_is_shared_by_a_cut_and_its_complement(monkeypatch):
-    calls = []
-    real = states_module.von_neumann_stack
-    monkeypatch.setattr(states_module, "von_neumann_stack",
-                        lambda mats: calls.append(mats.shape[-1]) or real(mats))
-    psi = _random_labelled((2, 3, 2, 3), ("A", "B", "C", "D"), np.random.default_rng(6))
-    h = psi.entropy(("B",))
-    assert psi.entropy(("D", "C", "A")) == h and psi.entropy((1,)) == h
-    assert calls == [3]
-    # equal sides: the one holding register 0 is reduced, whichever is asked
-    h = psi.entropy(("C", "D"))
-    assert psi.entropy(("B", "A")) == h
-    assert calls == [3, 6]
+def test_entropies_reduce_each_side_once_and_solve_each_size_once(monkeypatch):
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+    labels = ("A", "B", "C", "D")
+    psi = _random_labelled((2, 3, 2, 3), labels, np.random.default_rng(6))
+    # a cut and its complement: one marginal, one eigensolve
+    h, h_rest = psi.entropies(("B",), ("D", "C", "A"))
+    assert h == h_rest and shapes == [(1, 3, 3)]
+    # B and D share a size; (C, D) and (B, A) tie, and the side holding
+    # register 0 is reduced for both
+    shapes.clear()
+    cuts = [("B",), ("D",), ("C", "D"), ("B", "A"), ("A",)]
+    values = psi.entropies(*cuts)
+    assert sorted(shapes) == [(1, 2, 2), (1, 6, 6), (2, 3, 3)]
+    for cut, h in zip(cuts, values):
+        assert h == pytest.approx(von_neumann(psi.reduced(cut)), abs=1e-12), cut
+    # the empty cut and the whole register are exact zeros, with no solve
+    shapes.clear()
+    assert psi.entropies((), labels) == [0.0, 0.0] and shapes == []
+    # nothing is kept between calls: asking twice solves twice
+    psi.entropy(("B",))
+    psi.entropy(("B",))
+    assert shapes == [(1, 3, 3)] * 2
+    # a batch: one solve per size for all its states, each slice's values
+    shapes.clear()
+    psi = PureState(_random_vecs(np.random.default_rng(11), (5,), 12), (2, 3, 2),
+                    ("A", "B", "C"))
+    cuts = [("B",), ("C", "A"), ("A",), (), ("A", "B", "C")]
+    values = psi.entropies(*cuts)
+    assert sorted(shapes) == [(5, 2, 2), (5, 3, 3)]
+    assert all(h.shape == (5,) for h in values)
+    # a cut and its complement give equal arrays that share no memory
+    np.testing.assert_array_equal(values[0], values[1])
+    assert not np.shares_memory(values[0], values[1])
+    np.testing.assert_array_equal(values[3], np.zeros(5))
+    np.testing.assert_array_equal(values[4], np.zeros(5))
+    for b in range(5):
+        one = PureState(psi.vec[b], psi.dims, psi.labels).entropies(*cuts)
+        assert all(isinstance(h, float) for h in one)
+        np.testing.assert_allclose([h[b] for h in values], one, atol=1e-12)
 
 
 def test_derived_states_never_reuse_their_parents_entropies():
@@ -196,7 +220,7 @@ def test_derived_states_never_reuse_their_parents_entropies():
     psi = _random_labelled((2, 2, 2), labels, rng)
     subsets = [c for n in (1, 2) for c in itertools.combinations(range(3), n)]
     for subset in subsets:
-        psi.entropy(subset)  # fill the parent's memo
+        psi.entropy(subset)  # the parent is read before its children are made
 
     def haar(d):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -331,22 +355,6 @@ def test_every_slice_of_a_batched_circuit_is_the_unbatched_circuit(seed, n_regs,
         for i, p in slices.items():
             np.testing.assert_allclose(marginal.mat[i], p.reduced(subset).mat, atol=1e-12)
             assert h[i] == pytest.approx(p.entropy(subset), abs=1e-12), (i, subset)
-
-
-def test_a_batched_entropy_memo_returns_one_read_only_array():
-    rng = np.random.default_rng(11)
-    psi = PureState(_random_vecs(rng, (5,), 12), (2, 3, 2), ("A", "B", "C"))
-    h = psi.entropy(("B",))
-    assert isinstance(h, np.ndarray) and h.shape == (5,)
-    assert psi.entropy(("C", "A")) is h and psi.entropy((1,)) is h
-    assert not h.flags.writeable
-    with pytest.raises(ValueError):
-        h[0] = 0.0
-    for b in range(5):
-        one = PureState(psi.vec[b], psi.dims, psi.labels).entropy(("B",))
-        assert isinstance(one, float) and h[b] == pytest.approx(one, abs=1e-12)
-    np.testing.assert_array_equal(psi.entropy(()), np.zeros(5))
-    np.testing.assert_array_equal(psi.entropy(("A", "B", "C")), np.zeros(5))
 
 
 def test_stacks_that_do_not_broadcast_are_refused_with_both_shapes():
