@@ -31,6 +31,7 @@ from .experiments import (adjoint_identity_check, classical_cmmi_check, extra_dp
                           nonmarkov_witness_rows, random_markov_verify)
 from .tolerances import (ADJOINT_IDENTITY_CEIL, CLASSICAL_FLOOR, GAP_TOLERANCE,
                          INVARIANT_TOL, SVG_FLAT_RANGE)
+from .witnesses import MONOGAMY
 
 # each sweep's grid function (the whole grid as one stacked register) and columns
 SWEEPS = {
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p, "csv")
 
     v = sub.add_parser("verify", help="randomized inequality survey (JSON)")
-    v.add_argument("--steps", type=int, choices=(4, 6, 8), default=4)
+    v.add_argument("--steps", type=int, choices=tuple(MONOGAMY), default=4)
     v.add_argument("--samples", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--dims", type=int, nargs=2, default=(2, 2), metavar=("D_SYS", "D_ENV"),
@@ -225,8 +226,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.format != "json":
                 raise ValueError("verify emits JSON only")
-            if args.samples < 1:
-                raise ValueError("--samples must be positive")
             return _run_verify(args)
         if args.svg and args.output is None:
             raise ValueError("--svg needs --output to derive the chart path")

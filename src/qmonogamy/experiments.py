@@ -26,14 +26,16 @@ monogamy gap.  Every harness is deterministic given its seed.
 
 The witness survey (random_markov_verify) gives sample i its own
 generator, default_rng(seed + i), so a reported counterexample can be
-rebuilt alone with random_markov_process(steps, seed + i).  Each sample's
-Gaussians are drawn in one call, in that function's order; a block of
-samples (about BLOCK_BYTES, by the side checks' rule below) is then built
-and validated with one stacked call per kind of draw (ginibre_spectra,
-haar_unitaries, dilation_kraus).  Every entropy a witness or certificate
-reads is that of a state rho_s or of a d_sys^2 x d_sys^2 joint state
-(witnesses.bond_table), one stacked eigensolve per channel for the whole
-block.  survey_witnesses and survey_certificates read them with the
+rebuilt alone with random_markov_process(steps, seed + i), the one-sample
+form of the survey's sampler (_survey_draws).  Each sample's Gaussians are
+drawn in one call, in the order a per-channel loop of random_density and
+random_channel would draw them (the tests keep that loop as the
+reference); a block of samples (about BLOCK_BYTES, by the side checks'
+rule below) is then built and validated with one stacked call per kind
+of draw (ginibre_spectra, haar_unitaries, dilation_kraus).  Every entropy
+a witness or certificate reads is that of a state rho_s or of a d_sys^2 x
+d_sys^2 joint state (witnesses.bond_table), one stacked eigensolve per
+channel for the whole block.  survey_witnesses and survey_certificates read them with the
 BondTable readers that the one-process witnesses use on a table of one
 process; the tests compare both with the purified circuit
 (witnesses.purified_circuit_state) and with Kraus propagation
@@ -72,17 +74,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import dilation_kraus, haar_unitaries, random_channel
+from .channels import KrausChannel, dilation_kraus, haar_unitaries
 from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
                         shannon_entropies)
 from .linalg import apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
 from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, _von_neumann_stacks,
-                     ginibre, ginibre_spectra, maximally_entangled, random_density,
-                     spectrum_entropy, w_state)
+                     ginibre, ginibre_spectra, maximally_entangled, spectrum_entropy,
+                     w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
-from .witnesses import (MarkovChainProcess, bond_table, markov_process, monogamy_gap,
-                        survey_certificates, survey_witnesses)
+from .witnesses import (MONOGAMY, MarkovChainProcess, bond_table, markov_process,
+                        monogamy_gap, survey_certificates, survey_witnesses)
 
 __all__ = [
     "u_lambda",
@@ -286,24 +288,14 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 # randomized verification
 # ---------------------------------------------------------------------------
 
-def random_markov_process(n_states: int, seed: int,
-                          d_sys: int = 2,
-                          d_env: int | Sequence[int] = 2) -> MarkovChainProcess:
-    """Process with a random initial state and Haar-dilation channels.
-
-    `d_env` may be a single environment dimension or one per channel.
-    """
-    _require_seed(seed)
-    if n_states < 2:
-        raise ValueError("a process needs at least two states")
-    envs = [d_env] * (n_states - 1) if isinstance(d_env, int) else list(d_env)
-    _require_dims(d_sys, envs)
-    if len(envs) != n_states - 1:
-        raise ValueError(f"need {n_states - 1} environment dims, got {len(envs)}")
-    rng = np.random.default_rng(seed)
-    initial = random_density(d_sys, seed=rng)
-    channels = [random_channel(d_sys, d_sys, e, rng) for e in envs]
-    return markov_process(initial, channels)
+def random_markov_process(n_states: int, seed: int, d_sys: int = 2,
+                          d_env: int = 2) -> MarkovChainProcess:
+    """Process with a random initial state and Haar-dilation channels: the
+    one-sample form of _survey_draws, as random_density is of ginibre_spectra."""
+    _require_process(n_states, seed, d_sys, d_env)
+    initial, kraus = _survey_draws(n_states, seed, 1, d_sys, d_env)
+    return markov_process(DensityMatrix(initial[0], (d_sys,)),
+                          [KrausChannel(tuple(k[0]), d_sys, d_sys) for k in kraus])
 
 
 def _require_int(value: int, name: str) -> None:
@@ -320,11 +312,17 @@ def _require_seed(seed: int) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
-def _require_dims(d_sys: int, d_env: int | list[int]) -> None:
+def _require_process(n_states: int, seed: int, d_sys: int, d_env: int) -> None:
     # shared by random_markov_process and random_markov_verify, before any draw
+    _require_int(n_states, "n_states")
+    _require_int(d_sys, "system dimension")
+    _require_int(d_env, "environment dimension")
+    _require_seed(seed)
+    if n_states < 2:
+        raise ValueError("a process needs at least two states")
     if d_sys < 2:
         raise ValueError(f"system dimension must be at least 2, got {d_sys}")
-    if np.any(np.asarray(d_env) < 1):
+    if d_env < 1:
         raise ValueError(f"environment dimensions must be at least 1, got {d_env}")
 
 
@@ -352,33 +350,26 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     circuit: every entropy is of a d_sys x d_sys state or a d_sys^2 x
     d_sys^2 joint, one stacked eigensolve per channel for the whole block.
     A block holds BLOCK_BYTES // (SURVEY_ENTRY_BYTES * _survey_entries)
-    samples.  MAX_AMPLITUDES bounds the purified circuit, the reference a
-    reported counterexample is checked against (purified_circuit_state
-    refuses a larger one), so the survey stays where that reference
-    reaches; it bounds the joint's d_sys^4 entries as well.
+    samples.  MAX_AMPLITUDES bounds the largest matrix a sample holds, a
+    (d_sys d_env) x (d_sys d_env) Haar unitary or a joint of d_sys^4
+    entries; a reported counterexample is checked against Kraus
+    propagation (info.chain_coherent_information), which has no such cap.
     """
     _require_int(steps, "steps")
-    if steps not in (4, 6, 8):
-        raise ValueError(f"steps must be 4, 6 or 8, got {steps}")
+    if steps not in MONOGAMY:
+        raise ValueError(f"steps must be one of {', '.join(map(str, MONOGAMY))}, "
+                         f"got {steps}")
     _require_samples(samples)
     _require_samples(certificate_samples, "certificate sample", "certificate_samples")
-    _require_seed(seed)
+    if np.shape(dims) != (2,):
+        raise ValueError(f"dims must be a system and an environment dimension, got {dims!r}")
     d_sys, d_env = dims
-    _require_int(d_sys, "system dimension")
-    _require_int(d_env, "environment dimension")
-    _require_dims(d_sys, d_env)
-    # registers R, E1..E_{steps-1}, S of the purified circuit, the reference
-    # the survey's values are checked against; refused here, before a
-    # sample of that size is drawn
-    amplitudes = d_sys * d_env ** (steps - 1) * d_sys
-    if amplitudes > MAX_AMPLITUDES:
-        raise ValueError(f"dims {tuple(dims)} at {steps} steps need a purified circuit of "
-                         f"{amplitudes} amplitudes (limit {MAX_AMPLITUDES})")
-    # the bond table's joint states are d_sys^2 x d_sys^2, as large as a
-    # circuit of d_sys^4 amplitudes
-    if d_sys ** 4 > MAX_AMPLITUDES:
-        raise ValueError(f"system dimension {d_sys} needs joint states of {d_sys ** 4} "
-                         f"entries (limit {MAX_AMPLITUDES})")
+    _require_process(steps, seed, d_sys, d_env)
+    # refused here, before a sample of that size is drawn
+    entries = max((d_sys * d_env) ** 2, d_sys ** 4)
+    if entries > MAX_AMPLITUDES:
+        raise ValueError(f"dims ({d_sys}, {d_env}) give a sample a matrix of {entries} entries "
+                         f"(limit {MAX_AMPLITUDES})")
     minima: dict[str, float] = {}
     cert_min = math.inf
     cert_mismatch = 0.0
@@ -411,19 +402,21 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     }
 
 
-def _survey_draws(steps: int, seed: int, size: int, d_sys: int,
+def _survey_draws(n_states: int, seed: int, size: int, d_sys: int,
                   d_env: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The initial states (size, d_sys, d_sys) and, per channel, the Kraus
-    lists (size, d_env, d_sys, d_sys) of random_markov_process(steps,
-    seed + b, d_sys, d_env), b < size.
+    lists (size, d_env, d_sys, d_sys) of `size` random n_states-state
+    processes, sample b drawn from default_rng(seed + b); the arguments are
+    validated by the callers (_require_process).
 
-    Sample b draws its Gaussians from default_rng(seed + b) in one call, in
-    random_markov_process's order (the initial Ginibre matrix, then one
-    dilation per channel, each as ginibre's real then imaginary parts), so
-    the stacks hold that function's processes bit for bit.  Each kind of
-    draw is then built and validated for the whole stack in one call.
+    Sample b draws its Gaussians in one call, in the order random_density
+    and then random_channel per channel would draw them (the initial
+    Ginibre matrix, then one dilation per channel, each as ginibre's real
+    then imaginary parts), so sample b is that loop's process bit for bit.
+    Each kind of draw is then built and validated for the whole stack in
+    one call.
     """
-    d, total, channels = d_sys, d_sys * d_env, steps - 1
+    d, total, channels = d_sys, d_sys * d_env, n_states - 1
     x = np.stack([np.random.default_rng(seed + b).normal(
         size=2 * d * d + channels * 2 * total * total) for b in range(size)])
     initial = ginibre_spectra(_ginibres(x[:, :2 * d * d], d))[0]

@@ -30,11 +30,12 @@ ENTROPY_CLIP = 1e-12
 # misses its witness by more; is_markov counts a CMI at or below it as zero.  Every
 # chain gap and certificate is a sum over one
 # witnesses.bond_table; its coherent informations are at most 1.3e-15 from the purified
-# circuit and 1.1e-15 from Kraus propagation at the largest circuit verify allows,
-# 8748 amplitudes (tests/test_witnesses.py::test_gap_tolerance_covers_the_largest_circuit),
-# and its survey gaps and certificates at most 4.2e-15 from the circuit and 3.1e-15
-# from Kraus propagation
-# (test_experiments.py::test_survey_stack_matches_the_circuit_and_kraus_references...).
+# circuit and 1.1e-15 from Kraus propagation at the largest circuit the reference builds,
+# 8748 amplitudes, and at most 1.3e-15, 4.9e-15 and 7.5e-15 from Kraus propagation at
+# the widest shapes verify allows, --dims 2 64, 11 1 and 11 11 at 8 steps (seeds 0-1;
+# tests/test_witnesses.py::test_gap_tolerance_covers_the_largest_circuit), and its
+# survey gaps and certificates at most 4.2e-15 from the circuit and 3.1e-15 from Kraus
+# propagation (test_experiments.py::test_survey_stack_matches_the_circuit_and_kraus_references...).
 # Witness and certificate are two sums over the same entries: their worst mismatch
 # read 4.4e-16, 8.9e-16 and 1.3e-15 at 4, 6 and 8 steps over 2000 certified samples
 # (seed 0), 1.6e-15 at 8 steps with --dims 2 3 and 2.0e-15 with 3 2 (500 samples).

@@ -242,9 +242,11 @@ MONOGAMY = {
 
 
 def _permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """perm as a tuple of ints, refused unless it rearranges 1..n, n >= 1."""
+    """perm as a tuple of ints, refused unless it rearranges 1..n, n >= 1;
+    a bool is not taken for 0 or 1."""
     n = len(perm)
-    if (n < 1 or not all(isinstance(f, (int, np.integer)) for f in perm)
+    if (n < 1 or not all(isinstance(f, (int, np.integer)) and not isinstance(f, bool)
+                         for f in perm)
             or sorted(perm) != list(range(1, n + 1))):
         raise ValueError(f"perm must rearrange 1..n for some n >= 1, got {tuple(perm)}")
     return tuple(map(int, perm))
@@ -276,7 +278,7 @@ def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
     of the sub-chain a, b, c, d = rho_k, rho_i, sigma_i, sigma_j.  So every
     permutation gap is a sum of such M4 gaps, and nonnegative when they are.
     """
-    f = dict(enumerate(perm, 1))
+    f = dict(enumerate(_permutation(perm), 1))
     swaps = []
     for i in range(1, len(perm) + 1):
         j = f[i]

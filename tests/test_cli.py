@@ -227,10 +227,17 @@ def test_verify_passes_dims_to_the_survey(capsys, monkeypatch):
 
 @pytest.mark.parametrize("steps,dims,reason", [
     ("4", ("1", "2"), "system dimension"), ("4", ("2", "0"), "environment dimensions"),
-    ("8", ("2", "5"), "amplitudes"), ("4", ("12", "1"), "joint states")])
+    ("8", ("2", "65"), "16900 entries"), ("4", ("12", "1"), "20736 entries")])
 def test_verify_rejects_bad_dims(capsys, steps, dims, reason):
     assert main(["verify", "--steps", steps, "--samples", "2", "--dims", *dims]) == 2
     assert reason in capsys.readouterr().err
+
+
+def test_verify_runs_past_the_purified_circuit_size(capsys):
+    # R, seven 4-dimensional environments and S would be 65536 amplitudes;
+    # no sample holds a matrix larger than 8 x 8
+    assert main(["verify", "--steps", "8", "--samples", "2", "--dims", "2", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 @pytest.mark.parametrize("step,reason", [("1e-300", "grid points"), ("nan", "finite")])

@@ -6,6 +6,7 @@ layer of the stack shows up as a mismatch here.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -344,34 +345,65 @@ def test_random_markov_process_is_seed_deterministic():
         assert all(np.array_equal(ka, kb) for ka, kb in zip(ch_a.kraus, ch_b.kraus))
 
 
-def test_random_markov_process_takes_per_step_env_dims():
-    p = random_markov_process(4, seed=3, d_env=[2, 3, 2])
-    assert [len(ch.kraus) for ch in p.channels] == [2, 3, 2]
+def _loop_markov_process(n_states, seed, d_sys, d_env):
+    """The per-channel draw loop random_markov_process replaced: one
+    generator, random_density, then random_channel per channel."""
+    rng = np.random.default_rng(seed)
+    initial = random_density(d_sys, seed=rng)
+    return initial, [random_channel(d_sys, d_sys, d_env, rng) for _ in range(n_states - 1)]
+
+
+def test_random_markov_process_is_the_per_channel_loop_bit_for_bit():
+    # the seed stream a reported counterexample seed (and the benchmark's
+    # per-sample check) rebuilds its process from
+    for n, (d_sys, d_env), seed in itertools.product(
+            (2, 3, 4, 6, 8, 12), ((2, 1), (2, 2), (2, 3), (3, 2), (4, 1), (2, 4), (5, 3)),
+            (0, 1, 17, 12345)):
+        p = random_markov_process(n, seed, d_sys, d_env)
+        initial, channels = _loop_markov_process(n, seed, d_sys, d_env)
+        case = (n, d_sys, d_env, seed)
+        assert p.initial.dims == initial.dims and np.array_equal(p.initial.mat, initial.mat), case
+        assert len(p.channels) == len(channels) == n - 1, case
+        for got, want in zip(p.channels, channels):
+            assert (got.d_in, got.d_out) == (want.d_in, want.d_out), case
+            assert len(got.kraus) == len(want.kraus) == d_env, case
+            assert all(np.array_equal(k, w) for k, w in zip(got.kraus, want.kraus)), case
 
 
 def test_random_markov_process_guards():
     with pytest.raises(ValueError, match="two states"):
         random_markov_process(1, seed=0)
-    with pytest.raises(ValueError, match="environment dims"):
-        random_markov_process(4, seed=0, d_env=[2, 2])
     with pytest.raises(ValueError, match="system dimension"):
         random_markov_process(4, seed=0, d_sys=1)
     with pytest.raises(ValueError, match="environment dimensions"):
-        random_markov_process(4, seed=0, d_env=[2, 0, 2])
+        random_markov_process(4, seed=0, d_env=0)
+    # one environment dimension for every channel
+    with pytest.raises(ValueError, match="environment dimension must be an integer"):
+        random_markov_process(4, seed=0, d_env=[2, 3, 2])
 
 
-@pytest.mark.parametrize("harness,kwargs", [
-    (random_markov_process, {"n_states": 4, "seed": 0, "d_sys": 1}),
-    (random_markov_process, {"n_states": 4, "seed": 0, "d_env": [2, 0, 2]}),
-    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (1, 2)}),
-    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (2, 0)}),
-], ids=["process d_sys", "process d_env", "verify d_sys", "verify d_env"])
-def test_bad_dimensions_are_refused_before_a_generator_is_made(harness, kwargs, monkeypatch):
+@pytest.mark.parametrize("harness,kwargs,reason", [
+    (random_markov_process, {"n_states": 4, "seed": 0, "d_sys": 1}, "system dimension"),
+    (random_markov_process, {"n_states": 4, "seed": 0, "d_env": 0}, "environment dimensions"),
+    (random_markov_process, {"n_states": 4.0, "seed": 0}, "n_states must be an integer"),
+    (random_markov_process, {"n_states": 4, "seed": 0, "d_sys": 2.0},
+     "system dimension must be an integer"),
+    (random_markov_process, {"n_states": 4, "seed": 0, "d_env": 2.0},
+     "environment dimension must be an integer"),
+    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (1, 2)}, "system dimension"),
+    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (2, 0)},
+     "environment dimensions"),
+    (random_markov_verify, {"steps": 4, "samples": 1, "dims": (2, 2, 2)},
+     "an environment dimension, got"),
+], ids=["process d_sys", "process d_env", "process float n_states", "process float d_sys",
+        "process float d_env", "verify d_sys", "verify d_env", "verify three dims"])
+def test_bad_dimensions_are_refused_before_a_generator_is_made(harness, kwargs, reason,
+                                                               monkeypatch):
     def no_generator(*args, **kwargs):
         raise AssertionError("a generator was made before the dimensions were checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match=reason):
         harness(**kwargs)
 
 
@@ -404,10 +436,10 @@ def test_verify_guards():
         random_markov_verify(4, samples=1, dims=(1, 2))
     with pytest.raises(ValueError, match="environment dimensions"):
         random_markov_verify(4, samples=1, dims=(2, 0))
-    # 2 * 5**7 * 2 amplitudes; refused before a sample is drawn
-    with pytest.raises(ValueError, match="312500 amplitudes"):
-        random_markov_verify(8, samples=1, dims=(2, 5))
-    # a circuit of 144 amplitudes, but bond joints of 12**4 entries
+    # Haar unitaries of 130**2 entries; refused before a sample is drawn
+    with pytest.raises(ValueError, match="16900 entries"):
+        random_markov_verify(4, samples=1, dims=(2, 65))
+    # unitaries of 144 entries, but bond joints of 12**4
     with pytest.raises(ValueError, match="20736 entries"):
         random_markov_verify(4, samples=1, dims=(12, 1))
     # no certified sample would leave the certificate minimum at infinity
@@ -459,6 +491,11 @@ def test_harnesses_take_numpy_integers():
     report = random_markov_verify(np.int64(4), np.int64(2), seed=1,
                                   certificate_samples=np.int64(1))
     assert report["counterexample_seed"] is None
+    p = random_markov_process(np.int64(4), np.int64(0), np.int64(2), np.int64(2))
+    q = random_markov_process(4, 0, 2, 2)
+    assert np.array_equal(p.initial.mat, q.initial.mat)
+    assert all(np.array_equal(k, w) for a, b in zip(p.channels, q.channels)
+               for k, w in zip(a.kraus, b.kraus))
     assert classical_cmmi_check(samples=np.int32(3), n_pairs=np.int64(2),
                                 dim=np.int64(2))["classical_cmmi_min"] >= -1e-12
 

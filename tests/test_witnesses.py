@@ -128,24 +128,27 @@ def test_purified_circuit_reproduces_chain_coherent_information():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gap_tolerance_covers_the_largest_circuit(seed):
-    """The reason for the -GAP_TOLERANCE floor: at the largest circuit verify
-    allows (--dims 2 3 --steps 8), the bond table, the circuit's registers
-    and the Kraus propagation, and the M8 witnesses and their certificates,
-    agree far inside it."""
-    p = random_markov_process(8, seed, 2, 3)
-    circuit = purified_circuit_state(p)
-    assert circuit.dim == 2 * 3 ** 7 * 2 == 8748
-    for r, s in itertools.combinations(range(1, 9), 2):
-        want = _kraus_reference(p, r, s)
-        assert abs(_circuit_reference(circuit, r, s) - want) <= 1e-12, (r, s)
-        assert abs(p.coherent_info(r, s) - want) <= 1e-12, (r, s)
-    witnesses = m8_witnesses(p).entries
-    certificates = m8_ssa_certificates(p)
-    assert witnesses.keys() == certificates.keys()
-    for name, value in witnesses.items():
-        assert abs(value - certificates[name]) <= 1e-12, name
-        want = monogamy_gap(functools.partial(_circuit_reference, circuit), MONOGAMY[8][name])
-        assert abs(value - want) <= 1e-12, name
+    """The reason for the -GAP_TOLERANCE floor: at the largest circuit the
+    reference builds (--dims 2 3 --steps 8) and at the widest shapes verify
+    allows (--dims 2 64, 11 1 and 11 11 at 8 steps), the bond table, the
+    Kraus propagation and, where it is built, the circuit's registers, and
+    the M8 witnesses and their certificates, agree far inside it."""
+    for dims in [(2, 3), (2, 64), (11, 1), (11, 11)]:
+        p = random_markov_process(8, seed, *dims)
+        ic = functools.cache(functools.partial(_kraus_reference, p))
+        if dims == (2, 3):
+            circuit = purified_circuit_state(p)
+            assert circuit.dim == 2 * 3 ** 7 * 2 == 8748
+            for r, s in itertools.combinations(range(1, 9), 2):
+                assert abs(_circuit_reference(circuit, r, s) - ic(r, s)) <= 1e-12, (r, s)
+        for r, s in itertools.combinations(range(1, 9), 2):
+            assert abs(p.coherent_info(r, s) - ic(r, s)) <= 1e-12, (dims, r, s)
+        witnesses = m8_witnesses(p).entries
+        certificates = m8_ssa_certificates(p)
+        assert witnesses.keys() == certificates.keys() == MONOGAMY[8].keys()
+        for name, perm in MONOGAMY[8].items():
+            assert abs(witnesses[name] - certificates[name]) <= 1e-12, (dims, name)
+            assert abs(witnesses[name] - monogamy_gap(ic, perm)) <= 1e-12, (dims, name)
 
 
 def test_chain_coherent_info_through_the_process_wrapper():
@@ -277,11 +280,14 @@ def test_monogamy_gap_all_three_pair_permutations():
 
 def test_monogamy_gap_guards():
     p = random_markov_process(4, seed=23)
-    for bad in [(1, 1), (), (0, 1), (2, 3), (2.0, 1.0), (np.float64(2), 1)]:
+    for bad in [(1, 1), (), (0, 1), (2, 3), (2.0, 1.0), (np.float64(2), 1), (True, 2),
+                (2, True)]:
         with pytest.raises(ValueError, match="rearrange"):
             monogamy_gap(p.coherent_info, bad)
         with pytest.raises(ValueError, match="rearrange"):
             monogamy_certificate(p, bad)
+        with pytest.raises(ValueError, match="rearrange"):
+            uncrossing(bad)
     # numpy integers are integers
     perm = tuple(np.array([2, 1]))
     assert monogamy_gap(p.coherent_info, perm) == m4_witness(p)
