@@ -34,8 +34,12 @@ reference); a block of samples (about BLOCK_BYTES, by the side checks'
 rule below) is then built and validated with one stacked call per kind
 of draw (ginibre_spectra, haar_unitaries, dilation_kraus).  Every entropy
 a witness or certificate reads is that of a state rho_s or of a d_sys^2 x
-d_sys^2 joint state (witnesses.bond_table), one stacked eigensolve per
-channel for the whole block.  survey_witnesses and survey_certificates read them with the
+d_sys^2 joint state (witnesses.bond_table): each channel's transfer
+matrix is built once for the whole block and carries both the states and
+the joints, whose entropies are one stacked eigensolve per channel.  A
+block's sample is counted as the entries it holds at once (Haar unitaries
+and Kraus lists, then transfer matrices and joints, _survey_entries).
+survey_witnesses and survey_certificates read the entropies with the
 BondTable readers that the one-process witnesses use on a table of one
 process; the tests compare both with the purified circuit
 (witnesses.purified_circuit_state) and with Kraus propagation
@@ -427,9 +431,10 @@ def _survey_draws(n_states: int, seed: int, size: int, d_sys: int,
 
 
 def _survey_entries(steps: int, d_sys: int, d_env: int) -> int:
-    """Complex entries one survey sample holds at once: its Haar unitaries
-    and Kraus lists, then its d_sys^2 x d_sys^2 joint states."""
-    return (steps - 1) * ((d_sys * d_env) ** 2 + d_sys ** 4)
+    """Complex entries one survey sample holds at once, per channel: its
+    Haar unitary and Kraus list, then its d_sys^2 x d_sys^2 transfer matrix
+    and joint state (witnesses.bond_table keeps both)."""
+    return (steps - 1) * ((d_sys * d_env) ** 2 + 2 * d_sys ** 4)
 
 
 # each sample's raw variates are drawn in turn, but the samples are built,
@@ -441,14 +446,18 @@ def _survey_entries(steps: int, d_sys: int, d_env: int) -> int:
 # to 41 MB), 3.5-4.3 kB for the adjoint check (256), and 17-36 B per entry
 # of the classical check's joint tables (2048 at the default 16 entries).
 # The witness survey's sample holds _survey_entries complex entries; its
-# peak per entry read 44-83 B over 12 shapes from 4 steps at (2, 2) to 4
-# steps at (11, 1), median 51 B, rounded up to 64 B (73 samples per block
-# at 8 qubit steps, 45 at 8 steps with qutrit environments).
+# peak per entry read 41-63 B, median 44 B, over 12 shapes: 4, 6 and 8 steps
+# at (2, 2), (2, 3) and (3, 2), 4 steps at (11, 1), 6 at (4, 2) and 8 at
+# (2, 4).  It is rounded up to 48 B, three complex entries, not to 64 B,
+# which would leave every block at 0.63-0.97 MB.  At 48 B a block holds 65
+# samples at 8 qubit steps and 45 at 8 steps with qutrit environments, and
+# every block of more than one sample peaks at 0.86-1.25 MB (the one-sample
+# block at (11, 1), 3.5 MB).
 BLOCK_BYTES = 2 ** 20
 MI_SAMPLE_BYTES = 2 ** 14
 ADJOINT_SAMPLE_BYTES = 2 ** 12
 CLASSICAL_ENTRY_BYTES = 32
-SURVEY_ENTRY_BYTES = 64
+SURVEY_ENTRY_BYTES = 48
 
 # the checks draw environments of 2 to MAX_KRAUS levels; the MI check zero-pads
 # every Kraus list to MAX_KRAUS operators (zero operators leave a channel
@@ -521,27 +530,28 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     sizes = _blocks(samples, MI_SAMPLE_BYTES)
     x3 = np.empty((sizes[0], 2 * 8 * 8))
     x2 = np.empty((sizes[0], 2 * 4 * 4))
+    x_env = {d_env: np.empty((sizes[0], 2 * (2 * d_env) ** 2))
+             for d_env in range(2, MAX_KRAUS + 1)}
     for size in sizes:
         # the Gaussians of random_density(8), then of random_channel(2, 2, d_env)
-        # and random_density(4), per sample, in one normal call on each side of
-        # its d_env draw; the channel ones grouped by d_env, each with its
-        # sample's place in the block
-        draws: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+        # and random_density(4), per sample, drawn in place: the channel ones
+        # into the next row of their d_env's buffer, with the sample's place
+        # in the block kept beside it
+        where: dict[int, list[int]] = {}
         for b in range(size):
-            x3[b] = rng.normal(size=x3.shape[1])
+            rng.standard_normal(out=x3[b])
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            x = rng.normal(size=2 * (2 * d_env) ** 2 + x2.shape[1])
-            where, normals = draws.setdefault(d_env, ([], []))
-            where.append(b)
-            normals.append(x[:-x2.shape[1]])
-            x2[b] = x[-x2.shape[1]:]
+            rows = where.setdefault(d_env, [])
+            rng.standard_normal(out=x_env[d_env][len(rows)])
+            rows.append(b)
+            rng.standard_normal(out=x2[b])
         # the positivity test's spectra of the 8x8 and 4x4 draws give H(ABC), H(AB)
         r3, w3 = ginibre_spectra(_ginibres(x3[:size], 8))
         r2, w2 = ginibre_spectra(_ginibres(x2[:size], 4))
         k = np.zeros((size, MAX_KRAUS, 2, 2), dtype=complex)
-        for d_env, (where, normals) in draws.items():
-            u = haar_unitaries(_ginibres(np.stack(normals), 2 * d_env))
-            k[where, :d_env] = dilation_kraus(u, 2, 2)
+        for d_env, rows in where.items():
+            u = haar_unitaries(_ginibres(x_env[d_env][:len(rows)], 2 * d_env))
+            k[rows, :d_env] = dilation_kraus(u, 2, 2)
         out3 = apply_kraus(r3, (2, 2, 2), k, 1)
         out2 = apply_kraus(r2, (2, 2), k, 1)
         # the channel acts on B alone, so H(AC), H(C) and H(A) are the same

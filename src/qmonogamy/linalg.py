@@ -3,11 +3,12 @@
 Everything downstream (states, channels, entropies, process tensors) is
 built on the handful of primitives in this module: tensor products,
 partial traces over labelled subsystems, Kraus maps acting on one
-subsystem, and Hermitian eigendecomposition.  Partial traces and Kraus
-maps also take stacks of operators, with leading batch axes before the
-last two (matrix) axes; apply_two_site takes stacks of state vectors and
-of unitaries, whose batch axes broadcast (broadcast_batch names the two
-shapes when they do not).
+subsystem through their transfer matrices, and Hermitian
+eigendecomposition.  Partial traces and Kraus maps also take stacks of
+operators, with leading batch axes before the last two (matrix) axes;
+apply_two_site takes stacks of state vectors and of unitaries, whose
+batch axes broadcast (broadcast_batch names the two shapes when they do
+not).
 
 Subsystem ordering convention: the leftmost tensor factor is the most
 significant in the computational-basis index (big-endian).  A basis ket
@@ -29,6 +30,7 @@ __all__ = [
     "kron",
     "dagger",
     "partial_trace",
+    "transfer_matrix",
     "apply_kraus",
     "hermitian_eig",
     "require_finite",
@@ -93,6 +95,20 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
     return out.reshape(batch + (d_keep, d_keep))
 
 
+def transfer_matrix(kraus: np.ndarray) -> np.ndarray:
+    """T = sum_k K_k (x) conj(K_k) of a Kraus list (..., n_kraus, d_out, d_in),
+    shape (..., d_out^2, d_in^2): the channel as a matrix on row-major
+    vectorized operators, vec(sum_k K_k X K_k†) = T vec(X).
+
+    Row (o, p) and column (i, j) hold sum_k K_k[o, i] conj(K_k[p, j]); the
+    leading batch axes are the Kraus lists'.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    d_out, d_in = kraus.shape[-2:]
+    t = np.einsum("...koi,...kpj->...opij", kraus, kraus.conj())
+    return t.reshape(t.shape[:-4] + (d_out * d_out, d_in * d_in))
+
+
 def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndarray,
                 target: int) -> np.ndarray:
     """sum_k K_k m K_k† with every K_k acting on subsystem `target` alone.
@@ -102,9 +118,9 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
     broadcast against `m`'s, so one call can act a different channel on
     every operator of a stack.  Zero operators may pad a Kraus list, since
     they add nothing.  The result keeps the subsystem layout, with
-    `dims[target]` replaced by d_out.  The list acts through its transfer
-    matrix sum_k K_k (x) conj(K_k), one batched matmul on the target's
-    (ket, bra) index pair.
+    `dims[target]` replaced by d_out.  The list acts through its
+    transfer_matrix, one batched matmul on the target's (ket, bra) index
+    pair.
     """
     m = np.asarray(m, dtype=complex)
     kraus = np.asarray(kraus, dtype=complex)
@@ -118,14 +134,12 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
                          f"subsystem {target} is {dims[target]}")
     before = math.prod(dims[:target])
     after = math.prod(dims[target + 1:])
-    # T[(o, p), (i, j)] = sum_k K_k[o, i] conj(K_k[p, j]); the target's ket
-    # and bra axes go in front of the rest, as the rows T acts on
-    transfer = np.einsum("...koi,...kpj->...opij", kraus, kraus.conj())
-    transfer = transfer.reshape(transfer.shape[:-4] + (d_out * d_out, d_in * d_in))
+    # the target's ket and bra axes go in front of the rest, as the rows the
+    # transfer matrix acts on
     nb = m.ndim - 2
     t = m.reshape(m.shape[:-2] + (before, d_in, after) * 2)
     t = np.moveaxis(t, (nb + 1, nb + 4), (nb, nb + 1))
-    t = transfer @ t.reshape(m.shape[:-2] + (d_in * d_in, -1))
+    t = transfer_matrix(kraus) @ t.reshape(m.shape[:-2] + (d_in * d_in, -1))
     nb = t.ndim - 2
     t = t.reshape(t.shape[:-2] + (d_out, d_out, before, after, before, after))
     t = np.moveaxis(t, (nb, nb + 1), (nb + 1, nb + 4))

@@ -36,10 +36,14 @@ The circuit is a chain joined by the d-dimensional system alone, so
 H(R, E_1..E_{s-1}) = H(rho_s), and H(E_r..E_{s-1}) is the entropy of the
 d^2 x d^2 joint state (id x channels r..s-1)(psi_r), psi_r purifying
 rho_r (the Schumacher-Nielsen form of the coherent information).
-bond_table computes every such entropy of a stack of processes, with one
-stacked eigensolve per channel and no circuit built, and it is the only
-chain-entropy oracle of the package.  A MarkovChainProcess caches the
-table of itself (a stack of one), and the table's two readers,
+bond_table computes every such entropy of a stack of processes, with no
+circuit built, and it is the only chain-entropy oracle of the package.
+Each channel acts through its transfer matrix sum_k K_k (x) conj(K_k)
+(linalg.transfer_matrix), built once: on vec(rho_j) for the next state,
+and on the joints of every r <= j at once, which are kept in the layout
+it acts on (rows (S, S'), columns (R, R')) and moved to (R S, R' S')
+only for their one stacked eigensolve per channel.  A MarkovChainProcess
+caches the table of itself (a stack of one), and the table's two readers,
 BondTable.coherent_info and BondTable.certificate, serve both the
 one-process functions (qdpi_witnesses, m4_witness, ...,
 m8_ssa_certificates) and the survey (survey_witnesses and
@@ -66,7 +70,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply_to_subsystem
 from .info import conditional_mutual_information, mutual_information
-from .linalg import apply_kraus
+from .linalg import transfer_matrix
 from .states import DensityMatrix, PureState, purify, von_neumann_stack
 from .tolerances import GAP_TOLERANCE
 
@@ -366,26 +370,37 @@ def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
     the system alone, so (R, E_1..E_{s-1}) purifies rho_s, and
     (E_r..E_{s-1}) has the entropy of the d^2 x d^2 joint state
     (id x channels r..s-1)(psi_r), psi_r purifying rho_r: the reference of
-    psi_r stands in for R, E_1..E_{r-1}.  The states rho_s take one
-    apply_kraus per channel and the purifications of every rho_r one
-    stacked purify.  Channel j then acts on the joints of every r <= j at
-    once, and their entropies are one stacked eigensolve per channel.
+    psi_r stands in for R, E_1..E_{r-1}.
+
+    Each channel's transfer matrix T_j (linalg.transfer_matrix) is built
+    once and serves both steps.  The states are kept as vec(rho_s), so
+    vec(rho_{j+1}) = T_j vec(rho_j).  The purifications of every rho_r are
+    one stacked purify, and their joints are kept in the layout T_j acts
+    on, rows (S, S') and columns (R, R'), so channel j acts on the joints
+    of every r <= j in one batched matmul.  They are moved to (R S, R' S')
+    only for their one stacked eigensolve per channel.
     """
-    d = initial.shape[-1]
-    states = [initial]
-    for ops in kraus:
-        states.append(apply_kraus(states[-1], (d,), ops, 0))
-    rho = np.stack(states, axis=1)
-    n, m = rho.shape[0], len(kraus)
+    n, d = initial.shape[0], initial.shape[-1]
+    m = len(kraus)
+    transfer = [transfer_matrix(ops) for ops in kraus]
+    states = [initial.reshape(n, d * d, 1)]
+    for t in transfer:
+        states.append(t @ states[-1])
+    rho = np.stack(states, axis=1).reshape(n, m + 1, d, d)
     prefix = np.zeros((m + 2, n))
     prefix[1:] = von_neumann_stack(rho).T
-    # joint[:, r - 1] = psi_r, r = 1..m, on (reference, system)
-    joint = purify(DensityMatrix(rho[:, :m], (d,))).density().mat
+    # psi[:, r - 1] = psi_r, r = 1..m, as a matrix (system, reference), and
+    # its joint |psi_r><psi_r| with rows (S, S') and columns (R, R')
+    psi = purify(DensityMatrix(rho[:, :m], (d,))).vec.reshape(n, m, d, d).swapaxes(-1, -2)
+    joint = psi[..., :, None, :, None] * psi[..., None, :, None, :].conj()
+    joint = joint.reshape(n, m, d * d, d * d)
     interval = np.zeros((m + 2, m + 2, n))
-    for j, ops in enumerate(kraus, 1):
+    for j, t in enumerate(transfer, 1):
         # channel j carries rho_j to rho_{j+1}; it acts on the joints of r <= j
-        joint[:, :j] = apply_kraus(joint[:, :j], (d, d), ops[:, None], 1)
-        interval[1:j + 1, j + 1] = von_neumann_stack(joint[:, :j]).T
+        joint[:, :j] = t[:, None] @ joint[:, :j]
+        # (S, S', R, R') -> (R, S, R', S')
+        mats = joint[:, :j].reshape(n, j, d, d, d, d).transpose(0, 1, 4, 2, 5, 3)
+        interval[1:j + 1, j + 1] = von_neumann_stack(mats.reshape(n, j, d * d, d * d)).T
     return BondTable(prefix, interval)
 
 

@@ -20,6 +20,9 @@
   and the benchmark's workloads reach, plus the independent references
   the tests compare the package with (REFERENCES), and every name those
   callers take from the top level is exported.
+* The transfer matrix sum_k K_k (x) conj(K_k) of a Kraus list is written
+  once, in linalg.transfer_matrix, so apply_kraus and the bond table act
+  every channel through the same matrix.
 """
 
 import ast
@@ -311,3 +314,50 @@ def test_the_taken_name_scan_sees_each_form():
                      "from .experiments import d\nfrom . import e\n\n"
                      "def f():\n    return qmonogamy.g\n")
     assert _taken_names(tree) == {"a", "b", "d", "g"}
+
+
+def _transfer_einsums(tree: ast.Module) -> list[str]:
+    """The functions holding an einsum of X and conj(X) that sums one index
+    and keeps every other: sum_k K_k (x) conj(K_k), in whatever letters."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum" and len(node.args) == 3
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            spec, a, b = node.args
+            # b is a.conj() or np.conj(a)
+            if not (isinstance(b, ast.Call) and isinstance(b.func, ast.Attribute)
+                    and b.func.attr in ("conj", "conjugate")
+                    and ast.dump(b.args[0] if b.args else b.func.value) == ast.dump(a)):
+                continue
+            inputs, _, out = spec.value.replace("...", "").partition("->")
+            left, _, right = inputs.partition(",")
+            summed = (set(left) | set(right)) - set(out)
+            if len(summed) == 1 and summed <= set(left) & set(right):
+                found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
+def test_the_transfer_matrix_is_written_once():
+    found = {path.name: _transfer_einsums(_tree(path)) for path in MODULES}
+    found = {name: fns for name, fns in found.items() if fns}
+    assert list(found) == ["linalg.py"], found
+    assert [f.split()[0] for f in found["linalg.py"]] == ["transfer_matrix"]
+
+
+def test_the_transfer_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "import numpy as np\n\n"
+        "def transfer_matrix(kraus):\n"
+        "    return np.einsum('...koi,...kpj->...opij', kraus, kraus.conj())\n\n"
+        "def bond_step(ops, joint):\n"
+        "    t = np.einsum('nkab,nkcd->nacbd', ops, np.conj(ops))\n"
+        "    return t @ joint\n\n"
+        "def unitality(adj):\n"
+        "    return np.einsum('bkij,bklj->bil', adj, adj.conj())\n")
+    assert _transfer_einsums(tree) == ["transfer_matrix (line 4)", "bond_step (line 7)"]

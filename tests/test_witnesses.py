@@ -16,13 +16,14 @@ certificate identities, pins the table down.
 
 import functools
 import itertools
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy import witnesses as witnesses_module
+from qmonogamy import linalg, witnesses as witnesses_module
 from qmonogamy.channels import kraus_channel, random_channel
 from qmonogamy.experiments import random_markov_process
 from qmonogamy.info import chain_coherent_information, conditional_mutual_information
@@ -159,13 +160,22 @@ def test_chain_coherent_info_through_the_process_wrapper():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 5), st.integers(3, 6),
-       st.integers(0, 2 ** 32 - 1))
-def test_bond_oracle_matches_the_kraus_reference(d_sys, d_env, n, seed):
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(1, 5), min_size=2, max_size=5, unique=True))
+def test_bond_oracle_matches_the_kraus_reference(d_sys, d_env, n, seed, kraus_counts):
     # no amplitude budget applies: the bond table's joints are d_sys^2 x d_sys^2
     p = random_markov_process(n, seed, d_sys, d_env)
     for r, s in itertools.combinations(range(1, n + 1), 2):
         assert p.coherent_info(r, s) == pytest.approx(
             _kraus_reference(p, r, s), abs=1e-12), (r, s)
+    # channels whose Kraus counts differ, so each transfer matrix is built
+    # from a list of its own length
+    rng = np.random.default_rng(seed)
+    mixed = markov_process(random_density(d_sys, seed=rng),
+                           [random_channel(d_sys, d_sys, k, rng) for k in kraus_counts])
+    for r, s in itertools.combinations(range(1, mixed.n_states + 1), 2):
+        assert mixed.coherent_info(r, s) == pytest.approx(
+            _kraus_reference(mixed, r, s), abs=1e-12), (kraus_counts, r, s)
     if n >= 4:
         assert qdpi_witnesses(p).passed
         assert m4_witness(p) == pytest.approx(m4_ssa_certificate(p), abs=1e-9)
@@ -192,6 +202,27 @@ def test_eight_state_witnesses_and_certificates_share_one_bond_table(monkeypatch
     assert max(calls) == 4
     m8_witnesses(p)
     assert len(calls) == 8
+
+
+def test_the_bond_table_builds_each_transfer_matrix_once(monkeypatch):
+    # each channel's transfer matrix serves both the state step and the joint
+    # step: 7 builds for 7 channels, all by bond_table itself, none by an
+    # apply_kraus call
+    callers = []
+    real = linalg.transfer_matrix
+
+    def counting(kraus):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(kraus)
+
+    monkeypatch.setattr(linalg, "transfer_matrix", counting)
+    monkeypatch.setattr(witnesses_module, "transfer_matrix", counting)
+    p = random_markov_process(8, seed=0, d_env=3)
+    m8_witnesses(p)
+    assert callers == ["bond_table"] * 7
 
 
 def test_a_process_past_the_circuit_budget_gets_its_m8_witnesses():
