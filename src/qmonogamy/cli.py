@@ -14,8 +14,10 @@ additionally writes a minimal line chart next to the output file, and is
 refused when the chart path would be the output file itself.  verify
 emits a JSON summary (echoing --dims) and exits 0 when every check
 passes its threshold, 1 when a genuine violation was found (the
-offending sample seed is reported), 2 on configuration or I/O errors.  All output is
-deterministic given the flags and seed.
+offending sample seed is reported), 2 on configuration or I/O errors and
+when a surveyed or checked value is NaN or infinite (the error names the
+entry and the sample).  All output is deterministic given the flags and
+seed.
 """
 
 from __future__ import annotations

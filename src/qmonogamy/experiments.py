@@ -36,14 +36,20 @@ of draw (ginibre_spectra, haar_unitaries, dilation_kraus).  Every entropy
 a witness or certificate reads is that of a state rho_s or of a d_sys^2 x
 d_sys^2 joint state (witnesses.bond_table): each channel's transfer
 matrix is built once for the whole block and carries both the states and
-the joints, whose entropies are one stacked eigensolve per channel.  A
-block's sample is counted as the entries it holds at once (Haar unitaries
-and Kraus lists, then transfer matrices and joints, _survey_entries).
-survey_witnesses and survey_certificates read the entropies with the
-BondTable readers that the one-process witnesses use on a table of one
-process; the tests compare both with the purified circuit
-(witnesses.purified_circuit_state) and with Kraus propagation
-(info.chain_coherent_information).
+the joints, and the joints of all channels are kept for one stacked
+eigensolve.  A block's sample is counted as the entries it holds at once
+(Haar unitaries and Kraus lists, transfer matrices and working joints,
+then the kept joints, _survey_entries).  survey_witnesses and
+survey_certificates read each family of entries in one gather, the same
+that the one-process witnesses make on a table of one process, and the
+block's entries are then stacked into one (entries, samples) array, so
+its minima, counterexample and certificate mismatch are array
+reductions: the readers and reductions take the same number of calls at
+4, 6 or 8 steps, and only the bond table's per-channel steps grow.
+A NaN or infinite entry is refused by name, with its sample's seed,
+rather than dropped by a fold.  The tests compare the survey with the
+purified circuit (witnesses.purified_circuit_state) and with Kraus
+propagation (info.chain_coherent_information).
 
 The three side checks (adjoint identity, mutual-information monotonicity,
 classical monogamy) draw the raw variates of their samples one sample at
@@ -64,6 +70,9 @@ process-tensor port reads share).  The per-sample functions
 (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
 cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
 shares) are the reference the tests compare the stacked checks with.
+Each check refuses a block whose values hold a NaN or an infinity, naming
+the value and the sample's place in the seed's draw, before it folds the
+block into its extrema.
 
 Counts, dimensions and seeds given to a harness must be integers, and seeds
 nonnegative; anything else is refused with a ValueError that names the
@@ -352,9 +361,16 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     The samples are drawn a block at a time (_survey_draws) and measured
     through the system bond (witnesses.bond_table), without a purified
     circuit: every entropy is of a d_sys x d_sys state or a d_sys^2 x
-    d_sys^2 joint, one stacked eigensolve per channel for the whole block.
-    A block holds BLOCK_BYTES // (SURVEY_ENTRY_BYTES * _survey_entries)
-    samples.  MAX_AMPLITUDES bounds the largest matrix a sample holds, a
+    d_sys^2 joint, with one stacked eigensolve for the block's states and
+    one for the joints of all its channels.  The witnesses and the
+    certificates are one gather per family (survey_witnesses,
+    survey_certificates), stacked into (entries, samples) arrays, and the
+    report is read from array reductions of them, so these take the same
+    number of calls at every step count.  A NaN or infinite witness
+    or certified certificate is refused with a ValueError that names the
+    entry and the sample's seed.  A block holds
+    BLOCK_BYTES // (SURVEY_ENTRY_BYTES * _survey_entries) samples.
+    MAX_AMPLITUDES bounds the largest matrix a sample holds, a
     (d_sys d_env) x (d_sys d_env) Haar unitary or a joint of d_sys^4
     entries; a reported counterexample is checked against Kraus
     propagation (info.chain_coherent_information), which has no such cap.
@@ -374,36 +390,51 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
     if entries > MAX_AMPLITUDES:
         raise ValueError(f"dims ({d_sys}, {d_env}) give a sample a matrix of {entries} entries "
                          f"(limit {MAX_AMPLITUDES})")
-    minima: dict[str, float] = {}
-    cert_min = math.inf
-    cert_mismatch = 0.0
+    lows, cert_lows, mismatches = [], [], []
     counterexample = None
     block = _block_size(SURVEY_ENTRY_BYTES * _survey_entries(steps, d_sys, d_env))
     for start in range(0, samples, block):
         size = min(block, samples - start)
-        table = bond_table(*_survey_draws(steps, seed + start, size, d_sys, d_env))
+        first = seed + start
+        table = bond_table(*_survey_draws(steps, first, size, d_sys, d_env))
         entries = survey_witnesses(table, steps)
-        for name, values in entries.items():
-            minima[name] = min(minima.get(name, math.inf), float(values.min()))
-        failing = np.flatnonzero(np.min(list(entries.values()), axis=0) < -GAP_TOLERANCE)
+        names = list(entries)
+        # (entries, samples): every reduction below is one array call
+        gaps = np.stack(list(entries.values()))
+        _refuse_nonfinite("witness", names, gaps, lambda b: f"sample seed {first + b}")
+        lows.append(gaps.min(axis=1))
+        failing = np.flatnonzero(gaps.min(axis=0) < -GAP_TOLERANCE)
         if counterexample is None and failing.size:
-            counterexample = seed + start + int(failing[0])
+            counterexample = first + int(failing[0])
         certified = min(size, certificate_samples - start)
         if certified > 0:
             certs = survey_certificates(table, steps)
-            for name, values in certs.items():
-                cert_min = min(cert_min, float(values[:certified].min()))
-                gap = np.abs(entries[name][:certified] - values[:certified])
-                cert_mismatch = max(cert_mismatch, float(gap.max()))
+            values = np.stack(list(certs.values()))[:, :certified]
+            _refuse_nonfinite("certificate", list(certs), values,
+                              lambda b: f"sample seed {first + b}")
+            cert_lows.append(values.min())
+            witnessed = gaps[[names.index(name) for name in certs], :certified]
+            mismatches.append(np.abs(witnessed - values).max())
     return {
         "steps": steps,
         "samples": samples,
         "seed": seed,
-        "witness_minima": minima,
-        "ssa_certificate_min": cert_min,
-        "certificate_max_mismatch": cert_mismatch,
+        "witness_minima": dict(zip(names, np.min(lows, axis=0).tolist())),
+        "ssa_certificate_min": float(np.min(cert_lows)),
+        "certificate_max_mismatch": float(np.max(mismatches)),
         "counterexample_seed": counterexample,
     }
+
+
+def _refuse_nonfinite(kind: str, names: Sequence[str], values: np.ndarray,
+                      sample: Callable[[int], str]) -> None:
+    """Refuse a block of values (entries, samples) that holds a NaN or an
+    infinity, naming its first sample, then entry, by `sample(b)`.  A
+    Python min or max fold would drop a NaN and pass the run."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        b, e = np.argwhere(bad.T)[0]
+        raise ValueError(f"{kind} {names[e]} is {values[e, b]} at {sample(b)}")
 
 
 def _survey_draws(n_states: int, seed: int, size: int, d_sys: int,
@@ -431,10 +462,12 @@ def _survey_draws(n_states: int, seed: int, size: int, d_sys: int,
 
 
 def _survey_entries(steps: int, d_sys: int, d_env: int) -> int:
-    """Complex entries one survey sample holds at once, per channel: its
-    Haar unitary and Kraus list, then its d_sys^2 x d_sys^2 transfer matrix
-    and joint state (witnesses.bond_table keeps both)."""
-    return (steps - 1) * ((d_sys * d_env) ** 2 + 2 * d_sys ** 4)
+    """Complex entries one survey sample holds at once: per channel, its Haar
+    unitary and Kraus list, then its d_sys^2 x d_sys^2 transfer matrix and
+    working joint state; and the m(m+1)/2 joints of its m = steps - 1
+    channels, which witnesses.bond_table keeps for their one eigensolve."""
+    m = steps - 1
+    return m * ((d_sys * d_env) ** 2 + 2 * d_sys ** 4) + m * (m + 1) // 2 * d_sys ** 4
 
 
 # each sample's raw variates are drawn in turn, but the samples are built,
@@ -445,19 +478,21 @@ def _survey_entries(steps: int, d_sys: int, d_env: int) -> int:
 # 256, the peak resident memory of verify at 4, 6 and 8 steps rose from 39
 # to 41 MB), 3.5-4.3 kB for the adjoint check (256), and 17-36 B per entry
 # of the classical check's joint tables (2048 at the default 16 entries).
-# The witness survey's sample holds _survey_entries complex entries; its
-# peak per entry read 41-63 B, median 44 B, over 12 shapes: 4, 6 and 8 steps
-# at (2, 2), (2, 3) and (3, 2), 4 steps at (11, 1), 6 at (4, 2) and 8 at
-# (2, 4).  It is rounded up to 48 B, three complex entries, not to 64 B,
-# which would leave every block at 0.63-0.97 MB.  At 48 B a block holds 65
-# samples at 8 qubit steps and 45 at 8 steps with qutrit environments, and
-# every block of more than one sample peaks at 0.86-1.25 MB (the one-sample
-# block at (11, 1), 3.5 MB).
+# The witness survey's sample holds _survey_entries complex entries, most
+# of them the joints that bond_table keeps for its one eigensolve, which
+# takes a Hermitian copy of them beside; so an entry costs about two
+# complex numbers.  The peak of a whole random_markov_verify block per
+# entry read 28-37 B, median 30 B, over 11 shapes: 4, 6 and 8 steps at
+# (2, 2), (2, 3) and (3, 2), 6 at (4, 2) and 8 at (2, 4); 4 steps at
+# (11, 1), one sample a block, read 25 B.  It is rounded up to 32 B, two
+# complex entries: a block then holds 41 samples at 8 qubit steps and 35
+# at 8 steps with qutrit environments, and every block of more than one
+# sample peaks at 0.78-1.15 MB (the one-sample block at (11, 1), 4.2 MB).
 BLOCK_BYTES = 2 ** 20
 MI_SAMPLE_BYTES = 2 ** 14
 ADJOINT_SAMPLE_BYTES = 2 ** 12
 CLASSICAL_ENTRY_BYTES = 32
-SURVEY_ENTRY_BYTES = 48
+SURVEY_ENTRY_BYTES = 32
 
 # the checks draw environments of 2 to MAX_KRAUS levels; the MI check zero-pads
 # every Kraus list to MAX_KRAUS operators (zero operators leave a channel
@@ -492,23 +527,31 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
     rng = np.random.default_rng(seed)
     id_dev = 0.0
     unital_dev = 0.0
+    start = 0
     for size in _blocks(samples, ADJOINT_SAMPLE_BYTES):
-        # the Gaussians of random_channel(d, d, d_env) per sample, grouped by (d, d_env)
-        draws: dict[tuple[int, int], list[np.ndarray]] = {}
-        for _ in range(size):
+        # the Gaussians of random_channel(d, d, d_env) per sample, grouped by
+        # (d, d_env), each with its sample's number
+        draws: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+        for i in range(start, start + size):
             d = int(rng.integers(2, 4))
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            draws.setdefault((d, d_env), []).append(ginibre(rng, (d * d_env, d * d_env)))
-        for (d, _), gaussians in draws.items():
+            draws.setdefault((d, d_env), []).append((i, ginibre(rng, (d * d_env, d * d_env))))
+        start += size
+        for (d, _), drawn in draws.items():
+            where, gaussians = zip(*drawn)
             kraus = dilation_kraus(haar_unitaries(np.stack(gaussians)), d, d)
             # adjoint_channel's operators: the transposed Kraus operators
             adj = kraus.swapaxes(-1, -2)
             pair = maximally_entangled(d).density().mat
             left = apply_kraus(pair, (d, d), kraus, 0)
             right = apply_kraus(pair, (d, d), adj, 1)
-            id_dev = max(id_dev, float(np.abs(left - right).max()))
             one = np.einsum("bkij,bklj->bil", adj, adj.conj())
-            unital_dev = max(unital_dev, float(np.abs(one - np.eye(d)).max()))
+            devs = np.stack([np.abs(left - right).max(axis=(-2, -1)),
+                             np.abs(one - np.eye(d)).max(axis=(-2, -1))])
+            _refuse_nonfinite("adjoint check", ("identity_deviation", "unitality_deviation"),
+                              devs, lambda b: f"sample {where[b]} of seed {seed}")
+            id_dev = max(id_dev, float(devs[0].max()))
+            unital_dev = max(unital_dev, float(devs[1].max()))
     return {"identity_max_deviation": id_dev, "unitality_max_deviation": unital_dev}
 
 
@@ -532,6 +575,7 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     x2 = np.empty((sizes[0], 2 * 4 * 4))
     x_env = {d_env: np.empty((sizes[0], 2 * (2 * d_env) ** 2))
              for d_env in range(2, MAX_KRAUS + 1)}
+    start = 0
     for size in sizes:
         # the Gaussians of random_density(8), then of random_channel(2, 2, d_env)
         # and random_density(4), per sample, drawn in place: the channel ones
@@ -564,6 +608,10 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
         cmi = h_ac + h_bc - h_abc - h_c
         cqmi = (h_bc - h_abc) - (h_bc_out - h_abc_out)
         mi = (h_b - h_ab) - (h_b_out - h_ab_out)
+        _refuse_nonfinite("MI check", ("cqmi_monotonicity", "mi_monotonicity", "cmi"),
+                          np.stack([cqmi, mi, cmi]),
+                          lambda b: f"sample {start + b} of seed {seed}")
+        start += size
         cqmi_min = min(cqmi_min, float(cqmi.min()))
         cmi_min = min(cmi_min, float(cmi.min()))
         mi_min = min(mi_min, float(mi.min()))
@@ -589,6 +637,7 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
+    start = 0
     for size in _blocks(samples, CLASSICAL_ENTRY_BYTES * dim ** (2 * n_pairs)):
         # the exponential variates of random_chain per sample, in one call
         probs = joints_from_chains(*dirichlet_chains(*chain_variates(rng, 2 * n_pairs, dim,
@@ -596,5 +645,8 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
         # I(X_r : X_s) of every joint in the block, axes as in classical.cmmi_gap
         h = partial(shannon_entropies, probs)
         gaps = monogamy_gap(lambda r, s: h((r - 1,)) + h((s - 1,)) - h((r - 1, s - 1)), perm)
+        _refuse_nonfinite("classical check", ("classical_cmmi",), gaps[None],
+                          lambda b: f"sample {start + b} of seed {seed}")
+        start += size
         worst = min(worst, float(gaps.min()))
     return {"classical_cmmi_min": worst}

@@ -102,7 +102,13 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
     Returns the entropies with the stack's leading shape.
     """
     m = np.asarray(mats)
-    return spectrum_entropy(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0))
+    # the Hermitian part (m + m^dagger) / 2, formed in one array beside m
+    # (a second would raise the peak memory of the bond table's one stack
+    # of joints), in C order (eigvalsh is slower on a transposed layout)
+    h = np.conjugate(m.swapaxes(-1, -2), order="C", dtype=np.result_type(m, 1.0))
+    h += m
+    h /= 2.0
+    return spectrum_entropy(np.linalg.eigvalsh(h))
 
 
 def _von_neumann_stacks(*stacks: np.ndarray) -> list[np.ndarray]:

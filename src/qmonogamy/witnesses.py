@@ -41,15 +41,21 @@ circuit built, and it is the only chain-entropy oracle of the package.
 Each channel acts through its transfer matrix sum_k K_k (x) conj(K_k)
 (linalg.transfer_matrix), built once: on vec(rho_j) for the next state,
 and on the joints of every r <= j at once, which are kept in the layout
-it acts on (rows (S, S'), columns (R, R')) and moved to (R S, R' S')
-only for their one stacked eigensolve per channel.  A MarkovChainProcess
-caches the table of itself (a stack of one), and the table's two readers,
-BondTable.coherent_info and BondTable.certificate, serve both the
-one-process functions (qdpi_witnesses, m4_witness, ...,
-m8_ssa_certificates) and the survey (survey_witnesses and
-survey_certificates, which experiments.random_markov_verify calls).
-Each witness formula is written once, over a function that gives
-Ic(r:s), so the two share it too.
+it acts on (rows (S, S'), columns (R, R')).  Each channel's joints are
+kept, moved to (R S, R' S'), and all of them take one stacked eigensolve.
+A MarkovChainProcess caches the table of itself (a stack of one).
+
+A named family of witnesses or certificates is read from a table in one
+fancy-index gather (_gathers, built once per state count): its index
+tables come from _DP_PAIRS, from MONOGAMY through monogamy_gap's pairing
+and from uncrossing's swaps, so each pairing keeps one definition, and
+the gathered sums run in the order of the one-quantity forms, so their
+values are bit for bit those of monogamy_gap over BondTable.coherent_info
+and of BondTable.certificate.  The same gathers serve the one-process
+functions (qdpi_witnesses, m4_witness, ..., m8_ssa_certificates) and the
+survey (survey_witnesses and survey_certificates, which
+experiments.random_markov_verify calls).  monogamy_gap stays the generic
+form for any two-time quantity and any permutation.
 
 Two independent references stay for the tests: purified_circuit_state
 builds the circuit (within MAX_AMPLITUDES) and reads the same entropies
@@ -63,7 +69,7 @@ entries below -GAP_TOLERANCE (tolerances.py) as violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -187,18 +193,12 @@ def qdpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     All four are nonnegative for every process.
     """
     _require_states(p, 4, "qdpi_witnesses")
-    return WitnessReport(_dp_gaps(p.coherent_info))
+    return WitnessReport(_read(_gaps, _gathers(4).dp, p.table))
 
 
-def _dp_gaps(ic: Callable[[int, int], float]) -> dict[str, float]:
-    i12, i13, i14 = ic(1, 2), ic(1, 3), ic(1, 4)
-    i23, i24 = ic(2, 3), ic(2, 4)
-    return {
-        "DP1": i12 - i13,
-        "DP2": i12 - i14,
-        "DP3": i13 - i14,
-        "DP4": i23 - i24,
-    }
+# each data-processing gap is Ic(a) - Ic(b) for its pairs a, b
+_DP_PAIRS = {"DP1": ((1, 2), (1, 3)), "DP2": ((1, 2), (1, 4)),
+             "DP3": ((1, 3), (1, 4)), "DP4": ((2, 3), (2, 4))}
 
 
 def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
@@ -256,6 +256,15 @@ def _permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(int, perm))
 
 
+def _pairing(perm: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The nested pairs (r, 2n+1-r) and the crossed pairs (r, n+perm[n-r])
+    of monogamy_gap, r ascending."""
+    perm = _permutation(perm)
+    n = len(perm)
+    return ([(r, 2 * n + 1 - r) for r in range(1, n + 1)],
+            [(r, n + perm[n - r]) for r in range(1, n + 1)])
+
+
 def monogamy_gap(quantity: Callable[[int, int], float], perm: tuple[int, ...]) -> float:
     """Permutation gap of a two-time quantity q(r, s), r < s, over states
     1..2n, n = len(perm); q may give floats or arrays over a stack.
@@ -266,10 +275,8 @@ def monogamy_gap(quantity: Callable[[int, int], float], perm: tuple[int, ...]) -
     sums taken over the pairs (r, s) with r ascending.  For a process p,
     monogamy_certificate(p, perm) equals monogamy_gap(p.coherent_info, perm).
     """
-    perm = _permutation(perm)
-    n = len(perm)
-    nested = sum(quantity(r, 2 * n + 1 - r) for r in range(1, n + 1))
-    return nested - sum(quantity(r, n + perm[n - r]) for r in range(1, n + 1))
+    nested, crossed = _pairing(perm)
+    return sum(quantity(r, s) for r, s in nested) - sum(quantity(r, s) for r, s in crossed)
 
 
 def uncrossing(perm: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -303,21 +310,20 @@ def monogamy_certificate(p: MarkovChainProcess, perm: tuple[int, ...]) -> float:
 
 def m4_witness(p: MarkovChainProcess) -> float:
     """Four-state monogamy gap Ic(1:4) + Ic(2:3) - Ic(1:3) - Ic(2:4) >= 0."""
-    return monogamy_gap(p.coherent_info, MONOGAMY[4]["M4"])
+    _require_states(p, 4, "m4_witness")
+    return _read(_gaps, _gathers(4).monogamy, p.table)["M4"]
 
 
 def m6_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The six-state monogamy gaps M6a, M6b of MONOGAMY."""
-    return WitnessReport(_monogamy_gaps(p.coherent_info, 6))
+    _require_states(p, 6, "m6_witnesses")
+    return WitnessReport(_read(_gaps, _gathers(6).monogamy, p.table))
 
 
 def m8_witnesses(p: MarkovChainProcess) -> WitnessReport:
     """The eight-state monogamy gaps M8a..M8g of MONOGAMY."""
-    return WitnessReport(_monogamy_gaps(p.coherent_info, 8))
-
-
-def _monogamy_gaps(ic: Callable[[int, int], float], n_states: int) -> dict[str, float]:
-    return {name: monogamy_gap(ic, f) for name, f in MONOGAMY[n_states].items()}
+    _require_states(p, 8, "m8_witnesses")
+    return WitnessReport(_read(_gaps, _gathers(8).monogamy, p.table))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +334,13 @@ class BondTable(NamedTuple):
     """The chain entropies of a stack of processes on one d-dimensional
     system: prefix[s] = H(rho_s) = H(R, E_1..E_{s-1}) and
     interval[r, s] = H(E_r..E_{s-1}) of the purified circuit, each an array
-    over the stack.  States are numbered from 1 (row 0 is unused), and
-    interval[r, r] = 0.
+    over the stack.  States are numbered from 1, and interval[r, r] = 0.
+    Row 0 of both is unused and zero, so that a gather reads an exact 0.0
+    at index 0 (_Gather).
 
-    Every chain witness and certificate is read from the table by its two
-    methods, for one process or a stack alike."""
+    Every chain witness and certificate is read from the table, for one
+    process or a stack alike: coherent_info and certificate take one
+    quantity, and the named families are one gather each (_gathers)."""
 
     prefix: np.ndarray
     interval: np.ndarray
@@ -342,7 +350,8 @@ class BondTable(NamedTuple):
         return self.prefix[s] - self.interval[r, s]
 
     def certificate(self, perm: tuple[int, ...]) -> np.ndarray:
-        """The monogamy certificate of perm over states 1..2n, n = len(perm).
+        """The monogamy certificate of perm over states 1..2n, n = len(perm),
+        an array of the stack's shape (zeros when perm needs no swap).
 
         With H[i, j] = H(E_{n+1-i}..E_{n+j-1}) = interval[n+1-i, n+j], the
         gap is sum_i H[i, perm(i)] - sum_i H[i, i]: the H(R, E_1..E_{s-1})
@@ -351,14 +360,101 @@ class BondTable(NamedTuple):
         = I(E_{n+1-k}..E_{n-i} : E_{n+i}..E_{n+j-1} | E_{n+1-i}..E_{n+i-1}),
         which strong subadditivity keeps nonnegative for every state.
         """
+        return _certificates(self, _certificate_gather({"": perm}))[0]
+
+
+class _Gather(NamedTuple):
+    """Named entries of a BondTable as one fancy-index gather, index arrays
+    `rows` and `cols` into the table.
+
+    A gap gather has index shape (entries, 2, terms): entry e is the sum of
+    Ic(rows, cols) over its terms [e, 0] minus that over [e, 1].  A
+    certificate gather has shape (entries, terms, 4): each term is the CMI
+    H[0] + H[1] - H[2] - H[3] of interval[rows, cols], and entry e the sum
+    of its terms.  Sums run left to right over the terms, in the order the
+    one-quantity forms (monogamy_gap, BondTable.certificate) add them, so
+    the values are theirs bit for bit.  Index 0 reads an exact 0.0: a
+    leading (0, 0) term starts each sum as Python's sum does, and pads
+    the entries with fewer swaps in front.
+    """
+
+    names: tuple[str, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+class _Gathers(NamedTuple):
+    """The gathers of the named witnesses of n_states-state processes:
+    the data-processing gaps (at four states), the MONOGAMY gaps and their
+    certificates."""
+
+    dp: _Gather | None
+    monogamy: _Gather
+    certificates: _Gather
+
+
+def _gap_gather(gaps: dict[str, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+                ) -> _Gather:
+    """The gather of gaps given as (pairs added, pairs subtracted), every
+    list of one length."""
+    index = np.array([[added, subtracted] for added, subtracted in gaps.values()])
+    return _Gather(tuple(gaps), index[..., 0], index[..., 1])
+
+
+def _certificate_gather(perms: dict[str, tuple[int, ...]]) -> _Gather:
+    """The gather of the monogamy certificates of the named permutations,
+    the terms of each one swap of uncrossing (BondTable.certificate)."""
+    swaps = {name: uncrossing(perm) for name, perm in perms.items()}
+    width = 1 + max(map(len, swaps.values()))
+    index = []
+    for name, perm in perms.items():
         n = len(perm)
+        # H[k, i], H[i, j], H[k, j], H[i, i] as (row, column) of interval
+        terms = [[(n + 1 - k, n + i), (n + 1 - i, n + j), (n + 1 - k, n + j),
+                  (n + 1 - i, n + i)] for k, i, j in swaps[name]]
+        index.append([[(0, 0)] * 4] * (width - len(terms)) + terms)
+    index = np.array(index, dtype=int)
+    return _Gather(tuple(perms), index[..., 0], index[..., 1])
 
-        def h(i: int, j: int) -> np.ndarray:
-            return self.interval[n + 1 - i, n + j]
 
-        # each term is I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)
-        return sum((h(k, i) + h(i, j) - h(k, j) - h(i, i) for k, i, j in uncrossing(perm)),
-                   0.0)
+@cache
+def _gathers(n_states: int) -> _Gathers:
+    """The gathers at n_states, built once from _DP_PAIRS, MONOGAMY through
+    monogamy_gap's pairing, and uncrossing."""
+    dp = (_gap_gather({name: ([a], [b]) for name, (a, b) in _DP_PAIRS.items()})
+          if n_states == 4 else None)
+    monogamy = {}
+    for name, perm in MONOGAMY[n_states].items():
+        nested, crossed = _pairing(perm)
+        monogamy[name] = ([(0, 0)] + nested, [(0, 0)] + crossed)
+    return _Gathers(dp, _gap_gather(monogamy),
+                    _certificate_gather(MONOGAMY[n_states]))
+
+
+def _gaps(table: BondTable, gather: _Gather) -> np.ndarray:
+    """The gaps of a gap gather, shape (entries, *stack)."""
+    ic = table.prefix[gather.cols] - table.interval[gather.rows, gather.cols]
+    sides = ic[:, :, 0]
+    for t in range(1, ic.shape[2]):
+        sides = sides + ic[:, :, t]
+    return sides[:, 0] - sides[:, 1]
+
+
+def _certificates(table: BondTable, gather: _Gather) -> np.ndarray:
+    """The certificates of a certificate gather, shape (entries, *stack)."""
+    h = table.interval[gather.rows, gather.cols]
+    # each term is I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+    terms = h[:, :, 0] + h[:, :, 1] - h[:, :, 2] - h[:, :, 3]
+    total = terms[:, 0]
+    for t in range(1, terms.shape[1]):
+        total = total + terms[:, t]
+    return total
+
+
+def _read(read: Callable[[BondTable, _Gather], np.ndarray], gather: _Gather,
+          table: BondTable) -> dict[str, float]:
+    """The entries of a gather on the table of one process, as floats."""
+    return dict(zip(gather.names, read(table, gather).tolist()))
 
 
 def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
@@ -377,8 +473,11 @@ def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
     vec(rho_{j+1}) = T_j vec(rho_j).  The purifications of every rho_r are
     one stacked purify, and their joints are kept in the layout T_j acts
     on, rows (S, S') and columns (R, R'), so channel j acts on the joints
-    of every r <= j in one batched matmul.  They are moved to (R S, R' S')
-    only for their one stacked eigensolve per channel.
+    of every r <= j in one batched matmul.  Each channel's joints are kept,
+    m(m+1)/2 of them for m channels, and moved to (R S, R' S') for one
+    stacked eigensolve of them all, whose entropies are scattered into
+    `interval`: three eigensolves for the table (states, purifications,
+    joints) at any number of channels.
     """
     n, d = initial.shape[0], initial.shape[-1]
     m = len(kraus)
@@ -394,44 +493,66 @@ def bond_table(initial: np.ndarray, kraus: Sequence[np.ndarray]) -> BondTable:
     psi = purify(DensityMatrix(rho[:, :m], (d,))).vec.reshape(n, m, d, d).swapaxes(-1, -2)
     joint = psi[..., :, None, :, None] * psi[..., None, :, None, :].conj()
     joint = joint.reshape(n, m, d * d, d * d)
-    interval = np.zeros((m + 2, m + 2, n))
+    # channel j's joints, of r = 1..j, are kept at kept[:, j(j-1)/2 + r - 1],
+    # moved to (R S, R' S') as they are written; they give interval[r, j + 1]
+    kept = np.empty((n, m * (m + 1) // 2, d * d, d * d), dtype=joint.dtype)
+    kept_rs = kept.reshape(n, -1, d, d, d, d)
     for j, t in enumerate(transfer, 1):
         # channel j carries rho_j to rho_{j+1}; it acts on the joints of r <= j
         joint[:, :j] = t[:, None] @ joint[:, :j]
         # (S, S', R, R') -> (R, S, R', S')
-        mats = joint[:, :j].reshape(n, j, d, d, d, d).transpose(0, 1, 4, 2, 5, 3)
-        interval[1:j + 1, j + 1] = von_neumann_stack(mats.reshape(n, j, d * d, d * d)).T
+        kept_rs[:, j * (j - 1) // 2:j * (j + 1) // 2] = joint[:, :j].reshape(
+            n, j, d, d, d, d).transpose(0, 1, 4, 2, 5, 3)
+    interval = np.zeros((m + 2, m + 2, n))
+    interval[_kept_pairs(m)] = von_neumann_stack(kept).T
     return BondTable(prefix, interval)
+
+
+@cache
+def _kept_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (r, s) of interval that bond_table's kept joints give, in their
+    order: (r, j + 1) for r = 1..j, j = 1..m."""
+    # s - 1 = 1..m and, for each, r - 1 = 0..s - 2
+    s, r = np.tril_indices(m + 1, -1)
+    return r + 1, s + 1
 
 
 def m4_ssa_certificate(p: MarkovChainProcess) -> float:
     """I(E1:E3|E2) of the purified circuit, read from the BondTable; equals
     the M4 gap."""
-    return monogamy_certificate(p, MONOGAMY[4]["M4"])
+    _require_states(p, 4, "m4_ssa_certificate")
+    return _read(_certificates, _gathers(4).certificates, p.table)["M4"]
 
 
 def m6_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     """monogamy_certificate of each M6 entry; equals m6_witnesses entry for entry."""
-    return {name: monogamy_certificate(p, f) for name, f in MONOGAMY[6].items()}
+    _require_states(p, 6, "m6_ssa_certificates")
+    return _read(_certificates, _gathers(6).certificates, p.table)
 
 
 def m8_ssa_certificates(p: MarkovChainProcess) -> dict[str, float]:
     """monogamy_certificate of each M8 entry; equals m8_witnesses entry for entry."""
-    return {name: monogamy_certificate(p, f) for name, f in MONOGAMY[8].items()}
+    _require_states(p, 8, "m8_ssa_certificates")
+    return _read(_certificates, _gathers(8).certificates, p.table)
 
 
 def survey_witnesses(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
     """The witnesses verify surveys on n_states-state processes, read from
     their BondTable (arrays over the stack): DP1..DP4 and M4 at 4 states,
-    the MONOGAMY gaps at 6 and 8."""
-    entries = _dp_gaps(table.coherent_info) if n_states == 4 else {}
-    return entries | _monogamy_gaps(table.coherent_info, n_states)
+    the MONOGAMY gaps at 6 and 8.  Each family is one gather (_gathers),
+    so the number of calls does not grow with the number of entries or
+    states."""
+    gathers = _gathers(n_states)
+    families = [g for g in (gathers.dp, gathers.monogamy) if g is not None]
+    gaps = np.concatenate([_gaps(table, g) for g in families])
+    return dict(zip([name for g in families for name in g.names], gaps))
 
 
 def survey_certificates(table: BondTable, n_states: int) -> dict[str, np.ndarray]:
     """monogamy_certificate of each MONOGAMY entry at n_states, read from a
-    BondTable as survey_witnesses."""
-    return {name: table.certificate(f) for name, f in MONOGAMY[n_states].items()}
+    BondTable as survey_witnesses, in one gather."""
+    gather = _gathers(n_states).certificates
+    return dict(zip(gather.names, _certificates(table, gather)))
 
 
 # ---------------------------------------------------------------------------

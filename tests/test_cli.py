@@ -5,9 +5,10 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from qmonogamy import nonmarkov_witness_row, random_markov_verify
+from qmonogamy import experiments, nonmarkov_witness_row, random_markov_verify
 from qmonogamy.cli import build_parser, main
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2}$")
@@ -166,6 +167,22 @@ def test_verify_flags_a_violation(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert doc["counterexample_seed"] == 123
+
+
+def test_verify_exits_2_when_a_witness_is_nan(capsys, monkeypatch):
+    # a min fold would drop the NaN (min(inf, nan) is inf) and pass the run
+    real = experiments.survey_witnesses
+
+    def poisoned(table, steps):
+        values = {k: np.array(v) for k, v in real(table, steps).items()}
+        values["M4"][0] = np.nan
+        return values
+
+    monkeypatch.setattr(experiments, "survey_witnesses", poisoned)
+    assert main(["verify", "--steps", "4", "--samples", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness M4 is nan at sample seed 0\n"
 
 
 def test_verify_refuses_a_negative_seed_by_name(capsys):

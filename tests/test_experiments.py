@@ -7,6 +7,7 @@ layer of the stack shows up as a mismatch here.
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -698,6 +699,96 @@ def test_survey_reports_the_first_failing_sample(monkeypatch):
     assert report["witness_minima"]["DP3"] == -2e-9
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("steps", [4, 6, 8])
+def test_survey_reports_do_not_depend_on_the_block_size(monkeypatch, steps, dims):
+    # every report number is an array reduction over exact per-sample values,
+    # so blocks of 1, of 7 and the default block give the same bytes
+    def report():
+        return json.dumps(random_markov_verify(steps, 15, dims=dims, seed=8,
+                                               certificate_samples=10))
+
+    default = report()
+    for block in (1, 7):
+        _survey_blocks_of(monkeypatch, block, steps, dims)
+        assert report() == default, block
+
+
+def _poisoned(monkeypatch, name, planted):
+    """Replace experiments.<name> (survey_witnesses or survey_certificates) by
+    one that sets entry `entry` of sample `i` (counted over the whole survey)
+    to NaN, for each (entry, i) in planted."""
+    real, start = getattr(experiments, name), [0]
+
+    def poisoning(table, steps):
+        values = {k: np.array(v) for k, v in real(table, steps).items()}
+        size = table.prefix.shape[-1]
+        for entry, i in planted:
+            if start[0] <= i < start[0] + size:
+                values[entry][i - start[0]] = np.nan
+        start[0] += size
+        return values
+
+    monkeypatch.setattr(experiments, name, poisoning)
+
+
+@pytest.mark.parametrize("name,kind", [("survey_witnesses", "witness"),
+                                       ("survey_certificates", "certificate")])
+def test_a_nan_in_the_survey_is_refused_by_entry_and_sample_seed(monkeypatch, name, kind):
+    # blocks of 4; the NaNs sit in the second block, and the earlier sample
+    # is named even though its entry comes later
+    _survey_blocks_of(monkeypatch, 4, steps=6)
+    _poisoned(monkeypatch, name, [("M6a", 7), ("M6b", 6)])
+    with pytest.raises(ValueError, match=f"^{kind} M6b is nan at sample seed 106$"):
+        random_markov_verify(6, 10, seed=100)
+
+
+def test_a_nan_past_the_certified_samples_is_not_read(monkeypatch):
+    # certificates are read for the first certificate_samples samples only
+    for certified in (5, 6):
+        monkeypatch.undo()
+        _survey_blocks_of(monkeypatch, 4, steps=4)
+        _poisoned(monkeypatch, "survey_certificates", [("M4", 5)])
+        if certified == 5:
+            report = random_markov_verify(4, 8, seed=3, certificate_samples=certified)
+            assert report["ssa_certificate_min"] >= 0.0
+        else:
+            with pytest.raises(ValueError, match="^certificate M4 is nan at sample seed 8$"):
+                random_markov_verify(4, 8, seed=3, certificate_samples=certified)
+
+
+def test_a_nan_in_a_side_check_is_refused_by_entry_and_sample(monkeypatch):
+    # the MI check's second block (samples 64..99): a NaN H(A, C) of sample 69
+    # reaches the conditional mutual information alone
+    real, blocks = experiments._von_neumann_stacks, []
+
+    def poisoning(*stacks):
+        h = real(*stacks)
+        blocks.append(len(h[0]))
+        if len(blocks) == 2:
+            h[0][5] = np.nan
+        return h
+
+    monkeypatch.setattr(experiments, "_von_neumann_stacks", poisoning)
+    with pytest.raises(ValueError, match="^MI check cmi is nan at sample 69 of seed 4$"):
+        mi_monotonicity_check(samples=100, seed=4)
+    assert blocks == [64, 36]
+
+
+def test_a_nan_in_the_classical_check_is_refused_by_sample(monkeypatch):
+    real = experiments.monogamy_gap
+
+    def poisoning(quantity, perm):
+        gaps = real(quantity, perm)
+        gaps[2] = np.nan
+        return gaps
+
+    monkeypatch.setattr(experiments, "monogamy_gap", poisoning)
+    with pytest.raises(ValueError,
+                       match="^classical check classical_cmmi is nan at sample 2 of seed 0$"):
+        classical_cmmi_check(samples=10)
+
+
 def test_survey_eigensolves_do_not_grow_with_the_sample_count(monkeypatch):
     # one stacked eigensolve per channel for a whole block: 10 and 40
     # samples of 8 qubit steps are each one block
@@ -716,8 +807,9 @@ def test_survey_eigensolves_do_not_grow_with_the_sample_count(monkeypatch):
 def test_the_survey_builds_no_register(monkeypatch):
     """Every survey entropy goes through the system bond: no purified
     circuit, no register marginal, no eigensolve larger than d_sys^2, and
-    as many eigensolves for 40 samples or qutrit environments as for 10
-    samples with qubit ones."""
+    four eigensolves per block at every step count and environment: the
+    initial states' spectra, the states' entropies, their purifications
+    and the joints of every channel at once."""
     def refuse(*args, **kwargs):
         raise AssertionError("the survey built a register")
 
@@ -732,13 +824,14 @@ def test_the_survey_builds_no_register(monkeypatch):
     assert report["counterexample_seed"] is None
     assert min(report["witness_minima"].values()) >= -1e-9
     assert sides and max(sides) <= 4
-    counts = set()
-    for samples, d_env in [(10, 2), (40, 2), (10, 3), (40, 3)]:
-        sides.clear()
-        random_markov_verify(8, samples, dims=(2, d_env))
-        counts.add(len(sides))
-        assert max(sides) <= 4
-    assert len(counts) == 1
+    for steps in (4, 6, 8):
+        for d_env in (2, 3):
+            # blocks of 5 samples, so 12 samples are three blocks
+            _survey_blocks_of(monkeypatch, 5, steps, (2, d_env))
+            sides.clear()
+            random_markov_verify(steps, 12, dims=(2, d_env))
+            assert len(sides) == 3 * 4, (steps, d_env)
+            assert max(sides) <= 4
     sides.clear()
     random_markov_verify(8, 3, dims=(3, 2))
     assert max(sides) == 9
