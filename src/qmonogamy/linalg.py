@@ -10,6 +10,14 @@ apply_two_site takes stacks of state vectors and of unitaries, whose
 batch axes broadcast (broadcast_batch names the two shapes when they do
 not).
 
+Register operators act on flat state vectors through one kernel,
+_apply_registers, which apply_two_site and states.PureState.apply share.
+Registers that are adjacent and in order are a contiguous block (before,
+d_in, after) of the flat vector, and the operator acts on that block in
+place: one reshape and one batched matmul, no axis moved.  Registers out
+of order or apart take one transpose into a block, and one back when they
+keep their places.
+
 Subsystem ordering convention: the leftmost tensor factor is the most
 significant in the computational-basis index (big-endian).  A basis ket
 |1,0,0> of three qubits is therefore the flat index 4 of an 8-dimensional
@@ -188,6 +196,10 @@ def broadcast_batch(state: tuple[int, ...], op: tuple[int, ...]) -> tuple[int, .
     """The batch shape of an operation on a state stack with batch shape
     `state` by an operator stack with batch shape `op` (numpy broadcasting);
     shapes that do not broadcast are refused with both named."""
+    if not op or state == op:
+        return state
+    if not state:
+        return op
     try:
         return np.broadcast_shapes(state, op)
     except ValueError:
@@ -203,19 +215,59 @@ def apply_two_site(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
     is returned flat with the original subsystem layout.  `vec` may be a
     stack (..., D) and `u` a stack (..., d, d); their batch axes broadcast,
     so one call runs a whole stack of circuits.  This is the only gate
-    primitive circuit simulations need.
+    primitive circuit simulations need.  An adjacent pair in order (b =
+    a + 1) is a contiguous block of the flat vector, which `u` acts on in
+    place: one reshape and one batched matmul (_apply_registers).  Any
+    other pair is transposed into such a block and back.
     """
-    a, b = sites
-    dims = tuple(int(d) for d in dims)
-    vec = np.asarray(vec, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    batch = broadcast_batch(vec.shape[:-1], u.shape[:-2])
-    n, nb = len(dims), vec.ndim - 1
-    # the pair's axes go in front of the rest, as the rows u acts on
-    t = np.moveaxis(vec.reshape(vec.shape[:-1] + dims), (nb + a, nb + b), (nb, nb + 1))
-    t = u @ t.reshape(vec.shape[:-1] + (dims[a] * dims[b], -1))
-    rest = tuple(dims[i] for i in range(n) if i not in (a, b))
-    t = t.reshape(batch + (dims[a], dims[b]) + rest)
-    nb = len(batch)
-    t = np.moveaxis(t, (nb, nb + 1), (nb + a, nb + b))
+    return _apply_registers(np.asarray(vec, dtype=complex), tuple(map(int, dims)),
+                            np.asarray(u, dtype=complex), tuple(sites), in_place=True)
+
+
+def _apply_registers(vec: np.ndarray, dims: tuple[int, ...], op: np.ndarray,
+                     axes: tuple[int, ...] | list[int], in_place: bool) -> np.ndarray:
+    """op (..., d_out, d_in) on the distinct registers `axes` of the flat
+    complex state stack `vec` (..., D) over `dims`, taken in the order
+    given; the two batches broadcast.  The one register kernel:
+    apply_two_site and PureState.apply both act through it.
+
+    The `axes` registers are gathered into one block at the place of the
+    first of them (the lowest index), so that the vector reads (before,
+    d_in, after) and op acts on its middle axis in one batched matmul.
+    Registers that already form that block, adjacent and in order, are not
+    moved: the only copies are the matmul's output and, for a block at the
+    end, its transpose (_block_matmul).  Others take one transpose into the
+    block.  The result holds op's output in the
+    block's place; with `in_place` (op maps the registers to themselves)
+    one more transpose puts moved registers back in their own places.
+    """
+    nb = vec.ndim - 1
+    batch = broadcast_batch(vec.shape[:-1], op.shape[:-2])
+    p, k = min(axes), len(axes)
+    order = [*range(p), *axes, *(i for i in range(p, len(dims)) if i not in axes)]
+    moved = order[p:p + k] != list(range(p, p + k))
+    if moved:
+        vec = vec.reshape(vec.shape[:-1] + dims).transpose(
+            [*range(nb), *(nb + i for i in order)])
+    shape = [dims[i] for i in order]
+    t = _block_matmul(vec.reshape(vec.shape[:nb] + (math.prod(shape[:p]),
+                                                    math.prod(shape[p:p + k]),
+                                                    math.prod(shape[p + k:]))), op)
+    if moved and in_place:
+        nb = len(batch)
+        t = t.reshape(batch + tuple(shape)).transpose(
+            [*range(nb), *(nb + order.index(i) for i in range(len(dims)))])
     return t.reshape(batch + (-1,))
+
+
+def _block_matmul(t: np.ndarray, op: np.ndarray) -> np.ndarray:
+    # op (..., d_out, d_in) on the middle axis of t (..., before, d_in, after),
+    # (..., before, d_out, after) out, in one batched matmul.  A block at the
+    # end (after = 1) is the matrix t[..., 0] (before, d_in); op then acts on
+    # its transpose, a view: one BLAS matrix product per state, not one
+    # matrix-vector product per row, and the same product, bit for bit, as
+    # on the registers moved in front of the rest.  Its (d_out, before)
+    # result is transposed back as the caller reshapes it
+    if t.shape[-1] == 1:
+        return (op @ t[..., 0].swapaxes(-1, -2)).swapaxes(-1, -2)[..., None]
+    return op[..., None, :, :] @ t

@@ -17,7 +17,13 @@ one circuit simulator: unitaries and isometries are applied to named
 registers, fresh pure states are spliced in next to them, and entropies
 of named registers come straight from the vector.  Every purified
 circuit, process tensor and intervened state is built this way, and
-MAX_AMPLITUDES bounds all of them.
+MAX_AMPLITUDES bounds all of them.  Registers that are adjacent and in
+order are one contiguous block (before, d, after) of the flat vector: an
+operator acts on them in place, as one reshape and one batched matmul
+(linalg._apply_registers; two registers go through apply_two_site), and
+a splice is one broadcast product.  Every register operation on the
+package's hot paths is of that kind; registers out of order or apart
+take one transpose into a block first.
 
 A PureState's vector may carry leading batch axes, `vec` of shape
 (..., D): a stack of states on one register layout.  `apply` and
@@ -33,13 +39,13 @@ every matrix of it in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import (apply_two_site, broadcast_batch, hermitian_eig, partial_trace,
-                     require_finite)
+from .linalg import (_apply_registers, apply_two_site, broadcast_batch, hermitian_eig,
+                     partial_trace, require_finite)
 from .tolerances import ENTROPY_CLIP, INVARIANT_TOL
 
 __all__ = [
@@ -180,6 +186,8 @@ class PureState:
                 if self.labels is None or r not in self.labels:
                     raise ValueError(f"no register labelled {r!r} in {self.labels}")
                 axes.append(self.labels.index(r))
+            elif isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+                raise ValueError(f"register {r!r} is neither a label nor an integer position")
             elif 0 <= r < len(self.dims):
                 axes.append(int(r))
             else:
@@ -243,54 +251,65 @@ class PureState:
         dimensions and places (two registers go through `apply_two_site`).
         With `out`, a mapping of output labels to dimensions in `op`'s
         output order, the output registers replace the `on` registers at
-        the place of the first of them.  A result whose states exceed
-        MAX_AMPLITUDES is refused before it is built, here and in `splice`.
+        the place of the first of them.  Registers that are adjacent and in
+        order act in place, as one reshape and one batched matmul; others
+        are transposed into such a block first (linalg._apply_registers).
+        An `op` whose input or output dimension does not match the
+        registers, and a register named twice, are refused.  A result whose
+        states exceed MAX_AMPLITUDES is refused before it is built, here
+        and in `splice`.
         """
         axes = self._axes(on)
-        if out is None and len(axes) == 2:
-            return replace(self, vec=apply_two_site(self.vec, self.dims, op, tuple(axes)))
+        if len(set(axes)) != len(axes):
+            raise ValueError(f"registers {tuple(on)} name a register twice")
         op = np.asarray(op, dtype=complex)
-        batch = broadcast_batch(self.batch, op.shape[:-2])
-        rest = [i for i in range(len(self.dims)) if i not in axes]
+        d_in = math.prod([self.dims[a] for a in axes])
+        if op.ndim < 2 or op.shape[-1] != d_in:
+            raise ValueError(f"operator of shape {op.shape} does not act on registers "
+                             f"{tuple(on)} of dimension {d_in}")
         if out is None:
-            new_dims, dest, labels = tuple(self.dims[a] for a in axes), axes, self.labels
+            new_dims = tuple([self.dims[a] for a in axes])
+        elif self.labels is None:
+            raise ValueError("output registers need a labelled state")
         else:
-            if self.labels is None:
-                raise ValueError("output registers need a labelled state")
-            p = min(axes)
-            new_dims, dest = tuple(out.values()), list(range(p, p + len(out)))
-            kept = [self.labels[i] for i in rest]
-            labels = tuple(kept[:p]) + tuple(out) + tuple(kept[p:])
-        rest_dims = tuple(self.dims[i] for i in rest)
-        _check_budget(math.prod(new_dims) * math.prod(rest_dims))
-        nb = len(self.batch)
-        t = np.moveaxis(self.vec.reshape(self.batch + self.dims), [nb + a for a in axes],
-                        range(nb, nb + len(axes)))
-        t = op @ t.reshape(self.batch + (op.shape[-1], -1))
-        t = t.reshape(batch + new_dims + rest_dims)
-        nb = len(batch)
-        t = np.moveaxis(t, range(nb, nb + len(new_dims)), [nb + i for i in dest])
-        return PureState(t.reshape(batch + (-1,)), t.shape[nb:], labels)
+            new_dims = tuple(out.values())
+        if op.shape[-2] != math.prod(new_dims):
+            raise ValueError(f"operator of shape {op.shape} does not output registers "
+                             f"of dimensions {new_dims}")
+        if out is None and len(axes) == 2:
+            return PureState(apply_two_site(self.vec, self.dims, op, tuple(axes)),
+                             self.dims, self.labels)
+        _check_budget(op.shape[-2] * (self.dim // d_in))
+        vec = _apply_registers(self.vec, self.dims, op, axes, in_place=out is None)
+        if out is None:
+            return PureState(vec, self.dims, self.labels)
+        p = min(axes)
+        rest = [i for i in range(len(self.dims)) if i not in axes]
+        dims, labels = [self.dims[i] for i in rest], [self.labels[i] for i in rest]
+        return PureState(vec, (*dims[:p], *new_dims, *dims[p:]),
+                         (*labels[:p], *out, *labels[p:]))
 
     def splice(self, state: PureState, after: Register,
                labels: Sequence[str]) -> PureState:
         """Tensor in the registers of the pure `state`, labelled `labels`,
-        right after the register `after`; the two batches broadcast."""
+        right after the register `after`; the two batches broadcast.
+
+        The registers up to `after` and those past it are each one block of
+        the flat vector, so the splice is one broadcast product of the
+        vector as (before, 1, rest) with the spliced state as (1, D, 1).
+        """
         if self.labels is None or len(labels) != len(state.dims):
             raise ValueError(f"splicing needs a labelled state and one label per spliced "
                              f"register, got {labels} for dims {state.dims}")
         (a,) = self._axes((after,))
         batch = broadcast_batch(self.batch, state.batch)
         _check_budget(self.dim * state.dim)
-        m, n = len(self.dims), len(state.dims)
-        # pad each factor with unit axes for the other's registers; the
-        # batch axes in front then broadcast against each other
-        t = (self.vec.reshape(self.batch + self.dims + (1,) * n)
-             * state.vec.reshape(state.batch + (1,) * m + state.dims))
-        nb = len(batch)
-        t = np.moveaxis(t, range(nb + m, nb + m + n), range(nb + a + 1, nb + a + 1 + n))
+        before = math.prod(self.dims[:a + 1])
+        t = (self.vec.reshape(self.batch + (before, 1, self.dim // before))
+             * state.vec.reshape(state.batch + (1, state.dim, 1)))
         new_labels = self.labels[:a + 1] + tuple(labels) + self.labels[a + 1:]
-        return PureState(t.reshape(batch + (-1,)), t.shape[nb:], new_labels)
+        return PureState(t.reshape(batch + (-1,)),
+                         self.dims[:a + 1] + state.dims + self.dims[a + 1:], new_labels)
 
 
 def _check_budget(size: int) -> None:

@@ -790,8 +790,10 @@ def test_a_nan_in_the_classical_check_is_refused_by_sample(monkeypatch):
 
 
 def test_survey_eigensolves_do_not_grow_with_the_sample_count(monkeypatch):
-    # one stacked eigensolve per channel for a whole block: 10 and 40
-    # samples of 8 qubit steps are each one block
+    # the bond table of a whole block takes two stacked eigensolves, the
+    # states' and every channel's joints at once; blocks of 40 samples of
+    # 8 qubit steps make 10 and 40 samples one block each
+    _survey_blocks_of(monkeypatch, 40, steps=8)
     calls = []
     real = witnesses.von_neumann_stack
     monkeypatch.setattr(witnesses, "von_neumann_stack",

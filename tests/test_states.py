@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmonogamy import states
 from qmonogamy.info import von_neumann
 from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
                               density_stack, ginibre, ginibre_spectra, maximally_entangled,
@@ -281,6 +282,46 @@ def test_growing_past_the_amplitude_budget_is_refused():
         psi.splice(maximally_entangled(2), "A", ("X", "Y"))
 
 
+def test_apply_refuses_operators_that_do_not_fit_and_repeated_registers():
+    psi = w_state()
+    u = _haar(np.random.default_rng(6), 4)
+    # a 4 x 4 unitary on one qubit: neither its input nor its output fits
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not act on registers \('S',\)"):
+        psi.apply(u, ("S",))
+    with pytest.raises(ValueError, match="does not act on registers"):
+        psi.apply(u[:, :2], ("S", "E"))
+    with pytest.raises(ValueError, match="does not act on registers"):
+        psi.apply(u, ("S",), out={"F": 2, "S": 2})
+    # the input fits, the output does not: out's registers, or the registers
+    # themselves without out
+    with pytest.raises(ValueError, match=r"does not output registers of dimensions \(2, 1\)"):
+        psi.apply(u[:, :2], ("S",), out={"F": 2, "S": 1})
+    with pytest.raises(ValueError, match=r"does not output registers of dimensions \(2,\)"):
+        psi.apply(u[:, :2], ("S",))
+    with pytest.raises(ValueError, match="twice"):
+        psi.apply(np.eye(4), ("S", "S"))
+    with pytest.raises(ValueError, match="twice"):
+        psi.apply(np.eye(4), ("S", 1))
+    with pytest.raises(ValueError, match="twice"):
+        psi.apply(np.eye(8)[:, :4], ("E", "E"), out={"F": 2, "G": 4})
+
+
+@pytest.mark.parametrize("register", [True, False, 1.0, 1.5, None])
+def test_registers_are_labels_or_integer_positions(register):
+    psi = w_state()
+    name = "neither a label nor an integer position"
+    with pytest.raises(ValueError, match=name):
+        psi.entropies((register,))
+    with pytest.raises(ValueError, match=name):
+        psi.reduced((register,))
+    with pytest.raises(ValueError, match=name):
+        psi.apply(np.eye(2), (register,))
+    with pytest.raises(ValueError, match=name):
+        psi.splice(pure_state(np.array([1.0, 0.0])), register, ("X",))
+    # numpy integers are positions like Python ints
+    assert psi.entropy((np.int64(1),)) == psi.entropy(("S",))
+
+
 # ---------------------------------------------------------------------------
 # the batch axis
 # ---------------------------------------------------------------------------
@@ -369,6 +410,105 @@ def test_stacks_that_do_not_broadcast_are_refused_with_both_shapes():
         psi.apply(_haar(rng, 4, (4,))[..., :2], ("B",), out={"F": 2, "B": 2})
     with pytest.raises(ValueError, match=shapes):
         psi.splice(PureState(_random_vecs(rng, (4,), 2), (2,)), "A", ("X",))
+
+
+def _permutation_matrix(dims, order):
+    """P with (P @ vec) the vector over `dims` with its registers put in
+    `order` (a list of register positions)."""
+    d = math.prod(dims)
+    return np.eye(d).reshape(tuple(dims) + (d,)).transpose(list(order) + [len(dims)]).reshape(d, d)
+
+
+def _dense_apply(vec, dims, op, on, out_dims):
+    """The dense reference of apply on one state: bring the `on` registers to
+    the front in the order given, act with op (x) 1 on the rest, and move the
+    output registers to their places, those of `on` without `out_dims` and
+    the place of the first of them with it."""
+    rest = [i for i in range(len(dims)) if i not in on]
+    d_rest = math.prod(dims[i] for i in rest)
+    t = np.kron(op, np.eye(d_rest)) @ _permutation_matrix(dims, list(on) + rest) @ vec
+    if out_dims is None:
+        back = list(on) + rest
+        return _permutation_matrix([dims[i] for i in back], np.argsort(back)) @ t
+    p = min(on)
+    k = len(out_dims)
+    layout = list(out_dims) + [dims[i] for i in rest]
+    # from (out, rest) to (rest before p, out, rest from p on)
+    order = [k + j for j in range(p)] + list(range(k)) + [k + j for j in range(p, len(rest))]
+    return _permutation_matrix(layout, order) @ t
+
+
+KERNEL_DIMS = (2, 3, 2, 4)
+
+
+@pytest.mark.parametrize("on", [(1,), (3,),                  # one register
+                                (1, 2), (2, 1), (0, 2), (3, 0),  # adjacent, reversed, apart
+                                (1, 2, 3), (0, 1, 2), (3, 1, 0), (2, 0, 3)])
+@pytest.mark.parametrize("isometry", [False, True])
+def test_register_kernel_matches_the_dense_permuted_operator(monkeypatch, on, isometry):
+    """apply on one, two and three registers, adjacent and in order, the
+    same registers reversed, and registers apart, with and without output
+    registers, on unstacked and stacked states with unstacked and stacked
+    operators: every result is the kron-embedded operator between two
+    permutations of the dense vector, and only an in-place two-register
+    apply goes through apply_two_site, once."""
+    rng = np.random.default_rng(sum(on) + 10 * len(on) + 100 * isometry)
+    labels = ("A", "B", "C", "D")
+    d_in = math.prod(KERNEL_DIMS[i] for i in on)
+    calls = []
+    real = states.apply_two_site
+    monkeypatch.setattr(states, "apply_two_site",
+                        lambda *args: calls.append(args) or real(*args))
+    for state_batch, op_batch in [((), ()), ((5,), ()), ((), (5,)), ((5,), (5,))]:
+        vec = _random_vecs(rng, state_batch, math.prod(KERNEL_DIMS))
+        psi = PureState(vec, KERNEL_DIMS, labels)
+        if isometry:
+            out = {"F": 2, "G": d_in}
+            op = _haar(rng, 2 * d_in, op_batch)[..., :d_in]
+        else:
+            out = None
+            op = _haar(rng, d_in, op_batch)
+        calls.clear()
+        got = psi.apply(op, tuple(labels[i] for i in on), out)
+        assert len(calls) == (1 if out is None and len(on) == 2 else 0)
+        batch = state_batch or op_batch
+        assert got.batch == batch
+        out_dims = None if out is None else tuple(out.values())
+        for i in np.ndindex(batch):
+            want = _dense_apply(_slice(vec, i, 1), KERNEL_DIMS, _slice(op, i, 2), on, out_dims)
+            np.testing.assert_allclose(got.vec[i], want, rtol=0, atol=1e-13)
+        if out is None:
+            assert got.dims == KERNEL_DIMS and got.labels == labels
+        else:
+            p = min(on)
+            kept = [r for r in range(4) if r not in on]
+            assert got.labels == tuple(labels[r] for r in kept[:p]) + ("F", "G") + tuple(
+                labels[r] for r in kept[p:])
+            assert got.dims == tuple(KERNEL_DIMS[r] for r in kept[:p]) + (2, d_in) + tuple(
+                KERNEL_DIMS[r] for r in kept[p:])
+
+
+@pytest.mark.parametrize("after", ["A", "B", "C", "D"])
+def test_splice_matches_kron_and_permute(after):
+    rng = np.random.default_rng(ord(after))
+    labels = ("A", "B", "C", "D")
+    a = labels.index(after)
+    n = len(KERNEL_DIMS)
+    for state_batch, spliced_batch in [((), ()), ((5,), ()), ((), (5,)), ((5,), (5,))]:
+        vec = _random_vecs(rng, state_batch, math.prod(KERNEL_DIMS))
+        pair = _random_vecs(rng, spliced_batch, 6)
+        got = PureState(vec, KERNEL_DIMS, labels).splice(PureState(pair, (2, 3)), after,
+                                                         ("X", "Y"))
+        assert got.labels == labels[:a + 1] + ("X", "Y") + labels[a + 1:]
+        assert got.dims == KERNEL_DIMS[:a + 1] + (2, 3) + KERNEL_DIMS[a + 1:]
+        batch = state_batch or spliced_batch
+        assert got.batch == batch
+        # np.kron puts the spliced registers last; move them after `after`
+        order = [*range(a + 1), n, n + 1, *range(a + 1, n)]
+        for i in np.ndindex(batch):
+            want = _permutation_matrix(KERNEL_DIMS + (2, 3), order) @ np.kron(
+                _slice(vec, i, 1), _slice(pair, i, 1))
+            np.testing.assert_allclose(got.vec[i], want, rtol=0, atol=1e-13)
 
 
 def test_stacked_density_matrices_and_purifications():
