@@ -21,7 +21,7 @@ from .info import chain_coherent_information, mutual_information, von_neumann
 from .linalg import dagger, kron, partial_trace
 from .process_tensor import (build_process_tensor, choi_dpi_witnesses, contract,
                              dephased_joint_pmf, fresh_env_circuit,
-                             markov_factorization_gap, mqmmi_witness,
+                             markov_factorization_gap, mqmmi_witnesses,
                              port_mutual_information, system_env_circuit)
 from .states import pure_state, purify, random_density, w_state
 from .tolerances import GAP_TOLERANCE
@@ -42,7 +42,7 @@ __all__ = [
     "dephased_joint_pmf", "extra_dpi_row", "extra_dpi_rows", "fresh_env_circuit",
     "is_markov", "joint_from_chain", "kron", "lambda_grid", "m4_ssa_certificate",
     "m4_witness", "m6_witnesses", "m8_witnesses", "markov_factorization_gap",
-    "mi_dpi_gap", "mi_monotonicity_check", "mqmmi_row", "mqmmi_rows", "mqmmi_witness",
+    "mi_dpi_gap", "mi_monotonicity_check", "mqmmi_row", "mqmmi_rows", "mqmmi_witnesses",
     "mutual_information", "nonmarkov_witness_row", "nonmarkov_witness_rows",
     "partial_trace", "port_mutual_information", "pure_state", "purified_circuit_state",
     "purify", "qdpi_witnesses", "random_chain", "random_channel", "random_density",

@@ -90,7 +90,7 @@ import numpy as np
 from .channels import KrausChannel, dilation_kraus, haar_unitaries
 from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
                         shannon_entropies)
-from .linalg import apply_kraus, partial_trace
+from .linalg import _require_int, apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
 from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, _von_neumann_stacks,
                      ginibre, ginibre_spectra, maximally_entangled, spectrum_entropy,
@@ -248,14 +248,13 @@ def _markov_reference_dp5(lams: np.ndarray) -> np.ndarray:
 def mqmmi_rows(grid: Sequence[float]) -> list[dict[str, float]]:
     """The three interventional monogamy witnesses on the example circuit
     at every lambda of the grid, rows in grid order: one stacked circuit,
-    one intervened state per slot pair."""
+    one two-time table (one forward run per slot j, one entropies call)."""
     return _sweep(_mqmmi_columns, grid)
 
 
 def _mqmmi_columns(lams: np.ndarray) -> dict[str, np.ndarray]:
     circuit = system_env_circuit(w_state(), [u_lambda(lams)] * 3)
-    gaps = mqmmi_witnesses(circuit).entries
-    return {f"M4_{kind}": gaps[kind] for kind in ("q1", "q2", "q3")}
+    return {f"M4_{kind}": gap for kind, gap in mqmmi_witnesses(circuit).entries.items()}
 
 
 def mqmmi_row(lam: float) -> dict[str, float]:
@@ -309,13 +308,6 @@ def random_markov_process(n_states: int, seed: int, d_sys: int = 2,
     initial, kraus = _survey_draws(n_states, seed, 1, d_sys, d_env)
     return markov_process(DensityMatrix(initial[0], (d_sys,)),
                           [KrausChannel(tuple(k[0]), d_sys, d_sys) for k in kraus])
-
-
-def _require_int(value: int, name: str) -> None:
-    # a float count or dimension would otherwise reach range() or a draw's
-    # size and fail there with Python's TypeError (a bool is refused too)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_seed(seed: int) -> None:

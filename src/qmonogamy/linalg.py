@@ -186,6 +186,12 @@ def require_finite(a: np.ndarray, what: str = "entries") -> None:
         raise ValueError(f"non-finite {what}: {bad} NaN or infinite")
 
 
+def _require_int(value: int, name: str) -> None:
+    # a float would fail later in range() or a slice with a bare TypeError; a bool too
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def unitarity_deviation(m: np.ndarray) -> np.ndarray:
     """||m† m - 1||_max of every square matrix in a stack (..., d, d)."""
     m = np.asarray(m, dtype=complex)

@@ -14,10 +14,11 @@ Choi state.
 Every port quantity is read from that register.  A CP map closes slot j
 by the plug rule: each Kraus operator M contributes the amplitude
 sqrt(d) * sum_{s,i} M[i, s] psi[S_j = s, R_j = i], so (S_j, R_j) becomes
-one Kraus register K_j.  The factor sqrt(d) cancels the normalization of
-the inserted pair, and the result is exactly what the circuit would
-output if the maps were applied in line, which is the defining property
-checked by the tests.
+one Kraus register K_j; a reader builds each map's rows of this rule once
+(_plug_rows).  The factor sqrt(d) cancels the normalization of the
+inserted pair, and the result is exactly what the circuit would output
+if the maps were applied in line, which is the defining property checked
+by the tests.
 
 The port mutual informations I(R_y : S_x) of port_mutual_information and
 choi_dpi_witnesses come from one reader that takes all its pairs in one
@@ -31,25 +32,25 @@ interventional witnesses reach it through PureState.entropies.
 
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
-compare entropy combinations across slots; all three coincide for Markov
-processes and detect memory in different ways when they differ.
+compare entropy combinations across the slot pairs of one two-time table
+(_two_time_table); all three coincide for Markov processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
-from .linalg import broadcast_batch, partial_trace, require_finite, unitarity_deviation
+from .linalg import (_require_int, broadcast_batch, partial_trace, require_finite,
+                     unitarity_deviation)
 from .states import (DensityMatrix, PureState, _von_neumann_stacks, density,
                      maximally_entangled, purify)
 from .tolerances import INVARIANT_TOL
-from .witnesses import MONOGAMY, WitnessReport, monogamy_gap
+from .witnesses import MONOGAMY, WitnessReport, _pairing, monogamy_gap
 
 __all__ = [
     "SystemEnvCircuit",
@@ -61,7 +62,6 @@ __all__ = [
     "port_mutual_information",
     "choi_dpi_witnesses",
     "multitime_coherent_info",
-    "mqmmi_witness",
     "mqmmi_witnesses",
     "fresh_env_circuit",
     "dephased_joint_pmf",
@@ -143,6 +143,7 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
     Needs steps - 1 step unitaries.  The k = 1 tensor is just the initial
     (R0, S1, E) state.
     """
+    _require_int(steps, "steps")
     if steps < 1:
         raise ValueError("need at least one time slot")
     if circuit.initial.batch or any(u.ndim > 2 for u in circuit.step_unitaries):
@@ -172,10 +173,13 @@ def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
     return ops
 
 
-def _plug(psi: PureState, j: int, ops: tuple[np.ndarray, ...], d: int) -> PureState:
+def _plug_rows(ops: tuple[np.ndarray, ...], d: int) -> np.ndarray:
     # row M of the plug is sqrt(d) * M[i, s] over (S_j = s, R_j = i)
-    rows = np.sqrt(d) * np.stack([m.T.reshape(-1) for m in ops])
-    return psi.apply(rows, (f"S{j}", f"R{j}"), out={f"K{j}": len(ops)})
+    return np.sqrt(d) * np.stack([m.T.reshape(-1) for m in ops])
+
+
+def _plug(psi: PureState, j: int, rows: np.ndarray) -> PureState:
+    return psi.apply(rows, (f"S{j}", f"R{j}"), out={f"K{j}": len(rows)})
 
 
 def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | float:
@@ -195,7 +199,7 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
                          f"got {len(ops)}")
     psi = pt.state
     for j in range(1, k):
-        psi = _plug(psi, j, ops[j - 1], pt.d_sys)
+        psi = _plug(psi, j, _plug_rows(ops[j - 1], pt.d_sys))
     rho = psi.reduced((f"S{k}",)).mat
     if len(ops) == k - 1:
         tr = np.trace(rho).real
@@ -231,6 +235,8 @@ def port_mutual_information(pt: ProcessTensor, y: int, x: int,
     identity), the pair (S_y, R_y) left open at slot y, and everything at
     or after slot x traced out."""
     k = pt.n_slots
+    _require_int(y, "port slot y")
+    _require_int(x, "port slot x")
     if not (1 <= x <= k) or not (1 <= y <= k - 1):
         raise ValueError(f"ports R{y}, S{x} not present in a {k}-slot tensor")
     return float(_port_mutual_informations(pt, ((y, x),), interventions)[0])
@@ -246,11 +252,11 @@ def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]
     """
     k, d = pt.n_slots, pt.d_sys
     if interventions is None:
-        maps = [(np.eye(d, dtype=complex),)] * (k - 1)
+        maps = [_plug_rows((np.eye(d, dtype=complex),), d)] * (k - 1)
     elif len(interventions) != k - 1:
         raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
     else:
-        maps = [_as_kraus_ops(item, d) for item in interventions]
+        maps = [_plug_rows(_as_kraus_ops(item, d), d) for item in interventions]
     plugged = {(): pt.state}
     joints = []
     for y, x in pairs:
@@ -258,7 +264,7 @@ def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]
         n = max(i for i in range(len(slots) + 1) if slots[:i] in plugged)
         psi = plugged[slots[:n]]
         for i in range(n, len(slots)):
-            psi = plugged[slots[:i + 1]] = _plug(psi, slots[i], maps[slots[i] - 1], d)
+            psi = plugged[slots[:i + 1]] = _plug(psi, slots[i], maps[slots[i] - 1])
         tr = np.vdot(psi.vec, psi.vec).real
         if abs(tr - 1.0) > INVARIANT_TOL:
             raise ValueError(f"interventions are not trace preserving: the port state "
@@ -302,38 +308,36 @@ def choi_dpi_witnesses(pt: ProcessTensor,
 # interventional monogamy witnesses
 # ---------------------------------------------------------------------------
 
-# entropy combinations of the kinds, over the registers of _intervened_state:
-# kind -> (registers of the positive term); H(S_j, R_j, S_k) is subtracted
+# kind -> the registers of its positive term; H(S_j, R_j, S_k) is subtracted
 _KIND_TERMS = {"q1": ("Sj", "Rj"), "q2": ("Sk",), "q3": ("Sj", "Sk")}
 
 
-def _intervened_state(circuit: SystemEnvCircuit, j: int, k: int,
-                      purifier: Callable[[DensityMatrix], PureState]) -> PureState:
-    """The circuit run to slot k with a purification intervention at slot j,
-    as a pure state on the registers (R0, Sj, Rj, Sk, E)."""
+def _two_time_table(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
+                    purifier: Callable[[DensityMatrix], PureState] = purify) -> dict:
+    """multitime_coherent_info of every kind at each pair (j, k) asked for,
+    keyed by pair, then kind.  One forward run purifies S_j once per slot j
+    and steps the state on (R0, Sj, Rj, Sk, E) through each k; the states,
+    stacked beside the circuit's stack, take one entropies call.  The stack
+    is about 200 kB for the sweep's 4 pairs x 101 lambdas x 32 amplitudes."""
+    steps, order = circuit.step_unitaries, sorted(set(pairs))
     psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "Sj", "E"))
-    for u in circuit.step_unitaries[: j - 1]:
-        psi = psi.apply(u, ("Sj", "E"))
-    # set the live system aside and splice in the purification of its state
-    pur = purifier(psi.reduced(("Sj",)))
-    if pur.dims[1] != circuit.d_sys:
-        raise ValueError("purifier must return (reference, system) registers")
-    psi = psi.splice(pur, after="Sj", labels=("Rj", "Sk"))
-    for u in circuit.step_unitaries[j - 1: k - 1]:
-        psi = psi.apply(u, ("Sk", "E"))
-    return psi
-
-
-def _kind_values(psi: PureState, kinds: Sequence[str] = tuple(_KIND_TERMS),
-                 ) -> dict[str, float | np.ndarray]:
-    # the kinds' cuts and H(S_j, R_j, S_k) of one intervened state, in one call
-    *terms, joint = psi.entropies(*(_KIND_TERMS[kind] for kind in kinds), ("Sj", "Rj", "Sk"))
-    return {kind: h - joint for kind, h in zip(kinds, terms)}
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in _KIND_TERMS:
-        raise ValueError(f"kind must be q1, q2 or q3, got {kind!r}")
+    at, vecs = 1, []
+    for j in sorted({j for j, _ in order}):
+        for u in steps[at - 1: j - 1]:
+            psi = psi.apply(u, ("Sj", "E"))
+        pur, at = purifier(psi.reduced(("Sj",))), j
+        if pur.dims[1] != circuit.d_sys:
+            raise ValueError("purifier must return (reference, system) registers")
+        phi = psi.splice(pur, after="Sj", labels=("Rj", "Sk"))
+        for k in range(j + 1, max(b for a, b in order if a == j) + 1):
+            phi = phi.apply(steps[k - 2], ("Sk", "E"))
+            if (j, k) in order:
+                vecs.append(phi.vec)
+    stack = PureState(np.stack(np.broadcast_arrays(*vecs)), phi.dims, phi.labels)
+    *terms, joint = stack.entropies(*_KIND_TERMS.values(), ("Sj", "Rj", "Sk"))
+    values = {kind: h - joint for kind, h in zip(_KIND_TERMS, terms)}
+    return {pair: {kind: v[i] if v.ndim > 1 else float(v[i]) for kind, v in values.items()}
+            for i, pair in enumerate(order)}
 
 
 def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int,
@@ -352,30 +356,28 @@ def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int
 
     The value does not depend on which purification is chosen.
     """
-    _check_kind(kind)
+    if kind not in _KIND_TERMS:
+        raise ValueError(f"kind must be q1, q2 or q3, got {kind!r}")
+    _require_int(j, "slot j")
+    _require_int(k, "slot k")
     if not (1 <= j < k <= circuit.n_slots):
         raise ValueError(f"need 1 <= j < k <= {circuit.n_slots}, got j={j}, k={k}")
-    return _kind_values(_intervened_state(circuit, j, k, purifier), (kind,))[kind]
+    return _two_time_table(circuit, [(j, k)], purifier)[j, k][kind]
 
 
 def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
     """The interventional monogamy gap I(1;4) + I(2;3) - I(1;3) - I(2;4)
     of every kind (entries q1, q2, q3), each nonnegative for every Markov
-    process: witnesses.monogamy_gap of the M4 permutation over the kind's
-    two-slot quantity (multitime_coherent_info).  One intervened state per
-    slot pair serves all three kinds, its cuts read in one entropies call.
-    On a stacked circuit every entry is an array over the stack."""
+    process: witnesses.monogamy_gap of the M4 permutation over one
+    two-time table of its four pairs (multitime_coherent_info).  On a
+    stacked circuit every entry is an array over the stack."""
     if circuit.n_slots < 4:
         raise ValueError("needs a circuit with at least 4 slots")
-    values = cache(lambda j, k: _kind_values(_intervened_state(circuit, j, k, purify)))
-    return WitnessReport({kind: monogamy_gap(lambda j, k: values(j, k)[kind], MONOGAMY[4]["M4"])
+    perm = MONOGAMY[4]["M4"]
+    nested, crossed = _pairing(perm)
+    table = _two_time_table(circuit, nested + crossed)
+    return WitnessReport({kind: monogamy_gap(lambda j, k: table[j, k][kind], perm)
                           for kind in _KIND_TERMS})
-
-
-def mqmmi_witness(circuit: SystemEnvCircuit, kind: str) -> float:
-    """Interventional monogamy gap of one kind; see mqmmi_witnesses."""
-    _check_kind(kind)
-    return mqmmi_witnesses(circuit).entries[kind]
 
 
 # ---------------------------------------------------------------------------

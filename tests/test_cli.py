@@ -94,6 +94,16 @@ def test_default_grid_csv_bytes_are_pinned(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_GRID_CSV_SHA256[command]
 
 
+def test_a_dense_mqmmi_sweep_is_pinned(tmp_path):
+    # 1001 rows: a change that moves a few rows of a dense grid can leave
+    # every row of the default grid alone
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-mqmmi", "--step", "0.001", "--output", str(out)]) == 0
+    assert len(out.read_bytes().splitlines()) == 1002
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "49d04bddfb9d17537517e152b03c9576a1205c004348fde50bf62a814d7de7a1")
+
+
 @pytest.mark.parametrize("command", sorted(DEFAULT_GRID_CSV_SHA256))
 def test_sweeps_take_no_seed(tmp_path, capsys, command):
     # a sweep draws nothing, so --seed is verify's alone; the default bytes

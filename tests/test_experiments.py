@@ -168,8 +168,9 @@ def test_rows_are_single_register_entropies():
         assert extra["DP7"] == pytest.approx(h(4, (2,)), abs=1e-12)
 
 
-def test_mqmmi_row_runs_one_simulation_per_slot_pair(monkeypatch):
-    # pairs (1,4), (2,3), (1,3), (2,4) need 3 + 2 + 2 + 3 step unitaries
+def test_mqmmi_row_runs_the_circuit_forward_once(monkeypatch):
+    # pairs (1,3), (1,4), (2,3), (2,4) in one forward run: 3 steps from the
+    # purification at slot 1, 1 step from slot 1 to 2, 2 from the one at slot 2
     calls = []
     original = states.apply_two_site
 
@@ -179,15 +180,15 @@ def test_mqmmi_row_runs_one_simulation_per_slot_pair(monkeypatch):
 
     monkeypatch.setattr(states, "apply_two_site", counting)
     mqmmi_row(0.4)
-    assert len(calls) == 10
-    # the whole grid is one stacked circuit: still one simulation per pair
+    assert len(calls) == 6
+    # the whole grid is one stacked circuit: still one forward run
     calls.clear()
     mqmmi_rows(lambda_grid())
-    assert len(calls) == 10
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("rows,most", [(nonmarkov_witness_rows, 3), (extra_dpi_rows, 5),
-                                       (mqmmi_rows, 8)])
+                                       (mqmmi_rows, 2)])
 def test_grid_functions_take_as_many_eigensolves_for_101_points_as_for_one(
         rows, most, monkeypatch):
     # one stacked eigvalsh per matrix size of a state's cuts (and of the

@@ -22,8 +22,8 @@ from qmonogamy.experiments import lambda_grid, u_lambda
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
                                       contract, dephased_joint_pmf, fresh_env_circuit,
-                                      markov_factorization_gap, mqmmi_witness,
-                                      mqmmi_witnesses, multitime_coherent_info,
+                                      markov_factorization_gap, mqmmi_witnesses,
+                                      multitime_coherent_info,
                                       port_mutual_information, system_env_circuit)
 from qmonogamy.states import MAX_AMPLITUDES, PureState, pure_state, purify, w_state
 from qmonogamy.tolerances import GAP_TOLERANCE
@@ -445,15 +445,91 @@ def test_choi_dpi_needs_four_slots():
         choi_dpi_witnesses(pt)
 
 
+def _twisted(draw):
+    """A purifier whose reference register is purify's turned by the unitary
+    draw(d), d the reference's dimension, drawn at every call."""
+    def purifier(rho):
+        psi = purify(rho)
+        u = draw(psi.dims[0])
+        return PureState(psi.vec @ kron(u, np.eye(rho.dim)).T, psi.dims)
+    return purifier
+
+
+def _intervened_state(circuit, j, k, purifier=purify):
+    """The per-pair reference: the circuit run from slot 1 to slot k with a
+    purification intervention at slot j, on (R0, Sj, Rj, Sk, E)."""
+    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "Sj", "E"))
+    for u in circuit.step_unitaries[: j - 1]:
+        psi = psi.apply(u, ("Sj", "E"))
+    psi = psi.splice(purifier(psi.reduced(("Sj",))), after="Sj", labels=("Rj", "Sk"))
+    for u in circuit.step_unitaries[j - 1: k - 1]:
+        psi = psi.apply(u, ("Sk", "E"))
+    return psi
+
+
+def _reference_values(circuit, j, k, purifier=purify):
+    """The three kinds of one slot pair from its own run and entropies call."""
+    psi = _intervened_state(circuit, j, k, purifier)
+    *terms, joint = psi.entropies(("Sj", "Rj"), ("Sk",), ("Sj", "Sk"), ("Sj", "Rj", "Sk"))
+    return {kind: h - joint for kind, h in zip(("q1", "q2", "q3"), terms)}
+
+
+def _all_pairs_table(circuit, purifier=purify):
+    pairs = itertools.combinations(range(1, circuit.n_slots + 1), 2)
+    return process_tensor._two_time_table(circuit, list(pairs), purifier)
+
+
+def _table_cases():
+    rng = np.random.default_rng(53)
+    grid = lambda_grid()
+    return [
+        ("lambda-4", _w_circuit(grid), purify),
+        ("lambda-6", _w_circuit(grid, n_steps=5), purify),
+        # one step a stack, the others single unitaries
+        ("mixed-stack", system_env_circuit(w_state(), [u_lambda(0.3), u_lambda(grid),
+                                                       u_lambda(0.7)]), purify),
+        ("fresh-qubit-env", _random_markov_circuit(rng, 3, env_dim=2), purify),
+        ("fresh-qutrit-env", _random_markov_circuit(rng, 4, env_dim=3), purify),
+        # one fixed turn, so that both paths purify alike
+        ("twisted", _w_circuit(0.4, n_steps=4), _twisted(lambda d, u=_haar(rng, 2): u)),
+    ]
+
+
+TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("name,circuit,purifier", TABLE_CASES,
+                         ids=[c[0] for c in TABLE_CASES])
+def test_the_two_time_table_is_the_per_pair_run_bit_for_bit(name, circuit, purifier):
+    table = _all_pairs_table(circuit, purifier)
+    stacked = any(u.ndim > 2 for u in circuit.step_unitaries)
+    assert list(table) == list(itertools.combinations(range(1, circuit.n_slots + 1), 2))
+    for pair in table:
+        want = _reference_values(circuit, *pair, purifier)
+        for kind in ("q1", "q2", "q3"):
+            np.testing.assert_array_equal(table[pair][kind], want[kind])
+            assert isinstance(table[pair][kind], np.ndarray if stacked else float)
+            np.testing.assert_array_equal(
+                multitime_coherent_info(circuit, kind, *pair, purifier=purifier), want[kind])
+    # a pair nobody asked for is no key, so it cannot be read as a number
+    table = process_tensor._two_time_table(circuit, [(2, 4), (1, 3), (2, 4)], purifier)
+    assert list(table) == [(1, 3), (2, 4)]
+    with pytest.raises(KeyError):
+        table[1, 4]
+
+
+def test_mqmmi_witnesses_purify_once_per_slot_j(monkeypatch):
+    # the four pairs of M4 use slots j = 1, 2: one purification each (the
+    # eigvalsh count is pinned with the other grid functions in test_experiments)
+    eigh = _counted(monkeypatch, np.linalg, "eigh")
+    mqmmi_witnesses(_w_circuit(lambda_grid()))
+    assert len(eigh) == 2
+
+
 def test_multitime_coherent_info_is_purification_invariant():
     rng = np.random.default_rng(23)
     circuit = _w_circuit(0.4)
-
-    def twisted(rho):
-        psi = purify(rho)
-        u = _haar(rng, psi.dims[0])
-        return PureState(kron(u, np.eye(rho.dim)) @ psi.vec, psi.dims)
-
+    twisted = _twisted(lambda d: _haar(rng, d))
     for kind in ("q1", "q2", "q3"):
         for j, k in [(1, 3), (2, 4), (1, 4)]:
             a = multitime_coherent_info(circuit, kind, j, k)
@@ -469,11 +545,33 @@ def test_multitime_coherent_info_argument_checks():
         multitime_coherent_info(circuit, "q1", 3, 3)
 
 
+def test_slot_arguments_are_refused_by_name_unless_integers():
+    # a float slot used to fail in a slice with Python's TypeError, and True
+    # was read as slot 1
+    circuit = _w_circuit(0.4)
+    pt = build_process_tensor(circuit, 4)
+    calls = {
+        "slot j": lambda v: multitime_coherent_info(circuit, "q1", v, 3),
+        "slot k": lambda v: multitime_coherent_info(circuit, "q1", 1, v),
+        "steps": lambda v: build_process_tensor(circuit, v),
+        "port slot y": lambda v: port_mutual_information(pt, v, 3),
+        "port slot x": lambda v: port_mutual_information(pt, 1, v),
+    }
+    for name, call in calls.items():
+        for bad in (1.5, 2.5, True, "2"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be an integer, got {bad!r}")):
+                call(bad)
+    assert multitime_coherent_info(circuit, "q2", np.int64(1), np.int64(3)) == \
+        multitime_coherent_info(circuit, "q2", 1, 3)
+    assert build_process_tensor(circuit, np.int64(4)).n_slots == 4
+
+
 def test_mqmmi_kinds_coincide_on_markov_circuits():
     rng = np.random.default_rng(29)
     for _ in range(3):
         circuit = _random_markov_circuit(rng, 3)
-        vals = [mqmmi_witness(circuit, kind) for kind in ("q1", "q2", "q3")]
+        vals = list(mqmmi_witnesses(circuit).entries.values())
         assert max(vals) - min(vals) <= 1e-9
         assert min(vals) >= -1e-9  # the monogamy statement itself
 
@@ -489,8 +587,9 @@ def test_mqmmi_matches_the_chain_witness_on_markov_circuits():
     chain = [unitary_channel(u, 2, 2) for u in units]
     p = markov_process(init.reduced((1,)), chain)
     want = m4_witness(p)
+    entries = mqmmi_witnesses(circuit).entries
     for kind in ("q1", "q2", "q3"):
-        assert mqmmi_witness(circuit, kind) == pytest.approx(want, abs=1e-9), kind
+        assert entries[kind] == pytest.approx(want, abs=1e-9), kind
 
 
 def test_mqmmi_witnesses_are_the_four_pair_sum():
@@ -506,8 +605,8 @@ def test_mqmmi_witnesses_are_the_four_pair_sum():
             np.testing.assert_allclose(entries[kind], want, rtol=0, atol=1e-12)
 
 
-def _multitime_gap(circuit, kind, perm):
-    return monogamy_gap(lambda j, k: multitime_coherent_info(circuit, kind, j, k), perm)
+def _multitime_gap(table, kind, perm):
+    return monogamy_gap(lambda j, k: table[j, k][kind], perm)
 
 
 @pytest.mark.parametrize("slots", [6, 8])
@@ -519,20 +618,21 @@ def test_the_multitime_family_equals_the_chain_gaps_on_markov_circuits(slots):
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     init = pure_state(vec / np.linalg.norm(vec), (2, 2))
     circuit = fresh_env_circuit(init, units, 2)
+    table = _all_pairs_table(circuit)
     p = markov_process(init.reduced((1,)), [unitary_channel(u, 2, 2) for u in units])
     for name, perm in MONOGAMY[slots].items():
         want = monogamy_gap(p.coherent_info, perm)
         assert want >= -1e-9, name
         for kind in ("q1", "q2", "q3"):
-            assert _multitime_gap(circuit, kind, perm) == pytest.approx(
+            assert _multitime_gap(table, kind, perm) == pytest.approx(
                 want, abs=1e-12), (name, kind)
 
 
 def test_the_six_slot_family_is_violated_on_the_whole_lambda_grid():
-    circuit = _w_circuit(lambda_grid(), n_steps=5)
+    table = _all_pairs_table(_w_circuit(lambda_grid(), n_steps=5))
     for name, perm in MONOGAMY[6].items():
         for kind in ("q1", "q2", "q3"):
-            gaps = _multitime_gap(circuit, kind, perm)
+            gaps = _multitime_gap(table, kind, perm)
             assert gaps.shape == (101,)
             assert (gaps < -GAP_TOLERANCE).all(), (name, kind)
 
