@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_kraus, dagger, require_finite
+from .linalg import _require_int, apply_kraus, dagger, require_finite
 from .states import DensityMatrix, ginibre
 from .tolerances import INVARIANT_TOL
 
@@ -170,6 +170,8 @@ def random_channel(d_in: int, d_out: int, d_env: int,
     The ancilla dimension is the minimal d_f with d_in * d_f = d_out * d_env;
     dims that leave no integer d_f are rejected.
     """
+    for value, name in ((d_in, "d_in"), (d_out, "d_out"), (d_env, "d_env")):
+        _require_int(value, name)
     if min(d_in, d_out, d_env) < 1:
         raise ValueError(f"channel dimensions must be at least 1, got d_in={d_in}, "
                          f"d_out={d_out}, d_env={d_env}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_finite
+from .linalg import _is_int, _require_int, require_finite
 from .states import spectrum_entropy
 from .tolerances import GAP_TOLERANCE, INVARIANT_TOL
 from .witnesses import monogamy_gap
@@ -118,9 +118,8 @@ def chain_stack(initial: np.ndarray, transitions: list[np.ndarray] | tuple[np.nd
     Negative entries down to -INVARIANT_TOL are round-off, as in
     joint_pmf_stack: returns the stacks with them clipped to 0.
     """
-    bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (initial, *transitions))
-    if bad:
-        raise ValueError(f"non-finite chain entries: {bad} NaN or infinite")
+    require_finite(np.concatenate([a.ravel() for a in (initial, *transitions)]),
+                   "chain entries")
     if initial.ndim != 2 or initial.size == 0:
         raise ValueError(f"initial distribution must be a nonempty vector, "
                          f"got shape {initial.shape[1:]}")
@@ -172,7 +171,7 @@ def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     integer (a bool or a float included) or lies outside the table is
     refused by name.
     """
-    odd = [i for i in subset if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+    odd = [i for i in subset if not _is_int(i)]
     if odd:
         raise ValueError(f"variable indices {odd} are not integers")
     subset = set(subset)
@@ -206,7 +205,12 @@ def classical_cmi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...],
 
 def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
     """Whether each variable is independent of the deeper past given its
-    predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every i >= 3."""
+    predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every i >= 3.
+
+    A tol that is not a finite number >= 0 is refused: every comparison
+    with NaN is False, so tol = NaN would pass every joint."""
+    if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     for i in range(2, p.n_vars):
         past = tuple(range(i - 1))
         if classical_cmi(p, (i,), past, (i - 1,)) > tol:
@@ -234,6 +238,8 @@ def cmmi_gap(p: JointPMF, perm: tuple[int, ...]) -> float:
 
 def random_chain(n_vars: int, dim: int, seed: int | np.random.Generator = 0) -> ClassicalChain:
     """Chain with flat-Dirichlet initial distribution and transition columns."""
+    _require_int(n_vars, "n_vars")
+    _require_int(dim, "dim")
     if n_vars < 2:
         raise ValueError("a chain needs at least two variables")
     if dim < 1:

@@ -26,6 +26,7 @@ here with the other entropic quantities.
 from __future__ import annotations
 
 from .channels import KrausChannel, apply, apply_to_subsystem
+from .linalg import _require_int
 from .states import DensityMatrix, PureState, purify, von_neumann
 
 __all__ = [
@@ -77,6 +78,8 @@ def chain_coherent_information(rho1: DensityMatrix, chain: list[KrausChannel],
     through chain[i-1].  Requires 1 <= r < s <= len(chain) + 1.
     """
     n = len(chain)
+    _require_int(r, "state r")
+    _require_int(s, "state s")
     if not (1 <= r < s <= n + 1):
         raise ValueError(f"need 1 <= r < s <= {n + 1}, got r={r}, s={s}")
     rho = rho1

@@ -85,6 +85,9 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
     m = np.asarray(m, dtype=complex)
     dims = tuple(int(d) for d in dims)
     _check_signature(m, dims)
+    keep = tuple(keep)
+    for k in keep:
+        _require_int(k, "keep index")
     keep = sorted(set(int(k) for k in keep))
     n = len(dims)
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -186,9 +189,16 @@ def require_finite(a: np.ndarray, what: str = "entries") -> None:
         raise ValueError(f"non-finite {what}: {bad} NaN or infinite")
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is a Python or numpy integer; a bool, which Python
+    counts as an int, is not.  The package's one integer test."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_int(value: int, name: str) -> None:
-    # a float would fail later in range() or a slice with a bare TypeError; a bool too
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    # a float would fail later in range() or a slice with a bare TypeError, or
+    # be truncated by int(); a bool would be read as 0 or 1
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

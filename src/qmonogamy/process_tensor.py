@@ -45,8 +45,8 @@ import numpy as np
 
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
-from .linalg import (_require_int, broadcast_batch, partial_trace, require_finite,
-                     unitarity_deviation)
+from .linalg import (_apply_registers, _require_int, broadcast_batch, partial_trace,
+                     require_finite, unitarity_deviation)
 from .states import (DensityMatrix, PureState, _von_neumann_stacks, density,
                      maximally_entangled, purify)
 from .tolerances import INVARIANT_TOL
@@ -170,6 +170,8 @@ def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
     for m in ops:
         if m.shape != (d, d):
             raise ValueError(f"intervention operator must be {d} x {d}, got {m.shape}")
+        # a NaN trace would pass the trace check of the port reads
+        require_finite(m, "entries in intervention operator")
     return ops
 
 
@@ -388,34 +390,31 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
                       env_dim: int) -> SystemEnvCircuit:
     """Markov circuit: every step gets its own fresh |0> environment.
 
-    `initial_rs` is the (R0, S) state; each step unitary acts on
-    S (x) F_j with dim(F_j) = env_dim and is embedded into the combined
-    environment E = F_1 (x) ... (x) F_m.
+    `initial_rs` is the (R0, S) state, and the environment E = F_1 (x) ...
+    (x) F_m, dim(F_j) = env_dim for m step unitaries, starts in |0...0>,
+    spliced in after S.  Step j's unitary acts on S (x) F_j; its operator
+    on S (x) E is the register simulator's image of the basis states
+    (linalg._apply_registers on the registers (S, F_j)), transposed: the
+    matrix of an operator is its image of the basis.
     """
     if len(initial_rs.dims) != 2:
         raise ValueError(f"initial state needs registers (R0, S), got {initial_rs.dims}")
+    _require_int(env_dim, "environment dimension")
     if env_dim < 1:
         raise ValueError(f"environment dimension must be at least 1, got {env_dim}")
-    d_s = initial_rs.dims[1]
-    m = len(step_unitaries)
-    d_env = env_dim ** m
-    e0 = np.zeros(d_env, dtype=complex)
-    e0[0] = 1.0
-    vec = np.kron(initial_rs.vec, e0)
-    initial = PureState(vec, (initial_rs.dims[0], d_s, d_env))
-    dims = [d_s] + [env_dim] * m
+    d_s, m = initial_rs.dims[1], len(step_unitaries)
+    dims = (d_s,) + (env_dim,) * m
+    fresh = PureState(np.eye(1, env_dim ** m, dtype=complex)[0], (env_dim ** m,))
+    initial = PureState(initial_rs.vec, initial_rs.dims, ("R0", "S")).splice(
+        fresh, after="S", labels=("E",))
+    basis = np.eye(d_s * env_dim ** m, dtype=complex)
     embedded = []
     for jj, u in enumerate(step_unitaries):
         u = np.asarray(u, dtype=complex)
         if u.shape != (d_s * env_dim, d_s * env_dim):
             raise ValueError(
                 f"step unitary {jj} must act on dim {d_s * env_dim}, got {u.shape}")
-        big = np.kron(u, np.eye(env_dim ** (m - 1)))
-        # big is ordered (S, F_jj, other F's ascending); permute to (S, F_1..F_m)
-        current = [0, jj + 1] + [ax for ax in range(1, m + 1) if ax != jj + 1]
-        perm = [current.index(ax) for ax in range(m + 1)]
-        big = big.reshape(dims + dims).transpose(perm + [p + m + 1 for p in perm])
-        embedded.append(big.reshape(d_s * d_env, d_s * d_env))
+        embedded.append(_apply_registers(basis, dims, u, (0, jj + 1), in_place=True).T)
     return system_env_circuit(initial, embedded)
 
 

@@ -44,8 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (_apply_registers, apply_two_site, broadcast_batch, hermitian_eig,
-                     partial_trace, require_finite)
+from .linalg import (_apply_registers, _is_int, _require_int, apply_two_site,
+                     broadcast_batch, hermitian_eig, partial_trace, require_finite)
 from .tolerances import ENTROPY_CLIP, INVARIANT_TOL
 
 __all__ = [
@@ -186,7 +186,7 @@ class PureState:
                 if self.labels is None or r not in self.labels:
                     raise ValueError(f"no register labelled {r!r} in {self.labels}")
                 axes.append(self.labels.index(r))
-            elif isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            elif not _is_int(r):
                 raise ValueError(f"register {r!r} is neither a label nor an integer position")
             elif 0 <= r < len(self.dims):
                 axes.append(int(r))
@@ -413,7 +413,9 @@ def maximally_entangled(d: int) -> PureState:
 def random_density(d: int, rank: int | None = None,
                    seed: int | np.random.Generator = 0) -> DensityMatrix:
     """Random density matrix rho = G G† / Tr(G G†), G complex Gaussian d x rank."""
-    rank = d if rank is None else int(rank)
+    _require_int(d, "d")
+    rank = d if rank is None else rank
+    _require_int(rank, "rank")
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed

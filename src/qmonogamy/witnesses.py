@@ -76,7 +76,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply_to_subsystem
 from .info import conditional_mutual_information, mutual_information
-from .linalg import transfer_matrix
+from .linalg import _is_int, _require_int, transfer_matrix
 from .states import DensityMatrix, PureState, purify, von_neumann_stack
 from .tolerances import GAP_TOLERANCE
 
@@ -127,6 +127,8 @@ class MarkovChainProcess:
     def coherent_info(self, r: int, s: int) -> float:
         """Ic(r:s) = H(R, E1..E_{s-1}) - H(E_r..E_{s-1}), read from the
         process's BondTable."""
+        _require_int(r, "state r")
+        _require_int(s, "state s")
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s <= {self.n_states}, got r={r}, s={s}")
         _require_states(self, s, f"Ic({r}:{s})")
@@ -196,9 +198,13 @@ def qdpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     return WitnessReport(_read(_gaps, _gathers(4).dp, p.table))
 
 
-# each data-processing gap is Ic(a) - Ic(b) for its pairs a, b
+# each data-processing gap is Ic(a) - Ic(b) for its pairs a, b; the
+# candidates of extra_dpi_witnesses are listed in the same form
 _DP_PAIRS = {"DP1": ((1, 2), (1, 3)), "DP2": ((1, 2), (1, 4)),
              "DP3": ((1, 3), (1, 4)), "DP4": ((2, 3), (2, 4))}
+_CANDIDATE_DP_PAIRS = {"DP5": ((2, 3), (1, 3)), "DP6": ((2, 3), (1, 4)),
+                       "DP7": ((2, 4), (1, 4)), "DP8": ((3, 4), (1, 4)),
+                       "DP9": ((3, 4), (2, 4))}
 
 
 def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
@@ -216,18 +222,13 @@ def extra_dpi_witnesses(p: MarkovChainProcess) -> WitnessReport:
     DP9 -0.21).  The report records the raw values; callers decide what
     to make of the signs.
 
-    A three-state process yields DP5 only.
+    A three-state process yields DP5 only: the entries whose states the
+    process has are read from its BondTable in one gather.
     """
     _require_states(p, 3, "extra_dpi_witnesses")
-    ic = p.coherent_info
-    entries = {"DP5": ic(2, 3) - ic(1, 3)}
-    if p.n_states >= 4:
-        i14 = ic(1, 4)
-        entries["DP6"] = ic(2, 3) - i14
-        entries["DP7"] = ic(2, 4) - i14
-        entries["DP8"] = ic(3, 4) - i14
-        entries["DP9"] = ic(3, 4) - ic(2, 4)
-    return WitnessReport(entries)
+    gather = _gap_gather({name: ([a], [b]) for name, (a, b) in _CANDIDATE_DP_PAIRS.items()
+                          if max(a[1], b[1]) <= p.n_states})
+    return WitnessReport(_read(_gaps, gather, p.table))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +250,7 @@ def _permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     """perm as a tuple of ints, refused unless it rearranges 1..n, n >= 1;
     a bool is not taken for 0 or 1."""
     n = len(perm)
-    if (n < 1 or not all(isinstance(f, (int, np.integer)) and not isinstance(f, bool)
-                         for f in perm)
-            or sorted(perm) != list(range(1, n + 1))):
+    if n < 1 or not all(map(_is_int, perm)) or sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must rearrange 1..n for some n >= 1, got {tuple(perm)}")
     return tuple(map(int, perm))
 

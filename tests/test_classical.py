@@ -200,6 +200,19 @@ def test_is_markov_accepts_chains_and_rejects_copies():
     assert not is_markov(joint_pmf(probs))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None])
+def test_is_markov_refuses_a_tolerance_that_is_not_a_finite_number_at_least_zero(tol):
+    # every comparison with NaN is False, so tol = NaN called the copy below Markov
+    probs = np.zeros((2, 2, 2))
+    for x1, x2 in itertools.product(range(2), range(2)):
+        probs[x1, x2, x1] = 0.25
+    with pytest.raises(ValueError, match=re.escape(
+            f"tol must be a finite number >= 0, got {tol!r}")):
+        is_markov(joint_pmf(probs), tol=tol)
+    assert not is_markov(joint_pmf(probs), tol=0)
+    assert is_markov(joint_from_chain(random_chain(4, 2, seed=1)), tol=np.float64(1e-9))
+
+
 @given(seeds)
 @settings(max_examples=40)
 def test_cmmi_gap_nonnegative_on_markov_chains(seed):

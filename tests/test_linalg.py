@@ -1,12 +1,19 @@
 """Property tests for the dense linear-algebra kernels."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmonogamy.channels import random_channel
+from qmonogamy.classical import random_chain
+from qmonogamy.experiments import random_markov_process
+from qmonogamy.info import chain_coherent_information
 from qmonogamy.linalg import (apply_kraus, apply_two_site, dagger, hermitian_eig, kron,
                               partial_trace, unitarity_deviation)
-from qmonogamy.states import DensityMatrix, purify
+from qmonogamy.process_tensor import fresh_env_circuit
+from qmonogamy.states import DensityMatrix, pure_state, purify, random_density
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 small_dims = st.sampled_from([2, 3, 4])
@@ -248,3 +255,41 @@ def test_apply_two_site_refuses_stacks_that_do_not_broadcast():
     with pytest.raises(ValueError, match=r"state batch shape \(3,\) and operator batch "
                                          r"shape \(2,\) do not broadcast"):
         apply_two_site(np.ones((3, 4)) / 2, (2, 2), np.stack([np.eye(4)] * 2), (0, 1))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+def test_counts_indices_and_dimensions_are_refused_by_name_unless_integers(bad):
+    # a float or a bool used to be truncated (a rank of 1.5 drew rank 1, a
+    # keep index of 1.5 kept subsystem 1), read as 0 or 1, or fail with a
+    # bare TypeError or IndexError
+    process = random_markov_process(4, seed=3)
+    rho, chain = process.initial, list(process.channels)
+    m = np.eye(4) / 4
+    init = pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), (2, 2))
+    calls = {
+        "state r": [lambda v: process.coherent_info(v, 3),
+                    lambda v: chain_coherent_information(rho, chain, v, 3)],
+        "state s": [lambda v: process.coherent_info(1, v),
+                    lambda v: chain_coherent_information(rho, chain, 1, v)],
+        "keep index": [lambda v: partial_trace(m, (2, 2), (v,))],
+        "d": [lambda v: random_density(v)],
+        "rank": [lambda v: random_density(2, rank=v)],
+        "n_vars": [lambda v: random_chain(v, 2)],
+        "dim": [lambda v: random_chain(4, v)],
+        "d_in": [lambda v: random_channel(v, 2, 2)],
+        "d_out": [lambda v: random_channel(2, v, 2)],
+        "d_env": [lambda v: random_channel(2, 2, v)],
+        "environment dimension": [lambda v: fresh_env_circuit(init, [np.eye(4)], env_dim=v)],
+    }
+    for name, readers in calls.items():
+        for call in readers:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be an integer, got {bad!r}")):
+                call(bad)
+    two = np.int64(2)
+    assert process.coherent_info(np.int64(1), np.int64(3)) == process.coherent_info(1, 3)
+    assert partial_trace(m, (2, 2), (np.int64(1),)).shape == (2, 2)
+    assert random_density(two, rank=np.int64(1), seed=5).dims == (2,)
+    assert random_chain(np.int64(3), two).n_vars == 3
+    assert random_channel(two, two, two).d_in == 2
+    assert fresh_env_circuit(init, [np.eye(4)], env_dim=two).initial.dims == (2, 2, 2)

@@ -288,6 +288,62 @@ def test_a_long_kraus_list_is_refused_by_the_amplitude_budget():
         contract(pt, [ops] + [(np.eye(2),)] * 3)
 
 
+def _kron_embedded_circuit(initial_rs, step_unitaries, env_dim):
+    """fresh_env_circuit built the old way, by np.kron of each step unitary
+    with an identity and a hand-written permutation of the 2(m+1) axes:
+    the reference for the register-simulator embedding."""
+    d_s, m = initial_rs.dims[1], len(step_unitaries)
+    d_env = env_dim ** m
+    e0 = np.zeros(d_env, dtype=complex)
+    e0[0] = 1.0
+    initial = PureState(np.kron(initial_rs.vec, e0), (initial_rs.dims[0], d_s, d_env))
+    dims = [d_s] + [env_dim] * m
+    embedded = []
+    for jj, u in enumerate(step_unitaries):
+        big = np.kron(u, np.eye(env_dim ** (m - 1)))
+        # big is ordered (S, F_jj, other F's ascending); permute to (S, F_1..F_m)
+        current = [0, jj + 1] + [ax for ax in range(1, m + 1) if ax != jj + 1]
+        perm = [current.index(ax) for ax in range(m + 1)]
+        big = big.reshape(dims + dims).transpose(perm + [p + m + 1 for p in perm])
+        embedded.append(big.reshape(d_s * d_env, d_s * d_env))
+    return system_env_circuit(initial, embedded)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("env_dim", [1, 2, 3])
+def test_fresh_env_circuits_are_the_kron_embedding_bit_for_bit(d, env_dim):
+    rng = np.random.default_rng([d, env_dim])
+    for m in range(1, 5):
+        vec = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        init = pure_state(vec / np.linalg.norm(vec), (d, d))
+        units = [_haar(rng, d * env_dim) for _ in range(m)]
+        mine = fresh_env_circuit(init, units, env_dim)
+        ref = _kron_embedded_circuit(init, units, env_dim)
+        assert mine.initial.dims == ref.initial.dims
+        assert mine.initial.vec.tobytes() == ref.initial.vec.tobytes()
+        # equal entry for entry; only the sign of some zeros differs
+        for a, b in zip(mine.step_unitaries, ref.step_unitaries, strict=True):
+            assert np.array_equal(a, b)
+        k = m + 1
+        if k >= 4:
+            assert mqmmi_witnesses(mine).entries == mqmmi_witnesses(ref).entries
+        # the k-slot tensor holds d^(2k) port amplitudes times E's
+        if d ** (2 * k) * env_dim ** m > MAX_AMPLITUDES:
+            continue
+        pt, pt_ref = build_process_tensor(mine, k), build_process_tensor(ref, k)
+        assert pt.state.vec.tobytes() == pt_ref.state.vec.tobytes()
+        assert markov_factorization_gap(pt) == markov_factorization_gap(pt_ref)
+        assert (dephased_joint_pmf(pt).probs.tobytes()
+                == dephased_joint_pmf(pt_ref).probs.tobytes())
+        maps = [random_channel(d, d, 2, seed=rng) for _ in range(k)]
+        assert contract(pt, maps[:-1]).mat.tobytes() == contract(pt_ref, maps[:-1]).mat.tobytes()
+        assert contract(pt, maps) == contract(pt_ref, maps)
+        if k == 4:
+            for ops in (None, maps[:-1]):
+                assert (choi_dpi_witnesses(pt, ops).entries
+                        == choi_dpi_witnesses(pt_ref, ops).entries)
+
+
 def test_fresh_env_circuit_rejects_an_empty_environment():
     init = pure_state(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
     with pytest.raises(ValueError, match="environment dimension"):
@@ -682,6 +738,25 @@ def test_a_non_finite_step_operator_is_refused_by_name(bad):
     # embedding an infinite entry next to zeros makes NaN, which is refused too
     with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
         fresh_env_circuit(init, [np.eye(4), u], env_dim=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_intervention_operator_is_refused_by_name(bad):
+    # a NaN trace passed the port reads' trace check and failed in eigh, and
+    # contract said "probability nan" or raised a density error
+    pt = build_process_tensor(_w_circuit(0.4), 4)
+    broken = np.eye(2, dtype=complex)
+    broken[0, 1] = bad
+    eye = (np.eye(2),)
+    maps = [(broken,), eye, eye]
+    calls = [lambda: port_mutual_information(pt, 2, 3, maps),
+             lambda: choi_dpi_witnesses(pt, maps),
+             lambda: contract(pt, maps),
+             lambda: contract(pt, maps + [eye])]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite entries in intervention operator: 1 NaN or infinite")):
+            call()
 
 
 def test_a_process_tensor_is_built_from_one_circuit():

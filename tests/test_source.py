@@ -23,6 +23,10 @@
 * The transfer matrix sum_k K_k (x) conj(K_k) of a Kraus list is written
   once, in linalg.transfer_matrix, so apply_kraus and the bond table act
   every channel through the same matrix.
+* numpy's kron is reached only inside linalg.kron: register operators are
+  built by the register simulator, not embedded by hand.
+* The bool-excluding integer test, `isinstance(x, bool)`, is written once,
+  in linalg._is_int, which every integer check calls.
 """
 
 import ast
@@ -361,3 +365,71 @@ def test_the_transfer_scan_sees_a_second_copy():
         "def unitality(adj):\n"
         "    return np.einsum('bkij,bklj->bil', adj, adj.conj())\n")
     assert _transfer_einsums(tree) == ["transfer_matrix (line 4)", "bond_step (line 7)"]
+
+
+def _enclosing(tree: ast.Module, match) -> list[str]:
+    """'<function> (line n)' for every node that `match`es, named by the
+    innermost function around it ('<module>' outside any), in source order."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append(f"{where} (line {child.lineno})")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _is_numpy_kron(node: ast.AST) -> bool:
+    # np.kron / numpy.kron, or kron imported from numpy
+    return (isinstance(node, ast.Attribute) and node.attr == "kron"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")) or (
+        isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        and any(a.name == "kron" for a in node.names))
+
+
+def test_numpy_kron_is_reached_only_inside_linalg_kron():
+    found = {path.name: _enclosing(_tree(path), _is_numpy_kron) for path in MODULES}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert list(found) == ["linalg.py"], found
+    assert [use.split()[0] for use in found["linalg.py"]] == ["kron"]
+
+
+def test_the_kron_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import eye, kron as k\n\n"
+        "def kron(a, b):\n    return np.kron(a, b)\n\n"
+        "def embed(u, n):\n    return numpy.kron(u, np.eye(n))\n\n"
+        "E0 = np.kron([1, 0], [1, 0])\n")
+    assert _enclosing(tree, _is_numpy_kron) == [
+        "<module> (line 2)", "kron (line 5)", "embed (line 8)", "<module> (line 10)"]
+
+
+def _is_bool_test(node: ast.AST) -> bool:
+    # isinstance(x, bool) or isinstance(x, (..., bool, ...))
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+
+
+def test_the_integer_test_is_written_once():
+    found = {path.name: _enclosing(_tree(path), _is_bool_test) for path in MODULES}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert list(found) == ["linalg.py"], found
+    assert [use.split()[0] for use in found["linalg.py"]] == ["_is_int"]
+
+
+def test_the_integer_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "import numpy as np\n\n"
+        "def _is_int(v):\n"
+        "    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)\n\n"
+        "def axes(regs):\n"
+        "    return [r for r in regs if isinstance(r, (bool, str)) or r < 0]\n\n"
+        "def count(n):\n    return isinstance(n, int)\n")
+    assert _enclosing(tree, _is_bool_test) == ["_is_int (line 4)", "axes (line 7)"]

@@ -282,6 +282,19 @@ def test_extra_dpi_gaps_are_reported_without_sign_claims():
         assert entries[name] == pytest.approx(value, abs=1e-8), (name, seed)
 
 
+def test_extra_dpi_gaps_are_the_hand_written_differences():
+    # each candidate gap is one gathered Ic(a) - Ic(b), the same float
+    # subtraction as the hand-written form, so the values are equal
+    for n_states in (3, 4, 8):
+        p = random_markov_process(n_states, seed=n_states)
+        ic = p.coherent_info
+        hand = {"DP5": ic(2, 3) - ic(1, 3)}
+        if n_states >= 4:
+            hand.update(DP6=ic(2, 3) - ic(1, 4), DP7=ic(2, 4) - ic(1, 4),
+                        DP8=ic(3, 4) - ic(1, 4), DP9=ic(3, 4) - ic(2, 4))
+        assert extra_dpi_witnesses(p).entries == hand
+
+
 def test_dp5_equals_an_environment_conditional_entropy():
     # DP5 = Ic(2:3) - Ic(1:3) = H(E1|E2) of the purified circuit: a DP5
     # violation would refute the nonnegativity of that conditional entropy
