@@ -5,7 +5,9 @@ Probabilities are stored as dense arrays, one axis per variable.  A chain
 is an initial distribution plus column-stochastic transition matrices
 T[next, prev]; its joint distribution factorizes step by step, which is
 what `is_markov` checks on an arbitrary joint via vanishing conditional
-mutual information between each variable and its pre-predecessors.
+mutual information between each variable and its pre-predecessors.  A
+JointPMF reads Shannon entropies with `entropies`, as the states read von
+Neumann ones, so info's one I(A:B) and I(A:B|C) serve tables too.
 Validation and chain products are stacked (joint_pmf_stack, chain_stack,
 joints_from_chains, dirichlet_chains); joint_pmf, classical_chain,
 joint_from_chain and random_chain are their one-item forms.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .info import conditional_mutual_information, mutual_information
 from .linalg import _is_int, _require_int, require_finite
 from .states import spectrum_entropy
 from .tolerances import GAP_TOLERANCE, INVARIANT_TOL
@@ -33,8 +36,6 @@ __all__ = [
     "joints_from_chains",
     "shannon_entropy",
     "shannon_entropies",
-    "classical_mi",
-    "classical_cmi",
     "is_markov",
     "cmmi_gap",
     "random_chain",
@@ -55,6 +56,10 @@ class JointPMF:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.probs.shape
+
+    def entropies(self, *subsets: tuple[int, ...]) -> list[float]:
+        """shannon_entropy of each subset's marginal; exactly 0 for the empty set."""
+        return [shannon_entropy(self, s) if s else 0.0 for s in subsets]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,25 +189,6 @@ def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     return spectrum_entropy(w)
 
 
-def classical_mi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB)."""
-    a, b = tuple(a), tuple(b)
-    if set(a) & set(b):
-        raise ValueError("variable sets overlap")
-    return shannon_entropy(p, a) + shannon_entropy(p, b) - shannon_entropy(p, a + b)
-
-
-def classical_cmi(p: JointPMF, a: tuple[int, ...], b: tuple[int, ...],
-                  c: tuple[int, ...]) -> float:
-    """I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)."""
-    a, b, c = tuple(a), tuple(b), tuple(c)
-    if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
-        raise ValueError("variable sets overlap")
-    hc = shannon_entropy(p, c) if c else 0.0
-    return (shannon_entropy(p, a + c) + shannon_entropy(p, b + c)
-            - shannon_entropy(p, a + b + c) - hc)
-
-
 def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
     """Whether each variable is independent of the deeper past given its
     predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every i >= 3.
@@ -213,7 +199,7 @@ def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     for i in range(2, p.n_vars):
         past = tuple(range(i - 1))
-        if classical_cmi(p, (i,), past, (i - 1,)) > tol:
+        if conditional_mutual_information(p, (i,), past, (i - 1,)) > tol:
             return False
     return True
 
@@ -233,7 +219,7 @@ def cmmi_gap(p: JointPMF, perm: tuple[int, ...]) -> float:
     n = p.n_vars // 2
     if len(perm) != n:
         raise ValueError(f"perm must rearrange 1..{n}, got {perm}")
-    return monogamy_gap(lambda r, s: classical_mi(p, (r - 1,), (s - 1,)), perm)
+    return monogamy_gap(lambda r, s: mutual_information(p, (r - 1,), (s - 1,)), perm)
 
 
 def random_chain(n_vars: int, dim: int, seed: int | np.random.Generator = 0) -> ClassicalChain:

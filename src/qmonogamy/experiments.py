@@ -66,7 +66,8 @@ block: the positivity spectra of the 8x8 and 4x4 draws are H(ABC) and
 H(AB), the entropies a channel on B leaves alone (H(AC), H(C), H(A)) are
 not taken again after it, and the other marginals share one stacked
 eigensolve per matrix size (states._von_neumann_stacks, which the
-process-tensor port reads share).  The per-sample functions
+entropies readers of both state kinds share).  Each check walks the
+(start, size) blocks of _blocks.  The per-sample functions
 (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
 cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
 shares) are the reference the tests compare the stacked checks with.
@@ -384,9 +385,7 @@ def random_markov_verify(steps: int, samples: int, dims: tuple[int, int] = (2, 2
                          f"(limit {MAX_AMPLITUDES})")
     lows, cert_lows, mismatches = [], [], []
     counterexample = None
-    block = _block_size(SURVEY_ENTRY_BYTES * _survey_entries(steps, d_sys, d_env))
-    for start in range(0, samples, block):
-        size = min(block, samples - start)
+    for start, size in _blocks(samples, SURVEY_ENTRY_BYTES * _survey_entries(steps, d_sys, d_env)):
         first = seed + start
         table = bond_table(*_survey_draws(steps, first, size, d_sys, d_env))
         entries = survey_witnesses(table, steps)
@@ -497,11 +496,11 @@ def _block_size(sample_bytes: int) -> int:
     return max(1, BLOCK_BYTES // sample_bytes)
 
 
-def _blocks(samples: int, sample_bytes: int) -> list[int]:
-    """Sizes of the consecutive blocks that cover `samples` samples of
-    `sample_bytes` bytes each."""
+def _blocks(samples: int, sample_bytes: int) -> list[tuple[int, int]]:
+    """(start, size) of the consecutive blocks that cover `samples` samples
+    of `sample_bytes` bytes each: the one block walk of verify."""
     block = _block_size(sample_bytes)
-    return [min(block, samples - start) for start in range(0, samples, block)]
+    return [(start, min(block, samples - start)) for start in range(0, samples, block)]
 
 
 def _ginibres(x: np.ndarray, d: int) -> np.ndarray:
@@ -519,8 +518,7 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
     rng = np.random.default_rng(seed)
     id_dev = 0.0
     unital_dev = 0.0
-    start = 0
-    for size in _blocks(samples, ADJOINT_SAMPLE_BYTES):
+    for start, size in _blocks(samples, ADJOINT_SAMPLE_BYTES):
         # the Gaussians of random_channel(d, d, d_env) per sample, grouped by
         # (d, d_env), each with its sample's number
         draws: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
@@ -528,7 +526,6 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
             d = int(rng.integers(2, 4))
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
             draws.setdefault((d, d_env), []).append((i, ginibre(rng, (d * d_env, d * d_env))))
-        start += size
         for (d, _), drawn in draws.items():
             where, gaussians = zip(*drawn)
             kraus = dilation_kraus(haar_unitaries(np.stack(gaussians)), d, d)
@@ -562,13 +559,13 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     cqmi_min = math.inf
     mi_min = math.inf
     cmi_min = math.inf
-    sizes = _blocks(samples, MI_SAMPLE_BYTES)
-    x3 = np.empty((sizes[0], 2 * 8 * 8))
-    x2 = np.empty((sizes[0], 2 * 4 * 4))
-    x_env = {d_env: np.empty((sizes[0], 2 * (2 * d_env) ** 2))
+    blocks = _blocks(samples, MI_SAMPLE_BYTES)
+    largest = blocks[0][1]
+    x3 = np.empty((largest, 2 * 8 * 8))
+    x2 = np.empty((largest, 2 * 4 * 4))
+    x_env = {d_env: np.empty((largest, 2 * (2 * d_env) ** 2))
              for d_env in range(2, MAX_KRAUS + 1)}
-    start = 0
-    for size in sizes:
+    for start, size in blocks:
         # the Gaussians of random_density(8), then of random_channel(2, 2, d_env)
         # and random_density(4), per sample, drawn in place: the channel ones
         # into the next row of their d_env's buffer, with the sample's place
@@ -603,7 +600,6 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
         _refuse_nonfinite("MI check", ("cqmi_monotonicity", "mi_monotonicity", "cmi"),
                           np.stack([cqmi, mi, cmi]),
                           lambda b: f"sample {start + b} of seed {seed}")
-        start += size
         cqmi_min = min(cqmi_min, float(cqmi.min()))
         cmi_min = min(cmi_min, float(cmi.min()))
         mi_min = min(mi_min, float(mi.min()))
@@ -629,8 +625,7 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
     rng = np.random.default_rng(seed)
     perm = tuple(range(n_pairs, 0, -1))
     worst = math.inf
-    start = 0
-    for size in _blocks(samples, CLASSICAL_ENTRY_BYTES * dim ** (2 * n_pairs)):
+    for start, size in _blocks(samples, CLASSICAL_ENTRY_BYTES * dim ** (2 * n_pairs)):
         # the exponential variates of random_chain per sample, in one call
         probs = joints_from_chains(*dirichlet_chains(*chain_variates(rng, 2 * n_pairs, dim,
                                                                      size)))
@@ -639,6 +634,5 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
         gaps = monogamy_gap(lambda r, s: h((r - 1,)) + h((s - 1,)) - h((r - 1, s - 1)), perm)
         _refuse_nonfinite("classical check", ("classical_cmmi",), gaps[None],
                           lambda b: f"sample {start + b} of seed {seed}")
-        start += size
         worst = min(worst, float(gaps.min()))
     return {"classical_cmmi_min": worst}

@@ -19,8 +19,8 @@ function is one of the two references the tests compare that table with;
 the other is the purified circuit (witnesses.purified_circuit_state).
 
 von_neumann is defined in states, as the one-matrix form of
-von_neumann_stack (which PureState.entropies reaches), and exported from
-here with the other entropic quantities.
+von_neumann_stack (which every entropies reader reaches), and exported
+from here with the package's one I(A:B) and I(A:B|C).
 """
 
 from __future__ import annotations
@@ -37,24 +37,15 @@ __all__ = [
 ]
 
 
-def _subset_entropies(rho: DensityMatrix | PureState, *subsets: tuple) -> list[float]:
-    # a pure state reads all its subsets in one entropies call
-    if isinstance(rho, PureState):
-        return rho.entropies(*subsets)
-    return [0.0 if not s else von_neumann(rho if len(s) == len(rho.dims) else rho.reduced(s))
-            for s in subsets]
-
-
 def mutual_information(rho: DensityMatrix | PureState, a: tuple, b: tuple) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB) over disjoint subsystem sets.
-
-    Subsystems are indices; a PureState's registers may also be named by
-    label, and its entropies come from one PureState.entropies call.
+    """I(A:B) = H(A) + H(B) - H(AB) over disjoint subsystem sets of a
+    DensityMatrix, a PureState (registers also named by label) or a
+    classical.JointPMF, from one `rho.entropies` call (an array on a stack).
     """
     a, b = tuple(a), tuple(b)
     if set(a) & set(b):
         raise ValueError("subsystem sets overlap")
-    ha, hb, hab = _subset_entropies(rho, a, b, tuple(sorted(a + b)))
+    ha, hb, hab = rho.entropies(a, b, tuple(sorted(a + b)))
     return ha + hb - hab
 
 
@@ -65,8 +56,8 @@ def conditional_mutual_information(rho: DensityMatrix | PureState, a: tuple,
     a, b, c = tuple(a), tuple(b), tuple(c)
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise ValueError("subsystem sets overlap")
-    hac, hbc, habc, hc = _subset_entropies(
-        rho, tuple(sorted(a + c)), tuple(sorted(b + c)), tuple(sorted(a + b + c)), c)
+    hac, hbc, habc, hc = rho.entropies(
+        tuple(sorted(a + c)), tuple(sorted(b + c)), tuple(sorted(a + b + c)), c)
     return hac + hbc - habc - hc
 
 
@@ -92,4 +83,5 @@ def chain_coherent_information(rho1: DensityMatrix, chain: list[KrausChannel],
     joint = purify(rho).density()
     for i in range(r - 1, s - 1):
         joint = apply_to_subsystem(chain[i], joint, 1)
-    return von_neumann(joint.reduced((1,))) - von_neumann(joint)
+    h_s, h_rs = joint.entropies((1,), (0, 1))
+    return h_s - h_rs

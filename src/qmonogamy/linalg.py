@@ -83,7 +83,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
     The reduced operator over the kept subsystems, with `m`'s batch axes.
     """
     m = np.asarray(m, dtype=complex)
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     _check_signature(m, dims)
     keep = tuple(keep)
     for k in keep:
@@ -135,7 +135,7 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
     """
     m = np.asarray(m, dtype=complex)
     kraus = np.asarray(kraus, dtype=complex)
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     _check_signature(m, dims)
     if not 0 <= target < len(dims):
         raise ValueError(f"target {target} out of range for {len(dims)} subsystems")
@@ -202,6 +202,14 @@ def _require_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as ints, each refused by name unless an integer
+    (int() would truncate 2.5 to 2): the one place dimensions are read."""
+    for d in dims:
+        _require_int(d, "subsystem dimension")
+    return tuple(int(d) for d in dims)
+
+
 def unitarity_deviation(m: np.ndarray) -> np.ndarray:
     """||m† m - 1||_max of every square matrix in a stack (..., d, d)."""
     m = np.asarray(m, dtype=complex)
@@ -236,7 +244,7 @@ def apply_two_site(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
     place: one reshape and one batched matmul (_apply_registers).  Any
     other pair is transposed into such a block and back.
     """
-    return _apply_registers(np.asarray(vec, dtype=complex), tuple(map(int, dims)),
+    return _apply_registers(np.asarray(vec, dtype=complex), _dims(dims),
                             np.asarray(u, dtype=complex), tuple(sites), in_place=True)
 
 

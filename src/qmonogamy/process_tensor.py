@@ -24,11 +24,12 @@ The port mutual informations I(R_y : S_x) of port_mutual_information and
 choi_dpi_witnesses come from one reader that takes all its pairs in one
 pass.  Each plugged register is kept, keyed by the slots it plugs, so
 every plug is made once and shared by every later pair, and the register's
-trace is checked before each read.  The joints rho(R_y, S_x) and their
-one-register marginals then take one stacked eigensolve per matrix size
-through states._von_neumann_stacks, the helper the mutual-information
-check of verify uses too; markov_factorization_gap and the
-interventional witnesses reach it through PureState.entropies.
+trace is checked before each read.  The joints rho(R_y, S_x) are then one
+stacked DensityMatrix, read by info.mutual_information, the package's one
+I(A:B): the joints and their one-register marginals take one stacked
+eigensolve per matrix size (DensityMatrix.entropies).
+markov_factorization_gap and the interventional witnesses read their
+entropies through PureState.entropies.
 
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
@@ -45,10 +46,10 @@ import numpy as np
 
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
-from .linalg import (_apply_registers, _require_int, broadcast_batch, partial_trace,
-                     require_finite, unitarity_deviation)
-from .states import (DensityMatrix, PureState, _von_neumann_stacks, density,
-                     maximally_entangled, purify)
+from .info import mutual_information
+from .linalg import (_apply_registers, _require_int, broadcast_batch, require_finite,
+                     unitarity_deviation)
+from .states import DensityMatrix, PureState, density, maximally_entangled, purify
 from .tolerances import INVARIANT_TOL
 from .witnesses import MONOGAMY, WitnessReport, _pairing, monogamy_gap
 
@@ -273,10 +274,7 @@ def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]
                              f"has trace {tr:.3e}")
         joints.append(psi.reduced((f"R{y}", f"S{x}")).mat)
     # each joint holds its two registers in register order, (R_y, S_x) when y < x
-    joints = np.stack(joints)
-    h_joint, h_a, h_b = _von_neumann_stacks(
-        joints, partial_trace(joints, (d, d), (0,)), partial_trace(joints, (d, d), (1,)))
-    return h_a + h_b - h_joint
+    return mutual_information(DensityMatrix(np.stack(joints), (d, d)), (0,), (1,))
 
 
 # the seven gaps: two adjacent plus one transitive along the R1 row, the

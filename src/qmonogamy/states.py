@@ -33,18 +33,19 @@ marginals, and `entropies` reads any number of cuts over the whole batch
 at once, an array per cut (a float when there is no batch).  The
 unbatched state is the same code with an empty batch shape.  A
 DensityMatrix may likewise hold a stack (..., d, d); `purify` purifies
-every matrix of it in one call.
+every matrix of it in one call, and its `entropies` reads subsets the
+way PureState.entropies reads cuts, through the same private tail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import (_apply_registers, _is_int, _require_int, apply_two_site,
+from .linalg import (_apply_registers, _dims, _is_int, _require_int, apply_two_site,
                      broadcast_batch, hermitian_eig, partial_trace, require_finite)
 from .tolerances import ENTROPY_CLIP, INVARIANT_TOL
 
@@ -90,6 +91,16 @@ class DensityMatrix:
         sub = partial_trace(self.mat, self.dims, keep)
         return DensityMatrix(sub, tuple(self.dims[k] for k in keep))
 
+    def entropies(self, *subsets: Sequence[int]) -> list[float | np.ndarray]:
+        """von Neumann entropy (bits) of the marginal on each subset, in order:
+        PureState.entropies of a mixed state, whose whole register is the
+        matrix itself.  A NaN or infinite entry is refused by name."""
+        require_finite(self.mat)
+        whole, m = tuple(range(len(self.dims))), self.mat.reshape(-1, self.dim, self.dim)
+        sides = [tuple(sorted(set(s))) or None for s in subsets]
+        return _side_entropies(sides, lambda keep: m if keep == whole
+                               else partial_trace(m, self.dims, keep), self.mat.shape[:-2])
+
 
 def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
     """Entropy -sum(w log2 w) over eigenvalues above ENTROPY_CLIP.
@@ -119,9 +130,9 @@ def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
 
 def _von_neumann_stacks(*stacks: np.ndarray) -> list[np.ndarray]:
     """von_neumann_stack of each of equally long stacks (n, d, d), with one
-    eigensolve call for all the stacks of one size d.  PureState.entropies,
-    the mutual-information check of verify and the process-tensor port
-    reads take their entropies through it."""
+    eigensolve call for all the stacks of one size d.  The entropies
+    readers of both state kinds (_side_entropies) and the
+    mutual-information check of verify take their entropies through it."""
     out = {}
     for d in {m.shape[-1] for m in stacks}:
         same = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
@@ -129,6 +140,18 @@ def _von_neumann_stacks(*stacks: np.ndarray) -> list[np.ndarray]:
                               else np.concatenate([stacks[i] for i in same]))
         out.update(zip(same, h.reshape(len(same), -1)))
     return [out[i] for i in range(len(stacks))]
+
+
+def _side_entropies(sides: list, marginals: Callable[[tuple], np.ndarray],
+                    batch: tuple[int, ...]) -> list[float | np.ndarray]:
+    """The tail of both entropies readers: each distinct side's marginals
+    (n, d, d) over the flat batch, one eigensolve per size, 0 for a None
+    side, and a float per side without a batch, else a batch-shaped array."""
+    distinct = list(dict.fromkeys(s for s in sides if s is not None))
+    h = dict(zip(distinct, _von_neumann_stacks(*map(marginals, distinct))))
+    values = [np.zeros(math.prod(batch)) if s is None else h[s] for s in sides]
+    # a copy each, so that a cut and its complement never share an array
+    return [v.reshape(batch).copy() if batch else float(v[0]) for v in values]
 
 
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:
@@ -235,11 +258,7 @@ class PureState:
                 if (d_keep, keep[0] != 0) > (self.dim // d_keep, keep[0] == 0):
                     keep = [i for i in range(n) if i not in keep]
             sides.append(tuple(keep) if 0 < len(keep) < n else None)
-        distinct = list(dict.fromkeys(s for s in sides if s is not None))
-        h = dict(zip(distinct, _von_neumann_stacks(*map(self._marginals, distinct))))
-        values = [np.zeros(math.prod(self.batch)) if s is None else h[s] for s in sides]
-        # a copy each, so that a cut and its complement never share an array
-        return [v.reshape(self.batch).copy() if self.batch else float(v[0]) for v in values]
+        return _side_entropies(sides, self._marginals, self.batch)
 
     def apply(self, op: np.ndarray, on: Sequence[Register],
               out: dict[str, int] | None = None) -> PureState:
@@ -325,7 +344,7 @@ def pure_state(vec: np.ndarray, dims: tuple[int, ...] | None = None) -> PureStat
     require_finite(vec, "amplitudes")
     if dims is None:
         dims = (vec.shape[0],)
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     if math.prod(dims) != vec.shape[0]:
         raise ValueError(f"dims {dims} do not match vector length {vec.shape[0]}")
     nrm = np.linalg.norm(vec)
@@ -344,7 +363,7 @@ def density(m: np.ndarray, dims: tuple[int, ...] | None = None) -> DensityMatrix
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    dims = (m.shape[0],) if dims is None else tuple(int(d) for d in dims)
+    dims = (m.shape[0],) if dims is None else _dims(dims)
     return DensityMatrix(density_stack(m[None], dims)[0][0], dims)
 
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.classical import (chain_stack, classical_chain, classical_cmi, classical_mi,
-                                 cmmi_gap, is_markov, joint_from_chain, joint_pmf,
-                                 joint_pmf_stack, random_chain, shannon_entropies,
-                                 shannon_entropy)
+from qmonogamy.classical import (chain_stack, classical_chain, cmmi_gap, is_markov,
+                                 joint_from_chain, joint_pmf, joint_pmf_stack, random_chain,
+                                 shannon_entropies, shannon_entropy)
+from qmonogamy.info import conditional_mutual_information, mutual_information
 from qmonogamy.witnesses import uncrossing
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -38,10 +38,10 @@ def test_joint_pmf_validation():
     (lambda p: shannon_entropy(p, (3,)), [3]),
     (lambda p: shannon_entropy(p, (-1,)), [-1]),
     (lambda p: shannon_entropies(p.probs[None], (0, 5)), [5]),
-    (lambda p: classical_mi(p, (0,), (7,)), [7]),
-    (lambda p: classical_cmi(p, (0,), (1,), (9,)), [9]),
-], ids=["shannon_entropy", "shannon_entropy negative", "shannon_entropies", "classical_mi",
-        "classical_cmi"])
+    (lambda p: mutual_information(p, (0,), (7,)), [7]),
+    (lambda p: conditional_mutual_information(p, (0,), (1,), (9,)), [9]),
+], ids=["shannon_entropy", "shannon_entropy negative", "shannon_entropies",
+        "mutual_information", "conditional_mutual_information"])
 def test_an_out_of_range_variable_is_refused_by_name(call, bad):
     # the marginal over a variable the table lacks used to read as entropy 0
     p = joint_from_chain(random_chain(3, 2, seed=4))
@@ -175,11 +175,11 @@ def test_shannon_entropy_reference_points():
 def test_classical_mi_nonnegative_and_zero_on_products(seed):
     rng = np.random.default_rng(seed)
     p = _random_pmf(rng, (2, 2, 3))
-    assert classical_mi(p, (0,), (2,)) >= -1e-12
+    assert mutual_information(p, (0,), (2,)) >= -1e-12
     a = rng.exponential(size=2)
     b = rng.exponential(size=3)
     prod = joint_pmf(np.einsum("i,j->ij", a / a.sum(), b / b.sum()))
-    assert classical_mi(prod, (0,), (1,)) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_information(prod, (0,), (1,)) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(seeds)
@@ -187,7 +187,7 @@ def test_classical_mi_nonnegative_and_zero_on_products(seed):
 def test_classical_cmi_nonnegative(seed):
     rng = np.random.default_rng(seed)
     p = _random_pmf(rng, (2, 2, 2))
-    assert classical_cmi(p, (0,), (2,), (1,)) >= -1e-12
+    assert conditional_mutual_information(p, (0,), (2,), (1,)) >= -1e-12
 
 
 def test_is_markov_accepts_chains_and_rejects_copies():
@@ -243,8 +243,10 @@ def test_cmmi_gap_is_a_sum_of_four_variable_gaps():
             swaps = []
             for k, i, j in uncrossing(perm):
                 a, b, c, d = n - k, n - i, n + i - 1, n + j - 1
-                swaps.append(classical_mi(p, (b,), (c,)) + classical_mi(p, (a,), (d,))
-                             - classical_mi(p, (a,), (c,)) - classical_mi(p, (b,), (d,)))
+                swaps.append(mutual_information(p, (b,), (c,))
+                             + mutual_information(p, (a,), (d,))
+                             - mutual_information(p, (a,), (c,))
+                             - mutual_information(p, (b,), (d,)))
                 assert swaps[-1] >= -1e-12, (dim, perm, k, i, j)
             assert cmmi_gap(p, perm) == pytest.approx(sum(swaps), abs=1e-12), (dim, perm)
 
@@ -270,3 +272,25 @@ def test_random_chain_is_seeded():
     a = joint_from_chain(random_chain(4, 3, seed=9))
     b = joint_from_chain(random_chain(4, 3, seed=9))
     np.testing.assert_array_equal(a.probs, b.probs)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (3, 2, 2, 2)])
+def test_table_mutual_informations_are_the_shannon_sums_bit_for_bit(shape):
+    # the formulas of the classical copies of I(A:B) and I(A:B|C) that
+    # info's one mutual_information and conditional_mutual_information replace
+    p = _random_pmf(np.random.default_rng(len(shape)), shape)
+    n = p.n_vars
+    variables = range(n)
+    for a, b in itertools.permutations([(i,) for i in variables] + [(n - 1, 0)], 2):
+        if set(a) & set(b):
+            continue
+        want = shannon_entropy(p, a) + shannon_entropy(p, b) - shannon_entropy(p, a + b)
+        assert mutual_information(p, a, b) == want, (a, b)
+    for a, b, c in itertools.permutations(variables, 3):
+        for cond in ((c,), ()):
+            want = (shannon_entropy(p, (a,) + cond) + shannon_entropy(p, (b,) + cond)
+                    - shannon_entropy(p, (a, b) + cond)
+                    - (shannon_entropy(p, cond) if cond else 0.0))
+            assert conditional_mutual_information(p, (a,), (b,), cond) == want, (a, b, cond)
+    assert p.entropies((), (0,), tuple(variables)) == [
+        0.0, shannon_entropy(p, (0,)), shannon_entropy(p)]

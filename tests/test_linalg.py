@@ -13,7 +13,7 @@ from qmonogamy.info import chain_coherent_information
 from qmonogamy.linalg import (apply_kraus, apply_two_site, dagger, hermitian_eig, kron,
                               partial_trace, unitarity_deviation)
 from qmonogamy.process_tensor import fresh_env_circuit
-from qmonogamy.states import DensityMatrix, pure_state, purify, random_density
+from qmonogamy.states import DensityMatrix, density, pure_state, purify, random_density
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 small_dims = st.sampled_from([2, 3, 4])
@@ -293,3 +293,27 @@ def test_counts_indices_and_dimensions_are_refused_by_name_unless_integers(bad):
     assert random_chain(np.int64(3), two).n_vars == 3
     assert random_channel(two, two, two).d_in == 2
     assert fresh_env_circuit(init, [np.eye(4)], env_dim=two).initial.dims == (2, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+def test_a_subsystem_dimension_that_is_not_an_integer_is_refused_by_name(bad):
+    # int() used to truncate it: partial_trace(diag(.1, .2, .3, .4), (2.5, 2), (0,))
+    # returned diag(0.3, 0.7), and pure_state(ones(4) / 2, (2.7, 2)) had dims (2, 2)
+    m = np.diag([0.1, 0.2, 0.3, 0.4])
+    vec = np.ones(4) / 2
+    calls = {
+        "partial_trace": lambda dims: partial_trace(m, dims, (0,)),
+        "pure_state": lambda dims: pure_state(vec, dims),
+        "density": lambda dims: density(np.eye(4) / 4, dims),
+        "apply_kraus": lambda dims: apply_kraus(m, dims, np.eye(2)[None], 0),
+        "apply_two_site": lambda dims: apply_two_site(vec, dims, np.eye(4), (0, 1)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"subsystem dimension must be an integer, got {bad!r}")):
+            call((bad, 2))
+        # numpy integers are integers
+        call((np.int64(2), 2))
+    for dims in (pure_state(vec, (np.int64(2), 2)).dims,
+                 density(np.eye(4) / 4, (2, np.int32(2))).dims):
+        assert dims == (2, 2) and all(type(d) is int for d in dims)

@@ -25,7 +25,8 @@ from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
                                       markov_factorization_gap, mqmmi_witnesses,
                                       multitime_coherent_info,
                                       port_mutual_information, system_env_circuit)
-from qmonogamy.states import MAX_AMPLITUDES, PureState, pure_state, purify, w_state
+from qmonogamy.states import (MAX_AMPLITUDES, PureState, _von_neumann_stacks, pure_state,
+                              purify, w_state)
 from qmonogamy.tolerances import GAP_TOLERANCE
 from qmonogamy.witnesses import MONOGAMY, m4_witness, markov_process, monogamy_gap
 
@@ -493,6 +494,43 @@ def test_the_port_reads_make_each_plug_once_and_one_eigensolve_per_size(
     eigvalsh.clear()
     markov_factorization_gap(build_process_tensor(circuit, slots))
     assert len(eigvalsh) <= 2
+
+
+def _port_mi_reference(pt, pairs, interventions):
+    """The port reader's mutual informations by its earlier tail: each pair's
+    register plugged on its own, then _von_neumann_stacks of the stacked
+    joints and of their two one-register partial traces."""
+    d = pt.d_sys
+    items = interventions or [(np.eye(d, dtype=complex),)] * (pt.n_slots - 1)
+    rows = [process_tensor._plug_rows(process_tensor._as_kraus_ops(m, d), d) for m in items]
+    joints = []
+    for y, x in pairs:
+        psi = pt.state
+        for j in range(1, x):
+            if j != y:
+                psi = process_tensor._plug(psi, j, rows[j - 1])
+        joints.append(psi.reduced((f"R{y}", f"S{x}")).mat)
+    joints = np.stack(joints)
+    h_joint, h_a, h_b = _von_neumann_stacks(
+        joints, partial_trace(joints, (d, d), (0,)), partial_trace(joints, (d, d), (1,)))
+    return h_a + h_b - h_joint
+
+
+@pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
+def test_port_mutual_informations_are_the_earlier_stacked_tail_bit_for_bit(
+        name, circuit, slots):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    maps = [random_channel(d, d, 2, seed=70 + i) for i in range(slots - 1)]
+    gaps = process_tensor.CHOI_DPI_GAPS
+    pairs = sorted({pair for _, hi, lo in gaps for pair in (hi, lo)})
+    for seq in (None, maps):
+        mi = dict(zip(pairs, _port_mi_reference(pt, pairs, seq).tolist()))
+        assert choi_dpi_witnesses(pt, seq).entries == {
+            gap: mi[hi] - mi[lo] for gap, hi, lo in gaps}
+        for y, x in itertools.product(range(1, slots), range(1, slots + 1)):
+            want = float(_port_mi_reference(pt, [(y, x)], seq)[0])
+            assert port_mutual_information(pt, y, x, seq) == want, (y, x, seq is None)
 
 
 def test_choi_dpi_needs_four_slots():

@@ -27,6 +27,8 @@
   built by the register simulator, not embedded by hand.
 * The bool-excluding integer test, `isinstance(x, bool)`, is written once,
   in linalg._is_int, which every integer check calls.
+* Subsystem dimensions are read with `int(...)` only in linalg._dims,
+  which refuses a non-integer by name instead of truncating it.
 """
 
 import ast
@@ -422,6 +424,44 @@ def test_the_integer_test_is_written_once():
     found = {name: uses for name, uses in found.items() if uses}
     assert list(found) == ["linalg.py"], found
     assert [use.split()[0] for use in found["linalg.py"]] == ["_is_int"]
+
+
+def _mentions_dims(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "dims"
+               or isinstance(n, ast.Attribute) and n.attr == "dims" for n in ast.walk(node))
+
+
+def _int_reads_dims(node: ast.AST) -> bool:
+    # int(<dims ...>), int(x) for x in <dims ...>, or map(int, <dims ...>)
+    def is_int(f: ast.AST) -> bool:
+        return isinstance(f, ast.Name) and f.id == "int"
+
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        return (isinstance(node.elt, ast.Call) and is_int(node.elt.func)
+                and any(_mentions_dims(g.iter) for g in node.generators))
+    if not isinstance(node, ast.Call):
+        return False
+    if is_int(node.func):
+        return any(_mentions_dims(a) for a in node.args)
+    return (isinstance(node.func, ast.Name) and node.func.id == "map" and len(node.args) == 2
+            and is_int(node.args[0]) and _mentions_dims(node.args[1]))
+
+
+def test_dimensions_are_read_as_integers_only_in_linalg_dims():
+    found = {path.name: _enclosing(_tree(path), _int_reads_dims) for path in MODULES}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert list(found) == ["linalg.py"], found
+    assert [use.split()[0] for use in found["linalg.py"]] == ["_dims"]
+
+
+def test_the_dimension_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "def _dims(dims):\n    return tuple(int(d) for d in dims)\n\n"
+        "def trace(m, dims):\n    return list(map(int, dims))\n\n"
+        "def size(rho):\n    return int(rho.dims[0])\n\n"
+        "def count(n, keep):\n    return int(n), [int(k) for k in keep]\n")
+    assert _enclosing(tree, _int_reads_dims) == [
+        "_dims (line 2)", "trace (line 5)", "size (line 8)"]
 
 
 def test_the_integer_scan_sees_a_second_copy():

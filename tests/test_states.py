@@ -522,3 +522,49 @@ def test_stacked_density_matrices_and_purifications():
         np.testing.assert_array_equal(pur.vec[b], one.vec)
         np.testing.assert_allclose(pur.reduced((1, 2)).mat[b], rhos[b], atol=1e-12)
         np.testing.assert_allclose(pur.density().mat[b], one.density().mat, atol=1e-15)
+
+
+def _entropy_reference(rho, subset):
+    # the per-subset reading the mutual informations used before
+    # DensityMatrix.entropies: one von_neumann per subset
+    if not subset:
+        return 0.0
+    return von_neumann(rho if len(subset) == len(rho.dims) else rho.reduced(subset))
+
+
+DM_SUBSETS = [(), (0,), (2,), (1,), (0, 1), (1, 2), (0, 2), (2, 0), (0, 1, 2), (2, 1, 0)]
+
+
+def test_density_matrix_entropies_are_the_one_subset_readings_bit_for_bit(monkeypatch):
+    rho = DensityMatrix(random_density(12, seed=8).mat, (2, 3, 2))
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+    values = rho.entropies(*DM_SUBSETS)
+    # each distinct subset reduced once, every marginal of one size in one
+    # eigensolve, the whole register read from the matrix itself
+    assert sorted(shapes) == [(1, 3, 3), (1, 4, 4), (1, 12, 12), (2, 2, 2), (2, 6, 6)]
+    assert all(isinstance(h, float) for h in values)
+    assert values[0] == 0.0
+    for subset, h in zip(DM_SUBSETS, values):
+        assert h == _entropy_reference(rho, subset), subset
+    assert values[-2] == von_neumann(rho)
+
+
+def test_every_slice_of_stacked_density_matrix_entropies_is_the_one_matrix_reading():
+    mats = np.stack([random_density(12, seed=s).mat for s in range(6)]).reshape(2, 3, 12, 12)
+    values = DensityMatrix(mats, (2, 3, 2)).entropies(*DM_SUBSETS)
+    assert all(h.shape == (2, 3) for h in values)
+    np.testing.assert_array_equal(values[0], np.zeros((2, 3)))
+    for i, j in itertools.product(range(2), range(3)):
+        one = DensityMatrix(mats[i, j], (2, 3, 2)).entropies(*DM_SUBSETS)
+        assert [h[i, j] for h in values] == one, (i, j)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_entropies_refuse_non_finite_input_by_name(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = bad
+    for rho in (DensityMatrix(m, (2, 2)), DensityMatrix(np.stack([np.eye(4) / 4, m]), (2, 2))):
+        with pytest.raises(ValueError, match="non-finite entries: 1 NaN or infinite"):
+            rho.entropies((0,))
