@@ -18,18 +18,21 @@ one Kraus register K_j; a reader builds each map's rows of this rule once
 (_plug_rows).  The factor sqrt(d) cancels the normalization of the
 inserted pair, and the result is exactly what the circuit would output
 if the maps were applied in line, which is the defining property checked
-by the tests.
+by the tests.  A plug (_plug) works on positions: (S_j, R_j) is resolved
+once and the rows act on that adjacent block in one batched matmul.
 
 The port mutual informations I(R_y : S_x) of port_mutual_information and
 choi_dpi_witnesses come from one reader that takes all its pairs in one
 pass.  Each plugged register is kept, keyed by the slots it plugs, so
 every plug is made once and shared by every later pair, and the register's
-trace is checked before each read.  The joints rho(R_y, S_x) are then one
-stacked DensityMatrix, read by info.mutual_information, the package's one
+trace is checked before each read.  The joints rho(R_y, S_x), each the
+marginal on the pair's two resolved positions, are then one stacked
+DensityMatrix, read by info.mutual_information, the package's one
 I(A:B): the joints and their one-register marginals take one stacked
 eigensolve per matrix size (DensityMatrix.entropies).
-markov_factorization_gap and the interventional witnesses read their
-entropies through PureState.entropies.
+markov_factorization_gap resolves its step cuts and E once and reads
+them with the positional core of PureState.entropies; the interventional
+witnesses read theirs through PureState.entropies.
 
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
@@ -49,7 +52,8 @@ from .classical import JointPMF, joint_pmf
 from .info import mutual_information
 from .linalg import (_apply_registers, _require_int, broadcast_batch, require_finite,
                      unitarity_deviation)
-from .states import DensityMatrix, PureState, density, maximally_entangled, purify
+from .states import (DensityMatrix, PureState, _check_budget, density, maximally_entangled,
+                     purify)
 from .tolerances import INVARIANT_TOL
 from .witnesses import MONOGAMY, WitnessReport, _pairing, monogamy_gap
 
@@ -182,7 +186,19 @@ def _plug_rows(ops: tuple[np.ndarray, ...], d: int) -> np.ndarray:
 
 
 def _plug(psi: PureState, j: int, rows: np.ndarray) -> PureState:
-    return psi.apply(rows, (f"S{j}", f"R{j}"), out={f"K{j}": len(rows)})
+    """psi.apply(rows, (S_j, R_j), out={K_j: len(rows)}), bit for bit, on
+    the positions of (S_j, R_j), the adjacent block the rows act on
+    (linalg._apply_registers).  The rows' width, the adjacency and the
+    amplitude budget are checked on every plug."""
+    s, r = psi._axes((f"S{j}", f"R{j}"))
+    d_in = psi.dims[s] * psi.dims[r]
+    if r != s + 1 or rows.shape[-1] != d_in:
+        raise ValueError(f"plug rows of shape {rows.shape} do not act on the adjacent "
+                         f"registers S{j}, R{j} of dimension {d_in}")
+    _check_budget(len(rows) * (psi.dim // d_in))
+    return PureState(_apply_registers(psi.vec, psi.dims, rows, (s, r), in_place=False),
+                     psi.dims[:s] + (len(rows),) + psi.dims[r + 1:],
+                     psi.labels[:s] + (f"K{j}",) + psi.labels[r + 1:])
 
 
 def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | float:
@@ -222,9 +238,12 @@ def markov_factorization_gap(pt: ProcessTensor) -> float:
     step marginals Y_g on (R_g, S_{g+1}), sum_g H(Y_g) - H(Y) with H(Y) =
     H(E); zero iff Markov.  The product is a Markov tensor, so this is the
     non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018).
-    The k step cuts and E are one entropies call."""
-    *steps, h_env = pt.state.entropies(*((f"R{g}", f"S{g + 1}") for g in range(pt.n_slots)),
-                                       ("E",))
+    The k step cuts and E, resolved to positions at once, are one call of
+    the entropies core."""
+    k = pt.n_slots
+    axes = pt.state._axes([*(r for g in range(k) for r in (f"R{g}", f"S{g + 1}")), "E"])
+    *steps, h_env = pt.state._entropies(*(tuple(sorted(axes[2 * g:2 * g + 2]))
+                                          for g in range(k)), (axes[-1],))
     return float(sum(steps) - h_env)
 
 
@@ -272,9 +291,10 @@ def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]
         if abs(tr - 1.0) > INVARIANT_TOL:
             raise ValueError(f"interventions are not trace preserving: the port state "
                              f"has trace {tr:.3e}")
-        joints.append(psi.reduced((f"R{y}", f"S{x}")).mat)
-    # each joint holds its two registers in register order, (R_y, S_x) when y < x
-    return mutual_information(DensityMatrix(np.stack(joints), (d, d)), (0,), (1,))
+        joints.append(psi._marginals(sorted(psi._axes((f"R{y}", f"S{x}")))))
+    # each joint (1, d^2, d^2) holds its two registers in register order,
+    # (R_y, S_x) when y < x
+    return mutual_information(DensityMatrix(np.concatenate(joints), (d, d)), (0,), (1,))
 
 
 # the seven gaps: two adjacent plus one transitive along the R1 row, the

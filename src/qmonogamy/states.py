@@ -94,11 +94,16 @@ class DensityMatrix:
     def entropies(self, *subsets: Sequence[int]) -> list[float | np.ndarray]:
         """von Neumann entropy (bits) of the marginal on each subset, in order:
         PureState.entropies of a mixed state, whose whole register is the
-        matrix itself.  A NaN or infinite entry is refused by name."""
+        matrix itself.  Subsystems are named by position only.  A NaN or
+        infinite entry is refused by name."""
+        return self._entropies(*(tuple(sorted(set(s))) for s in subsets))
+
+    def _entropies(self, *subsets: tuple[int, ...]) -> list[float | np.ndarray]:
+        # the positional core of entropies, for subsets already sorted and
+        # distinct (info's mutual informations pass theirs this way)
         require_finite(self.mat)
         whole, m = tuple(range(len(self.dims))), self.mat.reshape(-1, self.dim, self.dim)
-        sides = [tuple(sorted(set(s))) or None for s in subsets]
-        return _side_entropies(sides, lambda keep: m if keep == whole
+        return _side_entropies([s or None for s in subsets], lambda keep: m if keep == whole
                                else partial_trace(m, self.dims, keep), self.mat.shape[:-2])
 
 
@@ -173,7 +178,11 @@ class PureState:
     `vec` has shape (..., D): any leading axes are a batch of states on the
     same registers, `batch` is their shape, and `dims` describes one state.
     With `labels` the registers have names.  Every method that takes
-    registers accepts each one by label or by position (an int).
+    registers accepts each one by label or by position (an int), resolved
+    in one place, `_axes`.  `entropies` and `apply` are resolving shells
+    over positional cores (`_entropies`, linalg._apply_registers), which
+    info and the process-tensor readers call on positions they resolved
+    once.
 
     `entropies` is the one subset-entropy reader: a reader that needs
     several cuts of one state names them all in one call, which reduces
@@ -248,16 +257,21 @@ class PureState:
         (_von_neumann_stacks).  Each value is a float for an unbatched
         state and an array of the batch shape otherwise.
         """
+        return self._entropies(*(tuple(sorted(set(self._axes(cut)))) for cut in cuts))
+
+    def _entropies(self, *cuts: tuple[int, ...]) -> list[float | np.ndarray]:
+        # the positional core of entropies, for cuts already resolved by _axes
+        # into sorted distinct positions (info and the process-tensor readers
+        # resolve theirs once and call it directly)
         n = len(self.dims)
         sides = []
-        for cut in cuts:
-            keep = sorted(set(self._axes(cut)))
+        for keep in cuts:
             if 0 < len(keep) < n:
                 d_keep = math.prod([self.dims[i] for i in keep])
                 # the complement if it is smaller, or as small and holds register 0
                 if (d_keep, keep[0] != 0) > (self.dim // d_keep, keep[0] == 0):
-                    keep = [i for i in range(n) if i not in keep]
-            sides.append(tuple(keep) if 0 < len(keep) < n else None)
+                    keep = tuple(i for i in range(n) if i not in keep)
+            sides.append(keep if 0 < len(keep) < n else None)
         return _side_entropies(sides, self._marginals, self.batch)
 
     def apply(self, op: np.ndarray, on: Sequence[Register],

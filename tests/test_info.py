@@ -13,7 +13,7 @@ from qmonogamy.channels import apply, apply_to_subsystem, kraus_channel, random_
 from qmonogamy.info import (chain_coherent_information, conditional_mutual_information,
                             mutual_information, von_neumann)
 from qmonogamy.states import (DensityMatrix, maximally_entangled, purify, random_density,
-                              von_neumann_stack)
+                              von_neumann_stack, w_state)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -91,6 +91,29 @@ def test_mutual_information_of_the_entangled_pair():
     rho = maximally_entangled(3).density()
     assert mutual_information(rho, (0,), (1,)) == pytest.approx(2 * np.log2(3),
                                                                 abs=1e-10)
+
+
+def test_a_labelled_register_mixed_with_positions_reads_the_position_form():
+    # W state on (R, S, E): a label and a position name registers alike
+    w = w_state()
+    mi = mutual_information(w, ("R",), (1,))
+    assert mi == mutual_information(w, (0,), (1,)) == 0.9182958340544893
+    assert mutual_information(w, (1,), ("R",)) == mutual_information(w, (1,), (0,))
+    assert (conditional_mutual_information(w, ("R",), (1,), ("E",))
+            == conditional_mutual_information(w, (0,), (1,), (2,)))
+    assert (conditional_mutual_information(w, ("R",), ("S",), (2,))
+            == conditional_mutual_information(w, (0,), (1,), (2,)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: mutual_information(w, ("R",), (0,)),
+    lambda w: mutual_information(w, ("S", 2), ("E",)),
+    lambda w: conditional_mutual_information(w, ("R",), (1,), (0,)),
+    lambda w: conditional_mutual_information(w, (0,), ("S",), (1, "E")),
+], ids=["mi", "mi-two-sided", "cmi-a-c", "cmi-b-c"])
+def test_a_register_named_by_label_and_by_position_is_an_overlap(call):
+    with pytest.raises(ValueError, match="subsystem sets overlap"):
+        call(w_state())
 
 
 @given(seeds)

@@ -289,6 +289,37 @@ def test_a_long_kraus_list_is_refused_by_the_amplitude_budget():
         contract(pt, [ops] + [(np.eye(2),)] * 3)
 
 
+@pytest.mark.parametrize("slot", [2, 3, 4])
+def test_a_long_kraus_list_is_refused_by_the_amplitude_budget_at_every_plug_slot(slot):
+    # identity plugs before `slot` each shrink the register by d^2 = 4
+    pt = build_process_tensor(CIRCUITS[3][1], 5)
+    n_ops = MAX_AMPLITUDES * 4 // (pt.state.dim // 4 ** (slot - 1)) + 1
+    ops = [np.eye(2) / np.sqrt(n_ops)] * n_ops
+    seq = [(np.eye(2),)] * 4
+    seq[slot - 1] = ops
+    with pytest.raises(ValueError, match=r"amplitudes \(limit"):
+        contract(pt, seq)
+    with pytest.raises(ValueError, match=r"amplitudes \(limit"):
+        port_mutual_information(pt, 1, 5, seq)
+
+
+def test_a_plug_refuses_rows_of_the_wrong_width_and_registers_apart():
+    pt = build_process_tensor(_w_circuit(0.5), 3)
+    rows = process_tensor._plug_rows((np.eye(2, dtype=complex),), 2)
+    with pytest.raises(ValueError, match="do not act on the adjacent registers S1, R1"):
+        process_tensor._plug(pt.state, 1, rows[:, :3])
+    # S1 and R1 swapped: the pair is no longer the block (S1, R1)
+    labels = list(pt.state.labels)
+    labels[1:3] = ["R1", "S1"]
+    swapped = PureState(pt.state.vec, pt.state.dims, tuple(labels))
+    with pytest.raises(ValueError, match="do not act on the adjacent registers S1, R1"):
+        process_tensor._plug(swapped, 1, rows)
+    # R1 and R2 swapped: S1 and R1 are apart
+    moved = PureState(pt.state.vec, pt.state.dims, ("R0", "S1", "R2", "S2", "R1", "S3", "E"))
+    with pytest.raises(ValueError, match="do not act on the adjacent registers S1, R1"):
+        process_tensor._plug(moved, 1, rows)
+
+
 def _kron_embedded_circuit(initial_rs, step_unitaries, env_dim):
     """fresh_env_circuit built the old way, by np.kron of each step unitary
     with an identity and a hand-written permutation of the 2(m+1) axes:
@@ -531,6 +562,39 @@ def test_port_mutual_informations_are_the_earlier_stacked_tail_bit_for_bit(
         for y, x in itertools.product(range(1, slots), range(1, slots + 1)):
             want = float(_port_mi_reference(pt, [(y, x)], seq)[0])
             assert port_mutual_information(pt, y, x, seq) == want, (y, x, seq is None)
+
+
+def _same_state(got, want):
+    assert got.vec.tobytes() == want.vec.tobytes()
+    assert got.vec.shape == want.vec.shape and got.vec.dtype == want.vec.dtype
+    assert got.dims == want.dims and got.labels == want.labels
+
+
+@pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
+def test_a_plug_is_the_labelled_apply_bit_for_bit(name, circuit, slots):
+    pt = build_process_tensor(circuit, slots)
+    d = circuit.d_sys
+    maps = [random_channel(d, d, 2, seed=50 + i) for i in range(slots - 1)]
+    for seq in ([(np.eye(d, dtype=complex),)] * (slots - 1), maps):
+        rows = [process_tensor._plug_rows(process_tensor._as_kraus_ops(m, d), d)
+                for m in seq]
+        # each slot on the fresh tensor, and on the tensor plugged up to it
+        psi = pt.state
+        for j in range(1, slots):
+            for state in (pt.state, psi):
+                want = state.apply(rows[j - 1], (f"S{j}", f"R{j}"),
+                                   out={f"K{j}": len(rows[j - 1])})
+                _same_state(process_tensor._plug(state, j, rows[j - 1]), want)
+            psi = process_tensor._plug(psi, j, rows[j - 1])
+
+
+@pytest.mark.parametrize("name,circuit,slots", CIRCUITS, ids=[c[0] for c in CIRCUITS])
+def test_the_factorization_gap_is_the_label_cut_entropies_bit_for_bit(name, circuit, slots):
+    for k in range(1, slots + 1):
+        pt = build_process_tensor(circuit, k)
+        *steps, h_env = pt.state.entropies(*((f"R{g}", f"S{g + 1}") for g in range(k)),
+                                           ("E",))
+        assert markov_factorization_gap(pt) == float(sum(steps) - h_env), k
 
 
 def test_choi_dpi_needs_four_slots():

@@ -29,6 +29,8 @@
   in linalg._is_int, which every integer check calls.
 * Subsystem dimensions are read with `int(...)` only in linalg._dims,
   which refuses a non-integer by name instead of truncating it.
+* Register labels are resolved to positions (`labels.index(...)`) only in
+  PureState._axes, the one resolver every register reader goes through.
 """
 
 import ast
@@ -473,3 +475,33 @@ def test_the_integer_scan_sees_a_second_copy():
         "    return [r for r in regs if isinstance(r, (bool, str)) or r < 0]\n\n"
         "def count(n):\n    return isinstance(n, int)\n")
     assert _enclosing(tree, _is_bool_test) == ["_is_int (line 4)", "axes (line 7)"]
+
+
+def _is_label_lookup(node: ast.AST) -> bool:
+    # <...>.labels.index(...) or labels.index(...)
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "index"):
+        return False
+    owner = node.func.value
+    return (isinstance(owner, ast.Attribute) and owner.attr == "labels"
+            or isinstance(owner, ast.Name) and owner.id == "labels")
+
+
+def test_register_labels_are_resolved_only_in_the_pure_state_resolver():
+    found = {path.name: _enclosing(_tree(path), _is_label_lookup) for path in MODULES}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert list(found) == ["states.py"], found
+    assert [use.split()[0] for use in found["states.py"]] == ["_axes"]
+
+
+def test_the_label_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "class PureState:\n"
+        "    def _axes(self, registers):\n"
+        "        return [self.labels.index(r) for r in registers]\n\n"
+        "def _plug(psi, j):\n"
+        "    return psi.labels.index(f'S{j}'), psi.dims.index(2)\n\n"
+        "def cut(labels, names):\n"
+        "    return sorted(labels.index(n) for n in names), names.index('E')\n")
+    assert _enclosing(tree, _is_label_lookup) == ["_axes (line 3)", "_plug (line 6)",
+                                                  "cut (line 9)"]
