@@ -6,8 +6,9 @@ is an initial distribution plus column-stochastic transition matrices
 T[next, prev]; its joint distribution factorizes step by step, which is
 what `is_markov` checks on an arbitrary joint via vanishing conditional
 mutual information between each variable and its pre-predecessors.  A
-JointPMF reads Shannon entropies with `entropies`, as the states read von
-Neumann ones, so info's one I(A:B) and I(A:B|C) serve tables too.
+JointPMF holds a table or a stack (variables on the trailing axes); its
+`entropies` is the package's one Shannon reader, so info's one I(A:B) and
+I(A:B|C), and cmmi_gap through them, read either.
 Validation and chain products are stacked (joint_pmf_stack, chain_stack,
 joints_from_chains, dirichlet_chains); joint_pmf, classical_chain,
 joint_from_chain and random_chain are their one-item forms.
@@ -34,8 +35,6 @@ __all__ = [
     "chain_stack",
     "joint_from_chain",
     "joints_from_chains",
-    "shannon_entropy",
-    "shannon_entropies",
     "is_markov",
     "cmmi_gap",
     "random_chain",
@@ -45,21 +44,47 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class JointPMF:
-    """Joint distribution; probs.shape gives one dimension per variable."""
+    """A joint distribution, or a stack of them: the last `n_vars` axes of
+    `probs` are the variables (`dims`), any before them a batch of tables
+    (`batch`), as DensityMatrix and PureState take one.  `n_vars` defaults
+    to probs.ndim, one table."""
 
     probs: np.ndarray
+    n_vars: int | None = None
+
+    def __post_init__(self) -> None:
+        n = self.probs.ndim if self.n_vars is None else self.n_vars
+        if not (_is_int(n) and 0 <= n <= self.probs.ndim):
+            raise ValueError(f"n_vars must be an integer in 0..{self.probs.ndim}, got {n!r}")
+        object.__setattr__(self, "n_vars", n)
 
     @property
-    def n_vars(self) -> int:
-        return self.probs.ndim
+    def batch(self) -> tuple[int, ...]:
+        return self.probs.shape[:self.probs.ndim - self.n_vars]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.probs.shape
+        return self.probs.shape[self.probs.ndim - self.n_vars:]
 
-    def entropies(self, *subsets: tuple[int, ...]) -> list[float]:
-        """shannon_entropy of each subset's marginal; exactly 0 for the empty set."""
-        return [shannon_entropy(self, s) if s else 0.0 for s in subsets]
+    def entropies(self, *subsets: tuple[int, ...]) -> list[float | np.ndarray]:
+        """Shannon entropy (bits) of each subset's marginal, in order: the
+        package's one Shannon reader (states.spectrum_entropy's sum), exactly
+        0 for the empty set, a float without a batch, else a batch-shaped
+        array.  A non-integer (bool, float) or out-of-range index is refused."""
+        values = []
+        for subset in subsets:
+            odd = [i for i in subset if not _is_int(i)]
+            if odd:
+                raise ValueError(f"variable indices {odd} are not integers")
+            bad = sorted(i for i in set(subset) if not 0 <= i < self.n_vars)
+            if bad:
+                raise ValueError(f"variable indices {bad} out of range for {self.n_vars} "
+                                 "variables")
+            drop = tuple(len(self.batch) + i for i in range(self.n_vars) if i not in subset)
+            h = (spectrum_entropy(self.probs.sum(axis=drop).reshape(self.batch + (-1,)))
+                 if subset else np.zeros(self.batch))
+            values.append(h if self.batch else float(h))
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,42 +186,16 @@ def joints_from_chains(initial: np.ndarray,
     return joint_pmf_stack(arr)
 
 
-def shannon_entropy(p: JointPMF, subset: tuple[int, ...] | None = None) -> float:
-    """H of the marginal over `subset` (all variables when omitted), in bits."""
-    subset = tuple(range(p.n_vars)) if subset is None else subset
-    return float(shannon_entropies(p.probs[None], subset)[0])
-
-
-def shannon_entropies(probs: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-    """shannon_entropy of the marginal over `subset` for a stack of joints.
-
-    `probs` holds one joint per index of its leading axis, then one axis
-    per variable; the sum is states.spectrum_entropy's, which leaves out
-    entries at or below ENTROPY_CLIP.  A variable index that is not an
-    integer (a bool or a float included) or lies outside the table is
-    refused by name.
-    """
-    odd = [i for i in subset if not _is_int(i)]
-    if odd:
-        raise ValueError(f"variable indices {odd} are not integers")
-    subset = set(subset)
-    n = probs.ndim - 1
-    bad = sorted(i for i in subset if not 0 <= i < n)
-    if bad:
-        raise ValueError(f"variable indices {bad} out of range for {n} variables")
-    drop = tuple(1 + i for i in range(n) if i not in subset)
-    w = (probs.sum(axis=drop) if drop else probs).reshape(len(probs), -1)
-    return spectrum_entropy(w)
-
-
 def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
-    """Whether each variable is independent of the deeper past given its
-    predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every i >= 3.
-
-    A tol that is not a finite number >= 0 is refused: every comparison
-    with NaN is False, so tol = NaN would pass every joint."""
+    """Whether each variable of one table is independent of the deeper past
+    given its predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every
+    i >= 3.  A stack of tables is refused by name, and so is a tol that is
+    not a finite number >= 0: every comparison with NaN is False, so
+    tol = NaN would pass every joint."""
     if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if p.batch:
+        raise ValueError(f"is_markov reads one table, got a batch of shape {p.batch}")
     for i in range(2, p.n_vars):
         past = tuple(range(i - 1))
         if conditional_mutual_information(p, (i,), past, (i - 1,)) > tol:
@@ -204,7 +203,7 @@ def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
     return True
 
 
-def cmmi_gap(p: JointPMF, perm: tuple[int, ...]) -> float:
+def cmmi_gap(p: JointPMF, perm: tuple[int, ...]) -> float | np.ndarray:
     """Permutation gap of Shannon mutual information over a 2n-variable joint.
 
     witnesses.monogamy_gap of I(X_r : X_s), variable r at axis r - 1, so

@@ -66,11 +66,12 @@ block: the positivity spectra of the 8x8 and 4x4 draws are H(ABC) and
 H(AB), the entropies a channel on B leaves alone (H(AC), H(C), H(A)) are
 not taken again after it, and the other marginals share one stacked
 eigensolve per matrix size (states._von_neumann_stacks, which the
-entropies readers of both state kinds share).  Each check walks the
-(start, size) blocks of _blocks.  The per-sample functions
-(cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information, and
-cmmi_gap, whose pairing witnesses.monogamy_gap the classical check
-shares) are the reference the tests compare the stacked checks with.
+entropies readers of both state kinds share); the classical check reads
+each block's joints as one stacked JointPMF through classical.cmmi_gap.
+Each check walks the (start, size) blocks of _blocks.  The per-sample
+functions (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information,
+and cmmi_gap of one table, with the Markov-chain identity of its docstring)
+are the reference the tests compare the stacked checks with.
 Each check refuses a block whose values hold a NaN or an infinity, naming
 the value and the sample's place in the seed's draw, before it folds the
 block into its extrema.
@@ -83,14 +84,13 @@ argument, before anything is drawn.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import KrausChannel, dilation_kraus, haar_unitaries
-from .classical import (chain_variates, dirichlet_chains, joints_from_chains,
-                        shannon_entropies)
+from .classical import (JointPMF, chain_variates, cmmi_gap, dirichlet_chains,
+                        joints_from_chains)
 from .linalg import _require_int, apply_kraus, partial_trace
 from .process_tensor import mqmmi_witnesses, system_env_circuit
 from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, _von_neumann_stacks,
@@ -98,7 +98,7 @@ from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, _von_neumann_stac
                      w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MONOGAMY, MarkovChainProcess, bond_table, markov_process,
-                        monogamy_gap, survey_certificates, survey_witnesses)
+                        survey_certificates, survey_witnesses)
 
 __all__ = [
     "u_lambda",
@@ -629,9 +629,7 @@ def classical_cmmi_check(samples: int = 1000, seed: int = 0,
         # the exponential variates of random_chain per sample, in one call
         probs = joints_from_chains(*dirichlet_chains(*chain_variates(rng, 2 * n_pairs, dim,
                                                                      size)))
-        # I(X_r : X_s) of every joint in the block, axes as in classical.cmmi_gap
-        h = partial(shannon_entropies, probs)
-        gaps = monogamy_gap(lambda r, s: h((r - 1,)) + h((s - 1,)) - h((r - 1, s - 1)), perm)
+        gaps = cmmi_gap(JointPMF(probs, 2 * n_pairs), perm)
         _refuse_nonfinite("classical check", ("classical_cmmi",), gaps[None],
                           lambda b: f"sample {start + b} of seed {seed}")
         worst = min(worst, float(gaps.min()))

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .channels import KrausChannel, apply, apply_to_subsystem
-from .linalg import _require_int
+from .linalg import _is_int, _require_int
 from .states import DensityMatrix, PureState, purify, von_neumann
 
 __all__ = [
@@ -46,10 +46,13 @@ def _resolved(rho: DensityMatrix | PureState, *cuts: tuple) -> tuple[Callable, l
     """The cuts as sorted distinct positions, and the entropies reader that
     takes them as they are.  A PureState resolves labels and positions in
     PureState._axes; a DensityMatrix or a classical.JointPMF names its
-    subsystems by position only, and a table's entropies reads them as
-    given."""
+    subsystems by integer position only (refused by name otherwise), and a
+    table's entropies reads them as given."""
     if isinstance(rho, PureState):
         return rho._entropies, [tuple(sorted(set(rho._axes(cut)))) for cut in cuts]
+    odd = [i for cut in cuts for i in cut if not _is_int(i)]
+    if odd:
+        raise ValueError(f"{type(rho).__name__} subsystems are named by position, got {odd}")
     sides = [tuple(sorted(set(cut))) for cut in cuts]
     return rho._entropies if isinstance(rho, DensityMatrix) else rho.entropies, sides
 

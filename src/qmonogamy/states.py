@@ -164,7 +164,7 @@ def spectrum_entropy(w: np.ndarray) -> np.ndarray:
     probability vectors), leaving out weights at or below ENTROPY_CLIP.
 
     The one entropy sum of the package: von_neumann_stack, the spectra of
-    density_stack and classical.shannon_entropies all go through it.
+    density_stack and classical.JointPMF.entropies all go through it.
     """
     # a clipped weight becomes 1, whose term 1 * log2(1) is exactly 0
     w = np.where(w > ENTROPY_CLIP, w, 1.0)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmonogamy.classical import (chain_stack, classical_chain, cmmi_gap, is_markov,
-                                 joint_from_chain, joint_pmf, joint_pmf_stack, random_chain,
-                                 shannon_entropies, shannon_entropy)
+from qmonogamy.classical import (JointPMF, chain_stack, classical_chain, cmmi_gap, is_markov,
+                                 joint_from_chain, joint_pmf, joint_pmf_stack, random_chain)
 from qmonogamy.info import conditional_mutual_information, mutual_information
 from qmonogamy.witnesses import uncrossing
 
@@ -27,7 +26,7 @@ def test_joint_pmf_validation():
     with pytest.raises(ValueError):
         joint_pmf(np.array([1.5, -0.5]))
     p = joint_pmf(np.full((2, 2), 0.25))
-    assert p.n_vars == 2 and p.dims == (2, 2)
+    assert p.n_vars == 2 and p.dims == (2, 2) and p.batch == ()
     with pytest.raises(ValueError, match="non-finite"):
         joint_pmf(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
@@ -35,12 +34,12 @@ def test_joint_pmf_validation():
 
 
 @pytest.mark.parametrize("call,bad", [
-    (lambda p: shannon_entropy(p, (3,)), [3]),
-    (lambda p: shannon_entropy(p, (-1,)), [-1]),
-    (lambda p: shannon_entropies(p.probs[None], (0, 5)), [5]),
+    (lambda p: p.entropies((3,)), [3]),
+    (lambda p: p.entropies((-1,)), [-1]),
+    (lambda p: JointPMF(p.probs[None], 3).entropies((0, 5)), [5]),
     (lambda p: mutual_information(p, (0,), (7,)), [7]),
     (lambda p: conditional_mutual_information(p, (0,), (1,), (9,)), [9]),
-], ids=["shannon_entropy", "shannon_entropy negative", "shannon_entropies",
+], ids=["entropies", "entropies negative", "stacked entropies",
         "mutual_information", "conditional_mutual_information"])
 def test_an_out_of_range_variable_is_refused_by_name(call, bad):
     # the marginal over a variable the table lacks used to read as entropy 0
@@ -48,6 +47,29 @@ def test_an_out_of_range_variable_is_refused_by_name(call, bad):
     with pytest.raises(ValueError,
                        match=re.escape(f"variable indices {bad} out of range for 3 variables")):
         call(p)
+
+
+def test_every_slice_of_a_stacked_table_reads_as_the_one_table():
+    rng = np.random.default_rng(8)
+    x = rng.exponential(size=(2, 3, 2, 3, 2))
+    probs = x / x.sum(axis=(2, 3, 4), keepdims=True)
+    stacked = JointPMF(probs, 3)
+    assert stacked.batch == (2, 3) and stacked.dims == (2, 3, 2)
+    subsets = [s for k in range(4) for s in itertools.combinations(range(3), k)]
+    values = stacked.entropies(*subsets)
+    assert all(isinstance(h, np.ndarray) and h.shape == (2, 3) for h in values)
+    np.testing.assert_array_equal(values[0], np.zeros((2, 3)))
+    for i, j in itertools.product(range(2), range(3)):
+        one = JointPMF(probs[i, j]).entropies(*subsets)
+        assert all(type(h) is float for h in one)
+        assert one[0] == 0.0
+        assert [h[i, j] for h in values] == one, (i, j)
+
+
+@pytest.mark.parametrize("n_vars", [4, -1, 2.0, True])
+def test_a_variable_count_the_table_cannot_hold_is_refused_by_name(n_vars):
+    with pytest.raises(ValueError, match="n_vars"):
+        JointPMF(np.full((2, 2, 2), 0.125), n_vars)
 
 
 def test_classical_chain_requires_column_stochastic_transitions():
@@ -126,14 +148,14 @@ def test_a_non_integer_variable_index_is_refused_by_name(subset, odd):
     # 0.5 matched no axis and read as the entropy of no variable; True read as 1
     p = joint_from_chain(random_chain(3, 2, seed=4))
     with pytest.raises(ValueError, match=re.escape(f"variable indices {odd} are not integers")):
-        shannon_entropy(p, subset)
+        p.entropies(subset)
     with pytest.raises(ValueError, match="not integers"):
-        shannon_entropies(p.probs[None], subset)
+        JointPMF(p.probs[None], 3).entropies(subset)
 
 
 def test_numpy_integer_variable_indices_are_accepted():
     p = joint_from_chain(random_chain(3, 2, seed=4))
-    assert shannon_entropy(p, (np.int64(0), np.intp(2))) == shannon_entropy(p, (0, 2))
+    assert p.entropies((np.int64(0), np.intp(2))) == p.entropies((0, 2))
 
 
 def test_empty_classical_input_is_refused_by_name():
@@ -161,14 +183,14 @@ def test_joint_from_chain_marginals_follow_the_recursion():
 def test_shannon_entropy_bounds(seed):
     rng = np.random.default_rng(seed)
     p = _random_pmf(rng, (2, 3))
-    h = shannon_entropy(p)
+    h, h0 = p.entropies((0, 1), (0,))
     assert -1e-12 <= h <= np.log2(6) + 1e-12
-    assert shannon_entropy(p, (0,)) <= np.log2(2) + 1e-12
+    assert h0 <= np.log2(2) + 1e-12
 
 
 def test_shannon_entropy_reference_points():
-    assert shannon_entropy(joint_pmf(np.array([1.0, 0.0]))) == pytest.approx(0.0)
-    assert shannon_entropy(joint_pmf(np.full(8, 0.125))) == pytest.approx(3.0)
+    assert joint_pmf(np.array([1.0, 0.0])).entropies((0,)) == [pytest.approx(0.0)]
+    assert joint_pmf(np.full(8, 0.125)).entropies((0,)) == [pytest.approx(3.0)]
 
 
 @given(seeds)
@@ -213,6 +235,26 @@ def test_is_markov_refuses_a_tolerance_that_is_not_a_finite_number_at_least_zero
     assert is_markov(joint_from_chain(random_chain(4, 2, seed=1)), tol=np.float64(1e-9))
 
 
+def test_is_markov_refuses_a_stack_by_name():
+    # a stack used to end in numpy's "truth value of an array is ambiguous"
+    tables = np.stack([joint_from_chain(random_chain(3, 2, seed=s)).probs for s in range(3)])
+    with pytest.raises(ValueError, match=re.escape(
+            "is_markov reads one table, got a batch of shape (3,)")):
+        is_markov(JointPMF(tables, 3))
+    assert all(is_markov(JointPMF(t)) for t in tables)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_slice_of_a_stacked_cmmi_gap_is_the_one_table_gap(n):
+    tables = np.stack([joint_from_chain(random_chain(2 * n, 2, seed=s)).probs
+                       for s in range(6)]).reshape((2, 3) + (2,) * (2 * n))
+    for perm in itertools.permutations(range(1, n + 1)):
+        gaps = cmmi_gap(JointPMF(tables, 2 * n), perm)
+        assert gaps.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            assert gaps[i, j] == cmmi_gap(JointPMF(tables[i, j]), perm), (perm, i, j)
+
+
 @given(seeds)
 @settings(max_examples=40)
 def test_cmmi_gap_nonnegative_on_markov_chains(seed):
@@ -255,6 +297,9 @@ def test_cmmi_gap_rejects_odd_chains_and_bad_perms():
     p = joint_from_chain(random_chain(3, 2, seed=4))
     with pytest.raises(ValueError):
         cmmi_gap(p, (1,))
+    # four axes, but a batch of two tables of three variables each
+    with pytest.raises(ValueError, match="needs an even number of variables, got 3"):
+        cmmi_gap(JointPMF(np.stack([p.probs, p.probs]), 3), (1,))
     p = joint_from_chain(random_chain(4, 2, seed=4))
     for bad in [(1, 3), (1, 2, 3), (2.0, 1.0), (np.float64(2), 1)]:
         with pytest.raises(ValueError, match="rearrange"):
@@ -274,6 +319,13 @@ def test_random_chain_is_seeded():
     np.testing.assert_array_equal(a.probs, b.probs)
 
 
+def _shannon(p, subset):
+    # -sum p log2 p over the marginal, apart from JointPMF.entropies
+    drop = tuple(i for i in range(p.n_vars) if i not in subset)
+    w = p.probs.sum(axis=drop) if drop else p.probs
+    return -(w * np.log2(w)).sum()
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 2), (3, 2, 2, 2)])
 def test_table_mutual_informations_are_the_shannon_sums_bit_for_bit(shape):
     # the formulas of the classical copies of I(A:B) and I(A:B|C) that
@@ -284,13 +336,13 @@ def test_table_mutual_informations_are_the_shannon_sums_bit_for_bit(shape):
     for a, b in itertools.permutations([(i,) for i in variables] + [(n - 1, 0)], 2):
         if set(a) & set(b):
             continue
-        want = shannon_entropy(p, a) + shannon_entropy(p, b) - shannon_entropy(p, a + b)
+        want = _shannon(p, a) + _shannon(p, b) - _shannon(p, a + b)
         assert mutual_information(p, a, b) == want, (a, b)
     for a, b, c in itertools.permutations(variables, 3):
         for cond in ((c,), ()):
-            want = (shannon_entropy(p, (a,) + cond) + shannon_entropy(p, (b,) + cond)
-                    - shannon_entropy(p, (a, b) + cond)
-                    - (shannon_entropy(p, cond) if cond else 0.0))
+            want = (_shannon(p, (a,) + cond) + _shannon(p, (b,) + cond)
+                    - _shannon(p, (a, b) + cond)
+                    - (_shannon(p, cond) if cond else 0.0))
             assert conditional_mutual_information(p, (a,), (b,), cond) == want, (a, b, cond)
     assert p.entropies((), (0,), tuple(variables)) == [
-        0.0, shannon_entropy(p, (0,)), shannon_entropy(p)]
+        0.0, _shannon(p, (0,)), _shannon(p, tuple(variables))]

@@ -777,14 +777,14 @@ def test_a_nan_in_a_side_check_is_refused_by_entry_and_sample(monkeypatch):
 
 
 def test_a_nan_in_the_classical_check_is_refused_by_sample(monkeypatch):
-    real = experiments.monogamy_gap
+    real = experiments.cmmi_gap
 
-    def poisoning(quantity, perm):
-        gaps = real(quantity, perm)
+    def poisoning(p, perm):
+        gaps = real(p, perm)
         gaps[2] = np.nan
         return gaps
 
-    monkeypatch.setattr(experiments, "monogamy_gap", poisoning)
+    monkeypatch.setattr(experiments, "cmmi_gap", poisoning)
     with pytest.raises(ValueError,
                        match="^classical check classical_cmmi is nan at sample 2 of seed 0$"):
         classical_cmmi_check(samples=10)
@@ -920,10 +920,23 @@ def _adjoint_reference(samples, seed):
 
 
 def _classical_reference(samples, seed, n_pairs, dim):
+    """The check's minimum read two ways, one sample at a time: cmmi_gap of
+    the sample's one table, and the Markov-chain identity of cmmi_gap's
+    docstring, which reads no mutual information and no pairing: a sum over
+    the uncrossing swaps of I(b:c|d) - I(a:c|d) on the sub-chain a, b, c, d
+    (rho_k, rho_i, sigma_i, sigma_j at axes n-k, n-i, n+i-1, n+j-1)."""
     rng = np.random.default_rng(seed)
-    perm = tuple(range(n_pairs, 0, -1))
-    return min(cmmi_gap(joint_from_chain(random_chain(2 * n_pairs, dim, rng)), perm)
-               for _ in range(samples))
+    n = n_pairs
+    perm = tuple(range(n, 0, -1))
+    chains = [(n - k, n - i, n + i - 1, n + j - 1) for k, i, j in uncrossing(perm)]
+    gaps, identities = [], []
+    for _ in range(samples):
+        p = joint_from_chain(random_chain(2 * n, dim, rng))
+        gaps.append(cmmi_gap(p, perm))
+        identities.append(sum(conditional_mutual_information(p, (b,), (c,), (d,))
+                              - conditional_mutual_information(p, (a,), (c,), (d,))
+                              for a, b, c, d in chains))
+    return min(gaps), min(identities)
 
 
 @pytest.mark.parametrize("seed,samples", _check_cases(MI_BLOCK))
@@ -948,8 +961,9 @@ def test_adjoint_identity_check_equals_the_per_sample_loop(seed, samples):
     case + shape for shape in CLASSICAL_SHAPES for case in _check_cases(_classical_block(*shape))])
 def test_classical_cmmi_check_equals_the_per_sample_gaps(seed, samples, n_pairs, dim):
     got = classical_cmmi_check(samples=samples, seed=seed, n_pairs=n_pairs, dim=dim)
-    want = _classical_reference(samples, seed, n_pairs, dim)
-    assert got["classical_cmmi_min"] == pytest.approx(want, abs=1e-12)
+    gaps, identities = _classical_reference(samples, seed, n_pairs, dim)
+    assert got["classical_cmmi_min"] == pytest.approx(gaps, abs=1e-12)
+    assert got["classical_cmmi_min"] == pytest.approx(identities, abs=1e-12)
 
 
 def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkeypatch):

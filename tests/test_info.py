@@ -5,11 +5,14 @@ strong subadditivity, data processing for coherent information) are the
 load-bearing ones: every witness downstream reduces to them.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmonogamy.channels import apply, apply_to_subsystem, kraus_channel, random_channel
+from qmonogamy.classical import joint_pmf
 from qmonogamy.info import (chain_coherent_information, conditional_mutual_information,
                             mutual_information, von_neumann)
 from qmonogamy.states import (DensityMatrix, maximally_entangled, purify, random_density,
@@ -114,6 +117,23 @@ def test_a_labelled_register_mixed_with_positions_reads_the_position_form():
 def test_a_register_named_by_label_and_by_position_is_an_overlap(call):
     with pytest.raises(ValueError, match="subsystem sets overlap"):
         call(w_state())
+
+
+@pytest.mark.parametrize("kind,make", [
+    ("DensityMatrix", lambda n: DensityMatrix(np.eye(2 ** n) / 2 ** n, (2,) * n)),
+    ("JointPMF", lambda n: joint_pmf(np.full((2,) * n, 0.5 ** n))),
+], ids=["density matrix", "table"])
+def test_a_non_integer_position_is_refused_by_name_before_the_sort(kind, make):
+    # these kinds name subsystems by position only; a label beside a position
+    # used to fail in the sort of the cuts with a bare TypeError
+    for odd, call in [
+            (["A"], lambda: mutual_information(make(2), ("A",), (1,))),
+            ([1.0], lambda: mutual_information(make(2), (0,), (1.0,))),
+            (["A"], lambda: conditional_mutual_information(make(3), ("A",), (1,), (2,))),
+            ([True], lambda: conditional_mutual_information(make(3), (0,), (1,), (True,)))]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} subsystems are named by position, got {odd}")):
+            call()
 
 
 @given(seeds)

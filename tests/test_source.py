@@ -31,6 +31,10 @@
   which refuses a non-integer by name instead of truncating it.
 * Register labels are resolved to positions (`labels.index(...)`) only in
   PureState._axes, the one resolver every register reader goes through.
+* classical.py sums a Shannon entropy (`spectrum_entropy(...)`) only in
+  JointPMF.entropies, and experiments.py imports no other Shannon reader
+  from it, so the classical check reads its gaps through cmmi_gap and
+  info's one I(A:B).
 """
 
 import ast
@@ -505,3 +509,40 @@ def test_the_label_scan_sees_a_second_copy():
         "    return sorted(labels.index(n) for n in names), names.index('E')\n")
     assert _enclosing(tree, _is_label_lookup) == ["_axes (line 3)", "_plug (line 6)",
                                                   "cut (line 9)"]
+
+
+def _is_spectrum_sum(node: ast.AST) -> bool:
+    # spectrum_entropy(...) or <module>.spectrum_entropy(...)
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "spectrum_entropy"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "spectrum_entropy")
+
+
+def _shannon_readers(classical: ast.Module, importer: ast.Module) -> tuple[list[str], list[str]]:
+    """Where `classical` sums a Shannon entropy, and the names of those
+    readers that `importer` takes from a module named classical."""
+    readers = _enclosing(classical, _is_spectrum_sum)
+    taken = {a.name for node in ast.walk(importer) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "classical" for a in node.names}
+    return readers, sorted({r.split()[0] for r in readers} & taken)
+
+
+def test_the_shannon_sum_is_reached_only_inside_the_table_reader():
+    readers, imported = _shannon_readers(_tree(PACKAGE / "classical.py"),
+                                         _tree(PACKAGE / "experiments.py"))
+    assert [r.split()[0] for r in readers] == ["entropies"], readers
+    assert imported == []
+
+
+def test_the_shannon_scan_sees_a_second_copy():
+    classical = ast.parse(
+        "from .states import spectrum_entropy\n\n"
+        "class JointPMF:\n"
+        "    def entropies(self, *subsets):\n"
+        "        return [spectrum_entropy(self.marginal(s)) for s in subsets]\n\n"
+        "def shannon_entropies(probs, subset):\n"
+        "    return states.spectrum_entropy(probs.reshape(len(probs), -1))\n")
+    experiments = ast.parse("from .classical import JointPMF, shannon_entropies\n")
+    readers, imported = _shannon_readers(classical, experiments)
+    assert readers == ["entropies (line 5)", "shannon_entropies (line 8)"]
+    assert imported == ["shannon_entropies"]
