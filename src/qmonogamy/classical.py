@@ -6,9 +6,10 @@ is an initial distribution plus column-stochastic transition matrices
 T[next, prev]; its joint distribution factorizes step by step, which is
 what `is_markov` checks on an arbitrary joint via vanishing conditional
 mutual information between each variable and its pre-predecessors.  A
-JointPMF holds a table or a stack (variables on the trailing axes); its
-`entropies` is the package's one Shannon reader, so info's one I(A:B) and
-I(A:B|C), and cmmi_gap through them, read either.
+JointPMF holds a table or a stack (variables on the trailing axes) and
+the `_cut`/`_entropies` pair of every state kind; `_entropies` is the
+package's one Shannon reader, so info's one I(A:B) and I(A:B|C), and
+cmmi_gap through them, read either.
 Validation and chain products are stacked (joint_pmf_stack, chain_stack,
 joints_from_chains, dirichlet_chains); joint_pmf, classical_chain,
 joint_from_chain and random_chain are their one-item forms.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import conditional_mutual_information, mutual_information
-from .linalg import _is_int, _require_int, require_finite
+from .linalg import _is_int, _positions, _require_int, require_finite
 from .states import spectrum_entropy
 from .tolerances import GAP_TOLERANCE, INVARIANT_TOL
 from .witnesses import monogamy_gap
@@ -70,19 +71,23 @@ class JointPMF:
         """Shannon entropy (bits) of each subset's marginal, in order: the
         package's one Shannon reader (states.spectrum_entropy's sum), exactly
         0 for the empty set, a float without a batch, else a batch-shaped
-        array.  A non-integer (bool, float) or out-of-range index is refused."""
+        array.  A non-integer (bool, float) or out-of-range index, and a
+        NaN or infinite probability, are refused by name."""
+        return self._entropies(*map(self._cut, subsets))
+
+    def _cut(self, cut: tuple[int, ...]) -> tuple[int, ...]:
+        # a cut as sorted distinct positions, each checked by linalg._positions
+        return _positions(cut, self.n_vars, "variable index")
+
+    def _entropies(self, *cuts: tuple[int, ...]) -> list[float | np.ndarray]:
+        # the positional core of entropies, for cuts resolved by _cut; a NaN
+        # would read as a zero term of the sum, so it is refused once a call
+        require_finite(self.probs, "probabilities")
         values = []
-        for subset in subsets:
-            odd = [i for i in subset if not _is_int(i)]
-            if odd:
-                raise ValueError(f"variable indices {odd} are not integers")
-            bad = sorted(i for i in set(subset) if not 0 <= i < self.n_vars)
-            if bad:
-                raise ValueError(f"variable indices {bad} out of range for {self.n_vars} "
-                                 "variables")
-            drop = tuple(len(self.batch) + i for i in range(self.n_vars) if i not in subset)
+        for cut in cuts:
+            drop = tuple(len(self.batch) + i for i in range(self.n_vars) if i not in cut)
             h = (spectrum_entropy(self.probs.sum(axis=drop).reshape(self.batch + (-1,)))
-                 if subset else np.zeros(self.batch))
+                 if cut else np.zeros(self.batch))
             values.append(h if self.batch else float(h))
         return values
 
@@ -186,19 +191,15 @@ def joints_from_chains(initial: np.ndarray,
     return joint_pmf_stack(arr)
 
 
-def is_markov(p: JointPMF, tol: float = GAP_TOLERANCE) -> bool:
+def is_markov(p: JointPMF) -> bool:
     """Whether each variable of one table is independent of the deeper past
-    given its predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= tol for every
-    i >= 3.  A stack of tables is refused by name, and so is a tol that is
-    not a finite number >= 0: every comparison with NaN is False, so
-    tol = NaN would pass every joint."""
-    if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    given its predecessor: I(X_i : X_1..X_{i-2} | X_{i-1}) <= GAP_TOLERANCE
+    for every i >= 3.  A stack of tables is refused by name."""
     if p.batch:
         raise ValueError(f"is_markov reads one table, got a batch of shape {p.batch}")
     for i in range(2, p.n_vars):
         past = tuple(range(i - 1))
-        if conditional_mutual_information(p, (i,), past, (i - 1,)) > tol:
+        if conditional_mutual_information(p, (i,), past, (i - 1,)) > GAP_TOLERANCE:
             return False
     return True
 

@@ -20,18 +20,18 @@ the other is the purified circuit (witnesses.purified_circuit_state).
 
 von_neumann is defined in states, as the one-matrix form of
 von_neumann_stack (which every entropies reader reaches), and exported
-from here with the package's one I(A:B) and I(A:B|C).  Those two resolve
-their subsystem sets to sorted positions once (a PureState's labels
-through PureState._axes), test overlap on the positions, form the joint
-cuts from them, and hand them to the state's positional entropies core.
+from here with the package's one I(A:B) and I(A:B|C).  Those two take
+any state kind with the same private pair: `_cut` resolves each
+subsystem set to sorted positions once (a PureState's labels through
+PureState._axes, every position through linalg._positions), overlap is
+tested on the positions, and `_entropies`, the kind's positional core,
+reads every cut the formula needs in one call.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .channels import KrausChannel, apply, apply_to_subsystem
-from .linalg import _is_int, _require_int
+from .linalg import _require_int
 from .states import DensityMatrix, PureState, purify, von_neumann
 
 __all__ = [
@@ -42,21 +42,6 @@ __all__ = [
 ]
 
 
-def _resolved(rho: DensityMatrix | PureState, *cuts: tuple) -> tuple[Callable, list]:
-    """The cuts as sorted distinct positions, and the entropies reader that
-    takes them as they are.  A PureState resolves labels and positions in
-    PureState._axes; a DensityMatrix or a classical.JointPMF names its
-    subsystems by integer position only (refused by name otherwise), and a
-    table's entropies reads them as given."""
-    if isinstance(rho, PureState):
-        return rho._entropies, [tuple(sorted(set(rho._axes(cut)))) for cut in cuts]
-    odd = [i for cut in cuts for i in cut if not _is_int(i)]
-    if odd:
-        raise ValueError(f"{type(rho).__name__} subsystems are named by position, got {odd}")
-    sides = [tuple(sorted(set(cut))) for cut in cuts]
-    return rho._entropies if isinstance(rho, DensityMatrix) else rho.entropies, sides
-
-
 def mutual_information(rho: DensityMatrix | PureState, a: tuple, b: tuple) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) over disjoint subsystem sets of a
     DensityMatrix, a PureState (registers also named by label) or a
@@ -64,10 +49,10 @@ def mutual_information(rho: DensityMatrix | PureState, a: tuple, b: tuple) -> fl
     The sets are resolved to positions first, so a register named twice,
     by label and by position, is an overlap.
     """
-    entropies, (a, b) = _resolved(rho, a, b)
+    a, b = rho._cut(a), rho._cut(b)
     if set(a) & set(b):
         raise ValueError("subsystem sets overlap")
-    ha, hb, hab = entropies(a, b, tuple(sorted(a + b)))
+    ha, hb, hab = rho._entropies(a, b, tuple(sorted(a + b)))
     return ha + hb - hab
 
 
@@ -76,10 +61,10 @@ def conditional_mutual_information(rho: DensityMatrix | PureState, a: tuple,
     """I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C); nonnegative by strong
     subadditivity.  Subsystems are named and resolved as in
     mutual_information."""
-    entropies, (a, b, c) = _resolved(rho, a, b, c)
+    a, b, c = rho._cut(a), rho._cut(b), rho._cut(c)
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise ValueError("subsystem sets overlap")
-    hac, hbc, habc, hc = entropies(
+    hac, hbc, habc, hc = rho._entropies(
         tuple(sorted(a + c)), tuple(sorted(b + c)), tuple(sorted(a + b + c)), c)
     return hac + hbc - habc - hc
 

@@ -76,7 +76,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
     m : square operator over the tensor product of the subsystems in `dims`,
         or a stack of them with leading batch axes.
     dims : subsystem dimensions, leftmost factor most significant.
-    keep : indices of the subsystems to retain, in their original order.
+    keep : positions of the subsystems to retain, in their original order.
 
     Returns
     -------
@@ -85,13 +85,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...] | list[int],
     m = np.asarray(m, dtype=complex)
     dims = _dims(dims)
     _check_signature(m, dims)
-    keep = tuple(keep)
-    for k in keep:
-        _require_int(k, "keep index")
-    keep = sorted(set(int(k) for k in keep))
     n = len(dims)
-    if keep and (keep[0] < 0 or keep[-1] >= n):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    keep = _positions(keep, n, "keep index")
     batch = m.shape[:-2]
     t = m.reshape(batch + dims + dims)
     # pair bra and ket axes of every traced subsystem in a single einsum
@@ -137,8 +132,7 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
     kraus = np.asarray(kraus, dtype=complex)
     dims = _dims(dims)
     _check_signature(m, dims)
-    if not 0 <= target < len(dims):
-        raise ValueError(f"target {target} out of range for {len(dims)} subsystems")
+    (target,) = _positions((target,), len(dims), "target")
     d_out, d_in = kraus.shape[-2:]
     if dims[target] != d_in:
         raise ValueError(f"Kraus operators expect dimension {d_in}, "
@@ -200,6 +194,18 @@ def _require_int(value: int, name: str) -> None:
     # be truncated by int(); a bool would be read as 0 or 1
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _positions(items, n: int, what: str) -> tuple[int, ...]:
+    """`items` as sorted distinct int positions, each refused by name (as a
+    `what`) unless an integer in 0..n-1: the one place a position is checked."""
+    positions = set()
+    for i in items:
+        _require_int(i, what)
+        if not 0 <= i < n:
+            raise ValueError(f"{what} {i!r} out of range 0..{n - 1}")
+        positions.add(int(i))
+    return tuple(sorted(positions))
 
 
 def _dims(dims) -> tuple[int, ...]:

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import (_apply_registers, _dims, _is_int, _require_int, apply_two_site,
+from .linalg import (_apply_registers, _dims, _positions, _require_int, apply_two_site,
                      broadcast_batch, hermitian_eig, partial_trace, require_finite)
 from .tolerances import ENTROPY_CLIP, INVARIANT_TOL
 
@@ -87,7 +87,7 @@ class DensityMatrix:
 
     def reduced(self, keep: tuple[int, ...] | list[int]) -> "DensityMatrix":
         """Partial trace down to the subsystems in `keep` (original order)."""
-        keep = sorted(set(keep))
+        keep = self._cut(keep)
         sub = partial_trace(self.mat, self.dims, keep)
         return DensityMatrix(sub, tuple(self.dims[k] for k in keep))
 
@@ -96,11 +96,15 @@ class DensityMatrix:
         PureState.entropies of a mixed state, whose whole register is the
         matrix itself.  Subsystems are named by position only.  A NaN or
         infinite entry is refused by name."""
-        return self._entropies(*(tuple(sorted(set(s))) for s in subsets))
+        return self._entropies(*map(self._cut, subsets))
+
+    def _cut(self, cut: Sequence[int]) -> tuple[int, ...]:
+        # a cut as sorted distinct positions, each checked by linalg._positions
+        return _positions(cut, len(self.dims), "subsystem")
 
     def _entropies(self, *subsets: tuple[int, ...]) -> list[float | np.ndarray]:
-        # the positional core of entropies, for subsets already sorted and
-        # distinct (info's mutual informations pass theirs this way)
+        # the positional core of entropies, for subsets resolved by _cut
+        # (info's mutual informations pass theirs this way)
         require_finite(self.mat)
         whole, m = tuple(range(len(self.dims))), self.mat.reshape(-1, self.dim, self.dim)
         return _side_entropies([s or None for s in subsets], lambda keep: m if keep == whole
@@ -164,7 +168,7 @@ def spectrum_entropy(w: np.ndarray) -> np.ndarray:
     probability vectors), leaving out weights at or below ENTROPY_CLIP.
 
     The one entropy sum of the package: von_neumann_stack, the spectra of
-    density_stack and classical.JointPMF.entropies all go through it.
+    density_stack and classical.JointPMF._entropies all go through it.
     """
     # a clipped weight becomes 1, whose term 1 * log2(1) is exactly 0
     w = np.where(w > ENTROPY_CLIP, w, 1.0)
@@ -179,10 +183,11 @@ class PureState:
     same registers, `batch` is their shape, and `dims` describes one state.
     With `labels` the registers have names.  Every method that takes
     registers accepts each one by label or by position (an int), resolved
-    in one place, `_axes`.  `entropies` and `apply` are resolving shells
-    over positional cores (`_entropies`, linalg._apply_registers), which
-    info and the process-tensor readers call on positions they resolved
-    once.
+    in one place, `_axes`, which checks positions with linalg._positions,
+    as every state kind does.  `_cut` gives a cut's sorted positions, and
+    `entropies` and `apply` are resolving shells over positional cores
+    (`_entropies`, linalg._apply_registers), which info and the
+    process-tensor readers call on positions they resolved once.
 
     `entropies` is the one subset-entropy reader: a reader that needs
     several cuts of one state names them all in one call, which reduces
@@ -218,17 +223,17 @@ class PureState:
                 if self.labels is None or r not in self.labels:
                     raise ValueError(f"no register labelled {r!r} in {self.labels}")
                 axes.append(self.labels.index(r))
-            elif not _is_int(r):
-                raise ValueError(f"register {r!r} is neither a label nor an integer position")
-            elif 0 <= r < len(self.dims):
-                axes.append(int(r))
             else:
-                raise ValueError(f"register {r} out of range for {len(self.dims)} registers")
+                axes += _positions((r,), len(self.dims), "register position")
         return axes
+
+    def _cut(self, cut: Sequence[Register]) -> tuple[int, ...]:
+        # a cut as sorted distinct positions, its labels resolved by _axes
+        return tuple(sorted(set(self._axes(cut))))
 
     def reduced(self, keep: Sequence[Register]) -> DensityMatrix:
         """Marginal on the registers in `keep`, in register order."""
-        keep = sorted(set(self._axes(keep)))
+        keep = self._cut(keep)
         m = self._marginals(keep)
         return DensityMatrix(m.reshape(self.batch + m.shape[1:]), tuple(self.dims[k] for k in keep))
 
@@ -257,11 +262,11 @@ class PureState:
         (_von_neumann_stacks).  Each value is a float for an unbatched
         state and an array of the batch shape otherwise.
         """
-        return self._entropies(*(tuple(sorted(set(self._axes(cut)))) for cut in cuts))
+        return self._entropies(*map(self._cut, cuts))
 
     def _entropies(self, *cuts: tuple[int, ...]) -> list[float | np.ndarray]:
-        # the positional core of entropies, for cuts already resolved by _axes
-        # into sorted distinct positions (info and the process-tensor readers
+        # the positional core of entropies, for cuts resolved by _cut into
+        # sorted distinct positions (info and the process-tensor readers
         # resolve theirs once and call it directly)
         n = len(self.dims)
         sides = []

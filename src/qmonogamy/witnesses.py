@@ -160,17 +160,19 @@ def markov_process(initial: DensityMatrix,
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Named gap values; entries below -GAP_TOLERANCE are violations."""
+    """Named gap values; entries below -GAP_TOLERANCE are violations.  On a
+    stack an entry is an array: `min_value` is over every slice, and an
+    entry with any slice below is a violation, kept whole."""
 
-    entries: dict[str, float]
+    entries: dict[str, float | np.ndarray]
 
     @property
     def min_value(self) -> float:
-        return min(self.entries.values())
+        return float(min(map(np.min, self.entries.values())))
 
     @property
-    def violations(self) -> dict[str, float]:
-        return {k: v for k, v in self.entries.items() if v < -GAP_TOLERANCE}
+    def violations(self) -> dict[str, float | np.ndarray]:
+        return {k: v for k, v in self.entries.items() if np.any(v < -GAP_TOLERANCE)}
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,7 @@
 """Channels as Kraus lists: validation, application, unitary dilations, adjoint."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,24 @@ def test_apply_to_subsystem_tracks_changed_dimension():
     assert out.dims == (2, 3)
     np.testing.assert_allclose(out.reduced((0,)).mat, rho.reduced((0,)).mat,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("target,want", [
+    (1.0, "target must be an integer, got 1.0"),
+    (True, "target must be an integer, got True"),
+    (np.True_, f"target must be an integer, got {np.True_!r}"),
+    (-1, "target -1 out of range 0..1"),
+    (2, "target 2 out of range 0..1"),
+], ids=["float", "bool", "numpy bool", "negative", "past the end"])
+def test_apply_to_subsystem_refuses_a_target_that_is_not_a_position(target, want):
+    # 1.0 used to end in a bare TypeError, and True acted on subsystem 1
+    rho = DensityMatrix(random_density(4, seed=5).mat, (2, 2))
+    ch = random_channel(2, 2, 2, seed=6)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        apply_to_subsystem(ch, rho, target)
+    got = apply_to_subsystem(ch, rho, np.int64(1))
+    assert got.dims == (2, 2)
+    np.testing.assert_array_equal(got.mat, apply_to_subsystem(ch, rho, 1).mat)
 
 
 def test_unitary_channel_matches_the_dilation_formula():

@@ -120,8 +120,8 @@ def test_a_register_named_by_label_and_by_position_is_an_overlap(call):
 
 
 @pytest.mark.parametrize("kind,make", [
-    ("DensityMatrix", lambda n: DensityMatrix(np.eye(2 ** n) / 2 ** n, (2,) * n)),
-    ("JointPMF", lambda n: joint_pmf(np.full((2,) * n, 0.5 ** n))),
+    ("subsystem", lambda n: DensityMatrix(np.eye(2 ** n) / 2 ** n, (2,) * n)),
+    ("variable index", lambda n: joint_pmf(np.full((2,) * n, 0.5 ** n))),
 ], ids=["density matrix", "table"])
 def test_a_non_integer_position_is_refused_by_name_before_the_sort(kind, make):
     # these kinds name subsystems by position only; a label beside a position
@@ -132,7 +132,7 @@ def test_a_non_integer_position_is_refused_by_name_before_the_sort(kind, make):
             (["A"], lambda: conditional_mutual_information(make(3), ("A",), (1,), (2,))),
             ([True], lambda: conditional_mutual_information(make(3), (0,), (1,), (True,)))]:
         with pytest.raises(ValueError, match=re.escape(
-                f"{kind} subsystems are named by position, got {odd}")):
+                f"{kind} must be an integer, got {odd[0]!r}")):
             call()
 
 

@@ -19,6 +19,7 @@ from qmonogamy import process_tensor
 from qmonogamy.channels import KrausChannel, random_channel, unitary_channel
 from qmonogamy.classical import is_markov
 from qmonogamy.experiments import lambda_grid, u_lambda
+from qmonogamy.info import conditional_mutual_information
 from qmonogamy.linalg import dagger, kron, partial_trace
 from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
                                       contract, dephased_joint_pmf, fresh_env_circuit,
@@ -750,6 +751,20 @@ def test_mqmmi_matches_the_chain_witness_on_markov_circuits():
         assert entries[kind] == pytest.approx(want, abs=1e-9), kind
 
 
+def test_a_stacked_mqmmi_report_reads_as_its_per_lambda_reports():
+    lams = [0.1, 0.5, 0.9]
+    stacked = mqmmi_witnesses(system_env_circuit(w_state(), [u_lambda(lams)] * 3))
+    each = [mqmmi_witnesses(system_env_circuit(w_state(), [u_lambda(lam)] * 3))
+            for lam in lams]
+    assert stacked.min_value == min(rep.min_value for rep in each)
+    # at lambda = 0.5 q1 is positive: the stack's q1 is a violation all the same
+    assert "q1" not in each[1].violations
+    assert stacked.violations.keys() == set().union(*(rep.violations for rep in each))
+    for kind, gaps in stacked.violations.items():
+        assert gaps.tolist() == [rep.entries[kind] for rep in each], kind
+    assert stacked.passed == all(rep.passed for rep in each)
+
+
 def test_mqmmi_witnesses_are_the_four_pair_sum():
     """The M4 signs written out: I(1;4) + I(2;3) - I(1;3) - I(2;4) of each kind."""
     rng = np.random.default_rng(43)
@@ -800,12 +815,17 @@ def test_dephased_markov_tensor_gives_markov_pmf():
     pt = build_process_tensor(_random_markov_circuit(rng, 3), 4)
     pmf = dephased_joint_pmf(pt)
     assert pmf.dims == (2, 2, 2, 2)
-    assert is_markov(pmf, tol=1e-9)
+    assert is_markov(pmf)
 
 
 def test_dephased_nonmarkov_tensor_fails_markov_test():
     pt = build_process_tensor(_w_circuit(0.5), 4)
-    assert not is_markov(dephased_joint_pmf(pt), tol=1e-6)
+    pmf = dephased_joint_pmf(pt)
+    assert not is_markov(pmf)
+    # not a near miss: a conditional mutual information of the Markov test
+    # exceeds 1e-6, a thousand times its tolerance
+    assert max(conditional_mutual_information(pmf, (i,), tuple(range(i - 1)), (i - 1,))
+               for i in range(2, pmf.n_vars)) > 1e-6
 
 
 def test_a_step_unitary_stack_reports_its_worst_deviation():

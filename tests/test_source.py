@@ -31,8 +31,12 @@
   which refuses a non-integer by name instead of truncating it.
 * Register labels are resolved to positions (`labels.index(...)`) only in
   PureState._axes, the one resolver every register reader goes through.
+* Subsystem positions are range-checked (`0 <= i < n`, or `i < 0 or
+  i >= n`) only in linalg._positions, the one resolver every state kind's
+  `_cut`, partial_trace and apply_kraus go through, and info.py switches
+  on no state kind with `isinstance`: each kind resolves its own cuts.
 * classical.py sums a Shannon entropy (`spectrum_entropy(...)`) only in
-  JointPMF.entropies, and experiments.py imports no other Shannon reader
+  JointPMF._entropies, and experiments.py imports no other Shannon reader
   from it, so the classical check reads its gaps through cmmi_gap and
   info's one I(A:B).
 """
@@ -511,6 +515,55 @@ def test_the_label_scan_sees_a_second_copy():
                                                   "cut (line 9)"]
 
 
+def _is_range_check(node: ast.AST) -> bool:
+    # 0 <= i < n, or a disjunction holding i < 0 and j >= n
+    if isinstance(node, ast.Compare):
+        return (isinstance(node.left, ast.Constant) and node.left.value == 0
+                and [type(op) for op in node.ops] == [ast.LtE, ast.Lt])
+    if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)):
+        return False
+    tests = [v for v in node.values if isinstance(v, ast.Compare) and len(v.ops) == 1]
+    below = any(isinstance(t.ops[0], ast.Lt) and isinstance(t.comparators[0], ast.Constant)
+                and t.comparators[0].value == 0 for t in tests)
+    return below and any(isinstance(t.ops[0], ast.GtE) for t in tests)
+
+
+def _is_kind_switch(node: ast.AST) -> bool:
+    # isinstance(x, <a state kind>) or isinstance(x, (..., <a state kind>, ...))
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(k, ast.Name) and k.id in ("DensityMatrix", "PureState", "JointPMF")
+               for k in kinds)
+
+
+def test_positions_are_range_checked_only_in_the_resolver():
+    found = {path.name: _enclosing(_tree(path), _is_range_check) for path in MODULES}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert list(found) == ["linalg.py"], found
+    assert [use.split()[0] for use in found["linalg.py"]] == ["_positions"]
+    assert _enclosing(_tree(PACKAGE / "info.py"), _is_kind_switch) == []
+
+
+def test_the_range_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "def _positions(items, n):\n"
+        "    return [i for i in items if 0 <= i < n]\n\n"
+        "def apply_kraus(m, dims, target):\n"
+        "    if not 0 <= target < len(dims):\n        raise ValueError(target)\n\n"
+        "def partial_trace(m, keep, n):\n"
+        "    if keep and (keep[0] < 0 or keep[-1] >= n):\n        raise ValueError(keep)\n\n"
+        "def counts(n, ndim, r, s, seed):\n"
+        "    return 0 <= n <= ndim, 1 <= r < s, seed < 0 or n > ndim\n\n"
+        "def _resolved(rho, cut):\n"
+        "    if isinstance(rho, (PureState, str)):\n        return rho._axes(cut)\n"
+        "    return cut if isinstance(rho, DensityMatrix) or isinstance(cut, tuple) else None\n")
+    assert _enclosing(tree, _is_range_check) == [
+        "_positions (line 2)", "apply_kraus (line 5)", "partial_trace (line 9)"]
+    assert _enclosing(tree, _is_kind_switch) == ["_resolved (line 16)", "_resolved (line 18)"]
+
+
 def _is_spectrum_sum(node: ast.AST) -> bool:
     # spectrum_entropy(...) or <module>.spectrum_entropy(...)
     return isinstance(node, ast.Call) and (
@@ -530,7 +583,7 @@ def _shannon_readers(classical: ast.Module, importer: ast.Module) -> tuple[list[
 def test_the_shannon_sum_is_reached_only_inside_the_table_reader():
     readers, imported = _shannon_readers(_tree(PACKAGE / "classical.py"),
                                          _tree(PACKAGE / "experiments.py"))
-    assert [r.split()[0] for r in readers] == ["entropies"], readers
+    assert [r.split()[0] for r in readers] == ["_entropies"], readers
     assert imported == []
 
 
@@ -538,11 +591,11 @@ def test_the_shannon_scan_sees_a_second_copy():
     classical = ast.parse(
         "from .states import spectrum_entropy\n\n"
         "class JointPMF:\n"
-        "    def entropies(self, *subsets):\n"
+        "    def _entropies(self, *subsets):\n"
         "        return [spectrum_entropy(self.marginal(s)) for s in subsets]\n\n"
         "def shannon_entropies(probs, subset):\n"
         "    return states.spectrum_entropy(probs.reshape(len(probs), -1))\n")
     experiments = ast.parse("from .classical import JointPMF, shannon_entropies\n")
     readers, imported = _shannon_readers(classical, experiments)
-    assert readers == ["entropies (line 5)", "shannon_entropies (line 8)"]
+    assert readers == ["_entropies (line 5)", "shannon_entropies (line 8)"]
     assert imported == ["shannon_entropies"]

@@ -309,7 +309,7 @@ def test_apply_refuses_operators_that_do_not_fit_and_repeated_registers():
 @pytest.mark.parametrize("register", [True, False, 1.0, 1.5, None])
 def test_registers_are_labels_or_integer_positions(register):
     psi = w_state()
-    name = "neither a label nor an integer position"
+    name = "register position must be an integer"
     with pytest.raises(ValueError, match=name):
         psi.entropies((register,))
     with pytest.raises(ValueError, match=name):
@@ -568,3 +568,14 @@ def test_density_matrix_entropies_refuse_non_finite_input_by_name(bad):
     for rho in (DensityMatrix(m, (2, 2)), DensityMatrix(np.stack([np.eye(4) / 4, m]), (2, 2))):
         with pytest.raises(ValueError, match="non-finite entries: 1 NaN or infinite"):
             rho.entropies((0,))
+
+
+def test_density_matrix_cuts_are_checked_under_their_own_name():
+    # an out-of-range subsystem used to be reported as partial_trace's "keep indices"
+    rho = DensityMatrix(np.eye(4) / 4, (2, 2))
+    for call in (lambda: rho.entropies((5,)), lambda: rho.reduced((0, 5))):
+        with pytest.raises(ValueError, match=r"subsystem 5 out of range 0\.\.1"):
+            call()
+    with pytest.raises(ValueError, match="subsystem must be an integer, got 1.0"):
+        rho.entropies((1.0,))
+    assert rho.entropies((np.int64(1),)) == rho.entropies((1,)) == [1.0]

@@ -67,6 +67,13 @@ def test_witness_report_violation_bookkeeping():
     assert rep.violations == {"c": -0.5}
     assert not rep.passed
     assert WitnessReport({"a": 0.0}).passed
+    # a stack: each property used to raise numpy's "truth value ... is ambiguous"
+    rep = WitnessReport({"a": np.array([0.2, 0.0]), "b": np.array([0.1, -1e-12]),
+                         "c": np.array([0.3, -0.5])})
+    assert rep.min_value == -0.5 and isinstance(rep.min_value, float)
+    assert list(rep.violations) == ["c"] and rep.violations["c"] is rep.entries["c"]
+    assert not rep.passed
+    assert WitnessReport({"a": np.array([0.0, 0.2])}).passed
 
 
 def test_qdpi_gaps_match_their_definitions():
