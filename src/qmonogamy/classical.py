@@ -48,7 +48,8 @@ class JointPMF:
     """A joint distribution, or a stack of them: the last `n_vars` axes of
     `probs` are the variables (`dims`), any before them a batch of tables
     (`batch`), as DensityMatrix and PureState take one.  `n_vars` defaults
-    to probs.ndim, one table."""
+    to probs.ndim, one table.  A NaN or infinite probability, which the
+    entropy sum would read as 0, is refused by name once, when built."""
 
     probs: np.ndarray
     n_vars: int | None = None
@@ -57,6 +58,7 @@ class JointPMF:
         n = self.probs.ndim if self.n_vars is None else self.n_vars
         if not (_is_int(n) and 0 <= n <= self.probs.ndim):
             raise ValueError(f"n_vars must be an integer in 0..{self.probs.ndim}, got {n!r}")
+        require_finite(self.probs, "probabilities")
         object.__setattr__(self, "n_vars", n)
 
     @property
@@ -71,8 +73,8 @@ class JointPMF:
         """Shannon entropy (bits) of each subset's marginal, in order: the
         package's one Shannon reader (states.spectrum_entropy's sum), exactly
         0 for the empty set, a float without a batch, else a batch-shaped
-        array.  A non-integer (bool, float) or out-of-range index, and a
-        NaN or infinite probability, are refused by name."""
+        array.  A non-integer (bool, float) or out-of-range index is
+        refused by name."""
         return self._entropies(*map(self._cut, subsets))
 
     def _cut(self, cut: tuple[int, ...]) -> tuple[int, ...]:
@@ -80,9 +82,7 @@ class JointPMF:
         return _positions(cut, self.n_vars, "variable index")
 
     def _entropies(self, *cuts: tuple[int, ...]) -> list[float | np.ndarray]:
-        # the positional core of entropies, for cuts resolved by _cut; a NaN
-        # would read as a zero term of the sum, so it is refused once a call
-        require_finite(self.probs, "probabilities")
+        # the positional core of entropies, for cuts resolved by _cut
         values = []
         for cut in cuts:
             drop = tuple(len(self.batch) + i for i in range(self.n_vars) if i not in cut)

@@ -198,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Witnesses for quantum data-processing and monogamy inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_format: str) -> None:
+    def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
 
     for name in SWEEPS:
         p = sub.add_parser(name, help=f"lambda sweep ({name.removeprefix('sweep-')})")
@@ -209,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step", type=float, default=0.01)
         p.add_argument("--svg", action="store_true",
                        help="also write a line chart next to --output")
-        add_common(p, "csv")
+        add_output(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     v = sub.add_parser("verify", help="randomized inequality survey (JSON)")
     v.add_argument("--steps", type=int, choices=tuple(MONOGAMY), default=4)
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--dims", type=int, nargs=2, default=(2, 2), metavar=("D_SYS", "D_ENV"),
                    help="system and environment dimensions of the surveyed processes")
-    add_common(v, "json")
+    add_output(v)
     return parser
 
 
@@ -226,8 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            if args.format != "json":
-                raise ValueError("verify emits JSON only")
             return _run_verify(args)
         if args.svg and args.output is None:
             raise ValueError("--svg needs --output to derive the chart path")

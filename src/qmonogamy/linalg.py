@@ -11,7 +11,7 @@ batch axes broadcast (broadcast_batch names the two shapes when they do
 not).
 
 Register operators act on flat state vectors through one kernel,
-_apply_registers, which apply_two_site and states.PureState.apply share.
+_apply_registers, called by apply_two_site and states.PureState._apply.
 Registers that are adjacent and in order are a contiguous block (before,
 d_in, after) of the flat vector, and the operator acts on that block in
 place: one reshape and one batched matmul, no axis moved.  Registers out
@@ -244,11 +244,12 @@ def apply_two_site(vec: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
     `u` acts on the ordered pair of subsystems `sites` = (a, b); the result
     is returned flat with the original subsystem layout.  `vec` may be a
     stack (..., D) and `u` a stack (..., d, d); their batch axes broadcast,
-    so one call runs a whole stack of circuits.  This is the only gate
-    primitive circuit simulations need.  An adjacent pair in order (b =
-    a + 1) is a contiguous block of the flat vector, which `u` acts on in
-    place: one reshape and one batched matmul (_apply_registers).  Any
-    other pair is transposed into such a block and back.
+    so one call runs a whole stack of circuits.  The array form of
+    PureState.apply on two registers; no package code calls it.  An
+    adjacent pair in order (b = a + 1) is a contiguous block of the flat
+    vector, which `u` acts on in place: one reshape and one batched matmul
+    (_apply_registers).  Any other pair is transposed into such a block
+    and back.
     """
     return _apply_registers(np.asarray(vec, dtype=complex), _dims(dims),
                             np.asarray(u, dtype=complex), tuple(sites), in_place=True)
@@ -259,7 +260,7 @@ def _apply_registers(vec: np.ndarray, dims: tuple[int, ...], op: np.ndarray,
     """op (..., d_out, d_in) on the distinct registers `axes` of the flat
     complex state stack `vec` (..., D) over `dims`, taken in the order
     given; the two batches broadcast.  The one register kernel:
-    apply_two_site and PureState.apply both act through it.
+    apply_two_site and PureState._apply both act through it.
 
     The `axes` registers are gathered into one block at the place of the
     first of them (the lowest index), so that the vector reads (before,

@@ -18,21 +18,21 @@ one Kraus register K_j; a reader builds each map's rows of this rule once
 (_plug_rows).  The factor sqrt(d) cancels the normalization of the
 inserted pair, and the result is exactly what the circuit would output
 if the maps were applied in line, which is the defining property checked
-by the tests.  A plug (_plug) works on positions: (S_j, R_j) is resolved
-once and the rows act on that adjacent block in one batched matmul.
+by the tests.  A plug (_plug) resolves (S_j, R_j) once and hands that
+adjacent block to PureState._apply, the register core that also runs
+every step here: no other way to the kernel or the budget is taken.
 
 The port mutual informations I(R_y : S_x) of port_mutual_information and
 choi_dpi_witnesses come from one reader that takes all its pairs in one
 pass.  Each plugged register is kept, keyed by the slots it plugs, so
 every plug is made once and shared by every later pair, and the register's
 trace is checked before each read.  The joints rho(R_y, S_x), each the
-marginal on the pair's two resolved positions, are then one stacked
+marginal on the pair's cut (PureState._cut), are then one stacked
 DensityMatrix, read by info.mutual_information, the package's one
 I(A:B): the joints and their one-register marginals take one stacked
 eigensolve per matrix size (DensityMatrix.entropies).
-markov_factorization_gap resolves its step cuts and E once and reads
-them with the positional core of PureState.entropies; the interventional
-witnesses read theirs through PureState.entropies.
+markov_factorization_gap and the interventional witnesses read their
+cuts by label, each in one PureState.entropies call.
 
 The interventional witnesses (kinds q1, q2, q3) instead purify the
 actual reduced state at slot j, retain the purification reference, and
@@ -43,17 +43,15 @@ compare entropy combinations across the slot pairs of one two-time table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import KrausChannel
 from .classical import JointPMF, joint_pmf
 from .info import mutual_information
-from .linalg import (_apply_registers, _require_int, broadcast_batch, require_finite,
-                     unitarity_deviation)
-from .states import (DensityMatrix, PureState, _check_budget, density, maximally_entangled,
-                     purify)
+from .linalg import _require_int, broadcast_batch, require_finite, unitarity_deviation
+from .states import DensityMatrix, PureState, density, maximally_entangled, purify
 from .tolerances import INVARIANT_TOL
 from .witnesses import MONOGAMY, WitnessReport, _pairing, monogamy_gap
 
@@ -186,19 +184,15 @@ def _plug_rows(ops: tuple[np.ndarray, ...], d: int) -> np.ndarray:
 
 
 def _plug(psi: PureState, j: int, rows: np.ndarray) -> PureState:
-    """psi.apply(rows, (S_j, R_j), out={K_j: len(rows)}), bit for bit, on
-    the positions of (S_j, R_j), the adjacent block the rows act on
-    (linalg._apply_registers).  The rows' width, the adjacency and the
-    amplitude budget are checked on every plug."""
+    """psi.apply(rows, (S_j, R_j), out={K_j: len(rows)}) on the positions
+    of the adjacent block (S_j, R_j); the adjacency and the rows' width are
+    checked here, the amplitude budget by PureState._apply."""
     s, r = psi._axes((f"S{j}", f"R{j}"))
     d_in = psi.dims[s] * psi.dims[r]
     if r != s + 1 or rows.shape[-1] != d_in:
         raise ValueError(f"plug rows of shape {rows.shape} do not act on the adjacent "
                          f"registers S{j}, R{j} of dimension {d_in}")
-    _check_budget(len(rows) * (psi.dim // d_in))
-    return PureState(_apply_registers(psi.vec, psi.dims, rows, (s, r), in_place=False),
-                     psi.dims[:s] + (len(rows),) + psi.dims[r + 1:],
-                     psi.labels[:s] + (f"K{j}",) + psi.labels[r + 1:])
+    return psi._apply(rows, (s, r), {f"K{j}": len(rows)})
 
 
 def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | float:
@@ -238,12 +232,9 @@ def markov_factorization_gap(pt: ProcessTensor) -> float:
     step marginals Y_g on (R_g, S_{g+1}), sum_g H(Y_g) - H(Y) with H(Y) =
     H(E); zero iff Markov.  The product is a Markov tensor, so this is the
     non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018).
-    The k step cuts and E, resolved to positions at once, are one call of
-    the entropies core."""
+    The k step cuts and E are one entropies call."""
     k = pt.n_slots
-    axes = pt.state._axes([*(r for g in range(k) for r in (f"R{g}", f"S{g + 1}")), "E"])
-    *steps, h_env = pt.state._entropies(*(tuple(sorted(axes[2 * g:2 * g + 2]))
-                                          for g in range(k)), (axes[-1],))
+    *steps, h_env = pt.state.entropies(*((f"R{g}", f"S{g + 1}") for g in range(k)), ("E",))
     return float(sum(steps) - h_env)
 
 
@@ -291,7 +282,7 @@ def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]
         if abs(tr - 1.0) > INVARIANT_TOL:
             raise ValueError(f"interventions are not trace preserving: the port state "
                              f"has trace {tr:.3e}")
-        joints.append(psi._marginals(sorted(psi._axes((f"R{y}", f"S{x}")))))
+        joints.append(psi._marginals(psi._cut((f"R{y}", f"S{x}"))))
     # each joint (1, d^2, d^2) holds its two registers in register order,
     # (R_y, S_x) when y < x
     return mutual_information(DensityMatrix(np.concatenate(joints), (d, d)), (0,), (1,))
@@ -332,8 +323,7 @@ def choi_dpi_witnesses(pt: ProcessTensor,
 _KIND_TERMS = {"q1": ("Sj", "Rj"), "q2": ("Sk",), "q3": ("Sj", "Sk")}
 
 
-def _two_time_table(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
-                    purifier: Callable[[DensityMatrix], PureState] = purify) -> dict:
+def _two_time_table(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]]) -> dict:
     """multitime_coherent_info of every kind at each pair (j, k) asked for,
     keyed by pair, then kind.  One forward run purifies S_j once per slot j
     and steps the state on (R0, Sj, Rj, Sk, E) through each k; the states,
@@ -345,10 +335,8 @@ def _two_time_table(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
     for j in sorted({j for j, _ in order}):
         for u in steps[at - 1: j - 1]:
             psi = psi.apply(u, ("Sj", "E"))
-        pur, at = purifier(psi.reduced(("Sj",))), j
-        if pur.dims[1] != circuit.d_sys:
-            raise ValueError("purifier must return (reference, system) registers")
-        phi = psi.splice(pur, after="Sj", labels=("Rj", "Sk"))
+        at = j
+        phi = psi.splice(purify(psi.reduced(("Sj",))), after="Sj", labels=("Rj", "Sk"))
         for k in range(j + 1, max(b for a, b in order if a == j) + 1):
             phi = phi.apply(steps[k - 2], ("Sk", "E"))
             if (j, k) in order:
@@ -360,13 +348,11 @@ def _two_time_table(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
             for i, pair in enumerate(order)}
 
 
-def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int,
-                            purifier: Callable[[DensityMatrix], PureState] = purify,
-                            ) -> float:
+def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int) -> float:
     """Entropic two-slot quantity with a purification intervention at slot j.
 
     The circuit runs to slot j; the live system is set aside as S_j, its
-    reduced state is purified (by `purifier`, reference register first),
+    reduced state is purified (states.purify, reference register first),
     and the purification's system half is fed forward to slot k.  With the
     global state pure over (R0, S_j, R_j, S_k, E), the kinds are
 
@@ -382,7 +368,7 @@ def multitime_coherent_info(circuit: SystemEnvCircuit, kind: str, j: int, k: int
     _require_int(k, "slot k")
     if not (1 <= j < k <= circuit.n_slots):
         raise ValueError(f"need 1 <= j < k <= {circuit.n_slots}, got j={j}, k={k}")
-    return _two_time_table(circuit, [(j, k)], purifier)[j, k][kind]
+    return _two_time_table(circuit, [(j, k)])[j, k][kind]
 
 
 def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
@@ -412,8 +398,8 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
     (x) F_m, dim(F_j) = env_dim for m step unitaries, starts in |0...0>,
     spliced in after S.  Step j's unitary acts on S (x) F_j; its operator
     on S (x) E is the register simulator's image of the basis states
-    (linalg._apply_registers on the registers (S, F_j)), transposed: the
-    matrix of an operator is its image of the basis.
+    (PureState._apply on the registers (S, F_j)), transposed: the matrix of
+    an operator is its image of the basis.
     """
     if len(initial_rs.dims) != 2:
         raise ValueError(f"initial state needs registers (R0, S), got {initial_rs.dims}")
@@ -432,7 +418,7 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
         if u.shape != (d_s * env_dim, d_s * env_dim):
             raise ValueError(
                 f"step unitary {jj} must act on dim {d_s * env_dim}, got {u.shape}")
-        embedded.append(_apply_registers(basis, dims, u, (0, jj + 1), in_place=True).T)
+        embedded.append(PureState(basis, dims)._apply(u, (0, jj + 1)).vec.T)
     return system_env_circuit(initial, embedded)
 
 

@@ -17,13 +17,14 @@ one circuit simulator: unitaries and isometries are applied to named
 registers, fresh pure states are spliced in next to them, and entropies
 of named registers come straight from the vector.  Every purified
 circuit, process tensor and intervened state is built this way, and
-MAX_AMPLITUDES bounds all of them.  Registers that are adjacent and in
-order are one contiguous block (before, d, after) of the flat vector: an
-operator acts on them in place, as one reshape and one batched matmul
-(linalg._apply_registers; two registers go through apply_two_site), and
-a splice is one broadcast product.  Every register operation on the
-package's hot paths is of that kind; registers out of order or apart
-take one transpose into a block first.
+MAX_AMPLITUDES bounds all of them.  Every step, plug, isometry and
+embedding goes through PureState._apply, which alone checks the budget,
+calls the kernel linalg._apply_registers and lays out the registers.
+Registers that are adjacent and in order are one contiguous block
+(before, d, after) of the flat vector: an operator acts on them in place,
+as one reshape and one batched matmul, and a splice is one broadcast
+product.  Every register operation on the package's hot paths is of
+that kind; registers out of order or apart take one transpose first.
 
 A PureState's vector may carry leading batch axes, `vec` of shape
 (..., D): a stack of states on one register layout.  `apply` and
@@ -45,8 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import (_apply_registers, _dims, _positions, _require_int, apply_two_site,
-                     broadcast_batch, hermitian_eig, partial_trace, require_finite)
+from .linalg import (_apply_registers, _dims, _positions, _require_int, broadcast_batch,
+                     hermitian_eig, partial_trace, require_finite)
 from .tolerances import ENTROPY_CLIP, INVARIANT_TOL
 
 __all__ = [
@@ -114,12 +115,14 @@ class DensityMatrix:
 def von_neumann(rho: DensityMatrix | np.ndarray) -> float:
     """Entropy -sum(w log2 w) over eigenvalues above ENTROPY_CLIP.
 
-    A NaN or infinite entry is refused by name; von_neumann_stack, which
-    only internal callers reach, takes its input unchecked.
+    A raw array is validated by density() first; a NaN or infinite entry
+    is refused by name for either kind.  von_neumann_stack, which only
+    internal callers reach, takes its input unchecked.
     """
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    require_finite(m)
-    return float(von_neumann_stack(m))
+    if not isinstance(rho, DensityMatrix):
+        rho = density(rho)
+    require_finite(rho.mat)
+    return float(von_neumann_stack(rho.mat))
 
 
 def von_neumann_stack(mats: np.ndarray) -> np.ndarray:
@@ -186,8 +189,8 @@ class PureState:
     in one place, `_axes`, which checks positions with linalg._positions,
     as every state kind does.  `_cut` gives a cut's sorted positions, and
     `entropies` and `apply` are resolving shells over positional cores
-    (`_entropies`, linalg._apply_registers), which info and the
-    process-tensor readers call on positions they resolved once.
+    (`_entropies`, `_apply`), which info and the process-tensor readers
+    and builders call on positions they resolved once.
 
     `entropies` is the one subset-entropy reader: a reader that needs
     several cuts of one state names them all in one call, which reduces
@@ -286,16 +289,15 @@ class PureState:
         `op` acts on the product of the `on` registers in the order given;
         a stack of operators (..., d_out, d_in) broadcasts against the
         state's batch.  Without `out` the registers keep their labels,
-        dimensions and places (two registers go through `apply_two_site`).
-        With `out`, a mapping of output labels to dimensions in `op`'s
-        output order, the output registers replace the `on` registers at
-        the place of the first of them.  Registers that are adjacent and in
-        order act in place, as one reshape and one batched matmul; others
-        are transposed into such a block first (linalg._apply_registers).
-        An `op` whose input or output dimension does not match the
-        registers, and a register named twice, are refused.  A result whose
-        states exceed MAX_AMPLITUDES is refused before it is built, here
-        and in `splice`.
+        dimensions and places.  With `out`, a mapping of output labels to
+        dimensions in `op`'s output order, the output registers replace the
+        `on` registers at the place of the first of them.  An `op` whose
+        input or output dimension does not match the registers, and a
+        register named twice, are refused; the positional core `_apply`
+        then acts.  Registers that are adjacent and in order act in place, as
+        one reshape and one batched matmul; others are transposed into such
+        a block first.  A result whose states exceed MAX_AMPLITUDES is
+        refused before it is built, in `_apply` and in `splice`.
         """
         axes = self._axes(on)
         if len(set(axes)) != len(axes):
@@ -314,18 +316,21 @@ class PureState:
         if op.shape[-2] != math.prod(new_dims):
             raise ValueError(f"operator of shape {op.shape} does not output registers "
                              f"of dimensions {new_dims}")
-        if out is None and len(axes) == 2:
-            return PureState(apply_two_site(self.vec, self.dims, op, tuple(axes)),
-                             self.dims, self.labels)
-        _check_budget(op.shape[-2] * (self.dim // d_in))
+        return self._apply(op, axes, out)
+
+    def _apply(self, op: np.ndarray, axes: Sequence[int],
+               out: dict[str, int] | None = None) -> PureState:
+        # the positional core of apply, the one register operation, for
+        # distinct positions and a complex op that fits them (process_tensor
+        # calls it on positions it resolved once); `out` goes in at min(axes)
+        _check_budget(op.shape[-2] * (self.dim // math.prod([self.dims[a] for a in axes])))
         vec = _apply_registers(self.vec, self.dims, op, axes, in_place=out is None)
         if out is None:
             return PureState(vec, self.dims, self.labels)
         p = min(axes)
-        rest = [i for i in range(len(self.dims)) if i not in axes]
-        dims, labels = [self.dims[i] for i in rest], [self.labels[i] for i in rest]
-        return PureState(vec, (*dims[:p], *new_dims, *dims[p:]),
-                         (*labels[:p], *out, *labels[p:]))
+        rest = [i for i in range(p, len(self.dims)) if i not in axes]
+        return PureState(vec, (*self.dims[:p], *out.values(), *[self.dims[i] for i in rest]),
+                         (*self.labels[:p], *out, *[self.labels[i] for i in rest]))
 
     def splice(self, state: PureState, after: Register,
                labels: Sequence[str]) -> PureState:
@@ -448,16 +453,11 @@ def maximally_entangled(d: int) -> PureState:
     return PureState(vec, (d, d))
 
 
-def random_density(d: int, rank: int | None = None,
-                   seed: int | np.random.Generator = 0) -> DensityMatrix:
-    """Random density matrix rho = G G† / Tr(G G†), G complex Gaussian d x rank."""
+def random_density(d: int, seed: int | np.random.Generator = 0) -> DensityMatrix:
+    """Random density matrix rho = G G† / Tr(G G†), G complex Gaussian d x d."""
     _require_int(d, "d")
-    rank = d if rank is None else rank
-    _require_int(rank, "rank")
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return DensityMatrix(ginibre_spectra(ginibre(rng, (d, rank))[None])[0][0], (d,))
+    return DensityMatrix(ginibre_spectra(ginibre(rng, (d, d))[None])[0][0], (d,))
 
 
 def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -212,8 +212,11 @@ def test_successive_calls_share_one_parser_but_no_parsed_state(tmp_path):
 
 
 def test_verify_emits_json_only(capsys):
-    assert main(["verify", "--format", "csv"]) == 2
-    assert "JSON" in capsys.readouterr().err
+    # verify has no --format: argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_verify_rejects_zero_samples(capsys):

@@ -172,13 +172,13 @@ def test_mqmmi_row_runs_the_circuit_forward_once(monkeypatch):
     # pairs (1,3), (1,4), (2,3), (2,4) in one forward run: 3 steps from the
     # purification at slot 1, 1 step from slot 1 to 2, 2 from the one at slot 2
     calls = []
-    original = states.apply_two_site
+    original = states._apply_registers
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(states, "apply_two_site", counting)
+    monkeypatch.setattr(states, "_apply_registers", counting)
     mqmmi_row(0.4)
     assert len(calls) == 6
     # the whole grid is one stacked circuit: still one forward run

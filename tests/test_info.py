@@ -46,6 +46,26 @@ def test_von_neumann_refuses_non_finite_input_by_name(bad):
         von_neumann(DensityMatrix(np.full((2, 2), bad), (2,)))
 
 
+@pytest.mark.parametrize("m,message", [
+    (np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),  # read as -0.328 bits
+    (np.diag([0.9, 0.3]), "not unit trace"),                 # read as 0.658 bits
+    (np.eye(2), "not unit trace"),                           # read as -0.0 bits
+    (np.array([1.0]), "must be square"),                     # numpy's bare AxisError
+])
+def test_von_neumann_refuses_a_raw_array_that_is_no_density_matrix(m, message):
+    with pytest.raises(ValueError, match=message):
+        von_neumann(m)
+
+
+def test_von_neumann_reads_a_validated_raw_array_as_the_unchecked_stack():
+    rng = np.random.default_rng(31)
+    for d in range(1, 9):
+        for _ in range(20):
+            env = int(rng.integers(1, 2 * d + 1))
+            m = _multi_state(int(rng.integers(2 ** 32)), (d, env)).reduced((0,)).mat
+            assert von_neumann(m) == float(von_neumann_stack(m)), d
+
+
 @given(seeds, st.sampled_from([2, 3, 4, 6]))
 def test_entropy_bounds(seed, d):
     rho = random_density(d, seed=seed)
@@ -161,7 +181,7 @@ def test_coherent_information_can_be_negative():
     # K_ij = |i><j| / sqrt(2) maps every input to 1/2
     depolarizing = kraus_channel([np.outer(a, b) / np.sqrt(2)
                                   for a in np.eye(2) for b in np.eye(2)])
-    rho = random_density(2, rank=2, seed=14)
+    rho = random_density(2, seed=14)
     ic = chain_coherent_information(rho, [depolarizing], 1, 2)
     assert ic == pytest.approx(-von_neumann(rho), abs=1e-10)
     assert ic < -0.1
@@ -202,7 +222,7 @@ def test_chain_segment_of_length_one_is_plain_coherent_information():
 
 
 def test_chain_of_unitaries_preserves_coherent_information():
-    rho = random_density(2, rank=2, seed=16)
+    rho = random_density(2, seed=16)
     h = von_neumann(rho)
     u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     chain = [kraus_channel([u]), kraus_channel([u])]

@@ -259,9 +259,9 @@ def test_apply_two_site_refuses_stacks_that_do_not_broadcast():
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
 def test_counts_indices_and_dimensions_are_refused_by_name_unless_integers(bad):
-    # a float or a bool used to be truncated (a rank of 1.5 drew rank 1, a
-    # keep index of 1.5 kept subsystem 1), read as 0 or 1, or fail with a
-    # bare TypeError or IndexError
+    # a float or a bool used to be truncated (a keep index of 1.5 kept
+    # subsystem 1), read as 0 or 1, or fail with a bare TypeError or
+    # IndexError
     process = random_markov_process(4, seed=3)
     rho, chain = process.initial, list(process.channels)
     m = np.eye(4) / 4
@@ -273,7 +273,6 @@ def test_counts_indices_and_dimensions_are_refused_by_name_unless_integers(bad):
                     lambda v: chain_coherent_information(rho, chain, 1, v)],
         "keep index": [lambda v: partial_trace(m, (2, 2), (v,))],
         "d": [lambda v: random_density(v)],
-        "rank": [lambda v: random_density(2, rank=v)],
         "n_vars": [lambda v: random_chain(v, 2)],
         "dim": [lambda v: random_chain(4, v)],
         "d_in": [lambda v: random_channel(v, 2, 2)],
@@ -289,7 +288,7 @@ def test_counts_indices_and_dimensions_are_refused_by_name_unless_integers(bad):
     two = np.int64(2)
     assert process.coherent_info(np.int64(1), np.int64(3)) == process.coherent_info(1, 3)
     assert partial_trace(m, (2, 2), (np.int64(1),)).shape == (2, 2)
-    assert random_density(two, rank=np.int64(1), seed=5).dims == (2,)
+    assert random_density(two, seed=5).dims == (2,)
     assert random_chain(np.int64(3), two).n_vars == 3
     assert random_channel(two, two, two).d_in == 2
     assert fresh_env_circuit(init, [np.eye(4)], env_dim=two).initial.dims == (2, 2, 2)

@@ -606,7 +606,8 @@ def test_choi_dpi_needs_four_slots():
 
 def _twisted(draw):
     """A purifier whose reference register is purify's turned by the unitary
-    draw(d), d the reference's dimension, drawn at every call."""
+    draw(d), d the reference's dimension, drawn at every call; the tests put
+    it in place of process_tensor.purify."""
     def purifier(rho):
         psi = purify(rho)
         u = draw(psi.dims[0])
@@ -633,9 +634,9 @@ def _reference_values(circuit, j, k, purifier=purify):
     return {kind: h - joint for kind, h in zip(("q1", "q2", "q3"), terms)}
 
 
-def _all_pairs_table(circuit, purifier=purify):
+def _all_pairs_table(circuit):
     pairs = itertools.combinations(range(1, circuit.n_slots + 1), 2)
-    return process_tensor._two_time_table(circuit, list(pairs), purifier)
+    return process_tensor._two_time_table(circuit, list(pairs))
 
 
 def _table_cases():
@@ -659,8 +660,10 @@ TABLE_CASES = _table_cases()
 
 @pytest.mark.parametrize("name,circuit,purifier", TABLE_CASES,
                          ids=[c[0] for c in TABLE_CASES])
-def test_the_two_time_table_is_the_per_pair_run_bit_for_bit(name, circuit, purifier):
-    table = _all_pairs_table(circuit, purifier)
+def test_the_two_time_table_is_the_per_pair_run_bit_for_bit(name, circuit, purifier,
+                                                             monkeypatch):
+    monkeypatch.setattr(process_tensor, "purify", purifier)
+    table = _all_pairs_table(circuit)
     stacked = any(u.ndim > 2 for u in circuit.step_unitaries)
     assert list(table) == list(itertools.combinations(range(1, circuit.n_slots + 1), 2))
     for pair in table:
@@ -669,9 +672,9 @@ def test_the_two_time_table_is_the_per_pair_run_bit_for_bit(name, circuit, purif
             np.testing.assert_array_equal(table[pair][kind], want[kind])
             assert isinstance(table[pair][kind], np.ndarray if stacked else float)
             np.testing.assert_array_equal(
-                multitime_coherent_info(circuit, kind, *pair, purifier=purifier), want[kind])
+                multitime_coherent_info(circuit, kind, *pair), want[kind])
     # a pair nobody asked for is no key, so it cannot be read as a number
-    table = process_tensor._two_time_table(circuit, [(2, 4), (1, 3), (2, 4)], purifier)
+    table = process_tensor._two_time_table(circuit, [(2, 4), (1, 3), (2, 4)])
     assert list(table) == [(1, 3), (2, 4)]
     with pytest.raises(KeyError):
         table[1, 4]
@@ -685,14 +688,16 @@ def test_mqmmi_witnesses_purify_once_per_slot_j(monkeypatch):
     assert len(eigh) == 2
 
 
-def test_multitime_coherent_info_is_purification_invariant():
+def test_multitime_coherent_info_is_purification_invariant(monkeypatch):
     rng = np.random.default_rng(23)
     circuit = _w_circuit(0.4)
     twisted = _twisted(lambda d: _haar(rng, d))
     for kind in ("q1", "q2", "q3"):
         for j, k in [(1, 3), (2, 4), (1, 4)]:
             a = multitime_coherent_info(circuit, kind, j, k)
-            b = multitime_coherent_info(circuit, kind, j, k, purifier=twisted)
+            with monkeypatch.context() as m:
+                m.setattr(process_tensor, "purify", twisted)
+                b = multitime_coherent_info(circuit, kind, j, k)
             assert a == pytest.approx(b, abs=1e-9), (kind, j, k)
 
 

@@ -39,6 +39,10 @@
   JointPMF._entropies, and experiments.py imports no other Shannon reader
   from it, so the classical check reads its gaps through cmmi_gap and
   info's one I(A:B).
+* The register kernel linalg._apply_registers is called only in
+  apply_two_site and PureState._apply, and the amplitude budget
+  states._check_budget only in PureState._apply and splice: every
+  register operation of the package goes through the one register core.
 """
 
 import ast
@@ -599,3 +603,40 @@ def test_the_shannon_scan_sees_a_second_copy():
     readers, imported = _shannon_readers(classical, experiments)
     assert readers == ["_entropies (line 5)", "shannon_entropies (line 8)"]
     assert imported == ["shannon_entropies"]
+
+
+def _calls(name: str):
+    # a call of `name` or of <...>.name
+    def match(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+    return match
+
+
+def _callers(name: str) -> dict[str, list[str]]:
+    found = {path.name: [use.split()[0] for use in _enclosing(_tree(path), _calls(name))]
+             for path in MODULES}
+    return {module: uses for module, uses in found.items() if uses}
+
+
+def test_the_register_kernel_and_budget_are_reached_only_through_the_register_core():
+    assert _callers("_apply_registers") == {"linalg.py": ["apply_two_site"],
+                                            "states.py": ["_apply"]}
+    assert _callers("_check_budget") == {"states.py": ["_apply", "splice"]}
+
+
+def test_the_register_call_scan_sees_a_second_caller():
+    tree = ast.parse(
+        "from .linalg import _apply_registers\n\n"
+        "class PureState:\n"
+        "    def _apply(self, op, axes):\n"
+        "        _check_budget(op.shape[-2])\n"
+        "        return _apply_registers(self.vec, self.dims, op, axes, True)\n\n"
+        "def fresh_env_circuit(basis, dims, u):\n"
+        "    return linalg._apply_registers(basis, dims, u, (0, 1), in_place=True).T\n\n"
+        "def _plug(psi, rows):\n"
+        "    states._check_budget(len(rows))\n")
+    assert _enclosing(tree, _calls("_apply_registers")) == [
+        "_apply (line 6)", "fresh_env_circuit (line 9)"]
+    assert _enclosing(tree, _calls("_check_budget")) == ["_apply (line 5)", "_plug (line 12)"]

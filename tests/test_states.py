@@ -130,15 +130,12 @@ def test_maximally_entangled_marginals_are_maximally_mixed():
 
 
 def test_random_density_is_valid_and_seeded():
-    a = random_density(4, rank=2, seed=11)
-    b = random_density(4, rank=2, seed=11)
+    a = random_density(4, seed=11)
+    b = random_density(4, seed=11)
     np.testing.assert_array_equal(a.mat, b.mat)
     w = np.linalg.eigvalsh(a.mat)
     assert abs(w.sum() - 1.0) < 1e-10
     assert w.min() > -1e-12
-    assert (w > 1e-10).sum() == 2  # rank control
-    with pytest.raises(ValueError):
-        random_density(2, rank=3)
 
 
 def test_w_state_layout():
@@ -450,15 +447,15 @@ def test_register_kernel_matches_the_dense_permuted_operator(monkeypatch, on, is
     same registers reversed, and registers apart, with and without output
     registers, on unstacked and stacked states with unstacked and stacked
     operators: every result is the kron-embedded operator between two
-    permutations of the dense vector, and only an in-place two-register
-    apply goes through apply_two_site, once."""
+    permutations of the dense vector, and every apply reaches the register
+    kernel once."""
     rng = np.random.default_rng(sum(on) + 10 * len(on) + 100 * isometry)
     labels = ("A", "B", "C", "D")
     d_in = math.prod(KERNEL_DIMS[i] for i in on)
     calls = []
-    real = states.apply_two_site
-    monkeypatch.setattr(states, "apply_two_site",
-                        lambda *args: calls.append(args) or real(*args))
+    real = states._apply_registers
+    monkeypatch.setattr(states, "_apply_registers",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
     for state_batch, op_batch in [((), ()), ((5,), ()), ((), (5,)), ((5,), (5,))]:
         vec = _random_vecs(rng, state_batch, math.prod(KERNEL_DIMS))
         psi = PureState(vec, KERNEL_DIMS, labels)
@@ -470,7 +467,7 @@ def test_register_kernel_matches_the_dense_permuted_operator(monkeypatch, on, is
             op = _haar(rng, d_in, op_batch)
         calls.clear()
         got = psi.apply(op, tuple(labels[i] for i in on), out)
-        assert len(calls) == (1 if out is None and len(on) == 2 else 0)
+        assert len(calls) == 1
         batch = state_batch or op_batch
         assert got.batch == batch
         out_dims = None if out is None else tuple(out.values())

@@ -12,7 +12,8 @@ import pytest
 from qmonogamy.channels import kraus_channel
 from qmonogamy.classical import classical_chain, joint_pmf
 from qmonogamy.linalg import hermitian_eig
-from qmonogamy.states import density, pure_state
+from qmonogamy.process_tensor import system_env_circuit
+from qmonogamy.states import density, pure_state, w_state
 from qmonogamy.tolerances import INVARIANT_TOL
 
 
@@ -32,6 +33,10 @@ CASES = {
     "classical_chain sum": (lambda eps: classical_chain(np.array([0.5, 0.5 + eps]),
                                                         [np.eye(2)]),
                             "not a probability vector"),
+    "classical_chain column": (
+        lambda eps: classical_chain(np.array([0.5, 0.5]),
+                                    [np.array([[0.5, 0.5], [0.5, 0.5 + eps]])]),
+        "not column stochastic"),
     "hermitian_eig": (lambda eps: hermitian_eig(_off_hermitian(eps)), "not Hermitian"),
     "density Hermitian": (lambda eps: density(_off_hermitian(eps)), "not Hermitian"),
     "density trace": (lambda eps: density(np.diag([0.5, 0.5 + eps])), "not unit trace"),
@@ -39,6 +44,9 @@ CASES = {
                            "not positive semidefinite"),
     "kraus_channel": (lambda eps: kraus_channel([np.sqrt(1.0 + eps) * np.eye(2)]),
                       "not trace preserving"),
+    "system_env_circuit step": (
+        lambda eps: system_env_circuit(w_state(), [np.sqrt(1.0 + eps) * np.eye(4)]),
+        "not unitary"),
 }
 
 
