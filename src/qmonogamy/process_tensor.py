@@ -8,42 +8,30 @@ intermediate time, setting the live system aside as the slot's output
 port S_j and feeding in one half of a fresh maximally entangled pair
 whose other half becomes the input port R_j.  The environment E is kept
 as the purifying register, so the tensor is one labelled pure state on
-(R0, S1, R1, S2, R2, ..., S_k, E); its marginal on the ports is the
-Choi state.
+(R0, S1, R1, S2, R2, ..., S_k, E), kept with its circuit; its marginal
+on the ports is the Choi state.
 
-Every port quantity is read from that register.  A CP map closes slot j
-by the plug rule: each Kraus operator M contributes the amplitude
+contract closes the slots of that register with CP maps by the plug rule
+(_plug_rows, _plug): each Kraus operator M contributes the amplitude
 sqrt(d) * sum_{s,i} M[i, s] psi[S_j = s, R_j = i], so (S_j, R_j) becomes
-one Kraus register K_j; a reader builds each map's rows of this rule once
-(_plug_rows).  The factor sqrt(d) cancels the normalization of the
-inserted pair, and the result is exactly what the circuit would output
-if the maps were applied in line, which is the defining property checked
-by the tests.  A plug (_plug) resolves (S_j, R_j) once and hands that
-adjacent block to PureState._apply, the register core that also runs
-every step here: no other way to the kernel or the budget is taken.
+one Kraus register K_j, and the factor sqrt(d) cancels the normalization
+of the inserted pair.  The result is exactly what the circuit outputs with
+the maps applied in line, as the tests check.  A plug hands the block
+(S_j, R_j) to PureState._apply, the register core that runs every step.
 
-The port mutual informations I(R_y : S_x) of port_mutual_information and
-choi_dpi_witnesses come from one reader that takes all its pairs in one
-pass.  Each plugged register is kept, keyed by the slots it plugs, so
-every plug is made once and shared by every later pair, and the register's
-trace is checked before each read.  The joints rho(R_y, S_x), each the
-marginal on the pair's cut (PureState._cut), are then one stacked
-DensityMatrix, read by info.mutual_information, the package's one
-I(A:B): the joints and their one-register marginals take one stacked
-eigensolve per matrix size (DensityMatrix.entropies).
-markov_factorization_gap and the interventional witnesses read their
-cuts by label, each in one PureState.entropies call.
-
-The interventional witnesses (kinds q1, q2, q3) instead purify the
-actual reduced state at slot j, retain the purification reference, and
-compare entropy combinations across the slot pairs of one two-time table
-(_two_time_table); all three coincide for Markov processes.
+The interventional readers run the circuit forward with the maps in line
+(_run_forward), splicing a state in after the system set aside at a slot.
+The port mutual informations I(R_y : S_x) splice a maximally entangled
+pair and read all their joints in one info.mutual_information.  The
+witnesses q1, q2, q3 splice the purification of the actual state at slot
+j and read one two-time table (_two_time_table) in one entropies call;
+all three coincide for Markov processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,9 +76,11 @@ class SystemEnvCircuit:
 
 @dataclass(frozen=True, eq=False)
 class ProcessTensor:
-    """Pure state on the ports and the environment, (R0, S1, R1, ..., S_k, E)."""
+    """Pure state on the ports and the environment, (R0, S1, R1, ..., S_k, E),
+    and the circuit it was built from."""
 
     state: PureState
+    circuit: SystemEnvCircuit
 
     @property
     def ports(self) -> tuple[str, ...]:
@@ -162,7 +152,38 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
         # input port R_j, its second half runs on to become S_{j+1}
         psi = psi.splice(pair, after=f"S{j}", labels=(f"R{j}", f"S{j + 1}"))
         psi = psi.apply(circuit.step_unitaries[j - 1], (f"S{j + 1}", "E"))
-    return ProcessTensor(psi)
+    return ProcessTensor(psi, circuit)
+
+
+def _run_forward(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
+                 spliced: Callable[[PureState], PureState],
+                 maps: Sequence[np.ndarray] | None = None) -> list[PureState]:
+    """The state that each slot pair (y, x) of `pairs` reads, in order, from
+    one forward run of the circuit on (R0, Sj, E), Sj the live system.  At
+    each slot j = min(y, x) that a pair needs, a branch sets the live system
+    aside as Sj, splices spliced(run) after it as (Rj, Sk) and steps on to
+    each later slot x asked for; a pair with x <= y reads the branch at j.
+    Before each step out of a slot but a branch's first, the slot's map
+    maps[j - 1], a Kraus list stacked into an isometry (n d, d), acts on the
+    live system with its output in a kept register Kj placed before it."""
+    steps, d = circuit.step_unitaries, circuit.d_sys
+
+    def step(psi: PureState, j: int, live: str, kraus: bool = True) -> PureState:
+        if kraus and maps is not None:
+            psi = psi.apply(maps[j - 1], (live,), out={f"K{j}": len(maps[j - 1]) // d, live: d})
+        return psi.apply(steps[j - 1], (live, "E"))
+
+    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "Sj", "E"))
+    at, states = 1, {}
+    for j in sorted({min(pair) for pair in pairs}):
+        for s in range(at, j):
+            psi = step(psi, s, "Sj")
+        at = j
+        states[j, j] = phi = psi.splice(spliced(psi), after="Sj", labels=("Rj", "Sk"))
+        for x in range(j + 1, max(b for a, b in pairs if min(a, b) == j) + 1):
+            # the splice stands in for slot j's map
+            states[j, x] = phi = step(phi, x - 1, "Sk", kraus=x > j + 1)
+    return [states[min(pair), pair[1]] for pair in pairs]
 
 
 def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
@@ -257,57 +278,44 @@ def port_mutual_information(pt: ProcessTensor, y: int, x: int,
 
 def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]],
                               interventions: Sequence | None) -> np.ndarray:
-    """port_mutual_information of every port pair (y, x) in `pairs`, in one pass.
-
-    The plugged registers are kept by the slots they plug, in plugging
-    order, so a pair's register extends the longest one already made; the
-    trace check runs pair by pair in the given order, before each read.
-    """
+    """port_mutual_information of every pair (y, x) in `pairs`, from one forward
+    run that splices a maximally entangled pair (a causality read, x <= y,
+    takes R_y against the set-aside S_x); each trace is checked before its read."""
     k, d = pt.n_slots, pt.d_sys
-    if interventions is None:
-        maps = [_plug_rows((np.eye(d, dtype=complex),), d)] * (k - 1)
-    elif len(interventions) != k - 1:
+    if interventions is not None and len(interventions) != k - 1:
         raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
-    else:
-        maps = [_plug_rows(_as_kraus_ops(item, d), d) for item in interventions]
-    plugged = {(): pt.state}
+    maps = None if interventions is None else [np.concatenate(_as_kraus_ops(m, d))
+                                                for m in interventions]
     joints = []
-    for y, x in pairs:
-        slots = tuple(j for j in range(1, x) if j != y)
-        n = max(i for i in range(len(slots) + 1) if slots[:i] in plugged)
-        psi = plugged[slots[:n]]
-        for i in range(n, len(slots)):
-            psi = plugged[slots[:i + 1]] = _plug(psi, slots[i], maps[slots[i] - 1])
+    states = _run_forward(pt.circuit, pairs, lambda _: maximally_entangled(d), maps)
+    for (y, x), psi in zip(pairs, states):
         tr = np.vdot(psi.vec, psi.vec).real
         if abs(tr - 1.0) > INVARIANT_TOL:
             raise ValueError(f"interventions are not trace preserving: the port state "
                              f"has trace {tr:.3e}")
-        joints.append(psi._marginals(psi._cut((f"R{y}", f"S{x}"))))
-    # each joint (1, d^2, d^2) holds its two registers in register order,
-    # (R_y, S_x) when y < x
+        joints.append(psi._marginals(psi._cut(("Rj", "Sk" if y < x else "Sj"))))
+    # each joint (1, d^2, d^2) holds its two registers in register order
     return mutual_information(DensityMatrix(np.concatenate(joints), (d, d)), (0,), (1,))
 
 
-# the seven gaps: two adjacent plus one transitive along the R1 row, the
-# R2 row gap, the two final-column comparisons, and the R2/R1 column gap
 CHOI_DPI_GAPS = (
     ("R1S2-R1S3", (1, 2), (1, 3)),
     ("R1S3-R1S4", (1, 3), (1, 4)),
     ("R1S2-R1S4", (1, 2), (1, 4)),
     ("R2S3-R2S4", (2, 3), (2, 4)),
-    ("R2S3-R1S3", (2, 3), (1, 3)),
-    ("R3S4-R2S4", (3, 4), (2, 4)),
-    ("R2S4-R1S4", (2, 4), (1, 4)),
 )
 
 
 def choi_dpi_witnesses(pt: ProcessTensor,
                        interventions: Sequence | None = None) -> WitnessReport:
-    """The seven port mutual-information gaps of a four-slot tensor.
-
-    All are nonnegative when the underlying process is Markov, for any
-    CPTP interventions.
-    """
+    """The row gaps I(R_y : S_x) - I(R_y : S_x'), x < x', of a four-slot
+    tensor (CHOI_DPI_GAPS: two adjacent and one transitive along the R1 row,
+    and the R2 row gap), read from five port pairs.  Each is nonnegative on a
+    Markov process for any CPTP interventions, as S_x' comes from S_x by a
+    channel that leaves R_y alone.  A column gap I(R_y' : S_x) - I(R_y : S_x)
+    compares two inputs, which no inequality orders (R2S3-R1S3 is 4/3 -
+    log2(3) bits on a qutrit Markov circuit), and is not kept as a candidate:
+    a list never asserted would be one more kind of entry that nothing reads."""
     if pt.n_slots != 4:
         raise ValueError(f"needs a 4-slot tensor, got {pt.n_slots} slots")
     pairs = sorted({pair for _, hi, lo in CHOI_DPI_GAPS for pair in (hi, lo)})
@@ -325,23 +333,14 @@ _KIND_TERMS = {"q1": ("Sj", "Rj"), "q2": ("Sk",), "q3": ("Sj", "Sk")}
 
 def _two_time_table(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]]) -> dict:
     """multitime_coherent_info of every kind at each pair (j, k) asked for,
-    keyed by pair, then kind.  One forward run purifies S_j once per slot j
-    and steps the state on (R0, Sj, Rj, Sk, E) through each k; the states,
-    stacked beside the circuit's stack, take one entropies call.  The stack
-    is about 200 kB for the sweep's 4 pairs x 101 lambdas x 32 amplitudes."""
-    steps, order = circuit.step_unitaries, sorted(set(pairs))
-    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "Sj", "E"))
-    at, vecs = 1, []
-    for j in sorted({j for j, _ in order}):
-        for u in steps[at - 1: j - 1]:
-            psi = psi.apply(u, ("Sj", "E"))
-        at = j
-        phi = psi.splice(purify(psi.reduced(("Sj",))), after="Sj", labels=("Rj", "Sk"))
-        for k in range(j + 1, max(b for a, b in order if a == j) + 1):
-            phi = phi.apply(steps[k - 2], ("Sk", "E"))
-            if (j, k) in order:
-                vecs.append(phi.vec)
-    stack = PureState(np.stack(np.broadcast_arrays(*vecs)), phi.dims, phi.labels)
+    keyed by pair, then kind.  One forward run (_run_forward) purifies S_j
+    once per slot j; its states on (R0, Sj, Rj, Sk, E), stacked beside the
+    circuit's stack, take one entropies call.  The stack is about 200 kB for
+    the sweep's 4 pairs x 101 lambdas x 32 amplitudes."""
+    order = sorted(set(pairs))
+    states = _run_forward(circuit, order, lambda psi: purify(psi.reduced(("Sj",))))
+    stack = PureState(np.stack(np.broadcast_arrays(*(phi.vec for phi in states))),
+                      states[0].dims, states[0].labels)
     *terms, joint = stack.entropies(*_KIND_TERMS.values(), ("Sj", "Rj", "Sk"))
     values = {kind: h - joint for kind, h in zip(_KIND_TERMS, terms)}
     return {pair: {kind: v[i] if v.ndim > 1 else float(v[i]) for kind, v in values.items()}

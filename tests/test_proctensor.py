@@ -26,8 +26,7 @@ from qmonogamy.process_tensor import (build_process_tensor, choi_dpi_witnesses,
                                       markov_factorization_gap, mqmmi_witnesses,
                                       multitime_coherent_info,
                                       port_mutual_information, system_env_circuit)
-from qmonogamy.states import (MAX_AMPLITUDES, PureState, _von_neumann_stacks, pure_state,
-                              purify, w_state)
+from qmonogamy.states import MAX_AMPLITUDES, PureState, pure_state, purify, w_state
 from qmonogamy.tolerances import GAP_TOLERANCE
 from qmonogamy.witnesses import MONOGAMY, m4_witness, markov_process, monogamy_gap
 
@@ -300,8 +299,18 @@ def test_a_long_kraus_list_is_refused_by_the_amplitude_budget_at_every_plug_slot
     seq[slot - 1] = ops
     with pytest.raises(ValueError, match=r"amplitudes \(limit"):
         contract(pt, seq)
-    with pytest.raises(ValueError, match=r"amplitudes \(limit"):
-        port_mutual_information(pt, 1, 5, seq)
+    # the forward read of (R1, S5) holds the tensor's registers but the pairs
+    # of slots 2 to 4, times one register per map: the list above fits it at
+    # slot 2, the longest list that fits reads at every slot, one more is refused
+    fits = MAX_AMPLITUDES // (pt.state.dim // 4 ** 3)
+    for n in (n_ops, fits, fits + 1):
+        seq[slot - 1] = [np.eye(2) / np.sqrt(n)] * n
+        if n > fits:
+            with pytest.raises(ValueError, match=r"amplitudes \(limit"):
+                port_mutual_information(pt, 1, 5, seq)
+        else:
+            want = _line_port_mi(CIRCUITS[3][1], 1, 5, seq)
+            assert port_mutual_information(pt, 1, 5, seq) == pytest.approx(want, abs=1e-12)
 
 
 def test_a_plug_refuses_rows_of_the_wrong_width_and_registers_apart():
@@ -443,7 +452,7 @@ def test_choi_dpi_gaps_nonnegative_on_markov_tensors():
     for _ in range(6):
         pt = build_process_tensor(_random_markov_circuit(rng, 3), 4)
         rep = choi_dpi_witnesses(pt)
-        assert len(rep.entries) == 7
+        assert len(rep.entries) == 4
         assert rep.passed, rep.violations
         # arbitrary CPTP interventions keep every gap nonnegative
         maps = [random_channel(2, 2, 2, seed=rng)
@@ -462,7 +471,7 @@ def test_markov_circuits_pass_the_process_tensor_witnesses(env_dim, seed):
     pt = build_process_tensor(fresh_env_circuit(init, units, env_dim), 4)
     assert markov_factorization_gap(pt) <= 1e-9
     gaps = choi_dpi_witnesses(pt).entries
-    assert len(gaps) == 7
+    assert len(gaps) == 4
     assert min(gaps.values()) >= -1e-9, gaps
 
 
@@ -477,12 +486,43 @@ def test_choi_dpi_gaps_match_a_line_simulation(name, circuit, slots):
     for seq in (None, maps):
         line = seq or [(np.eye(d),)] * (slots - 1)
         entries = choi_dpi_witnesses(pt, seq).entries
-        assert len(entries) == 7
+        assert len(entries) == 4
         for gap, value in entries.items():
             # an entry "R{y}S{x}-R{v}S{u}" is I(R_y : S_x) - I(R_v : S_u)
             hi, lo = [tuple(map(int, pair)) for pair in re.findall(r"R(\d)S(\d)", gap)]
             want = _line_port_mi(circuit, *hi, line) - _line_port_mi(circuit, *lo, line)
             assert value == pytest.approx(want, abs=1e-12), (gap, seq is None)
+
+
+def _merge_or_split(turn):
+    """A qutrit step on (S, F), F from |0>: F is turned by `turn` when S = 2,
+    then S is shifted by F mod 3, so that |2, 0> -> sum_a turn[a, 0] |(2 + a) mod 3, a>
+    and |s, 0> stays for s = 0, 1."""
+    control = np.eye(9)
+    control[6:, 6:] = turn
+    shift = np.zeros((9, 9))
+    for s, a in itertools.product(range(3), repeat=2):
+        shift[3 * ((s + a) % 3) + a, 3 * s + a] = 1.0
+    return shift @ control
+
+
+def test_a_column_gap_goes_negative_on_a_qutrit_markov_process():
+    # step 1 merges symbol 2 into 0 and step 2 splits 2 evenly onto 0 and 1:
+    # R1 reaches S3 through both steps, which together only merge, and R2
+    # through the split alone, which adds noise
+    r = np.sqrt(0.5)
+    merge = np.roll(np.eye(3), 1, axis=0)
+    split = np.array([[0.0, 1.0, 0.0], [r, 0.0, r], [r, 0.0, -r]])
+    init = pure_state(np.eye(3).reshape(-1) / np.sqrt(3), (3, 3))
+    circuit = fresh_env_circuit(init, [_merge_or_split(merge), _merge_or_split(split)], 3)
+    pt = build_process_tensor(circuit, 3)
+    assert abs(markov_factorization_gap(pt)) <= GAP_TOLERANCE
+    late, early = port_mutual_information(pt, 2, 3), port_mutual_information(pt, 1, 3)
+    assert late == pytest.approx(4 / 3, abs=1e-12)
+    assert early == pytest.approx(np.log2(3), abs=1e-12)
+    # the column gap R2S3-R1S3 that choi_dpi_witnesses does not report
+    assert late - early < -GAP_TOLERANCE
+    assert port_mutual_information(pt, 1, 2) - early >= -GAP_TOLERANCE
 
 
 def test_choi_dpi_refuses_a_trace_decreasing_map():
@@ -507,7 +547,7 @@ def _counted(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
-def test_the_port_reads_make_each_plug_once_and_one_eigensolve_per_size(
+def test_the_port_reads_make_no_plug_and_one_eigensolve_per_size(
         name, circuit, slots, monkeypatch):
     pt = build_process_tensor(circuit, slots)
     d = circuit.d_sys
@@ -520,7 +560,7 @@ def test_the_port_reads_make_each_plug_once_and_one_eigensolve_per_size(
         choi_dpi_witnesses(pt, seq)
         sizes = [np.shape(a)[-1] for (a, *_) in eigvalsh]
         assert sorted(sizes) == [d, d * d]
-        assert len(plugs) <= 6
+        assert plugs == []
     # the factorization gap on a fresh tensor: its step marginals in one
     # stacked call, then H(E)
     eigvalsh.clear()
@@ -528,41 +568,20 @@ def test_the_port_reads_make_each_plug_once_and_one_eigensolve_per_size(
     assert len(eigvalsh) <= 2
 
 
-def _port_mi_reference(pt, pairs, interventions):
-    """The port reader's mutual informations by its earlier tail: each pair's
-    register plugged on its own, then _von_neumann_stacks of the stacked
-    joints and of their two one-register partial traces."""
-    d = pt.d_sys
-    items = interventions or [(np.eye(d, dtype=complex),)] * (pt.n_slots - 1)
-    rows = [process_tensor._plug_rows(process_tensor._as_kraus_ops(m, d), d) for m in items]
-    joints = []
-    for y, x in pairs:
-        psi = pt.state
-        for j in range(1, x):
-            if j != y:
-                psi = process_tensor._plug(psi, j, rows[j - 1])
-        joints.append(psi.reduced((f"R{y}", f"S{x}")).mat)
-    joints = np.stack(joints)
-    h_joint, h_a, h_b = _von_neumann_stacks(
-        joints, partial_trace(joints, (d, d), (0,)), partial_trace(joints, (d, d), (1,)))
-    return h_a + h_b - h_joint
-
-
 @pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
-def test_port_mutual_informations_are_the_earlier_stacked_tail_bit_for_bit(
-        name, circuit, slots):
+def test_the_port_reads_of_one_run_are_each_pair_read_alone_bit_for_bit(name, circuit, slots):
+    # and a causality read (x <= y) is zero with maps before x too
     pt = build_process_tensor(circuit, slots)
     d = circuit.d_sys
     maps = [random_channel(d, d, 2, seed=70 + i) for i in range(slots - 1)]
-    gaps = process_tensor.CHOI_DPI_GAPS
-    pairs = sorted({pair for _, hi, lo in gaps for pair in (hi, lo)})
     for seq in (None, maps):
-        mi = dict(zip(pairs, _port_mi_reference(pt, pairs, seq).tolist()))
+        mi = {(y, x): port_mutual_information(pt, y, x, seq)
+              for y, x in itertools.product(range(1, slots), range(1, slots + 1))}
         assert choi_dpi_witnesses(pt, seq).entries == {
-            gap: mi[hi] - mi[lo] for gap, hi, lo in gaps}
-        for y, x in itertools.product(range(1, slots), range(1, slots + 1)):
-            want = float(_port_mi_reference(pt, [(y, x)], seq)[0])
-            assert port_mutual_information(pt, y, x, seq) == want, (y, x, seq is None)
+            gap: mi[hi] - mi[lo] for gap, hi, lo in process_tensor.CHOI_DPI_GAPS}
+        for (y, x), value in mi.items():
+            if x <= y:
+                assert abs(value) <= 1e-12, (y, x, seq is None)
 
 
 def _same_state(got, want):

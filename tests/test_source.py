@@ -43,6 +43,9 @@
   apply_two_site and PureState._apply, and the amplitude budget
   states._check_budget only in PureState._apply and splice: every
   register operation of the package goes through the one register core.
+* process_tensor._plug is called only in contract, and the forward
+  runner _run_forward only by the two interventional readers, the port
+  reader and the two-time table: no port read plugs the tensor.
 """
 
 import ast
@@ -640,3 +643,24 @@ def test_the_register_call_scan_sees_a_second_caller():
     assert _enclosing(tree, _calls("_apply_registers")) == [
         "_apply (line 6)", "fresh_env_circuit (line 9)"]
     assert _enclosing(tree, _calls("_check_budget")) == ["_apply (line 5)", "_plug (line 12)"]
+
+
+def test_plugs_serve_contract_and_the_forward_runner_the_interventional_readers():
+    assert _callers("_plug") == {"process_tensor.py": ["contract"]}
+    assert _callers("_run_forward") == {
+        "process_tensor.py": ["_port_mutual_informations", "_two_time_table"]}
+
+
+def test_the_plug_and_runner_call_scan_sees_a_second_caller():
+    tree = ast.parse(
+        "def contract(pt, rows):\n"
+        "    return _plug(pt.state, 1, rows)\n\n"
+        "def _port_mutual_informations(pt, pairs, rows):\n"
+        "    plugged = [_plug(pt.state, j, rows) for j in pairs]\n"
+        "    return plugged, _run_forward(pt.circuit, pairs, lambda _: None)\n\n"
+        "def dephased_joint_pmf(pt):\n"
+        "    return process_tensor._run_forward(pt.circuit, [(1, 2)], purify)\n")
+    assert _enclosing(tree, _calls("_plug")) == [
+        "contract (line 2)", "_port_mutual_informations (line 5)"]
+    assert _enclosing(tree, _calls("_run_forward")) == [
+        "_port_mutual_informations (line 6)", "dephased_joint_pmf (line 9)"]
