@@ -13,6 +13,11 @@ cmmi_gap through them, read either.
 Validation and chain products are stacked (joint_pmf_stack, chain_stack,
 joints_from_chains, dirichlet_chains); joint_pmf, classical_chain,
 joint_from_chain and random_chain are their one-item forms.
+The stacks these build keep the stack as the innermost, contiguous axis
+behind their (n, ...) shape: a marginal of a stack laid out table by
+table runs one tiny inner loop per table, where on this layout each sum
+adds whole rows over the stack.  Any layout reads the same values, up
+to the order a marginal adds its entries in.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def joint_pmf_stack(probs: np.ndarray) -> np.ndarray:
     require_finite(probs, "probabilities")
     if probs.min() < -INVARIANT_TOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
-    totals = probs.reshape(len(probs), -1).sum(axis=1)
+    totals = probs.sum(axis=tuple(range(1, probs.ndim)))
     total = totals[np.abs(totals - 1.0).argmax()]
     if abs(total - 1.0) > INVARIANT_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -153,7 +158,7 @@ def chain_stack(initial: np.ndarray, transitions: list[np.ndarray] | tuple[np.nd
     Negative entries down to -INVARIANT_TOL are round-off, as in
     joint_pmf_stack: returns the stacks with them clipped to 0.
     """
-    require_finite(np.concatenate([a.ravel() for a in (initial, *transitions)]),
+    require_finite(np.concatenate([a.ravel(order="K") for a in (initial, *transitions)]),
                    "chain entries")
     if initial.ndim != 2 or initial.size == 0:
         raise ValueError(f"initial distribution must be a nonempty vector, "
@@ -182,13 +187,19 @@ def joint_from_chain(c: ClassicalChain) -> JointPMF:
 def joints_from_chains(initial: np.ndarray,
                        transitions: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """joint_from_chain for a stack of chains (as chain_stack takes them):
-    the stack of joints, validated by joint_pmf_stack."""
-    arr = initial
+    the stack of joints (n, x1, ..., xk), validated by joint_pmf_stack.
+
+    The stack is the innermost, contiguous axis (strides[0] == itemsize):
+    the products fill an (x1, ..., xk, n) buffer, returned through a view
+    that moves its last axis first.  A marginal of a table-contiguous
+    stack runs one inner loop of a few entries per table; on this layout
+    it adds whole rows of n entries.
+    """
+    arr = np.ascontiguousarray(initial.T)
     for t in transitions:
-        # T[next, prev] of each chain, laid against the last axis of its joint
-        step = t.swapaxes(-1, -2).reshape((len(t),) + (1,) * (arr.ndim - 2) + t.shape[:0:-1])
-        arr = arr[..., None] * step
-    return joint_pmf_stack(arr)
+        # T[next, prev] of each chain as (prev, next, n), against the last variable
+        arr = np.multiply(arr[..., None, :], t.transpose(2, 1, 0), order="C")
+    return joint_pmf_stack(np.moveaxis(arr, -1, 0))
 
 
 def is_markov(p: JointPMF) -> bool:
@@ -253,7 +264,16 @@ def chain_variates(rng: np.random.Generator, n_vars: int, dim: int,
 def dirichlet_chains(init: np.ndarray,
                      steps: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Normalize stacks of chain_variates, initial (n, dim) and transitions
-    (n, n_vars - 1, dim, dim), into chains validated by chain_stack."""
+    (n, n_vars - 1, dim, dim), into chains validated by chain_stack.
+
+    The transitions are normalized and returned with the stack innermost,
+    as joints_from_chains lays its joints out; their column sums add the
+    same entries in the same order, so the chains are those of one draw
+    at a time bit for bit.
+    """
+    # each initial sum stays on its own row: numpy adds a contiguous row of
+    # eight or more entries pairwise, which a sum over the stack would not
     init = init / init.sum(axis=-1, keepdims=True)
-    steps = steps / steps.sum(axis=-2, keepdims=True)
-    return chain_stack(init, list(steps.swapaxes(0, 1)))
+    steps = np.moveaxis(steps, 0, -1).copy()
+    steps /= steps.sum(axis=1, keepdims=True)
+    return chain_stack(init, list(np.moveaxis(steps, -1, 1)))

@@ -191,10 +191,12 @@ def test_unitarity_deviation_on_haar_samples(seed, d):
     rng = np.random.default_rng(seed)
     u = _haar(rng, d)
     assert unitarity_deviation(u) <= 1e-12
-    assert unitarity_deviation(u + 1e-3) > 1e-4
+    # a rescaled unitary deviates by exactly (1 + 1e-3)**2 - 1 = 2e-3 + 1e-6
+    scaled = (1 + 1e-3) * u
+    assert unitarity_deviation(scaled) > 1e-4
     # a stack gives one deviation per matrix
-    np.testing.assert_allclose(unitarity_deviation(np.stack([u, u + 1e-3])),
-                               [unitarity_deviation(u), unitarity_deviation(u + 1e-3)],
+    np.testing.assert_allclose(unitarity_deviation(np.stack([u, scaled])),
+                               [unitarity_deviation(u), unitarity_deviation(scaled)],
                                rtol=0, atol=1e-15)
 
 
