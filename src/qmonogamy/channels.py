@@ -6,8 +6,10 @@ rho -> Tr_E[U (rho x |0><0|) U†], is read into that form by
 unitary_channel, whose Kraus operators are the ancilla-|0> columns of U;
 random channels are drawn that way from Haar unitaries.  Validation,
 dilation slicing and Haar sampling are stacked (kraus_stack,
-dilation_kraus, haar_unitaries); kraus_channel, unitary_channel and
-random_channel are their one-channel forms.  The chain witnesses apply
+dilation_kraus, haar_unitaries, and haar_kraus, which draws a stack of
+random channels from the QR of only the dilation columns it reads);
+kraus_channel, unitary_channel and random_channel are their one-channel
+forms.  The chain witnesses apply
 the Kraus lists as they are, to states and to d^2 x d^2 joint states
 (witnesses.bond_table); only the tests' reference circuit
 (witnesses.purified_circuit_state) dilates each channel again, stacking
@@ -39,6 +41,7 @@ __all__ = [
     "adjoint_channel",
     "random_channel",
     "haar_unitaries",
+    "haar_kraus",
 ]
 
 
@@ -130,7 +133,14 @@ def dilation_kraus(u: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
         raise ValueError(f"dilation must be square with a dimension divisible by "
                          f"{d_in} and {d_out}, got {u.shape[1:]}")
     # rows (S_out, E), columns (S_in, F); F = 0 is every (total // d_in)-th column
-    v = u[..., ::total // d_in].reshape(len(u), d_out, total // d_out, d_in)
+    return _column_kraus(u[..., ::total // d_in], d_out)
+
+
+def _column_kraus(v: np.ndarray, d_out: int) -> np.ndarray:
+    # the validated Kraus lists (n, total // d_out, d_out, d_in) of the
+    # ancilla-|0> columns v (n, total, d_in) of a stack of dilations
+    n, total, d_in = v.shape
+    v = v.reshape(n, d_out, total // d_out, d_in)
     return kraus_stack(np.ascontiguousarray(v.swapaxes(1, 2)))
 
 
@@ -156,11 +166,30 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitaries(g: np.ndarray) -> np.ndarray:
     """Haar unitaries from a stack (n, d, d) of complex Gaussian matrices:
-    the Q of each QR decomposition with the phases of R's diagonal."""
+    the Q of each QR decomposition with the phases of R's diagonal.
+
+    Column j of Q and R's diagonal entry j depend on the columns 0..j of G
+    alone, so a stack (n, d, k) of G's first k columns gives the first k
+    columns of those unitaries (haar_kraus takes no more): bit for bit
+    while numpy's QR sums both shapes in one order, as it does on one BLAS
+    thread.  A threaded OpenBLAS splits the Householder updates of a QR
+    with more than 96 rows, and then the two differ by under 1e-15."""
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
     return q * ph[:, None, :]
+
+
+def haar_kraus(g: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """dilation_kraus(haar_unitaries(g), d_in, d_out) of a stack (n, total,
+    total) of complex Gaussian matrices, from the QR of only the first
+    (d_in - 1) * total // d_in + 1 columns of each: the last column
+    dilation_kraus reads is column (d_in - 1) * total // d_in.  Bit for bit
+    the full-QR lists as haar_unitaries states.  The random channels of
+    verify (its survey and side checks) are built by it; random_channel
+    keeps the full QR, the tests' independent reference."""
+    step = g.shape[-1] // d_in
+    return _column_kraus(haar_unitaries(g[..., :(d_in - 1) * step + 1])[..., ::step], d_out)
 
 
 def random_channel(d_in: int, d_out: int, d_env: int,

@@ -32,7 +32,7 @@ drawn in one call, in the order a per-channel loop of random_density and
 random_channel would draw them (the tests keep that loop as the
 reference); a block of samples (about BLOCK_BYTES, by the side checks'
 rule below) is then built and validated with one stacked call per kind
-of draw (ginibre_spectra, haar_unitaries, dilation_kraus).  Every entropy
+of draw (ginibre_spectra, channels.haar_kraus).  Every entropy
 a witness or certificate reads is that of a state rho_s or of a d_sys^2 x
 d_sys^2 joint state (witnesses.bond_table): each channel's transfer
 matrix is built once for the whole block and carries both the states and
@@ -56,18 +56,22 @@ classical monogamy) draw the raw variates of their samples one sample at
 a time, from one generator in the order a per-sample loop of
 random_density, random_channel and random_chain would draw them.  A
 block of samples is then built and validated in one stacked call per kind
-of draw (ginibre_spectra, haar_unitaries with dilation_kraus,
-dirichlet_chains with joints_from_chains), and each channel acts on the
-whole stack in one call.  Every block takes about BLOCK_BYTES: a check
-runs BLOCK_BYTES // (bytes one of its samples takes) samples per block,
-64 for the MI check, 256 for the adjoint check and 2048 for the classical
-check on 16-entry tables.  The MI check solves each spectrum once per
+of draw (ginibre_spectra, channels.haar_kraus, which takes the QR of only
+the dilation columns it reads, dirichlet_chains with joints_from_chains).
+The channels of a block act in one stack per system dimension, their
+Kraus lists zero-padded to MAX_KRAUS operators.  Every block takes about
+BLOCK_BYTES: a check runs BLOCK_BYTES // (bytes one of its samples takes)
+samples per block, 64 for the MI check, 256 for the adjoint check and
+2048 for the classical check on 16-entry tables.  The MI check builds
+each block's transfer matrices once and solves each spectrum once per
 block: the positivity spectra of the 8x8 and 4x4 draws are H(ABC) and
 H(AB), the entropies a channel on B leaves alone (H(AC), H(C), H(A)) are
-not taken again after it, and the other marginals share one stacked
-eigensolve per matrix size (states._von_neumann_stacks, which the
-entropies readers of both state kinds share); the classical check reads
-each block's joints as one stacked JointPMF through classical.cmmi_gap.
+not taken again after it, the channel acts on the BC and B marginals
+(it commutes with the traces over A and C) rather than on the states
+before a partial trace, and the other marginals are written into one
+stack per matrix size, one von_neumann_stack call each (the qubits in
+closed form, states._spectra); the classical check reads each block's
+joints as one stacked JointPMF through classical.cmmi_gap.
 Each check walks the (start, size) blocks of _blocks.  The per-sample
 functions (cqmi_monotonicity_gap, mi_dpi_gap, conditional_mutual_information,
 and cmmi_gap of one table, with the Markov-chain identity of its docstring)
@@ -88,14 +92,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, dilation_kraus, haar_unitaries
+from .channels import KrausChannel, dilation_kraus, haar_kraus
 from .classical import (JointPMF, chain_variates, cmmi_gap, dirichlet_chains,
                         joints_from_chains)
-from .linalg import _require_int, apply_kraus, partial_trace
+from .linalg import _apply_transfer, _require_int, apply_kraus, partial_trace, transfer_matrix
 from .process_tensor import mqmmi_witnesses, system_env_circuit
-from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, _von_neumann_stacks,
-                     ginibre, ginibre_spectra, maximally_entangled, spectrum_entropy,
-                     w_state)
+from .states import (MAX_AMPLITUDES, DensityMatrix, PureState, ginibre, ginibre_spectra,
+                     maximally_entangled, spectrum_entropy, von_neumann_stack, w_state)
 from .tolerances import GAP_TOLERANCE, GRID_SLACK
 from .witnesses import (MONOGAMY, MarkovChainProcess, bond_table, markov_process,
                         survey_certificates, survey_witnesses)
@@ -447,8 +450,7 @@ def _survey_draws(n_states: int, seed: int, size: int, d_sys: int,
         size=2 * d * d + channels * 2 * total * total) for b in range(size)])
     initial = ginibre_spectra(_ginibres(x[:, :2 * d * d], d))[0]
     u = _ginibres(x[:, 2 * d * d:].reshape(size * channels, -1), total)
-    kraus = dilation_kraus(haar_unitaries(u), d, d)
-    kraus = kraus.reshape(size, channels, d_env, d, d)
+    kraus = haar_kraus(u, d, d).reshape(size, channels, d_env, d, d)
     return initial, [kraus[:, j] for j in range(channels)]
 
 
@@ -465,10 +467,11 @@ def _survey_entries(steps: int, d_sys: int, d_env: int) -> int:
 # validated and measured in blocks of BLOCK_BYTES // (bytes one sample of
 # the check takes), so that every check's block holds about as much memory.
 # A sample's bytes are the tracemalloc peak of a block per sample, rounded
-# up to a power of two: 10-11 kB for the MI check (64-sample blocks; with
-# 256, the peak resident memory of verify at 4, 6 and 8 steps rose from 39
-# to 41 MB), 3.5-4.3 kB for the adjoint check (256), and 17-36 B per entry
-# of the classical check's joint tables (2048 at the default 16 entries).
+# up to a power of two: 9.4 kB for the MI check (64-sample blocks, seeds
+# 0-19; with 256, the peak resident memory of verify at 4, 6 and 8 steps
+# rose from 39 to 41 MB), 2.8-3.5 kB for the adjoint check (256, seeds
+# 0-19), and 17-36 B per entry of the classical check's joint tables (2048
+# at the default 16 entries).
 # The witness survey's sample holds _survey_entries complex entries, most
 # of them the joints that bond_table keeps for its one eigensolve, which
 # takes a Hermitian copy of them beside; so an entry costs about two
@@ -485,9 +488,10 @@ ADJOINT_SAMPLE_BYTES = 2 ** 12
 CLASSICAL_ENTRY_BYTES = 32
 SURVEY_ENTRY_BYTES = 32
 
-# the checks draw environments of 2 to MAX_KRAUS levels; the MI check zero-pads
-# every Kraus list to MAX_KRAUS operators (zero operators leave a channel
-# unchanged), so one stack holds all the channels of a block
+# the checks draw environments of 2 to MAX_KRAUS levels; the MI and adjoint
+# checks zero-pad every Kraus list to MAX_KRAUS operators (zero operators
+# leave a channel unchanged), so one stack holds all the channels of a block
+# on one system dimension
 MAX_KRAUS = 4
 
 
@@ -519,20 +523,11 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
     id_dev = 0.0
     unital_dev = 0.0
     for start, size in _blocks(samples, ADJOINT_SAMPLE_BYTES):
-        # the Gaussians of random_channel(d, d, d_env) per sample, grouped by
-        # (d, d_env), each with its sample's number
-        draws: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
-        for i in range(start, start + size):
-            d = int(rng.integers(2, 4))
-            d_env = int(rng.integers(2, MAX_KRAUS + 1))
-            draws.setdefault((d, d_env), []).append((i, ginibre(rng, (d * d_env, d * d_env))))
-        for (d, _), drawn in draws.items():
-            where, gaussians = zip(*drawn)
-            kraus = dilation_kraus(haar_unitaries(np.stack(gaussians)), d, d)
+        for d, (where, k) in _adjoint_channels(rng, start, size).items():
             # adjoint_channel's operators: the transposed Kraus operators
-            adj = kraus.swapaxes(-1, -2)
+            adj = k.swapaxes(-1, -2)
             pair = maximally_entangled(d).density().mat
-            left = apply_kraus(pair, (d, d), kraus, 0)
+            left = apply_kraus(pair, (d, d), k, 0)
             right = apply_kraus(pair, (d, d), adj, 1)
             one = np.einsum("bkij,bklj->bil", adj, adj.conj())
             devs = np.stack([np.abs(left - right).max(axis=(-2, -1)),
@@ -542,6 +537,31 @@ def adjoint_identity_check(samples: int = 100, seed: int = 0) -> dict[str, float
             id_dev = max(id_dev, float(devs[0].max()))
             unital_dev = max(unital_dev, float(devs[1].max()))
     return {"identity_max_deviation": id_dev, "unitality_max_deviation": unital_dev}
+
+
+def _adjoint_channels(rng: np.random.Generator, start: int,
+                      size: int) -> dict[int, tuple[list[int], np.ndarray]]:
+    """The channels of the adjoint check's samples start..start + size - 1,
+    per system dimension d: the samples' numbers and their Kraus lists
+    (samples, MAX_KRAUS, d, d), zero-padded, so that one stack holds every
+    channel of one d.  The Gaussians of random_channel(d, d, d_env) are
+    drawn per sample and built per (d, d_env); they are freed on return,
+    before the check's stacks are formed, which keeps a block's peak at
+    2.8-3.5 kB a sample, under ADJOINT_SAMPLE_BYTES (4.2 kB with them kept)."""
+    draws: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+    where: dict[int, list[int]] = {}
+    for i in range(start, start + size):
+        d = int(rng.integers(2, 4))
+        d_env = int(rng.integers(2, MAX_KRAUS + 1))
+        rows = where.setdefault(d, [])
+        draws.setdefault((d, d_env), []).append((len(rows), ginibre(rng, (d * d_env, d * d_env))))
+        rows.append(i)
+    kraus = {d: np.zeros((len(rows), MAX_KRAUS, d, d), dtype=complex)
+             for d, rows in where.items()}
+    for (d, d_env), drawn in draws.items():
+        rows, gaussians = zip(*drawn)
+        kraus[d][list(rows), :d_env] = haar_kraus(np.stack(gaussians), d, d)
+    return {d: (where[d], k) for d, k in kraus.items()}
 
 
 def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]:
@@ -561,10 +581,16 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
     cmi_min = math.inf
     blocks = _blocks(samples, MI_SAMPLE_BYTES)
     largest = blocks[0][1]
-    x3 = np.empty((largest, 2 * 8 * 8))
-    x2 = np.empty((largest, 2 * 4 * 4))
+    # row b holds sample b's n3 Gaussians of its 8x8 draw, then those of its
+    # 4x4 one, so that the 4x4 ones of sample b and the 8x8 ones of sample
+    # b + 1 are adjacent and drawn in one call; the row after a block takes
+    # the next one's first 8x8 draw
+    n3 = 2 * 8 * 8
+    x = np.empty((largest + 1, n3 + 2 * 4 * 4))
+    flat, width = x.reshape(-1), x.shape[1]
     x_env = {d_env: np.empty((largest, 2 * (2 * d_env) ** 2))
              for d_env in range(2, MAX_KRAUS + 1)}
+    rng.standard_normal(out=x[0, :n3])
     for start, size in blocks:
         # the Gaussians of random_density(8), then of random_channel(2, 2, d_env)
         # and random_density(4), per sample, drawn in place: the channel ones
@@ -572,27 +598,37 @@ def mi_monotonicity_check(samples: int = 500, seed: int = 0) -> dict[str, float]
         # in the block kept beside it
         where: dict[int, list[int]] = {}
         for b in range(size):
-            rng.standard_normal(out=x3[b])
             d_env = int(rng.integers(2, MAX_KRAUS + 1))
             rows = where.setdefault(d_env, [])
             rng.standard_normal(out=x_env[d_env][len(rows)])
             rows.append(b)
-            rng.standard_normal(out=x2[b])
+            rng.standard_normal(out=flat[b * width + n3:(b + 1) * width + n3])
         # the positivity test's spectra of the 8x8 and 4x4 draws give H(ABC), H(AB)
-        r3, w3 = ginibre_spectra(_ginibres(x3[:size], 8))
-        r2, w2 = ginibre_spectra(_ginibres(x2[:size], 4))
+        r3, w3 = ginibre_spectra(_ginibres(x[:size, :n3], 8))
+        r2, w2 = ginibre_spectra(_ginibres(x[:size, n3:], 4))
+        x[0, :n3] = x[size, :n3]
         k = np.zeros((size, MAX_KRAUS, 2, 2), dtype=complex)
         for d_env, rows in where.items():
-            u = haar_unitaries(_ginibres(x_env[d_env][:len(rows)], 2 * d_env))
-            k[rows, :d_env] = dilation_kraus(u, 2, 2)
-        out3 = apply_kraus(r3, (2, 2, 2), k, 1)
-        out2 = apply_kraus(r2, (2, 2), k, 1)
+            k[rows, :d_env] = haar_kraus(_ginibres(x_env[d_env][:len(rows)], 2 * d_env), 2, 2)
+        # the channel N on B, built once as its transfer matrix; it commutes
+        # with the partial traces over A and C, so it acts on the BC and B
+        # marginals as on the states.  The marginals of each size are written
+        # into one stack: AC, BC, B'C, AB' and C, B, B'
+        t = transfer_matrix(k)
+        m4 = np.empty((4, size, 4, 4), dtype=complex)
+        m4[0] = partial_trace(r3, (2, 2, 2), (0, 2))
+        m4[1] = partial_trace(r3, (2, 2, 2), (1, 2))
+        m4[2] = _apply_transfer(m4[1], (2, 2), t, 0)
+        m4[3] = _apply_transfer(r2, (2, 2), t, 1)
+        m2 = np.empty((3, size, 2, 2), dtype=complex)
+        m2[0] = partial_trace(m4[1], (2, 2), (1,))
+        m2[1] = partial_trace(r2, (2, 2), (1,))
+        m2[2] = _apply_transfer(m2[1], (2,), t, 0)
         # the channel acts on B alone, so H(AC), H(C) and H(A) are the same
         # before and after it: they cancel from both gaps, and H(A) is never taken
-        h_ac, h_bc, h_c, h_abc_out, h_bc_out, h_b, h_ab_out, h_b_out = _von_neumann_stacks(
-            partial_trace(r3, (2, 2, 2), (0, 2)), partial_trace(r3, (2, 2, 2), (1, 2)),
-            partial_trace(r3, (2, 2, 2), (2,)), out3, partial_trace(out3, (2, 2, 2), (1, 2)),
-            partial_trace(r2, (2, 2), (1,)), out2, partial_trace(out2, (2, 2), (1,)))
+        h_abc_out = von_neumann_stack(_apply_transfer(r3, (2, 2, 2), t, 1))
+        h_ac, h_bc, h_bc_out, h_ab_out = von_neumann_stack(m4)
+        h_c, h_b, h_b_out = von_neumann_stack(m2)
         h_abc, h_ab = spectrum_entropy(w3), spectrum_entropy(w2)
         cmi = h_ac + h_bc - h_abc - h_c
         cqmi = (h_bc - h_abc) - (h_bc_out - h_abc_out)

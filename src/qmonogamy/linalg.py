@@ -137,17 +137,29 @@ def apply_kraus(m: np.ndarray, dims: tuple[int, ...] | list[int], kraus: np.ndar
     if dims[target] != d_in:
         raise ValueError(f"Kraus operators expect dimension {d_in}, "
                          f"subsystem {target} is {dims[target]}")
+    return _apply_transfer(m, dims, transfer_matrix(kraus), target)
+
+
+def _apply_transfer(m: np.ndarray, dims: tuple[int, ...], transfer: np.ndarray,
+                    target: int) -> np.ndarray:
+    """apply_kraus with the Kraus lists' transfer matrices (..., d_out^2,
+    d_in^2) given, for a complex stack `m` and a target that fit them: a
+    caller that acts one stack of channels on several stacks of operators
+    builds the matrices once (experiments.mi_monotonicity_check)."""
+    d_in = dims[target]
+    d_out = math.isqrt(transfer.shape[-2])
     before = math.prod(dims[:target])
     after = math.prod(dims[target + 1:])
     # the target's ket and bra axes go in front of the rest, as the rows the
-    # transfer matrix acts on
+    # transfer matrix acts on (a transpose: np.moveaxis costs more than the
+    # matmul's setup on a small stack)
     nb = m.ndim - 2
     t = m.reshape(m.shape[:-2] + (before, d_in, after) * 2)
-    t = np.moveaxis(t, (nb + 1, nb + 4), (nb, nb + 1))
-    t = transfer_matrix(kraus) @ t.reshape(m.shape[:-2] + (d_in * d_in, -1))
+    t = t.transpose(*range(nb), nb + 1, nb + 4, nb, nb + 2, nb + 3, nb + 5)
+    t = transfer @ t.reshape(m.shape[:-2] + (d_in * d_in, -1))
     nb = t.ndim - 2
     t = t.reshape(t.shape[:-2] + (d_out, d_out, before, after, before, after))
-    t = np.moveaxis(t, (nb, nb + 1), (nb + 1, nb + 4))
+    t = t.transpose(*range(nb), nb + 2, nb, nb + 3, nb + 4, nb + 1, nb + 5)
     d = before * d_out * after
     return t.reshape(t.shape[:-6] + (d, d))
 

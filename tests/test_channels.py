@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qmonogamy.channels import (_haar_unitary, adjoint_channel, apply, apply_to_subsystem,
-                                kraus_channel, kraus_stack, random_channel,
-                                unitary_channel)
+                                dilation_kraus, haar_kraus, haar_unitaries, kraus_channel,
+                                kraus_stack, random_channel, unitary_channel)
 from qmonogamy.linalg import dagger, kron, partial_trace
-from qmonogamy.states import DensityMatrix, maximally_entangled, random_density
+from qmonogamy.states import DensityMatrix, ginibre, maximally_entangled, random_density
 
 
 def test_kraus_channel_rejects_non_tp_sets():
@@ -183,3 +183,27 @@ def test_random_channel_is_its_haar_unitary_sliced():
 def test_random_channel_rejects_empty_dimensions(dims):
     with pytest.raises(ValueError, match="at least 1"):
         random_channel(*dims)
+
+
+# every (d_in, d_env) that verify draws a Haar dilation of: the MI check's
+# qubit channels, the adjoint check's qubit and qutrit ones, and the survey
+# at --dims (2, 1), (2, 3), (3, 2), (11, 1) and (2, 64)
+HAAR_SHAPES = sorted({(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 1), (11, 1), (2, 64)})
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("d_in,d_env", HAAR_SHAPES)
+def test_haar_kraus_is_the_full_qr_dilation_bit_for_bit(d_in, d_env, n):
+    total = d_in * d_env
+    g = ginibre(np.random.default_rng(total + n), (n, total, total))
+    got = haar_kraus(g, d_in, d_in)
+    want = dilation_kraus(haar_unitaries(g), d_in, d_in)
+    assert got.shape == want.shape == (n, d_env, d_in, d_in)
+    if (d_in, d_env) != (2, 64):
+        np.testing.assert_array_equal(got, want)
+    else:
+        # the full 128 x 128 QR crosses OpenBLAS's threading threshold for
+        # its Householder gemv (m n >= 9216) and the 65 read columns' QR
+        # does not, so a threaded BLAS sums the two in different orders;
+        # with one BLAS thread they are equal bit for bit
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)

@@ -191,16 +191,17 @@ def test_mqmmi_row_runs_the_circuit_forward_once(monkeypatch):
                                        (mqmmi_rows, 2)])
 def test_grid_functions_take_as_many_eigensolves_for_101_points_as_for_one(
         rows, most, monkeypatch):
-    # one stacked eigvalsh per matrix size of a state's cuts (and of the
-    # bond table), whatever the grid's length
+    # one stacked spectra call (states._spectra: closed form for qubits, one
+    # eigvalsh otherwise) per matrix size of a state's cuts (and of the bond
+    # table), whatever the grid's length
     shapes = []
-    real_eigvalsh = np.linalg.eigvalsh
+    real_spectra = states._spectra
 
-    def counting_eigvalsh(a, *args, **kwargs):
+    def counting_spectra(a):
         shapes.append(np.shape(a))
-        return real_eigvalsh(a, *args, **kwargs)
+        return real_spectra(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(states, "_spectra", counting_spectra)
     rows([0.4])
     one = len(shapes)
     shapes.clear()
@@ -760,17 +761,19 @@ def test_a_nan_past_the_certified_samples_is_not_read(monkeypatch):
 
 def test_a_nan_in_a_side_check_is_refused_by_entry_and_sample(monkeypatch):
     # the MI check's second block (samples 64..99): a NaN H(A, C) of sample 69
-    # reaches the conditional mutual information alone
-    real, blocks = experiments._von_neumann_stacks, []
+    # reaches the conditional mutual information alone.  H(A, C) heads the
+    # block's one stack of 4x4 marginals
+    real, blocks = experiments.von_neumann_stack, []
 
-    def poisoning(*stacks):
-        h = real(*stacks)
-        blocks.append(len(h[0]))
-        if len(blocks) == 2:
-            h[0][5] = np.nan
+    def poisoning(mats):
+        h = real(mats)
+        if mats.shape[-1] == 4:
+            blocks.append(len(h[0]))
+            if len(blocks) == 2:
+                h[0][5] = np.nan
         return h
 
-    monkeypatch.setattr(experiments, "_von_neumann_stacks", poisoning)
+    monkeypatch.setattr(experiments, "von_neumann_stack", poisoning)
     with pytest.raises(ValueError, match="^MI check cmi is nan at sample 69 of seed 4$"):
         mi_monotonicity_check(samples=100, seed=4)
     assert blocks == [64, 36]
@@ -819,9 +822,11 @@ def test_the_survey_builds_no_register(monkeypatch):
     monkeypatch.setattr(states.PureState, "reduced", refuse)
     monkeypatch.setattr(witnesses, "purified_circuit_state", refuse)
     sides = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda m, *a, _real=real, **k: (
+    # every spectrum goes through states._spectra (qubits in closed form),
+    # and purify's eigenvectors through eigh
+    for module, name in ((np.linalg, "eigh"), (states, "_spectra")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, *a, _real=real, **k: (
             sides.append(m.shape[-1]) or _real(m, *a, **k)))
     report = random_markov_verify(8, 3, dims=(2, 3))
     assert report["counterexample_seed"] is None
@@ -971,19 +976,21 @@ def test_mi_monotonicity_check_takes_one_eigensolve_per_entropy_per_block(monkey
     # also give H(ABC) and H(AB), then one stacked eigensolve per marginal
     # size: H(AB'C) at 8; H(AC), H(BC), H(B'C), H(AB') at 4; H(C), H(B), H(B')
     # at 2.  The entropies the channel on B leaves alone are not taken again,
-    # and none through a per-matrix von_neumann
+    # and none through a per-matrix von_neumann.  A solve is one
+    # states._spectra call (the 2x2 one in closed form), recorded as
+    # (matrices, d, d)
     per_matrix, stacked = [], []
-    real_eigvalsh = np.linalg.eigvalsh
+    real_spectra = states._spectra
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        stacked.append(a.shape)
-        return real_eigvalsh(a, *args, **kwargs)
+    def counting_spectra(a):
+        stacked.append((math.prod(a.shape[:-2]),) + a.shape[-2:])
+        return real_spectra(a)
 
     def refuse(rho):
         per_matrix.append(rho)
         raise AssertionError("per-matrix von_neumann call")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(states, "_spectra", counting_spectra)
     monkeypatch.setattr(states, "von_neumann", refuse)
     monkeypatch.setattr(info, "von_neumann", refuse)
     mi_monotonicity_check(samples=500)
@@ -1038,7 +1045,7 @@ def _grouped(pairs):
 
 
 def test_adjoint_check_builds_the_per_sample_channels_bit_for_bit(monkeypatch):
-    kraus = _recorded(monkeypatch, "dilation_kraus")
+    kraus = _recorded(monkeypatch, "haar_kraus")
     adjoint_identity_check(samples=40, seed=8)
     rng = np.random.default_rng(8)
     pairs = []
@@ -1054,7 +1061,7 @@ def test_adjoint_check_builds_the_per_sample_channels_bit_for_bit(monkeypatch):
 
 def test_mi_check_builds_the_per_sample_states_and_channels_bit_for_bit(monkeypatch):
     states_built = _recorded(monkeypatch, "ginibre_spectra")
-    kraus = _recorded(monkeypatch, "dilation_kraus")
+    kraus = _recorded(monkeypatch, "haar_kraus")
     mi_monotonicity_check(samples=40, seed=9)
     rng = np.random.default_rng(9)
     rho3, rho2, pairs = [], [], []

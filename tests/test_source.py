@@ -25,6 +25,9 @@
   every channel through the same matrix.
 * numpy's kron is reached only inside linalg.kron: register operators are
   built by the register simulator, not embedded by hand.
+* numpy's eigvalsh is reached only inside states._spectra, the one
+  Hermitian spectrum (qubits in closed form) that von_neumann_stack and
+  density_stack share.
 * The bool-excluding integer test, `isinstance(x, bool)`, is written once,
   in linalg._is_int, which every integer check calls.
 * Subsystem dimensions are read with `int(...)` only in linalg._dims,
@@ -425,6 +428,29 @@ def test_the_kron_scan_sees_a_second_copy():
         "E0 = np.kron([1, 0], [1, 0])\n")
     assert _enclosing(tree, _is_numpy_kron) == [
         "<module> (line 2)", "kron (line 5)", "embed (line 8)", "<module> (line 10)"]
+
+
+def _is_eigvalsh(node: ast.AST) -> bool:
+    # np.linalg.eigvalsh or any other `<module>.eigvalsh`, or eigvalsh imported by name
+    return (isinstance(node, ast.Attribute) and node.attr == "eigvalsh") or (
+        isinstance(node, ast.ImportFrom) and any(a.name == "eigvalsh" for a in node.names))
+
+
+def test_eigvalsh_is_reached_only_inside_the_one_spectra_helper():
+    found = {path.name: _enclosing(_tree(path), _is_eigvalsh) for path in MODULES}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert list(found) == ["states.py"], found
+    assert [use.split()[0] for use in found["states.py"]] == ["_spectra"]
+
+
+def test_the_eigvalsh_scan_sees_a_second_copy():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.linalg import eigh, eigvalsh as ev\n\n"
+        "def _spectra(h):\n    return np.linalg.eigvalsh(h)\n\n"
+        "def entropy(m):\n    return numpy.linalg.eigvalsh(m).sum()\n\n"
+        "W = np.linalg.eigh(np.eye(2))\n")
+    assert _enclosing(tree, _is_eigvalsh) == [
+        "<module> (line 2)", "_spectra (line 5)", "entropy (line 8)"]
 
 
 def _is_bool_test(node: ast.AST) -> bool:

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmonogamy import states
+from qmonogamy.channels import haar_unitaries
 from qmonogamy.info import von_neumann
 from qmonogamy.states import (MAX_AMPLITUDES, DensityMatrix, PureState, density,
                               density_stack, ginibre, ginibre_spectra, maximally_entangled,
                               pure_state, purify, random_density, spectrum_entropy,
                               von_neumann_stack, w_state)
+from qmonogamy.tolerances import INVARIANT_TOL
 
 RNG = np.random.default_rng(20240817)
 
@@ -67,6 +69,71 @@ def test_validator_spectra_give_the_stack_entropies_bit_for_bit(d, rank):
     # the ones von_neumann_stack solves for; low ranks exercise the clip
     mats, spectra = ginibre_spectra(ginibre(np.random.default_rng(d + rank), (64, d, rank)))
     np.testing.assert_array_equal(spectrum_entropy(spectra), von_neumann_stack(mats))
+
+
+def _rotated(w, rng):
+    # Hermitian qubit stack with spectra w (n, 2), in Haar-random bases
+    u = haar_unitaries(ginibre(rng, (len(w), 2, 2)))
+    return (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def _qubit_stacks():
+    """Hermitian parts of qubit stacks of every kind: random states, pure
+    states, the maximally mixed state, diagonal states, near-degenerate
+    spectra (splittings 1e-16 to 1e-1) and tiny off-diagonals."""
+    rng, n = np.random.default_rng(33), 512
+    g = ginibre(rng, (n, 2, 2))
+    v = ginibre(rng, (n, 2))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    p = rng.uniform(size=n)
+    split = np.repeat(10.0 ** -np.arange(1, 17), 32)
+    tiny = np.repeat(10.0 ** -np.arange(8, 24), 32) * np.exp(2j * np.pi * rng.uniform(size=n))
+    diagonal = np.zeros((n, 2, 2), dtype=complex)
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = p, 1 - p
+    off = diagonal.copy()
+    off[:, 0, 1], off[:, 1, 0] = tiny, tiny.conj()
+    stacks = {
+        "random": ginibre_spectra(g)[0],
+        "pure": v[:, :, None] * v[:, None, :].conj(),
+        "maximally mixed": np.broadcast_to(np.eye(2, dtype=complex) / 2, (n, 2, 2)),
+        "diagonal": diagonal,
+        "near-degenerate": _rotated(np.stack([(1 - split) / 2, (1 + split) / 2], axis=-1), rng),
+        "tiny off-diagonal": off,
+    }
+    return {kind: (m + m.conj().swapaxes(-1, -2)) / 2 for kind, m in stacks.items()}
+
+
+@pytest.mark.parametrize("kind", list(_qubit_stacks()))
+def test_qubit_spectra_in_closed_form_are_eigvalsh_ascending(kind):
+    h = _qubit_stacks()[kind]
+    w = states._spectra(h)
+    assert w.shape == (len(h), 2)
+    assert np.all(w[:, 0] <= w[:, 1])
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=2e-15)
+
+
+def test_qubit_spectra_keep_the_stack_shape_and_real_input():
+    h = _qubit_stacks()["random"][:12].reshape(3, 4, 2, 2)
+    np.testing.assert_allclose(states._spectra(h), np.linalg.eigvalsh(h), rtol=0, atol=2e-15)
+    real = np.array([[0.75, 0.25], [0.25, 0.25]])
+    assert states._spectra(real).shape == (2,)
+    np.testing.assert_allclose(states._spectra(real), np.linalg.eigvalsh(real), atol=2e-15)
+
+
+def test_density_stack_refuses_a_qubit_by_name():
+    good = _qubit_stacks()["random"][:4]
+    # min eigenvalue -2e-10, beyond INVARIANT_TOL, in a rotated basis
+    bad = good.copy()
+    bad[2] = _rotated(np.array([[-2e-10, 1 + 2e-10]]), np.random.default_rng(3))[0]
+    with pytest.raises(ValueError,
+                       match=r"^not positive semidefinite: min eigenvalue -2\.000e-10$"):
+        density_stack(bad, (2,))
+    # one within the tolerance passes, with its spectrum
+    bad[2] = np.diag([-0.5 * INVARIANT_TOL, 1 + 0.5 * INVARIANT_TOL])
+    assert density_stack(bad, (2,))[1][2, 0] == pytest.approx(-0.5 * INVARIANT_TOL, abs=1e-15)
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="^non-finite entries: 1 NaN or infinite$"):
+        density_stack(bad, (2,))
 
 
 def test_empty_density_input_is_refused_by_name():
@@ -170,9 +237,10 @@ def test_entropy_is_the_same_on_both_sides_of_a_cut():
 
 
 def test_entropies_reduce_each_side_once_and_solve_each_size_once(monkeypatch):
+    # a solve is one states._spectra call (qubits in closed form)
     shapes = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+    real = states._spectra
+    monkeypatch.setattr(states, "_spectra", lambda a: shapes.append(a.shape) or real(a))
     labels = ("A", "B", "C", "D")
     psi = _random_labelled((2, 3, 2, 3), labels, np.random.default_rng(6))
     # a cut and its complement: one marginal, one eigensolve
@@ -535,8 +603,8 @@ DM_SUBSETS = [(), (0,), (2,), (1,), (0, 1), (1, 2), (0, 2), (2, 0), (0, 1, 2), (
 def test_density_matrix_entropies_are_the_one_subset_readings_bit_for_bit(monkeypatch):
     rho = DensityMatrix(random_density(12, seed=8).mat, (2, 3, 2))
     shapes = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+    real = states._spectra
+    monkeypatch.setattr(states, "_spectra", lambda a: shapes.append(a.shape) or real(a))
     values = rho.entropies(*DM_SUBSETS)
     # each distinct subset reduced once, every marginal of one size in one
     # eigensolve, the whole register read from the matrix itself
