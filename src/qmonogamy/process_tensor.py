@@ -11,21 +11,19 @@ as the purifying register, so the tensor is one labelled pure state on
 (R0, S1, R1, S2, R2, ..., S_k, E), kept with its circuit; its marginal
 on the ports is the Choi state.
 
-contract closes the slots of that register with CP maps by the plug rule
-(_plug_rows, _plug): each Kraus operator M contributes the amplitude
-sqrt(d) * sum_{s,i} M[i, s] psi[S_j = s, R_j = i], so (S_j, R_j) becomes
-one Kraus register K_j, and the factor sqrt(d) cancels the normalization
-of the inserted pair.  The result is exactly what the circuit outputs with
-the maps applied in line, as the tests check.  A plug hands the block
-(S_j, R_j) to PureState._apply, the register core that runs every step.
-
-The interventional readers run the circuit forward with the maps in line
-(_run_forward), splicing a state in after the system set aside at a slot.
-The port mutual informations I(R_y : S_x) splice a maximally entangled
-pair and read all their joints in one info.mutual_information.  The
-witnesses q1, q2, q3 splice the purification of the actual state at slot
-j and read one two-time table (_two_time_table) in one entropies call;
-all three coincide for Markov processes.
+Every reader that feeds CP maps in runs the circuit forward with them in
+line: a map's Kraus list, stacked into one isometry (_isometry), acts on
+the live system with its output in a kept register K_j, and the step out
+of the slot follows, both in one slot step (_slot_step) that also takes
+build_process_tensor's steps.  contract reads the final system of such a
+run.  The interventional readers (_run_forward) also splice a state in
+after the system set aside at a slot: the port mutual informations
+I(R_y : S_x) a maximally entangled pair, read in one
+info.mutual_information, and the witnesses q1, q2, q3 the purification of
+the actual state at slot j, read as one two-time table (_two_time_table)
+in one entropies call; all three coincide for Markov processes.  Only
+markov_factorization_gap (H(E)) and dephased_joint_pmf (a diagonal) read
+the tensor itself.
 """
 
 from __future__ import annotations
@@ -151,8 +149,20 @@ def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor
         # S_j stays as the slot's output port; the pair's first half is the
         # input port R_j, its second half runs on to become S_{j+1}
         psi = psi.splice(pair, after=f"S{j}", labels=(f"R{j}", f"S{j + 1}"))
-        psi = psi.apply(circuit.step_unitaries[j - 1], (f"S{j + 1}", "E"))
+        psi = _slot_step(circuit, psi, j, f"S{j + 1}")
     return ProcessTensor(psi, circuit)
+
+
+def _slot_step(circuit: SystemEnvCircuit, psi: PureState, j: int, live: str,
+               iso: np.ndarray | None = None) -> PureState:
+    """Step j of the circuit out of slot j on the live system: the slot's
+    map `iso` (_isometry), if given, into a kept register Kj placed before
+    it, then step unitary j on (live, E), both by the register core
+    PureState._apply (the unitaries and iso were checked when made)."""
+    d = circuit.d_sys
+    if iso is not None:
+        psi = psi._apply(iso, psi._axes((live,)), {f"K{j}": len(iso) // d, live: d})
+    return psi._apply(circuit.step_unitaries[j - 1], psi._axes((live, "E")))
 
 
 def _run_forward(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
@@ -163,32 +173,28 @@ def _run_forward(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
     each slot j = min(y, x) that a pair needs, a branch sets the live system
     aside as Sj, splices spliced(run) after it as (Rj, Sk) and steps on to
     each later slot x asked for; a pair with x <= y reads the branch at j.
-    Before each step out of a slot but a branch's first, the slot's map
-    maps[j - 1], a Kraus list stacked into an isometry (n d, d), acts on the
-    live system with its output in a kept register Kj placed before it."""
-    steps, d = circuit.step_unitaries, circuit.d_sys
-
-    def step(psi: PureState, j: int, live: str, kraus: bool = True) -> PureState:
-        if kraus and maps is not None:
-            psi = psi.apply(maps[j - 1], (live,), out={f"K{j}": len(maps[j - 1]) // d, live: d})
-        return psi.apply(steps[j - 1], (live, "E"))
-
+    Every step out of a slot but a branch's first is a _slot_step with the
+    slot's map maps[j - 1], an isometry, if maps are given."""
+    maps = maps or [None] * len(circuit.step_unitaries)
     psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "Sj", "E"))
     at, states = 1, {}
     for j in sorted({min(pair) for pair in pairs}):
         for s in range(at, j):
-            psi = step(psi, s, "Sj")
+            psi = _slot_step(circuit, psi, s, "Sj", maps[s - 1])
         at = j
         states[j, j] = phi = psi.splice(spliced(psi), after="Sj", labels=("Rj", "Sk"))
         for x in range(j + 1, max(b for a, b in pairs if min(a, b) == j) + 1):
             # the splice stands in for slot j's map
-            states[j, x] = phi = step(phi, x - 1, "Sk", kraus=x > j + 1)
+            states[j, x] = phi = _slot_step(circuit, phi, x - 1, "Sk",
+                                            maps[x - 2] if x > j + 1 else None)
     return [states[min(pair), pair[1]] for pair in pairs]
 
 
-def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
-    ops = item.kraus if isinstance(item, KrausChannel) else tuple(
-        np.asarray(m, dtype=complex) for m in item)
+def _isometry(item, d: int) -> np.ndarray:
+    """A slot's map, a KrausChannel or a bare Kraus list (which need not
+    preserve trace), as its d x d operators stacked into one (n d, d) isometry."""
+    ops = [np.asarray(m, dtype=complex)
+           for m in (item.kraus if isinstance(item, KrausChannel) else item)]
     if not ops:
         raise ValueError("intervention needs at least one Kraus operator")
     for m in ops:
@@ -196,24 +202,7 @@ def _as_kraus_ops(item, d: int) -> tuple[np.ndarray, ...]:
             raise ValueError(f"intervention operator must be {d} x {d}, got {m.shape}")
         # a NaN trace would pass the trace check of the port reads
         require_finite(m, "entries in intervention operator")
-    return ops
-
-
-def _plug_rows(ops: tuple[np.ndarray, ...], d: int) -> np.ndarray:
-    # row M of the plug is sqrt(d) * M[i, s] over (S_j = s, R_j = i)
-    return np.sqrt(d) * np.stack([m.T.reshape(-1) for m in ops])
-
-
-def _plug(psi: PureState, j: int, rows: np.ndarray) -> PureState:
-    """psi.apply(rows, (S_j, R_j), out={K_j: len(rows)}) on the positions
-    of the adjacent block (S_j, R_j); the adjacency and the rows' width are
-    checked here, the amplitude budget by PureState._apply."""
-    s, r = psi._axes((f"S{j}", f"R{j}"))
-    d_in = psi.dims[s] * psi.dims[r]
-    if r != s + 1 or rows.shape[-1] != d_in:
-        raise ValueError(f"plug rows of shape {rows.shape} do not act on the adjacent "
-                         f"registers S{j}, R{j} of dimension {d_in}")
-    return psi._apply(rows, (s, r), {f"K{j}": len(rows)})
+    return np.concatenate(ops)
 
 
 def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | float:
@@ -224,25 +213,27 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
     sequence; with k maps the last one is read at the final port and the
     result is the probability of the whole sequence, Tr(sum M†M rho).
     Maps may be KrausChannel objects or bare Kraus-operator sequences
-    (which need not preserve trace).
+    (which need not preserve trace); they act in line on a forward run of
+    the circuit, (R0, K1, ..., K_{k-1}, S, E), no larger than the tensor.
     """
-    k = pt.n_slots
-    ops = [_as_kraus_ops(item, pt.d_sys) for item in interventions]
-    if len(ops) not in (k - 1, k):
+    k, d = pt.n_slots, pt.d_sys
+    isos = [_isometry(item, d) for item in interventions]
+    if len(isos) not in (k - 1, k):
         raise ValueError(f"expected {k - 1} or {k} interventions for a {k}-slot tensor, "
-                         f"got {len(ops)}")
-    psi = pt.state
+                         f"got {len(isos)}")
+    psi = PureState(pt.circuit.initial.vec, pt.circuit.initial.dims, ("R0", "S", "E"))
     for j in range(1, k):
-        psi = _plug(psi, j, _plug_rows(ops[j - 1], pt.d_sys))
-    rho = psi.reduced((f"S{k}",)).mat
-    if len(ops) == k - 1:
+        psi = _slot_step(pt.circuit, psi, j, "S", isos[j - 1])
+    rho = psi.reduced(("S",)).mat
+    if len(isos) == k - 1:
         tr = np.trace(rho).real
         if tr <= INVARIANT_TOL:
             raise ValueError(f"intervention sequence has probability {tr:.3e}; "
                              "its conditional output state is undefined")
         # the conditional state; a trace-preserving sequence divides by ~1
-        return density(rho / tr, (pt.d_sys,))
-    p = np.trace(sum(m.conj().T @ m for m in ops[-1]) @ rho).real
+        return density(rho / tr, (d,))
+    # sum M†M of the last map is iso† iso of its stacked operators
+    p = np.trace(isos[-1].conj().T @ isos[-1] @ rho).real
     if not -INVARIANT_TOL <= p <= 1 + INVARIANT_TOL:
         raise ValueError(f"contraction gave probability {p!r} outside [0, 1]")
     return float(p)
@@ -284,8 +275,7 @@ def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]
     k, d = pt.n_slots, pt.d_sys
     if interventions is not None and len(interventions) != k - 1:
         raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
-    maps = None if interventions is None else [np.concatenate(_as_kraus_ops(m, d))
-                                                for m in interventions]
+    maps = None if interventions is None else [_isometry(m, d) for m in interventions]
     joints = []
     states = _run_forward(pt.circuit, pairs, lambda _: maximally_entangled(d), maps)
     for (y, x), psi in zip(pairs, states):
@@ -426,7 +416,7 @@ def dephased_joint_pmf(pt: ProcessTensor) -> JointPMF:
     every slot and the final port; classical and Markov whenever the
     underlying process is Markov."""
     d, k = pt.d_sys, pt.n_slots
-    # plugging |a><a| at slot j keeps the diagonal S_j = R_j = a with weight d;
+    # the projector |a><a| at slot j keeps the diagonal S_j = R_j = a with weight d;
     # registers (R0, S1, R1, ..., S_k, E), so S_j and R_j share subscript j - 1
     weights = np.abs(pt.state.vec.reshape(pt.state.dims)) ** 2
     subs = [k] + [i // 2 for i in range(2 * k - 1)] + [k + 1]

@@ -20,8 +20,8 @@ one circuit simulator: unitaries and isometries are applied to named
 registers, fresh pure states are spliced in next to them, and entropies
 of named registers come straight from the vector.  Every purified
 circuit, process tensor and intervened state is built this way, and
-MAX_AMPLITUDES bounds all of them.  Every step, plug, isometry and
-embedding goes through PureState._apply, which alone checks the budget,
+MAX_AMPLITUDES bounds all of them.  Every step, isometry and embedding
+goes through PureState._apply, which alone checks the budget,
 calls the kernel linalg._apply_registers and lays out the registers.
 Registers that are adjacent and in order are one contiguous block
 (before, d, after) of the flat vector: an operator acts on them in place,

@@ -74,10 +74,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_to_subsystem
+from .channels import KrausChannel, apply_to_subsystem, kraus_stack
 from .info import conditional_mutual_information, mutual_information
 from .linalg import _is_int, _require_int, transfer_matrix
-from .states import DensityMatrix, PureState, purify, von_neumann_stack
+from .states import DensityMatrix, PureState, density_stack, purify, von_neumann_stack
 from .tolerances import GAP_TOLERANCE
 
 __all__ = [
@@ -138,10 +138,11 @@ class MarkovChainProcess:
 def markov_process(initial: DensityMatrix,
                    channels: list[KrausChannel] | tuple[KrausChannel, ...],
                    ) -> MarkovChainProcess:
-    """Validate the dimensions and build a process.
-
-    Every channel must map the initial state's dimension to itself: a
-    process carries one system dimension, as its BondTable does.
+    """Validate the state, the channels and their dimensions and build a
+    process.  A process carries one system dimension, as its BondTable
+    does, so every Kraus operator must be d x d.  The state is checked by
+    states.density_stack and the channels by channels.kraus_stack, one
+    stacked call per Kraus count.
     """
     channels = tuple(channels)
     if not channels:
@@ -150,11 +151,14 @@ def markov_process(initial: DensityMatrix,
         initial = DensityMatrix(initial.mat, (initial.dim,))
     d = initial.dim
     for i, ch in enumerate(channels):
-        if ch.d_in != d:
-            raise ValueError(f"channel {i} expects dimension {ch.d_in}, chain carries {d}")
-        if ch.d_out != d:
-            raise ValueError(f"channel {i} maps dimension {d} to {ch.d_out}; a process "
-                             f"carries one system dimension")
+        shapes = sorted({np.shape(k) for k in ch.kraus})
+        if shapes != [(d, d)]:
+            raise ValueError(f"channel {i} maps dimension {ch.d_in} to {ch.d_out} by Kraus "
+                             f"operators of shapes {shapes}; a process carries one system "
+                             f"dimension, {d}")
+    density_stack(initial.mat[None], (d,))
+    for n in {len(ch.kraus) for ch in channels}:
+        kraus_stack([ch.kraus for ch in channels if len(ch.kraus) == n])
     return MarkovChainProcess(initial, channels)
 
 

@@ -865,7 +865,7 @@ def test_mi_monotonicity_check_frozen_values(seed, want):
 @pytest.mark.parametrize("seed,n_pairs,dim,want", [
     (0, 2, 2, 9.329706074368005e-08),
     (1000, 2, 2, 3.831139638421632e-06),
-    (7, 3, 3, 0.007860656706859537),
+    (7, 3, 3, 0.007860656706860425),
 ])
 def test_classical_cmmi_check_frozen_values(seed, n_pairs, dim, want):
     # the same variates as drawn one chain at a time, so the same bits

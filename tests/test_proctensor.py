@@ -2,10 +2,10 @@
 causality, Choi-state DPIs, and the interventional monogamy witnesses.
 
 The oracles below simulate the circuit as a density matrix with the CP
-maps applied in line, sharing nothing with the plugged pure-state register
-except the Kraus operators themselves.  For port mutual informations the
-line simulation traces the system out at slot y and tensors a fresh
-maximally entangled pair onto (R_y, S) in its place.
+maps applied in line, sharing nothing with the package's pure-state
+register runs except the Kraus operators themselves.  For port mutual
+informations the line simulation traces the system out at slot y and
+tensors a fresh maximally entangled pair onto (R_y, S) in its place.
 """
 
 import itertools
@@ -280,54 +280,56 @@ def test_an_empty_kraus_list_is_refused_by_name():
         port_mutual_information(pt, 2, 3, [[], eye])
 
 
-def test_a_long_kraus_list_is_refused_by_the_amplitude_budget():
-    # more Kraus operators than d^2 grow the register past MAX_AMPLITUDES
-    pt = build_process_tensor(CIRCUITS[3][1], 5)
-    n_ops = MAX_AMPLITUDES * 4 // pt.state.dim + 1
-    ops = [np.eye(2) / np.sqrt(n_ops)] * n_ops
-    with pytest.raises(ValueError, match="amplitudes"):
-        contract(pt, [ops] + [(np.eye(2),)] * 3)
+def test_a_kraus_list_longer_than_d_squared_is_contracted_at_slot_one():
+    # the 5-slot qubit tensor fills MAX_AMPLITUDES, so a slot-1 list of more
+    # than d^2 = 4 operators could not be closed on the tensor itself; the
+    # forward run holds one register of 6 for it and reads what the line
+    # simulation does
+    circuit = CIRCUITS[3][1]
+    pt = build_process_tensor(circuit, 5)
+    assert pt.state.dim == MAX_AMPLITUDES
+    maps = [random_channel(2, 2, 6, seed=40)] + [random_channel(2, 2, 2, seed=41 + i)
+                                                 for i in range(4)]
+    got = contract(pt, maps[:-1])
+    assert np.abs(got.mat - _simulate(circuit, 5, maps[:-1])).max() <= 1e-12
+    outcome = [j % 2 for j in range(5)]
+    seq = [maps[0]] + [_proj(a) for a in outcome[1:]]
+    want = _simulate(circuit, 5, seq[:-1])[outcome[-1], outcome[-1]].real
+    assert contract(pt, seq) == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("slot", [2, 3, 4])
-def test_a_long_kraus_list_is_refused_by_the_amplitude_budget_at_every_plug_slot(slot):
-    # identity plugs before `slot` each shrink the register by d^2 = 4
-    pt = build_process_tensor(CIRCUITS[3][1], 5)
-    n_ops = MAX_AMPLITUDES * 4 // (pt.state.dim // 4 ** (slot - 1)) + 1
-    ops = [np.eye(2) / np.sqrt(n_ops)] * n_ops
+@pytest.mark.parametrize("slot", [1, 2, 3, 4])
+def test_a_long_kraus_list_is_refused_by_the_amplitude_budget(slot):
+    # the forward run holds the circuit's (R0, S, E) amplitudes times one
+    # register per map, so with identities at the other slots the longest
+    # list that fits is the same at every slot: it is contracted, one more is
+    # refused
+    circuit = CIRCUITS[3][1]
+    pt = build_process_tensor(circuit, 5)
+    fits = MAX_AMPLITUDES // circuit.initial.dim
     seq = [(np.eye(2),)] * 4
-    seq[slot - 1] = ops
-    with pytest.raises(ValueError, match=r"amplitudes \(limit"):
-        contract(pt, seq)
-    # the forward read of (R1, S5) holds the tensor's registers but the pairs
-    # of slots 2 to 4, times one register per map: the list above fits it at
-    # slot 2, the longest list that fits reads at every slot, one more is refused
+    for n in (fits, fits + 1):
+        seq[slot - 1] = [np.eye(2) / np.sqrt(n)] * n
+        if n > fits:
+            with pytest.raises(ValueError, match=r"amplitudes \(limit"):
+                contract(pt, seq)
+        else:
+            want = _simulate(circuit, 5, seq)
+            assert np.abs(contract(pt, seq).mat - want).max() <= 1e-12
+    # the forward read of (R1, S5) holds (R0, S1, R1, S, E) times one register
+    # per map: the longest list that fits reads at every slot after 1, one
+    # more is refused
+    if slot == 1:
+        return
     fits = MAX_AMPLITUDES // (pt.state.dim // 4 ** 3)
-    for n in (n_ops, fits, fits + 1):
+    for n in (fits, fits + 1):
         seq[slot - 1] = [np.eye(2) / np.sqrt(n)] * n
         if n > fits:
             with pytest.raises(ValueError, match=r"amplitudes \(limit"):
                 port_mutual_information(pt, 1, 5, seq)
         else:
-            want = _line_port_mi(CIRCUITS[3][1], 1, 5, seq)
+            want = _line_port_mi(circuit, 1, 5, seq)
             assert port_mutual_information(pt, 1, 5, seq) == pytest.approx(want, abs=1e-12)
-
-
-def test_a_plug_refuses_rows_of_the_wrong_width_and_registers_apart():
-    pt = build_process_tensor(_w_circuit(0.5), 3)
-    rows = process_tensor._plug_rows((np.eye(2, dtype=complex),), 2)
-    with pytest.raises(ValueError, match="do not act on the adjacent registers S1, R1"):
-        process_tensor._plug(pt.state, 1, rows[:, :3])
-    # S1 and R1 swapped: the pair is no longer the block (S1, R1)
-    labels = list(pt.state.labels)
-    labels[1:3] = ["R1", "S1"]
-    swapped = PureState(pt.state.vec, pt.state.dims, tuple(labels))
-    with pytest.raises(ValueError, match="do not act on the adjacent registers S1, R1"):
-        process_tensor._plug(swapped, 1, rows)
-    # R1 and R2 swapped: S1 and R1 are apart
-    moved = PureState(pt.state.vec, pt.state.dims, ("R0", "S1", "R2", "S2", "R1", "S3", "E"))
-    with pytest.raises(ValueError, match="do not act on the adjacent registers S1, R1"):
-        process_tensor._plug(moved, 1, rows)
 
 
 def _kron_embedded_circuit(initial_rs, step_unitaries, env_dim):
@@ -547,21 +549,26 @@ def _counted(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
-def test_the_port_reads_make_no_plug_and_one_eigensolve_per_size(
+def test_the_port_reads_take_one_forward_run_and_one_eigensolve_per_size(
         name, circuit, slots, monkeypatch):
     pt = build_process_tensor(circuit, slots)
     d = circuit.d_sys
     maps = [random_channel(d, d, 2, seed=90 + i) for i in range(slots - 1)]
     # every spectrum is one states._spectra call (qubits in closed form)
     spectra = _counted(monkeypatch, states, "_spectra")
-    plugs = _counted(monkeypatch, process_tensor, "_plug")
+    steps = _counted(monkeypatch, process_tensor, "_slot_step")
     for seq in (None, maps):
         spectra.clear()
-        plugs.clear()
+        steps.clear()
         choi_dpi_witnesses(pt, seq)
         sizes = [np.shape(a)[-1] for (a, *_) in spectra]
         assert sorted(sizes) == [d, d * d]
-        assert plugs == []
+        # the five pairs share one run: the branch at slot 1 steps out of
+        # slots 1, 2, 3, the run out of slot 1, and the branch at slot 2 out
+        # of slots 2, 3; a map acts at every step but a branch's first
+        assert [j for _, _, j, *_ in steps] == [1, 2, 3, 1, 2, 3]
+        with_map = [j for _, _, j, _, iso in steps if iso is not None]
+        assert with_map == ([] if seq is None else [2, 3, 1, 3])
     # the factorization gap on a fresh tensor: its step marginals in one
     # stacked call, then H(E)
     spectra.clear()
@@ -583,30 +590,6 @@ def test_the_port_reads_of_one_run_are_each_pair_read_alone_bit_for_bit(name, ci
         for (y, x), value in mi.items():
             if x <= y:
                 assert abs(value) <= 1e-12, (y, x, seq is None)
-
-
-def _same_state(got, want):
-    assert got.vec.tobytes() == want.vec.tobytes()
-    assert got.vec.shape == want.vec.shape and got.vec.dtype == want.vec.dtype
-    assert got.dims == want.dims and got.labels == want.labels
-
-
-@pytest.mark.parametrize("name,circuit,slots", FOUR_SLOT, ids=[c[0] for c in FOUR_SLOT])
-def test_a_plug_is_the_labelled_apply_bit_for_bit(name, circuit, slots):
-    pt = build_process_tensor(circuit, slots)
-    d = circuit.d_sys
-    maps = [random_channel(d, d, 2, seed=50 + i) for i in range(slots - 1)]
-    for seq in ([(np.eye(d, dtype=complex),)] * (slots - 1), maps):
-        rows = [process_tensor._plug_rows(process_tensor._as_kraus_ops(m, d), d)
-                for m in seq]
-        # each slot on the fresh tensor, and on the tensor plugged up to it
-        psi = pt.state
-        for j in range(1, slots):
-            for state in (pt.state, psi):
-                want = state.apply(rows[j - 1], (f"S{j}", f"R{j}"),
-                                   out={f"K{j}": len(rows[j - 1])})
-                _same_state(process_tensor._plug(state, j, rows[j - 1]), want)
-            psi = process_tensor._plug(psi, j, rows[j - 1])
 
 
 @pytest.mark.parametrize("name,circuit,slots", CIRCUITS, ids=[c[0] for c in CIRCUITS])

@@ -40,15 +40,16 @@
   on no state kind with `isinstance`: each kind resolves its own cuts.
 * classical.py sums a Shannon entropy (`spectrum_entropy(...)`) only in
   JointPMF._entropies, and experiments.py imports no other Shannon reader
-  from it, so the classical check reads its gaps through cmmi_gap and
-  info's one I(A:B).
+  from it, so the classical check reads its gaps through cmmi_gap, whose
+  pair entropies come from JointPMF.entropies.
 * The register kernel linalg._apply_registers is called only in
   apply_two_site and PureState._apply, and the amplitude budget
   states._check_budget only in PureState._apply and splice: every
   register operation of the package goes through the one register core.
-* process_tensor._plug is called only in contract, and the forward
-  runner _run_forward only by the two interventional readers, the port
-  reader and the two-time table: no port read plugs the tensor.
+* process_tensor._slot_step, the one step out of a slot with or without
+  a map, is called only by build_process_tensor, the forward runner
+  _run_forward and contract, and _run_forward only by the two
+  interventional readers, the port reader and the two-time table.
 """
 
 import ast
@@ -540,11 +541,11 @@ def test_the_label_scan_sees_a_second_copy():
         "class PureState:\n"
         "    def _axes(self, registers):\n"
         "        return [self.labels.index(r) for r in registers]\n\n"
-        "def _plug(psi, j):\n"
+        "def _slot_step(psi, j):\n"
         "    return psi.labels.index(f'S{j}'), psi.dims.index(2)\n\n"
         "def cut(labels, names):\n"
         "    return sorted(labels.index(n) for n in names), names.index('E')\n")
-    assert _enclosing(tree, _is_label_lookup) == ["_axes (line 3)", "_plug (line 6)",
+    assert _enclosing(tree, _is_label_lookup) == ["_axes (line 3)", "_slot_step (line 6)",
                                                   "cut (line 9)"]
 
 
@@ -664,29 +665,30 @@ def test_the_register_call_scan_sees_a_second_caller():
         "        return _apply_registers(self.vec, self.dims, op, axes, True)\n\n"
         "def fresh_env_circuit(basis, dims, u):\n"
         "    return linalg._apply_registers(basis, dims, u, (0, 1), in_place=True).T\n\n"
-        "def _plug(psi, rows):\n"
-        "    states._check_budget(len(rows))\n")
+        "def _slot_step(psi, iso):\n"
+        "    states._check_budget(len(iso))\n")
     assert _enclosing(tree, _calls("_apply_registers")) == [
         "_apply (line 6)", "fresh_env_circuit (line 9)"]
-    assert _enclosing(tree, _calls("_check_budget")) == ["_apply (line 5)", "_plug (line 12)"]
+    assert _enclosing(tree, _calls("_check_budget")) == ["_apply (line 5)", "_slot_step (line 12)"]
 
 
-def test_plugs_serve_contract_and_the_forward_runner_the_interventional_readers():
-    assert _callers("_plug") == {"process_tensor.py": ["contract"]}
+def test_one_slot_step_serves_the_builder_contract_and_the_forward_runner():
+    assert _callers("_slot_step") == {"process_tensor.py": [
+        "build_process_tensor", "_run_forward", "_run_forward", "contract"]}
     assert _callers("_run_forward") == {
         "process_tensor.py": ["_port_mutual_informations", "_two_time_table"]}
 
 
-def test_the_plug_and_runner_call_scan_sees_a_second_caller():
+def test_the_slot_step_and_runner_call_scan_sees_a_second_caller():
     tree = ast.parse(
-        "def contract(pt, rows):\n"
-        "    return _plug(pt.state, 1, rows)\n\n"
-        "def _port_mutual_informations(pt, pairs, rows):\n"
-        "    plugged = [_plug(pt.state, j, rows) for j in pairs]\n"
-        "    return plugged, _run_forward(pt.circuit, pairs, lambda _: None)\n\n"
+        "def contract(pt, isos):\n"
+        "    return _slot_step(pt.circuit, pt.state, 1, 'S', isos[0])\n\n"
+        "def _port_mutual_informations(pt, pairs, isos):\n"
+        "    stepped = [_slot_step(pt.circuit, pt.state, j, 'Sj') for j in pairs]\n"
+        "    return stepped, _run_forward(pt.circuit, pairs, lambda _: None)\n\n"
         "def dephased_joint_pmf(pt):\n"
         "    return process_tensor._run_forward(pt.circuit, [(1, 2)], purify)\n")
-    assert _enclosing(tree, _calls("_plug")) == [
+    assert _enclosing(tree, _calls("_slot_step")) == [
         "contract (line 2)", "_port_mutual_informations (line 5)"]
     assert _enclosing(tree, _calls("_run_forward")) == [
         "_port_mutual_informations (line 6)", "dephased_joint_pmf (line 9)"]

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmonogamy import experiments, linalg, witnesses as witnesses_module
-from qmonogamy.channels import kraus_channel, random_channel
+from qmonogamy.channels import KrausChannel, kraus_channel, random_channel
 from qmonogamy.experiments import random_markov_process
 from qmonogamy.info import chain_coherent_information, conditional_mutual_information
 from qmonogamy.states import DensityMatrix, random_density
@@ -59,6 +59,43 @@ def test_markov_process_refuses_a_channel_that_changes_the_dimension():
         markov_process(random_density(2, seed=0), [widen])
     with pytest.raises(ValueError, match="channel 1 maps dimension 2 to 3"):
         markov_process(random_density(2, seed=0), [random_channel(2, 2, 2, seed=1), widen])
+
+
+def test_markov_process_refuses_an_initial_state_that_is_no_density_matrix():
+    # trace 1 and Hermitian, but not positive: its M4 read 0.035 with no error
+    ch = random_channel(2, 2, 2, seed=1)
+    negative = DensityMatrix(np.diag([1.5, -0.5]).astype(complex), (2,))
+    with pytest.raises(ValueError, match="not positive semidefinite: min eigenvalue "
+                                         "-5.000e-01"):
+        markov_process(negative, [ch] * 3)
+    with pytest.raises(ValueError, match="not unit trace"):
+        markov_process(DensityMatrix(np.eye(2, dtype=complex), (2,)), [ch] * 3)
+    nan = np.eye(2, dtype=complex) / 2
+    nan[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        markov_process(DensityMatrix(nan, (2,)), [ch] * 3)
+
+
+def test_markov_process_refuses_a_map_that_is_no_channel():
+    # doubling the state gave DP1 = -12 and DP2 = -60, false violations
+    rho = random_density(2, seed=0)
+    good = random_channel(2, 2, 2, seed=1)
+    doubling = KrausChannel((2 * np.eye(2, dtype=complex),), 2, 2)
+    with pytest.raises(ValueError, match="not trace preserving: max deviation 3.000e\\+00"):
+        markov_process(rho, [doubling] * 3)
+    # channels of different Kraus counts are each checked, in their own stack
+    leaky = KrausChannel(tuple(0.9 * k for k in good.kraus), 2, 2)
+    for chain in ([random_channel(2, 2, 3, seed=2), leaky, good],
+                  [leaky, random_channel(2, 2, 3, seed=2)]):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            markov_process(rho, chain)
+    # operators of the wrong size, and none at all, are refused by channel
+    wide = KrausChannel((np.eye(3, dtype=complex),), 2, 2)
+    with pytest.raises(ValueError, match=r"channel 1 maps dimension 2 to 2 by Kraus "
+                                         r"operators of shapes \[\(3, 3\)\]"):
+        markov_process(rho, [good, wide])
+    with pytest.raises(ValueError, match=r"channel 0 .* of shapes \[\]"):
+        markov_process(rho, [KrausChannel((), 2, 2)])
 
 
 def test_witness_report_violation_bookkeeping():
