@@ -30,7 +30,9 @@ reads every cut the formula needs in one call.
 
 from __future__ import annotations
 
-from .channels import KrausChannel, apply, apply_to_subsystem
+import numpy as np
+
+from .channels import KrausChannel, apply, apply_to_subsystem, kraus_stack
 from .linalg import _require_int
 from .states import DensityMatrix, PureState, purify, von_neumann
 
@@ -74,13 +76,16 @@ def chain_coherent_information(rho1: DensityMatrix, chain: list[KrausChannel],
     """Coherent information between positions r and s of a channel chain.
 
     Positions are 1-based: state 1 is `rho1`, state i+1 is state i pushed
-    through chain[i-1].  Requires 1 <= r < s <= len(chain) + 1.
+    through chain[i-1].  Requires 1 <= r < s <= len(chain) + 1 and channels
+    that kraus_stack passes, one call per Kraus-list shape (count and dims).
     """
     n = len(chain)
     _require_int(r, "state r")
     _require_int(s, "state s")
     if not (1 <= r < s <= n + 1):
         raise ValueError(f"need 1 <= r < s <= {n + 1}, got r={r}, s={s}")
+    for shape in {np.shape(ch.kraus) for ch in chain}:
+        kraus_stack([ch.kraus for ch in chain if np.shape(ch.kraus) == shape])
     rho = rho1
     for i in range(r - 1):
         rho = apply(chain[i], rho)

@@ -2,33 +2,33 @@
 contraction with CP maps, the Markov factorization test, port
 data-processing gaps, and the interventional monogamy witnesses.
 
-A SystemEnvCircuit is a pure state on (R0, S, E) together with step
-unitaries on S (x) E.  Its k-slot process tensor is built by, at each
-intermediate time, setting the live system aside as the slot's output
-port S_j and feeding in one half of a fresh maximally entangled pair
-whose other half becomes the input port R_j.  The environment E is kept
-as the purifying register, so the tensor is one labelled pure state on
-(R0, S1, R1, S2, R2, ..., S_k, E), kept with its circuit; its marginal
-on the ports is the Choi state.
+A SystemEnvCircuit, a pure state on (R0, S, E) with step unitaries on
+S (x) E, is its own process tensor of one slot more than it has steps;
+build_process_tensor cuts it to its first k slots.  Its `state`, built
+and cached on the first whole-state read, sets the live system aside at
+each intermediate slot as the output port S_j and feeds in one half of a
+fresh maximally entangled pair whose other half is the input port R_j:
+one pure state on (R0, S1, R1, ..., S_k, E), E purifying, whose marginal
+on the ports is the Choi state.  Only markov_factorization_gap (H(E))
+and dephased_joint_pmf (a diagonal) read it.
 
-Every reader that feeds CP maps in runs the circuit forward with them in
-line: a map's Kraus list, stacked into one isometry (_isometry), acts on
-the live system with its output in a kept register K_j, and the step out
-of the slot follows, both in one slot step (_slot_step) that also takes
-build_process_tensor's steps.  contract reads the final system of such a
-run.  The interventional readers (_run_forward) also splice a state in
-after the system set aside at a slot: the port mutual informations
-I(R_y : S_x) a maximally entangled pair, read in one
+Every other reader runs the circuit forward within that run's own
+amplitude budget, CP maps in line: a map's Kraus list, stacked into one
+isometry (_isometry), acts on the live system with its output in a kept
+register K_j, and the step out of the slot follows, both in one slot
+step (_slot_step) that also takes the state's steps.  contract reads the
+final system of such a run.  The interventional readers (_run_forward)
+also splice a state in after the system set aside at a slot: the port
+mutual informations I(R_y : S_x) a maximally entangled pair, read in one
 info.mutual_information, and the witnesses q1, q2, q3 the purification of
 the actual state at slot j, read as one two-time table (_two_time_table)
-in one entropies call; all three coincide for Markov processes.  Only
-markov_factorization_gap (H(E)) and dephased_joint_pmf (a diagonal) read
-the tensor itself.
+in one entropies call; all three coincide for Markov processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ from .witnesses import MONOGAMY, WitnessReport, _pairing, monogamy_gap
 
 __all__ = [
     "SystemEnvCircuit",
-    "ProcessTensor",
     "system_env_circuit",
     "build_process_tensor",
     "contract",
@@ -58,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SystemEnvCircuit:
-    """Pure (R0, S, E) state evolved by unitaries on S (x) E."""
+    """Pure (R0, S, E) state evolved by unitaries on S (x) E; a process tensor."""
 
     initial: PureState
     step_unitaries: tuple[np.ndarray, ...]
@@ -71,26 +70,23 @@ class SystemEnvCircuit:
     def n_slots(self) -> int:
         return len(self.step_unitaries) + 1
 
-
-@dataclass(frozen=True, eq=False)
-class ProcessTensor:
-    """Pure state on the ports and the environment, (R0, S1, R1, ..., S_k, E),
-    and the circuit it was built from."""
-
-    state: PureState
-    circuit: SystemEnvCircuit
-
     @property
     def ports(self) -> tuple[str, ...]:
-        return self.state.labels[:-1]
+        return ("R0",) + tuple(f"{p}{j}" for j in range(1, self.n_slots + 1) for p in "SR")[:-1]
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.ports) // 2
-
-    @property
-    def d_sys(self) -> int:
-        return self.state.dims[1]
+    @cached_property
+    def state(self) -> PureState:
+        """The process tensor, a pure state on (R0, S1, R1, ..., S_k, E),
+        built once on first read within MAX_AMPLITUDES."""
+        _require_one(self)
+        psi = PureState(self.initial.vec, self.initial.dims, ("R0", "S1", "E"))
+        pair = maximally_entangled(self.d_sys)
+        for j in range(1, self.n_slots):
+            # S_j stays as the slot's output port; the pair's first half is the
+            # input port R_j, its second half runs on to become S_{j+1}
+            psi = psi.splice(pair, after=f"S{j}", labels=(f"R{j}", f"S{j + 1}"))
+            psi = _slot_step(self, psi, j, f"S{j + 1}")
+        return psi
 
 
 def system_env_circuit(initial: PureState,
@@ -128,29 +124,25 @@ def system_env_circuit(initial: PureState,
 # building and contracting
 # ---------------------------------------------------------------------------
 
-def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> ProcessTensor:
-    """The first `steps` time slots of the circuit as a process tensor.
-
-    Needs steps - 1 step unitaries.  The k = 1 tensor is just the initial
-    (R0, S1, E) state.
-    """
+def build_process_tensor(circuit: SystemEnvCircuit, steps: int) -> SystemEnvCircuit:
+    """The first `steps` time slots of the circuit as a new circuit, which
+    runs nothing: its tensor state is built on first read.  Needs steps - 1
+    step unitaries; the k = 1 tensor is the initial (R0, S1, E) state."""
     _require_int(steps, "steps")
     if steps < 1:
         raise ValueError("need at least one time slot")
-    if circuit.initial.batch or any(u.ndim > 2 for u in circuit.step_unitaries):
-        raise ValueError("a process tensor is built from one circuit, not a stack")
+    _require_one(circuit)
     if steps - 1 > len(circuit.step_unitaries):
         raise ValueError(
             f"{steps} slots need {steps - 1} step unitaries, "
             f"circuit has {len(circuit.step_unitaries)}")
-    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "S1", "E"))
-    pair = maximally_entangled(circuit.d_sys)
-    for j in range(1, steps):
-        # S_j stays as the slot's output port; the pair's first half is the
-        # input port R_j, its second half runs on to become S_{j+1}
-        psi = psi.splice(pair, after=f"S{j}", labels=(f"R{j}", f"S{j + 1}"))
-        psi = _slot_step(circuit, psi, j, f"S{j + 1}")
-    return ProcessTensor(psi, circuit)
+    return SystemEnvCircuit(circuit.initial, circuit.step_unitaries[:steps - 1])
+
+
+def _require_one(circuit: SystemEnvCircuit) -> None:
+    """Refuse a stack of circuits: the tensor readers read one circuit."""
+    if circuit.initial.batch or any(u.ndim > 2 for u in circuit.step_unitaries):
+        raise ValueError("a process tensor is built from one circuit, not a stack")
 
 
 def _slot_step(circuit: SystemEnvCircuit, psi: PureState, j: int, live: str,
@@ -205,8 +197,8 @@ def _isometry(item, d: int) -> np.ndarray:
     return np.concatenate(ops)
 
 
-def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | float:
-    """Feed CP maps into the slots of the tensor.
+def contract(circuit: SystemEnvCircuit, interventions: Sequence) -> DensityMatrix | float:
+    """Feed CP maps into the slots of the circuit's tensor.
 
     With one map per intermediate slot (k-1 of them) the result is the
     output state at the final port divided by the probability of the
@@ -216,14 +208,15 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
     (which need not preserve trace); they act in line on a forward run of
     the circuit, (R0, K1, ..., K_{k-1}, S, E), no larger than the tensor.
     """
-    k, d = pt.n_slots, pt.d_sys
+    _require_one(circuit)
+    k, d = circuit.n_slots, circuit.d_sys
     isos = [_isometry(item, d) for item in interventions]
     if len(isos) not in (k - 1, k):
         raise ValueError(f"expected {k - 1} or {k} interventions for a {k}-slot tensor, "
                          f"got {len(isos)}")
-    psi = PureState(pt.circuit.initial.vec, pt.circuit.initial.dims, ("R0", "S", "E"))
+    psi = PureState(circuit.initial.vec, circuit.initial.dims, ("R0", "S", "E"))
     for j in range(1, k):
-        psi = _slot_step(pt.circuit, psi, j, "S", isos[j - 1])
+        psi = _slot_step(circuit, psi, j, "S", isos[j - 1])
     rho = psi.reduced(("S",)).mat
     if len(isos) == k - 1:
         tr = np.trace(rho).real
@@ -239,14 +232,14 @@ def contract(pt: ProcessTensor, interventions: Sequence) -> DensityMatrix | floa
     return float(p)
 
 
-def markov_factorization_gap(pt: ProcessTensor) -> float:
+def markov_factorization_gap(circuit: SystemEnvCircuit) -> float:
     """Relative entropy in bits of the Choi state Y to the product of its
     step marginals Y_g on (R_g, S_{g+1}), sum_g H(Y_g) - H(Y) with H(Y) =
     H(E); zero iff Markov.  The product is a Markov tensor, so this is the
     non-Markovianity measure of Pollock et al., PRA 97, 012127 (2018).
     The k step cuts and E are one entropies call."""
-    k = pt.n_slots
-    *steps, h_env = pt.state.entropies(*((f"R{g}", f"S{g + 1}") for g in range(k)), ("E",))
+    k = circuit.n_slots
+    *steps, h_env = circuit.state.entropies(*((f"R{g}", f"S{g + 1}") for g in range(k)), ("E",))
     return float(sum(steps) - h_env)
 
 
@@ -254,30 +247,31 @@ def markov_factorization_gap(pt: ProcessTensor) -> float:
 # port data-processing gaps
 # ---------------------------------------------------------------------------
 
-def port_mutual_information(pt: ProcessTensor, y: int, x: int,
+def port_mutual_information(circuit: SystemEnvCircuit, y: int, x: int,
                             interventions: Sequence | None = None) -> float:
     """I(R_y : S_x) with CPTP maps at the slots strictly before x (default
     identity), the pair (S_y, R_y) left open at slot y, and everything at
     or after slot x traced out."""
-    k = pt.n_slots
+    k = circuit.n_slots
     _require_int(y, "port slot y")
     _require_int(x, "port slot x")
     if not (1 <= x <= k) or not (1 <= y <= k - 1):
         raise ValueError(f"ports R{y}, S{x} not present in a {k}-slot tensor")
-    return float(_port_mutual_informations(pt, ((y, x),), interventions)[0])
+    return float(_port_mutual_informations(circuit, ((y, x),), interventions)[0])
 
 
-def _port_mutual_informations(pt: ProcessTensor, pairs: Sequence[tuple[int, int]],
+def _port_mutual_informations(circuit: SystemEnvCircuit, pairs: Sequence[tuple[int, int]],
                               interventions: Sequence | None) -> np.ndarray:
     """port_mutual_information of every pair (y, x) in `pairs`, from one forward
     run that splices a maximally entangled pair (a causality read, x <= y,
     takes R_y against the set-aside S_x); each trace is checked before its read."""
-    k, d = pt.n_slots, pt.d_sys
+    _require_one(circuit)
+    k, d = circuit.n_slots, circuit.d_sys
     if interventions is not None and len(interventions) != k - 1:
         raise ValueError(f"need {k - 1} interventions, got {len(interventions)}")
     maps = None if interventions is None else [_isometry(m, d) for m in interventions]
     joints = []
-    states = _run_forward(pt.circuit, pairs, lambda _: maximally_entangled(d), maps)
+    states = _run_forward(circuit, pairs, lambda _: maximally_entangled(d), maps)
     for (y, x), psi in zip(pairs, states):
         tr = np.vdot(psi.vec, psi.vec).real
         if abs(tr - 1.0) > INVARIANT_TOL:
@@ -296,7 +290,7 @@ CHOI_DPI_GAPS = (
 )
 
 
-def choi_dpi_witnesses(pt: ProcessTensor,
+def choi_dpi_witnesses(circuit: SystemEnvCircuit,
                        interventions: Sequence | None = None) -> WitnessReport:
     """The row gaps I(R_y : S_x) - I(R_y : S_x'), x < x', of a four-slot
     tensor (CHOI_DPI_GAPS: two adjacent and one transitive along the R1 row,
@@ -306,10 +300,10 @@ def choi_dpi_witnesses(pt: ProcessTensor,
     compares two inputs, which no inequality orders (R2S3-R1S3 is 4/3 -
     log2(3) bits on a qutrit Markov circuit), and is not kept as a candidate:
     a list never asserted would be one more kind of entry that nothing reads."""
-    if pt.n_slots != 4:
-        raise ValueError(f"needs a 4-slot tensor, got {pt.n_slots} slots")
+    if circuit.n_slots != 4:
+        raise ValueError(f"needs a 4-slot tensor, got {circuit.n_slots} slots")
     pairs = sorted({pair for _, hi, lo in CHOI_DPI_GAPS for pair in (hi, lo)})
-    mi = dict(zip(pairs, _port_mutual_informations(pt, pairs, interventions).tolist()))
+    mi = dict(zip(pairs, _port_mutual_informations(circuit, pairs, interventions).tolist()))
     return WitnessReport({name: mi[hi] - mi[lo] for name, hi, lo in CHOI_DPI_GAPS})
 
 
@@ -379,6 +373,12 @@ def mqmmi_witnesses(circuit: SystemEnvCircuit) -> WitnessReport:
 # Markov circuits and dephasing
 # ---------------------------------------------------------------------------
 
+# fresh_env_circuit's bound on D = d_s env_dim^m: its m dense D x D step operators
+# grow as m D^2 while its states fit MAX_AMPLITUDES (qubits peak at 31 MB at
+# D = 256, m = 7, and 141 MB at D = 512); 256 admits the 8-slot M8 circuits.
+MAX_STEP_DIM = 256
+
+
 def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray],
                       env_dim: int) -> SystemEnvCircuit:
     """Markov circuit: every step gets its own fresh |0> environment.
@@ -396,11 +396,15 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
     if env_dim < 1:
         raise ValueError(f"environment dimension must be at least 1, got {env_dim}")
     d_s, m = initial_rs.dims[1], len(step_unitaries)
+    d_se = d_s * env_dim ** m
+    if d_se > MAX_STEP_DIM:
+        raise ValueError(f"{m} steps would need step operators of dimension {d_se} "
+                         f"(limit MAX_STEP_DIM = {MAX_STEP_DIM})")
     dims = (d_s,) + (env_dim,) * m
     fresh = PureState(np.eye(1, env_dim ** m, dtype=complex)[0], (env_dim ** m,))
     initial = PureState(initial_rs.vec, initial_rs.dims, ("R0", "S")).splice(
         fresh, after="S", labels=("E",))
-    basis = np.eye(d_s * env_dim ** m, dtype=complex)
+    basis = np.eye(d_se, dtype=complex)
     embedded = []
     for jj, u in enumerate(step_unitaries):
         u = np.asarray(u, dtype=complex)
@@ -411,13 +415,13 @@ def fresh_env_circuit(initial_rs: PureState, step_unitaries: Sequence[np.ndarray
     return system_env_circuit(initial, embedded)
 
 
-def dephased_joint_pmf(pt: ProcessTensor) -> JointPMF:
+def dephased_joint_pmf(circuit: SystemEnvCircuit) -> JointPMF:
     """Outcome distribution of computational-basis rank-one measurements at
     every slot and the final port; classical and Markov whenever the
     underlying process is Markov."""
-    d, k = pt.d_sys, pt.n_slots
+    d, k, psi = circuit.d_sys, circuit.n_slots, circuit.state
     # the projector |a><a| at slot j keeps the diagonal S_j = R_j = a with weight d;
     # registers (R0, S1, R1, ..., S_k, E), so S_j and R_j share subscript j - 1
-    weights = np.abs(pt.state.vec.reshape(pt.state.dims)) ** 2
+    weights = np.abs(psi.vec.reshape(psi.dims)) ** 2
     subs = [k] + [i // 2 for i in range(2 * k - 1)] + [k + 1]
     return joint_pmf(d ** (k - 1) * np.einsum(weights, subs, list(range(k))))

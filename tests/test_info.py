@@ -225,9 +225,12 @@ def test_chain_of_unitaries_preserves_coherent_information():
     rho = random_density(2, seed=16)
     h = von_neumann(rho)
     u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    chain = [kraus_channel([u]), kraus_channel([u])]
-    for r, s in [(1, 2), (1, 3), (2, 3)]:
-        assert chain_coherent_information(rho, chain, r, s) == pytest.approx(h, abs=1e-10)
+    # the second chain embeds the qubit into a qutrit and then turns it: its
+    # two Kraus lists share a count but not a shape, so each is checked alone
+    for chain in ([kraus_channel([u]), kraus_channel([u])],
+                  [kraus_channel([np.eye(3, 2)]), kraus_channel([np.roll(np.eye(3), 1, axis=0)])]):
+        for r, s in [(1, 2), (1, 3), (2, 3)]:
+            assert chain_coherent_information(rho, chain, r, s) == pytest.approx(h, abs=1e-10)
 
 
 def test_chain_index_validation():

@@ -394,10 +394,72 @@ def test_fresh_env_circuit_rejects_an_empty_environment():
         fresh_env_circuit(init, [np.eye(2)], env_dim=0)
 
 
-def test_build_guard_rejects_oversized_circuits():
+def test_fresh_env_circuit_refuses_oversized_step_operators_before_building(monkeypatch):
+    # 8 qubit steps on a qubit need 512 x 512 operators; their states would
+    # fit the amplitude budget, so the refusal comes before the identity basis
+    init = pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), (2, 2))
+    units = [np.eye(4)] * 8
+    eyes = _counted(monkeypatch, np, "eye")
+    with pytest.raises(ValueError, match=r"step operators of dimension 512 "
+                                         r"\(limit MAX_STEP_DIM = 256\)"):
+        fresh_env_circuit(init, units, 2)
+    assert eyes == []
+
+
+def test_whole_state_reads_alone_meet_the_tensor_budget():
+    # the 7-slot lambda tensor needs 2^15 amplitudes: the forward reads still
+    # run, the two reads of the whole state are refused
     circuit = system_env_circuit(w_state(), [u_lambda(0.5)] * 6)
-    with pytest.raises(ValueError, match="amplitudes"):
-        build_process_tensor(circuit, 7)
+    pt = build_process_tensor(circuit, 7)
+    eye = (np.eye(2, dtype=complex),)
+    got = contract(pt, [eye] * 6)
+    assert np.abs(got.mat - _simulate(circuit, 7, [eye] * 6)).max() <= 1e-12
+    for read in (markov_factorization_gap, dephased_joint_pmf):
+        with pytest.raises(ValueError, match=r"amplitudes \(limit"):
+            read(pt)
+
+
+def test_forward_reads_of_a_circuit_over_the_tensor_budget_match_the_line_simulation():
+    # a 4-slot qutrit Markov circuit with a qutrit environment per step: its
+    # tensor needs 3^11 amplitudes, a forward read at most 3^7 times its maps'
+    rng = np.random.default_rng(59)
+    circuit = _random_markov_circuit(rng, 3, d=3, env_dim=3)
+    pt = build_process_tensor(circuit, 4)
+    maps = [random_channel(3, 3, 2, seed=100 + i) for i in range(3)]
+    for seq in (None, maps):
+        line = seq or [(np.eye(3),)] * 3
+        want = _simulate(circuit, 4, line)
+        assert np.abs(contract(pt, line).mat - want).max() <= 1e-12
+        for y, x in [(1, 2), (2, 4)]:
+            assert port_mutual_information(pt, y, x, seq) == pytest.approx(
+                _line_port_mi(circuit, y, x, line), abs=1e-12), (y, x, seq is None)
+        assert min(choi_dpi_witnesses(pt, seq).entries.values()) >= -GAP_TOLERANCE
+    for read in (markov_factorization_gap, dephased_joint_pmf):
+        with pytest.raises(ValueError, match=r"amplitudes \(limit"):
+            read(pt)
+
+
+def test_the_tensor_state_is_built_on_its_first_whole_state_read(monkeypatch):
+    circuit = _w_circuit(0.35)
+    ops = [_counted(monkeypatch, process_tensor, "_slot_step"),
+           _counted(monkeypatch, PureState, "splice"),
+           _counted(monkeypatch, PureState, "_apply")]
+    pt = build_process_tensor(circuit, 4)
+    # a new circuit, also when it keeps every step
+    assert pt is not circuit and len(pt.step_unitaries) == 3
+    assert [len(calls) for calls in ops] == [0, 0, 0]
+    contract(pt, [(np.eye(2),)] * 3)
+    choi_dpi_witnesses(pt)
+    assert "state" not in vars(pt)
+    gap = markov_factorization_gap(pt)
+    built = [len(calls) for calls in ops]
+    assert "state" in vars(pt) and "state" not in vars(circuit)
+    assert pt.state.labels == pt.ports + ("E",) == (
+        "R0", "S1", "R1", "S2", "R2", "S3", "R3", "S4", "E")
+    # a second read of either kind reuses the state
+    dephased_joint_pmf(pt)
+    assert markov_factorization_gap(pt) == gap
+    assert [len(calls) for calls in ops] == built
 
 
 def test_markov_tensor_factorizes_and_nonmarkov_does_not():
@@ -891,5 +953,14 @@ def test_a_non_finite_intervention_operator_is_refused_by_name(bad):
 
 def test_a_process_tensor_is_built_from_one_circuit():
     circuit = system_env_circuit(w_state(), [u_lambda(lambda_grid(0.0, 1.0, 0.5))] * 3)
-    with pytest.raises(ValueError, match="one circuit, not a stack"):
-        build_process_tensor(circuit, 4)
+    eye = (np.eye(2),)
+    calls = [lambda: build_process_tensor(circuit, 4),
+             lambda: contract(circuit, [eye] * 3),
+             lambda: port_mutual_information(circuit, 1, 3),
+             lambda: choi_dpi_witnesses(circuit),
+             lambda: markov_factorization_gap(circuit),
+             lambda: dephased_joint_pmf(circuit),
+             lambda: circuit.state]
+    for call in calls:
+        with pytest.raises(ValueError, match="one circuit, not a stack"):
+            call()

@@ -47,9 +47,13 @@
   states._check_budget only in PureState._apply and splice: every
   register operation of the package goes through the one register core.
 * process_tensor._slot_step, the one step out of a slot with or without
-  a map, is called only by build_process_tensor, the forward runner
-  _run_forward and contract, and _run_forward only by the two
-  interventional readers, the port reader and the two-time table.
+  a map, is called only by the tensor state's builder (the `state`
+  property), the forward runner _run_forward and contract, and
+  _run_forward only by the two interventional readers, the port reader
+  and the two-time table.
+* In process_tensor.py the tensor state (`.state`) is read only by
+  markov_factorization_gap and dephased_joint_pmf, the two reads of the
+  whole Choi state, so every other read keeps to its forward run's budget.
 """
 
 import ast
@@ -674,7 +678,7 @@ def test_the_register_call_scan_sees_a_second_caller():
 
 def test_one_slot_step_serves_the_builder_contract_and_the_forward_runner():
     assert _callers("_slot_step") == {"process_tensor.py": [
-        "build_process_tensor", "_run_forward", "_run_forward", "contract"]}
+        "state", "_run_forward", "_run_forward", "contract"]}
     assert _callers("_run_forward") == {
         "process_tensor.py": ["_port_mutual_informations", "_two_time_table"]}
 
@@ -692,3 +696,29 @@ def test_the_slot_step_and_runner_call_scan_sees_a_second_caller():
         "contract (line 2)", "_port_mutual_informations (line 5)"]
     assert _enclosing(tree, _calls("_run_forward")) == [
         "_port_mutual_informations (line 6)", "dephased_joint_pmf (line 9)"]
+
+
+def _state_reads(tree: ast.Module) -> list[str]:
+    return _enclosing(tree, lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "state")
+
+
+def test_the_tensor_state_is_read_only_by_the_two_whole_state_readers():
+    assert [use.split()[0] for use in _state_reads(_tree(PACKAGE / "process_tensor.py"))] == [
+        "markov_factorization_gap", "dephased_joint_pmf"]
+
+
+def test_the_state_read_scan_sees_a_third_reader():
+    tree = ast.parse(
+        "class SystemEnvCircuit:\n"
+        "    @cached_property\n"
+        "    def state(self):\n        return _build(self)\n\n"
+        "    @property\n"
+        "    def ports(self):\n        return self.state.labels[:-1]\n\n"
+        "def markov_factorization_gap(circuit):\n"
+        "    return circuit.state.entropies(('E',))\n\n"
+        "def contract(circuit, isos):\n"
+        "    states = [circuit.initial]\n"
+        "    return states, circuit.state.vec\n")
+    assert _state_reads(tree) == ["ports (line 8)", "markov_factorization_gap (line 11)",
+                                  "contract (line 15)"]

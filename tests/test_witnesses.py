@@ -83,6 +83,9 @@ def test_markov_process_refuses_a_map_that_is_no_channel():
     doubling = KrausChannel((2 * np.eye(2, dtype=complex),), 2, 2)
     with pytest.raises(ValueError, match="not trace preserving: max deviation 3.000e\\+00"):
         markov_process(rho, [doubling] * 3)
+    # the chain reference read 1.975 bits, above a qubit's ceiling of 1
+    with pytest.raises(ValueError, match="not trace preserving: max deviation 3.000e\\+00"):
+        chain_coherent_information(rho, [good, doubling], 1, 2)
     # channels of different Kraus counts are each checked, in their own stack
     leaky = KrausChannel(tuple(0.9 * k for k in good.kraus), 2, 2)
     for chain in ([random_channel(2, 2, 3, seed=2), leaky, good],
